@@ -26,7 +26,6 @@ from .flsim import (
 )
 from .model import (
     Dataset,
-    LabeledSample,
     ModelSpec,
     gradient,
     init_params,

@@ -55,9 +55,7 @@ SUMMARY_HEADER = (
 
 
 def _synthetic_has_knobs(cfg: ExperimentConfig) -> bool:
-    return not isinstance(cfg.dataset, CifarSource) and bool(
-        cfg.dataset.label_skew or cfg.dataset.noise_mult or cfg.dataset.feature_scale
-    )
+    return not isinstance(cfg.dataset, CifarSource) and cfg.dataset.has_node_knobs
 
 
 def _hetero_test_size(scenario: flsim.ScenarioConfig) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import SyntheticSpec
-from .flsim import PROBE_SAMPLER_KINDS, ScenarioConfig
+from .flsim import PROBE_SAMPLER_KINDS, ScenarioConfig, held_out_size
 from .model import mlp_spec, softmax_spec
 from .probe import G_FORMULAS
 
@@ -194,6 +194,7 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_sizes(raw, scenario, dataset)
 
     out = raw.get("output.dir", "runs")
     out_path = Path(out)
@@ -217,6 +218,35 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
         model_l2=l2,
         model_hidden_width=hidden,
     )
+
+
+def _first_set(raw: _RawConfig, *keys: str) -> str:
+    """The first of ``keys`` the config sets, so an error can name its line."""
+    return next((key for key in keys if key in raw.lines), keys[0])
+
+
+def _check_sizes(
+    raw: _RawConfig, scenario: ScenarioConfig, dataset: SyntheticSpec | CifarSource
+) -> None:
+    """Reject sizes that would otherwise fail only after the probe phase."""
+    if scenario.batch_size > scenario.samples_per_node:
+        raise raw.error(
+            _first_set(raw, "scenario.batch_size", "scenario.samples_per_node"),
+            f"batch_size {scenario.batch_size} exceeds samples_per_node "
+            f"{scenario.samples_per_node}; it must lie in [1, {scenario.samples_per_node}]",
+        )
+    # Per-node synthetic generation always draws at least one test row; a
+    # partitioned dataset holds out a share of its rows, which may round to 0.
+    if isinstance(dataset, CifarSource):
+        empty = scenario.test_fraction == 0.0
+    else:
+        n_rows = dataset.num_classes * dataset.samples_per_class
+        empty = not dataset.has_node_knobs and held_out_size(scenario, n_rows) == 0
+    if empty:
+        raise raw.error(
+            _first_set(raw, "scenario.test_fraction", "data.samples_per_class"),
+            f"test_fraction {scenario.test_fraction:g} leaves the test split empty",
+        )
 
 
 def load_config(path: Path | str) -> ExperimentConfig:

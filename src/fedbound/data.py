@@ -71,6 +71,11 @@ class SyntheticSpec:
         if any(not 0.0 < s <= 1.0 for s in self.feature_scale):
             raise ValueError("feature_scale entries must lie in (0, 1]")
 
+    @property
+    def has_node_knobs(self) -> bool:
+        """True when any per-node knob is set, so nodes are generated one by one."""
+        return bool(self.label_skew or self.noise_mult or self.feature_scale)
+
 
 def class_centers(spec: SyntheticSpec, seed: int) -> np.ndarray:
     """Cluster centers at pairwise distance >= separation, deterministic in seed."""

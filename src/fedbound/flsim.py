@@ -16,7 +16,7 @@ and parallel schedules produce identical results.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +139,11 @@ class FLRun:
         return [s.g_value for samples in self.probe_samples.values() for s in samples]
 
 
+def held_out_size(cfg: ScenarioConfig, n: int) -> int:
+    """Rows :func:`partition_dataset` holds out for testing from ``n`` rows."""
+    return int(round(cfg.test_fraction * n))
+
+
 def partition_dataset(
     data: Dataset, cfg: ScenarioConfig, rng_seed: int
 ) -> tuple[Dataset, list[Dataset]]:
@@ -150,7 +155,7 @@ def partition_dataset(
     n = len(data)
     rng = spawn_rng("partition", rng_seed)
     order = rng.permutation(n)
-    n_test = int(round(cfg.test_fraction * n))
+    n_test = held_out_size(cfg, n)
     test_idx = order[:n_test]
     pool = order[n_test:]
     if cfg.missing_classes:
@@ -185,12 +190,15 @@ def local_round(
     test_data: Dataset,
     cfg: ScenarioConfig,
     rng_seed: int,
+    global_test_loss: float,
 ) -> tuple[ParamVector, float, list[float]]:
     """Replace the node's model with the global one and resume local training.
 
-    Returns the trained parameters, the node's usefulness delta (global
-    test loss before minus after its local epochs), and the batch-gradient
-    norm observed at every SGD step.
+    ``global_test_loss`` is ``loss(cfg.model, global_params, test_data)``,
+    which is the same for every node of a round, so the caller computes it
+    once. Returns the trained parameters, the node's usefulness delta
+    (global test loss before minus after its local epochs), and the
+    batch-gradient norm observed at every SGD step.
     """
     params = np.asarray(global_params, dtype=np.float64)
     trace: list[float] = []
@@ -200,7 +208,7 @@ def local_round(
             derive_seed(rng_seed, epoch),
         )
         trace.extend(norms)
-    delta = loss(cfg.model, global_params, test_data) - loss(cfg.model, params, test_data)
+    delta = global_test_loss - loss(cfg.model, params, test_data)
     return params, delta, trace
 
 
@@ -252,24 +260,27 @@ def run_federated_partitioned(
 
     current = w1
     candidates = [(train_loss_at(w1), w1)]
+    test_loss = loss(cfg.model, w1, test_data)
     raw_rounds = []
     for t in range(1, cfg.rounds + 1):
         locals_, usefulness, traces = [], {}, []
         for node in nodes:
             trained, delta, trace = local_round(
-                node, current, test_data, cfg, derive_seed(cfg.seed, "round", t, node.id)
+                node, current, test_data, cfg, derive_seed(cfg.seed, "round", t, node.id),
+                test_loss,
             )
             locals_.append(trained)
             usefulness[node.id] = delta
             traces.extend((node.id, g) for g in trace)
         current = fedavg(locals_)
         train_loss = train_loss_at(current)
+        test_loss = loss(cfg.model, current, test_data)
         candidates.append((train_loss, current))
         raw_rounds.append(
             dict(
                 t=t,
                 train_loss=train_loss,
-                test_loss=loss(cfg.model, current, test_data),
+                test_loss=test_loss,
                 per_node_usefulness=usefulness,
                 training_g_values=tuple(traces),
             )
@@ -379,7 +390,3 @@ def save_run(run: FLRun, run_dir: Path | str, extra_config: dict[str, str] | Non
     constants_rows.append((-1, g.mu, g.L, g.G, g.n_probes))
     write_csv(run_dir / "constants.csv", ("node_id", "mu", "L", "G", "n_probes"), constants_rows)
     write_probes_csv(run_dir / "probes.csv", run.probe_samples)
-
-
-def with_model(cfg: ScenarioConfig, model: ModelSpec) -> ScenarioConfig:
-    return replace(cfg, model=model)

@@ -34,14 +34,6 @@ MODEL_KINDS = ("softmax", "mlp", "quadratic")
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One classification sample: features in [0, 1]^d, integer class label."""
-
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Labeled classification samples stored as dense arrays.
 
@@ -78,11 +70,13 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.features[i].copy(), int(self.labels[i]))
-
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
+        """The rows at an integer index array; they were validated with ``self``."""
+        rows = object.__new__(Dataset)
+        object.__setattr__(rows, "features", self.features[indices])
+        object.__setattr__(rows, "labels", self.labels[indices])
+        object.__setattr__(rows, "num_classes", self.num_classes)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return draw_init_like(spec, spawn_rng("init", seed))
 
 
-def _check_inputs(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
+def _check_params(spec: ModelSpec, params: ParamVector) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (param_dim(spec),):
         raise ValueError(
@@ -171,6 +165,10 @@ def _check_inputs(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.nda
         )
     if not np.all(np.isfinite(params)):
         raise ValueError("parameter vector contains non-finite values")
+    return params
+
+
+def _check_data(spec: ModelSpec, data: Dataset) -> None:
     if len(data) == 0:
         raise ValueError("dataset is empty")
     if spec.kind != "quadratic":
@@ -182,42 +180,87 @@ def _check_inputs(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.nda
             raise ValueError(
                 f"dataset num_classes {data.num_classes} != spec num_classes {spec.num_classes}"
             )
+
+
+def _check_inputs(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
+    params = _check_params(spec, params)
+    _check_data(spec, data)
     return params
 
 
-def _split_softmax(spec: ModelSpec, params: ParamVector):
-    d, k = spec.feature_dim, spec.num_classes
-    weights = params[: k * d].reshape(k, d)
-    bias = params[k * d :]
-    return weights, bias
+def _loss_and_grad_stacked(
+    spec: ModelSpec,
+    W: np.ndarray,
+    feats: np.ndarray,
+    labels: np.ndarray,
+    want_grad: bool,
+    want_loss: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Losses ``(P,)`` and gradients ``(P, dim)`` at each row of a parameter stack.
 
+    The one home of the forward and backward math; either output is None
+    when not wanted. It checks nothing: ``W`` must be finite with
+    ``param_dim(spec)`` columns and ``feats``/``labels`` a nonempty dataset
+    that matches the spec. Row p equals :func:`loss` and :func:`gradient` at
+    ``W[p]`` bit for bit. That is why the penalty is a per-row dot product
+    (``einsum`` rounds differently) and the gathered log-probabilities are
+    made contiguous (a strided mean sums in another order).
+    """
+    l2 = spec.l2_coefficient
+    losses = grads = None
+    if want_loss:
+        penalty = 0.5 * l2 * np.array([w @ w for w in W])
+    if spec.kind == "quadratic":
+        curv = np.asarray(spec.quad_diag) * W
+        if want_loss:
+            losses = 0.5 * np.array([w @ c for w, c in zip(W, curv)]) + penalty
+        if want_grad:
+            grads = curv + l2 * W
+        return losses, grads
 
-def _split_mlp(spec: ModelSpec, params: ParamVector):
+    stack, n = W.shape[0], feats.shape[0]
     d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
-    ofs = 0
-    w1 = params[ofs : ofs + h * d].reshape(h, d)
-    ofs += h * d
-    b1 = params[ofs : ofs + h]
-    ofs += h
-    w2 = params[ofs : ofs + k * h].reshape(k, h)
-    ofs += k * h
-    b2 = params[ofs : ofs + k]
-    return w1, b1, w2, b2
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _forward_logits(spec: ModelSpec, params: ParamVector, feats: np.ndarray):
-    """Logits plus the hidden activations needed for backprop (mlp only)."""
     if spec.kind == "softmax":
-        weights, bias = _split_softmax(spec, params)
-        return feats @ weights.T + bias, None
-    w1, b1, w2, b2 = _split_mlp(spec, params)
-    hidden = np.tanh(feats @ w1.T + b1)
-    return hidden @ w2.T + b2, hidden
+        weights = W[:, : k * d].reshape(stack, k, d)
+        logits = feats @ weights.transpose(0, 2, 1) + W[:, None, k * d :]
+    else:
+        o1, o2, o3 = h * d, h * d + h, h * d + h + k * h
+        w1 = W[:, :o1].reshape(stack, h, d)
+        b1 = W[:, None, o1:o2]
+        w2 = W[:, o2:o3].reshape(stack, k, h)
+        b2 = W[:, None, o3:]
+        hidden = np.tanh(feats @ w1.transpose(0, 2, 1) + b1)
+        logits = hidden @ w2.transpose(0, 2, 1) + b2
+    shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
+    logp_all = shifted - np.log(np.add.reduce(np.exp(shifted), axis=2, keepdims=True))
+    rows = np.arange(n)
+    logp = np.ascontiguousarray(logp_all[:, rows, labels])
+    if want_loss:
+        losses = np.add.reduce(np.minimum(-logp, _LOG_CAP), axis=1) / n + penalty
+    if not want_grad:
+        return losses, None
+
+    err = np.exp(logp_all)
+    err[:, rows, labels] -= 1.0
+    # Samples whose true-class probability is below the floor sit on the
+    # capped (flat) branch of the loss and contribute no gradient.
+    capped = ~(logp >= -_LOG_CAP)
+    if capped.any():
+        err[capped] = 0.0
+    err /= n
+    if spec.kind == "softmax":
+        parts = [err.transpose(0, 2, 1) @ feats, np.add.reduce(err, axis=1)]
+    else:
+        d_hidden = (err @ w2) * (1.0 - hidden * hidden)
+        parts = [
+            d_hidden.transpose(0, 2, 1) @ feats,
+            np.add.reduce(d_hidden, axis=1),
+            err.transpose(0, 2, 1) @ hidden,
+            np.add.reduce(err, axis=1),
+        ]
+    grads = np.concatenate([part.reshape(stack, -1) for part in parts], axis=1)
+    grads += l2 * W
+    return losses, grads
 
 
 def loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
@@ -226,49 +269,17 @@ def loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
     The quadratic kind instead evaluates 0.5 * w^T diag(h) w (data ignored).
     """
     params = _check_inputs(spec, params, data)
-    penalty = 0.5 * spec.l2_coefficient * float(params @ params)
-    if spec.kind == "quadratic":
-        diag = np.asarray(spec.quad_diag)
-        return 0.5 * float(params @ (diag * params)) + penalty
-    logits, _ = _forward_logits(spec, params, data.features)
-    logp = _log_softmax(logits)[np.arange(len(data)), data.labels]
-    per_sample = np.minimum(-logp, _LOG_CAP)
-    return float(per_sample.mean()) + penalty
+    losses, _ = _loss_and_grad_stacked(spec, params[None], data.features, data.labels, False)
+    return float(losses[0])
 
 
 def gradient(spec: ModelSpec, params: ParamVector, data: Dataset) -> ParamVector:
     """Exact analytic gradient of :func:`loss`; same shape as ``params``."""
     params = _check_inputs(spec, params, data)
-    if spec.kind == "quadratic":
-        diag = np.asarray(spec.quad_diag)
-        return diag * params + spec.l2_coefficient * params
-
-    n = len(data)
-    feats = data.features
-    logits, hidden = _forward_logits(spec, params, feats)
-    logp = _log_softmax(logits)
-    probs = np.exp(logp)
-    err = probs.copy()
-    err[np.arange(n), data.labels] -= 1.0
-    # Samples whose true-class probability is below the floor sit on the
-    # capped (flat) branch of the loss and contribute no gradient.
-    active = logp[np.arange(n), data.labels] >= -_LOG_CAP
-    err[~active] = 0.0
-    err /= n
-
-    if spec.kind == "softmax":
-        grad_w = err.T @ feats
-        grad_b = err.sum(axis=0)
-        flat = np.concatenate([grad_w.ravel(), grad_b])
-    else:
-        _, _, w2, _ = _split_mlp(spec, params)
-        grad_w2 = err.T @ hidden
-        grad_b2 = err.sum(axis=0)
-        d_hidden = (err @ w2) * (1.0 - hidden * hidden)
-        grad_w1 = d_hidden.T @ feats
-        grad_b1 = d_hidden.sum(axis=0)
-        flat = np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
-    return flat + spec.l2_coefficient * params
+    _, grads = _loss_and_grad_stacked(
+        spec, params[None], data.features, data.labels, True, want_loss=False
+    )
+    return grads[0]
 
 
 def sgd_epoch_traced(

@@ -18,7 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import write_csv
-from .model import Dataset, ModelSpec, ParamVector, draw_init_like, gradient, loss
+from .model import (
+    Dataset,
+    ModelSpec,
+    ParamVector,
+    _check_data,
+    _check_inputs,
+    _check_params,
+    _loss_and_grad_stacked,
+    draw_init_like,
+    gradient,
+    loss,
+)
 from .rng import derive_seed, spawn_rng
 
 # Below this squared distance a pair is useless for the m formula; pairs are
@@ -26,6 +37,10 @@ from .rng import derive_seed, spawn_rng
 DEGENERATE_SQ_DIST = 1e-30
 
 G_FORMULAS = ("gradient-norm", "loss-magnitude")
+
+# Probes evaluated in one stacked kernel call hold about this many floats in
+# each (probe, row, max(hidden, classes)) intermediate, a few MB at most.
+STACK_ELEMENTS = 1 << 18
 
 
 class DegeneratePairError(ValueError):
@@ -118,6 +133,21 @@ def draw_probe_pair(
     raise DegeneratePairError("sampler keeps producing coincident pairs")
 
 
+def _pair_values(spec: ModelSpec, U: np.ndarray, V: np.ndarray, data: Dataset):
+    """F(u), F(v) and grad F(v) for stacked pairs; one kernel call per stack."""
+    f_u, _ = _loss_and_grad_stacked(spec, U, data.features, data.labels, False)
+    f_v, grad_v = _loss_and_grad_stacked(spec, V, data.features, data.labels, True)
+    return f_u, f_v, grad_v
+
+
+def _m_value(u: ParamVector, v: ParamVector, f_u: float, f_v: float, grad_v: ParamVector) -> float:
+    diff = u - v
+    sq_dist = float(diff @ diff)
+    if sq_dist < DEGENERATE_SQ_DIST:
+        raise DegeneratePairError(f"||u - v||^2 = {sq_dist} is below {DEGENERATE_SQ_DIST}")
+    return 2.0 * (float(f_u) - float(f_v) + float((v - u) @ grad_v)) / sq_dist
+
+
 def compute_m(spec: ModelSpec, u: ParamVector, v: ParamVector, data: Dataset) -> float:
     """Normalized curvature of the loss between two parameter vectors.
 
@@ -128,12 +158,10 @@ def compute_m(spec: ModelSpec, u: ParamVector, v: ParamVector, data: Dataset) ->
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("u and v must have identical shapes")
-    diff = u - v
-    sq_dist = float(diff @ diff)
-    if sq_dist < DEGENERATE_SQ_DIST:
-        raise DegeneratePairError(f"||u - v||^2 = {sq_dist} is below {DEGENERATE_SQ_DIST}")
-    gap = loss(spec, u, data) - loss(spec, v, data) + float((v - u) @ gradient(spec, v, data))
-    return 2.0 * gap / sq_dist
+    u = _check_inputs(spec, u, data)
+    v = _check_params(spec, v)
+    f_u, f_v, grad_v = _pair_values(spec, u[None], v[None], data)
+    return _m_value(u, v, f_u[0], f_v[0], grad_v[0])
 
 
 def compute_g(spec: ModelSpec, v: ParamVector, data: Dataset) -> float:
@@ -144,6 +172,39 @@ def compute_g(spec: ModelSpec, v: ParamVector, data: Dataset) -> float:
 def compute_g_loss_magnitude(spec: ModelSpec, v: ParamVector, data: Dataset) -> float:
     """Alternative g reading: the loss magnitude |F(v)| instead of ||grad F(v)||."""
     return abs(loss(spec, v, data))
+
+
+def probe_stack_size(spec: ModelSpec, data: Dataset) -> int:
+    """Probes per stacked evaluation, from the size of one probe's intermediates."""
+    return max(1, STACK_ELEMENTS // (len(data) * max(spec.hidden_width, spec.num_classes)))
+
+
+def _stack_samples(
+    spec: ModelSpec,
+    pairs: list[tuple[ParamVector, ParamVector]],
+    data: Dataset,
+    g_formula: str,
+    first: int,
+) -> list[ProbeSample]:
+    """Evaluate the pairs of probes ``first, first + 1, ...`` as one stack."""
+    U = np.stack([u for u, _ in pairs])
+    V = np.stack([v for _, v in pairs])
+    try:
+        f_u, f_v, grad_v = _pair_values(spec, U, V, data)
+    except Exception as exc:
+        raise ProbeFailure(first, str(exc)) from exc
+    samples = []
+    for p in range(len(pairs)):
+        try:
+            m = _m_value(U[p], V[p], f_u[p], f_v[p], grad_v[p])
+            if g_formula == "gradient-norm":
+                g = float(np.linalg.norm(grad_v[p]))
+            else:
+                g = abs(float(f_v[p]))
+            samples.append(ProbeSample(m, g))
+        except Exception as exc:
+            raise ProbeFailure(first + p, str(exc)) from exc
+    return samples
 
 
 def collect_probes(
@@ -157,23 +218,35 @@ def collect_probes(
     """Run the probe loop and keep every (m, g) sample.
 
     Probe i uses a seed derived from (rng_seed, i) only, so a longer run
-    extends a shorter one sample-for-sample.
+    extends a shorter one sample-for-sample. Pairs are drawn one probe at a
+    time, in order, and evaluated :func:`probe_stack_size` probes at a time.
+    A failure names the first probe that raised or gave a non-finite value.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
     if g_formula not in G_FORMULAS:
         raise ValueError(f"g_formula must be one of {G_FORMULAS}")
-    g_of = compute_g if g_formula == "gradient-norm" else compute_g_loss_magnitude
-    samples = []
-    for i in range(n_probes):
-        try:
-            u, v = draw_probe_pair(spec, sampler, derive_seed(rng_seed, i))
-            samples.append(
-                ProbeSample(compute_m(spec, u, v, data), g_of(spec, v, data))
-            )
-        except ProbeFailure:
-            raise
-        except Exception as exc:
+    try:
+        _check_data(spec, data)
+    except ValueError as exc:
+        raise ProbeFailure(0, str(exc)) from exc
+    stack = probe_stack_size(spec, data)
+    samples: list[ProbeSample] = []
+    for first in range(0, n_probes, stack):
+        pairs, failure = [], None
+        for i in range(first, min(first + stack, n_probes)):
+            try:
+                u, v = draw_probe_pair(spec, sampler, derive_seed(rng_seed, i))
+                pairs.append((_check_params(spec, u), _check_params(spec, v)))
+            except ProbeFailure:
+                raise
+            except Exception as exc:
+                failure = (i, exc)
+                break
+        if pairs:
+            samples.extend(_stack_samples(spec, pairs, data, g_formula, first))
+        if failure is not None:
+            i, exc = failure
             raise ProbeFailure(i, str(exc)) from exc
     return tuple(samples)
 

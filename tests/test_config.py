@@ -123,6 +123,41 @@ class TestBuild:
                 parse_config_text("scenario.n_nodes = 3\nselection.k = 4\n")
             )
 
+    def test_batch_larger_than_node_rejected_with_line(self):
+        text = "scenario.samples_per_node = 150\nscenario.batch_size = 400\n"
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert excinfo.value.line == 2
+        assert "[1, 150]" in str(excinfo.value)
+
+    def test_empty_test_split_rejected_with_line(self):
+        text = (
+            "data.num_classes = 4\n"
+            "data.samples_per_class = 100\n"
+            "scenario.samples_per_node = 50\n"
+            "scenario.test_fraction = 0.001\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert excinfo.value.line == 4
+        # 0.002 of 400 rows rounds to one held-out row.
+        build_experiment_config(parse_config_text(text.replace("0.001", "0.002")))
+
+    def test_zero_test_fraction_rejected_for_cifar(self):
+        text = (
+            "data.source = cifar10\n"
+            "data.cifar_path = /data/cifar\n"
+            "scenario.test_fraction = 0\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert excinfo.value.line == 3
+
+    def test_per_node_synthetic_always_has_a_test_row(self):
+        text = "scenario.n_nodes = 2\ndata.feature_scale = 0.5, 1.0\nscenario.test_fraction = 0\n"
+        cfg = build_experiment_config(parse_config_text(text))
+        assert cfg.scenario.test_fraction == 0.0
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(GOOD)

@@ -120,7 +120,7 @@ class TestLocalRound:
     def test_lr_zero_is_noop(self):
         cfg = scenario(lr=0.0)
         node, test, w = self.make_node(cfg)
-        new_params, delta, trace = local_round(node, w, test, cfg, rng_seed=3)
+        new_params, delta, trace = local_round(node, w, test, cfg, 3, loss(cfg.model, w, test))
         np.testing.assert_array_equal(new_params, w)
         assert delta == 0.0
         assert len(trace) == 2  # still one norm per step
@@ -128,7 +128,7 @@ class TestLocalRound:
     def test_training_that_helps_gives_positive_delta(self):
         cfg = scenario(lr=0.2, batch_size=40)
         node, test, w = self.make_node(cfg)
-        new_params, delta, _ = local_round(node, w, test, cfg, rng_seed=3)
+        new_params, delta, _ = local_round(node, w, test, cfg, 3, loss(cfg.model, w, test))
         assert delta == pytest.approx(
             loss(cfg.model, w, test) - loss(cfg.model, new_params, test)
         )
@@ -137,8 +137,8 @@ class TestLocalRound:
     def test_deterministic(self):
         cfg = scenario()
         node, test, w = self.make_node(cfg)
-        a = local_round(node, w, test, cfg, rng_seed=7)
-        b = local_round(node, w, test, cfg, rng_seed=7)
+        a = local_round(node, w, test, cfg, 7, loss(cfg.model, w, test))
+        b = local_round(node, w, test, cfg, 7, loss(cfg.model, w, test))
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1] and a[2] == b[2]
 
@@ -147,7 +147,7 @@ class TestLocalRound:
         node, test, w = self.make_node(cfg)
         with pytest.warns(UserWarning):
             run_federated_partitioned(cfg, test, [node.local_data] * cfg.n_nodes)
-        _, _, trace = local_round(node, w, test, cfg, rng_seed=1)
+        _, _, trace = local_round(node, w, test, cfg, 1, loss(cfg.model, w, test))
         assert len(trace) == 3
 
 
@@ -211,9 +211,13 @@ class TestRunFederated:
             locals_ = []
             for i, local_data in enumerate(nodes):
                 node = NodeState(i, local_data, w)
-                trained, _, _ = local_round(node, w, test, cfg,
-                                            derive_seed(cfg.seed, "round", t, i))
+                trained, delta, _ = local_round(node, w, test, cfg,
+                                                derive_seed(cfg.seed, "round", t, i),
+                                                loss(cfg.model, w, test))
                 locals_.append(trained)
+                # The engine reuses the previous round's test loss as this
+                # round's starting loss; a fresh evaluation must agree exactly.
+                assert delta == run.rounds[t - 1].per_node_usefulness[i]
             w = fedavg(locals_)
         np.testing.assert_array_equal(w, run.final_params)
 

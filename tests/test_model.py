@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedbound.model import (
     Dataset,
+    _loss_and_grad_stacked,
     finite_difference_gradient,
     gradient,
     init_params,
@@ -242,8 +243,58 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[0.5, 0.5]]), np.array([2]), 2)
 
-    def test_sample_roundtrip(self):
+    def test_subset_keeps_rows_and_classes(self):
         data = toy_dataset()
-        s = data.sample(3)
-        np.testing.assert_array_equal(s.features, data.features[3])
-        assert s.label == int(data.labels[3])
+        rows = data.subset(np.array([5, 0, 5]))
+        np.testing.assert_array_equal(rows.features, data.features[[5, 0, 5]])
+        np.testing.assert_array_equal(rows.labels, data.labels[[5, 0, 5]])
+        assert rows.num_classes == data.num_classes
+
+
+def _kernel_case(kind, d, k, h, l2, seed):
+    """A spec of one kind; the quadratic's curvature is drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    if kind == "softmax":
+        return softmax_spec(d, k, l2)
+    if kind == "mlp":
+        return mlp_spec(d, k, h, l2)
+    return quadratic_spec(rng.uniform(0.1, 5.0, d), l2)
+
+
+class TestStackedKernel:
+    @given(
+        kind=st.sampled_from(["softmax", "mlp", "quadratic"]),
+        stack=st.integers(min_value=1, max_value=40),
+        n=st.integers(min_value=1, max_value=200),
+        d=st.integers(min_value=1, max_value=6),
+        k=st.integers(min_value=2, max_value=5),
+        h=st.integers(min_value=1, max_value=8),
+        l2=st.sampled_from([0.0, 0.03]),
+        scale=st.sampled_from([0.3, 3.0, 40.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_per_vector_calls_bit_for_bit(self, kind, stack, n, d, k, h, l2, scale, seed):
+        # A large scale pushes samples onto the capped branch of the loss.
+        spec = _kernel_case(kind, d, k, h, l2, seed)
+        rng = np.random.default_rng(seed + 1)
+        data = Dataset(rng.uniform(0, 1, (n, d)), rng.integers(0, k, n), k)
+        W = rng.normal(0.0, scale, (stack, param_dim(spec)))
+        losses, grads = _loss_and_grad_stacked(spec, W, data.features, data.labels, True)
+        loss_only, none = _loss_and_grad_stacked(spec, W, data.features, data.labels, False)
+        none2, grad_only = _loss_and_grad_stacked(
+            spec, W, data.features, data.labels, True, want_loss=False
+        )
+        assert none is None and none2 is None
+        unpenalized, _ = _loss_and_grad_stacked(
+            _kernel_case(kind, d, k, h, 0.0, seed), W, data.features, data.labels, False
+        )
+        for p in range(stack):
+            # The penalty is the per-vector dot product, as in a 1-D evaluation.
+            assert losses[p] == unpenalized[p] + 0.5 * l2 * float(W[p] @ W[p])
+            expected_loss = loss(spec, W[p], data)
+            expected_grad = gradient(spec, W[p], data)
+            assert losses[p] == expected_loss == loss_only[p]
+            for got in (grads[p], grad_only[p]):
+                np.testing.assert_array_equal(got, expected_grad)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(expected_grad))

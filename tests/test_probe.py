@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbound.model import Dataset, quadratic_spec, sgd_epoch, softmax_spec, init_params
+from fedbound import probe
+from fedbound.model import (
+    Dataset,
+    draw_init_like,
+    init_params,
+    mlp_spec,
+    param_dim,
+    quadratic_spec,
+    sgd_epoch,
+    softmax_spec,
+)
 from fedbound.probe import (
     ConstantsEstimate,
     DegeneratePairError,
@@ -19,9 +29,10 @@ from fedbound.probe import (
     constants_from_samples,
     draw_probe_pair,
     estimate_constants,
+    probe_stack_size,
     write_probes_csv,
 )
-from fedbound.rng import spawn_rng
+from fedbound.rng import derive_seed, spawn_rng
 
 
 def dummy_data(dim=2):
@@ -248,3 +259,69 @@ class TestConstantsEstimate:
         samples = [ProbeSample(1.0, 2.0), ProbeSample(3.0, 0.5), ProbeSample(2.0, 1.0)]
         est = constants_from_samples(samples)
         assert (est.mu, est.L, est.G, est.n_probes) == (1.0, 3.0, 2.0, 3)
+
+
+def small_stacks(monkeypatch, spec, data, stack):
+    """Shrink the element budget so that ``stack`` probes share one evaluation."""
+    per_probe = len(data) * max(spec.hidden_width, spec.num_classes)
+    monkeypatch.setattr(probe, "STACK_ELEMENTS", stack * per_probe)
+    assert probe_stack_size(spec, data) == stack
+
+
+class CoincidentFrom:
+    """Init-distribution draws until probe ``start``, then one fixed point only."""
+
+    def __init__(self, start):
+        self.start = start
+        self.draws = 0
+
+    def draw(self, spec, rng):
+        self.draws += 1
+        if self.draws > 2 * self.start:
+            return np.zeros(param_dim(spec))
+        return draw_init_like(spec, rng)
+
+
+class TestStackedProbes:
+    CASES = [
+        (softmax_spec(5, 3, l2=0.02), "gradient-norm"),
+        (mlp_spec(5, 3, 4, l2=0.0), "gradient-norm"),
+        (mlp_spec(5, 3, 4, l2=0.02), "loss-magnitude"),
+    ]
+
+    @pytest.mark.parametrize("spec,g_formula", CASES)
+    def test_equals_per_probe_evaluation_bit_for_bit(self, monkeypatch, spec, g_formula):
+        rng = spawn_rng("toy", 4)
+        data = Dataset(rng.uniform(0, 1, (30, 5)), rng.integers(0, 3, 30), 3)
+        small_stacks(monkeypatch, spec, data, 3)
+        g_of = compute_g if g_formula == "gradient-norm" else compute_g_loss_magnitude
+        sampler = InitDistributionSampler()
+        samples = collect_probes(spec, data, 11, sampler, 9, g_formula)
+        assert len(samples) == 11
+        for i, sample in enumerate(samples):
+            u, v = draw_probe_pair(spec, sampler, derive_seed(9, i))
+            assert sample.m_value == compute_m(spec, u, v, data)
+            assert sample.g_value == g_of(spec, v, data)
+
+    @pytest.mark.parametrize("stack", [1, 2, 4])
+    def test_prefix_holds_across_stack_boundaries(self, monkeypatch, stack):
+        spec = softmax_spec(4, 2, l2=0.01)
+        rng = spawn_rng("toy", 5)
+        data = Dataset(rng.uniform(0, 1, (20, 4)), rng.integers(0, 2, 20), 2)
+        whole = collect_probes(spec, data, 9, InitDistributionSampler(), 3)
+        small_stacks(monkeypatch, spec, data, stack)
+        short = collect_probes(spec, data, 5, InitDistributionSampler(), 3)
+        longer = collect_probes(spec, data, 9, InitDistributionSampler(), 3)
+        assert short == longer[:5]
+        assert longer == whole
+
+    @pytest.mark.parametrize("stack", [1, 2, 3, 8])
+    def test_failure_names_first_failing_probe(self, monkeypatch, stack):
+        spec = softmax_spec(4, 2)
+        rng = spawn_rng("toy", 6)
+        data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
+        small_stacks(monkeypatch, spec, data, stack)
+        with pytest.raises(ProbeFailure) as excinfo:
+            collect_probes(spec, data, 6, CoincidentFrom(3), 0)
+        assert excinfo.value.probe_index == 3
+        assert isinstance(excinfo.value.__cause__, DegeneratePairError)
