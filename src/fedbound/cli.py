@@ -110,6 +110,31 @@ def _dataset_echo(cfg: ExperimentConfig) -> dict[str, str]:
     return echo
 
 
+def _replace_dir(tmp_dir: Path, final_dir: Path) -> None:
+    """Rename ``tmp_dir`` to ``final_dir``; a previous ``final_dir`` survives a failed swap.
+
+    The previous directory is moved aside first and deleted only once the
+    new one is in place. One left aside by a swap that was cut off is the
+    last complete run, so it goes back first if ``final_dir`` is missing.
+    """
+    old_dir = final_dir.with_name(f".old-{final_dir.name}")
+    if old_dir.exists():
+        if final_dir.exists():
+            shutil.rmtree(old_dir)
+        else:
+            old_dir.rename(final_dir)
+    if final_dir.exists():
+        final_dir.rename(old_dir)
+    try:
+        tmp_dir.rename(final_dir)
+    except BaseException:
+        if old_dir.exists():
+            old_dir.rename(final_dir)
+        raise
+    if old_dir.exists():
+        shutil.rmtree(old_dir)
+
+
 def execute_seed(cfg: ExperimentConfig, seed: int) -> tuple:
     """Run one seed, write its run directory atomically, return its summary row."""
     run = run_one_seed(cfg, seed)
@@ -124,9 +149,7 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> tuple:
     flsim.save_run(run, tmp_dir, extra_config=extra)
     inputs = analysis.report_inputs_from_run(run)
     analysis.write_reports(tmp_dir, inputs, selection_k=cfg.selection_k)
-    if final_dir.exists():
-        shutil.rmtree(final_dir)
-    tmp_dir.rename(final_dir)
+    _replace_dir(tmp_dir, final_dir)
 
     last = run.rounds[-1]
     corr = {q: (p, s) for q, p, s, _ in analysis.correlation_rows(inputs)}

@@ -22,6 +22,45 @@ _MODEL_KIND_ALIASES = {
     "one-hidden-layer-mlp": "mlp",
 }
 
+# Every key build_experiment_config reads, under any data.source.
+KNOWN_KEYS = frozenset(
+    {
+        "data.source",
+        "data.num_classes",
+        "data.feature_dim",
+        "data.samples_per_class",
+        "data.separation",
+        "data.noise_sigma",
+        "data.label_skew",
+        "data.noise_mult",
+        "data.feature_scale",
+        "data.cifar_path",
+        "data.cifar_pool",
+        "data.cifar_grayscale",
+        "model.kind",
+        "model.l2",
+        "model.hidden_width",
+        "scenario.name",
+        "scenario.n_nodes",
+        "scenario.samples_per_node",
+        "scenario.rounds",
+        "scenario.lr",
+        "scenario.batch_size",
+        "scenario.local_epochs_per_round",
+        "scenario.missing_classes",
+        "scenario.test_fraction",
+        "scenario.seed",
+        "probe.n_probes",
+        "probe.sampler",
+        "probe.perturb_sigma",
+        "probe.g_formula",
+        "bound.squared_distance",
+        "output.dir",
+        "repeat_seeds",
+        "selection.k",
+    }
+)
+
 
 class ConfigError(ValueError):
     """Config problem with a pointer to the source line."""
@@ -49,9 +88,6 @@ class ExperimentConfig:
     repeat_seeds: tuple[int, ...]
     scenario_name: str = "default"
     selection_k: int | None = None
-    model_kind: str = "softmax"
-    model_l2: float = 0.0
-    model_hidden_width: int = 16
 
     def __post_init__(self):
         if not self.repeat_seeds:
@@ -117,6 +153,10 @@ def parse_config_text(text: str) -> _RawConfig:
 def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate raw key-value pairs into a typed experiment configuration."""
     base_dir = base_dir or Path.cwd()
+    # The first unknown key in file order, so a typo fails before any work.
+    for key in sorted(raw.values, key=lambda key: raw.lines.get(key, 0)):
+        if key not in KNOWN_KEYS:
+            raise raw.error(key, "unknown key")
 
     source = raw.get("data.source", "synthetic")
     if source == "synthetic":
@@ -214,9 +254,6 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
         repeat_seeds=repeat_seeds,
         scenario_name=raw.get("scenario.name", "default"),
         selection_k=selection_k,
-        model_kind=kind,
-        model_l2=l2,
-        model_hidden_width=hidden,
     )
 
 

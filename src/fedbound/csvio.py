@@ -2,11 +2,13 @@
 
 All reports share one rendering rule -- floats at 9 significant digits,
 LF line endings -- so repeated runs of the same experiment produce
-byte-identical files.
+byte-identical files. Each file is written under a temporary name and then
+renamed into place, so a crash never leaves a half-written CSV.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,7 +24,10 @@ def fmt_value(value) -> str:
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(fmt_value(cell) for cell in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    os.replace(tmp, path)
 
 
 def read_csv(path: Path | str) -> tuple[list[str], list[list[str]]]:

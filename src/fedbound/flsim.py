@@ -9,6 +9,13 @@ for later analysis. Bound values per round are filled in after the run
 finishes, once the optimum proxy (the best-training-loss parameters seen
 anywhere in the run) is known.
 
+Rounds run in lockstep: every node of a round starts from the same global
+vector, so the nodes that hold equally many rows train as one ``(P, dim)``
+stack, one stacked gradient call per SGD step, and a round's usefulness
+and training losses each take one stacked loss call. Each stack row equals
+the node's own single-vector computation bit for bit, so results do not
+depend on how nodes are grouped.
+
 All randomness derives from (config seed, phase, round, node), so serial
 and parallel schedules produce identical results.
 """
@@ -16,6 +23,7 @@ and parallel schedules produce identical results.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,32 +192,53 @@ def fedavg(models) -> ParamVector:
     return np.mean(np.stack(models), axis=0)
 
 
+def _equal_length_groups(nodes: Sequence[NodeState]) -> list[list[int]]:
+    """Indices of the nodes that hold equally many rows, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i, node in enumerate(nodes):
+        groups.setdefault(len(node.local_data), []).append(i)
+    return list(groups.values())
+
+
 def local_round(
-    node: NodeState,
+    nodes: Sequence[NodeState],
     global_params: ParamVector,
     test_data: Dataset,
     cfg: ScenarioConfig,
-    rng_seed: int,
+    rng_seeds: Sequence[int],
     global_test_loss: float,
-) -> tuple[ParamVector, float, list[float]]:
-    """Replace the node's model with the global one and resume local training.
+) -> tuple[np.ndarray, list[float], list[list[float]]]:
+    """Replace every node's model with the global one and resume local training.
 
-    ``global_test_loss`` is ``loss(cfg.model, global_params, test_data)``,
-    which is the same for every node of a round, so the caller computes it
-    once. Returns the trained parameters, the node's usefulness delta
-    (global test loss before minus after its local epochs), and the
-    batch-gradient norm observed at every SGD step.
+    ``rng_seeds[i]`` seeds node i's epochs. Nodes with equally many rows
+    train in lockstep as one stack. ``global_test_loss`` is
+    ``loss(cfg.model, global_params, test_data)``, which is the same for
+    every node, so the caller computes it once. Returns, in node order, the
+    ``(N, dim)`` stack of trained parameters, each node's usefulness delta
+    (global test loss before minus after its local epochs), and each node's
+    batch-gradient norms, one per SGD step.
     """
-    params = np.asarray(global_params, dtype=np.float64)
-    trace: list[float] = []
-    for epoch in range(cfg.local_epochs_per_round):
-        params, norms = sgd_epoch_traced(
-            cfg.model, params, node.local_data, cfg.lr, cfg.batch_size,
-            derive_seed(rng_seed, epoch),
-        )
-        trace.extend(norms)
-    delta = global_test_loss - loss(cfg.model, params, test_data)
-    return params, delta, trace
+    if len(rng_seeds) != len(nodes):
+        raise ValueError(f"got {len(rng_seeds)} seeds for {len(nodes)} nodes")
+    start = np.asarray(global_params, dtype=np.float64)
+    trained = np.empty((len(nodes), start.size))
+    traces: list[list[float]] = [[] for _ in nodes]
+    for group in _equal_length_groups(nodes):
+        data = Dataset.concat(nodes[i].local_data for i in group)
+        stack = np.tile(start, (len(group), 1))
+        for epoch in range(cfg.local_epochs_per_round):
+            seeds = [derive_seed(rng_seeds[i], epoch) for i in group]
+            stack, norms = sgd_epoch_traced(
+                cfg.model, stack, data, cfg.lr, cfg.batch_size, seeds
+            )
+            for step in norms:
+                for i, norm in zip(group, step):
+                    traces[i].append(norm)
+        trained[group] = stack
+    # One evaluation of every trained row on its own copy of the test set.
+    after = loss(cfg.model, trained, Dataset.concat([test_data] * len(nodes)))
+    deltas = [global_test_loss - float(value) for value in after]
+    return trained, deltas, traces
 
 
 def local_sgd_seed(cfg_seed: int, round_index: int, node_id: int, epoch: int) -> int:
@@ -255,24 +284,29 @@ def run_federated_partitioned(
         nodes.append(NodeState(i, local, w1.copy(), node_constants[i]))
     global_constants = aggregate_global(node_constants[i] for i in range(cfg.n_nodes))
 
+    groups = [
+        (group, Dataset.concat(nodes[i].local_data for i in group))
+        for group in _equal_length_groups(nodes)
+    ]
+
     def train_loss_at(params: ParamVector) -> float:
-        return float(np.mean([loss(cfg.model, params, node.local_data) for node in nodes]))
+        per_node = np.empty(len(nodes))
+        for group, data in groups:
+            per_node[group] = loss(cfg.model, np.tile(params, (len(group), 1)), data)
+        return float(np.mean(per_node))
 
     current = w1
     candidates = [(train_loss_at(w1), w1)]
     test_loss = loss(cfg.model, w1, test_data)
     raw_rounds = []
     for t in range(1, cfg.rounds + 1):
-        locals_, usefulness, traces = [], {}, []
-        for node in nodes:
-            trained, delta, trace = local_round(
-                node, current, test_data, cfg, derive_seed(cfg.seed, "round", t, node.id),
-                test_loss,
-            )
-            locals_.append(trained)
-            usefulness[node.id] = delta
-            traces.extend((node.id, g) for g in trace)
-        current = fedavg(locals_)
+        seeds = [derive_seed(cfg.seed, "round", t, node.id) for node in nodes]
+        trained, deltas, node_traces = local_round(
+            nodes, current, test_data, cfg, seeds, test_loss
+        )
+        usefulness = {node.id: delta for node, delta in zip(nodes, deltas)}
+        traces = [(node.id, g) for node, trace in zip(nodes, node_traces) for g in trace]
+        current = fedavg(trained)
         train_loss = train_loss_at(current)
         test_loss = loss(cfg.model, current, test_data)
         candidates.append((train_loss, current))

@@ -16,6 +16,7 @@ Three model kinds are supported:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,24 @@ class Dataset:
         object.__setattr__(rows, "features", self.features[indices])
         object.__setattr__(rows, "labels", self.labels[indices])
         object.__setattr__(rows, "num_classes", self.num_classes)
+        return rows
+
+    @staticmethod
+    def concat(parts: Iterable["Dataset"]) -> "Dataset":
+        """The rows of validated datasets, one block after another."""
+        parts = list(parts)
+        if not parts:
+            raise ValueError("need at least one dataset")
+        first = parts[0]
+        if any(
+            part.num_classes != first.num_classes or part.feature_dim != first.feature_dim
+            for part in parts
+        ):
+            raise ValueError("datasets differ in num_classes or feature_dim")
+        rows = object.__new__(Dataset)
+        object.__setattr__(rows, "features", np.concatenate([part.features for part in parts]))
+        object.__setattr__(rows, "labels", np.concatenate([part.labels for part in parts]))
+        object.__setattr__(rows, "num_classes", first.num_classes)
         return rows
 
 
@@ -157,20 +176,24 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return draw_init_like(spec, spawn_rng("init", seed))
 
 
-def _check_params(spec: ModelSpec, params: ParamVector) -> np.ndarray:
+def _check_params(spec: ModelSpec, params: ParamVector, allow_stack: bool = False) -> np.ndarray:
+    """A finite parameter vector, or with ``allow_stack`` a ``(P, dim)`` stack of them."""
     params = np.asarray(params, dtype=np.float64)
-    if params.shape != (param_dim(spec),):
-        raise ValueError(
-            f"parameter vector has shape {params.shape}, expected ({param_dim(spec)},)"
-        )
+    dim = param_dim(spec)
+    stacked = allow_stack and params.ndim == 2 and params.shape[0] >= 1 and params.shape[1] == dim
+    if params.shape != (dim,) and not stacked:
+        expected = f"({dim},) or (P, {dim})" if allow_stack else f"({dim},)"
+        raise ValueError(f"parameter vector has shape {params.shape}, expected {expected}")
     if not np.all(np.isfinite(params)):
         raise ValueError("parameter vector contains non-finite values")
     return params
 
 
-def _check_data(spec: ModelSpec, data: Dataset) -> None:
+def _check_data(spec: ModelSpec, data: Dataset, blocks: int = 1) -> None:
     if len(data) == 0:
         raise ValueError("dataset is empty")
+    if len(data) % blocks:
+        raise ValueError(f"dataset of {len(data)} rows does not split into {blocks} equal blocks")
     if spec.kind != "quadratic":
         if data.feature_dim != spec.feature_dim:
             raise ValueError(
@@ -183,9 +206,11 @@ def _check_data(spec: ModelSpec, data: Dataset) -> None:
 
 
 def _check_inputs(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
-    params = _check_params(spec, params)
-    _check_data(spec, data)
-    return params
+    """``params`` as a ``(P, dim)`` stack (P = 1 for a vector) over P row blocks of ``data``."""
+    params = _check_params(spec, params, allow_stack=True)
+    stack = params[None] if params.ndim == 1 else params
+    _check_data(spec, data, stack.shape[0])
+    return stack
 
 
 def _loss_and_grad_stacked(
@@ -199,12 +224,14 @@ def _loss_and_grad_stacked(
     """Losses ``(P,)`` and gradients ``(P, dim)`` at each row of a parameter stack.
 
     The one home of the forward and backward math; either output is None
-    when not wanted. It checks nothing: ``W`` must be finite with
-    ``param_dim(spec)`` columns and ``feats``/``labels`` a nonempty dataset
-    that matches the spec. Row p equals :func:`loss` and :func:`gradient` at
-    ``W[p]`` bit for bit. That is why the penalty is a per-row dot product
-    (``einsum`` rounds differently) and the gathered log-probabilities are
-    made contiguous (a strided mean sums in another order).
+    when not wanted. Data is either shared by every row (``feats`` (n, d),
+    ``labels`` (n,)) or one block per row (``feats`` (P, n, d), ``labels``
+    (P, n)). It checks nothing: ``W`` must be finite with ``param_dim(spec)``
+    columns and the data nonempty and matching the spec. Row p equals
+    :func:`loss` and :func:`gradient` at ``W[p]`` on its data bit for bit.
+    That is why the penalty is a per-row dot product (``einsum`` rounds
+    differently) and the log-probabilities are gathered into a fresh
+    contiguous array (a strided mean sums in another order).
     """
     l2 = spec.l2_coefficient
     losses = grads = None
@@ -218,7 +245,7 @@ def _loss_and_grad_stacked(
             grads = curv + l2 * W
         return losses, grads
 
-    stack, n = W.shape[0], feats.shape[0]
+    stack, n = W.shape[0], feats.shape[-2]
     d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
     if spec.kind == "softmax":
         weights = W[:, : k * d].reshape(stack, k, d)
@@ -233,15 +260,16 @@ def _loss_and_grad_stacked(
         logits = hidden @ w2.transpose(0, 2, 1) + b2
     shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
     logp_all = shifted - np.log(np.add.reduce(np.exp(shifted), axis=2, keepdims=True))
-    rows = np.arange(n)
-    logp = np.ascontiguousarray(logp_all[:, rows, labels])
+    # One gather serves shared and per-row labels; it returns a fresh (P, n) array.
+    which, rows = np.arange(stack)[:, None], np.arange(n)
+    logp = logp_all[which, rows, labels]
     if want_loss:
         losses = np.add.reduce(np.minimum(-logp, _LOG_CAP), axis=1) / n + penalty
     if not want_grad:
         return losses, None
 
     err = np.exp(logp_all)
-    err[:, rows, labels] -= 1.0
+    err[which, rows, labels] -= 1.0
     # Samples whose true-class probability is below the floor sit on the
     # capped (flat) branch of the loss and contribute no gradient.
     capped = ~(logp >= -_LOG_CAP)
@@ -263,23 +291,36 @@ def _loss_and_grad_stacked(
     return losses, grads
 
 
-def loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> float:
+def _blocks(stack: np.ndarray, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` as one block of rows per stack row: features (P, n, d), labels (P, n)."""
+    blocks = stack.shape[0]
+    return (
+        data.features.reshape(blocks, -1, data.feature_dim),
+        data.labels.reshape(blocks, -1),
+    )
+
+
+def loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> float | np.ndarray:
     """Mean cross-entropy over the dataset plus (l2/2) * ||params||^2.
 
     The quadratic kind instead evaluates 0.5 * w^T diag(h) w (data ignored).
+    For a ``(P, dim)`` stack, ``data`` holds P equal, consecutive row blocks
+    and the result is the ``(P,)`` array of each row's loss on its block;
+    row p equals the single-vector call on block p bit for bit.
     """
-    params = _check_inputs(spec, params, data)
-    losses, _ = _loss_and_grad_stacked(spec, params[None], data.features, data.labels, False)
-    return float(losses[0])
+    stack = _check_inputs(spec, params, data)
+    losses, _ = _loss_and_grad_stacked(spec, stack, *_blocks(stack, data), False)
+    return float(losses[0]) if np.ndim(params) == 1 else losses
 
 
 def gradient(spec: ModelSpec, params: ParamVector, data: Dataset) -> ParamVector:
-    """Exact analytic gradient of :func:`loss`; same shape as ``params``."""
-    params = _check_inputs(spec, params, data)
-    _, grads = _loss_and_grad_stacked(
-        spec, params[None], data.features, data.labels, True, want_loss=False
-    )
-    return grads[0]
+    """Exact analytic gradient of :func:`loss`; same shape as ``params``.
+
+    A ``(P, dim)`` stack takes P equal row blocks of ``data``, as in :func:`loss`.
+    """
+    stack = _check_inputs(spec, params, data)
+    _, grads = _loss_and_grad_stacked(spec, stack, *_blocks(stack, data), True, want_loss=False)
+    return grads[0] if np.ndim(params) == 1 else grads
 
 
 def sgd_epoch_traced(
@@ -288,26 +329,40 @@ def sgd_epoch_traced(
     data: Dataset,
     lr: float,
     batch_size: int,
-    rng_seed: int,
-) -> tuple[ParamVector, list[float]]:
+    rng_seed: int | Sequence[int],
+) -> tuple[np.ndarray, list]:
     """One shuffled pass of mini-batch SGD, recording each batch-gradient norm.
 
-    Returns the updated parameters and the list of ||grad|| values, one per
-    SGD step. The input vector is never mutated.
+    Returns the updated parameters and the ||grad|| of every SGD step. The
+    input is never mutated. A ``(P, dim)`` stack trains P models in lockstep:
+    ``data`` holds their P equal, consecutive row blocks, ``rng_seed`` is a
+    sequence of P seeds, and each step makes one stacked :func:`gradient`
+    call; the norms then come back as one list of P values per step. Row p
+    equals the single-vector call on block p with seed p, bit for bit.
     """
     if lr < 0.0:
         raise ValueError("lr must be >= 0")
-    if batch_size < 1 or batch_size > len(data):
-        raise ValueError(f"batch_size must lie in [1, {len(data)}]")
-    params = _check_inputs(spec, params, data)
-    order = spawn_rng("sgd", rng_seed).permutation(len(data))
-    current = params.copy()
-    norms: list[float] = []
-    for start in range(0, len(data), batch_size):
-        batch = data.subset(order[start : start + batch_size])
+    single = np.ndim(params) == 1
+    seeds = [rng_seed] if single else list(rng_seed)
+    stack = _check_inputs(spec, params, data)
+    if len(seeds) != stack.shape[0]:
+        raise ValueError(f"got {len(seeds)} seeds for a stack of {stack.shape[0]}")
+    n = len(data) // stack.shape[0]
+    if batch_size < 1 or batch_size > n:
+        raise ValueError(f"batch_size must lie in [1, {n}]")
+    # Row indices into ``data``: block p's own shuffle, offset to block p.
+    order = np.stack([spawn_rng("sgd", seed).permutation(n) for seed in seeds])
+    order += n * np.arange(len(seeds))[:, None]
+    current = stack.copy()
+    norms: list = []
+    for start in range(0, n, batch_size):
+        batch = data.subset(order[:, start : start + batch_size].ravel())
         grad = gradient(spec, current, batch)
-        norms.append(float(np.linalg.norm(grad)))
+        # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
+        norms.append([math.sqrt(g @ g) for g in grad])
         current = current - lr * grad
+    if single:
+        return current[0], [step[0] for step in norms]
     return current, norms
 
 
@@ -317,7 +372,7 @@ def sgd_epoch(
     data: Dataset,
     lr: float,
     batch_size: int,
-    rng_seed: int,
+    rng_seed: int | Sequence[int],
 ) -> ParamVector:
     """One full shuffled pass of mini-batch SGD; deterministic given the seed."""
     updated, _ = sgd_epoch_traced(spec, params, data, lr, batch_size, rng_seed)

@@ -23,7 +23,6 @@ from .model import (
     ModelSpec,
     ParamVector,
     _check_data,
-    _check_inputs,
     _check_params,
     _loss_and_grad_stacked,
     draw_init_like,
@@ -158,7 +157,8 @@ def compute_m(spec: ModelSpec, u: ParamVector, v: ParamVector, data: Dataset) ->
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("u and v must have identical shapes")
-    u = _check_inputs(spec, u, data)
+    u = _check_params(spec, u)
+    _check_data(spec, data)
     v = _check_params(spec, v)
     f_u, f_v, grad_v = _pair_values(spec, u[None], v[None], data)
     return _m_value(u, v, f_u[0], f_v[0], grad_v[0])

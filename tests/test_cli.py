@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from fedbound import csvio
 from fedbound.cli import main
+from fedbound.csvio import write_csv
 
 TINY = """\
 scenario.name = tiny
@@ -85,6 +87,35 @@ class TestRunCommand:
         main(["run", "--config", str(tiny_config), "--out", str(out)])
         assert not marker.exists()
 
+    def test_failed_swap_keeps_previous_run(self, tiny_config, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config), "--out", str(out)])
+        before = read_tree(out)
+        rename = Path.rename
+
+        def failing_rename(self, target):
+            if self.name.startswith(".tmp-"):
+                raise OSError("disk went away")
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", failing_rename)
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        monkeypatch.undo()
+        after = {name: data for name, data in read_tree(out).items() if ".tmp-" not in name}
+        assert after == before
+        assert not any(p.name.startswith(".old-") for p in out.iterdir())
+
+    def test_swap_cut_off_midway_is_recovered(self, tiny_config, tmp_path):
+        # A run moved aside by a swap that never finished is the last good one.
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config), "--out", str(out)])
+        (out / "tiny_seed1").rename(out / ".old-tiny_seed1")
+        (out / "tiny_seed2").rename(out / ".old-tiny_seed2")
+        (out / "tiny_seed2").mkdir()
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed2"]
+        assert (out / "tiny_seed1" / "rounds.csv").exists()
+
     def test_env_seed_override(self, tiny_config, tmp_path, monkeypatch):
         out = tmp_path / "out"
         monkeypatch.setenv("FEDBOUND_SEED", "42")
@@ -130,3 +161,18 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+
+class TestAtomicCsv:
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "summary.csv"
+        write_csv(path, ("a", "b"), [(1, 2.5)])
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(csvio.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write_csv(path, ("a", "b"), [(3, 4.5)])
+        assert path.read_bytes() == before

@@ -1,8 +1,12 @@
+import sys
 from pathlib import Path
 
 import pytest
 
+REPO = Path(__file__).resolve().parents[1]
+
 from fedbound.config import (
+    KNOWN_KEYS,
     CifarSource,
     ConfigError,
     build_experiment_config,
@@ -163,3 +167,52 @@ class TestBuild:
         path.write_text(GOOD)
         cfg = load_config(path)
         assert cfg.output_dir == tmp_path / "runs"
+
+
+class TestKeys:
+    def test_unknown_key_rejected_with_line(self):
+        text = "scenario.n_nodes = 4\nscenario.nodes = 3\nscenario.rounds = 2\n"
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert str(excinfo.value) == "line 2: scenario.nodes: unknown key"
+
+    def test_first_unknown_key_in_file_order_is_named(self):
+        text = "modle.kind = mlp\nscenario.rounds = 2\nrepeat_seed = 1\n"
+        with pytest.raises(ConfigError, match="line 1: modle.kind: unknown key"):
+            build_experiment_config(parse_config_text(text))
+
+    def test_every_known_key_is_accepted(self):
+        synthetic = {
+            "data.source": "synthetic", "data.num_classes": "3", "data.feature_dim": "4",
+            "data.samples_per_class": "50", "data.separation": "0.5", "data.noise_sigma": "0.1",
+            "data.label_skew": "0.5, 0.2", "data.noise_mult": "1, 1", "data.feature_scale": "1, 1",
+            "data.cifar_path": "unused", "data.cifar_pool": "2", "data.cifar_grayscale": "true",
+            "model.kind": "mlp", "model.l2": "0.01", "model.hidden_width": "5",
+            "scenario.name": "all", "scenario.n_nodes": "2", "scenario.samples_per_node": "20",
+            "scenario.rounds": "2", "scenario.lr": "0.1", "scenario.batch_size": "5",
+            "scenario.local_epochs_per_round": "1", "scenario.missing_classes": "2",
+            "scenario.test_fraction": "0.2", "scenario.seed": "4", "probe.n_probes": "3",
+            "probe.sampler": "perturb", "probe.perturb_sigma": "0.2",
+            "probe.g_formula": "loss-magnitude", "bound.squared_distance": "true",
+            "output.dir": "out", "repeat_seeds": "1, 2", "selection.k": "1",
+        }
+        assert set(synthetic) == KNOWN_KEYS
+        text = "".join(f"{key} = {value}\n" for key, value in synthetic.items())
+        cfg = build_experiment_config(parse_config_text(text))
+        assert cfg.scenario.probe_sampler == "perturb"
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        cfg = load_config(path)
+        assert cfg.scenario.model is not None
+
+    def test_benchmark_workload_configs_load(self, tmp_path):
+        sys.path.insert(0, str(REPO / "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.remove(str(REPO / "perfbench"))
+        for name, workload in WORKLOADS.items():
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(workload.body)
+            assert load_config(path).scenario_name

@@ -15,7 +15,14 @@ from fedbound.flsim import (
     run_federated_partitioned,
     save_run,
 )
-from fedbound.model import init_params, loss, sgd_epoch, softmax_spec
+from fedbound.model import (
+    init_params,
+    loss,
+    mlp_spec,
+    sgd_epoch,
+    sgd_epoch_traced,
+    softmax_spec,
+)
 from fedbound.probe import InitDistributionSampler, draw_probe_pair
 from fedbound.rng import derive_seed
 
@@ -102,6 +109,29 @@ class TestFedavg:
         forward = fedavg(models)
         np.testing.assert_allclose(fedavg(models[::-1]), forward, atol=1e-12)
 
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4), min_size=1, max_size=12
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_invariant_to_node_order(self, rows, random):
+        models = [np.array(r) for r in rows]
+        order = list(range(len(models)))
+        random.shuffle(order)
+        forward = fedavg(models)
+        shuffled = fedavg([models[i] for i in order])
+        # Only the summation order changes: each mean is within (n - 1) ulps
+        # of the magnitude of the largest entry of the exact mean.
+        scale = np.abs(np.stack(models)).max(axis=0)
+        tol = 2 * len(models) * np.finfo(float).eps * scale
+        assert np.all(np.abs(shuffled - forward) <= tol)
+
+    def test_accepts_a_stack(self):
+        stack = np.array([[1.0, 4.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(fedavg(stack), fedavg(list(stack)))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fedavg([])
@@ -120,25 +150,23 @@ class TestLocalRound:
     def test_lr_zero_is_noop(self):
         cfg = scenario(lr=0.0)
         node, test, w = self.make_node(cfg)
-        new_params, delta, trace = local_round(node, w, test, cfg, 3, loss(cfg.model, w, test))
-        np.testing.assert_array_equal(new_params, w)
-        assert delta == 0.0
-        assert len(trace) == 2  # still one norm per step
+        trained, deltas, traces = local_round([node], w, test, cfg, [3], loss(cfg.model, w, test))
+        np.testing.assert_array_equal(trained, w[None])
+        assert deltas == [0.0]
+        assert len(traces[0]) == 2  # still one norm per step
 
     def test_training_that_helps_gives_positive_delta(self):
         cfg = scenario(lr=0.2, batch_size=40)
         node, test, w = self.make_node(cfg)
-        new_params, delta, _ = local_round(node, w, test, cfg, 3, loss(cfg.model, w, test))
-        assert delta == pytest.approx(
-            loss(cfg.model, w, test) - loss(cfg.model, new_params, test)
-        )
-        assert delta > 0.0
+        trained, deltas, _ = local_round([node], w, test, cfg, [3], loss(cfg.model, w, test))
+        assert deltas[0] == loss(cfg.model, w, test) - loss(cfg.model, trained[0], test)
+        assert deltas[0] > 0.0
 
     def test_deterministic(self):
         cfg = scenario()
         node, test, w = self.make_node(cfg)
-        a = local_round(node, w, test, cfg, 7, loss(cfg.model, w, test))
-        b = local_round(node, w, test, cfg, 7, loss(cfg.model, w, test))
+        a = local_round([node], w, test, cfg, [7], loss(cfg.model, w, test))
+        b = local_round([node], w, test, cfg, [7], loss(cfg.model, w, test))
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1] and a[2] == b[2]
 
@@ -147,8 +175,29 @@ class TestLocalRound:
         node, test, w = self.make_node(cfg)
         with pytest.warns(UserWarning):
             run_federated_partitioned(cfg, test, [node.local_data] * cfg.n_nodes)
-        _, _, trace = local_round(node, w, test, cfg, 1, loss(cfg.model, w, test))
-        assert len(trace) == 3
+        _, _, traces = local_round([node], w, test, cfg, [1], loss(cfg.model, w, test))
+        assert len(traces[0]) == 3
+
+    def test_seed_count_must_match_nodes(self):
+        cfg = scenario()
+        node, test, w = self.make_node(cfg)
+        with pytest.raises(ValueError, match="seeds"):
+            local_round([node, node], w, test, cfg, [1], loss(cfg.model, w, test))
+
+    def test_lockstep_round_equals_one_node_at_a_time(self):
+        # Unequal node sizes train as one stack per size; node order is kept.
+        cfg = scenario(n_nodes=4, samples_per_node=25, batch_size=10)
+        test, parts = partition_dataset(gen_synthetic(synthetic_spec(), seed=3), cfg, 5)
+        datasets = [parts[0], parts[1].subset(np.arange(20)), parts[2], parts[3].subset(np.arange(20))]
+        nodes = [NodeState(i, d, None) for i, d in enumerate(datasets)]
+        w = init_params(cfg.model, 2)
+        before = loss(cfg.model, w, test)
+        trained, deltas, traces = local_round(nodes, w, test, cfg, [11, 12, 13, 14], before)
+        for i, node in enumerate(nodes):
+            one, delta, trace = local_round([node], w, test, cfg, [11 + i], before)
+            np.testing.assert_array_equal(trained[i], one[0])
+            assert deltas[i] == delta[0]
+            assert traces[i] == trace[0]
 
 
 class TestRunFederated:
@@ -211,15 +260,45 @@ class TestRunFederated:
             locals_ = []
             for i, local_data in enumerate(nodes):
                 node = NodeState(i, local_data, w)
-                trained, delta, _ = local_round(node, w, test, cfg,
-                                                derive_seed(cfg.seed, "round", t, i),
-                                                loss(cfg.model, w, test))
-                locals_.append(trained)
+                trained, deltas, _ = local_round([node], w, test, cfg,
+                                                 [derive_seed(cfg.seed, "round", t, i)],
+                                                 loss(cfg.model, w, test))
+                locals_.append(trained[0])
                 # The engine reuses the previous round's test loss as this
                 # round's starting loss; a fresh evaluation must agree exactly.
-                assert delta == run.rounds[t - 1].per_node_usefulness[i]
+                assert deltas[0] == run.rounds[t - 1].per_node_usefulness[i]
             w = fedavg(locals_)
         np.testing.assert_array_equal(w, run.final_params)
+
+    @pytest.mark.parametrize("model", [softmax_spec(4, 3, l2=0.01), mlp_spec(4, 3, 5, l2=0.0)])
+    def test_unequal_nodes_and_two_epochs_equal_a_per_node_replay(self, model):
+        cfg = scenario(n_nodes=3, rounds=3, batch_size=15, local_epochs_per_round=2, model=model)
+        test, parts = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
+        datasets = [parts[0], parts[1], parts[2].subset(np.arange(25))]
+        with pytest.warns(UserWarning):
+            run = run_federated_partitioned(cfg, test, datasets)
+
+        # Replay one node and one single-vector call at a time.
+        w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
+        before = loss(cfg.model, w, test)
+        for t, record in enumerate(run.rounds, start=1):
+            locals_, traces = [], []
+            for i, data in enumerate(datasets):
+                wi = w
+                for epoch in range(cfg.local_epochs_per_round):
+                    wi, norms = sgd_epoch_traced(
+                        cfg.model, wi, data, cfg.lr, cfg.batch_size,
+                        local_sgd_seed(cfg.seed, t, i, epoch),
+                    )
+                    traces.extend((i, g) for g in norms)
+                locals_.append(wi)
+                assert record.per_node_usefulness[i] == before - loss(cfg.model, wi, test)
+            w = fedavg(locals_)
+            before = loss(cfg.model, w, test)
+            assert record.training_g_values == tuple(traces)
+            assert record.test_loss == before
+            assert record.train_loss == float(np.mean([loss(cfg.model, w, d) for d in datasets]))
+        np.testing.assert_array_equal(run.final_params, w)
 
     def test_wstar_proxy_is_best_train_loss_params(self):
         data = gen_synthetic(synthetic_spec(), seed=11)

@@ -298,3 +298,146 @@ class TestStackedKernel:
             for got in (grads[p], grad_only[p]):
                 np.testing.assert_array_equal(got, expected_grad)
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(expected_grad))
+
+
+def _blocks_case(kind, stack, n, d, k, h, l2, scale, seed):
+    """A spec, a ``(stack, dim)`` parameter stack and ``stack`` row blocks of ``n`` rows."""
+    spec = _kernel_case(kind, d, k, h, l2, seed)
+    rng = np.random.default_rng(seed + 1)
+    rows = stack * n
+    data = Dataset(rng.uniform(0, 1, (rows, d)), rng.integers(0, k, rows), k)
+    W = rng.normal(0.0, scale, (stack, param_dim(spec)))
+    blocks = [data.subset(np.arange(p * n, (p + 1) * n)) for p in range(stack)]
+    return spec, W, data, blocks
+
+
+def _per_node_epoch(spec, w, data, lr, batch_size, seed):
+    """One node's epoch, one checked single-vector gradient call per step."""
+    order = spawn_rng("sgd", seed).permutation(len(data))
+    norms = []
+    for start in range(0, len(data), batch_size):
+        grad = gradient(spec, w, data.subset(order[start : start + batch_size]))
+        norms.append(float(np.linalg.norm(grad)))
+        w = w - lr * grad
+    return w, norms
+
+
+_STACK_CASES = dict(
+    kind=st.sampled_from(["softmax", "mlp", "quadratic"]),
+    stack=st.integers(min_value=1, max_value=12),
+    n=st.integers(min_value=1, max_value=60),
+    d=st.integers(min_value=1, max_value=6),
+    k=st.integers(min_value=2, max_value=5),
+    h=st.integers(min_value=1, max_value=8),
+    l2=st.sampled_from([0.0, 0.03]),
+    scale=st.sampled_from([0.3, 3.0, 40.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+
+class TestRowBlocks:
+    @given(**_STACK_CASES)
+    @settings(max_examples=80, deadline=None)
+    def test_block_rows_equal_per_block_calls_bit_for_bit(self, kind, stack, n, d, k, h, l2, scale, seed):
+        # A large scale pushes samples onto the capped branch of the loss.
+        spec, W, data, blocks = _blocks_case(kind, stack, n, d, k, h, l2, scale, seed)
+        losses = loss(spec, W, data)
+        grads = gradient(spec, W, data)
+        assert losses.shape == (stack,) and grads.shape == W.shape
+        for p, block in enumerate(blocks):
+            assert losses[p] == loss(spec, W[p], block)
+            expected = gradient(spec, W[p], block)
+            np.testing.assert_array_equal(grads[p], expected)
+            np.testing.assert_array_equal(np.signbit(grads[p]), np.signbit(expected))
+
+    def test_rows_must_split_into_equal_blocks(self):
+        spec = softmax_spec(4, 3)
+        W = np.stack([init_params(spec, s) for s in range(5)])
+        with pytest.raises(ValueError, match="5 equal blocks"):
+            gradient(spec, W, toy_dataset(n=12))
+        with pytest.raises(ValueError, match="5 equal blocks"):
+            loss(spec, W, toy_dataset(n=12))
+
+    def test_stack_is_checked_like_a_vector(self):
+        spec = softmax_spec(4, 3)
+        W = np.stack([init_params(spec, s) for s in range(3)])
+        W[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            gradient(spec, W, toy_dataset(n=12))
+        with pytest.raises(ValueError, match="shape"):
+            loss(spec, W[:, :-1], toy_dataset(n=12))
+        with pytest.raises(ValueError, match="shape"):
+            loss(spec, W[None], toy_dataset(n=12))
+        with pytest.raises(ValueError, match="shape"):
+            loss(spec, W[:0], toy_dataset(n=12))
+
+
+class TestLockstepSgd:
+    @given(
+        **_STACK_CASES,
+        batch_size=st.integers(min_value=1, max_value=60),
+        lr=st.sampled_from([0.0, 0.1, 0.7]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_per_node_epochs_bit_for_bit(
+        self, kind, stack, n, d, k, h, l2, scale, seed, batch_size, lr
+    ):
+        batch_size = min(batch_size, n)  # most draws leave a short last batch
+        spec, W, data, blocks = _blocks_case(kind, stack, n, d, k, h, l2, scale, seed)
+        seeds = [seed * 31 + p for p in range(stack)]
+        before = W.copy()
+        trained, norms = sgd_epoch_traced(spec, W, data, lr, batch_size, seeds)
+        np.testing.assert_array_equal(W, before)
+        assert len(norms) == -(-n // batch_size)
+        assert all(len(step) == stack for step in norms)
+        for p, block in enumerate(blocks):
+            single, single_norms = sgd_epoch_traced(spec, W[p], block, lr, batch_size, seeds[p])
+            ref, ref_norms = _per_node_epoch(spec, W[p], block, lr, batch_size, seeds[p])
+            np.testing.assert_array_equal(trained[p], single)
+            np.testing.assert_array_equal(single, ref)
+            assert [step[p] for step in norms] == single_norms == ref_norms
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_capped_samples_train_in_lockstep(self, l2):
+        # A bias of 60 on class 0 puts every sample of another class below
+        # PROB_FLOOR: its loss is capped and its gradient is zero.
+        spec = softmax_spec(4, 3, l2)
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.uniform(0, 1, (30, 4)), np.tile([0, 1, 2], 10), 3)
+        W = rng.normal(0.0, 0.3, (3, param_dim(spec)))
+        W[:, 12] += 60.0
+        capped = data.subset(np.flatnonzero(data.labels != 0)[:10])
+        np.testing.assert_array_equal(gradient(spec, W[0], capped), l2 * W[0])
+        trained, norms = sgd_epoch_traced(spec, W, data, 0.2, 4, [1, 2, 3])
+        for p in range(3):
+            block = data.subset(np.arange(10 * p, 10 * (p + 1)))
+            ref, ref_norms = _per_node_epoch(spec, W[p], block, 0.2, 4, p + 1)
+            np.testing.assert_array_equal(trained[p], ref)
+            assert [step[p] for step in norms] == ref_norms
+
+    def test_one_seed_per_row(self):
+        spec = softmax_spec(4, 3)
+        W = np.stack([init_params(spec, s) for s in range(2)])
+        with pytest.raises(ValueError, match="seeds"):
+            sgd_epoch_traced(spec, W, toy_dataset(n=12), 0.1, 3, [1, 2, 3])
+
+    def test_batch_size_bounded_by_block_rows(self):
+        spec = softmax_spec(4, 3)
+        W = np.stack([init_params(spec, s) for s in range(2)])
+        with pytest.raises(ValueError, match=r"\[1, 6\]"):
+            sgd_epoch_traced(spec, W, toy_dataset(n=12), 0.1, 7, [1, 2])
+
+
+class TestDatasetConcat:
+    def test_blocks_in_order(self):
+        a, b = toy_dataset(seed=1, n=3), toy_dataset(seed=2, n=4)
+        both = Dataset.concat([a, b])
+        np.testing.assert_array_equal(both.features, np.vstack([a.features, b.features]))
+        np.testing.assert_array_equal(both.labels, np.concatenate([a.labels, b.labels]))
+        assert both.num_classes == 3
+
+    def test_mismatched_parts_rejected(self):
+        with pytest.raises(ValueError):
+            Dataset.concat([toy_dataset(classes=3), toy_dataset(classes=4)])
+        with pytest.raises(ValueError):
+            Dataset.concat([])
