@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .csvio import read_csv, write_csv
 from .flsim import FLRun
@@ -57,9 +56,9 @@ class CDFSeries:
     def __post_init__(self):
         if len(self.values) != len(self.fractions) or not self.values:
             raise ValueError("values and fractions must be nonempty and aligned")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if (np.diff(self.values) <= 0.0).any():
             raise ValueError("values must be strictly ascending")
-        if any(b <= a for a, b in zip(self.fractions, self.fractions[1:])):
+        if (np.diff(self.fractions) <= 0.0).any():
             raise ValueError("fractions must be strictly increasing")
         if not 0.0 < self.fractions[0] <= 1.0 or self.fractions[-1] != 1.0:
             raise ValueError("fractions must lie in (0, 1] and end at 1")
@@ -84,18 +83,49 @@ def node_usefulness(run: FLRun) -> list[UsefulnessRecord]:
     return usefulness_from_rounds(run.rounds)
 
 
+def _unit_centred(v: np.ndarray) -> np.ndarray:
+    """``v`` less its mean, scaled to unit norm, in scipy.stats.pearsonr's order
+    of operations (the max-abs rescale guards the norm against overflow)."""
+    centred = v - np.mean(v, keepdims=True)
+    peak = np.max(np.abs(centred), keepdims=True)
+    # axis=-1 keeps the same summation as scipy; without it norm takes a dot.
+    return centred / (peak * np.linalg.norm(centred / peak, axis=-1, keepdims=True))
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the positions they span."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=v.size)
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
 def correlate(x, y) -> tuple[float, float]:
-    """Pearson and Spearman coefficients (average ranks on ties)."""
+    """Pearson and Spearman coefficients (average ranks on ties).
+
+    Both follow scipy.stats.pearsonr/spearmanr's arithmetic step for step, so
+    they return the same bits without importing scipy. As there, a NaN input
+    gives NaN for both.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D of equal length")
     if x.size < 3:
         raise ValueError("need at least 3 points")
-    if np.std(x) == 0.0 or np.std(y) == 0.0:
+    # All-equal values can leave a rounding-sized std; scipy gives NaN there.
+    if any(np.std(v) == 0.0 or (v == v[0]).all() for v in (x, y)):
         raise ValueError("inputs must have nonzero variance")
-    pearson = float(stats.pearsonr(x, y).statistic)
-    spearman = float(stats.spearmanr(x, y).statistic)
+    pearson = float(np.clip(np.dot(_unit_centred(x), _unit_centred(y)), -1.0, 1.0))
+    if np.isnan(x).any() or np.isnan(y).any():
+        return pearson, float("nan")
+    # The [1, 0] entry of the (n, 2) column layout, as spearmanr takes it:
+    # the other entry divides by the two deviations in the other order.
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    spearman = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     return pearson, spearman
 
 
@@ -107,7 +137,7 @@ def empirical_cdf(values) -> CDFSeries:
     distinct, counts = np.unique(arr, return_counts=True)
     fractions = np.cumsum(counts) / arr.size
     fractions[-1] = 1.0
-    return CDFSeries(tuple(float(v) for v in distinct), tuple(float(f) for f in fractions))
+    return CDFSeries(tuple(distinct.tolist()), tuple(fractions.tolist()))
 
 
 def select_nodes(estimates, k: int, policy: str, rng_seed: int | None = None) -> set[int]:

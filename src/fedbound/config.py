@@ -62,6 +62,11 @@ KNOWN_KEYS = frozenset(
 )
 
 
+# SyntheticSpec and ScenarioConfig start each error message with the name of
+# the field at fault, which is the last part of the key that sets it.
+_KEY_OF_FIELD = {key.rsplit(".", 1)[-1]: key for key in KNOWN_KEYS}
+
+
 class ConfigError(ValueError):
     """Config problem with a pointer to the source line."""
 
@@ -101,6 +106,13 @@ class _RawConfig:
 
     def error(self, key: str, message: str):
         return ConfigError(f"{key}: {message}", self.lines.get(key))
+
+    def field_error(self, exc: ValueError) -> ConfigError:
+        """A field validation error, pointing at the line of the key that set it."""
+        key = _KEY_OF_FIELD.get(str(exc).split(" ", 1)[0])
+        if key is None:
+            return ConfigError(str(exc))
+        return self.error(key, str(exc))
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
@@ -160,7 +172,7 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
 
     source = raw.get("data.source", "synthetic")
     if source == "synthetic":
-        dataset = SyntheticSpec(
+        knobs = dict(
             num_classes=raw.typed("data.num_classes", int, 4),
             feature_dim=raw.typed("data.feature_dim", int, 8),
             samples_per_class=raw.typed("data.samples_per_class", int, 400),
@@ -170,6 +182,10 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
             noise_mult=raw.typed("data.noise_mult", _parse_float_list, ()),
             feature_scale=raw.typed("data.feature_scale", _parse_float_list, ()),
         )
+        try:
+            dataset = SyntheticSpec(**knobs)
+        except ValueError as exc:
+            raise raw.field_error(exc) from exc
         num_classes = dataset.num_classes
         feature_dim = dataset.feature_dim
     elif source == "cifar10":
@@ -212,28 +228,27 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
     if g_formula not in G_FORMULAS:
         raise raw.error("probe.g_formula", f"must be one of {G_FORMULAS}")
 
+    settings = dict(
+        n_nodes=raw.typed("scenario.n_nodes", int, 5),
+        samples_per_node=raw.typed("scenario.samples_per_node", int, 200),
+        rounds=raw.typed("scenario.rounds", int, 30),
+        model=model,
+        lr=raw.typed("scenario.lr", float, 0.05),
+        batch_size=raw.typed("scenario.batch_size", int, 32),
+        local_epochs_per_round=raw.typed("scenario.local_epochs_per_round", int, 1),
+        missing_classes=frozenset(missing),
+        test_fraction=raw.typed("scenario.test_fraction", float, 0.1),
+        n_probes=raw.typed("probe.n_probes", int, 100),
+        probe_sampler=sampler,
+        perturb_sigma=raw.typed("probe.perturb_sigma", float, 0.1),
+        g_formula=g_formula,
+        squared_distance=raw.typed("bound.squared_distance", _parse_bool, False),
+        seed=raw.typed("scenario.seed", int, 0),
+    )
     try:
-        scenario = ScenarioConfig(
-            n_nodes=raw.typed("scenario.n_nodes", int, 5),
-            samples_per_node=raw.typed("scenario.samples_per_node", int, 200),
-            rounds=raw.typed("scenario.rounds", int, 30),
-            model=model,
-            lr=raw.typed("scenario.lr", float, 0.05),
-            batch_size=raw.typed("scenario.batch_size", int, 32),
-            local_epochs_per_round=raw.typed("scenario.local_epochs_per_round", int, 1),
-            missing_classes=frozenset(missing),
-            test_fraction=raw.typed("scenario.test_fraction", float, 0.1),
-            n_probes=raw.typed("probe.n_probes", int, 100),
-            probe_sampler=sampler,
-            perturb_sigma=raw.typed("probe.perturb_sigma", float, 0.1),
-            g_formula=g_formula,
-            squared_distance=raw.typed("bound.squared_distance", _parse_bool, False),
-            seed=raw.typed("scenario.seed", int, 0),
-        )
-    except ConfigError:
-        raise
+        scenario = ScenarioConfig(**settings)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise raw.field_error(exc) from exc
     _check_sizes(raw, scenario, dataset)
 
     out = raw.get("output.dir", "runs")

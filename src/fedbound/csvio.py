@@ -21,9 +21,27 @@ def fmt_value(value) -> str:
     return str(value)
 
 
+def _row_template(types: tuple[type, ...]) -> str | None:
+    """A ``%`` template that renders a row of these cell types as fmt_value
+    would, or None for rows holding a bool (``%s`` would print ``True``)."""
+    if bool in types:
+        return None
+    return ",".join("%.9g" if issubclass(t, float) else "%s" for t in types)
+
+
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(fmt_value(cell) for cell in row) for row in rows)
+    templates: dict[tuple[type, ...], str | None] = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = _row_template(types)
+        template = templates[types]
+        if template is None:
+            lines.append(",".join(fmt_value(cell) for cell in row))
+        else:
+            lines.append(template % row)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -192,51 +192,70 @@ def fedavg(models) -> ParamVector:
     return np.mean(np.stack(models), axis=0)
 
 
-def _equal_length_groups(nodes: Sequence[NodeState]) -> list[list[int]]:
-    """Indices of the nodes that hold equally many rows, in order of first appearance."""
-    groups: dict[int, list[int]] = {}
+@dataclass(frozen=True)
+class RoundData:
+    """The rows every round of a run reads, stacked once per run.
+
+    ``groups`` holds, for each set of nodes with equally many rows (in order
+    of first appearance), their indices and their rows one block after
+    another; ``tests`` holds the test set once per node.
+    """
+
+    groups: tuple[tuple[list[int], Dataset], ...]
+    tests: Dataset
+
+    @property
+    def n_nodes(self) -> int:
+        return sum(len(group) for group, _ in self.groups)
+
+
+def round_data(nodes: Sequence[NodeState], test_data: Dataset) -> RoundData:
+    by_size: dict[int, list[int]] = {}
     for i, node in enumerate(nodes):
-        groups.setdefault(len(node.local_data), []).append(i)
-    return list(groups.values())
+        by_size.setdefault(len(node.local_data), []).append(i)
+    groups = tuple(
+        (group, Dataset.concat(nodes[i].local_data for i in group))
+        for group in by_size.values()
+    )
+    return RoundData(groups, Dataset.concat([test_data] * len(nodes)))
 
 
 def local_round(
-    nodes: Sequence[NodeState],
+    data: RoundData,
     global_params: ParamVector,
-    test_data: Dataset,
     cfg: ScenarioConfig,
     rng_seeds: Sequence[int],
     global_test_loss: float,
 ) -> tuple[np.ndarray, list[float], list[list[float]]]:
     """Replace every node's model with the global one and resume local training.
 
-    ``rng_seeds[i]`` seeds node i's epochs. Nodes with equally many rows
-    train in lockstep as one stack. ``global_test_loss`` is
-    ``loss(cfg.model, global_params, test_data)``, which is the same for
-    every node, so the caller computes it once. Returns, in node order, the
-    ``(N, dim)`` stack of trained parameters, each node's usefulness delta
-    (global test loss before minus after its local epochs), and each node's
-    batch-gradient norms, one per SGD step.
+    ``data`` is ``round_data(nodes, test_data)``; ``rng_seeds[i]`` seeds node
+    i's epochs. Nodes with equally many rows train in lockstep as one stack.
+    ``global_test_loss`` is ``loss(cfg.model, global_params, test_data)``,
+    which is the same for every node, so the caller computes it once. Returns,
+    in node order, the ``(N, dim)`` stack of trained parameters, each node's
+    usefulness delta (global test loss before minus after its local epochs),
+    and each node's batch-gradient norms, one per SGD step.
     """
-    if len(rng_seeds) != len(nodes):
-        raise ValueError(f"got {len(rng_seeds)} seeds for {len(nodes)} nodes")
+    n_nodes = data.n_nodes
+    if len(rng_seeds) != n_nodes:
+        raise ValueError(f"got {len(rng_seeds)} seeds for {n_nodes} nodes")
     start = np.asarray(global_params, dtype=np.float64)
-    trained = np.empty((len(nodes), start.size))
-    traces: list[list[float]] = [[] for _ in nodes]
-    for group in _equal_length_groups(nodes):
-        data = Dataset.concat(nodes[i].local_data for i in group)
+    trained = np.empty((n_nodes, start.size))
+    traces: list[list[float]] = [[] for _ in range(n_nodes)]
+    for group, rows in data.groups:
         stack = np.tile(start, (len(group), 1))
         for epoch in range(cfg.local_epochs_per_round):
             seeds = [derive_seed(rng_seeds[i], epoch) for i in group]
             stack, norms = sgd_epoch_traced(
-                cfg.model, stack, data, cfg.lr, cfg.batch_size, seeds
+                cfg.model, stack, rows, cfg.lr, cfg.batch_size, seeds
             )
             for step in norms:
                 for i, norm in zip(group, step):
                     traces[i].append(norm)
         trained[group] = stack
     # One evaluation of every trained row on its own copy of the test set.
-    after = loss(cfg.model, trained, Dataset.concat([test_data] * len(nodes)))
+    after = loss(cfg.model, trained, data.tests)
     deltas = [global_test_loss - float(value) for value in after]
     return trained, deltas, traces
 
@@ -284,15 +303,12 @@ def run_federated_partitioned(
         nodes.append(NodeState(i, local, w1.copy(), node_constants[i]))
     global_constants = aggregate_global(node_constants[i] for i in range(cfg.n_nodes))
 
-    groups = [
-        (group, Dataset.concat(nodes[i].local_data for i in group))
-        for group in _equal_length_groups(nodes)
-    ]
+    data = round_data(nodes, test_data)
 
     def train_loss_at(params: ParamVector) -> float:
         per_node = np.empty(len(nodes))
-        for group, data in groups:
-            per_node[group] = loss(cfg.model, np.tile(params, (len(group), 1)), data)
+        for group, rows in data.groups:
+            per_node[group] = loss(cfg.model, np.tile(params, (len(group), 1)), rows)
         return float(np.mean(per_node))
 
     current = w1
@@ -301,9 +317,7 @@ def run_federated_partitioned(
     raw_rounds = []
     for t in range(1, cfg.rounds + 1):
         seeds = [derive_seed(cfg.seed, "round", t, node.id) for node in nodes]
-        trained, deltas, node_traces = local_round(
-            nodes, current, test_data, cfg, seeds, test_loss
-        )
+        trained, deltas, node_traces = local_round(data, current, cfg, seeds, test_loss)
         usefulness = {node.id: delta for node, delta in zip(nodes, deltas)}
         traces = [(node.id, g) for node, trace in zip(nodes, node_traces) for g in trace]
         current = fedavg(trained)

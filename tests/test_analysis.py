@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from fedbound.analysis import (
     CDFSeries,
     ReportInputs,
     UsefulnessRecord,
+    _average_ranks,
     correlate,
     correlation_rows,
     empirical_cdf,
@@ -121,6 +124,32 @@ class TestCorrelate:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             correlate([1, 1, 1], [1, 2, 3])
+
+    def test_equal_values_with_rounding_sized_std_rejected(self):
+        # np.std of seven copies of this value is 1.8e-15, not 0.
+        with pytest.raises(ValueError):
+            correlate([1, 2, 3, 4, 5, 6, 7], [9.127555772777217] * 7)
+
+    @pytest.mark.parametrize(
+        "x, y, ranks_x, spearman",
+        [
+            # ranks (1, 2.5, 2.5, 4) vs (1, 2, 3, 4): 4.5 / sqrt(4.5 * 5)
+            ([1, 2, 2, 3], [1, 2, 3, 4], [1, 2.5, 2.5, 4], math.sqrt(0.9)),
+            # ranks (3, 3, 3, 1) vs (1, 2, 3, 4): -3 / sqrt(3 * 5)
+            ([5, 5, 5, 1], [1, 2, 3, 4], [3, 3, 3, 1], -math.sqrt(0.6)),
+            # ties on both sides: (1.5, 1.5, 3.5, 3.5) vs (1, 2.5, 2.5, 4): 3 / sqrt(4 * 4.5)
+            ([1, 1, 2, 2], [1, 2, 2, 3], [1.5, 1.5, 3.5, 3.5], math.sqrt(0.5)),
+            # ranks (4, 1, 4, 4, 2) vs (1, 2, 3, 4, 5): -1 / sqrt(8 * 10)
+            ([3, 1, 3, 3, 2], [1, 2, 3, 4, 5], [4, 1, 4, 4, 2], -1 / math.sqrt(80)),
+        ],
+    )
+    def test_spearman_averages_tied_ranks(self, x, y, ranks_x, spearman):
+        assert _average_ranks(np.array(x, dtype=float)).tolist() == ranks_x
+        assert correlate(x, y)[1] == pytest.approx(spearman, rel=4e-16)
+
+    def test_nan_input_gives_nan(self):
+        pearson, spearman = correlate([1.0, 2.0, math.nan, 4.0], [1.0, 3.0, 2.0, 5.0])
+        assert math.isnan(pearson) and math.isnan(spearman)
 
     @given(
         st.lists(st.integers(-1000, 1000), min_size=4, max_size=20, unique=True),

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,6 +8,8 @@ import pytest
 from fedbound import csvio
 from fedbound.cli import main
 from fedbound.csvio import write_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TINY = """\
 scenario.name = tiny
@@ -129,6 +134,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["data.label_skew = 1, 2", "scenario.lr = -1"])
+    def test_field_check_exits_2_naming_the_line(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"scenario.name = bad\n{line}\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: line 2: {line.split()[0]}: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestProbeCommand:
     def test_prints_per_node_and_global(self, tiny_config, capsys):
@@ -153,6 +166,17 @@ class TestReportCommand:
 
     def test_missing_dir_fails(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "nope")]) == 1
+
+
+def test_import_leaves_scipy_out():
+    # scipy's import alone took about 1.4 s of every command's start-up.
+    code = "import sys, fedbound.cli; print('scipy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestSelftestCommand:

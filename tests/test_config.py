@@ -90,6 +90,24 @@ class TestBuild:
             build_experiment_config(parse_config_text("scenario.n_nodes = five\n"))
         assert excinfo.value.line == 1
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("data.label_skew = 1, 2", "data.label_skew"),
+            ("data.noise_sigma = 0", "data.noise_sigma"),
+            ("scenario.lr = -1", "scenario.lr"),
+            ("scenario.rounds = 0", "scenario.rounds"),
+            ("probe.n_probes = 1", "probe.n_probes"),
+        ],
+    )
+    def test_field_check_names_the_line(self, line, key):
+        # Field errors find their key by its last part, so those must be unique.
+        assert len({k.rsplit(".", 1)[-1] for k in KNOWN_KEYS}) == len(KNOWN_KEYS)
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(f"scenario.n_nodes = 2\n{line}\n"))
+        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith(f"line 2: {key}: ")
+
     def test_unknown_model_kind_rejected(self):
         with pytest.raises(ConfigError):
             build_experiment_config(parse_config_text("model.kind = cnn\n"))

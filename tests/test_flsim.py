@@ -11,6 +11,7 @@ from fedbound.flsim import (
     local_round,
     local_sgd_seed,
     partition_dataset,
+    round_data,
     run_federated,
     run_federated_partitioned,
     save_run,
@@ -150,7 +151,9 @@ class TestLocalRound:
     def test_lr_zero_is_noop(self):
         cfg = scenario(lr=0.0)
         node, test, w = self.make_node(cfg)
-        trained, deltas, traces = local_round([node], w, test, cfg, [3], loss(cfg.model, w, test))
+        trained, deltas, traces = local_round(
+            round_data([node], test), w, cfg, [3], loss(cfg.model, w, test)
+        )
         np.testing.assert_array_equal(trained, w[None])
         assert deltas == [0.0]
         assert len(traces[0]) == 2  # still one norm per step
@@ -158,15 +161,17 @@ class TestLocalRound:
     def test_training_that_helps_gives_positive_delta(self):
         cfg = scenario(lr=0.2, batch_size=40)
         node, test, w = self.make_node(cfg)
-        trained, deltas, _ = local_round([node], w, test, cfg, [3], loss(cfg.model, w, test))
+        trained, deltas, _ = local_round(
+            round_data([node], test), w, cfg, [3], loss(cfg.model, w, test)
+        )
         assert deltas[0] == loss(cfg.model, w, test) - loss(cfg.model, trained[0], test)
         assert deltas[0] > 0.0
 
     def test_deterministic(self):
         cfg = scenario()
         node, test, w = self.make_node(cfg)
-        a = local_round([node], w, test, cfg, [7], loss(cfg.model, w, test))
-        b = local_round([node], w, test, cfg, [7], loss(cfg.model, w, test))
+        a = local_round(round_data([node], test), w, cfg, [7], loss(cfg.model, w, test))
+        b = local_round(round_data([node], test), w, cfg, [7], loss(cfg.model, w, test))
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1] and a[2] == b[2]
 
@@ -175,14 +180,14 @@ class TestLocalRound:
         node, test, w = self.make_node(cfg)
         with pytest.warns(UserWarning):
             run_federated_partitioned(cfg, test, [node.local_data] * cfg.n_nodes)
-        _, _, traces = local_round([node], w, test, cfg, [1], loss(cfg.model, w, test))
+        _, _, traces = local_round(round_data([node], test), w, cfg, [1], loss(cfg.model, w, test))
         assert len(traces[0]) == 3
 
     def test_seed_count_must_match_nodes(self):
         cfg = scenario()
         node, test, w = self.make_node(cfg)
         with pytest.raises(ValueError, match="seeds"):
-            local_round([node, node], w, test, cfg, [1], loss(cfg.model, w, test))
+            local_round(round_data([node, node], test), w, cfg, [1], loss(cfg.model, w, test))
 
     def test_lockstep_round_equals_one_node_at_a_time(self):
         # Unequal node sizes train as one stack per size; node order is kept.
@@ -192,9 +197,11 @@ class TestLocalRound:
         nodes = [NodeState(i, d, None) for i, d in enumerate(datasets)]
         w = init_params(cfg.model, 2)
         before = loss(cfg.model, w, test)
-        trained, deltas, traces = local_round(nodes, w, test, cfg, [11, 12, 13, 14], before)
+        trained, deltas, traces = local_round(
+            round_data(nodes, test), w, cfg, [11, 12, 13, 14], before
+        )
         for i, node in enumerate(nodes):
-            one, delta, trace = local_round([node], w, test, cfg, [11 + i], before)
+            one, delta, trace = local_round(round_data([node], test), w, cfg, [11 + i], before)
             np.testing.assert_array_equal(trained[i], one[0])
             assert deltas[i] == delta[0]
             assert traces[i] == trace[0]
@@ -260,7 +267,7 @@ class TestRunFederated:
             locals_ = []
             for i, local_data in enumerate(nodes):
                 node = NodeState(i, local_data, w)
-                trained, deltas, _ = local_round([node], w, test, cfg,
+                trained, deltas, _ = local_round(round_data([node], test), w, cfg,
                                                  [derive_seed(cfg.seed, "round", t, i)],
                                                  loss(cfg.model, w, test))
                 locals_.append(trained[0])
