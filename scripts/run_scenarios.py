@@ -2,83 +2,58 @@
 """Three-scenario comparison: 5 nodes, 10 nodes, and 5 nodes with a class
 missing from every training partition (but kept in the test set).
 
-Prints final train/test losses and the worst-case convergence bound per
-scenario and seed, averaged over seeds at the end. The missing-class rows
-show the characteristic divergence: training gets easier while testing
-gets worse.
+Runs the shipped configs five_nodes, ten_nodes and five_nodes_missing_class
+as ``fedbound run`` does, into a temporary directory, and prints final
+train/test losses and the worst-case convergence bound per scenario and seed
+from each summary.csv, averaged over seeds at the end. The missing-class rows
+show the characteristic divergence: training gets easier while testing gets
+worse.
 """
 
 from __future__ import annotations
 
 import argparse
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from fedbound.data import SyntheticSpec, gen_synthetic
-from fedbound.flsim import ScenarioConfig, run_federated
-from fedbound.model import softmax_spec
+from fedbound.cli import run_experiment
+from fedbound.config import load_config
+from fedbound.csvio import read_csv
 
-
-def build_scenarios(args) -> dict[str, ScenarioConfig]:
-    model = softmax_spec(args.feature_dim, args.num_classes, l2=args.l2)
-    common = dict(
-        samples_per_node=args.samples_per_node,
-        rounds=args.rounds,
-        model=model,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        n_probes=args.probes,
-    )
-    return {
-        "5_nodes": ScenarioConfig(n_nodes=5, **common),
-        "10_nodes": ScenarioConfig(n_nodes=10, **common),
-        "5_nodes_missing_class": ScenarioConfig(
-            n_nodes=5, missing_classes=frozenset({args.num_classes - 1}), **common
-        ),
-    }
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SCENARIOS = ("five_nodes", "ten_nodes", "five_nodes_missing_class")
+COLUMNS = ("final_train_loss", "final_test_loss", "final_bound")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="1,2,3,4,5")
-    parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--num-classes", type=int, default=4)
-    parser.add_argument("--feature-dim", type=int, default=8)
-    parser.add_argument("--samples-per-node", type=int, default=150)
-    parser.add_argument("--lr", type=float, default=0.1)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--probes", type=int, default=60)
-    parser.add_argument("--l2", type=float, default=0.01)
+    parser.add_argument("--seeds", default=None,
+                        help="comma-separated seeds (default: each config's repeat_seeds)")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-
-    # One shared pool, sized for the largest scenario after class filtering.
-    need = 10 * args.samples_per_node
-    spec = SyntheticSpec(
-        num_classes=args.num_classes,
-        feature_dim=args.feature_dim,
-        samples_per_class=int(1.6 * need / args.num_classes),
-        separation=0.6,
-        noise_sigma=0.2,
-    )
-    scenarios = build_scenarios(args)
 
     print(f"{'scenario':<24}{'seed':>6}{'train':>10}{'test':>10}{'bound':>12}")
     print("-" * 62)
-    totals: dict[str, list[tuple[float, float, float]]] = {name: [] for name in scenarios}
-    for name, base_cfg in scenarios.items():
-        for seed in seeds:
-            cfg = replace(base_cfg, seed=seed)
-            run = run_federated(cfg, gen_synthetic(spec, seed))
-            last = run.rounds[-1]
-            totals[name].append((last.train_loss, last.test_loss, last.bound_value))
-            print(f"{name:<24}{seed:>6}{last.train_loss:>10.4f}{last.test_loss:>10.4f}"
-                  f"{last.bound_value:>12.1f}")
+    totals: dict[str, list[list[float]]] = {}
+    with tempfile.TemporaryDirectory() as out:
+        for name in SCENARIOS:
+            cfg = replace(load_config(CONFIG_DIR / f"{name}.cfg"), output_dir=Path(out) / name)
+            if args.seeds:
+                seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+                cfg = replace(cfg, repeat_seeds=seeds)
+            run_experiment(cfg)
+            header, rows = read_csv(cfg.output_dir / "summary.csv")
+            for row in rows:
+                scenario, seed = row[header.index("scenario")], row[header.index("seed")]
+                train, test, bound = (float(row[header.index(c)]) for c in COLUMNS)
+                totals.setdefault(scenario, []).append([train, test, bound])
+                print(f"{scenario:<24}{seed:>6}{train:>10.4f}{test:>10.4f}{bound:>12.1f}")
     print("-" * 62)
-    for name, rows in totals.items():
-        train, test, bound = (float(np.mean([r[i] for r in rows])) for i in range(3))
-        print(f"{name:<24}{'mean':>6}{train:>10.4f}{test:>10.4f}{bound:>12.1f}")
+    for scenario, values in totals.items():
+        train, test, bound = np.mean(values, axis=0)
+        print(f"{scenario:<24}{'mean':>6}{train:>10.4f}{test:>10.4f}{bound:>12.1f}")
 
 
 if __name__ == "__main__":

@@ -16,10 +16,8 @@ import numpy as np
 
 from fedbound.analysis import select_nodes
 from fedbound.data import SyntheticSpec, gen_synthetic_nodes
-from fedbound.flsim import ScenarioConfig, probe_sampler_for, run_federated_partitioned
-from fedbound.model import init_params, softmax_spec
-from fedbound.probe import estimate_constants
-from fedbound.rng import derive_seed
+from fedbound.flsim import ScenarioConfig, probe_phase, run_federated_partitioned
+from fedbound.model import softmax_spec
 
 
 def main() -> None:
@@ -53,13 +51,8 @@ def main() -> None:
             n_nodes=args.nodes, samples_per_node=args.samples_per_node, rounds=1,
             model=model, n_probes=args.probes, seed=seed,
         )
-        sampler = probe_sampler_for(probe_cfg, init_params(model, derive_seed(seed, "init")))
-        estimates = [
-            (i, estimate_constants(model, nodes[i], args.probes, sampler,
-                                   derive_seed(seed, "probe", i)))
-            for i in range(args.nodes)
-        ]
-        selected = select_nodes(estimates, k, args.policy, rng_seed=seed)
+        _, _, node_constants, _ = probe_phase(probe_cfg, nodes)
+        selected = select_nodes(node_constants.items(), k, args.policy, rng_seed=seed)
         rest = set(range(args.nodes)) - selected
 
         finals = {}

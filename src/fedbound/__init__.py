@@ -3,7 +3,6 @@ convergence-bound evaluation, and node-usefulness analysis."""
 
 from .analysis import (
     CDFSeries,
-    CorrelationReport,
     UsefulnessRecord,
     correlate,
     empirical_cdf,
@@ -15,7 +14,6 @@ from .config import CifarSource, ConfigError, ExperimentConfig, load_config
 from .data import SyntheticSpec, gen_synthetic, gen_synthetic_nodes, load_cifar10
 from .flsim import (
     FLRun,
-    NodeState,
     RoundRecord,
     ScenarioConfig,
     fedavg,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, parse_config_text
 from .csvio import read_csv, write_csv
 from .flsim import FLRun
 from .probe import ConstantsEstimate
@@ -32,18 +33,6 @@ class UsefulnessRecord:
     def __post_init__(self):
         if not math.isfinite(self.usefulness):
             raise ValueError("usefulness must be finite")
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    quantity: str
-    pearson: float
-    spearman: float
-    n: int
-
-    def __post_init__(self):
-        if not (-1.0 <= self.pearson <= 1.0 and -1.0 <= self.spearman <= 1.0):
-            raise ValueError("correlation coefficients must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -175,13 +164,18 @@ def select_nodes(estimates, k: int, policy: str, rng_seed: int | None = None) ->
 @dataclass(frozen=True)
 class ReportInputs:
     """Everything the report CSVs are computed from; buildable from an FLRun
-    or parsed back out of a saved run directory."""
+    or parsed back out of a saved run directory.
+
+    ``selection_k`` is the subset size of selection.csv; None means half the
+    nodes, rounded up.
+    """
 
     usefulness: tuple[UsefulnessRecord, ...]
     node_constants: dict[int, ConstantsEstimate]
     probe_g: tuple[float, ...]
     training_g: tuple[float, ...]
     seed: int
+    selection_k: int | None = None
 
 
 def report_inputs_from_run(run: FLRun) -> ReportInputs:
@@ -214,11 +208,21 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     _, grows = read_csv(run_dir / "gtrace.csv")
     probe_g = tuple(float(v) for source, _, v in grows if source == "probe")
     training_g = tuple(float(v) for source, _, v in grows if source == "training")
-    seed = 0
-    for line in (run_dir / "config.txt").read_text(encoding="utf-8").splitlines():
-        if line.startswith("scenario.seed"):
-            seed = int(line.split("=", 1)[1].strip())
-    return ReportInputs(usefulness, node_constants, probe_g, training_g, seed)
+    config_file = run_dir / "config.txt"
+    try:
+        config = parse_config_text(config_file.read_text(encoding="utf-8"))
+    except ConfigError as exc:
+        raise ValueError(f"{config_file}: {exc}") from exc
+    seed = int(config.get("scenario.seed", "0"))
+    selection_k = config.get("selection.k")
+    return ReportInputs(
+        usefulness,
+        node_constants,
+        probe_g,
+        training_g,
+        seed,
+        None if selection_k is None else int(selection_k),
+    )
 
 
 def _constant_values(inputs: ReportInputs, quantity: str) -> np.ndarray:
@@ -246,7 +250,7 @@ def _cdf_rows(values) -> list[tuple[float, float]]:
     return list(zip(series.values, series.fractions))
 
 
-def write_reports(run_dir: Path | str, inputs: ReportInputs, selection_k: int | None = None) -> None:
+def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
     """Emit correlations.csv, cdf_probe.csv, cdf_training.csv, selection.csv."""
     run_dir = Path(run_dir)
     write_csv(
@@ -259,7 +263,7 @@ def write_reports(run_dir: Path | str, inputs: ReportInputs, selection_k: int | 
 
     estimates = sorted(inputs.node_constants.items())
     n = len(estimates)
-    k = selection_k if selection_k is not None else math.ceil(n / 2)
+    k = inputs.selection_k if inputs.selection_k is not None else math.ceil(n / 2)
     rows = []
     for policy in SELECTION_POLICIES:
         chosen = select_nodes(estimates, k, policy, rng_seed=inputs.seed)

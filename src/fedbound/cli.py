@@ -54,34 +54,36 @@ SUMMARY_HEADER = (
 )
 
 
-def _synthetic_has_knobs(cfg: ExperimentConfig) -> bool:
-    return not isinstance(cfg.dataset, CifarSource) and cfg.dataset.has_node_knobs
+def node_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, list[Dataset]]:
+    """The test set and the per-node training sets of one seed.
 
-
-def _hetero_test_size(scenario: flsim.ScenarioConfig) -> int:
-    total_train = scenario.n_nodes * scenario.samples_per_node
-    frac = scenario.test_fraction
-    return max(1, int(round(frac / (1.0 - frac) * total_train)))
-
-
-def run_one_seed(cfg: ExperimentConfig, seed: int) -> flsim.FLRun:
-    """Build the dataset for one seed and run the federated pipeline."""
-    scenario = replace(cfg.scenario, seed=seed)
+    CIFAR-10 and a synthetic pool without per-node knobs are partitioned;
+    a synthetic spec with per-node knobs generates each node on its own,
+    with a test set sized so it makes up ``test_fraction`` of all rows.
+    """
+    scenario = cfg.scenario
     if isinstance(cfg.dataset, CifarSource):
         data = load_cifar10(cfg.dataset.path, cfg.dataset.pool, cfg.dataset.grayscale)
-        return flsim.run_federated(scenario, data)
-    if _synthetic_has_knobs(cfg):
-        test_data, node_datasets = gen_synthetic_nodes(
+    elif cfg.dataset.has_node_knobs:
+        total_train = scenario.n_nodes * scenario.samples_per_node
+        frac = scenario.test_fraction
+        return gen_synthetic_nodes(
             cfg.dataset,
             scenario.n_nodes,
             scenario.samples_per_node,
-            _hetero_test_size(scenario),
+            max(1, int(round(frac / (1.0 - frac) * total_train))),
             seed,
             scenario.missing_classes,
         )
-        return flsim.run_federated_partitioned(scenario, test_data, node_datasets)
-    data = gen_synthetic(cfg.dataset, seed)
-    return flsim.run_federated(scenario, data)
+    else:
+        data = gen_synthetic(cfg.dataset, seed)
+    return flsim.partition_dataset(data, scenario, derive_seed(seed, "partition"))
+
+
+def run_one_seed(cfg: ExperimentConfig, seed: int) -> flsim.FLRun:
+    """Build the datasets of one seed and run the federated pipeline."""
+    scenario = replace(cfg.scenario, seed=seed)
+    return flsim.run_federated_partitioned(scenario, *node_datasets(cfg, seed))
 
 
 def _dataset_echo(cfg: ExperimentConfig) -> dict[str, str]:
@@ -147,8 +149,8 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> tuple:
     if cfg.selection_k is not None:
         extra["selection.k"] = str(cfg.selection_k)
     flsim.save_run(run, tmp_dir, extra_config=extra)
-    inputs = analysis.report_inputs_from_run(run)
-    analysis.write_reports(tmp_dir, inputs, selection_k=cfg.selection_k)
+    inputs = replace(analysis.report_inputs_from_run(run), selection_k=cfg.selection_k)
+    analysis.write_reports(tmp_dir, inputs)
     _replace_dir(tmp_dir, final_dir)
 
     last = run.rounds[-1]
@@ -192,37 +194,10 @@ def _cmd_run(args) -> int:
 def _cmd_probe(args) -> int:
     cfg = _load_config_with_env(args.config)
     seed = cfg.repeat_seeds[0]
-    scenario = replace(cfg.scenario, seed=seed)
-    if isinstance(cfg.dataset, CifarSource):
-        data = load_cifar10(cfg.dataset.path, cfg.dataset.pool, cfg.dataset.grayscale)
-        _, node_datasets = flsim.partition_dataset(
-            data, scenario, derive_seed(seed, "partition")
-        )
-    elif _synthetic_has_knobs(cfg):
-        _, node_datasets = gen_synthetic_nodes(
-            cfg.dataset,
-            scenario.n_nodes,
-            scenario.samples_per_node,
-            _hetero_test_size(scenario),
-            seed,
-            scenario.missing_classes,
-        )
-    else:
-        data = gen_synthetic(cfg.dataset, seed)
-        _, node_datasets = flsim.partition_dataset(
-            data, scenario, derive_seed(seed, "partition")
-        )
-    w1 = init_params(scenario.model, derive_seed(seed, "init"))
-    sampler = flsim.probe_sampler_for(scenario, w1)
-    estimates = []
-    for i, local in enumerate(node_datasets):
-        est = probe.estimate_constants(
-            scenario.model, local, scenario.n_probes, sampler,
-            derive_seed(seed, "probe", i), scenario.g_formula,
-        )
-        estimates.append(est)
+    _, nodes = node_datasets(cfg, seed)
+    _, _, node_constants, agg = flsim.probe_phase(replace(cfg.scenario, seed=seed), nodes)
+    for i, est in node_constants.items():
         print(f"node {i}: mu={est.mu:.9g} L={est.L:.9g} G={est.G:.9g} n_probes={est.n_probes}")
-    agg = probe.aggregate_global(estimates)
     print(f"global: mu={agg.mu:.9g} L={agg.L:.9g} G={agg.G:.9g} n_probes={agg.n_probes}")
     return 0
 
@@ -232,14 +207,7 @@ def _cmd_report(args) -> int:
     if not (run_dir / "rounds.csv").exists():
         print(f"error: {run_dir} does not look like a run directory", file=sys.stderr)
         return 1
-    selection_k = None
-    config_file = run_dir / "config.txt"
-    if config_file.exists():
-        for line in config_file.read_text(encoding="utf-8").splitlines():
-            if line.startswith("selection.k"):
-                selection_k = int(line.split("=", 1)[1].strip())
-    inputs = analysis.report_inputs_from_dir(run_dir)
-    analysis.write_reports(run_dir, inputs, selection_k=selection_k)
+    analysis.write_reports(run_dir, analysis.report_inputs_from_dir(run_dir))
     print(f"reports regenerated under {run_dir}")
     return 0
 

@@ -280,18 +280,30 @@ def _first_set(raw: _RawConfig, *keys: str) -> str:
 def _check_sizes(
     raw: _RawConfig, scenario: ScenarioConfig, dataset: SyntheticSpec | CifarSource
 ) -> None:
-    """Reject sizes that would otherwise fail only after the probe phase."""
+    """Reject sizes that would otherwise fail only once a run has started."""
     if scenario.batch_size > scenario.samples_per_node:
         raise raw.error(
             _first_set(raw, "scenario.batch_size", "scenario.samples_per_node"),
             f"batch_size {scenario.batch_size} exceeds samples_per_node "
             f"{scenario.samples_per_node}; it must lie in [1, {scenario.samples_per_node}]",
         )
-    # Per-node synthetic generation always draws at least one test row; a
-    # partitioned dataset holds out a share of its rows, which may round to 0.
+    if len(scenario.missing_classes) == scenario.model.num_classes:
+        raise raw.error(
+            "scenario.missing_classes", "lists every class, which leaves no training data"
+        )
     if isinstance(dataset, CifarSource):
         empty = scenario.test_fraction == 0.0
     else:
+        for key in ("data.label_skew", "data.noise_mult", "data.feature_scale"):
+            entries = getattr(dataset, key.split(".")[1])
+            if entries and len(entries) != scenario.n_nodes:
+                raise raw.error(
+                    key,
+                    f"needs {scenario.n_nodes} entries, one per node "
+                    f"(scenario.n_nodes = {scenario.n_nodes}), got {len(entries)}",
+                )
+        # Per-node synthetic generation always draws at least one test row; a
+        # partitioned dataset holds out a share of its rows, which may round to 0.
         n_rows = dataset.num_classes * dataset.samples_per_class
         empty = not dataset.has_node_knobs and held_out_size(scenario, n_rows) == 0
     if empty:

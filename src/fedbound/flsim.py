@@ -93,16 +93,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """One learning node: its data, current parameters, and probe results."""
-
-    id: int
-    local_data: Dataset
-    params: ParamVector
-    constants: ConstantsEstimate | None = None
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     """Observables of one federated round (losses at the aggregated model)."""
 
@@ -209,13 +199,12 @@ class RoundData:
         return sum(len(group) for group, _ in self.groups)
 
 
-def round_data(nodes: Sequence[NodeState], test_data: Dataset) -> RoundData:
+def round_data(nodes: Sequence[Dataset], test_data: Dataset) -> RoundData:
     by_size: dict[int, list[int]] = {}
-    for i, node in enumerate(nodes):
-        by_size.setdefault(len(node.local_data), []).append(i)
+    for i, local in enumerate(nodes):
+        by_size.setdefault(len(local), []).append(i)
     groups = tuple(
-        (group, Dataset.concat(nodes[i].local_data for i in group))
-        for group in by_size.values()
+        (group, Dataset.concat(nodes[i] for i in group)) for group in by_size.values()
     )
     return RoundData(groups, Dataset.concat([test_data] * len(nodes)))
 
@@ -265,43 +254,53 @@ def local_sgd_seed(cfg_seed: int, round_index: int, node_id: int, epoch: int) ->
     return derive_seed(derive_seed(cfg_seed, "round", round_index, node_id), epoch)
 
 
-def probe_sampler_for(cfg: ScenarioConfig, w1: ParamVector):
-    """The probe-point sampler a run uses: fresh draws, or jitter around w1."""
+def probe_phase(
+    cfg: ScenarioConfig, node_datasets: Sequence[Dataset]
+) -> tuple[
+    ParamVector,
+    dict[int, tuple[ProbeSample, ...]],
+    dict[int, ConstantsEstimate],
+    ConstantsEstimate,
+]:
+    """Phase 1 of a run: probe every node's loss landscape around w1.
+
+    Node i probes with seed ``derive_seed(cfg.seed, "probe", i)``, drawing
+    fresh parameter vectors or jitter around w1 per ``cfg.probe_sampler``.
+    Returns w1 (the initial global parameters), each node's probe samples,
+    each node's (mu, L, G) and their worst-case global aggregate.
+    """
+    if cfg.model is None:
+        raise ValueError("config has no model spec")
+    if len(node_datasets) != cfg.n_nodes:
+        raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
+    w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
     if cfg.probe_sampler == "init":
-        return InitDistributionSampler()
-    return GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
+        sampler = InitDistributionSampler()
+    else:
+        sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
+    probe_samples = {
+        i: collect_probes(
+            cfg.model, local, cfg.n_probes, sampler,
+            derive_seed(cfg.seed, "probe", i), cfg.g_formula,
+        )
+        for i, local in enumerate(node_datasets)
+    }
+    node_constants = {i: constants_from_samples(s) for i, s in probe_samples.items()}
+    return w1, probe_samples, node_constants, aggregate_global(node_constants.values())
 
 
 def run_federated_partitioned(
     cfg: ScenarioConfig, test_data: Dataset, node_datasets
 ) -> FLRun:
     """The FedAvg engine, given already-built per-node datasets."""
-    node_datasets = list(node_datasets)
-    if cfg.model is None:
-        raise ValueError("config has no model spec")
-    if len(node_datasets) != cfg.n_nodes:
-        raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
+    nodes = list(node_datasets)
+    w1, probe_samples, node_constants, global_constants = probe_phase(cfg, nodes)
     if cfg.local_epochs_per_round != 1:
         warnings.warn(
             "bound values assume one local epoch per round; this config uses "
             f"{cfg.local_epochs_per_round}",
             stacklevel=2,
         )
-
-    w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
-    sampler = probe_sampler_for(cfg, w1)
-    probe_samples: dict[int, tuple[ProbeSample, ...]] = {}
-    node_constants: dict[int, ConstantsEstimate] = {}
-    nodes: list[NodeState] = []
-    for i, local in enumerate(node_datasets):
-        samples = collect_probes(
-            cfg.model, local, cfg.n_probes, sampler,
-            derive_seed(cfg.seed, "probe", i), cfg.g_formula,
-        )
-        probe_samples[i] = samples
-        node_constants[i] = constants_from_samples(samples)
-        nodes.append(NodeState(i, local, w1.copy(), node_constants[i]))
-    global_constants = aggregate_global(node_constants[i] for i in range(cfg.n_nodes))
 
     data = round_data(nodes, test_data)
 
@@ -316,10 +315,10 @@ def run_federated_partitioned(
     test_loss = loss(cfg.model, w1, test_data)
     raw_rounds = []
     for t in range(1, cfg.rounds + 1):
-        seeds = [derive_seed(cfg.seed, "round", t, node.id) for node in nodes]
+        seeds = [derive_seed(cfg.seed, "round", t, i) for i in range(len(nodes))]
         trained, deltas, node_traces = local_round(data, current, cfg, seeds, test_loss)
-        usefulness = {node.id: delta for node, delta in zip(nodes, deltas)}
-        traces = [(node.id, g) for node, trace in zip(nodes, node_traces) for g in trace]
+        usefulness = dict(enumerate(deltas))
+        traces = [(i, g) for i, trace in enumerate(node_traces) for g in trace]
         current = fedavg(trained)
         train_loss = train_loss_at(current)
         test_loss = loss(cfg.model, current, test_data)

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,3 +327,45 @@ class TestReports:
             )
         assert len(parsed.probe_g) == len(direct.probe_g)
         assert len(parsed.training_g) == len(direct.training_g)
+
+    @given(
+        n_nodes=st.integers(2, 4),
+        rounds=st.integers(1, 3),
+        n_probes=st.integers(2, 4),
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_saved_run_reads_back_as_the_run(self, n_nodes, rounds, n_probes, seed, data):
+        # Every saved float has 9 significant digits; usefulness is the mean
+        # of saved deltas, each off by at most half a unit in the 9th digit.
+        k = data.draw(st.none() | st.integers(1, n_nodes), label="selection_k")
+        cfg = ScenarioConfig(
+            n_nodes=n_nodes, samples_per_node=15, rounds=rounds,
+            model=softmax_spec(4, 3, l2=0.01), lr=0.1, batch_size=5,
+            n_probes=n_probes, seed=seed,
+        )
+        run = run_federated(
+            cfg, gen_synthetic(SyntheticSpec(3, 4, 30, separation=0.5), seed)
+        )
+        with tempfile.TemporaryDirectory() as run_dir:
+            save_run(run, run_dir, extra_config=None if k is None else {"selection.k": str(k)})
+            parsed = report_inputs_from_dir(run_dir)
+        direct = replace(report_inputs_from_run(run), selection_k=k)
+
+        def sig9(values):
+            return [format(v, ".9g") for v in values]
+
+        assert parsed.seed == direct.seed == seed
+        assert parsed.selection_k == direct.selection_k == k
+        assert [r.node_id for r in parsed.usefulness] == [r.node_id for r in direct.usefulness]
+        for a, b in zip(direct.usefulness, parsed.usefulness):
+            scale = max(abs(r.per_node_usefulness[a.node_id]) for r in run.rounds)
+            assert abs(b.usefulness - a.usefulness) <= 5e-9 * scale * (1 + 1e-6)
+        assert parsed.node_constants.keys() == direct.node_constants.keys()
+        for i, c in direct.node_constants.items():
+            p = parsed.node_constants[i]
+            assert sig9((p.mu, p.L, p.G)) == sig9((c.mu, c.L, c.G))
+            assert p.n_probes == c.n_probes
+        assert sig9(parsed.probe_g) == sig9(direct.probe_g)
+        assert sig9(parsed.training_g) == sig9(direct.training_g)

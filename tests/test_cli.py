@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedbound import csvio
@@ -28,6 +29,30 @@ data.feature_dim = 4
 data.samples_per_class = 40
 repeat_seeds = 1,2
 """
+
+
+
+def cifar_source(tmp_path: Path) -> str:
+    """Config lines for a CIFAR-10 batch of 80 random records in ``tmp_path``."""
+    rng = np.random.default_rng(0)
+    labels = (np.arange(80) % 10).astype(np.uint8)
+    pixels = rng.integers(0, 256, (80, 3072), dtype=np.uint8)
+    (tmp_path / "batch.bin").write_bytes(np.column_stack([labels, pixels]).tobytes())
+    return (
+        "data.source = cifar10\n"
+        f"data.cifar_path = {tmp_path / 'batch.bin'}\n"
+        "data.cifar_pool = 8\n"
+        "data.cifar_grayscale = true\n"
+    )
+
+
+# Lines appended to TINY; later assignments win, and a CIFAR source ignores
+# the synthetic keys.
+SOURCES = {
+    "shared_pool": lambda tmp_path: "",
+    "node_knobs": lambda tmp_path: "data.feature_scale = 0.5, 1.0\n",
+    "cifar": cifar_source,
+}
 
 RUN_FILES = (
     "config.txt",
@@ -143,6 +168,21 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("scenario.n_nodes = 8\ndata.feature_scale = 0.5, 0.7, 1.0", "data.feature_scale"),
+            ("data.num_classes = 3\nscenario.missing_classes = 0,1,2", "scenario.missing_classes"),
+        ],
+    )
+    def test_data_that_cannot_fill_the_nodes_exits_2(self, tmp_path, capsys, lines, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"scenario.name = bad\n{lines}\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: line 3: {key}: ")
+        assert not (tmp_path / "o").exists()
+
+
 class TestProbeCommand:
     def test_prints_per_node_and_global(self, tiny_config, capsys):
         assert main(["probe", "--config", str(tiny_config)]) == 0
@@ -150,6 +190,22 @@ class TestProbeCommand:
         assert lines[0].startswith("node 0: mu=")
         assert lines[1].startswith("node 1: mu=")
         assert lines[2].startswith("global: mu=")
+
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_prints_the_constants_rows_of_run(self, tmp_path, capsys, source):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + SOURCES[source](tmp_path))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["probe", "--config", str(cfg)]) == 0
+        _, rows = csvio.read_csv(tmp_path / "out" / "tiny_seed1" / "constants.csv")
+        expected = [
+            f"{'global' if nid == '-1' else f'node {nid}'}: mu={mu} L={ell} G={g} n_probes={n}"
+            for nid, mu, ell, g, n in rows
+        ]
+        assert len(expected) == 3
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestReportCommand:
@@ -166,6 +222,31 @@ class TestReportCommand:
 
     def test_missing_dir_fails(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "nope")]) == 1
+
+    def test_keeps_selection_k_of_the_saved_config(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY + "scenario.n_nodes = 3\nselection.k = 1\nrepeat_seeds = 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        selection = tmp_path / "out" / "tiny_seed1" / "selection.csv"
+        before = selection.read_bytes()
+        # Half of 3 nodes, rounded up, would give k = 2.
+        assert [line.split(",")[1] for line in before.decode().splitlines()[1:]] == ["1"] * 5
+        selection.unlink()
+        assert main(["report", "--run", str(selection.parent)]) == 0
+        assert selection.read_bytes() == before
+
+    @pytest.mark.parametrize("damage", ["deleted", "malformed"])
+    def test_unreadable_config_txt_fails_naming_it(self, tiny_config, tmp_path, capsys, damage):
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+        config_txt = tmp_path / "out" / "tiny_seed1" / "config.txt"
+        if damage == "deleted":
+            config_txt.unlink()
+        else:
+            config_txt.write_text(config_txt.read_text() + "no pair here\n")
+        capsys.readouterr()
+        assert main(["report", "--run", str(config_txt.parent)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config_txt) in err
 
 
 def test_import_leaves_scipy_out():

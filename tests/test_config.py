@@ -180,6 +180,31 @@ class TestBuild:
         cfg = build_experiment_config(parse_config_text(text))
         assert cfg.scenario.test_fraction == 0.0
 
+    @pytest.mark.parametrize(
+        "line",
+        ["data.label_skew = 0.1, 0.2", "data.noise_mult = 1, 2", "data.feature_scale = 1, 1"],
+    )
+    def test_knob_length_other_than_n_nodes_rejected_with_line(self, line):
+        text = f"scenario.n_nodes = 3\n{line}\n"
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        key = line.split()[0]
+        assert str(excinfo.value) == (
+            f"line 2: {key}: needs 3 entries, one per node (scenario.n_nodes = 3), got 2"
+        )
+
+    @pytest.mark.parametrize("knobs", ["", "data.noise_mult = 1, 1\n"])
+    def test_every_class_missing_rejected_with_line(self, knobs):
+        text = (
+            f"scenario.n_nodes = 2\n{knobs}"
+            "data.num_classes = 3\nscenario.missing_classes = 2, 0, 1\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert excinfo.value.line == text.count("\n")
+        assert "scenario.missing_classes: lists every class" in str(excinfo.value)
+        build_experiment_config(parse_config_text(text.replace("2, 0, 1", "2, 0")))
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(GOOD)

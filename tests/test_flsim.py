@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
-    NodeState,
     ScenarioConfig,
     fedavg,
     local_round,
@@ -146,7 +145,7 @@ class TestLocalRound:
     def make_node(self, cfg, seed=0):
         test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=seed), cfg, 5)
         w = init_params(cfg.model, 1)
-        return NodeState(0, nodes[0], w), test, w
+        return nodes[0], test, w
 
     def test_lr_zero_is_noop(self):
         cfg = scenario(lr=0.0)
@@ -179,7 +178,7 @@ class TestLocalRound:
         cfg = scenario(local_epochs_per_round=3, batch_size=40)
         node, test, w = self.make_node(cfg)
         with pytest.warns(UserWarning):
-            run_federated_partitioned(cfg, test, [node.local_data] * cfg.n_nodes)
+            run_federated_partitioned(cfg, test, [node] * cfg.n_nodes)
         _, _, traces = local_round(round_data([node], test), w, cfg, [1], loss(cfg.model, w, test))
         assert len(traces[0]) == 3
 
@@ -193,8 +192,7 @@ class TestLocalRound:
         # Unequal node sizes train as one stack per size; node order is kept.
         cfg = scenario(n_nodes=4, samples_per_node=25, batch_size=10)
         test, parts = partition_dataset(gen_synthetic(synthetic_spec(), seed=3), cfg, 5)
-        datasets = [parts[0], parts[1].subset(np.arange(20)), parts[2], parts[3].subset(np.arange(20))]
-        nodes = [NodeState(i, d, None) for i, d in enumerate(datasets)]
+        nodes = [parts[0], parts[1].subset(np.arange(20)), parts[2], parts[3].subset(np.arange(20))]
         w = init_params(cfg.model, 2)
         before = loss(cfg.model, w, test)
         trained, deltas, traces = local_round(
@@ -265,8 +263,7 @@ class TestRunFederated:
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
         for t in (1, 2):
             locals_ = []
-            for i, local_data in enumerate(nodes):
-                node = NodeState(i, local_data, w)
+            for i, node in enumerate(nodes):
                 trained, deltas, _ = local_round(round_data([node], test), w, cfg,
                                                  [derive_seed(cfg.seed, "round", t, i)],
                                                  loss(cfg.model, w, test))
