@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .csvio import write_csv
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,3 @@ def estimate_initial_distance(w1: np.ndarray, wstar_proxy: np.ndarray) -> float:
     if w1.shape != proxy.shape:
         raise ValueError(f"shape mismatch: {w1.shape} vs {proxy.shape}")
     return float(np.linalg.norm(w1 - proxy))
-
-
-def write_curve_csv(path: Path | str, curve: BoundCurve) -> None:
-    write_csv(path, ("t", "bound_value"), curve.values)

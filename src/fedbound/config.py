@@ -305,7 +305,21 @@ def _check_sizes(
         # Per-node synthetic generation always draws at least one test row; a
         # partitioned dataset holds out a share of its rows, which may round to 0.
         n_rows = dataset.num_classes * dataset.samples_per_class
-        empty = not dataset.has_node_knobs and held_out_size(scenario, n_rows) == 0
+        n_test = held_out_size(scenario, n_rows)
+        empty = not dataset.has_node_knobs and n_test == 0
+        # What partition_dataset leaves for the nodes is known here unless
+        # missing classes filter it by the random test split.
+        need = scenario.n_nodes * scenario.samples_per_node
+        if not (dataset.has_node_knobs or scenario.missing_classes) and n_rows - n_test < need:
+            raise raw.error(
+                _first_set(
+                    raw, "scenario.samples_per_node", "scenario.n_nodes",
+                    "data.samples_per_class", "data.num_classes",
+                ),
+                f"n_nodes x samples_per_node = {need} training rows, but the synthetic "
+                f"pool of {n_rows} rows (num_classes x samples_per_class) leaves "
+                f"{n_rows - n_test} after holding out {n_test} for testing",
+            )
     if empty:
         raise raw.error(
             _first_set(raw, "scenario.test_fraction", "data.samples_per_class"),

@@ -21,27 +21,31 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def _row_template(types: tuple[type, ...]) -> str | None:
-    """A ``%`` template that renders a row of these cell types as fmt_value
-    would, or None for rows holding a bool (``%s`` would print ``True``)."""
-    if bool in types:
+def _table_template(rows: list[tuple]) -> str | None:
+    """A ``%`` template that renders every row as fmt_value would, cell by
+    cell. None unless the rows share one width and each column holds cells
+    of one type, and for a bool column (``%s`` would print ``True``)."""
+    if len(set(map(len, rows))) != 1:
         return None
-    return ",".join("%.9g" if issubclass(t, float) else "%s" for t in types)
+    cells = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if len(kinds) != 1 or bool in kinds:
+            return None
+        cells.append("%.9g" if issubclass(kinds.pop(), float) else "%s")
+    return ",".join(cells)
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    rows = list(map(tuple, rows))
     lines = [",".join(header)]
-    templates: dict[tuple[type, ...], str | None] = {}
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = _row_template(types)
-        template = templates[types]
-        if template is None:
-            lines.append(",".join(fmt_value(cell) for cell in row))
-        else:
-            lines.append(template % row)
+    template = _table_template(rows)
+    if template is not None:
+        lines.extend(map(template.__mod__, rows))
+    else:
+        # Ragged or mixed-type tables; every file of a run directory takes
+        # the template above.
+        lines.extend(",".join(map(fmt_value, row)) for row in rows)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -11,10 +11,11 @@ anywhere in the run) is known.
 
 Rounds run in lockstep: every node of a round starts from the same global
 vector, so the nodes that hold equally many rows train as one ``(P, dim)``
-stack, one stacked gradient call per SGD step, and a round's usefulness
-and training losses each take one stacked loss call. Each stack row equals
-the node's own single-vector computation bit for bit, so results do not
-depend on how nodes are grouped.
+stack, one stacked gradient call per SGD step. A round's usefulness losses
+are one kernel call over the one test set, and its training loss is one
+stacked loss call per group. Each stack row equals the node's own
+single-vector computation bit for bit, so results do not depend on how
+nodes are grouped.
 
 All randomness derives from (config seed, phase, round, node), so serial
 and parallel schedules produce identical results.
@@ -31,7 +32,16 @@ import numpy as np
 
 from .bound import BoundParams, convergence_bound, estimate_initial_distance
 from .csvio import write_csv
-from .model import Dataset, ModelSpec, ParamVector, init_params, loss, sgd_epoch_traced
+from .model import (
+    Dataset,
+    ModelSpec,
+    ParamVector,
+    _check_params,
+    _loss_and_grad_stacked,
+    init_params,
+    loss,
+    sgd_epoch_traced,
+)
 from .probe import (
     ConstantsEstimate,
     GaussianPerturbationSampler,
@@ -188,11 +198,11 @@ class RoundData:
 
     ``groups`` holds, for each set of nodes with equally many rows (in order
     of first appearance), their indices and their rows one block after
-    another; ``tests`` holds the test set once per node.
+    another; ``test`` is the test set.
     """
 
     groups: tuple[tuple[list[int], Dataset], ...]
-    tests: Dataset
+    test: Dataset
 
     @property
     def n_nodes(self) -> int:
@@ -206,7 +216,7 @@ def round_data(nodes: Sequence[Dataset], test_data: Dataset) -> RoundData:
     groups = tuple(
         (group, Dataset.concat(nodes[i] for i in group)) for group in by_size.values()
     )
-    return RoundData(groups, Dataset.concat([test_data] * len(nodes)))
+    return RoundData(groups, test_data)
 
 
 def local_round(
@@ -239,12 +249,15 @@ def local_round(
             stack, norms = sgd_epoch_traced(
                 cfg.model, stack, rows, cfg.lr, cfg.batch_size, seeds
             )
-            for step in norms:
-                for i, norm in zip(group, step):
-                    traces[i].append(norm)
+            for i, trace in zip(group, zip(*norms)):
+                traces[i].extend(trace)
         trained[group] = stack
-    # One evaluation of every trained row on its own copy of the test set.
-    after = loss(cfg.model, trained, data.tests)
+    # Every trained row on the one test set, in one kernel call; row i equals
+    # loss(cfg.model, trained[i], data.test) bit for bit.
+    trained = _check_params(cfg.model, trained, allow_stack=True)
+    after, _ = _loss_and_grad_stacked(
+        cfg.model, trained, data.test.features, data.test.labels, False
+    )
     deltas = [global_test_loss - float(value) for value in after]
     return trained, deltas, traces
 

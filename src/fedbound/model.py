@@ -71,8 +71,9 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        """The rows at an integer index array; they were validated with ``self``."""
+    def subset(self, indices: np.ndarray | slice) -> "Dataset":
+        """The rows at an integer index array (a copy) or a slice (a view);
+        they were validated with ``self``."""
         rows = object.__new__(Dataset)
         object.__setattr__(rows, "features", self.features[indices])
         object.__setattr__(rows, "labels", self.labels[indices])
@@ -184,7 +185,7 @@ def _check_params(spec: ModelSpec, params: ParamVector, allow_stack: bool = Fals
     if params.shape != (dim,) and not stacked:
         expected = f"({dim},) or (P, {dim})" if allow_stack else f"({dim},)"
         raise ValueError(f"parameter vector has shape {params.shape}, expected {expected}")
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise ValueError("parameter vector contains non-finite values")
     return params
 
@@ -229,18 +230,19 @@ def _loss_and_grad_stacked(
     (P, n)). It checks nothing: ``W`` must be finite with ``param_dim(spec)``
     columns and the data nonempty and matching the spec. Row p equals
     :func:`loss` and :func:`gradient` at ``W[p]`` on its data bit for bit.
-    That is why the penalty is a per-row dot product (``einsum`` rounds
-    differently) and the log-probabilities are gathered into a fresh
-    contiguous array (a strided mean sums in another order).
+    That is why the penalty is a row-wise ``vecdot`` (the same sum as
+    ``w @ w``; ``einsum`` rounds differently) and the log-probabilities are
+    gathered into a fresh contiguous array (a strided mean sums in another
+    order).
     """
     l2 = spec.l2_coefficient
     losses = grads = None
     if want_loss:
-        penalty = 0.5 * l2 * np.array([w @ w for w in W])
+        penalty = 0.5 * l2 * np.vecdot(W, W)
     if spec.kind == "quadratic":
         curv = np.asarray(spec.quad_diag) * W
         if want_loss:
-            losses = 0.5 * np.array([w @ c for w, c in zip(W, curv)]) + penalty
+            losses = 0.5 * np.vecdot(W, curv) + penalty
         if want_grad:
             grads = curv + l2 * W
         return losses, grads
@@ -272,9 +274,9 @@ def _loss_and_grad_stacked(
     err[which, rows, labels] -= 1.0
     # Samples whose true-class probability is below the floor sit on the
     # capped (flat) branch of the loss and contribute no gradient.
-    capped = ~(logp >= -_LOG_CAP)
-    if capped.any():
-        err[capped] = 0.0
+    kept = logp >= -_LOG_CAP
+    if not kept.all():
+        err[~kept] = 0.0
     err /= n
     if spec.kind == "softmax":
         parts = [err.transpose(0, 2, 1) @ feats, np.add.reduce(err, axis=1)]
@@ -353,14 +355,20 @@ def sgd_epoch_traced(
     # Row indices into ``data``: block p's own shuffle, offset to block p.
     order = np.stack([spawn_rng("sgd", seed).permutation(n) for seed in seeds])
     order += n * np.arange(len(seeds))[:, None]
+    # The epoch's rows gathered once, step by step, so that each step's
+    # batch (P blocks of its rows) is a contiguous slice of ``epoch``.
+    starts = range(0, n, batch_size)
+    epoch = data.subset(np.concatenate([order[:, s : s + batch_size].ravel() for s in starts]))
     current = stack.copy()
-    norms: list = []
-    for start in range(0, n, batch_size):
-        batch = data.subset(order[:, start : start + batch_size].ravel())
-        grad = gradient(spec, current, batch)
-        # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
-        norms.append([math.sqrt(g @ g) for g in grad])
+    sq_norms = np.empty((len(starts), len(seeds)))
+    hi = 0
+    for step, start in enumerate(starts):
+        lo, hi = hi, hi + len(seeds) * min(batch_size, n - start)
+        grad = gradient(spec, current, epoch.subset(slice(lo, hi)))
+        sq_norms[step] = np.vecdot(grad, grad)
         current = current - lr * grad
+    # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
+    norms = np.sqrt(sq_norms).tolist()
     if single:
         return current[0], [step[0] for step in norms]
     return current, norms

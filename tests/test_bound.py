@@ -9,7 +9,6 @@ from fedbound.bound import (
     bound_curve,
     convergence_bound,
     estimate_initial_distance,
-    write_curve_csv,
 )
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -99,15 +98,6 @@ class TestBoundCurve:
             BoundCurve(values=((1, 2.0), (2, 2.0)))
         with pytest.raises(ValueError):
             BoundCurve(values=((1, 2.0), (2, -1.0)))
-
-    def test_csv_export(self, tmp_path):
-        curve = bound_curve(3, params())
-        path = tmp_path / "curve.csv"
-        write_curve_csv(path, curve)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,bound_value"
-        assert len(lines) == 4
-        assert lines[1].startswith("1,24")
 
 
 class TestInitialDistance:

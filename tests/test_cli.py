@@ -173,6 +173,11 @@ class TestRunCommand:
         [
             ("scenario.n_nodes = 8\ndata.feature_scale = 0.5, 0.7, 1.0", "data.feature_scale"),
             ("data.num_classes = 3\nscenario.missing_classes = 0,1,2", "scenario.missing_classes"),
+            (
+                "scenario.n_nodes = 10\nscenario.samples_per_node = 200\n"
+                "data.samples_per_class = 100",
+                "scenario.samples_per_node",
+            ),
         ],
     )
     def test_data_that_cannot_fill_the_nodes_exits_2(self, tmp_path, capsys, lines, key):

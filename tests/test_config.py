@@ -175,6 +175,28 @@ class TestBuild:
             build_experiment_config(parse_config_text(text))
         assert excinfo.value.line == 3
 
+    def test_pool_too_small_for_the_nodes_rejected_with_line(self):
+        # 4 x 100 rows less 40 held out leave 360 for 10 x 200.
+        text = (
+            "data.num_classes = 4\n"
+            "scenario.n_nodes = 10\n"
+            "data.samples_per_class = 100\n"
+            "scenario.samples_per_node = 200\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert str(excinfo.value) == (
+            "line 4: scenario.samples_per_node: n_nodes x samples_per_node = 2000 training "
+            "rows, but the synthetic pool of 400 rows (num_classes x samples_per_class) "
+            "leaves 360 after holding out 40 for testing"
+        )
+        # 36 x 10 rows fill the pool exactly.
+        build_experiment_config(parse_config_text(text.replace("200", "36")))
+        # Missing classes or per-node knobs leave the check to the run.
+        build_experiment_config(parse_config_text(text + "scenario.missing_classes = 1\n"))
+        knobs = "data.noise_mult = " + ", ".join(["1"] * 10) + "\n"
+        build_experiment_config(parse_config_text(text + knobs))
+
     def test_per_node_synthetic_always_has_a_test_row(self):
         text = "scenario.n_nodes = 2\ndata.feature_scale = 0.5, 1.0\nscenario.test_fraction = 0\n"
         cfg = build_experiment_config(parse_config_text(text))

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbound.csvio import fmt_value, write_csv
+from fedbound.csvio import _table_template, fmt_value, write_csv
 
 
 def reference_bytes(header, rows) -> bytes:
@@ -78,3 +78,38 @@ def test_matches_cell_by_cell_formatting(tmp_path_factory, rows):
     write_csv(path, ("h",), rows)
     assert path.read_bytes() == reference_bytes(("h",), rows)
 
+
+
+# One strategy per column type; the mixed ones make a column of two types.
+COLUMN_CELLS = {
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "int": st.integers(-(2**70), 2**70),
+    "np.int64": st.integers(-(2**62), 2**62).map(np.int64),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "np.float64": st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    "str": st.text(alphabet="abc%s-", max_size=4),
+}
+COLUMN_CELLS["int|float"] = st.one_of(COLUMN_CELLS["int"], COLUMN_CELLS["float"])
+COLUMN_CELLS["float|np.float64"] = st.one_of(COLUMN_CELLS["float"], COLUMN_CELLS["np.float64"])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_typed_columns_match_cell_by_cell_formatting(tmp_path_factory, data):
+    kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), max_size=5))
+    rows = data.draw(st.lists(st.tuples(*(COLUMN_CELLS[k] for k in kinds)), max_size=30))
+    if rows and data.draw(st.booleans()):
+        # One row one cell shorter or longer than the rest.
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if rows[i] and data.draw(st.booleans()) else rows[i] + (0.5,)
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(path, ("h",), rows)
+    assert path.read_bytes() == reference_bytes(("h",), rows)
+    one_template = (
+        len(rows) > 0
+        and len(set(map(len, rows))) == 1
+        and all(len(set(map(type, column))) == 1 for column in zip(*rows))
+        and not any(type(cell) is bool for row in rows for cell in row)
+    )
+    assert (_table_template(rows) is not None) == one_template

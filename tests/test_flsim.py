@@ -201,7 +201,7 @@ class TestLocalRound:
         for i, node in enumerate(nodes):
             one, delta, trace = local_round(round_data([node], test), w, cfg, [11 + i], before)
             np.testing.assert_array_equal(trained[i], one[0])
-            assert deltas[i] == delta[0]
+            assert deltas[i] == delta[0] == before - loss(cfg.model, trained[i], test)
             assert traces[i] == trace[0]
 
 

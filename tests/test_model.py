@@ -19,6 +19,7 @@ from fedbound.model import (
     sgd_epoch_traced,
     softmax_spec,
 )
+from fedbound import model
 from fedbound.rng import spawn_rng
 
 
@@ -232,6 +233,46 @@ class TestSgdEpoch:
         spec = softmax_spec(4, 3)
         with pytest.raises(ValueError):
             sgd_epoch(spec, init_params(spec, 0), data, -0.1, 4, 0)
+
+    @pytest.mark.parametrize("stack", [None, 3])
+    def test_overflow_mid_epoch_raises(self, monkeypatch, stack):
+        # On 0.5 * 2 * ||w||^2 an lr of 1e200 scales w by about -2e200 per
+        # step: finite after step 1, infinite after step 2, so the gradient
+        # call of step 3 rejects it.
+        spec = quadratic_spec([2.0, 2.0])
+        params, seeds, blocks = np.array([0.5, -1.0]), 0, 1
+        if stack is not None:
+            params, seeds, blocks = np.tile(params, (stack, 1)), list(range(stack)), stack
+        data = Dataset(np.full((6 * blocks, 2), 0.5), np.zeros(6 * blocks, dtype=np.int64), 1)
+        calls = []
+        monkeypatch.setattr(model, "gradient", lambda *args: calls.append(1) or gradient(*args))
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            sgd_epoch_traced(spec, params, data, 1e200, 1, seeds)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("stack", [None, 4])
+    def test_one_gradient_call_per_step(self, monkeypatch, stack):
+        # Each step is one positional model.gradient(spec, stack, batch)
+        # call: a (P, dim) stack (P = 1 for a vector) and a Dataset of the
+        # step's rows, one block per stack row.
+        spec = softmax_spec(4, 3)
+        blocks = stack or 1
+        params = np.stack([init_params(spec, s) for s in range(blocks)])
+        if stack is None:
+            params = params[0]
+        seeds = list(range(blocks)) if stack else 0
+        calls = []
+
+        def counted(*args):
+            calls.append((args[1].shape, len(args[2]), type(args[2])))
+            return gradient(*args)
+
+        monkeypatch.setattr(model, "gradient", counted)
+        _, norms = sgd_epoch_traced(spec, params, toy_dataset(n=10 * blocks), 0.1, 4, seeds)
+        assert len(calls) == len(norms) == 3  # ceil(10 / 4)
+        assert [rows for _, rows, _ in calls] == [4 * blocks, 4 * blocks, 2 * blocks]
+        assert {shape for shape, _, _ in calls} == {(blocks, params.shape[-1])}
+        assert {kind for _, _, kind in calls} == {Dataset}
 
 
 class TestDataset:
