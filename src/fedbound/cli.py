@@ -171,17 +171,40 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> tuple:
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
-    """Run every repeat seed, then write the aggregate summary.csv."""
+    """Run every repeat seed, then write the aggregate summary.csv.
+
+    Every seed runs, serial or parallel, even after one fails. summary.csv
+    then holds the rows of the seeds that completed (it is left alone if
+    none did), and a ``ValueError`` names the first seed that failed.
+    """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     seeds = list(cfg.repeat_seeds)
     if parallel > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(execute_seed, [cfg] * len(seeds), seeds))
+            futures = [pool.submit(execute_seed, cfg, seed) for seed in seeds]
+            outcomes = [_outcome(future.result) for future in futures]
     else:
-        rows = [execute_seed(cfg, seed) for seed in seeds]
-    rows.sort(key=lambda row: (row[0], row[1]))
-    write_csv(cfg.output_dir / "summary.csv", SUMMARY_HEADER, rows)
+        outcomes = [_outcome(execute_seed, cfg, seed) for seed in seeds]
+    rows = sorted(
+        (row for row in outcomes if not isinstance(row, Exception)),
+        key=lambda row: (row[0], row[1]),
+    )
+    if rows:
+        write_csv(cfg.output_dir / "summary.csv", SUMMARY_HEADER, rows)
+    failed = [(seed, exc) for seed, exc in zip(seeds, outcomes) if isinstance(exc, Exception)]
+    if failed:
+        seed, exc = failed[0]
+        others = f" ({len(failed)} of {len(seeds)} seeds failed)" if len(failed) > 1 else ""
+        raise ValueError(f"seed {seed} failed: {exc}{others}") from exc
     return 0
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return exc
 
 
 def _cmd_run(args) -> int:

@@ -36,7 +36,6 @@ from .model import (
     Dataset,
     ModelSpec,
     ParamVector,
-    _check_params,
     _loss_and_grad_stacked,
     init_params,
     loss,
@@ -253,8 +252,8 @@ def local_round(
                 traces[i].extend(trace)
         trained[group] = stack
     # Every trained row on the one test set, in one kernel call; row i equals
-    # loss(cfg.model, trained[i], data.test) bit for bit.
-    trained = _check_params(cfg.model, trained, allow_stack=True)
+    # loss(cfg.model, trained[i], data.test) bit for bit. sgd_epoch_traced
+    # has checked that every row is finite.
     after, _ = _loss_and_grad_stacked(
         cfg.model, trained, data.test.features, data.test.labels, False
     )

@@ -214,6 +214,33 @@ def _check_inputs(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.nda
     return stack
 
 
+def _class_sum(values: np.ndarray) -> np.ndarray:
+    """Sum of a ``(P, k, n)`` array over axis 1, in numpy's last-axis order.
+
+    A sum over a contiguous last axis is numpy's pairwise sum: sequential
+    below 8 terms; eight running sums combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the leftover
+    terms, up to 128; above that, the two halves split at ``k // 2`` rounded
+    down to a multiple of 8. Each step here adds whole ``(P, n)`` slices, so
+    every entry is rounded as ``np.add.reduce`` over its k classes rounds it.
+    """
+    k = values.shape[1]
+    if k < 8:
+        return np.add.reduce(values, axis=1)
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _class_sum(values[:, :half]) + _class_sum(values[:, half:])
+    stop = k - k % 8
+    acc = values[:, :8].copy()
+    for start in range(8, stop, 8):
+        acc += values[:, start : start + 8]
+    total = (acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])
+    total += (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
+    for c in range(stop, k):
+        total += values[:, c]
+    return total
+
+
 def _loss_and_grad_stacked(
     spec: ModelSpec,
     W: np.ndarray,
@@ -234,6 +261,13 @@ def _loss_and_grad_stacked(
     ``w @ w``; ``einsum`` rounds differently) and the log-probabilities are
     gathered into a fresh contiguous array (a strided mean sums in another
     order).
+
+    The log-softmax runs class-major, on one ``(P, k, n)`` array, so each
+    elementwise step is k long passes over the rows rather than P * n short
+    passes over the classes; :func:`_class_sum` keeps the class sum in the
+    order of a last-axis sum. Every matmul keeps its row-major operands
+    (``feats @ weights.T``, ``err.T @ feats``, ...): turned around, BLAS
+    rounds some gradients differently.
     """
     l2 = spec.l2_coefficient
     losses = grads = None
@@ -251,33 +285,35 @@ def _loss_and_grad_stacked(
     d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
     if spec.kind == "softmax":
         weights = W[:, : k * d].reshape(stack, k, d)
-        logits = feats @ weights.transpose(0, 2, 1) + W[:, None, k * d :]
+        prod, bias = feats @ weights.transpose(0, 2, 1), W[:, k * d :]
     else:
         o1, o2, o3 = h * d, h * d + h, h * d + h + k * h
         w1 = W[:, :o1].reshape(stack, h, d)
         b1 = W[:, None, o1:o2]
         w2 = W[:, o2:o3].reshape(stack, k, h)
-        b2 = W[:, None, o3:]
         hidden = np.tanh(feats @ w1.transpose(0, 2, 1) + b1)
-        logits = hidden @ w2.transpose(0, 2, 1) + b2
-    shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
-    logp_all = shifted - np.log(np.add.reduce(np.exp(shifted), axis=2, keepdims=True))
+        prod, bias = hidden @ w2.transpose(0, 2, 1), W[:, o3:]
+    # Class-major logits, shifted by their max and then by the log of their
+    # exp-sum in place: ``logp_all[p, c, i]`` is log p(class c | row i).
+    logp_all = np.add(prod.transpose(0, 2, 1), bias[:, :, None], order="C")
+    logp_all -= np.maximum.reduce(logp_all, axis=1)[:, None]
+    logp_all -= np.log(_class_sum(np.exp(logp_all)))[:, None]
     # One gather serves shared and per-row labels; it returns a fresh (P, n) array.
     which, rows = np.arange(stack)[:, None], np.arange(n)
-    logp = logp_all[which, rows, labels]
+    logp = logp_all[which, labels, rows]
     if want_loss:
         losses = np.add.reduce(np.minimum(-logp, _LOG_CAP), axis=1) / n + penalty
     if not want_grad:
         return losses, None
 
-    err = np.exp(logp_all)
-    err[which, rows, labels] -= 1.0
+    probs = np.exp(logp_all, out=logp_all)
+    probs[which, labels, rows] -= 1.0
+    err = np.divide(probs.transpose(0, 2, 1), n, order="C")
     # Samples whose true-class probability is below the floor sit on the
     # capped (flat) branch of the loss and contribute no gradient.
     kept = logp >= -_LOG_CAP
     if not kept.all():
         err[~kept] = 0.0
-    err /= n
     if spec.kind == "softmax":
         parts = [err.transpose(0, 2, 1) @ feats, np.add.reduce(err, axis=1)]
     else:
@@ -367,6 +403,10 @@ def sgd_epoch_traced(
         grad = gradient(spec, current, epoch.subset(slice(lo, hi)))
         sq_norms[step] = np.vecdot(grad, grad)
         current = current - lr * grad
+    # Each step's gradient call checks the stack it starts from; this checks
+    # the one the last step leaves.
+    if not np.isfinite(current).all():
+        raise ValueError(f"SGD left non-finite parameters after {len(starts)} steps")
     # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
     norms = np.sqrt(sq_norms).tolist()
     if single:

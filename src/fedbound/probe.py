@@ -12,6 +12,7 @@ estimate takes the worst case of per-node estimates in every coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .model import (
     draw_init_like,
     gradient,
     loss,
+    param_dim,
 )
 from .rng import derive_seed, spawn_rng
 
@@ -62,7 +64,7 @@ class ProbeSample:
     g_value: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.m_value) and np.isfinite(self.g_value)):
+        if not (math.isfinite(self.m_value) and math.isfinite(self.g_value)):
             raise ValueError("probe values must be finite")
         if self.g_value < 0.0:
             raise ValueError("g_value must be nonnegative")
@@ -139,12 +141,21 @@ def _pair_values(spec: ModelSpec, U: np.ndarray, V: np.ndarray, data: Dataset):
     return f_u, f_v, grad_v
 
 
-def _m_value(u: ParamVector, v: ParamVector, f_u: float, f_v: float, grad_v: ParamVector) -> float:
-    diff = u - v
-    sq_dist = float(diff @ diff)
-    if sq_dist < DEGENERATE_SQ_DIST:
-        raise DegeneratePairError(f"||u - v||^2 = {sq_dist} is below {DEGENERATE_SQ_DIST}")
-    return 2.0 * (float(f_u) - float(f_v) + float((v - u) @ grad_v)) / sq_dist
+def _degenerate_message(sq_dist: float) -> str:
+    return f"||u - v||^2 = {sq_dist} is below {DEGENERATE_SQ_DIST}"
+
+
+def _m_values(U, V, f_u, f_v, grad_v) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances ``||u - v||^2`` and m values of stacked pairs.
+
+    Row p is the 1-D formula at pair p to the bit: ``vecdot`` sums as ``@``
+    does. A degenerate row gets whatever the division gives; callers reject it.
+    """
+    diff = U - V
+    sq_dist = np.vecdot(diff, diff)
+    with np.errstate(all="ignore"):
+        m = 2.0 * (f_u - f_v + np.vecdot(V - U, grad_v)) / sq_dist
+    return sq_dist, m
 
 
 def compute_m(spec: ModelSpec, u: ParamVector, v: ParamVector, data: Dataset) -> float:
@@ -157,11 +168,13 @@ def compute_m(spec: ModelSpec, u: ParamVector, v: ParamVector, data: Dataset) ->
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("u and v must have identical shapes")
-    u = _check_params(spec, u)
+    U = _check_params(spec, u)[None]
     _check_data(spec, data)
-    v = _check_params(spec, v)
-    f_u, f_v, grad_v = _pair_values(spec, u[None], v[None], data)
-    return _m_value(u, v, f_u[0], f_v[0], grad_v[0])
+    V = _check_params(spec, v)[None]
+    sq_dist, m = _m_values(U, V, *_pair_values(spec, U, V, data))
+    if sq_dist[0] < DEGENERATE_SQ_DIST:
+        raise DegeneratePairError(_degenerate_message(float(sq_dist[0])))
+    return float(m[0])
 
 
 def compute_g(spec: ModelSpec, v: ParamVector, data: Dataset) -> float:
@@ -179,32 +192,63 @@ def probe_stack_size(spec: ModelSpec, data: Dataset) -> int:
     return max(1, STACK_ELEMENTS // (len(data) * max(spec.hidden_width, spec.num_classes)))
 
 
+def _checked_stacks(
+    spec: ModelSpec, pairs: list[tuple[ParamVector, ParamVector]]
+) -> tuple[np.ndarray, np.ndarray, tuple[int, Exception] | None]:
+    """The ``(P, dim)`` stacks U and V of the pairs, checked once per stack.
+
+    If a vector is not a finite ``(param_dim(spec),)`` vector, the stacks
+    hold only the pairs before the first probe with one, and that probe's
+    offset and error come back with them.
+    """
+    dim = param_dim(spec)
+    try:
+        U = np.asarray(np.stack([u for u, _ in pairs]), dtype=np.float64)
+        V = np.asarray(np.stack([v for _, v in pairs]), dtype=np.float64)
+        if U.shape[1:] == V.shape[1:] == (dim,) and np.isfinite(U).all() and np.isfinite(V).all():
+            return U, V, None
+    except Exception:
+        pass
+    # Some vector is bad: find the first probe with one, as one check per
+    # vector would have.
+    us, vs, bad = [], [], None
+    for p, (u, v) in enumerate(pairs):
+        try:
+            checked = _check_params(spec, u), _check_params(spec, v)
+        except Exception as exc:
+            bad = (p, exc)
+            break
+        us.append(checked[0])
+        vs.append(checked[1])
+    return np.array(us).reshape(-1, dim), np.array(vs).reshape(-1, dim), bad
+
+
 def _stack_samples(
     spec: ModelSpec,
-    pairs: list[tuple[ParamVector, ParamVector]],
+    U: np.ndarray,
+    V: np.ndarray,
     data: Dataset,
     g_formula: str,
     first: int,
 ) -> list[ProbeSample]:
-    """Evaluate the pairs of probes ``first, first + 1, ...`` as one stack."""
-    U = np.stack([u for u, _ in pairs])
-    V = np.stack([v for _, v in pairs])
+    """Evaluate the checked pairs of probes ``first, first + 1, ...`` as one stack."""
     try:
         f_u, f_v, grad_v = _pair_values(spec, U, V, data)
     except Exception as exc:
         raise ProbeFailure(first, str(exc)) from exc
-    samples = []
-    for p in range(len(pairs)):
-        try:
-            m = _m_value(U[p], V[p], f_u[p], f_v[p], grad_v[p])
-            if g_formula == "gradient-norm":
-                g = float(np.linalg.norm(grad_v[p]))
-            else:
-                g = abs(float(f_v[p]))
-            samples.append(ProbeSample(m, g))
-        except Exception as exc:
-            raise ProbeFailure(first + p, str(exc)) from exc
-    return samples
+    sq_dist, m = _m_values(U, V, f_u, f_v, grad_v)
+    # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
+    g = np.sqrt(np.vecdot(grad_v, grad_v)) if g_formula == "gradient-norm" else np.abs(f_v)
+    degenerate = sq_dist < DEGENERATE_SQ_DIST
+    bad = degenerate | ~np.isfinite(m) | ~np.isfinite(g)
+    if bad.any():
+        p = int(bad.argmax())
+        if degenerate[p]:
+            exc = DegeneratePairError(_degenerate_message(float(sq_dist[p])))
+        else:
+            exc = ValueError("probe values must be finite")
+        raise ProbeFailure(first + p, str(exc)) from exc
+    return [ProbeSample(m_p, g_p) for m_p, g_p in zip(m.tolist(), g.tolist())]
 
 
 def collect_probes(
@@ -219,8 +263,9 @@ def collect_probes(
 
     Probe i uses a seed derived from (rng_seed, i) only, so a longer run
     extends a shorter one sample-for-sample. Pairs are drawn one probe at a
-    time, in order, and evaluated :func:`probe_stack_size` probes at a time.
-    A failure names the first probe that raised or gave a non-finite value.
+    time, in order, and checked and evaluated :func:`probe_stack_size`
+    probes at a time. A failure names the first probe that raised, drew a
+    bad vector or gave a non-finite value.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
@@ -236,15 +281,18 @@ def collect_probes(
         pairs, failure = [], None
         for i in range(first, min(first + stack, n_probes)):
             try:
-                u, v = draw_probe_pair(spec, sampler, derive_seed(rng_seed, i))
-                pairs.append((_check_params(spec, u), _check_params(spec, v)))
+                pairs.append(draw_probe_pair(spec, sampler, derive_seed(rng_seed, i)))
             except ProbeFailure:
                 raise
             except Exception as exc:
                 failure = (i, exc)
                 break
         if pairs:
-            samples.extend(_stack_samples(spec, pairs, data, g_formula, first))
+            U, V, bad = _checked_stacks(spec, pairs)
+            if bad is not None:
+                failure = (first + bad[0], bad[1])
+            if len(U):
+                samples.extend(_stack_samples(spec, U, V, data, g_formula, first))
         if failure is not None:
             i, exc = failure
             raise ProbeFailure(i, str(exc)) from exc

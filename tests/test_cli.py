@@ -1,12 +1,16 @@
+import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedbound import csvio
+from fedbound import cli, csvio
 from fedbound.cli import main
 from fedbound.csvio import write_csv
 
@@ -83,6 +87,25 @@ def read_tree(out_dir: Path) -> dict[str, bytes]:
     }
 
 
+def tree_digest(out_dir: Path) -> str:
+    """sha256 over the sorted (relative path, bytes) pairs of a directory tree."""
+    h = hashlib.sha256()
+    for name, data in read_tree(out_dir).items():
+        h.update(name.encode("utf-8") + b"\0")
+        h.update(data + b"\0")
+    return h.hexdigest()
+
+
+_execute_seed = cli.execute_seed
+
+
+def execute_seed_failing_on_2(cfg, seed):
+    """``cli.execute_seed``, except that seed 2 fails; module-level so a worker can unpickle it."""
+    if seed == 2:
+        raise ValueError("seed two went wrong")
+    return _execute_seed(cfg, seed)
+
+
 class TestRunCommand:
     def test_creates_run_dirs_and_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -108,6 +131,45 @@ class TestRunCommand:
         main(["run", "--config", str(tiny_config), "--out", str(serial)])
         main(["run", "--config", str(tiny_config), "--out", str(parallel), "--parallel", "2"])
         assert read_tree(serial) == read_tree(parallel)
+
+    @given(
+        seeds=st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_size=3, unique=True),
+        kind=st.sampled_from(["softmax", "mlp"]),
+        source=st.sampled_from(["shared_pool", "node_knobs"]),
+    )
+    @settings(max_examples=10, deadline=None)
+    @pytest.mark.filterwarnings("ignore:probed mu is not positive")
+    def test_parallel_writes_the_serial_bytes(self, seeds, kind, source):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "tiny.cfg"
+            cfg.write_text(
+                TINY
+                + SOURCES[source](tmp)
+                + f"model.kind = {kind}\nmodel.hidden_width = 3\n"
+                + f"repeat_seeds = {','.join(map(str, seeds))}\n"
+            )
+            serial, parallel = tmp / "serial", tmp / "parallel"
+            assert main(["run", "--config", str(cfg), "--out", str(serial)]) == 0
+            assert main(["run", "--config", str(cfg), "--out", str(parallel), "--parallel", "2"]) == 0
+            assert read_tree(serial) == read_tree(parallel)
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_failed_seed_keeps_the_completed_rows(self, tmp_path, monkeypatch, capsys, parallel):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY + "repeat_seeds = 1,2,3\n")
+        clean = tmp_path / "clean"
+        assert main(["run", "--config", str(cfg), "--out", str(clean)]) == 0
+        monkeypatch.setattr(cli, "execute_seed", execute_seed_failing_on_2)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
+        assert capsys.readouterr().err == "error: seed 2 failed: seed two went wrong\n"
+        lines = (clean / "summary.csv").read_text().splitlines()
+        assert (out / "summary.csv").read_text().splitlines() == [lines[0], lines[1], lines[3]]
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed3"]
+        for seed in (1, 3):
+            assert read_tree(out / f"tiny_seed{seed}") == read_tree(clean / f"tiny_seed{seed}")
 
     def test_rerun_replaces_existing_directory(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -186,6 +248,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: line 3: {key}: ")
         assert not (tmp_path / "o").exists()
+
+
+class TestGoldenRun:
+    # sha256 of the tree `fedbound run` writes for the shipped hetero_eight_nodes
+    # config at seed 1 (summary.csv and the run directory), recorded before
+    # the stacked kernel's log-softmax went class-major. Any change to an
+    # output byte of the probe, SGD or report path moves it.
+    DIGEST = "670b16a32885bf55216772946ed8a0f1ec1a4731259faa80f2b04db8de057cac"
+
+    def test_hetero_eight_nodes_seed1_is_byte_identical(self, tmp_path, monkeypatch):
+        config = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
+        monkeypatch.setenv("FEDBOUND_SEED", "1")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["hetero_eight_nodes_seed1", "summary.csv"]
+        assert tree_digest(out) == self.DIGEST
 
 
 class TestProbeCommand:

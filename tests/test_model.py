@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import math
 
 import numpy as np
@@ -250,6 +252,19 @@ class TestSgdEpoch:
             sgd_epoch_traced(spec, params, data, 1e200, 1, seeds)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("stack", [None, 3])
+    def test_overflow_on_last_step_raises(self, stack):
+        # Two rows at batch 1: step 1 leaves about -2e200 * w, step 2 leaves
+        # +-inf, and no later gradient call sees it, so the epoch must.
+        spec = quadratic_spec([2.0, 2.0])
+        params, seeds, blocks = np.array([0.5, -1.0]), 0, 1
+        if stack is not None:
+            params, seeds, blocks = np.tile(params, (stack, 1)), list(range(stack)), stack
+        data = Dataset(np.full((2 * blocks, 2), 0.5), np.zeros(2 * blocks, dtype=np.int64), 1)
+        with pytest.raises(ValueError, match="non-finite parameters after 2 steps"):
+            with np.errstate(over="ignore"):
+                sgd_epoch(spec, params, data, lr=1e200, batch_size=1, rng_seed=seeds)
+
     @pytest.mark.parametrize("stack", [None, 4])
     def test_one_gradient_call_per_step(self, monkeypatch, stack):
         # Each step is one positional model.gradient(spec, stack, batch)
@@ -339,6 +354,137 @@ class TestStackedKernel:
             for got in (grads[p], grad_only[p]):
                 np.testing.assert_array_equal(got, expected_grad)
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(expected_grad))
+
+
+# The stacked kernel as it stood before its log-softmax went class-major,
+# copied verbatim (bar the ``model.`` prefix on the cap) as a frozen
+# reference: the new layout must reproduce it bit for bit.
+def _frozen_loss_and_grad_stacked(
+    spec: ModelSpec,
+    W: np.ndarray,
+    feats: np.ndarray,
+    labels: np.ndarray,
+    want_grad: bool,
+    want_loss: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Losses ``(P,)`` and gradients ``(P, dim)`` at each row of a parameter stack.
+
+    The one home of the forward and backward math; either output is None
+    when not wanted. Data is either shared by every row (``feats`` (n, d),
+    ``labels`` (n,)) or one block per row (``feats`` (P, n, d), ``labels``
+    (P, n)). It checks nothing: ``W`` must be finite with ``param_dim(spec)``
+    columns and the data nonempty and matching the spec. Row p equals
+    :func:`loss` and :func:`gradient` at ``W[p]`` on its data bit for bit.
+    That is why the penalty is a row-wise ``vecdot`` (the same sum as
+    ``w @ w``; ``einsum`` rounds differently) and the log-probabilities are
+    gathered into a fresh contiguous array (a strided mean sums in another
+    order).
+    """
+    l2 = spec.l2_coefficient
+    losses = grads = None
+    if want_loss:
+        penalty = 0.5 * l2 * np.vecdot(W, W)
+    if spec.kind == "quadratic":
+        curv = np.asarray(spec.quad_diag) * W
+        if want_loss:
+            losses = 0.5 * np.vecdot(W, curv) + penalty
+        if want_grad:
+            grads = curv + l2 * W
+        return losses, grads
+
+    stack, n = W.shape[0], feats.shape[-2]
+    d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
+    if spec.kind == "softmax":
+        weights = W[:, : k * d].reshape(stack, k, d)
+        logits = feats @ weights.transpose(0, 2, 1) + W[:, None, k * d :]
+    else:
+        o1, o2, o3 = h * d, h * d + h, h * d + h + k * h
+        w1 = W[:, :o1].reshape(stack, h, d)
+        b1 = W[:, None, o1:o2]
+        w2 = W[:, o2:o3].reshape(stack, k, h)
+        b2 = W[:, None, o3:]
+        hidden = np.tanh(feats @ w1.transpose(0, 2, 1) + b1)
+        logits = hidden @ w2.transpose(0, 2, 1) + b2
+    shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
+    logp_all = shifted - np.log(np.add.reduce(np.exp(shifted), axis=2, keepdims=True))
+    # One gather serves shared and per-row labels; it returns a fresh (P, n) array.
+    which, rows = np.arange(stack)[:, None], np.arange(n)
+    logp = logp_all[which, rows, labels]
+    if want_loss:
+        losses = np.add.reduce(np.minimum(-logp, model._LOG_CAP), axis=1) / n + penalty
+    if not want_grad:
+        return losses, None
+
+    err = np.exp(logp_all)
+    err[which, rows, labels] -= 1.0
+    # Samples whose true-class probability is below the floor sit on the
+    # capped (flat) branch of the loss and contribute no gradient.
+    kept = logp >= -model._LOG_CAP
+    if not kept.all():
+        err[~kept] = 0.0
+    err /= n
+    if spec.kind == "softmax":
+        parts = [err.transpose(0, 2, 1) @ feats, np.add.reduce(err, axis=1)]
+    else:
+        d_hidden = (err @ w2) * (1.0 - hidden * hidden)
+        parts = [
+            d_hidden.transpose(0, 2, 1) @ feats,
+            np.add.reduce(d_hidden, axis=1),
+            err.transpose(0, 2, 1) @ hidden,
+            np.add.reduce(err, axis=1),
+        ]
+    grads = np.concatenate([part.reshape(stack, -1) for part in parts], axis=1)
+    grads += l2 * W
+    return losses, grads
+
+
+class TestFrozenKernel:
+    @given(
+        kind=st.sampled_from(["softmax", "mlp"]),
+        per_row=st.booleans(),
+        stack=st.integers(min_value=1, max_value=12),
+        n=st.integers(min_value=1, max_value=60),
+        d=st.integers(min_value=1, max_value=6),
+        k=st.integers(min_value=2, max_value=40),
+        h=st.integers(min_value=1, max_value=8),
+        l2=st.sampled_from([0.0, 0.03]),
+        scale=st.sampled_from([0.3, 3.0, 40.0]),
+        want=st.sampled_from([(True, True), (True, False), (False, True)]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_frozen_kernel_bit_for_bit(
+        self, kind, per_row, stack, n, d, k, h, l2, scale, want, seed
+    ):
+        # k >= 8 takes the eight-accumulator class sum; a large scale pushes
+        # samples onto the capped branch of the loss.
+        spec = _kernel_case(kind, d, k, h, l2, seed)
+        rng = np.random.default_rng(seed + 1)
+        shape = (stack, n) if per_row else (n,)
+        feats, labels = rng.uniform(0, 1, (*shape, d)), rng.integers(0, k, shape)
+        W = rng.normal(0.0, scale, (stack, param_dim(spec)))
+        want_grad, want_loss = want
+        got = _loss_and_grad_stacked(spec, W, feats, labels, want_grad, want_loss)
+        expected = _frozen_loss_and_grad_stacked(spec, W, feats, labels, want_grad, want_loss)
+        for new, old in zip(got, expected):
+            if old is None:
+                assert new is None
+            else:
+                np.testing.assert_array_equal(new, old)
+                np.testing.assert_array_equal(np.signbit(new), np.signbit(old))
+
+    @pytest.mark.parametrize("k", [7, 8, 9, 16, 23, 128, 129, 200])
+    def test_class_sum_boundaries(self, k):
+        # Around the pairwise sum's block edges (8 terms, 128 terms), where
+        # its order changes.
+        spec = softmax_spec(3, k, 0.01)
+        rng = np.random.default_rng(k)
+        feats, labels = rng.uniform(0, 1, (40, 3)), rng.integers(0, k, 40)
+        W = rng.normal(0.0, 3.0, (5, param_dim(spec)))
+        got = _loss_and_grad_stacked(spec, W, feats, labels, True)
+        expected = _frozen_loss_and_grad_stacked(spec, W, feats, labels, True)
+        for new, old in zip(got, expected):
+            np.testing.assert_array_equal(new, old)
 
 
 def _blocks_case(kind, stack, n, d, k, h, l2, scale, seed):

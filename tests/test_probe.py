@@ -282,6 +282,21 @@ class CoincidentFrom:
         return draw_init_like(spec, rng)
 
 
+class BadDraw:
+    """Init-distribution draws, except that draw ``at`` (1-based) is infinite or too short."""
+
+    def __init__(self, at, bad):
+        self.at, self.bad = at, bad
+        self.draws = 0
+
+    def draw(self, spec, rng):
+        self.draws += 1
+        w = draw_init_like(spec, rng)
+        if self.draws != self.at:
+            return w
+        return np.full_like(w, np.inf) if self.bad == "inf" else w[:-1]
+
+
 class TestStackedProbes:
     CASES = [
         (softmax_spec(5, 3, l2=0.02), "gradient-norm"),
@@ -325,3 +340,37 @@ class TestStackedProbes:
             collect_probes(spec, data, 6, CoincidentFrom(3), 0)
         assert excinfo.value.probe_index == 3
         assert isinstance(excinfo.value.__cause__, DegeneratePairError)
+
+    @pytest.mark.parametrize("stack", [1, 3, 8])
+    @pytest.mark.parametrize("bad, message", [("inf", "non-finite"), ("short", "shape")])
+    def test_bad_vector_names_its_probe(self, monkeypatch, stack, bad, message):
+        spec = softmax_spec(4, 2)
+        rng = spawn_rng("toy", 7)
+        data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
+        small_stacks(monkeypatch, spec, data, stack)
+        sampler = BadDraw(10, bad)  # v of probe 4
+        with pytest.raises(ProbeFailure, match=message) as excinfo:
+            collect_probes(spec, data, 8, sampler, 0)
+        assert excinfo.value.probe_index == 4
+
+    # A bad vector later in the same stack (the v of probe 5) does not hide
+    # the earlier probe's failure.
+    @pytest.mark.parametrize("bad_later", [False, True])
+    def test_non_finite_value_names_its_probe(self, monkeypatch, bad_later):
+        spec = softmax_spec(4, 2)
+        rng = spawn_rng("toy", 8)
+        data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
+        small_stacks(monkeypatch, spec, data, 3)
+        pair_values, calls = probe._pair_values, []
+
+        def poisoned(*args):
+            f_u, f_v, grad_v = pair_values(*args)
+            calls.append(1)
+            if len(calls) == 2:
+                f_u[1] = np.inf  # probe 3 + 1
+            return f_u, f_v, grad_v
+
+        monkeypatch.setattr(probe, "_pair_values", poisoned)
+        sampler = BadDraw(12, "inf") if bad_later else InitDistributionSampler()
+        with pytest.raises(ProbeFailure, match="probe 4 failed: probe values must be finite"):
+            collect_probes(spec, data, 9, sampler, 0)
