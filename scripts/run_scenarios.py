@@ -44,10 +44,12 @@ def main() -> None:
                 seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
                 cfg = replace(cfg, repeat_seeds=seeds)
             run_experiment(cfg)
-            header, rows = read_csv(cfg.output_dir / "summary.csv")
-            for row in rows:
-                scenario, seed = row[header.index("scenario")], row[header.index("seed")]
-                train, test, bound = (float(row[header.index(c)]) for c in COLUMNS)
+            header, columns = read_csv(cfg.output_dir / "summary.csv")
+            table = dict(zip(header, columns))
+            for scenario, seed, *values in zip(
+                table["scenario"], table["seed"], *(table[c] for c in COLUMNS)
+            ):
+                train, test, bound = map(float, values)
                 totals.setdefault(scenario, []).append([train, test, bound])
                 print(f"{scenario:<24}{seed:>6}{train:>10.4f}{test:>10.4f}{bound:>12.1f}")
     print("-" * 62)

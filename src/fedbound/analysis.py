@@ -118,14 +118,21 @@ def correlate(x, y) -> tuple[float, float]:
     return pearson, spearman
 
 
+def _cdf_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values and the fraction of samples <= each; both
+    empty for no samples."""
+    distinct, counts = np.unique(values, return_counts=True)
+    fractions = np.cumsum(counts) / values.size
+    fractions[-1:] = 1.0
+    return distinct, fractions
+
+
 def empirical_cdf(values) -> CDFSeries:
     """Standard empirical CDF: fraction at v = (count of samples <= v) / n."""
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("values must be nonempty")
-    distinct, counts = np.unique(arr, return_counts=True)
-    fractions = np.cumsum(counts) / arr.size
-    fractions[-1] = 1.0
+    distinct, fractions = _cdf_arrays(arr)
     return CDFSeries(tuple(distinct.tolist()), tuple(fractions.tolist()))
 
 
@@ -166,14 +173,15 @@ class ReportInputs:
     """Everything the report CSVs are computed from; buildable from an FLRun
     or parsed back out of a saved run directory.
 
+    ``probe_g`` and ``training_g`` are float64 arrays of the pooled g values.
     ``selection_k`` is the subset size of selection.csv; None means half the
     nodes, rounded up.
     """
 
     usefulness: tuple[UsefulnessRecord, ...]
     node_constants: dict[int, ConstantsEstimate]
-    probe_g: tuple[float, ...]
-    training_g: tuple[float, ...]
+    probe_g: np.ndarray
+    training_g: np.ndarray
     seed: int
     selection_k: int | None = None
 
@@ -182,32 +190,48 @@ def report_inputs_from_run(run: FLRun) -> ReportInputs:
     return ReportInputs(
         usefulness=tuple(node_usefulness(run)),
         node_constants=dict(run.node_constants),
-        probe_g=tuple(run.probe_g_pooled()),
-        training_g=tuple(run.training_g_pooled()),
+        probe_g=run.probe_g_pooled(),
+        training_g=run.training_g_pooled(),
         seed=run.config.seed,
     )
+
+
+def _read_columns(path: Path, dtypes) -> list:
+    """A run file's columns, each parsed to its entry of ``dtypes`` (None
+    leaves the column's text unparsed); a malformed file raises a ValueError
+    that names it."""
+    header, columns = read_csv(path)
+    if len(header) != len(dtypes):
+        raise ValueError(f"{path}: {len(header)} columns, expected {len(dtypes)}")
+    try:
+        return [
+            column if dtype is None else np.array(column, dtype=dtype)
+            for column, dtype in zip(columns, dtypes)
+        ]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     """Rebuild report inputs from a saved run directory's CSV files."""
     run_dir = Path(run_dir)
-    _, urows = read_csv(run_dir / "usefulness.csv")
-    per_node: dict[int, list[float]] = {}
-    for _, node_id, delta in urows:
-        per_node.setdefault(int(node_id), []).append(float(delta))
+    _, nodes, deltas = _read_columns(run_dir / "usefulness.csv", (None, np.int64, np.float64))
+    # Each node's deltas in row order, so the mean sums them in that order.
     usefulness = tuple(
-        UsefulnessRecord(node_id, float(np.mean(vals)))
-        for node_id, vals in sorted(per_node.items())
+        UsefulnessRecord(node_id, float(np.mean(deltas[nodes == node_id])))
+        for node_id in np.unique(nodes).tolist()
     )
-    _, crows = read_csv(run_dir / "constants.csv")
+    constants = _read_columns(
+        run_dir / "constants.csv", (np.int64, np.float64, np.float64, np.float64, np.int64)
+    )
     node_constants = {
-        int(nid): ConstantsEstimate(float(mu), float(ell), float(g), int(n))
-        for nid, mu, ell, g, n in crows
-        if int(nid) >= 0
+        node_id: ConstantsEstimate(*values)
+        for node_id, *values in zip(*(column.tolist() for column in constants))
+        if node_id >= 0
     }
-    _, grows = read_csv(run_dir / "gtrace.csv")
-    probe_g = tuple(float(v) for source, _, v in grows if source == "probe")
-    training_g = tuple(float(v) for source, _, v in grows if source == "training")
+    source, _, values = _read_columns(run_dir / "gtrace.csv", (object, None, np.float64))
+    probe_g = values[source == "probe"]
+    training_g = values[source == "training"]
     config_file = run_dir / "config.txt"
     try:
         config = parse_config_text(config_file.read_text(encoding="utf-8"))
@@ -243,29 +267,26 @@ def correlation_rows(inputs: ReportInputs) -> list[tuple[str, float, float, int]
     return rows
 
 
-def _cdf_rows(values) -> list[tuple[float, float]]:
-    if not values:
-        return []
-    series = empirical_cdf(values)
-    return list(zip(series.values, series.fractions))
-
-
 def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
     """Emit correlations.csv, cdf_probe.csv, cdf_training.csv, selection.csv."""
     run_dir = Path(run_dir)
     write_csv(
         run_dir / "correlations.csv",
         ("quantity", "pearson", "spearman", "n"),
-        correlation_rows(inputs),
+        list(zip(*correlation_rows(inputs))),
     )
-    write_csv(run_dir / "cdf_probe.csv", ("value", "fraction"), _cdf_rows(inputs.probe_g))
-    write_csv(run_dir / "cdf_training.csv", ("value", "fraction"), _cdf_rows(inputs.training_g))
+    write_csv(run_dir / "cdf_probe.csv", ("value", "fraction"), _cdf_arrays(inputs.probe_g))
+    write_csv(run_dir / "cdf_training.csv", ("value", "fraction"), _cdf_arrays(inputs.training_g))
 
     estimates = sorted(inputs.node_constants.items())
     n = len(estimates)
     k = inputs.selection_k if inputs.selection_k is not None else math.ceil(n / 2)
-    rows = []
-    for policy in SELECTION_POLICIES:
-        chosen = select_nodes(estimates, k, policy, rng_seed=inputs.seed)
-        rows.append((policy, k, ";".join(str(i) for i in sorted(chosen))))
-    write_csv(run_dir / "selection.csv", ("policy", "k", "chosen"), rows)
+    chosen = [
+        ";".join(str(i) for i in sorted(select_nodes(estimates, k, policy, rng_seed=inputs.seed)))
+        for policy in SELECTION_POLICIES
+    ]
+    write_csv(
+        run_dir / "selection.csv",
+        ("policy", "k", "chosen"),
+        (SELECTION_POLICIES, [k] * len(SELECTION_POLICIES), chosen),
+    )

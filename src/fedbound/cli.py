@@ -17,7 +17,6 @@ import argparse
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -180,6 +179,10 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     seeds = list(cfg.repeat_seeds)
     if parallel > 1 and len(seeds) > 1:
+        # Imported here: it loads multiprocessing, which costs every other
+        # command tens of milliseconds of start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             futures = [pool.submit(execute_seed, cfg, seed) for seed in seeds]
             outcomes = [_outcome(future.result) for future in futures]
@@ -190,7 +193,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
         key=lambda row: (row[0], row[1]),
     )
     if rows:
-        write_csv(cfg.output_dir / "summary.csv", SUMMARY_HEADER, rows)
+        write_csv(cfg.output_dir / "summary.csv", SUMMARY_HEADER, list(zip(*rows)))
     failed = [(seed, exc) for seed, exc in zip(seeds, outcomes) if isinstance(exc, Exception)]
     if failed:
         seed, exc = failed[0]

@@ -4,13 +4,19 @@ All reports share one rendering rule -- floats at 9 significant digits,
 LF line endings -- so repeated runs of the same experiment produce
 byte-identical files. Each file is written under a temporary name and then
 renamed into place, so a crash never leaves a half-written CSV.
+
+Tables travel as columns, both ways: :func:`write_csv` takes one sequence
+per header field and :func:`read_csv` returns one list of cells per field.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 
 def fmt_value(value) -> str:
@@ -21,41 +27,54 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def _table_template(rows: list[tuple]) -> str | None:
-    """A ``%`` template that renders every row as fmt_value would, cell by
-    cell. None unless the rows share one width and each column holds cells
-    of one type, and for a bool column (``%s`` would print ``True``)."""
-    if len(set(map(len, rows))) != 1:
-        return None
-    cells = []
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        if len(kinds) != 1 or bool in kinds:
-            return None
-        cells.append("%.9g" if issubclass(kinds.pop(), float) else "%s")
-    return ",".join(cells)
+def _column_cells(column) -> tuple[str, list]:
+    """A ``%`` cell format and the cells it takes, rendering every cell of
+    ``column`` as fmt_value would."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return "%.9g", column.tolist()
+        if column.dtype.kind in "iu":
+            return "%s", column.tolist()
+    kinds = set(map(type, column))
+    if len(kinds) == 1 and bool not in kinds:
+        # ``%s`` would print a bool as ``True``, so bools take fmt_value.
+        return ("%.9g" if issubclass(kinds.pop(), float) else "%s"), list(column)
+    return "%s", list(map(fmt_value, column))
 
 
-def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    rows = list(map(tuple, rows))
-    lines = [",".join(header)]
-    template = _table_template(rows)
-    if template is not None:
-        lines.extend(map(template.__mod__, rows))
-    else:
-        # Ragged or mixed-type tables; every file of a run directory takes
-        # the template above.
-        lines.extend(",".join(map(fmt_value, row)) for row in rows)
+def write_csv(path: Path | str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write one column per header field; every column must be equally long."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+    n_rows = len(columns[0]) if len(columns) else 0
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
+    width = len(columns)
+    flat: list = [None] * (n_rows * width)
+    formats = []
+    for j, column in enumerate(columns):
+        cell_format, cells = _column_cells(column)
+        flat[j::width] = cells
+        formats.append(cell_format)
+    body = ((",".join(formats) + "\n") * n_rows) % tuple(flat)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    tmp.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
     os.replace(tmp, path)
 
 
 def read_csv(path: Path | str) -> tuple[list[str], list[list[str]]]:
+    """The header and one list of cells per column of a file write_csv wrote."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line]
-    if not lines:
+    if not text.strip():
         raise ValueError(f"{path} is empty")
+    lines = text.removesuffix("\n").split("\n")
     header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    width = len(header)
+    body = lines[1:]
+    commas = list(map(str.count, body, repeat(",")))
+    if commas.count(width - 1) != len(commas):
+        i = next(i for i, n in enumerate(commas) if n != width - 1)
+        raise ValueError(f"{path}: line {i + 2}: {commas[i] + 1} cells, expected {width}")
+    cells = ",".join(body).split(",") if body else []
+    return header, [cells[j::width] for j in range(width)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -103,14 +104,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Observables of one federated round (losses at the aggregated model)."""
+    """Observables of one federated round (losses at the aggregated model).
+
+    ``training_g_values[i]`` holds node i's batch-gradient norms, one per
+    SGD step, in step order.
+    """
 
     t: int
     train_loss: float
     test_loss: float
     bound_value: float
     per_node_usefulness: dict[int, float]
-    training_g_values: tuple[tuple[int, float], ...]
+    training_g_values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         if self.t < 1:
@@ -139,11 +144,19 @@ class FLRun:
                 f"run has {len(self.rounds)} rounds, config says {self.config.rounds}"
             )
 
-    def training_g_pooled(self) -> list[float]:
-        return [g for record in self.rounds for _, g in record.training_g_values]
+    def training_g_pooled(self) -> np.ndarray:
+        """Every training norm, round by round and node by node within a round."""
+        traces = [trace for record in self.rounds for trace in record.training_g_values]
+        return _pooled(traces)
 
-    def probe_g_pooled(self) -> list[float]:
-        return [s.g_value for samples in self.probe_samples.values() for s in samples]
+    def probe_g_pooled(self) -> np.ndarray:
+        return np.array([s.g_value for samples in self.probe_samples.values() for s in samples])
+
+
+def _pooled(segments: list[Sequence[float]]) -> np.ndarray:
+    """The segments one after another as one float64 array, read in one pass
+    (np.concatenate would first make an array of each short segment)."""
+    return np.fromiter(chain.from_iterable(segments), np.float64, sum(map(len, segments)))
 
 
 def held_out_size(cfg: ScenarioConfig, n: int) -> int:
@@ -330,7 +343,6 @@ def run_federated_partitioned(
         seeds = [derive_seed(cfg.seed, "round", t, i) for i in range(len(nodes))]
         trained, deltas, node_traces = local_round(data, current, cfg, seeds, test_loss)
         usefulness = dict(enumerate(deltas))
-        traces = [(i, g) for i, trace in enumerate(node_traces) for g in trace]
         current = fedavg(trained)
         train_loss = train_loss_at(current)
         test_loss = loss(cfg.model, current, test_data)
@@ -341,7 +353,7 @@ def run_federated_partitioned(
                 train_loss=train_loss,
                 test_loss=test_loss,
                 per_node_usefulness=usefulness,
-                training_g_values=tuple(traces),
+                training_g_values=tuple(map(tuple, node_traces)),
             )
         )
 
@@ -421,31 +433,56 @@ def save_run(run: FLRun, run_dir: Path | str, extra_config: dict[str, str] | Non
     (run_dir / "config.txt").write_text(
         "\n".join(config_echo_lines(run.config, extra_config)) + "\n", encoding="utf-8"
     )
+    rounds = run.rounds
     write_csv(
         run_dir / "rounds.csv",
         ("t", "train_loss", "test_loss", "bound_value"),
-        [(r.t, r.train_loss, r.test_loss, r.bound_value) for r in run.rounds],
+        (
+            [r.t for r in rounds],
+            [r.train_loss for r in rounds],
+            [r.test_loss for r in rounds],
+            [r.bound_value for r in rounds],
+        ),
     )
+    useful = [(r, sorted(r.per_node_usefulness)) for r in rounds]
     write_csv(
         run_dir / "usefulness.csv",
         ("t", "node_id", "delta"),
-        [
-            (r.t, node_id, r.per_node_usefulness[node_id])
-            for r in run.rounds
-            for node_id in sorted(r.per_node_usefulness)
-        ],
+        (
+            [r.t for r, ids in useful for _ in ids],
+            [i for _, ids in useful for i in ids],
+            [r.per_node_usefulness[i] for r, ids in useful for i in ids],
+        ),
     )
-    gtrace_rows: list[tuple[str, int, float]] = []
-    for node_id in sorted(run.probe_samples):
-        gtrace_rows.extend(("probe", node_id, s.g_value) for s in run.probe_samples[node_id])
-    for record in run.rounds:
-        gtrace_rows.extend(("training", node_id, g) for node_id, g in record.training_g_values)
-    write_csv(run_dir / "gtrace.csv", ("source", "node_id", "value"), gtrace_rows)
+    # gtrace.csv: every node's probe g values, then every round's training
+    # norms node by node, one segment per (source, node).
+    probe_ids = sorted(run.probe_samples)
+    probe_g = [[s.g_value for s in run.probe_samples[i]] for i in probe_ids]
+    training_ids = [i for r in rounds for i in range(len(r.training_g_values))]
+    training_g = [trace for r in rounds for trace in r.training_g_values]
+    segments = probe_g + training_g
+    n_probe = sum(map(len, probe_g))
+    values = _pooled(segments)
+    write_csv(
+        run_dir / "gtrace.csv",
+        ("source", "node_id", "value"),
+        (
+            ["probe"] * n_probe + ["training"] * (values.size - n_probe),
+            np.repeat(probe_ids + training_ids, list(map(len, segments))),
+            values,
+        ),
+    )
 
-    constants_rows = [
-        (i, c.mu, c.L, c.G, c.n_probes) for i, c in sorted(run.node_constants.items())
-    ]
-    g = run.global_constants
-    constants_rows.append((-1, g.mu, g.L, g.G, g.n_probes))
-    write_csv(run_dir / "constants.csv", ("node_id", "mu", "L", "G", "n_probes"), constants_rows)
+    estimates = sorted(run.node_constants.items()) + [(-1, run.global_constants)]
+    write_csv(
+        run_dir / "constants.csv",
+        ("node_id", "mu", "L", "G", "n_probes"),
+        (
+            [i for i, _ in estimates],
+            [c.mu for _, c in estimates],
+            [c.L for _, c in estimates],
+            [c.G for _, c in estimates],
+            [c.n_probes for _, c in estimates],
+        ),
+    )
     write_probes_csv(run_dir / "probes.csv", run.probe_samples)

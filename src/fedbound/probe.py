@@ -347,8 +347,14 @@ def aggregate_global(per_node) -> ConstantsEstimate:
 
 def write_probes_csv(path: Path | str, samples_by_node: dict[int, tuple[ProbeSample, ...]]) -> None:
     """Export raw probe samples as rows of node_id, probe_index, m_value, g_value."""
-    rows = []
-    for node_id in sorted(samples_by_node):
-        for idx, sample in enumerate(samples_by_node[node_id]):
-            rows.append((node_id, idx, sample.m_value, sample.g_value))
-    write_csv(path, ("node_id", "probe_index", "m_value", "g_value"), rows)
+    nodes = [(i, samples_by_node[i]) for i in sorted(samples_by_node)]
+    write_csv(
+        path,
+        ("node_id", "probe_index", "m_value", "g_value"),
+        (
+            [i for i, samples in nodes for _ in samples],
+            [idx for _, samples in nodes for idx in range(len(samples))],
+            [s.m_value for _, samples in nodes for s in samples],
+            [s.g_value for _, samples in nodes for s in samples],
+        ),
+    )

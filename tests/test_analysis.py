@@ -272,8 +272,8 @@ class TestReports:
                 i: ConstantsEstimate(0.1 * (i + 1), 1.0 + i, 2.0 - 0.3 * i, 5)
                 for i in range(4)
             },
-            probe_g=(1.0, 2.0, 3.0),
-            training_g=(0.5, 0.25),
+            probe_g=np.array([1.0, 2.0, 3.0]),
+            training_g=np.array([0.5, 0.25]),
             seed=3,
         )
 
@@ -295,8 +295,8 @@ class TestReports:
         inputs = ReportInputs(
             usefulness=tuple(UsefulnessRecord(i, 0.1 * i) for i in range(3)),
             node_constants={i: ConstantsEstimate(0.5, 1.0, 1.0, 5) for i in range(3)},
-            probe_g=(1.0,),
-            training_g=(),
+            probe_g=np.array([1.0]),
+            training_g=np.empty(0),
             seed=0,
         )
         rows = correlation_rows(inputs)

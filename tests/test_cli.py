@@ -265,6 +265,54 @@ class TestGoldenRun:
         assert sorted(p.name for p in out.iterdir()) == ["hetero_eight_nodes_seed1", "summary.csv"]
         assert tree_digest(out) == self.DIGEST
 
+    # sha256 of the tree `fedbound run` then `fedbound report` leave for the
+    # shipped ten_nodes config at seed 1, recorded before the CSV tables went
+    # column-major. It pins the bytes `report` rewrites (2,100 gtrace rows),
+    # including the cdf_training.csv it rebuilds from 9-digit values.
+    RUN_REPORT_DIGEST = "a92f04db6d8f1ed3ad36d408853f5226c832865a744f87a7f48fd01d08919a75"
+
+    def test_ten_nodes_seed1_run_then_report_is_byte_identical(self, tmp_path, monkeypatch):
+        config = Path(__file__).resolve().parents[1] / "configs" / "ten_nodes.cfg"
+        monkeypatch.setenv("FEDBOUND_SEED", "1")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["report", "--run", str(out / "ten_nodes_seed1")]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "ten_nodes_seed1"]
+        assert tree_digest(out) == self.RUN_REPORT_DIGEST
+
+
+class TestUndefinedBound:
+    # An MLP without l2, probed with 30 pairs, finds a negative m on every
+    # seed in 0..2000 (checked seed by seed), so its bound is undefined.
+    MLP = TINY + "model.kind = mlp\nmodel.hidden_width = 8\nmodel.l2 = 0\nprobe.n_probes = 30\n"
+    REPORTS = ("correlations.csv", "cdf_probe.csv", "cdf_training.csv", "selection.csv")
+
+    @given(seed=st.integers(0, 2000))
+    @settings(max_examples=10, deadline=None)
+    @pytest.mark.filterwarnings("ignore:probed mu is not positive")
+    def test_nan_bounds_reach_the_csvs_and_report_reruns(self, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "mlp.cfg"
+            cfg.write_text(self.MLP + f"repeat_seeds = {seed}\n")
+            out = tmp / "out"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            run_dir = out / f"tiny_seed{seed}"
+            header, constants = csvio.read_csv(run_dir / "constants.csv")
+            assert constants[header.index("node_id")][-1] == "-1"
+            assert float(constants[header.index("mu")][-1]) <= 0.0
+            header, rounds = csvio.read_csv(run_dir / "rounds.csv")
+            assert rounds[header.index("bound_value")] == ["nan", "nan"]
+            header, summary = csvio.read_csv(out / "summary.csv")
+            assert summary[header.index("final_bound")] == ["nan"]
+
+            headers = {name: (run_dir / name).read_text().split("\n")[0] for name in self.REPORTS}
+            for name in self.REPORTS:
+                (run_dir / name).unlink()
+            assert main(["report", "--run", str(run_dir)]) == 0
+            for name in self.REPORTS:
+                assert (run_dir / name).read_text().split("\n")[0] == headers[name]
+
 
 class TestProbeCommand:
     def test_prints_per_node_and_global(self, tiny_config, capsys):
@@ -282,10 +330,10 @@ class TestProbeCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         assert main(["probe", "--config", str(cfg)]) == 0
-        _, rows = csvio.read_csv(tmp_path / "out" / "tiny_seed1" / "constants.csv")
+        _, columns = csvio.read_csv(tmp_path / "out" / "tiny_seed1" / "constants.csv")
         expected = [
             f"{'global' if nid == '-1' else f'node {nid}'}: mu={mu} L={ell} G={g} n_probes={n}"
-            for nid, mu, ell, g, n in rows
+            for nid, mu, ell, g, n in zip(*columns)
         ]
         assert len(expected) == 3
         assert capsys.readouterr().out.splitlines() == expected
@@ -318,6 +366,16 @@ class TestReportCommand:
         assert main(["report", "--run", str(selection.parent)]) == 0
         assert selection.read_bytes() == before
 
+    def test_short_gtrace_row_fails_naming_the_file_and_line(self, tiny_config, tmp_path, capsys):
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+        gtrace = tmp_path / "out" / "tiny_seed1" / "gtrace.csv"
+        lines = gtrace.read_text().splitlines()
+        lines[3] = lines[3].rpartition(",")[0]
+        gtrace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--run", str(gtrace.parent)]) == 1
+        assert capsys.readouterr().err == f"error: {gtrace}: line 4: 2 cells, expected 3\n"
+
     @pytest.mark.parametrize("damage", ["deleted", "malformed"])
     def test_unreadable_config_txt_fails_naming_it(self, tiny_config, tmp_path, capsys, damage):
         main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
@@ -333,14 +391,17 @@ class TestReportCommand:
 
 
 def test_import_leaves_scipy_out():
-    # scipy's import alone took about 1.4 s of every command's start-up.
-    code = "import sys, fedbound.cli; print('scipy' in sys.modules)"
+    # scipy's import alone took about 1.4 s of every command's start-up, and
+    # concurrent.futures (with multiprocessing) 26-34 ms; only `run
+    # --parallel` needs the latter.
+    modules = ("scipy", "concurrent.futures")
+    code = f"import sys, fedbound.cli; print([m in sys.modules for m in {modules!r}])"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[False, False]"
 
 
 class TestSelftestCommand:
@@ -354,7 +415,7 @@ class TestSelftestCommand:
 class TestAtomicCsv:
     def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "summary.csv"
-        write_csv(path, ("a", "b"), [(1, 2.5)])
+        write_csv(path, ("a", "b"), ([1], [2.5]))
         before = path.read_bytes()
 
         def failing_replace(src, dst):
@@ -362,5 +423,5 @@ class TestAtomicCsv:
 
         monkeypatch.setattr(csvio.os, "replace", failing_replace)
         with pytest.raises(OSError):
-            write_csv(path, ("a", "b"), [(3, 4.5)])
+            write_csv(path, ("a", "b"), ([3], [4.5]))
         assert path.read_bytes() == before

@@ -288,14 +288,15 @@ class TestRunFederated:
         for t, record in enumerate(run.rounds, start=1):
             locals_, traces = [], []
             for i, data in enumerate(datasets):
-                wi = w
+                wi, trace = w, []
                 for epoch in range(cfg.local_epochs_per_round):
                     wi, norms = sgd_epoch_traced(
                         cfg.model, wi, data, cfg.lr, cfg.batch_size,
                         local_sgd_seed(cfg.seed, t, i, epoch),
                     )
-                    traces.extend((i, g) for g in norms)
+                    trace.extend(norms)
                 locals_.append(wi)
+                traces.append(tuple(trace))
                 assert record.per_node_usefulness[i] == before - loss(cfg.model, wi, test)
             w = fedavg(locals_)
             before = loss(cfg.model, w, test)
@@ -371,7 +372,7 @@ class TestSaveRun:
         probe_rows = [l for l in gtrace[1:] if l.startswith("probe,")]
         training_rows = [l for l in gtrace[1:] if l.startswith("training,")]
         assert len(probe_rows) == cfg.n_probes * cfg.n_nodes
-        assert len(training_rows) == sum(len(r.training_g_values) for r in run.rounds)
+        assert len(training_rows) == sum(len(g) for r in run.rounds for g in r.training_g_values)
         constants = (tmp_path / "run" / "constants.csv").read_text().splitlines()
         assert constants[0] == "node_id,mu,L,G,n_probes"
         assert len(constants) == 1 + cfg.n_nodes + 1
