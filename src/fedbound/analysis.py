@@ -209,7 +209,19 @@ def _read_columns(path: Path, dtypes) -> list:
             for column, dtype in zip(columns, dtypes)
         ]
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        # Name the first cell, in file order, that does not parse.
+        bad = []
+        for j, (column, dtype) in enumerate(zip(columns, dtypes)):
+            for i, cell in enumerate(column if dtype is not None else ()):
+                try:
+                    np.array(cell, dtype=dtype)
+                except ValueError as cell_exc:
+                    bad.append((i, j, cell_exc))
+                    break
+        if not bad:
+            raise ValueError(f"{path}: {exc}") from exc
+        i, j, cell_exc = min(bad, key=lambda b: b[:2])
+        raise ValueError(f"{path}: line {i + 2}, column {header[j]}: {cell_exc}") from exc
 
 
 def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:

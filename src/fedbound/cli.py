@@ -36,7 +36,7 @@ from .model import (
     quadratic_spec,
     softmax_spec,
 )
-from .rng import derive_seed, spawn_rng
+from .rng import derive_seed, normal_rows, spawn_rng
 
 SUMMARY_HEADER = (
     "scenario",
@@ -276,6 +276,19 @@ def _selftest_quadratic() -> bool:
     return ok_diag and ok_ident
 
 
+def _selftest_rng() -> bool:
+    # A numpy whose SeedSequence or PCG64 seeding drifted would fail here
+    # instead of silently moving every probe sample.
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+    rows = normal_rows("probe-pair", seeds, 8)
+    ok = all(
+        row.tobytes() == spawn_rng("probe-pair", seed).standard_normal(8).tobytes()
+        for row, seed in zip(rows, seeds)
+    )
+    print(f"{'PASS' if ok else 'FAIL'} batched seeding equals spawn_rng ({len(seeds)} seeds)")
+    return ok
+
+
 def _selftest_bound() -> bool:
     p = BoundParams(mu=1.0, L=2.0, G=1.0, init_distance=1.0)
     first = convergence_bound(1, p)
@@ -286,7 +299,7 @@ def _selftest_bound() -> bool:
 
 
 def _cmd_selftest(_args) -> int:
-    results = [_selftest_gradients(), _selftest_quadratic(), _selftest_bound()]
+    results = [_selftest_gradients(), _selftest_quadratic(), _selftest_rng(), _selftest_bound()]
     return 0 if all(results) else 1
 
 

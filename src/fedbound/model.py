@@ -155,21 +155,31 @@ def param_dim(spec: ModelSpec) -> int:
     return len(spec.quad_diag)
 
 
-def draw_init_like(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
-    """One draw from the initialization distribution.
+def init_scales(spec: ModelSpec) -> np.ndarray:
+    """Per-entry standard deviation of the initialization distribution.
 
-    Entries are i.i.d. zero-mean normal with per-layer scale 1/sqrt(fan_in),
-    which keeps losses at random parameter vectors finite.
+    Each layer's entries take 1/sqrt(fan_in), which keeps losses at random
+    parameter vectors finite.
     """
     d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
     if spec.kind == "softmax":
-        return rng.normal(0.0, 1.0 / math.sqrt(d), k * d + k)
+        return np.full(k * d + k, 1.0 / math.sqrt(d))
     if spec.kind == "mlp":
-        first = rng.normal(0.0, 1.0 / math.sqrt(d), h * d + h)
-        second = rng.normal(0.0, 1.0 / math.sqrt(h), k * h + k)
-        return np.concatenate([first, second])
+        return np.concatenate(
+            [np.full(h * d + h, 1.0 / math.sqrt(d)), np.full(k * h + k, 1.0 / math.sqrt(h))]
+        )
     dim = len(spec.quad_diag)
-    return rng.normal(0.0, 1.0 / math.sqrt(dim), dim)
+    return np.full(dim, 1.0 / math.sqrt(dim))
+
+
+def draw_init_like(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
+    """One draw from the initialization distribution: i.i.d. zero-mean normal
+    entries with :func:`init_scales`.
+
+    numpy draws ``rng.normal(0.0, s, n)`` as ``0.0 + s * z`` from the next n
+    standard normals, so this is each layer's ``normal`` call, bit for bit.
+    """
+    return 0.0 + init_scales(spec) * rng.standard_normal(param_dim(spec))
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:

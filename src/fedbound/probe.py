@@ -26,12 +26,12 @@ from .model import (
     _check_data,
     _check_params,
     _loss_and_grad_stacked,
-    draw_init_like,
     gradient,
+    init_scales,
     loss,
     param_dim,
 )
-from .rng import derive_seed, spawn_rng
+from .rng import derive_seed, normal_rows, spawn_rng
 
 # Below this squared distance a pair is useless for the m formula; pairs are
 # redrawn rather than divided through.
@@ -92,8 +92,9 @@ class ConstantsEstimate:
 class InitDistributionSampler:
     """Draws probe points from the model's initialization distribution."""
 
-    def draw(self, spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
-        return draw_init_like(spec, rng)
+    def map(self, spec: ModelSpec, z: np.ndarray) -> np.ndarray:
+        """Probe points from standard normals ``z`` of shape ``(..., dim)``."""
+        return 0.0 + init_scales(spec) * z
 
 
 @dataclass(frozen=True)
@@ -111,11 +112,13 @@ class GaussianPerturbationSampler:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be > 0 (a zero-width sampler cannot produce distinct pairs)")
 
-    def draw(self, spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
-        center = np.asarray(self.center, dtype=np.float64)
-        return center + self.sigma * rng.standard_normal(center.size)
+    def map(self, spec: ModelSpec, z: np.ndarray) -> np.ndarray:
+        """Probe points from standard normals ``z`` of shape ``(..., dim)``."""
+        return _check_params(spec, self.center) + self.sigma * z
 
 
+# A sampler is an affine map of standard normals; draw_probe_pair and
+# collect_probes draw the normals from the probe's own stream.
 ProbeSampler = InitDistributionSampler | GaussianPerturbationSampler
 
 
@@ -124,13 +127,14 @@ def draw_probe_pair(
 ) -> tuple[ParamVector, ParamVector]:
     """Two distinct random parameter vectors; v is redrawn on collision."""
     rng = spawn_rng("probe-pair", rng_seed)
-    u = sampler.draw(spec, rng)
-    v = sampler.draw(spec, rng)
+    dim = param_dim(spec)
+    u = sampler.map(spec, rng.standard_normal(dim))
+    v = sampler.map(spec, rng.standard_normal(dim))
     for _ in range(100):
         diff = u - v
         if diff @ diff >= DEGENERATE_SQ_DIST:
             return u, v
-        v = sampler.draw(spec, rng)
+        v = sampler.map(spec, rng.standard_normal(dim))
     raise DegeneratePairError("sampler keeps producing coincident pairs")
 
 
@@ -192,35 +196,49 @@ def probe_stack_size(spec: ModelSpec, data: Dataset) -> int:
     return max(1, STACK_ELEMENTS // (len(data) * max(spec.hidden_width, spec.num_classes)))
 
 
-def _checked_stacks(
-    spec: ModelSpec, pairs: list[tuple[ParamVector, ParamVector]]
+def _draw_stack(
+    spec: ModelSpec, sampler: ProbeSampler, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, Exception] | None]:
-    """The ``(P, dim)`` stacks U and V of the pairs, checked once per stack.
+    """The checked ``(P, dim)`` stacks U and V of the probes with these seeds.
 
-    If a vector is not a finite ``(param_dim(spec),)`` vector, the stacks
-    hold only the pairs before the first probe with one, and that probe's
-    offset and error come back with them.
+    Row p is ``draw_probe_pair(spec, sampler, seeds[p])``: both vectors are
+    mapped from one :func:`normal_rows` row of ``2 * dim`` standard normals,
+    and only a degenerate row is redrawn, through ``draw_probe_pair``, which
+    replays the same first pair. If a probe's draw raises or gives a vector
+    that is not finite and ``(dim,)``, the stacks hold only the probes
+    before the first such probe, and its offset and error come back with them.
     """
     dim = param_dim(spec)
+    Z = normal_rows("probe-pair", seeds, 2 * dim)
     try:
-        U = np.asarray(np.stack([u for u, _ in pairs]), dtype=np.float64)
-        V = np.asarray(np.stack([v for _, v in pairs]), dtype=np.float64)
-        if U.shape[1:] == V.shape[1:] == (dim,) and np.isfinite(U).all() and np.isfinite(V).all():
-            return U, V, None
+        U = np.asarray(sampler.map(spec, Z[:, :dim]), dtype=np.float64)
+        V = np.asarray(sampler.map(spec, Z[:, dim:]), dtype=np.float64)
+        if U.shape != Z[:, :dim].shape or V.shape != U.shape:
+            raise ValueError("sampler does not map a stack to a stack")
+        diff = U - V
+        # As in draw_probe_pair, a NaN distance is redrawn too.
+        redraw = np.flatnonzero(~(np.vecdot(diff, diff) >= DEGENERATE_SQ_DIST)).tolist()
     except Exception:
-        pass
-    # Some vector is bad: find the first probe with one, as one check per
-    # vector would have.
-    us, vs, bad = [], [], None
-    for p, (u, v) in enumerate(pairs):
+        # The sampler fails on the stack: draw and check probe by probe.
+        U, V, redraw = np.zeros_like(Z[:, :dim]), np.zeros_like(Z[:, :dim]), range(len(seeds))
+    failure = None
+    for p in redraw:
         try:
-            checked = _check_params(spec, u), _check_params(spec, v)
+            u, v = draw_probe_pair(spec, sampler, seeds[p])
+            U[p], V[p] = _check_params(spec, u), _check_params(spec, v)
         except Exception as exc:
-            bad = (p, exc)
+            failure = (p, exc)
             break
-        us.append(checked[0])
-        vs.append(checked[1])
-    return np.array(us).reshape(-1, dim), np.array(vs).reshape(-1, dim), bad
+    end = len(seeds) if failure is None else failure[0]
+    finite = np.isfinite(U[:end]).all(axis=1) & np.isfinite(V[:end]).all(axis=1)
+    if not finite.all():
+        end = int(finite.argmin())
+        try:
+            _check_params(spec, U[end])
+            _check_params(spec, V[end])
+        except ValueError as exc:
+            failure = (end, exc)
+    return U[:end], V[:end], failure
 
 
 def _stack_samples(
@@ -262,10 +280,10 @@ def collect_probes(
     """Run the probe loop and keep every (m, g) sample.
 
     Probe i uses a seed derived from (rng_seed, i) only, so a longer run
-    extends a shorter one sample-for-sample. Pairs are drawn one probe at a
-    time, in order, and checked and evaluated :func:`probe_stack_size`
-    probes at a time. A failure names the first probe that raised, drew a
-    bad vector or gave a non-finite value.
+    extends a shorter one sample-for-sample. Probes are drawn, checked and
+    evaluated :func:`probe_stack_size` at a time, each stack's pairs from
+    one :func:`normal_rows` call. A failure names the first probe that
+    raised, drew a bad vector or gave a non-finite value.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
@@ -278,24 +296,13 @@ def collect_probes(
     stack = probe_stack_size(spec, data)
     samples: list[ProbeSample] = []
     for first in range(0, n_probes, stack):
-        pairs, failure = [], None
-        for i in range(first, min(first + stack, n_probes)):
-            try:
-                pairs.append(draw_probe_pair(spec, sampler, derive_seed(rng_seed, i)))
-            except ProbeFailure:
-                raise
-            except Exception as exc:
-                failure = (i, exc)
-                break
-        if pairs:
-            U, V, bad = _checked_stacks(spec, pairs)
-            if bad is not None:
-                failure = (first + bad[0], bad[1])
-            if len(U):
-                samples.extend(_stack_samples(spec, U, V, data, g_formula, first))
+        seeds = [derive_seed(rng_seed, i) for i in range(first, min(first + stack, n_probes))]
+        U, V, failure = _draw_stack(spec, sampler, seeds)
+        if len(U):
+            samples.extend(_stack_samples(spec, U, V, data, g_formula, first))
         if failure is not None:
-            i, exc = failure
-            raise ProbeFailure(i, str(exc)) from exc
+            p, exc = failure
+            raise ProbeFailure(first + p, str(exc)) from exc
     return tuple(samples)
 
 

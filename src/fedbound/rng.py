@@ -9,6 +9,7 @@ of execution order and identical across serial and parallel schedules.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,3 +31,109 @@ def derive_seed(*parts: int | str) -> int:
 def spawn_rng(*parts: int | str) -> np.random.Generator:
     """Create a Generator seeded from a derived path seed."""
     return np.random.default_rng(derive_seed(*parts))
+
+
+# numpy's SeedSequence constants (pool of 4 uint32 words) and PCG64's
+# 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[int]:
+    """The ``n`` successive values SeedSequence's hash constant takes."""
+    consts = [init]
+    while len(consts) < n:
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _mix_consts(consts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row dst of ``xor[src]`` and ``mul[src]``: the hash call that mixes pool
+    word src into word dst (row src is unused). The calls follow the pool
+    fill's four, one per ordered pair of distinct words, dst running fastest."""
+    xor = np.zeros((4, 4, 1), dtype=np.uint32)
+    mul = np.zeros((4, 4, 1), dtype=np.uint32)
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    for k, (src, dst) in enumerate(pairs, start=4):
+        xor[src, dst], mul[src, dst] = consts[k], consts[k + 1]
+    return xor, mul
+
+
+# Hash call k xors with constant k and multiplies by constant k + 1. Entropy
+# mixing makes 16 calls (4 to fill the pool, 12 to mix it) and
+# generate_state(4, uint64) makes 8.
+_A = _hash_consts(_INIT_A, _MULT_A, 17)
+_FILL_XOR, _FILL_MUL = _column(_A[0:4]), _column(_A[1:5])
+_MIX_XOR, _MIX_MUL = _mix_consts(_A)
+_B = _hash_consts(_INIT_B, _MULT_B, 9)
+_STATE_XOR, _STATE_MUL = _column(_B[0:8]), _column(_B[1:9])
+_MIX_L, _MIX_R, _SHIFT = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R), np.uint32(16)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of ``value``, one hash call per row of the constants."""
+    value = (value ^ xor) * mul
+    return value ^ (value >> _SHIFT)
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
+    """``np.random.PCG64(seed).state`` for each 63-bit seed, through
+    SeedSequence's uint32 arithmetic run for all seeds at once."""
+    words = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    # The entropy words are (lo32, hi32); a seed below 2**32 has one word,
+    # and hashing the missing word hashes a 0, as the explicit word does.
+    pool[0] = words & np.uint64(_MASK32)
+    pool[1] = words >> np.uint64(32)
+    pool = _hashmix(pool, _FILL_XOR, _FILL_MUL)
+    # Word src is hashed into each of the three other words. Those three
+    # hash-and-mix updates are independent, so they run as one operation on
+    # the whole pool, and word src keeps its value.
+    for src in range(4):
+        hashed = _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src])
+        mixed = pool * _MIX_L - hashed * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    # generate_state(4, uint64): eight words from the cycled pool, paired
+    # little-endian into (initstate_hi, initstate_lo, initseq_hi, initseq_lo).
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MUL).astype(np.uint64)
+    hi_s, lo_s, hi_i, lo_i = (state[0::2] | (state[1::2] << np.uint64(32))).tolist()
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(hi_s, lo_s, hi_i, lo_i):
+        # PCG64's srandom: inc = initseq << 1 | 1, then two LCG steps around
+        # adding initstate; a fresh generator holds no buffered uint32.
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        lcg = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": lcg, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
+
+
+def normal_rows(label: str, seeds: Sequence[int], n: int) -> np.ndarray:
+    """A ``(len(seeds), n)`` array whose row i is
+    ``spawn_rng(label, seeds[i]).standard_normal(n)``, bit for bit.
+
+    The generators are seeded in one vectorized pass instead of one
+    ``default_rng`` per seed; the derived seeds are the same.
+    """
+    states = _pcg64_states([derive_seed(label, seed) for seed in seeds])
+    rows = np.empty((len(states), n))
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    for row, state in zip(rows, states):
+        bit_generator.state = state
+        gen.standard_normal(out=row)
+    return rows

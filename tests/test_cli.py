@@ -280,6 +280,24 @@ class TestGoldenRun:
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "ten_nodes_seed1"]
         assert tree_digest(out) == self.RUN_REPORT_DIGEST
 
+    # sha256 of the tree `fedbound run` writes for a small MLP probed with the
+    # `perturb` sampler, recorded before probe pairs were drawn a stack at a
+    # time. It pins the paths the two digests above miss: the MLP's two-layer
+    # init scales and the perturbation sampler around w1.
+    MLP_PERTURB = TINY + (
+        "model.kind = mlp\nmodel.hidden_width = 6\nmodel.l2 = 0.2\nprobe.n_probes = 40\n"
+        "probe.sampler = perturb\nprobe.perturb_sigma = 0.3\nscenario.rounds = 3\n"
+    )
+    MLP_PERTURB_DIGEST = "d3c81c68e8ed0afe734fb37d05e1e3d24b3009fb688a9aaabc6f78000998d409"
+
+    def test_mlp_perturb_run_is_byte_identical(self, tmp_path):
+        config = tmp_path / "mlp.cfg"
+        config.write_text(self.MLP_PERTURB)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed2"]
+        assert tree_digest(out) == self.MLP_PERTURB_DIGEST
+
 
 class TestUndefinedBound:
     # An MLP without l2, probed with 30 pairs, finds a negative m on every
@@ -376,6 +394,23 @@ class TestReportCommand:
         assert main(["report", "--run", str(gtrace.parent)]) == 1
         assert capsys.readouterr().err == f"error: {gtrace}: line 4: 2 cells, expected 3\n"
 
+    def test_non_numeric_gtrace_cell_fails_naming_the_file_and_line(
+        self, tiny_config, tmp_path, capsys
+    ):
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+        gtrace = tmp_path / "out" / "tiny_seed1" / "gtrace.csv"
+        lines = gtrace.read_text().splitlines()
+        lines[3] = lines[3].rpartition(",")[0] + ",abc"
+        lines[5] = lines[5].rpartition(",")[0] + ",xyz"
+        gtrace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--run", str(gtrace.parent)]) == 1
+        err = capsys.readouterr().err
+        assert "gtrace.csv" in err and "line" in err
+        assert err == (
+            f"error: {gtrace}: line 4, column value: could not convert string to float: 'abc'\n"
+        )
+
     @pytest.mark.parametrize("damage", ["deleted", "malformed"])
     def test_unreadable_config_txt_fails_naming_it(self, tiny_config, tmp_path, capsys, damage):
         main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
@@ -408,7 +443,7 @@ class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         assert "FAIL" not in out
 
 

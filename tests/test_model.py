@@ -75,6 +75,38 @@ class TestInitParams:
         assert second.std() == pytest.approx(1.0 / math.sqrt(50), rel=0.1)
 
 
+def _frozen_draw_init_like(spec, rng):
+    """The per-layer ``rng.normal`` body ``draw_init_like`` had before it drew
+    ``0.0 + init_scales(spec) * z``, kept verbatim as its oracle."""
+    d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
+    if spec.kind == "softmax":
+        return rng.normal(0.0, 1.0 / math.sqrt(d), k * d + k)
+    if spec.kind == "mlp":
+        first = rng.normal(0.0, 1.0 / math.sqrt(d), h * d + h)
+        second = rng.normal(0.0, 1.0 / math.sqrt(h), k * h + k)
+        return np.concatenate([first, second])
+    dim = len(spec.quad_diag)
+    return rng.normal(0.0, 1.0 / math.sqrt(dim), dim)
+
+
+SPECS = st.one_of(
+    st.builds(softmax_spec, st.integers(1, 40), st.integers(2, 12)),
+    st.builds(mlp_spec, st.integers(1, 40), st.integers(2, 12), st.integers(1, 30)),
+    st.builds(quadratic_spec, st.lists(st.floats(0.1, 10.0), min_size=1, max_size=30)),
+)
+
+
+class TestDrawInitLike:
+    @given(spec=SPECS, seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_frozen_per_layer_draws_bit_for_bit(self, spec, seed):
+        # Two draws in a row: the second starts where the first left the stream.
+        rng, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            drawn = model.draw_init_like(spec, rng)
+            assert drawn.tobytes() == _frozen_draw_init_like(spec, frozen).tobytes()
+
+
 class TestLoss:
     def test_zero_params_give_log_k(self):
         data = toy_dataset(classes=3)

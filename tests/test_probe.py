@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fedbound import probe
 from fedbound.model import (
     Dataset,
-    draw_init_like,
     init_params,
     mlp_spec,
     param_dim,
@@ -268,33 +267,60 @@ def small_stacks(monkeypatch, spec, data, stack):
     assert probe_stack_size(spec, data) == stack
 
 
+def first_normals(spec, rng_seed, i):
+    """The standard normals probe i maps to its first pair, one row for u and one for v."""
+    dim = param_dim(spec)
+    stream = spawn_rng("probe-pair", derive_seed(rng_seed, i))
+    return stream.standard_normal(2 * dim).reshape(2, dim)
+
+
+def matches(z, rows):
+    """Which vectors of ``z`` (``(..., dim)``) equal one of ``rows``."""
+    return (z[..., None, :] == rows).all(axis=-1).any(axis=-1)
+
+
 class CoincidentFrom:
-    """Init-distribution draws until probe ``start``, then one fixed point only."""
+    """Init-distribution points for the first pairs of the probes before
+    ``start``; any other normals map to one fixed point."""
 
-    def __init__(self, start):
-        self.start = start
-        self.draws = 0
+    def __init__(self, spec, rng_seed, start):
+        pairs = [first_normals(spec, rng_seed, i) for i in range(start)]
+        self.clean = np.array(pairs).reshape(-1, param_dim(spec))
 
-    def draw(self, spec, rng):
-        self.draws += 1
-        if self.draws > 2 * self.start:
-            return np.zeros(param_dim(spec))
-        return draw_init_like(spec, rng)
+    def map(self, spec, z):
+        w = InitDistributionSampler().map(spec, z)
+        w[~matches(z, self.clean)] = 0.0
+        return w
 
 
 class BadDraw:
-    """Init-distribution draws, except that draw ``at`` (1-based) is infinite or too short."""
+    """Init-distribution points, except that the v of probe ``target`` is infinite or too short."""
 
-    def __init__(self, at, bad):
-        self.at, self.bad = at, bad
-        self.draws = 0
+    def __init__(self, spec, rng_seed, target, bad):
+        self.v = first_normals(spec, rng_seed, target)[1:]
+        self.bad = bad
 
-    def draw(self, spec, rng):
-        self.draws += 1
-        w = draw_init_like(spec, rng)
-        if self.draws != self.at:
+    def map(self, spec, z):
+        w = InitDistributionSampler().map(spec, z)
+        hit = matches(z, self.v)
+        if not hit.any():
             return w
-        return np.full_like(w, np.inf) if self.bad == "inf" else w[:-1]
+        if self.bad == "inf":
+            w[hit] = np.inf
+            return w
+        return w[..., :-1]
+
+
+class CoincidentFirstPair:
+    """Init-distribution points, except that the first v of probe ``target``
+    lands on its u, so that probe must redraw v."""
+
+    def __init__(self, spec, rng_seed, target):
+        self.u, self.v = first_normals(spec, rng_seed, target)
+
+    def map(self, spec, z):
+        z = np.where(matches(z, self.v[None])[..., None], self.u, z)
+        return InitDistributionSampler().map(spec, z)
 
 
 class TestStackedProbes:
@@ -310,13 +336,31 @@ class TestStackedProbes:
         data = Dataset(rng.uniform(0, 1, (30, 5)), rng.integers(0, 3, 30), 3)
         small_stacks(monkeypatch, spec, data, 3)
         g_of = compute_g if g_formula == "gradient-norm" else compute_g_loss_magnitude
-        sampler = InitDistributionSampler()
-        samples = collect_probes(spec, data, 11, sampler, 9, g_formula)
-        assert len(samples) == 11
-        for i, sample in enumerate(samples):
-            u, v = draw_probe_pair(spec, sampler, derive_seed(9, i))
-            assert sample.m_value == compute_m(spec, u, v, data)
-            assert sample.g_value == g_of(spec, v, data)
+        perturb = GaussianPerturbationSampler(tuple(init_params(spec, 2)), 0.3)
+        for sampler in (InitDistributionSampler(), perturb):
+            samples = collect_probes(spec, data, 11, sampler, 9, g_formula)
+            assert len(samples) == 11
+            for i, sample in enumerate(samples):
+                u, v = draw_probe_pair(spec, sampler, derive_seed(9, i))
+                assert sample.m_value == compute_m(spec, u, v, data)
+                assert sample.g_value == g_of(spec, v, data)
+
+    @pytest.mark.parametrize("stack", [1, 3, 8])
+    def test_degenerate_pair_is_redrawn_as_draw_probe_pair_does(self, monkeypatch, stack):
+        spec = softmax_spec(4, 2, l2=0.01)
+        rng = spawn_rng("toy", 9)
+        data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
+        small_stacks(monkeypatch, spec, data, stack)
+        sampler = CoincidentFirstPair(spec, 0, 4)
+        u, v = draw_probe_pair(spec, sampler, derive_seed(0, 4))
+        assert not np.array_equal(v, sampler.map(spec, sampler.u))
+        samples = collect_probes(spec, data, 7, sampler, 0)
+        assert samples[4].m_value == compute_m(spec, u, v, data)
+        assert samples[4].g_value == compute_g(spec, v, data)
+        assert samples[:4] + samples[5:] == tuple(
+            s for i, s in enumerate(collect_probes(spec, data, 7, InitDistributionSampler(), 0))
+            if i != 4
+        )
 
     @pytest.mark.parametrize("stack", [1, 2, 4])
     def test_prefix_holds_across_stack_boundaries(self, monkeypatch, stack):
@@ -337,7 +381,7 @@ class TestStackedProbes:
         data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
         small_stacks(monkeypatch, spec, data, stack)
         with pytest.raises(ProbeFailure) as excinfo:
-            collect_probes(spec, data, 6, CoincidentFrom(3), 0)
+            collect_probes(spec, data, 6, CoincidentFrom(spec, 0, 3), 0)
         assert excinfo.value.probe_index == 3
         assert isinstance(excinfo.value.__cause__, DegeneratePairError)
 
@@ -348,10 +392,21 @@ class TestStackedProbes:
         rng = spawn_rng("toy", 7)
         data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
         small_stacks(monkeypatch, spec, data, stack)
-        sampler = BadDraw(10, bad)  # v of probe 4
+        sampler = BadDraw(spec, 0, 4, bad)
         with pytest.raises(ProbeFailure, match=message) as excinfo:
             collect_probes(spec, data, 8, sampler, 0)
         assert excinfo.value.probe_index == 4
+
+    @pytest.mark.parametrize(
+        "center, message", [((0.0,) * 7, "shape"), ((np.inf,) + (0.0,) * 9, "non-finite")]
+    )
+    def test_bad_perturbation_center_names_probe_0(self, center, message):
+        spec = softmax_spec(4, 2)
+        rng = spawn_rng("toy", 7)
+        data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
+        with pytest.raises(ProbeFailure, match=message) as excinfo:
+            collect_probes(spec, data, 5, GaussianPerturbationSampler(center, 0.1), 0)
+        assert excinfo.value.probe_index == 0
 
     # A bad vector later in the same stack (the v of probe 5) does not hide
     # the earlier probe's failure.
@@ -371,6 +426,6 @@ class TestStackedProbes:
             return f_u, f_v, grad_v
 
         monkeypatch.setattr(probe, "_pair_values", poisoned)
-        sampler = BadDraw(12, "inf") if bad_later else InitDistributionSampler()
+        sampler = BadDraw(spec, 0, 5, "inf") if bad_later else InitDistributionSampler()
         with pytest.raises(ProbeFailure, match="probe 4 failed: probe values must be finite"):
             collect_probes(spec, data, 9, sampler, 0)
