@@ -1,79 +1,53 @@
 #!/usr/bin/env python3
 """Constants-vs-usefulness correlation on a heterogeneous federation.
 
-Eight nodes receive feature scales spread over (0, 1], which spreads their
-local curvature (L), gradient bound (G), and per-round contribution to the
-global test loss. Prints per-seed Pearson/Spearman coefficients for mu, L,
-and G against node usefulness, plus the probe-vs-training gradient-norm
-medians behind the magnitude-distribution comparison.
+Runs the shipped ``configs/hetero_eight_nodes.cfg`` as ``fedbound run``
+does. Its eight nodes have feature scales spread over [0.35, 1], which
+spreads their local curvature (L), gradient bound (G), and per-round
+contribution to the global test loss. Prints, per seed, the Pearson/Spearman
+coefficients for mu, L, and G against node usefulness that the run's
+summary.csv holds, plus the probe-vs-training gradient-norm medians behind
+the magnitude-distribution comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
-from fedbound.analysis import correlate, node_usefulness
-from fedbound.data import SyntheticSpec, gen_synthetic_nodes
-from fedbound.flsim import ScenarioConfig, run_federated_partitioned
-from fedbound.model import softmax_spec
+from fedbound.analysis import CONSTANT_NAMES, correlation_rows, report_inputs_from_run
+from fedbound.cli import run_one_seed
+from fedbound.config import load_config
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
 
 
 def main() -> None:
+    cfg = load_config(CONFIG)
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="1,2,3,4,5")
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--rounds", type=int, default=25)
-    parser.add_argument("--samples-per-node", type=int, default=150)
-    parser.add_argument("--probes", type=int, default=80)
-    parser.add_argument("--lr", type=float, default=0.05)
-    parser.add_argument("--scale-min", type=float, default=0.35)
-    parser.add_argument("--scale-max", type=float, default=1.0)
+    parser.add_argument("--seeds", default=",".join(map(str, cfg.repeat_seeds)),
+                        help="comma-separated seeds (default: the config's repeat_seeds)")
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-
-    scales = tuple(float(s) for s in np.linspace(args.scale_min, args.scale_max, args.nodes))
-    spec = SyntheticSpec(
-        num_classes=4, feature_dim=8, samples_per_class=10,
-        separation=0.7, noise_sigma=0.12, feature_scale=scales,
-    )
-    model = softmax_spec(8, 4, l2=0.01)
 
     header = (f"{'seed':>6}  {'pearson':>24}  {'spearman':>24}  "
               f"{'probe med':>10}{'train med':>10}")
     print(f"{'':6}  {'mu':>8}{'L':>8}{'G':>8}  {'mu':>8}{'L':>8}{'G':>8}")
     print(header)
     print("-" * len(header))
-    spearmans = {q: [] for q in ("mu", "L", "G")}
+    spearmans = []
     for seed in seeds:
-        cfg = ScenarioConfig(
-            n_nodes=args.nodes, samples_per_node=args.samples_per_node,
-            rounds=args.rounds, model=model, lr=args.lr, batch_size=32,
-            n_probes=args.probes, seed=seed,
-        )
-        test_data, nodes = gen_synthetic_nodes(
-            spec, args.nodes, args.samples_per_node, n_test=400, seed=seed
-        )
-        run = run_federated_partitioned(cfg, test_data, nodes)
-        usefulness = np.array([r.usefulness for r in node_usefulness(run)])
-        row_p, row_s = [], []
-        for quantity in ("mu", "L", "G"):
-            values = np.array(
-                [getattr(run.node_constants[i], quantity) for i in range(args.nodes)]
-            )
-            pearson, spearman = correlate(values, usefulness)
-            spearmans[quantity].append(spearman)
-            row_p.append(pearson)
-            row_s.append(spearman)
-        probe_med = float(np.median(run.probe_g_pooled()))
-        train_med = float(np.median(run.training_g_pooled()))
-        print(f"{seed:>6}  " + "".join(f"{v:>+8.3f}" for v in row_p)
-              + "  " + "".join(f"{v:>+8.3f}" for v in row_s)
-              + f"  {probe_med:>10.3f}{train_med:>10.3f}")
+        inputs = report_inputs_from_run(run_one_seed(cfg, seed))
+        _, pearson, spearman, _ = zip(*correlation_rows(inputs))
+        spearmans.append(spearman)
+        print(f"{seed:>6}  " + "".join(f"{v:>+8.3f}" for v in pearson)
+              + "  " + "".join(f"{v:>+8.3f}" for v in spearman)
+              + f"  {np.median(inputs.probe_g):>10.3f}{np.median(inputs.training_g):>10.3f}")
     print("-" * len(header))
-    means = {q: float(np.mean(v)) for q, v in spearmans.items()}
-    print("mean Spearman: " + "  ".join(f"{q}={means[q]:+.3f}" for q in ("mu", "L", "G")))
+    means = np.mean(spearmans, axis=0)
+    print("mean Spearman: " + "  ".join(f"{q}={m:+.3f}" for q, m in zip(CONSTANT_NAMES, means)))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from .analysis import (
     node_usefulness,
     select_nodes,
 )
-from .bound import BoundCurve, BoundParams, bound_curve, convergence_bound, estimate_initial_distance
+from .bound import BoundParams, convergence_bound, estimate_initial_distance
 from .config import CifarSource, ConfigError, ExperimentConfig, load_config
 from .data import SyntheticSpec, gen_synthetic, gen_synthetic_nodes, load_cifar10
 from .flsim import (

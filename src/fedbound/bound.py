@@ -12,7 +12,6 @@ switches to the squared variant used by some analyses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,26 +38,6 @@ class BoundParams:
             raise ValueError("init_distance must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """Bound values per round; strictly decreasing and positive by construction."""
-
-    values: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("curve must be nonempty")
-        previous = math.inf
-        for t, value in self.values:
-            if t < 1:
-                raise ValueError("iteration indices start at 1")
-            if value <= 0.0:
-                raise ValueError("bound values must be positive")
-            if value >= previous:
-                raise ValueError("bound values must be strictly decreasing")
-            previous = value
-
-
 def convergence_bound(t: int, p: BoundParams) -> float:
     """Bound on the expected-training-loss gap at iteration t (t >= 1)."""
     if t < 1:
@@ -66,18 +45,6 @@ def convergence_bound(t: int, p: BoundParams) -> float:
     ratio = 8.0 * p.L / p.mu
     dist = p.init_distance ** 2 if p.squared_distance else p.init_distance
     return ratio / (t - 1 + ratio) * (16.0 * p.G ** 2 / p.mu + 4.0 * p.L * dist)
-
-
-def bound_curve(T: int, p: BoundParams) -> BoundCurve:
-    """Bound values for t = 1..T."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    magnitude = 16.0 * p.G ** 2 / p.mu + 4.0 * p.L * (
-        p.init_distance ** 2 if p.squared_distance else p.init_distance
-    )
-    if magnitude <= 0.0:
-        raise ValueError("degenerate bound: G and init_distance are both zero")
-    return BoundCurve(tuple((t, convergence_bound(t, p)) for t in range(1, T + 1)))
 
 
 def estimate_initial_distance(w1: np.ndarray, wstar_proxy: np.ndarray) -> float:

@@ -13,8 +13,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-_SEP = b"\x1f"
-
 
 def derive_seed(*parts: int | str) -> int:
     """Hash a path of ints/strings into a stable 63-bit seed.
@@ -23,7 +21,7 @@ def derive_seed(*parts: int | str) -> int:
     """
     if not parts:
         raise ValueError("derive_seed needs at least one part")
-    payload = _SEP.join(str(p).encode("utf-8") for p in parts)
+    payload = "\x1f".join(map(str, parts)).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 

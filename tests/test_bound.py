@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbound.bound import (
-    BoundCurve,
-    BoundParams,
-    bound_curve,
-    convergence_bound,
-    estimate_initial_distance,
-)
+from fedbound.bound import BoundParams, convergence_bound, estimate_initial_distance
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
@@ -71,33 +65,11 @@ class TestConvergenceBound:
         p_sq = params(G=0.0, dist=3.0, squared=True)
         assert convergence_bound(1, p_sq) == pytest.approx(3.0 * convergence_bound(1, p_lin))
 
-
-class TestBoundCurve:
-    def test_single_point_matches_bound(self):
-        p = params()
-        curve = bound_curve(1, p)
-        assert curve.values == ((1, convergence_bound(1, p)),)
-
-    def test_strictly_decreasing(self):
-        curve = bound_curve(500, params(mu=0.2, L=1.0, G=0.5, dist=2.0))
-        vals = [v for _, v in curve.values]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_doubling_g_quadruples_curve_without_distance_term(self):
-        lo = bound_curve(20, params(G=1.0, dist=0.0))
-        hi = bound_curve(20, params(G=2.0, dist=0.0))
-        for (_, a), (_, b) in zip(lo.values, hi.values):
-            assert b == pytest.approx(4.0 * a, rel=1e-12)
-
-    def test_degenerate_curve_rejected(self):
-        with pytest.raises(ValueError):
-            bound_curve(5, params(G=0.0, dist=0.0))
-
-    def test_curve_type_validates_monotonicity(self):
-        with pytest.raises(ValueError):
-            BoundCurve(values=((1, 2.0), (2, 2.0)))
-        with pytest.raises(ValueError):
-            BoundCurve(values=((1, 2.0), (2, -1.0)))
+    def test_doubling_g_quadruples_bound_without_distance_term(self):
+        lo, hi = params(G=1.0, dist=0.0), params(G=2.0, dist=0.0)
+        for t in range(1, 21):
+            expected = 4.0 * convergence_bound(t, lo)
+            assert convergence_bound(t, hi) == pytest.approx(expected, rel=1e-12)
 
 
 class TestInitialDistance:

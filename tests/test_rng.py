@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,21 @@ from fedbound.rng import _pcg64_states, derive_seed, normal_rows, spawn_rng
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
+
+
+def derive_seed_bytes_join(*parts):
+    """derive_seed as it was first written, one encoded part at a time; the
+    seeds of every saved run were derived this way."""
+    payload = b"\x1f".join(str(p).encode("utf-8") for p in parts)
+    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big") >> 1
+
+
+class TestDeriveSeed:
+    @given(st.lists(st.integers() | st.text(), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @example([-1, 2**63, 2**64 + 5, "", "probe", "\u00e9\u4e2d\U0001f600", 0])
+    def test_equals_bytes_join_form(self, parts):
+        assert derive_seed(*parts) == derive_seed_bytes_join(*parts)
 
 
 class TestNormalRows:
