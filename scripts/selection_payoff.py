@@ -2,12 +2,12 @@
 """Does picking nodes by probed constants pay off?
 
 Probes every node of the shipped ``configs/hetero_eight_nodes.cfg``
-federation, selects the config's ``selection.k`` nodes under a chosen policy
-(default: largest local L), trains one federation on the selected nodes and
-one on the rest for the config's rounds, and compares their final test
-losses. Selection sees only the probed (mu, L, G) triples, never dataset
-sizes or contents, and picks the nodes that the seed's selection.csv from
-``fedbound run`` lists for the policy.
+federation once per seed, selects the config's ``selection.k`` nodes under
+a chosen policy (default: largest local L), then trains the selected nodes
+and the rest as two federations from the same initial parameters and
+compares their final test losses. Selection sees only the probed (mu, L, G)
+triples, never dataset sizes or contents, and picks the nodes that the
+seed's selection.csv from ``fedbound run`` lists for the policy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from fedbound.analysis import select_nodes
 from fedbound.cli import node_datasets
 from fedbound.config import load_config
-from fedbound.flsim import probe_phase, run_federated_partitioned
+from fedbound.flsim import probe_phase, training_phase
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
 
@@ -42,7 +42,7 @@ def main() -> None:
     for seed in seeds:
         scenario = replace(cfg.scenario, seed=seed)
         test_data, nodes = node_datasets(cfg, seed)
-        _, _, node_constants, _ = probe_phase(scenario, nodes)
+        w1, _, node_constants, _ = probe_phase(scenario, nodes)
         selected = select_nodes(
             sorted(node_constants.items()), cfg.selection_k, args.policy, rng_seed=seed
         )
@@ -50,11 +50,9 @@ def main() -> None:
 
         finals = {}
         for name, subset in (("selected", selected), ("rest", rest)):
-            ids = sorted(subset)
-            run = run_federated_partitioned(
-                replace(scenario, n_nodes=len(ids)), test_data, [nodes[i] for i in ids]
-            )
-            finals[name] = run.rounds[-1].test_loss
+            subset_nodes = [nodes[i] for i in sorted(subset)]
+            rounds, _, _ = training_phase(scenario, w1, test_data, subset_nodes)
+            finals[name] = rounds[-1].test_loss
         chosen_losses.append(finals["selected"])
         rest_losses.append(finals["rest"])
         ids = ",".join(str(i) for i in sorted(selected))

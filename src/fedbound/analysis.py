@@ -35,24 +35,6 @@ class UsefulnessRecord:
             raise ValueError("usefulness must be finite")
 
 
-@dataclass(frozen=True)
-class CDFSeries:
-    """Empirical distribution function: sorted distinct values, fractions to 1."""
-
-    values: tuple[float, ...]
-    fractions: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.fractions) or not self.values:
-            raise ValueError("values and fractions must be nonempty and aligned")
-        if (np.diff(self.values) <= 0.0).any():
-            raise ValueError("values must be strictly ascending")
-        if (np.diff(self.fractions) <= 0.0).any():
-            raise ValueError("fractions must be strictly increasing")
-        if not 0.0 < self.fractions[0] <= 1.0 or self.fractions[-1] != 1.0:
-            raise ValueError("fractions must lie in (0, 1] and end at 1")
-
-
 def usefulness_from_rounds(rounds) -> list[UsefulnessRecord]:
     rounds = tuple(rounds)
     if not rounds:
@@ -65,11 +47,6 @@ def usefulness_from_rounds(rounds) -> list[UsefulnessRecord]:
         )
         for node_id in node_ids
     ]
-
-
-def node_usefulness(run: FLRun) -> list[UsefulnessRecord]:
-    """Per node, the arithmetic mean of usefulness deltas across all rounds."""
-    return usefulness_from_rounds(run.rounds)
 
 
 def _unit_centred(v: np.ndarray) -> np.ndarray:
@@ -127,15 +104,6 @@ def _cdf_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, fractions
 
 
-def empirical_cdf(values) -> CDFSeries:
-    """Standard empirical CDF: fraction at v = (count of samples <= v) / n."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("values must be nonempty")
-    distinct, fractions = _cdf_arrays(arr)
-    return CDFSeries(tuple(distinct.tolist()), tuple(fractions.tolist()))
-
-
 def select_nodes(estimates, k: int, policy: str, rng_seed: int | None = None) -> set[int]:
     """Pick k node ids by a constants-only policy; ties break by ascending id.
 
@@ -188,7 +156,7 @@ class ReportInputs:
 
 def report_inputs_from_run(run: FLRun) -> ReportInputs:
     return ReportInputs(
-        usefulness=tuple(node_usefulness(run)),
+        usefulness=tuple(usefulness_from_rounds(run.rounds)),
         node_constants=dict(run.node_constants),
         probe_g=run.probe_g_pooled(),
         training_g=run.training_g_pooled(),

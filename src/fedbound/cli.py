@@ -270,7 +270,7 @@ def _selftest_quadratic() -> bool:
     print(f"{'PASS' if ok_diag else 'FAIL'} quadratic probe bracket "
           f"(m in [{min(m_values):.6f}, {max(m_values):.6f}], expected [1, 4])")
     ident = quadratic_spec([1.0, 1.0, 1.0])
-    est = probe.estimate_constants(ident, data, 200, sampler, rng_seed=8)
+    est = probe.constants_from_samples(probe.collect_probes(ident, data, 200, sampler, rng_seed=8))
     ok_ident = abs(est.mu - 1.0) <= 1e-9 and abs(est.L - 1.0) <= 1e-9
     print(f"{'PASS' if ok_ident else 'FAIL'} identity curvature (mu={est.mu:.12f}, L={est.L:.12f})")
     return ok_diag and ok_ident
@@ -307,13 +307,26 @@ def _load_config_with_env(path: str) -> ExperimentConfig:
     cfg = load_config(path)
     env_seed = os.environ.get("FEDBOUND_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"FEDBOUND_SEED must be an integer, got {env_seed!r}") from None
         cfg = replace(
             cfg,
             scenario=replace(cfg.scenario, seed=seed),
             repeat_seeds=(seed,),
         )
     return cfg
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the full experiment pipeline")
     run_p.add_argument("--config", required=True, help="path to a key = value config file")
     run_p.add_argument("--out", default=None, help="override the output directory")
-    run_p.add_argument("--parallel", type=int, default=1, help="seeds to run in parallel")
+    run_p.add_argument("--parallel", type=_positive_int, default=1, help="seeds to run in parallel")
     run_p.set_defaults(func=_cmd_run)
 
     probe_p = sub.add_parser("probe", help="estimate constants only")

@@ -97,6 +97,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.repeat_seeds:
             raise ValueError("repeat_seeds must be nonempty")
+        # Two runs of one seed would write one run directory twice.
+        twice = [s for i, s in enumerate(self.repeat_seeds) if s in self.repeat_seeds[:i]]
+        if twice:
+            raise ValueError(
+                f"repeat_seeds must be distinct; seed {twice[0]} is listed more than once"
+            )
 
 
 @dataclass
@@ -262,14 +268,17 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
     if selection_k is not None and not 1 <= selection_k <= scenario.n_nodes:
         raise raw.error("selection.k", f"must lie in [1, {scenario.n_nodes}]")
 
-    return ExperimentConfig(
-        scenario=scenario,
-        dataset=dataset,
-        output_dir=out_path,
-        repeat_seeds=repeat_seeds,
-        scenario_name=raw.get("scenario.name", "default"),
-        selection_k=selection_k,
-    )
+    try:
+        return ExperimentConfig(
+            scenario=scenario,
+            dataset=dataset,
+            output_dir=out_path,
+            repeat_seeds=repeat_seeds,
+            scenario_name=raw.get("scenario.name", "default"),
+            selection_k=selection_k,
+        )
+    except ValueError as exc:
+        raise raw.field_error(exc) from exc
 
 
 def _first_set(raw: _RawConfig, *keys: str) -> str:

@@ -1,13 +1,13 @@
 """FedAvg state machine: partition, probe, local training, averaging, records.
 
-A run proceeds in two phases. First every node probes its local loss
-landscape at the initial parameter distribution, yielding per-node and
-worst-case global (mu, L, G) estimates. Then T rounds of broadcast,
-one-or-more local SGD epochs per node, and coordinate-wise averaging,
-with per-round losses, usefulness deltas, and gradient-norm traces kept
-for later analysis. Bound values per round are filled in after the run
-finishes, once the optimum proxy (the best-training-loss parameters seen
-anywhere in the run) is known.
+A run proceeds in three phases. :func:`probe_phase` probes every node's
+local loss landscape at the initial parameter distribution, yielding
+per-node and worst-case global (mu, L, G) estimates. :func:`training_phase`
+runs T rounds of broadcast, one-or-more local SGD epochs per node, and
+coordinate-wise averaging, keeping per-round losses, usefulness deltas, and
+gradient-norm traces for later analysis; it never reads the probes.
+:func:`bound_phase` then gives each round's bound value, once the optimum
+proxy (the best-training-loss parameters seen anywhere in the run) is known.
 
 Rounds run in lockstep: every node of a round starts from the same global
 vector, so the nodes that hold equally many rows train as one ``(P, dim)``
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -274,11 +274,6 @@ def local_round(
     return trained, deltas, traces
 
 
-def local_sgd_seed(cfg_seed: int, round_index: int, node_id: int, epoch: int) -> int:
-    """Seed of one node's SGD epoch within a round; for external reference runs."""
-    return derive_seed(derive_seed(cfg_seed, "round", round_index, node_id), epoch)
-
-
 def probe_phase(
     cfg: ScenarioConfig, node_datasets: Sequence[Dataset]
 ) -> tuple[
@@ -314,23 +309,22 @@ def probe_phase(
     return w1, probe_samples, node_constants, aggregate_global(node_constants.values())
 
 
-def run_federated_partitioned(
-    cfg: ScenarioConfig, test_data: Dataset, node_datasets
-) -> FLRun:
-    """The FedAvg engine, given already-built per-node datasets."""
-    nodes = list(node_datasets)
-    w1, probe_samples, node_constants, global_constants = probe_phase(cfg, nodes)
-    if cfg.local_epochs_per_round != 1:
-        warnings.warn(
-            "bound values assume one local epoch per round; this config uses "
-            f"{cfg.local_epochs_per_round}",
-            stacklevel=2,
-        )
+def training_phase(
+    cfg: ScenarioConfig, w1: ParamVector, test_data: Dataset, node_datasets: Sequence[Dataset]
+) -> tuple[tuple[RoundRecord, ...], ParamVector, ParamVector]:
+    """Phase 2 of a run: ``cfg.rounds`` FedAvg rounds from w1 over the given nodes.
 
-    data = round_data(nodes, test_data)
+    Node i of round t trains with seed ``derive_seed(cfg.seed, "round", t, i)``;
+    the probes are never read, so a subset of a run's nodes trains the same
+    whether or not they were probed first. Returns the round records (their
+    ``bound_value`` is NaN until :func:`bound_phase` gives it), the final
+    global parameters, and the optimum proxy: the parameters, w1 included,
+    with the lowest mean training loss over the nodes.
+    """
+    data = round_data(node_datasets, test_data)
 
     def train_loss_at(params: ParamVector) -> float:
-        per_node = np.empty(len(nodes))
+        per_node = np.empty(data.n_nodes)
         for group, rows in data.groups:
             per_node[group] = loss(cfg.model, np.tile(params, (len(group), 1)), rows)
         return float(np.mean(per_node))
@@ -338,48 +332,69 @@ def run_federated_partitioned(
     current = w1
     candidates = [(train_loss_at(w1), w1)]
     test_loss = loss(cfg.model, w1, test_data)
-    raw_rounds = []
+    records = []
     for t in range(1, cfg.rounds + 1):
-        seeds = [derive_seed(cfg.seed, "round", t, i) for i in range(len(nodes))]
+        seeds = [derive_seed(cfg.seed, "round", t, i) for i in range(data.n_nodes)]
         trained, deltas, node_traces = local_round(data, current, cfg, seeds, test_loss)
-        usefulness = dict(enumerate(deltas))
         current = fedavg(trained)
         train_loss = train_loss_at(current)
         test_loss = loss(cfg.model, current, test_data)
         candidates.append((train_loss, current))
-        raw_rounds.append(
-            dict(
+        records.append(
+            RoundRecord(
                 t=t,
                 train_loss=train_loss,
                 test_loss=test_loss,
-                per_node_usefulness=usefulness,
+                bound_value=float("nan"),
+                per_node_usefulness=dict(enumerate(deltas)),
                 training_g_values=tuple(map(tuple, node_traces)),
             )
         )
-
     wstar_proxy = min(candidates, key=lambda pair: pair[0])[1]
-    dist = estimate_initial_distance(w1, wstar_proxy)
-    if global_constants.mu > 0.0:
-        params = BoundParams(
-            mu=global_constants.mu,
-            L=global_constants.L,
-            G=global_constants.G,
-            init_distance=dist,
-            squared_distance=cfg.squared_distance,
+    return tuple(records), current, wstar_proxy
+
+
+def bound_phase(
+    cfg: ScenarioConfig, global_constants: ConstantsEstimate, init_distance: float
+) -> list[float]:
+    """Phase 3 of a run: the convergence bound of rounds 1..T, all NaN (with
+    a warning) unless the probed mu is positive. It assumes one local epoch
+    per round, and warns if the config runs more."""
+    if cfg.local_epochs_per_round != 1:
+        warnings.warn(
+            "bound values assume one local epoch per round; this config uses "
+            f"{cfg.local_epochs_per_round}",
+            stacklevel=3,
         )
-        bounds = {t: convergence_bound(t, params) for t in range(1, cfg.rounds + 1)}
-    else:
+    if not global_constants.mu > 0.0:
         warnings.warn(
             "probed mu is not positive; bound values are undefined for this run",
-            stacklevel=2,
+            stacklevel=3,
         )
-        bounds = {t: float("nan") for t in range(1, cfg.rounds + 1)}
+        return [float("nan")] * cfg.rounds
+    params = BoundParams(
+        mu=global_constants.mu,
+        L=global_constants.L,
+        G=global_constants.G,
+        init_distance=init_distance,
+        squared_distance=cfg.squared_distance,
+    )
+    return [convergence_bound(t, params) for t in range(1, cfg.rounds + 1)]
 
-    records = tuple(RoundRecord(bound_value=bounds[r["t"]], **r) for r in raw_rounds)
+
+def run_federated_partitioned(
+    cfg: ScenarioConfig, test_data: Dataset, node_datasets
+) -> FLRun:
+    """The FedAvg engine, given already-built per-node datasets: probe, train, bound."""
+    nodes = list(node_datasets)
+    w1, probe_samples, node_constants, global_constants = probe_phase(cfg, nodes)
+    rounds, final_params, wstar_proxy = training_phase(cfg, w1, test_data, nodes)
+    dist = estimate_initial_distance(w1, wstar_proxy)
+    bounds = bound_phase(cfg, global_constants, dist)
     return FLRun(
         config=cfg,
-        rounds=records,
-        final_params=current,
+        rounds=tuple(replace(r, bound_value=b) for r, b in zip(rounds, bounds)),
+        final_params=final_params,
         global_constants=global_constants,
         node_constants=node_constants,
         probe_samples=probe_samples,

@@ -172,19 +172,14 @@ def init_scales(spec: ModelSpec) -> np.ndarray:
     return np.full(dim, 1.0 / math.sqrt(dim))
 
 
-def draw_init_like(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
-    """One draw from the initialization distribution: i.i.d. zero-mean normal
-    entries with :func:`init_scales`.
+def init_params(spec: ModelSpec, seed: int) -> ParamVector:
+    """Deterministic fresh parameter vector for the given seed: i.i.d.
+    zero-mean normal entries with :func:`init_scales`.
 
     numpy draws ``rng.normal(0.0, s, n)`` as ``0.0 + s * z`` from the next n
     standard normals, so this is each layer's ``normal`` call, bit for bit.
     """
-    return 0.0 + init_scales(spec) * rng.standard_normal(param_dim(spec))
-
-
-def init_params(spec: ModelSpec, seed: int) -> ParamVector:
-    """Deterministic fresh parameter vector for the given seed."""
-    return draw_init_like(spec, spawn_rng("init", seed))
+    return 0.0 + init_scales(spec) * spawn_rng("init", seed).standard_normal(param_dim(spec))
 
 
 def _check_params(spec: ModelSpec, params: ParamVector, allow_stack: bool = False) -> np.ndarray:
@@ -422,19 +417,6 @@ def sgd_epoch_traced(
     if single:
         return current[0], [step[0] for step in norms]
     return current, norms
-
-
-def sgd_epoch(
-    spec: ModelSpec,
-    params: ParamVector,
-    data: Dataset,
-    lr: float,
-    batch_size: int,
-    rng_seed: int | Sequence[int],
-) -> ParamVector:
-    """One full shuffled pass of mini-batch SGD; deterministic given the seed."""
-    updated, _ = sgd_epoch_traced(spec, params, data, lr, batch_size, rng_seed)
-    return updated
 
 
 def finite_difference_gradient(

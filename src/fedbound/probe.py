@@ -28,7 +28,6 @@ from .model import (
     _loss_and_grad_stacked,
     gradient,
     init_scales,
-    loss,
     param_dim,
 )
 from .rng import derive_seed, normal_rows, spawn_rng
@@ -186,11 +185,6 @@ def compute_g(spec: ModelSpec, v: ParamVector, data: Dataset) -> float:
     return float(np.linalg.norm(gradient(spec, v, data)))
 
 
-def compute_g_loss_magnitude(spec: ModelSpec, v: ParamVector, data: Dataset) -> float:
-    """Alternative g reading: the loss magnitude |F(v)| instead of ||grad F(v)||."""
-    return abs(loss(spec, v, data))
-
-
 def probe_stack_size(spec: ModelSpec, data: Dataset) -> int:
     """Probes per stacked evaluation, from the size of one probe's intermediates."""
     return max(1, STACK_ELEMENTS // (len(data) * max(spec.hidden_width, spec.num_classes)))
@@ -316,22 +310,6 @@ def constants_from_samples(samples) -> ConstantsEstimate:
         L=max(s.m_value for s in samples),
         G=max(s.g_value for s in samples),
         n_probes=len(samples),
-    )
-
-
-def estimate_constants(
-    spec: ModelSpec,
-    data: Dataset,
-    n_probes: int,
-    sampler: ProbeSampler,
-    rng_seed: int,
-    g_formula: str = "gradient-norm",
-) -> ConstantsEstimate:
-    """Full probing procedure: draw pairs, collect (m, g), reduce to (mu, L, G)."""
-    if n_probes < 2:
-        raise ValueError("n_probes must be >= 2 (a single probe pins mu = L trivially)")
-    return constants_from_samples(
-        collect_probes(spec, data, n_probes, sampler, rng_seed, g_formula)
     )
 
 

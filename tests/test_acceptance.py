@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fedbound.analysis import (
-    correlate,
-    empirical_cdf,
-    node_usefulness,
-    select_nodes,
-    usefulness_from_rounds,
-)
+from fedbound.analysis import _cdf_arrays, correlate, select_nodes, usefulness_from_rounds
 from fedbound.bound import BoundParams, convergence_bound
 from fedbound.cli import main
 from fedbound.data import SyntheticSpec, gen_synthetic, gen_synthetic_nodes
@@ -25,7 +19,6 @@ from fedbound.flsim import (
     RoundRecord,
     ScenarioConfig,
     fedavg,
-    local_sgd_seed,
     partition_dataset,
     run_federated,
     run_federated_partitioned,
@@ -37,7 +30,7 @@ from fedbound.model import (
     init_params,
     mlp_spec,
     quadratic_spec,
-    sgd_epoch,
+    sgd_epoch_traced,
     softmax_spec,
 )
 from fedbound.probe import InitDistributionSampler, collect_probes, compute_g, compute_m
@@ -211,7 +204,8 @@ def test_04_single_node_run_equals_centralized_sgd():
     _, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
     w = init_params(model, derive_seed(cfg.seed, "init"))
     for t in range(1, 6):
-        w = sgd_epoch(model, w, nodes[0], cfg.lr, cfg.batch_size, local_sgd_seed(cfg.seed, t, 0, 0))
+        seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
+        w = sgd_epoch_traced(model, w, nodes[0], cfg.lr, cfg.batch_size, seed)[0]
     gap = float(np.abs(w - run.final_params).max())
     elapsed = time.perf_counter() - start
     ok = gap <= 1e-9 and elapsed < 30.0
@@ -277,7 +271,7 @@ def test_08_constants_correlate_with_usefulness(hetero_runs):
     spearman_l, spearman_g = [], []
     for seed in SEEDS:
         run, _, _ = runs[seed]
-        usefulness = np.array([r.usefulness for r in node_usefulness(run)])
+        usefulness = np.array([r.usefulness for r in usefulness_from_rounds(run.rounds)])
         l_values = np.array([run.node_constants[i].L for i in range(8)])
         g_values = np.array([run.node_constants[i].G for i in range(8)])
         spearman_l.append(correlate(l_values, usefulness)[1])
@@ -333,10 +327,12 @@ def test_10_unit_example_suite():
     assert pearson == pytest.approx(-1.0, abs=1e-12)
     assert spearman == pytest.approx(-1.0, abs=1e-12)
 
-    series = empirical_cdf([1.0, 2.0, 3.0])
-    assert series.fractions[1] == pytest.approx(2 / 3)
-    assert empirical_cdf([7.0, 7.0]).fractions == (1.0,)
-    assert empirical_cdf([3.0, 1.0, 2.0]) == empirical_cdf([1.0, 2.0, 3.0])
+    _, fractions = _cdf_arrays(np.array([1.0, 2.0, 3.0]))
+    assert fractions[1] == pytest.approx(2 / 3)
+    assert _cdf_arrays(np.array([7.0, 7.0]))[1].tolist() == [1.0]
+    shuffled = _cdf_arrays(np.array([3.0, 1.0, 2.0]))
+    ordered = _cdf_arrays(np.array([1.0, 2.0, 3.0]))
+    assert all(np.array_equal(a, b) for a, b in zip(shuffled, ordered))
 
     from fedbound.probe import ConstantsEstimate
 
@@ -361,7 +357,7 @@ def test_10_unit_example_suite():
         ),
         gen_synthetic(SyntheticSpec(num_classes=3, feature_dim=4, samples_per_class=30), 1),
     )
-    assert all(r.usefulness == 0.0 for r in node_usefulness(frozen_run))
+    assert all(r.usefulness == 0.0 for r in usefulness_from_rounds(frozen_run.rounds))
 
     w = np.array([1.0, -2.0])
     np.testing.assert_array_equal(fedavg([w, w.copy()]), w)

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbound.analysis import (
-    CDFSeries,
     ReportInputs,
     UsefulnessRecord,
     _average_ranks,
+    _cdf_arrays,
     correlate,
     correlation_rows,
-    empirical_cdf,
-    node_usefulness,
     report_inputs_from_dir,
     report_inputs_from_run,
     select_nodes,
@@ -63,14 +61,14 @@ def run_with_deltas(per_round_deltas):
 class TestNodeUsefulness:
     def test_mean_of_round_deltas(self):
         run = run_with_deltas([{0: 0.5}, {0: 0.3}])
-        records = node_usefulness(run)
+        records = usefulness_from_rounds(run.rounds)
         assert len(records) == 1
         assert records[0].node_id == 0
         assert records[0].usefulness == pytest.approx(0.4)
 
     def test_single_round_is_identity(self):
         run = run_with_deltas([{0: 0.7, 1: -0.2}])
-        records = node_usefulness(run)
+        records = usefulness_from_rounds(run.rounds)
         assert records[0].usefulness == pytest.approx(0.7)
         assert records[1].usefulness == pytest.approx(-0.2)
 
@@ -83,14 +81,14 @@ class TestNodeUsefulness:
             lr=0.0, batch_size=30, n_probes=2, seed=1,
         )
         run = run_federated(cfg, data)
-        assert all(r.usefulness == 0.0 for r in node_usefulness(run))
+        assert all(r.usefulness == 0.0 for r in usefulness_from_rounds(run.rounds))
 
     def test_concatenation_linearity(self):
         first = run_with_deltas([{0: 0.4}, {0: 0.8}])
         second = run_with_deltas([{0: -0.2}, {0: 0.6}])
         merged = usefulness_from_rounds(first.rounds + second.rounds)
-        a = node_usefulness(first)[0].usefulness
-        b = node_usefulness(second)[0].usefulness
+        a = usefulness_from_rounds(first.rounds)[0].usefulness
+        b = usefulness_from_rounds(second.rounds)[0].usefulness
         assert merged[0].usefulness == pytest.approx((a + b) / 2)
 
     def test_empty_rounds_rejected(self):
@@ -177,40 +175,37 @@ class TestCorrelate:
         assert cubed == pytest.approx(base, abs=1e-12)
 
 
+def cdf(values):
+    """``_cdf_arrays`` of ``values`` as two lists."""
+    distinct, fractions = _cdf_arrays(np.asarray(values, dtype=np.float64))
+    return distinct.tolist(), fractions.tolist()
+
+
 class TestEmpiricalCdf:
     def test_counting_example(self):
-        series = empirical_cdf([1.0, 2.0, 3.0])
-        assert series.values == (1.0, 2.0, 3.0)
-        assert series.fractions[1] == pytest.approx(2 / 3)
-        assert series.fractions[-1] == 1.0
+        values, fractions = cdf([1.0, 2.0, 3.0])
+        assert values == [1.0, 2.0, 3.0]
+        assert fractions[1] == pytest.approx(2 / 3)
+        assert fractions[-1] == 1.0
 
     def test_all_equal_single_step(self):
-        series = empirical_cdf([5.0, 5.0, 5.0])
-        assert series.values == (5.0,)
-        assert series.fractions == (1.0,)
+        assert cdf([5.0, 5.0, 5.0]) == ([5.0], [1.0])
 
     def test_order_invariant(self):
-        a = empirical_cdf([3.0, 1.0, 2.0, 1.0])
-        b = empirical_cdf([1.0, 1.0, 2.0, 3.0])
-        assert a == b
+        assert cdf([3.0, 1.0, 2.0, 1.0]) == cdf([1.0, 1.0, 2.0, 3.0])
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
+    def test_empty_gives_empty_arrays(self):
+        # A run with no samples of one kind writes a header-only CDF file.
+        assert cdf([]) == ([], [])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_valid_distribution_function(self, values):
-        series = empirical_cdf(values)
-        assert series.fractions[-1] == 1.0
-        assert all(b > a for a, b in zip(series.fractions, series.fractions[1:]))
-        assert all(b > a for a, b in zip(series.values, series.values[1:]))
-
-    def test_series_type_validates(self):
-        with pytest.raises(ValueError):
-            CDFSeries(values=(1.0, 1.0), fractions=(0.5, 1.0))
-        with pytest.raises(ValueError):
-            CDFSeries(values=(1.0, 2.0), fractions=(0.5, 0.9))
+        distinct, fractions = cdf(values)
+        assert len(distinct) == len(fractions)
+        assert all(b > a for a, b in zip(distinct, distinct[1:]))
+        assert all(b > a for a, b in zip(fractions, fractions[1:]))
+        assert 0.0 < fractions[0] and fractions[-1] == 1.0
 
 
 def estimates(**by_node):

@@ -215,6 +215,30 @@ class TestRunCommand:
         assert (out / "tiny_seed42").exists()
         assert not (out / "tiny_seed1").exists()
 
+    def test_bad_env_seed_exits_2_naming_it(self, tiny_config, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FEDBOUND_SEED", "abc")
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: FEDBOUND_SEED ")
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_repeat_seeds_exit_2_before_any_output(self, tiny_config, tmp_path, capsys):
+        tiny_config.write_text(TINY + "repeat_seeds = 1,1,2\n")
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(tiny_config), "--out", str(out), "--parallel", "3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 16: repeat_seeds: repeat_seeds must be distinct")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_parallel_below_one_exits_2(self, tiny_config, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--config", str(tiny_config), "--out", str(out), "--parallel", value])
+        assert excinfo.value.code == 2
+        assert "--parallel: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("scenario.n_nodes = nope\n")

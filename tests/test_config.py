@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,17 @@ class TestBuild:
         text = "scenario.n_nodes = 2\ndata.label_skew = 0.0, 0.5\n"
         cfg = build_experiment_config(parse_config_text(text))
         assert cfg.dataset.label_skew == (0.0, 0.5)
+
+    def test_duplicate_repeat_seeds_rejected_with_line(self):
+        text = "scenario.n_nodes = 3\nrepeat_seeds = 1,1,2\n"
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith("line 2: repeat_seeds: repeat_seeds must be distinct")
+        # A config built in code, as run_scenarios.py --seeds builds one, is checked too.
+        cfg = build_experiment_config(parse_config_text("scenario.n_nodes = 3\n"))
+        with pytest.raises(ValueError, match="seed 1 is listed more than once"):
+            replace(cfg, repeat_seeds=(1, 2, 1))
 
     def test_selection_k_range_checked(self):
         with pytest.raises(ConfigError):

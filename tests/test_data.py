@@ -10,7 +10,7 @@ from fedbound.data import (
     gen_synthetic_nodes,
     load_cifar10,
 )
-from fedbound.model import init_params, sgd_epoch, softmax_spec
+from fedbound.model import init_params, sgd_epoch_traced, softmax_spec
 
 
 class TestSynthetic:
@@ -60,7 +60,9 @@ class TestSynthetic:
         model = softmax_spec(8, 3, l2=0.001)
         params = init_params(model, 0)
         for epoch in range(100):
-            params = sgd_epoch(model, params, train, lr=1.0, batch_size=len(train), rng_seed=epoch)
+            params, _ = sgd_epoch_traced(
+                model, params, train, lr=1.0, batch_size=len(train), rng_seed=epoch
+            )
         weights = params[: 3 * 8].reshape(3, 8)
         bias = params[3 * 8 :]
         predictions = np.argmax(test.features @ weights.T + bias, axis=1)

@@ -8,7 +8,6 @@ from fedbound.flsim import (
     ScenarioConfig,
     fedavg,
     local_round,
-    local_sgd_seed,
     partition_dataset,
     round_data,
     run_federated,
@@ -19,7 +18,6 @@ from fedbound.model import (
     init_params,
     loss,
     mlp_spec,
-    sgd_epoch,
     sgd_epoch_traced,
     softmax_spec,
 )
@@ -230,8 +228,8 @@ class TestRunFederated:
         _, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
         for t in range(1, 6):
-            w = sgd_epoch(cfg.model, w, nodes[0], cfg.lr, cfg.batch_size,
-                          local_sgd_seed(cfg.seed, t, 0, 0))
+            seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
+            w = sgd_epoch_traced(cfg.model, w, nodes[0], cfg.lr, cfg.batch_size, seed)[0]
         assert np.abs(w - run.final_params).max() <= 1e-9
 
     def test_convex_single_node_full_batch_loss_nonincreasing(self):
@@ -292,7 +290,7 @@ class TestRunFederated:
                 for epoch in range(cfg.local_epochs_per_round):
                     wi, norms = sgd_epoch_traced(
                         cfg.model, wi, data, cfg.lr, cfg.batch_size,
-                        local_sgd_seed(cfg.seed, t, i, epoch),
+                        derive_seed(derive_seed(cfg.seed, "round", t, i), epoch),
                     )
                     trace.extend(norms)
                 locals_.append(wi)

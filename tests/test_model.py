@@ -17,7 +17,6 @@ from fedbound.model import (
     mlp_spec,
     param_dim,
     quadratic_spec,
-    sgd_epoch,
     sgd_epoch_traced,
     softmax_spec,
 )
@@ -49,7 +48,34 @@ class TestParamDim:
         assert param_dim(quadratic_spec([1.0, 2.0, 3.0])) == 3
 
 
+def _frozen_per_layer_init(spec, rng):
+    """The per-layer ``rng.normal`` draws ``init_params`` made before it drew
+    ``0.0 + init_scales(spec) * z``, kept verbatim as its oracle."""
+    d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
+    if spec.kind == "softmax":
+        return rng.normal(0.0, 1.0 / math.sqrt(d), k * d + k)
+    if spec.kind == "mlp":
+        first = rng.normal(0.0, 1.0 / math.sqrt(d), h * d + h)
+        second = rng.normal(0.0, 1.0 / math.sqrt(h), k * h + k)
+        return np.concatenate([first, second])
+    dim = len(spec.quad_diag)
+    return rng.normal(0.0, 1.0 / math.sqrt(dim), dim)
+
+
+SPECS = st.one_of(
+    st.builds(softmax_spec, st.integers(1, 40), st.integers(2, 12)),
+    st.builds(mlp_spec, st.integers(1, 40), st.integers(2, 12), st.integers(1, 30)),
+    st.builds(quadratic_spec, st.lists(st.floats(0.1, 10.0), min_size=1, max_size=30)),
+)
+
+
 class TestInitParams:
+    @given(spec=SPECS, seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_frozen_per_layer_draws_bit_for_bit(self, spec, seed):
+        drawn = init_params(spec, seed)
+        assert drawn.tobytes() == _frozen_per_layer_init(spec, spawn_rng("init", seed)).tobytes()
+
     def test_deterministic_given_seed(self):
         spec = mlp_spec(5, 3, 4)
         np.testing.assert_array_equal(init_params(spec, 9), init_params(spec, 9))
@@ -73,38 +99,6 @@ class TestInitParams:
         second = params[50 * 100 + 50 : 50 * 100 + 50 + 10 * 50]
         assert first.std() == pytest.approx(1.0 / math.sqrt(100), rel=0.1)
         assert second.std() == pytest.approx(1.0 / math.sqrt(50), rel=0.1)
-
-
-def _frozen_draw_init_like(spec, rng):
-    """The per-layer ``rng.normal`` body ``draw_init_like`` had before it drew
-    ``0.0 + init_scales(spec) * z``, kept verbatim as its oracle."""
-    d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
-    if spec.kind == "softmax":
-        return rng.normal(0.0, 1.0 / math.sqrt(d), k * d + k)
-    if spec.kind == "mlp":
-        first = rng.normal(0.0, 1.0 / math.sqrt(d), h * d + h)
-        second = rng.normal(0.0, 1.0 / math.sqrt(h), k * h + k)
-        return np.concatenate([first, second])
-    dim = len(spec.quad_diag)
-    return rng.normal(0.0, 1.0 / math.sqrt(dim), dim)
-
-
-SPECS = st.one_of(
-    st.builds(softmax_spec, st.integers(1, 40), st.integers(2, 12)),
-    st.builds(mlp_spec, st.integers(1, 40), st.integers(2, 12), st.integers(1, 30)),
-    st.builds(quadratic_spec, st.lists(st.floats(0.1, 10.0), min_size=1, max_size=30)),
-)
-
-
-class TestDrawInitLike:
-    @given(spec=SPECS, seed=st.integers(0, 2**63 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_frozen_per_layer_draws_bit_for_bit(self, spec, seed):
-        # Two draws in a row: the second starts where the first left the stream.
-        rng, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(2):
-            drawn = model.draw_init_like(spec, rng)
-            assert drawn.tobytes() == _frozen_draw_init_like(spec, frozen).tobytes()
 
 
 class TestLoss:
@@ -149,7 +143,7 @@ class TestLoss:
         params = init_params(spec, 0)
         losses = [loss(spec, params, data)]
         for epoch in range(30):
-            params = sgd_epoch(spec, params, data, lr=0.5, batch_size=n, rng_seed=epoch)
+            params = sgd_epoch_traced(spec, params, data, lr=0.5, batch_size=n, rng_seed=epoch)[0]
             losses.append(loss(spec, params, data))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
@@ -193,7 +187,7 @@ class TestGradient:
         spec = softmax_spec(4, 3, l2=0.05)
         params = init_params(spec, 2)
         for epoch in range(400):
-            params = sgd_epoch(spec, params, data, lr=0.5, batch_size=30, rng_seed=epoch)
+            params = sgd_epoch_traced(spec, params, data, lr=0.5, batch_size=30, rng_seed=epoch)[0]
         assert np.linalg.norm(gradient(spec, params, data)) < 1e-3
 
 
@@ -221,22 +215,22 @@ class TestSgdEpoch:
         spec = softmax_spec(4, 3)
         params = init_params(spec, 7)
         np.testing.assert_array_equal(
-            sgd_epoch(spec, params, data, lr=0.0, batch_size=4, rng_seed=1), params
+            sgd_epoch_traced(spec, params, data, lr=0.0, batch_size=4, rng_seed=1)[0], params
         )
 
     def test_quadratic_full_batch_scales_by_one_minus_lr(self):
         spec = quadratic_spec([1.0, 1.0])
         data = dummy_dataset(2)
         w = np.array([2.0, -4.0])
-        out = sgd_epoch(spec, w, data, lr=0.1, batch_size=len(data), rng_seed=0)
+        out = sgd_epoch_traced(spec, w, data, lr=0.1, batch_size=len(data), rng_seed=0)[0]
         np.testing.assert_allclose(out, 0.9 * w, rtol=1e-15)
 
     def test_reproducible_bit_for_bit(self):
         data = toy_dataset(n=20)
         spec = mlp_spec(4, 3, 5)
         params = init_params(spec, 3)
-        a = sgd_epoch(spec, params, data, lr=0.1, batch_size=6, rng_seed=42)
-        b = sgd_epoch(spec, params, data, lr=0.1, batch_size=6, rng_seed=42)
+        a = sgd_epoch_traced(spec, params, data, lr=0.1, batch_size=6, rng_seed=42)[0]
+        b = sgd_epoch_traced(spec, params, data, lr=0.1, batch_size=6, rng_seed=42)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_input_untouched(self):
@@ -244,7 +238,7 @@ class TestSgdEpoch:
         spec = softmax_spec(4, 3)
         params = init_params(spec, 1)
         before = params.copy()
-        sgd_epoch(spec, params, data, lr=0.3, batch_size=4, rng_seed=0)
+        sgd_epoch_traced(spec, params, data, lr=0.3, batch_size=4, rng_seed=0)[0]
         np.testing.assert_array_equal(params, before)
 
     def test_trace_has_one_norm_per_step(self):
@@ -258,15 +252,15 @@ class TestSgdEpoch:
         data = toy_dataset(n=5)
         spec = softmax_spec(4, 3)
         with pytest.raises(ValueError):
-            sgd_epoch(spec, init_params(spec, 0), data, 0.1, 6, 0)
+            sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 6, 0)[0]
         with pytest.raises(ValueError):
-            sgd_epoch(spec, init_params(spec, 0), data, 0.1, 0, 0)
+            sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 0, 0)[0]
 
     def test_negative_lr_rejected(self):
         data = toy_dataset()
         spec = softmax_spec(4, 3)
         with pytest.raises(ValueError):
-            sgd_epoch(spec, init_params(spec, 0), data, -0.1, 4, 0)
+            sgd_epoch_traced(spec, init_params(spec, 0), data, -0.1, 4, 0)[0]
 
     @pytest.mark.parametrize("stack", [None, 3])
     def test_overflow_mid_epoch_raises(self, monkeypatch, stack):
@@ -295,7 +289,7 @@ class TestSgdEpoch:
         data = Dataset(np.full((2 * blocks, 2), 0.5), np.zeros(2 * blocks, dtype=np.int64), 1)
         with pytest.raises(ValueError, match="non-finite parameters after 2 steps"):
             with np.errstate(over="ignore"):
-                sgd_epoch(spec, params, data, lr=1e200, batch_size=1, rng_seed=seeds)
+                sgd_epoch_traced(spec, params, data, lr=1e200, batch_size=1, rng_seed=seeds)[0]
 
     @pytest.mark.parametrize("stack", [None, 4])
     def test_one_gradient_call_per_step(self, monkeypatch, stack):

@@ -4,13 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbound import probe
+from fedbound.flsim import ScenarioConfig
 from fedbound.model import (
     Dataset,
     init_params,
     mlp_spec,
     param_dim,
     quadratic_spec,
-    sgd_epoch,
+    loss,
+    sgd_epoch_traced,
     softmax_spec,
 )
 from fedbound.probe import (
@@ -23,11 +25,9 @@ from fedbound.probe import (
     aggregate_global,
     collect_probes,
     compute_g,
-    compute_g_loss_magnitude,
     compute_m,
     constants_from_samples,
     draw_probe_pair,
-    estimate_constants,
     probe_stack_size,
     write_probes_csv,
 )
@@ -111,7 +111,7 @@ class TestComputeG:
         spec = softmax_spec(4, 3, l2=0.05)
         params = init_params(spec, 0)
         for epoch in range(400):
-            params = sgd_epoch(spec, params, data, lr=0.5, batch_size=30, rng_seed=epoch)
+            params = sgd_epoch_traced(spec, params, data, lr=0.5, batch_size=30, rng_seed=epoch)[0]
         assert compute_g(spec, params, data) < 1e-3
 
     def test_invariant_under_sample_reordering(self):
@@ -127,14 +127,14 @@ class TestComputeG:
         spec = quadratic_spec([2.0, 2.0])
         v = np.array([1.0, 1.0])
         # 0.5 * v^T diag(2,2) v = 2.
-        assert compute_g_loss_magnitude(spec, v, dummy_data(2)) == pytest.approx(2.0)
+        assert abs(loss(spec, v, dummy_data(2))) == pytest.approx(2.0)
 
 
 class TestEstimateConstants:
     def test_identity_quadratic_pins_mu_and_l(self):
         spec = quadratic_spec([1.0, 1.0, 1.0])
         data = dummy_data(3)
-        est = estimate_constants(spec, data, 50, InitDistributionSampler(), 3)
+        est = constants_from_samples(collect_probes(spec, data, 50, InitDistributionSampler(), 3))
         assert est.mu == pytest.approx(1.0, abs=1e-9)
         assert est.L == pytest.approx(1.0, abs=1e-9)
         # With H = I the gradient at v is v itself.
@@ -144,14 +144,15 @@ class TestEstimateConstants:
 
     def test_diag_quadratic_brackets_eigenvalues(self):
         spec = quadratic_spec([1.0, 4.0])
-        est = estimate_constants(spec, dummy_data(2), 1000, InitDistributionSampler(), 11)
+        est = constants_from_samples(
+            collect_probes(spec, dummy_data(2), 1000, InitDistributionSampler(), 11)
+        )
         assert 1.0 - 1e-9 <= est.mu <= est.L <= 4.0 + 1e-9
 
     def test_single_probe_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_constants(
-                quadratic_spec([1.0]), dummy_data(1), 1, InitDistributionSampler(), 0
-            )
+        # A single probe pins mu = L trivially; runs take n_probes from the config.
+        with pytest.raises(ValueError, match="n_probes"):
+            ScenarioConfig(n_nodes=1, samples_per_node=1, rounds=1, n_probes=1)
 
     def test_probe_failure_carries_index(self):
         spec = softmax_spec(3, 2)
@@ -165,16 +166,19 @@ class TestEstimateConstants:
     def test_monotone_refinement(self, extra, seed):
         spec = quadratic_spec([0.5, 2.5, 5.0])
         data = dummy_data(3)
-        small = estimate_constants(spec, data, 5, InitDistributionSampler(), seed)
-        big = estimate_constants(spec, data, 5 + extra, InitDistributionSampler(), seed)
+        sampler = InitDistributionSampler()
+        small = constants_from_samples(collect_probes(spec, data, 5, sampler, seed))
+        big = constants_from_samples(collect_probes(spec, data, 5 + extra, sampler, seed))
         assert big.mu <= small.mu
         assert big.L >= small.L
         assert big.G >= small.G
 
     def test_mu_never_exceeds_l(self):
         for seed in range(10):
-            est = estimate_constants(
-                quadratic_spec([1.0, 9.0]), dummy_data(2), 20, InitDistributionSampler(), seed
+            est = constants_from_samples(
+                collect_probes(
+                    quadratic_spec([1.0, 9.0]), dummy_data(2), 20, InitDistributionSampler(), seed
+                )
             )
             assert est.mu <= est.L
 
@@ -335,7 +339,7 @@ class TestStackedProbes:
         rng = spawn_rng("toy", 4)
         data = Dataset(rng.uniform(0, 1, (30, 5)), rng.integers(0, 3, 30), 3)
         small_stacks(monkeypatch, spec, data, 3)
-        g_of = compute_g if g_formula == "gradient-norm" else compute_g_loss_magnitude
+        g_of = compute_g if g_formula == "gradient-norm" else lambda *a: abs(loss(*a))
         perturb = GaussianPerturbationSampler(tuple(init_params(spec, 2)), 0.3)
         for sampler in (InitDistributionSampler(), perturb):
             samples = collect_probes(spec, data, 11, sampler, 9, g_formula)

@@ -1,13 +1,17 @@
 """The experiment scripts print what ``fedbound run`` writes for the shipped configs."""
 
 import os
+import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fedbound.cli import main
+from fedbound import flsim
+from fedbound.cli import main, node_datasets
+from fedbound.config import load_config
 from fedbound.csvio import read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,6 +59,35 @@ def test_selection_payoff_selects_the_top_l_row(hetero_run):
     rows = [line for line in run_script("selection_payoff.py", "--seeds", "1") if line[:1] == ["1"]]
     assert len(rows) == 1
     assert rows[0][1].split(",") == chosen["top-L"].split(";")
+
+
+def test_selection_payoff_losses_are_engine_runs_on_each_subset():
+    cfg = load_config(HETERO)
+    test_data, nodes = node_datasets(cfg, 1)
+    rows = [line for line in run_script("selection_payoff.py", "--seeds", "1") if line[:1] == ["1"]]
+    selected = [int(i) for i in rows[0][1].split(",")]
+    rest = sorted(set(range(len(nodes))) - set(selected))
+    expected = []
+    for ids in (selected, rest):
+        scenario = replace(cfg.scenario, seed=1, n_nodes=len(ids))
+        run = flsim.run_federated_partitioned(scenario, test_data, [nodes[i] for i in ids])
+        expected.append(format(run.rounds[-1].test_loss, ".4f"))
+    assert rows[0][2:4] == expected
+
+
+def test_selection_payoff_probes_each_seed_once(monkeypatch, capsys):
+    probed = []
+    probe_phase = flsim.probe_phase
+
+    def counting_probe_phase(cfg, nodes):
+        probed.append(cfg.seed)
+        return probe_phase(cfg, nodes)
+
+    monkeypatch.setattr(flsim, "probe_phase", counting_probe_phase)
+    monkeypatch.setattr(sys, "argv", ["selection_payoff.py", "--seeds", "1,2"])
+    runpy.run_path(str(ROOT / "scripts" / "selection_payoff.py"), run_name="__main__")
+    assert probed == [1, 2]
+    assert len(capsys.readouterr().out.splitlines()) == 6
 
 
 def test_run_scenarios_prints_one_row_per_scenario():
