@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedbound.cli import run_experiment
+from fedbound.cli import _seed_list, run_experiment
 from fedbound.config import load_config
 from fedbound.csvio import read_csv
 
@@ -30,7 +30,7 @@ COLUMNS = ("final_train_loss", "final_test_loss", "final_bound")
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default=None,
+    parser.add_argument("--seeds", type=_seed_list, default=None,
                         help="comma-separated seeds (default: each config's repeat_seeds)")
     args = parser.parse_args()
 
@@ -41,8 +41,7 @@ def main() -> None:
         for name in SCENARIOS:
             cfg = replace(load_config(CONFIG_DIR / f"{name}.cfg"), output_dir=Path(out) / name)
             if args.seeds:
-                seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-                cfg = replace(cfg, repeat_seeds=seeds)
+                cfg = replace(cfg, repeat_seeds=args.seeds)
             run_experiment(cfg)
             header, columns = read_csv(cfg.output_dir / "summary.csv")
             table = dict(zip(header, columns))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from fedbound.analysis import select_nodes
-from fedbound.cli import node_datasets
+from fedbound.cli import _seed_list, node_datasets
 from fedbound.config import load_config
 from fedbound.flsim import probe_phase, training_phase
 
@@ -29,17 +29,16 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.c
 def main() -> None:
     cfg = load_config(CONFIG)
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default=",".join(map(str, cfg.repeat_seeds)),
+    parser.add_argument("--seeds", type=_seed_list, default=cfg.repeat_seeds,
                         help="comma-separated seeds (default: the config's repeat_seeds)")
     parser.add_argument("--policy", default="top-L",
                         choices=("top-L", "top-G", "bottom-mu", "random"))
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
 
     print(f"{'seed':>6}{'selected':>20}{'selected loss':>15}{'rest loss':>12}")
     print("-" * 53)
     chosen_losses, rest_losses = [], []
-    for seed in seeds:
+    for seed in args.seeds:
         scenario = replace(cfg.scenario, seed=seed)
         test_data, nodes = node_datasets(cfg, seed)
         w1, _, node_constants, _ = probe_phase(scenario, nodes)

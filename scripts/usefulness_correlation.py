@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from fedbound.analysis import CONSTANT_NAMES, correlation_rows, report_inputs_from_run
-from fedbound.cli import run_one_seed
+from fedbound.cli import _seed_list, run_one_seed
 from fedbound.config import load_config
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
@@ -27,10 +27,9 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.c
 def main() -> None:
     cfg = load_config(CONFIG)
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default=",".join(map(str, cfg.repeat_seeds)),
+    parser.add_argument("--seeds", type=_seed_list, default=cfg.repeat_seeds,
                         help="comma-separated seeds (default: the config's repeat_seeds)")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
 
     header = (f"{'seed':>6}  {'pearson':>24}  {'spearman':>24}  "
               f"{'probe med':>10}{'train med':>10}")
@@ -38,7 +37,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     spearmans = []
-    for seed in seeds:
+    for seed in args.seeds:
         inputs = report_inputs_from_run(run_one_seed(cfg, seed))
         _, pearson, spearman, _ = zip(*correlation_rows(inputs))
         spearmans.append(spearman)

@@ -329,6 +329,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    """The scripts' ``--seeds``: one or more distinct integers, comma-separated."""
+    try:
+        seeds = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("must name at least one seed")
+    twice = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if twice:
+        raise argparse.ArgumentTypeError(f"seed {twice[0]} is listed more than once")
+    return seeds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedbound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -246,6 +246,26 @@ def _class_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
+# Two grow-only float64 scratch buffers for the kernel's class-sized
+# ``(P, n, k)`` intermediates. A probe stack's intermediate is a few hundred
+# KB, and glibc's dynamic mmap threshold settles at exactly that size, so a
+# fresh one per call is mmap'd, faulted in page by page and unmapped again:
+# about 4,000 minor faults per hetero-eight probe phase, against a handful
+# with these buffers. Each holds up to the largest intermediate seen so
+# far, for the life of the process. fedbound runs no threads (``--parallel``
+# uses processes), and the kernel returns no view of them.
+_scratch = [np.empty(0), np.empty(0)]
+
+
+def _scratch_views(stack: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """C-contiguous ``(stack, n, k)`` and ``(stack, k, n)`` views of the two
+    scratch buffers, each grown first if too small."""
+    size = stack * n * k
+    if _scratch[0].size < size:
+        _scratch[:] = [np.empty(size), np.empty(size)]
+    return _scratch[0][:size].reshape(stack, n, k), _scratch[1][:size].reshape(stack, k, n)
+
+
 def _loss_and_grad_stacked(
     spec: ModelSpec,
     W: np.ndarray,
@@ -272,7 +292,8 @@ def _loss_and_grad_stacked(
     passes over the classes; :func:`_class_sum` keeps the class sum in the
     order of a last-axis sum. Every matmul keeps its row-major operands
     (``feats @ weights.T``, ``err.T @ feats``, ...): turned around, BLAS
-    rounds some gradients differently.
+    rounds some gradients differently. Scratch slot 0 holds the logits
+    product, then the ``exp`` temporary, then ``err``; slot 1 holds ``logp_all``.
     """
     l2 = spec.l2_coefficient
     losses = grads = None
@@ -288,32 +309,38 @@ def _loss_and_grad_stacked(
 
     stack, n = W.shape[0], feats.shape[-2]
     d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
+    prod, logp_all = _scratch_views(stack, n, k)
     if spec.kind == "softmax":
         weights = W[:, : k * d].reshape(stack, k, d)
-        prod, bias = feats @ weights.transpose(0, 2, 1), W[:, k * d :]
+        np.matmul(feats, weights.transpose(0, 2, 1), out=prod)
+        bias = W[:, k * d :]
     else:
         o1, o2, o3 = h * d, h * d + h, h * d + h + k * h
         w1 = W[:, :o1].reshape(stack, h, d)
         b1 = W[:, None, o1:o2]
         w2 = W[:, o2:o3].reshape(stack, k, h)
         hidden = np.tanh(feats @ w1.transpose(0, 2, 1) + b1)
-        prod, bias = hidden @ w2.transpose(0, 2, 1), W[:, o3:]
+        np.matmul(hidden, w2.transpose(0, 2, 1), out=prod)
+        bias = W[:, o3:]
     # Class-major logits, shifted by their max and then by the log of their
     # exp-sum in place: ``logp_all[p, c, i]`` is log p(class c | row i).
-    logp_all = np.add(prod.transpose(0, 2, 1), bias[:, :, None], order="C")
+    # From here on ``prod`` is spent and its slot takes other temporaries.
+    np.add(prod.transpose(0, 2, 1), bias[:, :, None], out=logp_all)
     logp_all -= np.maximum.reduce(logp_all, axis=1)[:, None]
-    logp_all -= np.log(_class_sum(np.exp(logp_all)))[:, None]
-    # One gather serves shared and per-row labels; it returns a fresh (P, n) array.
-    which, rows = np.arange(stack)[:, None], np.arange(n)
-    logp = logp_all[which, labels, rows]
+    logp_all -= np.log(_class_sum(np.exp(logp_all, out=prod.reshape(stack, k, n))))[:, None]
+    # One flat index into ``logp_all`` serves shared and per-row labels:
+    # entry (p, i) is the offset of row i's true class in stack row p. It
+    # only copies values; ``take`` returns a fresh (P, n) array.
+    flat = np.ravel_multi_index((np.arange(stack)[:, None], labels, np.arange(n)), (stack, k, n))
+    logp = logp_all.reshape(-1).take(flat)
     if want_loss:
         losses = np.add.reduce(np.minimum(-logp, _LOG_CAP), axis=1) / n + penalty
     if not want_grad:
         return losses, None
 
     probs = np.exp(logp_all, out=logp_all)
-    probs[which, labels, rows] -= 1.0
-    err = np.divide(probs.transpose(0, 2, 1), n, order="C")
+    probs.reshape(-1)[flat] -= 1.0
+    err = np.divide(probs.transpose(0, 2, 1), n, out=prod)
     # Samples whose true-class probability is below the floor sit on the
     # capped (flat) branch of the loss and contribute no gradient.
     kept = logp >= -_LOG_CAP

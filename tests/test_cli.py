@@ -322,6 +322,30 @@ class TestGoldenRun:
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed2"]
         assert tree_digest(out) == self.MLP_PERTURB_DIGEST
 
+    def test_mlp_run_is_byte_identical_for_one_and_two_blas_threads(self, tmp_path):
+        # 200 rows x 32 features x 64 hidden units per product is above
+        # OpenBLAS's single-thread cut-off, so the second child splits its
+        # GEMMs over two threads; the kernel writes their results through
+        # ``out=`` into reused scratch buffers.
+        config = tmp_path / "mlp.cfg"
+        config.write_text(TINY + (
+            "model.kind = mlp\nmodel.hidden_width = 64\ndata.feature_dim = 32\n"
+            "scenario.samples_per_node = 200\nscenario.batch_size = 100\n"
+            "data.samples_per_class = 160\nprobe.n_probes = 20\nrepeat_seeds = 1\n"
+        ))
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "fedbound.cli", "run", "--config", str(config),
+                 "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                check=True, timeout=120,
+            )
+            digests.append(tree_digest(out))
+        assert digests[0] == digests[1]
+
 
 class TestUndefinedBound:
     # An MLP without l2, probed with 30 pairs, finds a negative m on every

@@ -464,6 +464,27 @@ def _frozen_loss_and_grad_stacked(
     return losses, grads
 
 
+def _kernel_call(kind, per_row, stack, n, d, k, h, l2, scale, seed):
+    """A spec, a ``(stack, dim)`` parameter stack and shared or per-row data."""
+    spec = _kernel_case(kind, d, k, h, l2, seed)
+    rng = np.random.default_rng(seed + 1)
+    shape = (stack, n) if per_row else (n,)
+    feats, labels = rng.uniform(0, 1, (*shape, d)), rng.integers(0, k, shape)
+    return spec, rng.normal(0.0, scale, (stack, param_dim(spec))), feats, labels
+
+
+def _assert_matches_frozen(spec, W, feats, labels, want_grad, want_loss):
+    """The kernel's outputs are the frozen kernel's bit for bit, zero signs included."""
+    got = _loss_and_grad_stacked(spec, W, feats, labels, want_grad, want_loss)
+    expected = _frozen_loss_and_grad_stacked(spec, W, feats, labels, want_grad, want_loss)
+    for new, old in zip(got, expected):
+        if old is None:
+            assert new is None
+        else:
+            np.testing.assert_array_equal(new, old)
+            np.testing.assert_array_equal(np.signbit(new), np.signbit(old))
+
+
 class TestFrozenKernel:
     @given(
         kind=st.sampled_from(["softmax", "mlp"]),
@@ -484,20 +505,8 @@ class TestFrozenKernel:
     ):
         # k >= 8 takes the eight-accumulator class sum; a large scale pushes
         # samples onto the capped branch of the loss.
-        spec = _kernel_case(kind, d, k, h, l2, seed)
-        rng = np.random.default_rng(seed + 1)
-        shape = (stack, n) if per_row else (n,)
-        feats, labels = rng.uniform(0, 1, (*shape, d)), rng.integers(0, k, shape)
-        W = rng.normal(0.0, scale, (stack, param_dim(spec)))
-        want_grad, want_loss = want
-        got = _loss_and_grad_stacked(spec, W, feats, labels, want_grad, want_loss)
-        expected = _frozen_loss_and_grad_stacked(spec, W, feats, labels, want_grad, want_loss)
-        for new, old in zip(got, expected):
-            if old is None:
-                assert new is None
-            else:
-                np.testing.assert_array_equal(new, old)
-                np.testing.assert_array_equal(np.signbit(new), np.signbit(old))
+        call = _kernel_call(kind, per_row, stack, n, d, k, h, l2, scale, seed)
+        _assert_matches_frozen(*call, *want)
 
     @pytest.mark.parametrize("k", [7, 8, 9, 16, 23, 128, 129, 200])
     def test_class_sum_boundaries(self, k):
@@ -511,6 +520,59 @@ class TestFrozenKernel:
         expected = _frozen_loss_and_grad_stacked(spec, W, feats, labels, True)
         for new, old in zip(got, expected):
             np.testing.assert_array_equal(new, old)
+
+
+_SCRATCH_CALL = st.tuples(
+    st.sampled_from(["softmax", "mlp"]),
+    st.booleans(),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([0.0, 0.03]),
+    st.sampled_from([0.3, 40.0]),
+    st.integers(min_value=0, max_value=2**16),
+)
+
+
+class TestScratchBuffers:
+    @given(
+        calls=st.lists(_SCRATCH_CALL, min_size=4, max_size=7),
+        wants=st.lists(
+            st.sampled_from([(True, True), (True, False), (False, True)]), min_size=7, max_size=7
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_calls_that_grow_shrink_and_grow_match_frozen_kernel(self, calls, wants):
+        # Ordered by the size of the (P, n, k) intermediates: the middle calls
+        # grow, the smallest shrinks, the largest grows past all of them. The
+        # buffers start empty, so the first and last calls grow them.
+        by_size = sorted(calls, key=lambda call: call[2] * call[3] * call[5])
+        model._scratch[:] = [np.empty(0), np.empty(0)]
+        for call, want in zip([*by_size[1:-1], by_size[0], by_size[-1]], wants):
+            _assert_matches_frozen(*_kernel_call(*call), *want)
+
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_outputs_outlive_later_calls_and_share_no_scratch(self, kind, per_row):
+        # Bigger, smaller, then bigger again than the first; scale 40 puts
+        # samples on the capped branch, where ``err`` is zeroed in scratch.
+        shapes = [(6, 40, 5), (9, 50, 7), (2, 10, 3), (12, 60, 9)]
+        kept = []
+        for i, (stack, n, k) in enumerate(shapes):
+            spec, W, feats, labels = _kernel_call(kind, per_row, stack, n, 4, k, 6, 0.03, 40.0, i)
+            outputs = [
+                *_loss_and_grad_stacked(spec, W, feats, labels, True),
+                _loss_and_grad_stacked(spec, W, feats, labels, False)[0],
+                _loss_and_grad_stacked(spec, W, feats, labels, True, want_loss=False)[1],
+            ]
+            for out in outputs:
+                for buf in model._scratch:
+                    assert not np.shares_memory(out, buf)
+            kept.extend((out, out.copy()) for out in outputs)
+        for out, copy in kept:
+            np.testing.assert_array_equal(out, copy)
 
 
 def _blocks_case(kind, stack, n, d, k, h, l2, scale, seed):

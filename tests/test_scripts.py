@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fedbound import flsim
+from fedbound import cli, flsim
 from fedbound.cli import main, node_datasets
 from fedbound.config import load_config
 from fedbound.csvio import read_csv
@@ -94,3 +94,23 @@ def test_run_scenarios_prints_one_row_per_scenario():
     lines = run_script("run_scenarios.py", "--seeds", "1")
     rows = [line[0] for line in lines if len(line) == 5 and line[1] == "1"]
     assert rows == ["five_nodes", "ten_nodes", "five_nodes_missing_class"]
+
+
+@pytest.mark.parametrize("script, work", [
+    ("selection_payoff.py", (flsim, "probe_phase")),
+    ("usefulness_correlation.py", (cli, "run_one_seed")),
+    ("run_scenarios.py", (cli, "run_experiment")),
+])
+@pytest.mark.parametrize("seeds", ["1,1", "2,3,2", "abc", "1,2.5", "", ","])
+def test_bad_seeds_exit_2_before_any_work(monkeypatch, capsys, script, work, seeds):
+    # Duplicate, non-integer and empty seed lists; no seed may start.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a seed started")
+
+    monkeypatch.setattr(*work, no_work)
+    monkeypatch.setattr(sys, "argv", [script, "--seeds", seeds])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --seeds" in err
