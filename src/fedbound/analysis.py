@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, parse_config_text
+from .config import _read_echo
 from .csvio import read_csv, write_csv
 from .flsim import FLRun
 from .probe import ConstantsEstimate
@@ -212,21 +212,8 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     source, _, values = _read_columns(run_dir / "gtrace.csv", (object, None, np.float64))
     probe_g = values[source == "probe"]
     training_g = values[source == "training"]
-    config_file = run_dir / "config.txt"
-    try:
-        config = parse_config_text(config_file.read_text(encoding="utf-8"))
-    except ConfigError as exc:
-        raise ValueError(f"{config_file}: {exc}") from exc
-    seed = int(config.get("scenario.seed", "0"))
-    selection_k = config.get("selection.k")
-    return ReportInputs(
-        usefulness,
-        node_constants,
-        probe_g,
-        training_g,
-        seed,
-        None if selection_k is None else int(selection_k),
-    )
+    seed, selection_k = _read_echo(run_dir / "config.txt")
+    return ReportInputs(usefulness, node_constants, probe_g, training_g, seed, selection_k)
 
 
 def _constant_values(inputs: ReportInputs, quantity: str) -> np.ndarray:

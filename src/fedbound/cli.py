@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, flsim, probe
 from .bound import BoundParams, convergence_bound
-from .config import CifarSource, ConfigError, ExperimentConfig, load_config
+from .config import CifarSource, ConfigError, ExperimentConfig, echo_lines, load_config
 from .csvio import write_csv
 from .data import gen_synthetic, gen_synthetic_nodes, load_cifar10
 from .model import (
@@ -85,32 +85,6 @@ def run_one_seed(cfg: ExperimentConfig, seed: int) -> flsim.FLRun:
     return flsim.run_federated_partitioned(scenario, *node_datasets(cfg, seed))
 
 
-def _dataset_echo(cfg: ExperimentConfig) -> dict[str, str]:
-    if isinstance(cfg.dataset, CifarSource):
-        return {
-            "data.source": "cifar10",
-            "data.cifar_path": str(cfg.dataset.path),
-            "data.cifar_pool": str(cfg.dataset.pool),
-            "data.cifar_grayscale": "true" if cfg.dataset.grayscale else "false",
-        }
-    spec = cfg.dataset
-    echo = {
-        "data.source": "synthetic",
-        "data.num_classes": str(spec.num_classes),
-        "data.feature_dim": str(spec.feature_dim),
-        "data.samples_per_class": str(spec.samples_per_class),
-        "data.separation": format(spec.separation, ".9g"),
-        "data.noise_sigma": format(spec.noise_sigma, ".9g"),
-    }
-    if spec.label_skew:
-        echo["data.label_skew"] = ",".join(format(s, ".9g") for s in spec.label_skew)
-    if spec.noise_mult:
-        echo["data.noise_mult"] = ",".join(format(m, ".9g") for m in spec.noise_mult)
-    if spec.feature_scale:
-        echo["data.feature_scale"] = ",".join(format(s, ".9g") for s in spec.feature_scale)
-    return echo
-
-
 def _replace_dir(tmp_dir: Path, final_dir: Path) -> None:
     """Rename ``tmp_dir`` to ``final_dir``; a previous ``final_dir`` survives a failed swap.
 
@@ -144,10 +118,7 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> tuple:
     tmp_dir = cfg.output_dir / f".tmp-{run_name}"
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
-    extra = {"scenario.name": cfg.scenario_name, **_dataset_echo(cfg)}
-    if cfg.selection_k is not None:
-        extra["selection.k"] = str(cfg.selection_k)
-    flsim.save_run(run, tmp_dir, extra_config=extra)
+    flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=run.config)))
     inputs = replace(analysis.report_inputs_from_run(run), selection_k=cfg.selection_k)
     analysis.write_reports(tmp_dir, inputs)
     _replace_dir(tmp_dir, final_dir)
@@ -174,9 +145,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
 
     Every seed runs, serial or parallel, even after one fails. summary.csv
     then holds the rows of the seeds that completed (it is left alone if
-    none did), and a ``ValueError`` names the first seed that failed.
+    none did), and a ``ValueError`` names the first seed that failed. The
+    first seed to save its run makes the output directory.
     """
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     seeds = list(cfg.repeat_seeds)
     if parallel > 1 and len(seeds) > 1:
         # Imported here: it loads multiprocessing, which costs every other

@@ -3,68 +3,23 @@
 The format is one ``key = value`` per line with ``#`` comments and dotted
 keys for nesting; no external parser needed. Validation errors carry the
 offending line number.
+
+One table per dataclass names each key, the field it sets, its parser and
+its default. The tables drive the typed reads, the line a field check names,
+and :func:`echo_lines`, the ``config.txt`` of a run that ``report`` reads back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Any
 
+from .csvio import fmt_value
 from .data import SyntheticSpec
-from .flsim import PROBE_SAMPLER_KINDS, ScenarioConfig, held_out_size
-from .model import mlp_spec, softmax_spec
-from .probe import G_FORMULAS
-
-_MODEL_KIND_ALIASES = {
-    "softmax": "softmax",
-    "softmax-regression": "softmax",
-    "mlp": "mlp",
-    "one-hidden-layer-mlp": "mlp",
-}
-
-# Every key build_experiment_config reads, under any data.source.
-KNOWN_KEYS = frozenset(
-    {
-        "data.source",
-        "data.num_classes",
-        "data.feature_dim",
-        "data.samples_per_class",
-        "data.separation",
-        "data.noise_sigma",
-        "data.label_skew",
-        "data.noise_mult",
-        "data.feature_scale",
-        "data.cifar_path",
-        "data.cifar_pool",
-        "data.cifar_grayscale",
-        "model.kind",
-        "model.l2",
-        "model.hidden_width",
-        "scenario.name",
-        "scenario.n_nodes",
-        "scenario.samples_per_node",
-        "scenario.rounds",
-        "scenario.lr",
-        "scenario.batch_size",
-        "scenario.local_epochs_per_round",
-        "scenario.missing_classes",
-        "scenario.test_fraction",
-        "scenario.seed",
-        "probe.n_probes",
-        "probe.sampler",
-        "probe.perturb_sigma",
-        "probe.g_formula",
-        "bound.squared_distance",
-        "output.dir",
-        "repeat_seeds",
-        "selection.k",
-    }
-)
-
-
-# SyntheticSpec and ScenarioConfig start each error message with the name of
-# the field at fault, which is the last part of the key that sets it.
-_KEY_OF_FIELD = {key.rsplit(".", 1)[-1]: key for key in KNOWN_KEYS}
+from .flsim import ScenarioConfig, held_out_size
+from .model import ModelSpec
 
 
 class ConfigError(ValueError):
@@ -81,6 +36,15 @@ class CifarSource:
     path: Path
     pool: int = 1
     grayscale: bool = False
+    num_classes = 10  # a class attribute, not a field
+
+    def __post_init__(self):
+        if self.pool < 1 or 32 % self.pool != 0:
+            raise ValueError(f"pool {self.pool} must divide 32")
+
+    @property
+    def feature_dim(self) -> int:
+        return (1 if self.grayscale else 3) * (32 // self.pool) ** 2
 
 
 @dataclass(frozen=True)
@@ -103,34 +67,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"repeat_seeds must be distinct; seed {twice[0]} is listed more than once"
             )
-
-
-@dataclass
-class _RawConfig:
-    values: dict[str, str] = field(default_factory=dict)
-    lines: dict[str, int] = field(default_factory=dict)
-
-    def error(self, key: str, message: str):
-        return ConfigError(f"{key}: {message}", self.lines.get(key))
-
-    def field_error(self, exc: ValueError) -> ConfigError:
-        """A field validation error, pointing at the line of the key that set it."""
-        key = _KEY_OF_FIELD.get(str(exc).split(" ", 1)[0])
-        if key is None:
-            return ConfigError(str(exc))
-        return self.error(key, str(exc))
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
-    def typed(self, key: str, caster, default):
-        raw = self.values.get(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return caster(raw)
-        except (TypeError, ValueError) as exc:
-            raise self.error(key, f"cannot parse {raw!r}: {exc}") from exc
+        n = self.scenario.n_nodes
+        if self.selection_k is not None and not 1 <= self.selection_k <= n:
+            raise ValueError(f"selection_k must lie in [1, {n}]")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -146,8 +85,136 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
 
+def _parse_int_set(raw: str) -> frozenset[int]:
+    return frozenset(_parse_int_list(raw))
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
+
+
+_MODEL_KIND_ALIASES = {
+    "softmax": "softmax",
+    "softmax-regression": "softmax",
+    "mlp": "mlp",
+    "one-hidden-layer-mlp": "mlp",
+}
+
+
+def _parse_model_kind(raw: str) -> str:
+    if raw not in _MODEL_KIND_ALIASES:
+        raise ValueError(f"unknown model kind {raw!r}")
+    return _MODEL_KIND_ALIASES[raw]
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A config key; one without a parser is echoed but never read."""
+
+    name: str
+    field: str
+    parse: Callable[[str], Any] | None = None
+    default: Any = None
+
+
+def _table(*keys: _Key) -> dict[str, _Key]:
+    """Keys by the field they set, in echo order."""
+    return {key.field: key for key in keys}
+
+
+_SCENARIO_KEYS = _table(
+    _Key("scenario.n_nodes", "n_nodes", int, 5),
+    _Key("scenario.samples_per_node", "samples_per_node", int, 200),
+    _Key("scenario.rounds", "rounds", int, 30),
+    _Key("scenario.lr", "lr", float, 0.05),
+    _Key("scenario.batch_size", "batch_size", int, 32),
+    _Key("scenario.local_epochs_per_round", "local_epochs_per_round", int, 1),
+    _Key("scenario.missing_classes", "missing_classes", _parse_int_set, frozenset()),
+    _Key("scenario.test_fraction", "test_fraction", float, 0.1),
+    _Key("scenario.seed", "seed", int, 0),
+    _Key("probe.n_probes", "n_probes", int, 100),
+    _Key("probe.sampler", "probe_sampler", str, "init"),
+    _Key("probe.perturb_sigma", "perturb_sigma", float, 0.1),
+    _Key("probe.g_formula", "g_formula", str, "gradient-norm"),
+    _Key("bound.squared_distance", "squared_distance", _parse_bool, False),
+)
+# The data source fixes the feature dimension and the class count.
+_MODEL_KEYS = _table(
+    _Key("model.kind", "kind", _parse_model_kind, "softmax"),
+    _Key("model.feature_dim", "feature_dim"),
+    _Key("model.num_classes", "num_classes"),
+    _Key("model.hidden_width", "hidden_width", int, 16),
+    _Key("model.l2", "l2_coefficient", float, 0.01),
+)
+_SYNTHETIC_KEYS = _table(
+    _Key("data.num_classes", "num_classes", int, 4),
+    _Key("data.feature_dim", "feature_dim", int, 8),
+    _Key("data.samples_per_class", "samples_per_class", int, 400),
+    _Key("data.separation", "separation", float, 0.7),
+    _Key("data.noise_sigma", "noise_sigma", float, 0.12),
+    _Key("data.label_skew", "label_skew", _parse_float_list, ()),
+    _Key("data.noise_mult", "noise_mult", _parse_float_list, ()),
+    _Key("data.feature_scale", "feature_scale", _parse_float_list, ()),
+)
+_CIFAR_KEYS = _table(
+    _Key("data.cifar_path", "path", Path),
+    _Key("data.cifar_pool", "pool", int, 1),
+    _Key("data.cifar_grayscale", "grayscale", _parse_bool, False),
+)
+_SOURCE = _Key("data.source", "dataset", str, "synthetic")
+_SOURCES = {"synthetic": (SyntheticSpec, _SYNTHETIC_KEYS), "cifar10": (CifarSource, _CIFAR_KEYS)}
+# ExperimentConfig fields that describe one run, so its config.txt records them.
+_RUN_KEYS = _table(
+    _Key("scenario.name", "scenario_name", str, "default"),
+    _Key("selection.k", "selection_k", int),
+)
+# Where the runs go and which seeds run; no one run directory records them.
+_SWEEP_KEYS = _table(
+    _Key("output.dir", "output_dir", Path, Path("runs")),
+    _Key("repeat_seeds", "repeat_seeds", _parse_int_list),
+)
+
+_TABLES = (
+    _table(_SOURCE), _SCENARIO_KEYS, _MODEL_KEYS,
+    _SYNTHETIC_KEYS, _CIFAR_KEYS, _RUN_KEYS, _SWEEP_KEYS,
+)
+# Every key build_experiment_config reads, under any data.source.
+KNOWN_KEYS = frozenset(k.name for table in _TABLES for k in table.values() if k.parse is not None)
+
+
+@dataclass
+class _RawConfig:
+    values: dict[str, str] = field(default_factory=dict)
+    lines: dict[str, int] = field(default_factory=dict)
+
+    def error(self, key: str, message: str):
+        return ConfigError(f"{key}: {message}", self.lines.get(key))
+
+    def read(self, key: _Key):
+        """The typed value of ``key``; an unset or empty key takes its default."""
+        raw = self.values.get(key.name)
+        if raw is None or raw == "":
+            return key.default
+        try:
+            return key.parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise self.error(key.name, f"cannot parse {raw!r}: {exc}") from exc
+
+    def build(self, cls, keys: dict[str, _Key], **given):
+        """``cls`` from the values of ``keys`` and the ``given`` fields. The class
+        checks its fields, each message starting with the field's name."""
+        fields = {name: self.read(key) for name, key in keys.items() if key.parse is not None}
+        try:
+            return cls(**{**fields, **given})
+        except ValueError as exc:
+            key = keys.get(str(exc).split(" ", 1)[0])
+            if key is None:
+                raise ConfigError(str(exc)) from exc
+            raise self.error(key.name, str(exc)) from exc
+
+    def first_set(self, *keys: _Key) -> str:
+        """The first of ``keys`` the config sets, so an error can name its line."""
+        return next((key.name for key in keys if key.name in self.lines), keys[0].name)
 
 
 def parse_config_text(text: str) -> _RawConfig:
@@ -176,140 +243,60 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
         if key not in KNOWN_KEYS:
             raise raw.error(key, "unknown key")
 
-    source = raw.get("data.source", "synthetic")
-    if source == "synthetic":
-        knobs = dict(
-            num_classes=raw.typed("data.num_classes", int, 4),
-            feature_dim=raw.typed("data.feature_dim", int, 8),
-            samples_per_class=raw.typed("data.samples_per_class", int, 400),
-            separation=raw.typed("data.separation", float, 0.7),
-            noise_sigma=raw.typed("data.noise_sigma", float, 0.12),
-            label_skew=raw.typed("data.label_skew", _parse_float_list, ()),
-            noise_mult=raw.typed("data.noise_mult", _parse_float_list, ()),
-            feature_scale=raw.typed("data.feature_scale", _parse_float_list, ()),
-        )
-        try:
-            dataset = SyntheticSpec(**knobs)
-        except ValueError as exc:
-            raise raw.field_error(exc) from exc
-        num_classes = dataset.num_classes
-        feature_dim = dataset.feature_dim
-    elif source == "cifar10":
-        path = raw.get("data.cifar_path")
-        if not path:
-            raise raw.error("data.source", "cifar10 source needs data.cifar_path")
-        pool = raw.typed("data.cifar_pool", int, 1)
-        grayscale = raw.typed("data.cifar_grayscale", _parse_bool, False)
-        if pool < 1 or 32 % pool != 0:
-            raise raw.error("data.cifar_pool", f"pool {pool} must divide 32")
-        dataset = CifarSource(Path(path), pool, grayscale)
-        num_classes = 10
-        channels = 1 if grayscale else 3
-        feature_dim = channels * (32 // pool) ** 2
-    else:
-        raise raw.error("data.source", f"unknown source {source!r}")
+    source = raw.read(_SOURCE)
+    if source not in _SOURCES:
+        raise raw.error(_SOURCE.name, f"unknown source {source!r}")
+    cls, keys = _SOURCES[source]
+    if cls is CifarSource and raw.read(keys["path"]) is None:
+        raise raw.error(_SOURCE.name, f"{source} source needs {keys['path'].name}")
+    dataset = raw.build(cls, keys)
 
-    kind_raw = raw.get("model.kind", "softmax")
-    kind = _MODEL_KIND_ALIASES.get(kind_raw)
-    if kind is None:
-        raise raw.error("model.kind", f"unknown model kind {kind_raw!r}")
-    l2 = raw.typed("model.l2", float, 0.01)
-    hidden = raw.typed("model.hidden_width", int, 16)
-    if kind == "softmax":
-        model = softmax_spec(feature_dim, num_classes, l2=l2)
-    else:
-        model = mlp_spec(feature_dim, num_classes, hidden, l2=l2)
-
-    missing = raw.typed("scenario.missing_classes", _parse_int_list, ())
-    for c in missing:
-        if c < 0 or c >= num_classes:
-            raise raw.error(
-                "scenario.missing_classes", f"class {c} outside [0, {num_classes})"
-            )
-
-    sampler = raw.get("probe.sampler", "init")
-    if sampler not in PROBE_SAMPLER_KINDS:
-        raise raw.error("probe.sampler", f"must be one of {PROBE_SAMPLER_KINDS}")
-    g_formula = raw.get("probe.g_formula", "gradient-norm")
-    if g_formula not in G_FORMULAS:
-        raise raw.error("probe.g_formula", f"must be one of {G_FORMULAS}")
-
-    settings = dict(
-        n_nodes=raw.typed("scenario.n_nodes", int, 5),
-        samples_per_node=raw.typed("scenario.samples_per_node", int, 200),
-        rounds=raw.typed("scenario.rounds", int, 30),
-        model=model,
-        lr=raw.typed("scenario.lr", float, 0.05),
-        batch_size=raw.typed("scenario.batch_size", int, 32),
-        local_epochs_per_round=raw.typed("scenario.local_epochs_per_round", int, 1),
-        missing_classes=frozenset(missing),
-        test_fraction=raw.typed("scenario.test_fraction", float, 0.1),
-        n_probes=raw.typed("probe.n_probes", int, 100),
-        probe_sampler=sampler,
-        perturb_sigma=raw.typed("probe.perturb_sigma", float, 0.1),
-        g_formula=g_formula,
-        squared_distance=raw.typed("bound.squared_distance", _parse_bool, False),
-        seed=raw.typed("scenario.seed", int, 0),
+    model = raw.build(
+        ModelSpec, _MODEL_KEYS, feature_dim=dataset.feature_dim, num_classes=dataset.num_classes
     )
-    try:
-        scenario = ScenarioConfig(**settings)
-    except ValueError as exc:
-        raise raw.field_error(exc) from exc
+    if model.kind == "softmax":
+        # A softmax model has no hidden layer, whatever model.hidden_width says.
+        model = replace(model, hidden_width=0)
+    scenario = raw.build(ScenarioConfig, _SCENARIO_KEYS, model=model)
     _check_sizes(raw, scenario, dataset)
 
-    out = raw.get("output.dir", "runs")
-    out_path = Path(out)
-    if not out_path.is_absolute():
-        out_path = base_dir / out_path
-    repeat_seeds = raw.typed("repeat_seeds", _parse_int_list, (scenario.seed,))
-    if not repeat_seeds:
-        raise raw.error("repeat_seeds", "must name at least one seed")
-    selection_k = raw.typed("selection.k", int, None)
-    if selection_k is not None and not 1 <= selection_k <= scenario.n_nodes:
-        raise raw.error("selection.k", f"must lie in [1, {scenario.n_nodes}]")
-
-    try:
-        return ExperimentConfig(
-            scenario=scenario,
-            dataset=dataset,
-            output_dir=out_path,
-            repeat_seeds=repeat_seeds,
-            scenario_name=raw.get("scenario.name", "default"),
-            selection_k=selection_k,
-        )
-    except ValueError as exc:
-        raise raw.field_error(exc) from exc
-
-
-def _first_set(raw: _RawConfig, *keys: str) -> str:
-    """The first of ``keys`` the config sets, so an error can name its line."""
-    return next((key for key in keys if key in raw.lines), keys[0])
+    seeds = raw.read(_SWEEP_KEYS["repeat_seeds"])
+    return raw.build(
+        ExperimentConfig,
+        {**_RUN_KEYS, **_SWEEP_KEYS},
+        scenario=scenario,
+        dataset=dataset,
+        # An absolute output.dir stays as it is.
+        output_dir=base_dir / raw.read(_SWEEP_KEYS["output_dir"]),
+        repeat_seeds=(scenario.seed,) if seeds is None else seeds,
+    )
 
 
 def _check_sizes(
     raw: _RawConfig, scenario: ScenarioConfig, dataset: SyntheticSpec | CifarSource
 ) -> None:
     """Reject sizes that would otherwise fail only once a run has started."""
+    s, d = _SCENARIO_KEYS, _SYNTHETIC_KEYS
     if scenario.batch_size > scenario.samples_per_node:
         raise raw.error(
-            _first_set(raw, "scenario.batch_size", "scenario.samples_per_node"),
+            raw.first_set(s["batch_size"], s["samples_per_node"]),
             f"batch_size {scenario.batch_size} exceeds samples_per_node "
             f"{scenario.samples_per_node}; it must lie in [1, {scenario.samples_per_node}]",
         )
     if len(scenario.missing_classes) == scenario.model.num_classes:
         raise raw.error(
-            "scenario.missing_classes", "lists every class, which leaves no training data"
+            s["missing_classes"].name, "lists every class, which leaves no training data"
         )
     if isinstance(dataset, CifarSource):
         empty = scenario.test_fraction == 0.0
     else:
-        for key in ("data.label_skew", "data.noise_mult", "data.feature_scale"):
-            entries = getattr(dataset, key.split(".")[1])
+        for knob in ("label_skew", "noise_mult", "feature_scale"):
+            entries = getattr(dataset, knob)
             if entries and len(entries) != scenario.n_nodes:
                 raise raw.error(
-                    key,
+                    d[knob].name,
                     f"needs {scenario.n_nodes} entries, one per node "
-                    f"(scenario.n_nodes = {scenario.n_nodes}), got {len(entries)}",
+                    f"({s['n_nodes'].name} = {scenario.n_nodes}), got {len(entries)}",
                 )
         # Per-node synthetic generation always draws at least one test row; a
         # partitioned dataset holds out a share of its rows, which may round to 0.
@@ -321,9 +308,8 @@ def _check_sizes(
         need = scenario.n_nodes * scenario.samples_per_node
         if not (dataset.has_node_knobs or scenario.missing_classes) and n_rows - n_test < need:
             raise raw.error(
-                _first_set(
-                    raw, "scenario.samples_per_node", "scenario.n_nodes",
-                    "data.samples_per_class", "data.num_classes",
+                raw.first_set(
+                    s["samples_per_node"], s["n_nodes"], d["samples_per_class"], d["num_classes"]
                 ),
                 f"n_nodes x samples_per_node = {need} training rows, but the synthetic "
                 f"pool of {n_rows} rows (num_classes x samples_per_class) leaves "
@@ -331,7 +317,7 @@ def _check_sizes(
             )
     if empty:
         raise raw.error(
-            _first_set(raw, "scenario.test_fraction", "data.samples_per_class"),
+            raw.first_set(s["test_fraction"], d["samples_per_class"]),
             f"test_fraction {scenario.test_fraction:g} leaves the test split empty",
         )
 
@@ -340,3 +326,36 @@ def load_config(path: Path | str) -> ExperimentConfig:
     path = Path(path)
     raw = parse_config_text(path.read_text(encoding="utf-8"))
     return build_experiment_config(raw, base_dir=path.resolve().parent)
+
+
+def _echo_value(value) -> str:
+    """A field's value as config.txt writes it; tuples and sorted frozensets comma-joined."""
+    if isinstance(value, (tuple, frozenset)):
+        return ",".join(map(fmt_value, sorted(value) if isinstance(value, frozenset) else value))
+    return fmt_value(value)
+
+
+def echo_lines(cfg: ExperimentConfig) -> list[str]:
+    """The ``config.txt`` lines of a run of ``cfg``: scenario, probe, bound and model
+    keys in table order, a bound warning, then the set data and run keys, sorted."""
+    pairs = [(key.name, getattr(cfg.scenario, f)) for f, key in _SCENARIO_KEYS.items()]
+    pairs += [(key.name, getattr(cfg.scenario.model, f)) for f, key in _MODEL_KEYS.items()]
+    if cfg.scenario.local_epochs_per_round != 1:
+        pairs.append(("warning.bound_assumptions", "local_epochs_per_round != 1"))
+    source, keys = next(
+        (name, keys) for name, (cls, keys) in _SOURCES.items() if isinstance(cfg.dataset, cls)
+    )
+    extras = [(_SOURCE.name, source)]
+    extras += [(key.name, getattr(cfg.dataset, f)) for f, key in keys.items()]
+    extras += [(key.name, getattr(cfg, f)) for f, key in _RUN_KEYS.items()]
+    pairs += sorted(pair for pair in extras if pair[1] not in (None, ()))
+    return [f"{name} = {_echo_value(value)}" for name, value in pairs]
+
+
+def _read_echo(config_file: Path) -> tuple[int, int | None]:
+    """The seed and ``selection.k`` a ``config.txt`` records; a ValueError names a bad file."""
+    try:
+        raw = parse_config_text(config_file.read_text(encoding="utf-8"))
+        return raw.read(_SCENARIO_KEYS["seed"]), raw.read(_RUN_KEYS["selection_k"])
+    except ConfigError as exc:
+        raise ValueError(f"{config_file}: {exc}") from exc

@@ -43,6 +43,7 @@ from .model import (
     sgd_epoch_traced,
 )
 from .probe import (
+    G_FORMULAS,
     ConstantsEstimate,
     GaussianPerturbationSampler,
     InitDistributionSampler,
@@ -96,10 +97,13 @@ class ScenarioConfig:
             raise ValueError("n_probes must be >= 2")
         if self.probe_sampler not in PROBE_SAMPLER_KINDS:
             raise ValueError(f"probe_sampler must be one of {PROBE_SAMPLER_KINDS}")
+        if self.g_formula not in G_FORMULAS:
+            raise ValueError(f"g_formula must be one of {G_FORMULAS}")
         if self.model is not None and self.model.kind != "quadratic":
-            bad = [c for c in self.missing_classes if c < 0 or c >= self.model.num_classes]
+            k = self.model.num_classes
+            bad = sorted(c for c in self.missing_classes if c < 0 or c >= k)
             if bad:
-                raise ValueError(f"missing class indices {bad} outside [0, num_classes)")
+                raise ValueError(f"missing_classes {bad} outside [0, {k})")
 
 
 @dataclass(frozen=True)
@@ -410,44 +414,12 @@ def run_federated(cfg: ScenarioConfig, data: Dataset) -> FLRun:
     return run_federated_partitioned(cfg, test_data, node_datasets)
 
 
-def config_echo_lines(cfg: ScenarioConfig, extra: dict[str, str] | None = None) -> list[str]:
-    """Plain-text key = value echo of a scenario, stable order."""
-    model = cfg.model
-    pairs: list[tuple[str, str]] = [
-        ("scenario.n_nodes", str(cfg.n_nodes)),
-        ("scenario.samples_per_node", str(cfg.samples_per_node)),
-        ("scenario.rounds", str(cfg.rounds)),
-        ("scenario.lr", format(cfg.lr, ".9g")),
-        ("scenario.batch_size", str(cfg.batch_size)),
-        ("scenario.local_epochs_per_round", str(cfg.local_epochs_per_round)),
-        ("scenario.missing_classes", ",".join(str(c) for c in sorted(cfg.missing_classes))),
-        ("scenario.test_fraction", format(cfg.test_fraction, ".9g")),
-        ("scenario.seed", str(cfg.seed)),
-        ("probe.n_probes", str(cfg.n_probes)),
-        ("probe.sampler", cfg.probe_sampler),
-        ("probe.perturb_sigma", format(cfg.perturb_sigma, ".9g")),
-        ("probe.g_formula", cfg.g_formula),
-        ("bound.squared_distance", "true" if cfg.squared_distance else "false"),
-        ("model.kind", model.kind if model else ""),
-        ("model.feature_dim", str(model.feature_dim) if model else ""),
-        ("model.num_classes", str(model.num_classes) if model else ""),
-        ("model.hidden_width", str(model.hidden_width) if model else ""),
-        ("model.l2", format(model.l2_coefficient, ".9g") if model else ""),
-    ]
-    if cfg.local_epochs_per_round != 1:
-        pairs.append(("warning.bound_assumptions", "local_epochs_per_round != 1"))
-    for key in sorted(extra or {}):
-        pairs.append((key, (extra or {})[key]))
-    return [f"{key} = {value}" for key, value in pairs]
-
-
-def save_run(run: FLRun, run_dir: Path | str, extra_config: dict[str, str] | None = None) -> None:
-    """Serialize a run: config echo plus rounds/usefulness/gtrace/constants/probes CSVs."""
+def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> None:
+    """Serialize a run: ``config_lines`` as config.txt, plus rounds/usefulness/
+    gtrace/constants/probes CSVs."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(
-        "\n".join(config_echo_lines(run.config, extra_config)) + "\n", encoding="utf-8"
-    )
+    (run_dir / "config.txt").write_text("\n".join(config_lines) + "\n", encoding="utf-8")
     rounds = run.rounds
     write_csv(
         run_dir / "rounds.csv",

@@ -128,7 +128,7 @@ class ModelSpec:
             if self.feature_dim < 1 or self.num_classes < 2:
                 raise ValueError("need feature_dim >= 1 and num_classes >= 2")
             if self.kind == "mlp" and self.hidden_width < 1:
-                raise ValueError("mlp needs hidden_width >= 1")
+                raise ValueError("hidden_width must be >= 1 for an mlp")
 
 
 def softmax_spec(feature_dim: int, num_classes: int, l2: float = 0.0) -> ModelSpec:

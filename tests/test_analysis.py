@@ -1,6 +1,7 @@
 import math
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fedbound.analysis import (
     usefulness_from_rounds,
     write_reports,
 )
+from fedbound.config import ExperimentConfig, echo_lines
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import FLRun, RoundRecord, ScenarioConfig, run_federated, save_run
 from fedbound.model import softmax_spec
@@ -301,15 +303,13 @@ class TestReports:
         assert (tmp_path / "cdf_training.csv").read_text().splitlines() == ["value,fraction"]
 
     def test_roundtrip_through_run_directory(self, tmp_path):
-        data = gen_synthetic(
-            SyntheticSpec(num_classes=3, feature_dim=4, samples_per_class=80), seed=2
-        )
+        spec = SyntheticSpec(num_classes=3, feature_dim=4, samples_per_class=80)
         cfg = ScenarioConfig(
             n_nodes=3, samples_per_node=40, rounds=3, model=softmax_spec(4, 3, l2=0.01),
             lr=0.1, batch_size=20, n_probes=4, seed=5,
         )
-        run = run_federated(cfg, data)
-        save_run(run, tmp_path)
+        run = run_federated(cfg, gen_synthetic(spec, seed=2))
+        save_run(run, tmp_path, echo_lines(ExperimentConfig(cfg, spec, tmp_path, (cfg.seed,))))
         direct = report_inputs_from_run(run)
         parsed = report_inputs_from_dir(tmp_path)
         assert parsed.seed == 5
@@ -340,11 +340,11 @@ class TestReports:
             model=softmax_spec(4, 3, l2=0.01), lr=0.1, batch_size=5,
             n_probes=n_probes, seed=seed,
         )
-        run = run_federated(
-            cfg, gen_synthetic(SyntheticSpec(3, 4, 30, separation=0.5), seed)
-        )
+        spec = SyntheticSpec(3, 4, 30, separation=0.5)
+        run = run_federated(cfg, gen_synthetic(spec, seed))
         with tempfile.TemporaryDirectory() as run_dir:
-            save_run(run, run_dir, extra_config=None if k is None else {"selection.k": str(k)})
+            experiment = ExperimentConfig(cfg, spec, Path(run_dir), (seed,), selection_k=k)
+            save_run(run, run_dir, echo_lines(experiment))
             parsed = report_inputs_from_dir(run_dir)
         direct = replace(report_inputs_from_run(run), selection_k=k)
 

@@ -171,6 +171,21 @@ class TestRunCommand:
         for seed in (1, 3):
             assert read_tree(out / f"tiny_seed{seed}") == read_tree(clean / f"tiny_seed{seed}")
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_seeds_that_fail_before_writing_leave_no_output_dir(self, tmp_path, capsys, parallel):
+        # Missing classes filter the pool by the random test split, so the
+        # shortfall of 750 training rows shows only once a seed builds its data.
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(
+            TINY
+            + "data.num_classes = 4\ndata.samples_per_class = 200\nscenario.missing_classes = 3\n"
+            + "scenario.n_nodes = 5\nscenario.samples_per_node = 150\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
+        assert capsys.readouterr().err.startswith("error: seed 1 failed: ")
+        assert not out.exists()
+
     def test_rerun_replaces_existing_directory(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", str(tiny_config), "--out", str(out)])

@@ -1,19 +1,28 @@
+import re
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 REPO = Path(__file__).resolve().parents[1]
 
+from fedbound import config
+from fedbound.analysis import report_inputs_from_dir
 from fedbound.config import (
     KNOWN_KEYS,
     CifarSource,
     ConfigError,
     build_experiment_config,
+    echo_lines,
     load_config,
     parse_config_text,
 )
+from fedbound.flsim import PROBE_SAMPLER_KINDS
+from fedbound.probe import G_FORMULAS
 
 GOOD = """\
 # experiment settings
@@ -99,15 +108,29 @@ class TestBuild:
             ("scenario.lr = -1", "scenario.lr"),
             ("scenario.rounds = 0", "scenario.rounds"),
             ("probe.n_probes = 1", "probe.n_probes"),
+            ("probe.sampler = bogus", "probe.sampler"),
+            ("probe.g_formula = bogus", "probe.g_formula"),
+            ("scenario.missing_classes = 7", "scenario.missing_classes"),
+            ("repeat_seeds = ,", "repeat_seeds"),
+            ("model.l2 = -1", "model.l2"),
+            ("model.kind = mlp\nmodel.hidden_width = 0", "model.hidden_width"),
+            ("data.source = cifar10\ndata.cifar_path = x\ndata.cifar_pool = 3", "data.cifar_pool"),
+            ("selection.k = 3", "selection.k"),
         ],
     )
     def test_field_check_names_the_line(self, line, key):
-        # Field errors find their key by its last part, so those must be unique.
-        assert len({k.rsplit(".", 1)[-1] for k in KNOWN_KEYS}) == len(KNOWN_KEYS)
+        # The last line of ``line`` sets ``key``; the check is the dataclass's own.
+        line_no = 1 + line.count("\n") + 1
         with pytest.raises(ConfigError) as excinfo:
             build_experiment_config(parse_config_text(f"scenario.n_nodes = 2\n{line}\n"))
-        assert excinfo.value.line == 2
-        assert str(excinfo.value).startswith(f"line 2: {key}: ")
+        assert excinfo.value.line == line_no
+        assert str(excinfo.value).startswith(f"line {line_no}: {key}: ")
+
+    @pytest.mark.parametrize("key", ["probe.sampler", "probe.g_formula", "model.kind"])
+    def test_empty_value_takes_the_default(self, key):
+        cfg = build_experiment_config(parse_config_text(f"{key} =\n"))
+        default = build_experiment_config(parse_config_text(""))
+        assert cfg == default
 
     def test_unknown_model_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -293,3 +316,142 @@ class TestKeys:
             path = tmp_path / f"{name}.cfg"
             path.write_text(workload.body)
             assert load_config(path).scenario_name
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def config_texts(draw) -> str:
+    """A valid config that sets every key a run's config.txt echoes."""
+    n_nodes = draw(st.integers(1, 5))
+    per_node = draw(st.integers(1, 50))
+    values = {
+        "scenario.name": draw(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)),
+        "scenario.n_nodes": n_nodes,
+        "scenario.samples_per_node": per_node,
+        "scenario.rounds": draw(st.integers(1, 100)),
+        "scenario.lr": draw(floats(0.0, 10.0)),
+        "scenario.batch_size": draw(st.integers(1, per_node)),
+        "scenario.local_epochs_per_round": draw(st.integers(1, 3)),
+        "scenario.test_fraction": draw(floats(0.01, 0.5)),
+        "scenario.seed": draw(st.integers(0, 2**63 - 1)),
+        "probe.n_probes": draw(st.integers(2, 500)),
+        "probe.sampler": draw(st.sampled_from(PROBE_SAMPLER_KINDS)),
+        "probe.perturb_sigma": draw(floats(0.0, 5.0)),
+        "probe.g_formula": draw(st.sampled_from(G_FORMULAS)),
+        "bound.squared_distance": draw(st.sampled_from(["true", "false"])),
+        "model.kind": draw(
+            st.sampled_from(["softmax", "softmax-regression", "mlp", "one-hidden-layer-mlp"])
+        ),
+        "model.hidden_width": draw(st.integers(1, 32)),
+        "model.l2": draw(floats(0.0, 1.0)),
+    }
+    if draw(st.booleans()):
+        values["selection.k"] = draw(st.integers(1, n_nodes))
+    if draw(st.booleans()):
+        values["data.source"] = "cifar10"
+        path = st.from_regex(r"(/|\./)?[a-z]{1,6}(/[a-z_]{1,6}){0,2}", fullmatch=True)
+        values["data.cifar_path"] = draw(path)
+        values["data.cifar_pool"] = draw(st.sampled_from([1, 2, 4, 8, 16, 32]))
+        values["data.cifar_grayscale"] = draw(st.sampled_from(["true", "false"]))
+        num_classes = 10
+    else:
+        # 1000 rows per class fill five nodes of 50 even with half held out.
+        num_classes = draw(st.integers(2, 6))
+        values["data.num_classes"] = num_classes
+        values["data.feature_dim"] = draw(st.integers(1, 16))
+        values["data.samples_per_class"] = 1000
+        values["data.separation"] = draw(floats(0.01, 5.0))
+        values["data.noise_sigma"] = draw(floats(0.01, 1.0))
+        knobs = {
+            "data.label_skew": floats(0.0, 1.0),
+            "data.noise_mult": floats(0.01, 3.0),
+            "data.feature_scale": floats(0.01, 1.0),
+        }
+        for key, entry in knobs.items():
+            if draw(st.booleans()):
+                entries = draw(st.lists(entry, min_size=n_nodes, max_size=n_nodes))
+                values[key] = ", ".join(map(repr, entries))
+    missing = draw(st.sets(st.integers(0, num_classes - 1), max_size=num_classes - 1))
+    values["scenario.missing_classes"] = ", ".join(map(str, missing))
+    return "".join(
+        f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+        for key, value in values.items()
+    )
+
+
+def sig9(value):
+    """``value`` with every float at the 9 significant digits config.txt keeps."""
+    if isinstance(value, float):
+        return format(value, ".9g")
+    if isinstance(value, tuple):
+        return tuple(map(sig9, value))
+    return value
+
+
+class TestEcho:
+    @pytest.mark.parametrize(
+        "path", sorted((REPO / "tests" / "echo_golden").glob("*.cfg")), ids=lambda p: p.stem
+    )
+    def test_echo_matches_the_frozen_config_txt(self, path):
+        # Each .txt next to a .cfg is the config.txt a run of seed 2 wrote
+        # before fedbound.config owned the format: byte for byte, trailing
+        # spaces included.
+        cfg = load_config(path)
+        cfg = replace(cfg, scenario=replace(cfg.scenario, seed=2))
+        expected = path.with_suffix(".txt").read_text(encoding="utf-8")
+        assert "\n".join(echo_lines(cfg)) + "\n" == expected
+
+    @given(text=config_texts())
+    @settings(max_examples=60, deadline=None)
+    def test_each_echoed_key_reads_back_through_its_own_parser(self, text):
+        cfg = build_experiment_config(parse_config_text(text), base_dir=Path("/"))
+        lines = echo_lines(cfg)
+        echoed = parse_config_text("\n".join(lines)).values
+        assert len(echoed) == len(lines)
+        source_cls, source_keys = config._SOURCES[echoed["data.source"]]
+        assert isinstance(cfg.dataset, source_cls)
+        owners = [
+            (config._SCENARIO_KEYS, cfg.scenario, True),
+            (config._MODEL_KEYS, cfg.scenario.model, True),
+            (source_keys, cfg.dataset, False),
+            (config._RUN_KEYS, cfg, False),
+        ]
+        for keys, owner, always in owners:
+            for key in keys.values():
+                value = getattr(owner, key.field)
+                if key.name not in echoed:
+                    # Only an unset data or run key is left out.
+                    assert not always and value in (None, ())
+                elif key.parse is not None:
+                    assert sig9(key.parse(echoed[key.name])) == sig9(value), key.name
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = Path(tmp)
+            (run_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            (run_dir / "usefulness.csv").write_text("t,node_id,delta\n")
+            (run_dir / "constants.csv").write_text("node_id,mu,L,G,n_probes\n")
+            (run_dir / "gtrace.csv").write_text("source,node_id,value\n")
+            inputs = report_inputs_from_dir(run_dir)
+        assert inputs.seed == cfg.scenario.seed
+        assert inputs.selection_k == cfg.selection_k
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config format", 1)[1].split("```", 2)[1]
+        listed = {}
+        for line in block.splitlines():
+            entries = re.finditer(
+                r"([a-z_]+(?:\.[a-z0-9_]+)?)(?: \(((?:[^()]|\([^()]*\))*)\))?",
+                line.split("#", 1)[0],
+            )
+            listed.update(match.groups() for match in entries)
+        assert set(listed) == KNOWN_KEYS
+        for keys in config._TABLES:
+            for key in keys.values():
+                if key.parse is None or key.default is None:
+                    continue
+                # "()" is an empty list.
+                assert listed[key.name] is not None, key.name
+                assert key.parse(listed[key.name]) == key.default, key.name

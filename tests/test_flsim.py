@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbound.cli import node_datasets
-from fedbound.config import load_config
+from fedbound.config import ExperimentConfig, echo_lines, load_config
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
     ScenarioConfig,
@@ -55,6 +55,11 @@ def scenario(**kwargs):
     )
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
+
+
+def echo(cfg):
+    """The config.txt lines of a run of ``cfg`` on the ``synthetic_spec()`` pool."""
+    return echo_lines(ExperimentConfig(cfg, synthetic_spec(), Path("runs"), (cfg.seed,)))
 
 
 class TestPartition:
@@ -329,6 +334,15 @@ class TestRunFederated:
         with pytest.raises(ValueError):
             scenario(rounds=0)
 
+    def test_unknown_g_formula_rejected_at_construction(self):
+        # Before any probe runs, not when the probe phase reaches it.
+        with pytest.raises(ValueError, match="^g_formula must be one of"):
+            scenario(g_formula="bogus")
+
+    def test_missing_class_outside_the_model_names_the_field(self):
+        with pytest.raises(ValueError, match=r"^missing_classes \[-1, 3\] outside \[0, 3\)$"):
+            scenario(missing_classes=frozenset({3, -1}))
+
     def test_single_round_yields_one_record(self):
         run = run_federated(scenario(rounds=1), gen_synthetic(synthetic_spec(), seed=14))
         assert len(run.rounds) == 1
@@ -365,7 +379,7 @@ class TestSaveRun:
     def test_run_directory_contents(self, tmp_path):
         cfg = scenario(rounds=2)
         run = run_federated(cfg, gen_synthetic(synthetic_spec(), seed=12))
-        save_run(run, tmp_path / "run")
+        save_run(run, tmp_path / "run", echo(cfg))
         rounds = (tmp_path / "run" / "rounds.csv").read_text().splitlines()
         assert rounds[0] == "t,train_loss,test_loss,bound_value"
         assert len(rounds) == 3
@@ -389,7 +403,7 @@ class TestSaveRun:
         cfg = scenario(rounds=2)
         data = gen_synthetic(synthetic_spec(), seed=13)
         for name in ("a", "b"):
-            save_run(run_federated(cfg, data), tmp_path / name)
+            save_run(run_federated(cfg, data), tmp_path / name, echo(cfg))
         for fname in ("rounds.csv", "usefulness.csv", "gtrace.csv", "constants.csv", "probes.csv"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
