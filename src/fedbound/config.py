@@ -11,6 +11,7 @@ and :func:`echo_lines`, the ``config.txt`` of a run that ``report`` reads back.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -89,8 +90,15 @@ def _parse_int_set(raw: str) -> frozenset[int]:
     return frozenset(_parse_int_list(raw))
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
+    return tuple(_parse_float(part.strip()) for part in raw.split(",") if part.strip())
 
 
 _MODEL_KIND_ALIASES = {
@@ -126,15 +134,15 @@ _SCENARIO_KEYS = _table(
     _Key("scenario.n_nodes", "n_nodes", int, 5),
     _Key("scenario.samples_per_node", "samples_per_node", int, 200),
     _Key("scenario.rounds", "rounds", int, 30),
-    _Key("scenario.lr", "lr", float, 0.05),
+    _Key("scenario.lr", "lr", _parse_float, 0.05),
     _Key("scenario.batch_size", "batch_size", int, 32),
     _Key("scenario.local_epochs_per_round", "local_epochs_per_round", int, 1),
     _Key("scenario.missing_classes", "missing_classes", _parse_int_set, frozenset()),
-    _Key("scenario.test_fraction", "test_fraction", float, 0.1),
+    _Key("scenario.test_fraction", "test_fraction", _parse_float, 0.1),
     _Key("scenario.seed", "seed", int, 0),
     _Key("probe.n_probes", "n_probes", int, 100),
     _Key("probe.sampler", "probe_sampler", str, "init"),
-    _Key("probe.perturb_sigma", "perturb_sigma", float, 0.1),
+    _Key("probe.perturb_sigma", "perturb_sigma", _parse_float, 0.1),
     _Key("probe.g_formula", "g_formula", str, "gradient-norm"),
     _Key("bound.squared_distance", "squared_distance", _parse_bool, False),
 )
@@ -144,14 +152,14 @@ _MODEL_KEYS = _table(
     _Key("model.feature_dim", "feature_dim"),
     _Key("model.num_classes", "num_classes"),
     _Key("model.hidden_width", "hidden_width", int, 16),
-    _Key("model.l2", "l2_coefficient", float, 0.01),
+    _Key("model.l2", "l2_coefficient", _parse_float, 0.01),
 )
 _SYNTHETIC_KEYS = _table(
     _Key("data.num_classes", "num_classes", int, 4),
     _Key("data.feature_dim", "feature_dim", int, 8),
     _Key("data.samples_per_class", "samples_per_class", int, 400),
-    _Key("data.separation", "separation", float, 0.7),
-    _Key("data.noise_sigma", "noise_sigma", float, 0.12),
+    _Key("data.separation", "separation", _parse_float, 0.7),
+    _Key("data.noise_sigma", "noise_sigma", _parse_float, 0.12),
     _Key("data.label_skew", "label_skew", _parse_float_list, ()),
     _Key("data.noise_mult", "noise_mult", _parse_float_list, ()),
     _Key("data.feature_scale", "feature_scale", _parse_float_list, ()),

@@ -10,12 +10,11 @@ gradient-norm traces for later analysis; it never reads the probes.
 proxy (the best-training-loss parameters seen anywhere in the run) is known.
 
 Rounds run in lockstep: every node of a round starts from the same global
-vector, so the nodes that hold equally many rows train as one ``(P, dim)``
+vector and holds equally many rows, so the N nodes train as one ``(N, dim)``
 stack, one stacked gradient call per SGD step. A round's usefulness losses
 are one kernel call over the one test set, and its training loss is one
-stacked loss call per group. Each stack row equals the node's own
-single-vector computation bit for bit, so results do not depend on how
-nodes are grouped.
+stacked loss call. Each stack row equals the node's own single-vector
+computation bit for bit.
 
 All randomness derives from (config seed, phase, round, node), so serial
 and parallel schedules produce identical results.
@@ -23,6 +22,7 @@ and parallel schedules produce identical results.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -95,6 +95,8 @@ class ScenarioConfig:
             raise ValueError("test_fraction must lie in [0, 1)")
         if self.n_probes < 2:
             raise ValueError("n_probes must be >= 2")
+        if not (math.isfinite(self.perturb_sigma) and self.perturb_sigma > 0.0):
+            raise ValueError("perturb_sigma must be a finite number > 0")
         if self.probe_sampler not in PROBE_SAMPLER_KINDS:
             raise ValueError(f"probe_sampler must be one of {PROBE_SAMPLER_KINDS}")
         if self.g_formula not in G_FORMULAS:
@@ -208,35 +210,9 @@ def fedavg(models) -> ParamVector:
     return np.mean(np.stack(models), axis=0)
 
 
-@dataclass(frozen=True)
-class RoundData:
-    """The rows every round of a run reads, stacked once per run.
-
-    ``groups`` holds, for each set of nodes with equally many rows (in order
-    of first appearance), their indices and their rows one block after
-    another; ``test`` is the test set.
-    """
-
-    groups: tuple[tuple[list[int], Dataset], ...]
-    test: Dataset
-
-    @property
-    def n_nodes(self) -> int:
-        return sum(len(group) for group, _ in self.groups)
-
-
-def round_data(nodes: Sequence[Dataset], test_data: Dataset) -> RoundData:
-    by_size: dict[int, list[int]] = {}
-    for i, local in enumerate(nodes):
-        by_size.setdefault(len(local), []).append(i)
-    groups = tuple(
-        (group, Dataset.concat(nodes[i] for i in group)) for group in by_size.values()
-    )
-    return RoundData(groups, test_data)
-
-
 def local_round(
-    data: RoundData,
+    rows: Dataset,
+    test_data: Dataset,
     global_params: ParamVector,
     cfg: ScenarioConfig,
     rng_seeds: Sequence[int],
@@ -244,38 +220,26 @@ def local_round(
 ) -> tuple[np.ndarray, list[float], list[list[float]]]:
     """Replace every node's model with the global one and resume local training.
 
-    ``data`` is ``round_data(nodes, test_data)``; ``rng_seeds[i]`` seeds node
-    i's epochs. Nodes with equally many rows train in lockstep as one stack.
-    ``global_test_loss`` is ``loss(cfg.model, global_params, test_data)``,
-    which is the same for every node, so the caller computes it once. Returns,
-    in node order, the ``(N, dim)`` stack of trained parameters, each node's
-    usefulness delta (global test loss before minus after its local epochs),
-    and each node's batch-gradient norms, one per SGD step.
+    ``rows`` holds the N nodes' equal row blocks, which train in lockstep as
+    one stack, node i's epochs seeded from ``rng_seeds[i]``. The caller gives
+    ``global_test_loss = loss(cfg.model, global_params, test_data)`` once for
+    all nodes. Returns, in node order, the ``(N, dim)`` trained stack, each
+    node's usefulness delta (global test loss before minus after its local
+    epochs), and each node's batch-gradient norms, one per SGD step.
     """
-    n_nodes = data.n_nodes
-    if len(rng_seeds) != n_nodes:
-        raise ValueError(f"got {len(rng_seeds)} seeds for {n_nodes} nodes")
-    start = np.asarray(global_params, dtype=np.float64)
-    trained = np.empty((n_nodes, start.size))
-    traces: list[list[float]] = [[] for _ in range(n_nodes)]
-    for group, rows in data.groups:
-        stack = np.tile(start, (len(group), 1))
-        for epoch in range(cfg.local_epochs_per_round):
-            seeds = [derive_seed(rng_seeds[i], epoch) for i in group]
-            stack, norms = sgd_epoch_traced(
-                cfg.model, stack, rows, cfg.lr, cfg.batch_size, seeds
-            )
-            for i, trace in zip(group, zip(*norms)):
-                traces[i].extend(trace)
-        trained[group] = stack
+    stack = np.tile(np.asarray(global_params, dtype=np.float64), (len(rng_seeds), 1))
+    traces: list[list[float]] = [[] for _ in rng_seeds]
+    for epoch in range(cfg.local_epochs_per_round):
+        seeds = [derive_seed(seed, epoch) for seed in rng_seeds]
+        stack, norms = sgd_epoch_traced(cfg.model, stack, rows, cfg.lr, cfg.batch_size, seeds)
+        for trace, node_norms in zip(traces, zip(*norms)):
+            trace.extend(node_norms)
     # Every trained row on the one test set, in one kernel call; row i equals
-    # loss(cfg.model, trained[i], data.test) bit for bit. sgd_epoch_traced
+    # loss(cfg.model, stack[i], test_data) bit for bit. sgd_epoch_traced
     # has checked that every row is finite.
-    after, _ = _loss_and_grad_stacked(
-        cfg.model, trained, data.test.features, data.test.labels, False
-    )
+    after, _ = _loss_and_grad_stacked(cfg.model, stack, test_data.features, test_data.labels, False)
     deltas = [global_test_loss - float(value) for value in after]
-    return trained, deltas, traces
+    return stack, deltas, traces
 
 
 def probe_phase(
@@ -316,7 +280,8 @@ def probe_phase(
 def training_phase(
     cfg: ScenarioConfig, w1: ParamVector, test_data: Dataset, node_datasets: Sequence[Dataset]
 ) -> tuple[tuple[RoundRecord, ...], ParamVector, ParamVector]:
-    """Phase 2 of a run: ``cfg.rounds`` FedAvg rounds from w1 over the given nodes.
+    """Phase 2 of a run: ``cfg.rounds`` FedAvg rounds from w1 over the given nodes,
+    which must hold equally many rows (the bound is for equally weighted FedAvg).
 
     Node i of round t trains with seed ``derive_seed(cfg.seed, "round", t, i)``;
     the probes are never read, so a subset of a run's nodes trains the same
@@ -325,21 +290,22 @@ def training_phase(
     global parameters, and the optimum proxy: the parameters, w1 included,
     with the lowest mean training loss over the nodes.
     """
-    data = round_data(node_datasets, test_data)
+    sizes = [len(local) for local in node_datasets]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"node datasets differ in size: {sizes}")
+    rows = Dataset.concat(node_datasets)
+    n_nodes = len(sizes)
 
     def train_loss_at(params: ParamVector) -> float:
-        per_node = np.empty(data.n_nodes)
-        for group, rows in data.groups:
-            per_node[group] = loss(cfg.model, np.tile(params, (len(group), 1)), rows)
-        return float(np.mean(per_node))
+        return float(np.mean(loss(cfg.model, np.tile(params, (n_nodes, 1)), rows)))
 
     current = w1
     candidates = [(train_loss_at(w1), w1)]
     test_loss = loss(cfg.model, w1, test_data)
     records = []
     for t in range(1, cfg.rounds + 1):
-        seeds = [derive_seed(cfg.seed, "round", t, i) for i in range(data.n_nodes)]
-        trained, deltas, node_traces = local_round(data, current, cfg, seeds, test_loss)
+        seeds = [derive_seed(cfg.seed, "round", t, i) for i in range(n_nodes)]
+        trained, deltas, node_traces = local_round(rows, test_data, current, cfg, seeds, test_loss)
         current = fedavg(trained)
         train_loss = train_loss_at(current)
         test_loss = loss(cfg.model, current, test_data)

@@ -13,6 +13,7 @@ estimate takes the worst case of per-node estimates in every coordinate.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,8 +111,8 @@ class GaussianPerturbationSampler:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be > 0 (a zero-width sampler cannot produce distinct pairs)")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("sigma must be finite and > 0 to give distinct pairs")
 
     def map(self, spec: ModelSpec, z: np.ndarray) -> np.ndarray:
         """Probe points from standard normals ``z`` of shape ``(..., dim)``."""
@@ -194,47 +195,29 @@ def probe_stack_size(spec: ModelSpec, data: Dataset) -> int:
 
 def _draw_stack(
     spec: ModelSpec, sampler: ProbeSampler, seeds: list[int]
-) -> tuple[np.ndarray, np.ndarray, tuple[int, Exception] | None]:
-    """The checked ``(P, dim)`` stacks U and V of the probes with these seeds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(P, dim)`` stacks U and V of the probes with these seeds.
 
     Row p is ``draw_probe_pair(spec, sampler, seeds[p])``: both vectors are
     mapped from one :func:`normal_rows` row of ``2 * dim`` standard normals,
     and only a degenerate row is redrawn, through ``draw_probe_pair``, which
-    replays the same first pair. If a probe's draw raises or gives a vector
-    that is not finite and ``(dim,)``, the stacks hold only the probes
-    before the first such probe, and its offset and error come back with them.
+    replays the same first pair. A row still degenerate after its redraws
+    stays as drawn, for :func:`_stack_samples` to reject. A sampler that does
+    not map the stack to ``(P, dim)`` stacks raises ``ValueError``.
     """
     dim = param_dim(spec)
     Z = normal_rows("probe-pair", seeds, 2 * dim)
-    try:
-        U = np.asarray(sampler.map(spec, Z[:, :dim]), dtype=np.float64)
-        V = np.asarray(sampler.map(spec, Z[:, dim:]), dtype=np.float64)
-        if U.shape != Z[:, :dim].shape or V.shape != U.shape:
-            raise ValueError("sampler does not map a stack to a stack")
+    U = np.asarray(sampler.map(spec, Z[:, :dim]), dtype=np.float64)
+    V = np.asarray(sampler.map(spec, Z[:, dim:]), dtype=np.float64)
+    if U.shape != (len(seeds), dim) or V.shape != U.shape:
+        raise ValueError(f"sampler gave shapes {U.shape}, {V.shape}, not ({len(seeds)}, {dim})")
+    with np.errstate(all="ignore"):
         diff = U - V
         # As in draw_probe_pair, a NaN distance is redrawn too.
-        redraw = np.flatnonzero(~(np.vecdot(diff, diff) >= DEGENERATE_SQ_DIST)).tolist()
-    except Exception:
-        # The sampler fails on the stack: draw and check probe by probe.
-        U, V, redraw = np.zeros_like(Z[:, :dim]), np.zeros_like(Z[:, :dim]), range(len(seeds))
-    failure = None
-    for p in redraw:
-        try:
-            u, v = draw_probe_pair(spec, sampler, seeds[p])
-            U[p], V[p] = _check_params(spec, u), _check_params(spec, v)
-        except Exception as exc:
-            failure = (p, exc)
-            break
-    end = len(seeds) if failure is None else failure[0]
-    finite = np.isfinite(U[:end]).all(axis=1) & np.isfinite(V[:end]).all(axis=1)
-    if not finite.all():
-        end = int(finite.argmin())
-        try:
-            _check_params(spec, U[end])
-            _check_params(spec, V[end])
-        except ValueError as exc:
-            failure = (end, exc)
-    return U[:end], V[:end], failure
+        for p in np.flatnonzero(~(np.vecdot(diff, diff) >= DEGENERATE_SQ_DIST)).tolist():
+            with suppress(DegeneratePairError):
+                U[p], V[p] = draw_probe_pair(spec, sampler, seeds[p])
+    return U, V
 
 
 def _stack_samples(
@@ -245,19 +228,21 @@ def _stack_samples(
     g_formula: str,
     first: int,
 ) -> list[ProbeSample]:
-    """Evaluate the checked pairs of probes ``first, first + 1, ...`` as one stack."""
-    try:
+    """Evaluate the pairs of probes ``first, first + 1, ...`` as one stack; the
+    first with a non-finite vector, a degenerate pair or a non-finite value fails."""
+    with np.errstate(all="ignore"):
         f_u, f_v, grad_v = _pair_values(spec, U, V, data)
-    except Exception as exc:
-        raise ProbeFailure(first, str(exc)) from exc
-    sq_dist, m = _m_values(U, V, f_u, f_v, grad_v)
-    # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
-    g = np.sqrt(np.vecdot(grad_v, grad_v)) if g_formula == "gradient-norm" else np.abs(f_v)
+        sq_dist, m = _m_values(U, V, f_u, f_v, grad_v)
+        # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
+        g = np.sqrt(np.vecdot(grad_v, grad_v)) if g_formula == "gradient-norm" else np.abs(f_v)
+    finite = np.isfinite(U).all(axis=1) & np.isfinite(V).all(axis=1)
     degenerate = sq_dist < DEGENERATE_SQ_DIST
-    bad = degenerate | ~np.isfinite(m) | ~np.isfinite(g)
+    bad = ~finite | degenerate | ~np.isfinite(m) | ~np.isfinite(g)
     if bad.any():
         p = int(bad.argmax())
-        if degenerate[p]:
+        if not finite[p]:
+            exc = ValueError("parameter vector contains non-finite values")
+        elif degenerate[p]:
             exc = DegeneratePairError(_degenerate_message(float(sq_dist[p])))
         else:
             exc = ValueError("probe values must be finite")
@@ -278,8 +263,9 @@ def collect_probes(
     Probe i uses a seed derived from (rng_seed, i) only, so a longer run
     extends a shorter one sample-for-sample. Probes are drawn, checked and
     evaluated :func:`probe_stack_size` at a time, each stack's pairs from
-    one :func:`normal_rows` call. A failure names the first probe that
-    raised, drew a bad vector or gave a non-finite value.
+    one :func:`normal_rows` call. A failure names the first probe that drew
+    a non-finite vector or a degenerate pair, or gave a non-finite value; a
+    sampler that fails on a stack names the stack's first probe.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
@@ -293,12 +279,11 @@ def collect_probes(
     samples: list[ProbeSample] = []
     for first in range(0, n_probes, stack):
         seeds = [derive_seed(rng_seed, i) for i in range(first, min(first + stack, n_probes))]
-        U, V, failure = _draw_stack(spec, sampler, seeds)
-        if len(U):
-            samples.extend(_stack_samples(spec, U, V, data, g_formula, first))
-        if failure is not None:
-            p, exc = failure
-            raise ProbeFailure(first + p, str(exc)) from exc
+        try:
+            U, V = _draw_stack(spec, sampler, seeds)
+        except ValueError as exc:
+            raise ProbeFailure(first, str(exc)) from exc
+        samples.extend(_stack_samples(spec, U, V, data, g_formula, first))
     return tuple(samples)
 
 

@@ -260,7 +260,9 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["data.label_skew = 1, 2", "scenario.lr = -1"])
+    @pytest.mark.parametrize(
+        "line", ["data.label_skew = 1, 2", "scenario.lr = -1", "probe.perturb_sigma = nan"]
+    )
     def test_field_check_exits_2_naming_the_line(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"scenario.name = bad\n{line}\n")

@@ -116,6 +116,17 @@ class TestBuild:
             ("model.kind = mlp\nmodel.hidden_width = 0", "model.hidden_width"),
             ("data.source = cifar10\ndata.cifar_path = x\ndata.cifar_pool = 3", "data.cifar_pool"),
             ("selection.k = 3", "selection.k"),
+            ("probe.sampler = perturb\nprobe.perturb_sigma = -1", "probe.perturb_sigma"),
+            ("probe.sampler = perturb\nprobe.perturb_sigma = 0", "probe.perturb_sigma"),
+            ("probe.sampler = perturb\nprobe.perturb_sigma = nan", "probe.perturb_sigma"),
+            ("probe.sampler = perturb\nprobe.perturb_sigma = inf", "probe.perturb_sigma"),
+            ("scenario.lr = nan", "scenario.lr"),
+            ("scenario.lr = inf", "scenario.lr"),
+            ("model.l2 = nan", "model.l2"),
+            ("model.l2 = inf", "model.l2"),
+            ("data.separation = nan", "data.separation"),
+            ("data.noise_sigma = inf", "data.noise_sigma"),
+            ("data.noise_mult = 1, -inf", "data.noise_mult"),
         ],
     )
     def test_field_check_names_the_line(self, line, key):
@@ -339,7 +350,7 @@ def config_texts(draw) -> str:
         "scenario.seed": draw(st.integers(0, 2**63 - 1)),
         "probe.n_probes": draw(st.integers(2, 500)),
         "probe.sampler": draw(st.sampled_from(PROBE_SAMPLER_KINDS)),
-        "probe.perturb_sigma": draw(floats(0.0, 5.0)),
+        "probe.perturb_sigma": draw(st.floats(0.0, 5.0, exclude_min=True)),
         "probe.g_formula": draw(st.sampled_from(G_FORMULAS)),
         "bound.squared_distance": draw(st.sampled_from(["true", "false"])),
         "model.kind": draw(

@@ -16,12 +16,13 @@ from fedbound.flsim import (
     local_round,
     partition_dataset,
     probe_phase,
-    round_data,
     run_federated,
     run_federated_partitioned,
     save_run,
+    training_phase,
 )
 from fedbound.model import (
+    Dataset,
     init_params,
     loss,
     mlp_spec,
@@ -161,7 +162,7 @@ class TestLocalRound:
         cfg = scenario(lr=0.0)
         node, test, w = self.make_node(cfg)
         trained, deltas, traces = local_round(
-            round_data([node], test), w, cfg, [3], loss(cfg.model, w, test)
+            node, test, w, cfg, [3], loss(cfg.model, w, test)
         )
         np.testing.assert_array_equal(trained, w[None])
         assert deltas == [0.0]
@@ -171,7 +172,7 @@ class TestLocalRound:
         cfg = scenario(lr=0.2, batch_size=40)
         node, test, w = self.make_node(cfg)
         trained, deltas, _ = local_round(
-            round_data([node], test), w, cfg, [3], loss(cfg.model, w, test)
+            node, test, w, cfg, [3], loss(cfg.model, w, test)
         )
         assert deltas[0] == loss(cfg.model, w, test) - loss(cfg.model, trained[0], test)
         assert deltas[0] > 0.0
@@ -179,8 +180,8 @@ class TestLocalRound:
     def test_deterministic(self):
         cfg = scenario()
         node, test, w = self.make_node(cfg)
-        a = local_round(round_data([node], test), w, cfg, [7], loss(cfg.model, w, test))
-        b = local_round(round_data([node], test), w, cfg, [7], loss(cfg.model, w, test))
+        a = local_round(node, test, w, cfg, [7], loss(cfg.model, w, test))
+        b = local_round(node, test, w, cfg, [7], loss(cfg.model, w, test))
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1] and a[2] == b[2]
 
@@ -189,27 +190,20 @@ class TestLocalRound:
         node, test, w = self.make_node(cfg)
         with pytest.warns(UserWarning):
             run_federated_partitioned(cfg, test, [node] * cfg.n_nodes)
-        _, _, traces = local_round(round_data([node], test), w, cfg, [1], loss(cfg.model, w, test))
+        _, _, traces = local_round(node, test, w, cfg, [1], loss(cfg.model, w, test))
         assert len(traces[0]) == 3
 
-    def test_seed_count_must_match_nodes(self):
-        cfg = scenario()
-        node, test, w = self.make_node(cfg)
-        with pytest.raises(ValueError, match="seeds"):
-            local_round(round_data([node, node], test), w, cfg, [1], loss(cfg.model, w, test))
-
     def test_lockstep_round_equals_one_node_at_a_time(self):
-        # Unequal node sizes train as one stack per size; node order is kept.
+        # Four nodes train as one stack, the last batch short; node order is kept.
         cfg = scenario(n_nodes=4, samples_per_node=25, batch_size=10)
-        test, parts = partition_dataset(gen_synthetic(synthetic_spec(), seed=3), cfg, 5)
-        nodes = [parts[0], parts[1].subset(np.arange(20)), parts[2], parts[3].subset(np.arange(20))]
+        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=3), cfg, 5)
         w = init_params(cfg.model, 2)
         before = loss(cfg.model, w, test)
         trained, deltas, traces = local_round(
-            round_data(nodes, test), w, cfg, [11, 12, 13, 14], before
+            Dataset.concat(nodes), test, w, cfg, [11, 12, 13, 14], before
         )
         for i, node in enumerate(nodes):
-            one, delta, trace = local_round(round_data([node], test), w, cfg, [11 + i], before)
+            one, delta, trace = local_round(node, test, w, cfg, [11 + i], before)
             np.testing.assert_array_equal(trained[i], one[0])
             assert deltas[i] == delta[0] == before - loss(cfg.model, trained[i], test)
             assert traces[i] == trace[0]
@@ -274,7 +268,7 @@ class TestRunFederated:
         for t in (1, 2):
             locals_ = []
             for i, node in enumerate(nodes):
-                trained, deltas, _ = local_round(round_data([node], test), w, cfg,
+                trained, deltas, _ = local_round(node, test, w, cfg,
                                                  [derive_seed(cfg.seed, "round", t, i)],
                                                  loss(cfg.model, w, test))
                 locals_.append(trained[0])
@@ -285,10 +279,9 @@ class TestRunFederated:
         np.testing.assert_array_equal(w, run.final_params)
 
     @pytest.mark.parametrize("model", [softmax_spec(4, 3, l2=0.01), mlp_spec(4, 3, 5, l2=0.0)])
-    def test_unequal_nodes_and_two_epochs_equal_a_per_node_replay(self, model):
+    def test_two_epochs_equal_a_per_node_replay(self, model):
         cfg = scenario(n_nodes=3, rounds=3, batch_size=15, local_epochs_per_round=2, model=model)
-        test, parts = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
-        datasets = [parts[0], parts[1], parts[2].subset(np.arange(25))]
+        test, datasets = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
         with pytest.warns(UserWarning):
             run = run_federated_partitioned(cfg, test, datasets)
 
@@ -314,6 +307,16 @@ class TestRunFederated:
             assert record.test_loss == before
             assert record.train_loss == float(np.mean([loss(cfg.model, w, d) for d in datasets]))
         np.testing.assert_array_equal(run.final_params, w)
+
+    def test_unequal_node_sizes_rejected(self):
+        cfg = scenario()
+        test, (a, b) = partition_dataset(gen_synthetic(synthetic_spec(), seed=12), cfg, 5)
+        nodes = [a.subset(np.arange(20)), b.subset(np.arange(25))]
+        w1 = init_params(cfg.model, 1)
+        with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
+            training_phase(cfg, w1, test, nodes)
+        with pytest.raises(ValueError, match="differ in size"):
+            run_federated_partitioned(cfg, test, nodes)
 
     def test_wstar_proxy_is_best_train_loss_params(self):
         data = gen_synthetic(synthetic_spec(), seed=11)

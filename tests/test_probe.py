@@ -57,6 +57,11 @@ class TestDrawProbePair:
         with pytest.raises(ValueError):
             GaussianPerturbationSampler(center=(1.0, 2.0), sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_sampler_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianPerturbationSampler(center=(1.0, 2.0), sigma=sigma)
+
     def test_perturbation_sampler_centers_draws(self):
         spec = quadratic_spec([1.0] * 4)
         sampler = GaussianPerturbationSampler(center=(10.0, 10.0, 10.0, 10.0), sigma=0.01)
@@ -298,7 +303,8 @@ class CoincidentFrom:
 
 
 class BadDraw:
-    """Init-distribution points, except that the v of probe ``target`` is infinite or too short."""
+    """Init-distribution points, except that the v of probe ``target`` is
+    infinite, or that a stack holding it comes back one column short."""
 
     def __init__(self, spec, rng_seed, target, bad):
         self.v = first_normals(spec, rng_seed, target)[1:]
@@ -325,6 +331,53 @@ class CoincidentFirstPair:
     def map(self, spec, z):
         z = np.where(matches(z, self.v[None])[..., None], self.u, z)
         return InitDistributionSampler().map(spec, z)
+
+
+class Poisoned:
+    """Init-distribution points, except for the probes ``kinds`` names: a
+    "degenerate" probe maps its first pair and every redraw to one point, an
+    "inf" probe's first v is infinite, and a "value" probe's first u lies so
+    far out that its L2 penalty overflows."""
+
+    POINTS = {"degenerate": 0.0, "inf": np.inf, "value": 1e200}
+
+    def __init__(self, spec, rng_seed, kinds):
+        dim = param_dim(spec)
+        self.rows = []
+        for i, kind in kinds.items():
+            stream = spawn_rng("probe-pair", derive_seed(rng_seed, i))
+            # u, v and draw_probe_pair's 100 redraws of v, in stream order.
+            normals = stream.standard_normal((102, dim))
+            rows = {"degenerate": normals, "inf": normals[1:2], "value": normals[:1]}[kind]
+            self.rows.append((rows, self.POINTS[kind]))
+
+    def map(self, spec, z):
+        w = InitDistributionSampler().map(spec, z)
+        for rows, point in self.rows:
+            w[matches(z, rows)] = point
+        return w
+
+
+def first_failure(spec, data, n_probes, sampler, rng_seed):
+    """The first probe the single-vector oracles reject, and their error, or None."""
+    with np.errstate(all="ignore"):
+        for i in range(n_probes):
+            try:
+                u, v = draw_probe_pair(spec, sampler, derive_seed(rng_seed, i))
+                ProbeSample(compute_m(spec, u, v, data), compute_g(spec, v, data))
+            except ValueError as exc:
+                return i, exc
+    return None
+
+
+@st.composite
+def poisonings(draw):
+    n_probes = draw(st.integers(1, 8))
+    stack = draw(st.integers(1, n_probes))
+    kinds = draw(
+        st.dictionaries(st.integers(0, n_probes - 1), st.sampled_from(sorted(Poisoned.POINTS)))
+    )
+    return n_probes, stack, kinds
 
 
 class TestStackedProbes:
@@ -389,6 +442,8 @@ class TestStackedProbes:
         assert excinfo.value.probe_index == 3
         assert isinstance(excinfo.value.__cause__, DegeneratePairError)
 
+    # An infinite vector is its probe's; a short stack is the whole stack's,
+    # so it names the stack's first probe.
     @pytest.mark.parametrize("stack", [1, 3, 8])
     @pytest.mark.parametrize("bad, message", [("inf", "non-finite"), ("short", "shape")])
     def test_bad_vector_names_its_probe(self, monkeypatch, stack, bad, message):
@@ -399,7 +454,7 @@ class TestStackedProbes:
         sampler = BadDraw(spec, 0, 4, bad)
         with pytest.raises(ProbeFailure, match=message) as excinfo:
             collect_probes(spec, data, 8, sampler, 0)
-        assert excinfo.value.probe_index == 4
+        assert excinfo.value.probe_index == (4 if bad == "inf" else 4 - 4 % stack)
 
     @pytest.mark.parametrize(
         "center, message", [((0.0,) * 7, "shape"), ((np.inf,) + (0.0,) * 9, "non-finite")]
@@ -433,3 +488,29 @@ class TestStackedProbes:
         sampler = BadDraw(spec, 0, 5, "inf") if bad_later else InitDistributionSampler()
         with pytest.raises(ProbeFailure, match="probe 4 failed: probe values must be finite"):
             collect_probes(spec, data, 9, sampler, 0)
+
+    @given(poisonings())
+    @settings(max_examples=40, deadline=None)
+    def test_first_poisoned_probe_is_named(self, case):
+        n_probes, stack, kinds = case
+        spec = softmax_spec(4, 2, l2=0.01)
+        rng = spawn_rng("toy", 10)
+        data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
+        sampler = Poisoned(spec, 0, kinds)
+        expected = first_failure(spec, data, n_probes, sampler, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            small_stacks(mp, spec, data, stack)
+            if not kinds:
+                assert expected is None
+                assert len(collect_probes(spec, data, n_probes, sampler, 0)) == n_probes
+                return
+            with pytest.raises(ProbeFailure) as excinfo:
+                collect_probes(spec, data, n_probes, sampler, 0)
+        index, exc = expected
+        assert excinfo.value.probe_index == index == min(kinds)
+        cause = excinfo.value.__cause__
+        assert type(cause) is type(exc)
+        assert isinstance(cause, DegeneratePairError) == (kinds[index] == "degenerate")
+        if kinds[index] != "degenerate":
+            # The degenerate message differs: the oracle gives up after its redraws.
+            assert str(cause) == str(exc)
