@@ -43,7 +43,7 @@ def main() -> None:
         test_data, nodes = node_datasets(cfg, seed)
         w1, _, node_constants, _ = probe_phase(scenario, nodes)
         selected = select_nodes(
-            sorted(node_constants.items()), cfg.selection_k, args.policy, rng_seed=seed
+            enumerate(node_constants), cfg.selection_k, args.policy, rng_seed=seed
         )
         rest = set(range(len(nodes))) - selected
 

@@ -23,30 +23,14 @@ SELECTION_POLICIES = ("top-L", "top-G", "bottom-mu", "random", "all")
 CONSTANT_NAMES = ("mu", "L", "G")
 
 
-@dataclass(frozen=True)
-class UsefulnessRecord:
-    """A node's mean per-round improvement in global test loss."""
-
-    node_id: int
-    usefulness: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.usefulness):
-            raise ValueError("usefulness must be finite")
-
-
-def usefulness_from_rounds(rounds) -> list[UsefulnessRecord]:
-    rounds = tuple(rounds)
+def usefulness_from_rounds(rounds) -> np.ndarray:
+    """Each node's mean per-round improvement in global test loss, as an
+    ``(N,)`` array in node order."""
     if not rounds:
         raise ValueError("run has no rounds")
-    node_ids = sorted(rounds[0].per_node_usefulness)
-    return [
-        UsefulnessRecord(
-            node_id,
-            float(np.mean([r.per_node_usefulness[node_id] for r in rounds])),
-        )
-        for node_id in node_ids
-    ]
+    # Row i holds node i's deltas contiguously in round order, so its mean
+    # sums them as np.mean of that 1-D array would.
+    return np.stack([r.per_node_usefulness for r in rounds], axis=1).mean(axis=1)
 
 
 def _unit_centred(v: np.ndarray) -> np.ndarray:
@@ -141,13 +125,13 @@ class ReportInputs:
     """Everything the report CSVs are computed from; buildable from an FLRun
     or parsed back out of a saved run directory.
 
-    ``probe_g`` and ``training_g`` are float64 arrays of the pooled g values.
-    ``selection_k`` is the subset size of selection.csv; None means half the
-    nodes, rounded up.
+    ``usefulness[i]`` and ``node_constants[i]`` are node i's. ``probe_g`` and
+    ``training_g`` are float64 arrays of the pooled g values. ``selection_k``
+    is the subset size of selection.csv; None means half the nodes, rounded up.
     """
 
-    usefulness: tuple[UsefulnessRecord, ...]
-    node_constants: dict[int, ConstantsEstimate]
+    usefulness: np.ndarray
+    node_constants: tuple[ConstantsEstimate, ...]
     probe_g: np.ndarray
     training_g: np.ndarray
     seed: int
@@ -156,8 +140,8 @@ class ReportInputs:
 
 def report_inputs_from_run(run: FLRun) -> ReportInputs:
     return ReportInputs(
-        usefulness=tuple(usefulness_from_rounds(run.rounds)),
-        node_constants=dict(run.node_constants),
+        usefulness=usefulness_from_rounds(run.rounds),
+        node_constants=run.node_constants,
         probe_g=run.probe_g_pooled(),
         training_g=run.training_g_pooled(),
         seed=run.config.seed,
@@ -195,20 +179,24 @@ def _read_columns(path: Path, dtypes) -> list:
 def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     """Rebuild report inputs from a saved run directory's CSV files."""
     run_dir = Path(run_dir)
-    _, nodes, deltas = _read_columns(run_dir / "usefulness.csv", (None, np.int64, np.float64))
+    path = run_dir / "constants.csv"
+    constants = _read_columns(path, (np.int64, np.float64, np.float64, np.float64, np.int64))
+    # Node rows carry ids 0..N-1 in order; the global row carries -1.
+    rows = [row for row in zip(*(column.tolist() for column in constants)) if row[0] >= 0]
+    ids = [row[0] for row in rows]
+    if ids != list(range(len(ids))):
+        raise ValueError(f"{path}: node ids {ids} do not run 0..{len(ids) - 1} in order")
+    node_constants = tuple(ConstantsEstimate(*values) for _, *values in rows)
+
+    path = run_dir / "usefulness.csv"
+    _, nodes, deltas = _read_columns(path, (None, np.int64, np.float64))
+    found = np.unique(nodes).tolist()
+    if found != ids:
+        raise ValueError(f"{path}: node ids {found} differ from constants.csv's {ids}")
     # Each node's deltas in row order, so the mean sums them in that order.
-    usefulness = tuple(
-        UsefulnessRecord(node_id, float(np.mean(deltas[nodes == node_id])))
-        for node_id in np.unique(nodes).tolist()
-    )
-    constants = _read_columns(
-        run_dir / "constants.csv", (np.int64, np.float64, np.float64, np.float64, np.int64)
-    )
-    node_constants = {
-        node_id: ConstantsEstimate(*values)
-        for node_id, *values in zip(*(column.tolist() for column in constants))
-        if node_id >= 0
-    }
+    usefulness = np.array([np.mean(deltas[nodes == i]) for i in ids])
+    if not np.isfinite(usefulness).all():
+        raise ValueError(f"{path}: usefulness must be finite")
     source, _, values = _read_columns(run_dir / "gtrace.csv", (object, None, np.float64))
     probe_g = values[source == "probe"]
     training_g = values[source == "training"]
@@ -216,21 +204,16 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     return ReportInputs(usefulness, node_constants, probe_g, training_g, seed, selection_k)
 
 
-def _constant_values(inputs: ReportInputs, quantity: str) -> np.ndarray:
-    getter = {"mu": lambda c: c.mu, "L": lambda c: c.L, "G": lambda c: c.G}[quantity]
-    return np.array([getter(inputs.node_constants[r.node_id]) for r in inputs.usefulness])
-
-
 def correlation_rows(inputs: ReportInputs) -> list[tuple[str, float, float, int]]:
     """(quantity, pearson, spearman, n) per constant; nan when undefined."""
-    usefulness = np.array([r.usefulness for r in inputs.usefulness])
     rows = []
     for quantity in CONSTANT_NAMES:
+        values = [getattr(c, quantity) for c in inputs.node_constants]
         try:
-            pearson, spearman = correlate(_constant_values(inputs, quantity), usefulness)
+            pearson, spearman = correlate(values, inputs.usefulness)
         except ValueError:
             pearson = spearman = float("nan")
-        rows.append((quantity, pearson, spearman, usefulness.size))
+        rows.append((quantity, pearson, spearman, inputs.usefulness.size))
     return rows
 
 
@@ -245,7 +228,7 @@ def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
     write_csv(run_dir / "cdf_probe.csv", ("value", "fraction"), _cdf_arrays(inputs.probe_g))
     write_csv(run_dir / "cdf_training.csv", ("value", "fraction"), _cdf_arrays(inputs.training_g))
 
-    estimates = sorted(inputs.node_constants.items())
+    estimates = list(enumerate(inputs.node_constants))
     n = len(estimates)
     k = inputs.selection_k if inputs.selection_k is not None else math.ceil(n / 2)
     chosen = [

@@ -193,7 +193,7 @@ def _cmd_probe(args) -> int:
     seed = cfg.repeat_seeds[0]
     _, nodes = node_datasets(cfg, seed)
     _, _, node_constants, agg = flsim.probe_phase(replace(cfg.scenario, seed=seed), nodes)
-    for i, est in node_constants.items():
+    for i, est in enumerate(node_constants):
         print(f"node {i}: mu={est.mu:.9g} L={est.L:.9g} G={est.G:.9g} n_probes={est.n_probes}")
     print(f"global: mu={agg.mu:.9g} L={agg.L:.9g} G={agg.G:.9g} n_probes={agg.n_probes}")
     return 0

@@ -26,7 +26,6 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +50,6 @@ from .probe import (
     aggregate_global,
     collect_probes,
     constants_from_samples,
-    write_probes_csv,
 )
 from .rng import derive_seed, spawn_rng
 
@@ -112,35 +110,38 @@ class ScenarioConfig:
 class RoundRecord:
     """Observables of one federated round (losses at the aggregated model).
 
-    ``training_g_values[i]`` holds node i's batch-gradient norms, one per
-    SGD step, in step order.
+    ``per_node_usefulness[i]`` is node i's delta in global test loss, and row
+    i of the ``(N, steps)`` array ``training_g_values`` its batch-gradient
+    norms, one per SGD step, in step order.
     """
 
     t: int
     train_loss: float
     test_loss: float
     bound_value: float
-    per_node_usefulness: dict[int, float]
-    training_g_values: tuple[tuple[float, ...], ...]
+    per_node_usefulness: np.ndarray
+    training_g_values: np.ndarray
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("round index starts at 1")
         if not (np.isfinite(self.train_loss) and np.isfinite(self.test_loss)):
             raise ValueError("losses must be finite")
+        if not np.isfinite(self.per_node_usefulness).all():
+            raise ValueError("usefulness must be finite")
 
 
 @dataclass(frozen=True)
 class FLRun:
-    """A finished federated run with everything the analysis stage consumes."""
+    """A finished federated run with everything the analysis stage consumes;
+    ``node_constants[i]`` and ``probe_samples[i]`` are node i's."""
 
     config: ScenarioConfig
     rounds: tuple[RoundRecord, ...]
     final_params: ParamVector
     global_constants: ConstantsEstimate
-    node_constants: dict[int, ConstantsEstimate]
-    probe_samples: dict[int, tuple[ProbeSample, ...]]
-    initial_params: ParamVector
+    node_constants: tuple[ConstantsEstimate, ...]
+    probe_samples: tuple[tuple[ProbeSample, ...], ...]
     wstar_proxy: ParamVector
     init_distance: float
 
@@ -152,17 +153,10 @@ class FLRun:
 
     def training_g_pooled(self) -> np.ndarray:
         """Every training norm, round by round and node by node within a round."""
-        traces = [trace for record in self.rounds for trace in record.training_g_values]
-        return _pooled(traces)
+        return np.concatenate([record.training_g_values for record in self.rounds], axis=None)
 
     def probe_g_pooled(self) -> np.ndarray:
-        return np.array([s.g_value for samples in self.probe_samples.values() for s in samples])
-
-
-def _pooled(segments: list[Sequence[float]]) -> np.ndarray:
-    """The segments one after another as one float64 array, read in one pass
-    (np.concatenate would first make an array of each short segment)."""
-    return np.fromiter(chain.from_iterable(segments), np.float64, sum(map(len, segments)))
+        return np.array([s.g_value for samples in self.probe_samples for s in samples])
 
 
 def held_out_size(cfg: ScenarioConfig, n: int) -> int:
@@ -216,65 +210,69 @@ def local_round(
     global_params: ParamVector,
     cfg: ScenarioConfig,
     rng_seeds: Sequence[int],
-    global_test_loss: float,
-) -> tuple[np.ndarray, list[float], list[list[float]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replace every node's model with the global one and resume local training.
 
     ``rows`` holds the N nodes' equal row blocks, which train in lockstep as
-    one stack, node i's epochs seeded from ``rng_seeds[i]``. The caller gives
-    ``global_test_loss = loss(cfg.model, global_params, test_data)`` once for
-    all nodes. Returns, in node order, the ``(N, dim)`` trained stack, each
-    node's usefulness delta (global test loss before minus after its local
-    epochs), and each node's batch-gradient norms, one per SGD step.
+    one stack, node i's epochs seeded from ``rng_seeds[i]``. Returns the
+    ``(N, dim)`` trained stack, each trained row's loss on ``test_data`` as
+    an ``(N,)`` array, and the ``(N, steps)`` array of each node's
+    batch-gradient norms, one per SGD step.
     """
     stack = np.tile(np.asarray(global_params, dtype=np.float64), (len(rng_seeds), 1))
-    traces: list[list[float]] = [[] for _ in rng_seeds]
+    norms = []
     for epoch in range(cfg.local_epochs_per_round):
         seeds = [derive_seed(seed, epoch) for seed in rng_seeds]
-        stack, norms = sgd_epoch_traced(cfg.model, stack, rows, cfg.lr, cfg.batch_size, seeds)
-        for trace, node_norms in zip(traces, zip(*norms)):
-            trace.extend(node_norms)
+        stack, epoch_norms = sgd_epoch_traced(cfg.model, stack, rows, cfg.lr, cfg.batch_size, seeds)
+        norms.append(epoch_norms)
     # Every trained row on the one test set, in one kernel call; row i equals
     # loss(cfg.model, stack[i], test_data) bit for bit. sgd_epoch_traced
     # has checked that every row is finite.
     after, _ = _loss_and_grad_stacked(cfg.model, stack, test_data.features, test_data.labels, False)
-    deltas = [global_test_loss - float(value) for value in after]
-    return stack, deltas, traces
+    return stack, after, np.concatenate(norms).T
+
+
+def _check_equal_sizes(node_datasets: Sequence[Dataset]) -> None:
+    """The bound is for equally weighted FedAvg, so every node holds equally many rows."""
+    sizes = [len(local) for local in node_datasets]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"node datasets differ in size: {sizes}")
 
 
 def probe_phase(
     cfg: ScenarioConfig, node_datasets: Sequence[Dataset]
 ) -> tuple[
     ParamVector,
-    dict[int, tuple[ProbeSample, ...]],
-    dict[int, ConstantsEstimate],
+    tuple[tuple[ProbeSample, ...], ...],
+    tuple[ConstantsEstimate, ...],
     ConstantsEstimate,
 ]:
     """Phase 1 of a run: probe every node's loss landscape around w1.
 
     Node i probes with seed ``derive_seed(cfg.seed, "probe", i)``, drawing
     fresh parameter vectors or jitter around w1 per ``cfg.probe_sampler``.
-    Returns w1 (the initial global parameters), each node's probe samples,
-    each node's (mu, L, G) and their worst-case global aggregate.
+    Returns w1 (the initial global parameters), then in node order each
+    node's probe samples and (mu, L, G), and their worst-case global aggregate.
     """
     if cfg.model is None:
         raise ValueError("config has no model spec")
     if len(node_datasets) != cfg.n_nodes:
         raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
+    _check_equal_sizes(node_datasets)
     w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
     if cfg.probe_sampler == "init":
         sampler = InitDistributionSampler()
     else:
         sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
-    probe_samples = {
-        i: collect_probes(
+    probe_samples = tuple(
+        collect_probes(
             cfg.model, local, cfg.n_probes, sampler,
             derive_seed(cfg.seed, "probe", i), cfg.g_formula,
         )
         for i, local in enumerate(node_datasets)
-    }
-    node_constants = {i: constants_from_samples(s) for i, s in probe_samples.items()}
-    return w1, probe_samples, node_constants, aggregate_global(node_constants.values())
+    )
+    node_constants = tuple(map(constants_from_samples, probe_samples))
+    return w1, probe_samples, node_constants, aggregate_global(node_constants)
 
 
 def training_phase(
@@ -290,11 +288,9 @@ def training_phase(
     global parameters, and the optimum proxy: the parameters, w1 included,
     with the lowest mean training loss over the nodes.
     """
-    sizes = [len(local) for local in node_datasets]
-    if len(set(sizes)) > 1:
-        raise ValueError(f"node datasets differ in size: {sizes}")
+    _check_equal_sizes(node_datasets)
     rows = Dataset.concat(node_datasets)
-    n_nodes = len(sizes)
+    n_nodes = len(node_datasets)
 
     def train_loss_at(params: ParamVector) -> float:
         return float(np.mean(loss(cfg.model, np.tile(params, (n_nodes, 1)), rows)))
@@ -305,7 +301,8 @@ def training_phase(
     records = []
     for t in range(1, cfg.rounds + 1):
         seeds = [derive_seed(cfg.seed, "round", t, i) for i in range(n_nodes)]
-        trained, deltas, node_traces = local_round(rows, test_data, current, cfg, seeds, test_loss)
+        trained, after, norms = local_round(rows, test_data, current, cfg, seeds)
+        deltas = test_loss - after
         current = fedavg(trained)
         train_loss = train_loss_at(current)
         test_loss = loss(cfg.model, current, test_data)
@@ -316,8 +313,8 @@ def training_phase(
                 train_loss=train_loss,
                 test_loss=test_loss,
                 bound_value=float("nan"),
-                per_node_usefulness=dict(enumerate(deltas)),
-                training_g_values=tuple(map(tuple, node_traces)),
+                per_node_usefulness=deltas,
+                training_g_values=norms,
             )
         )
     wstar_proxy = min(candidates, key=lambda pair: pair[0])[1]
@@ -368,7 +365,6 @@ def run_federated_partitioned(
         global_constants=global_constants,
         node_constants=node_constants,
         probe_samples=probe_samples,
-        initial_params=w1,
         wstar_proxy=wstar_proxy,
         init_distance=dist,
     )
@@ -397,45 +393,53 @@ def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> No
             [r.bound_value for r in rounds],
         ),
     )
-    useful = [(r, sorted(r.per_node_usefulness)) for r in rounds]
+    deltas = np.stack([r.per_node_usefulness for r in rounds])
+    n_rounds, n_nodes = deltas.shape
     write_csv(
         run_dir / "usefulness.csv",
         ("t", "node_id", "delta"),
         (
-            [r.t for r, ids in useful for _ in ids],
-            [i for _, ids in useful for i in ids],
-            [r.per_node_usefulness[i] for r, ids in useful for i in ids],
+            np.repeat([r.t for r in rounds], n_nodes),
+            np.tile(np.arange(n_nodes), n_rounds),
+            deltas.ravel(),
         ),
     )
     # gtrace.csv: every node's probe g values, then every round's training
-    # norms node by node, one segment per (source, node).
-    probe_ids = sorted(run.probe_samples)
-    probe_g = [[s.g_value for s in run.probe_samples[i]] for i in probe_ids]
-    training_ids = [i for r in rounds for i in range(len(r.training_g_values))]
-    training_g = [trace for r in rounds for trace in r.training_g_values]
-    segments = probe_g + training_g
-    n_probe = sum(map(len, probe_g))
-    values = _pooled(segments)
+    # norms node by node.
+    probe_counts = [len(samples) for samples in run.probe_samples]
+    probe_ids = np.repeat(np.arange(len(probe_counts)), probe_counts)
+    steps = rounds[0].training_g_values.shape[1]
+    training_ids = np.tile(np.repeat(np.arange(n_nodes), steps), n_rounds)
+    probe_g, training_g = run.probe_g_pooled(), run.training_g_pooled()
     write_csv(
         run_dir / "gtrace.csv",
         ("source", "node_id", "value"),
         (
-            ["probe"] * n_probe + ["training"] * (values.size - n_probe),
-            np.repeat(probe_ids + training_ids, list(map(len, segments))),
-            values,
+            ["probe"] * probe_g.size + ["training"] * training_g.size,
+            np.concatenate([probe_ids, training_ids]),
+            np.concatenate([probe_g, training_g]),
         ),
     )
 
-    estimates = sorted(run.node_constants.items()) + [(-1, run.global_constants)]
+    estimates = (*run.node_constants, run.global_constants)
     write_csv(
         run_dir / "constants.csv",
         ("node_id", "mu", "L", "G", "n_probes"),
         (
-            [i for i, _ in estimates],
-            [c.mu for _, c in estimates],
-            [c.L for _, c in estimates],
-            [c.G for _, c in estimates],
-            [c.n_probes for _, c in estimates],
+            [*range(len(run.node_constants)), -1],
+            [c.mu for c in estimates],
+            [c.L for c in estimates],
+            [c.G for c in estimates],
+            [c.n_probes for c in estimates],
         ),
     )
-    write_probes_csv(run_dir / "probes.csv", run.probe_samples)
+    write_csv(
+        run_dir / "probes.csv",
+        ("node_id", "probe_index", "m_value", "g_value"),
+        (
+            probe_ids,
+            np.concatenate([np.arange(count) for count in probe_counts]),
+            [s.m_value for samples in run.probe_samples for s in samples],
+            probe_g,
+        ),
+    )

@@ -400,15 +400,15 @@ def sgd_epoch_traced(
     lr: float,
     batch_size: int,
     rng_seed: int | Sequence[int],
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One shuffled pass of mini-batch SGD, recording each batch-gradient norm.
 
     Returns the updated parameters and the ||grad|| of every SGD step. The
     input is never mutated. A ``(P, dim)`` stack trains P models in lockstep:
     ``data`` holds their P equal, consecutive row blocks, ``rng_seed`` is a
     sequence of P seeds, and each step makes one stacked :func:`gradient`
-    call; the norms then come back as one list of P values per step. Row p
-    equals the single-vector call on block p with seed p, bit for bit.
+    call; the norms then come back as a ``(steps, P)`` array. Row p equals
+    the single-vector call on block p with seed p, bit for bit.
     """
     if lr < 0.0:
         raise ValueError("lr must be >= 0")
@@ -440,10 +440,8 @@ def sgd_epoch_traced(
     if not np.isfinite(current).all():
         raise ValueError(f"SGD left non-finite parameters after {len(starts)} steps")
     # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
-    norms = np.sqrt(sq_norms).tolist()
-    if single:
-        return current[0], [step[0] for step in norms]
-    return current, norms
+    norms = np.sqrt(sq_norms)
+    return (current[0], norms[:, 0]) if single else (current, norms)
 
 
 def finite_difference_gradient(

@@ -15,11 +15,9 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .csvio import write_csv
 from .model import (
     Dataset,
     ModelSpec,
@@ -316,17 +314,3 @@ def aggregate_global(per_node) -> ConstantsEstimate:
         n_probes=sum(e.n_probes for e in estimates),
     )
 
-
-def write_probes_csv(path: Path | str, samples_by_node: dict[int, tuple[ProbeSample, ...]]) -> None:
-    """Export raw probe samples as rows of node_id, probe_index, m_value, g_value."""
-    nodes = [(i, samples_by_node[i]) for i in sorted(samples_by_node)]
-    write_csv(
-        path,
-        ("node_id", "probe_index", "m_value", "g_value"),
-        (
-            [i for i, samples in nodes for _ in samples],
-            [idx for _, samples in nodes for idx in range(len(samples))],
-            [s.m_value for _, samples in nodes for s in samples],
-            [s.g_value for _, samples in nodes for s in samples],
-        ),
-    )

@@ -271,7 +271,7 @@ def test_08_constants_correlate_with_usefulness(hetero_runs):
     spearman_l, spearman_g = [], []
     for seed in SEEDS:
         run, _, _ = runs[seed]
-        usefulness = np.array([r.usefulness for r in usefulness_from_rounds(run.rounds)])
+        usefulness = usefulness_from_rounds(run.rounds)
         l_values = np.array([run.node_constants[i].L for i in range(8)])
         g_values = np.array([run.node_constants[i].G for i in range(8)])
         spearman_l.append(correlate(l_values, usefulness)[1])
@@ -292,7 +292,7 @@ def test_09_top_half_by_l_beats_bottom_half(hetero_runs):
     top_losses, bottom_losses = [], []
     for seed in SEEDS:
         run, test_data, nodes = runs[seed]
-        estimates = sorted(run.node_constants.items())
+        estimates = list(enumerate(run.node_constants))
         k = math.ceil(len(estimates) / 2)
         top = select_nodes(estimates, k, "top-L")
         bottom = set(i for i, _ in estimates) - top
@@ -344,12 +344,13 @@ def test_10_unit_example_suite():
 
     def record(t, deltas):
         return RoundRecord(t=t, train_loss=1.0, test_loss=1.0, bound_value=1.0,
-                           per_node_usefulness=deltas, training_g_values=())
+                           per_node_usefulness=np.array(deltas),
+                           training_g_values=np.empty((len(deltas), 0)))
 
-    records = usefulness_from_rounds([record(1, {0: 0.5}), record(2, {0: 0.3})])
-    assert records[0].usefulness == pytest.approx(0.4)
-    single = usefulness_from_rounds([record(1, {0: 0.7})])
-    assert single[0].usefulness == pytest.approx(0.7)
+    records = usefulness_from_rounds([record(1, [0.5]), record(2, [0.3])])
+    assert records[0] == pytest.approx(0.4)
+    single = usefulness_from_rounds([record(1, [0.7])])
+    assert single[0] == pytest.approx(0.7)
     frozen_run = run_federated(
         ScenarioConfig(
             n_nodes=2, samples_per_node=20, rounds=2,
@@ -357,7 +358,7 @@ def test_10_unit_example_suite():
         ),
         gen_synthetic(SyntheticSpec(num_classes=3, feature_dim=4, samples_per_class=30), 1),
     )
-    assert all(r.usefulness == 0.0 for r in usefulness_from_rounds(frozen_run.rounds))
+    assert all(u == 0.0 for u in usefulness_from_rounds(frozen_run.rounds))
 
     w = np.array([1.0, -2.0])
     np.testing.assert_array_equal(fedavg([w, w.copy()]), w)

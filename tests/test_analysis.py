@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fedbound.analysis import (
     ReportInputs,
-    UsefulnessRecord,
     _average_ranks,
     _cdf_arrays,
     correlate,
@@ -29,6 +28,7 @@ from fedbound.probe import ConstantsEstimate
 
 
 def run_with_deltas(per_round_deltas):
+    """A run whose round t gives node i the delta ``per_round_deltas[t - 1][i]``."""
     n_nodes = len(per_round_deltas[0])
     cfg = ScenarioConfig(
         n_nodes=n_nodes, samples_per_node=1, rounds=len(per_round_deltas), n_probes=2
@@ -39,22 +39,20 @@ def run_with_deltas(per_round_deltas):
             train_loss=1.0,
             test_loss=1.0,
             bound_value=1.0,
-            per_node_usefulness=dict(deltas),
-            training_g_values=(),
+            per_node_usefulness=np.array(deltas),
+            training_g_values=np.empty((n_nodes, 0)),
         )
         for i, deltas in enumerate(per_round_deltas)
     )
     const = ConstantsEstimate(0.5, 1.0, 1.0, 2)
     w = np.zeros(3)
-    node_ids = sorted(per_round_deltas[0])
     return FLRun(
         config=cfg,
         rounds=records,
         final_params=w,
         global_constants=const,
-        node_constants={i: const for i in node_ids},
-        probe_samples={i: () for i in node_ids},
-        initial_params=w,
+        node_constants=(const,) * n_nodes,
+        probe_samples=((),) * n_nodes,
         wstar_proxy=w,
         init_distance=0.0,
     )
@@ -62,17 +60,14 @@ def run_with_deltas(per_round_deltas):
 
 class TestNodeUsefulness:
     def test_mean_of_round_deltas(self):
-        run = run_with_deltas([{0: 0.5}, {0: 0.3}])
-        records = usefulness_from_rounds(run.rounds)
-        assert len(records) == 1
-        assert records[0].node_id == 0
-        assert records[0].usefulness == pytest.approx(0.4)
+        run = run_with_deltas([[0.5], [0.3]])
+        usefulness = usefulness_from_rounds(run.rounds)
+        assert usefulness.shape == (1,)
+        assert usefulness[0] == pytest.approx(0.4)
 
     def test_single_round_is_identity(self):
-        run = run_with_deltas([{0: 0.7, 1: -0.2}])
-        records = usefulness_from_rounds(run.rounds)
-        assert records[0].usefulness == pytest.approx(0.7)
-        assert records[1].usefulness == pytest.approx(-0.2)
+        run = run_with_deltas([[0.7, -0.2]])
+        np.testing.assert_array_equal(usefulness_from_rounds(run.rounds), [0.7, -0.2])
 
     def test_zero_lr_run_gives_all_zero(self):
         data = gen_synthetic(
@@ -83,19 +78,43 @@ class TestNodeUsefulness:
             lr=0.0, batch_size=30, n_probes=2, seed=1,
         )
         run = run_federated(cfg, data)
-        assert all(r.usefulness == 0.0 for r in usefulness_from_rounds(run.rounds))
+        np.testing.assert_array_equal(usefulness_from_rounds(run.rounds), [0.0, 0.0])
 
     def test_concatenation_linearity(self):
-        first = run_with_deltas([{0: 0.4}, {0: 0.8}])
-        second = run_with_deltas([{0: -0.2}, {0: 0.6}])
+        first = run_with_deltas([[0.4], [0.8]])
+        second = run_with_deltas([[-0.2], [0.6]])
         merged = usefulness_from_rounds(first.rounds + second.rounds)
-        a = usefulness_from_rounds(first.rounds)[0].usefulness
-        b = usefulness_from_rounds(second.rounds)[0].usefulness
-        assert merged[0].usefulness == pytest.approx((a + b) / 2)
+        a = usefulness_from_rounds(first.rounds)[0]
+        b = usefulness_from_rounds(second.rounds)[0]
+        assert merged[0] == pytest.approx((a + b) / 2)
 
     def test_empty_rounds_rejected(self):
         with pytest.raises(ValueError):
             usefulness_from_rounds(())
+
+    def test_non_finite_delta_rejected(self):
+        with pytest.raises(ValueError, match="usefulness must be finite"):
+            run_with_deltas([[0.1, float("inf")]])
+
+    @given(
+        n_rounds=st.integers(1, 200),
+        n_nodes=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_mean_sums_its_nodes_deltas_in_round_order(self, n_rounds, n_nodes, seed):
+        # Bit for bit the mean of each node's deltas as one list in round
+        # order; numpy sums pairwise from 8 terms, blocked from 128, so an
+        # order other than one contiguous row per node moves the last bit.
+        rng = np.random.default_rng(seed)
+        deltas = rng.standard_normal((n_rounds, n_nodes)) * 10.0 ** rng.integers(
+            -6, 7, (n_rounds, n_nodes)
+        )
+        run = run_with_deltas(deltas.tolist())
+        expected = [
+            float(np.mean([r.per_node_usefulness[i] for r in run.rounds])) for i in range(n_nodes)
+        ]
+        assert usefulness_from_rounds(run.rounds).tolist() == expected
 
 
 class TestCorrelate:
@@ -264,11 +283,10 @@ class TestSelectNodes:
 class TestReports:
     def make_inputs(self):
         return ReportInputs(
-            usefulness=tuple(UsefulnessRecord(i, float(i) * 0.1) for i in range(4)),
-            node_constants={
-                i: ConstantsEstimate(0.1 * (i + 1), 1.0 + i, 2.0 - 0.3 * i, 5)
-                for i in range(4)
-            },
+            usefulness=np.array([float(i) * 0.1 for i in range(4)]),
+            node_constants=tuple(
+                ConstantsEstimate(0.1 * (i + 1), 1.0 + i, 2.0 - 0.3 * i, 5) for i in range(4)
+            ),
             probe_g=np.array([1.0, 2.0, 3.0]),
             training_g=np.array([0.5, 0.25]),
             seed=3,
@@ -290,8 +308,8 @@ class TestReports:
 
     def test_degenerate_correlations_are_nan(self, tmp_path):
         inputs = ReportInputs(
-            usefulness=tuple(UsefulnessRecord(i, 0.1 * i) for i in range(3)),
-            node_constants={i: ConstantsEstimate(0.5, 1.0, 1.0, 5) for i in range(3)},
+            usefulness=np.array([0.1 * i for i in range(3)]),
+            node_constants=(ConstantsEstimate(0.5, 1.0, 1.0, 5),) * 3,
             probe_g=np.array([1.0]),
             training_g=np.empty(0),
             seed=0,
@@ -313,9 +331,8 @@ class TestReports:
         direct = report_inputs_from_run(run)
         parsed = report_inputs_from_dir(tmp_path)
         assert parsed.seed == 5
-        assert len(parsed.usefulness) == 3
-        for a, b in zip(direct.usefulness, parsed.usefulness):
-            assert b.usefulness == pytest.approx(a.usefulness, rel=1e-6)
+        assert parsed.usefulness.shape == (3,)
+        np.testing.assert_allclose(parsed.usefulness, direct.usefulness, rtol=1e-6)
         for i in range(3):
             assert parsed.node_constants[i].L == pytest.approx(
                 direct.node_constants[i].L, rel=1e-8
@@ -353,13 +370,12 @@ class TestReports:
 
         assert parsed.seed == direct.seed == seed
         assert parsed.selection_k == direct.selection_k == k
-        assert [r.node_id for r in parsed.usefulness] == [r.node_id for r in direct.usefulness]
-        for a, b in zip(direct.usefulness, parsed.usefulness):
-            scale = max(abs(r.per_node_usefulness[a.node_id]) for r in run.rounds)
-            assert abs(b.usefulness - a.usefulness) <= 5e-9 * scale * (1 + 1e-6)
-        assert parsed.node_constants.keys() == direct.node_constants.keys()
-        for i, c in direct.node_constants.items():
-            p = parsed.node_constants[i]
+        assert parsed.usefulness.shape == direct.usefulness.shape == (n_nodes,)
+        scale = np.abs(np.stack([r.per_node_usefulness for r in run.rounds])).max(axis=0)
+        error = np.abs(parsed.usefulness - direct.usefulness)
+        assert (error <= 5e-9 * scale * (1 + 1e-6)).all()
+        assert len(parsed.node_constants) == len(direct.node_constants) == n_nodes
+        for p, c in zip(parsed.node_constants, direct.node_constants):
             assert sig9((p.mu, p.L, p.G)) == sig9((c.mu, c.L, c.G))
             assert p.n_probes == c.n_probes
         assert sig9(parsed.probe_g) == sig9(direct.probe_g)

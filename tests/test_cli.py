@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from fedbound import cli, csvio
 from fedbound.cli import main
 from fedbound.csvio import write_csv
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+REPO = Path(__file__).resolve().parents[1]
+SRC = str(REPO / "src")
 
 TINY = """\
 scenario.name = tiny
@@ -339,6 +341,32 @@ class TestGoldenRun:
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed2"]
         assert tree_digest(out) == self.MLP_PERTURB_DIGEST
 
+    @pytest.mark.parametrize("name", ["hetero8", "sgd_rounds"])
+    def test_benchmark_seed1_matches_its_pinned_digest(self, tmp_path, name):
+        # perfbench/reference.json pins each benchmark seed's run-directory
+        # digest, taken after `report` on the workloads that run it.
+        sys.path.insert(0, str(REPO / "perfbench"))
+        try:
+            from checks import tree_digest as run_dir_digest
+            from workloads import WORKLOADS
+        finally:
+            sys.path.remove(str(REPO / "perfbench"))
+        pinned = json.loads((REPO / "perfbench" / "reference.json").read_text())[name]["1"]
+        workload = WORKLOADS[name]
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(workload.config_text([1], str(tmp_path / "out")))
+        assert main(["run", "--config", str(config)]) == 0
+        (run_dir,) = (p for p in (tmp_path / "out").iterdir() if p.is_dir())
+        report = ["report", "--run", str(run_dir)]
+        if workload.report:
+            assert main(report) == 0
+        assert run_dir_digest(run_dir) == pinned["digest"]
+        # Repeated `report` calls are idempotent.
+        assert main(report) == 0
+        settled = run_dir_digest(run_dir)
+        assert main(report) == 0
+        assert run_dir_digest(run_dir) == settled
+
     def test_mlp_run_is_byte_identical_for_one_and_two_blas_threads(self, tmp_path):
         # 200 rows x 32 features x 64 hidden units per product is above
         # OpenBLAS's single-thread cut-off, so the second child splits its
@@ -475,6 +503,28 @@ class TestReportCommand:
         assert err == (
             f"error: {gtrace}: line 4, column value: could not convert string to float: 'abc'\n"
         )
+
+    @pytest.mark.parametrize(
+        ("name", "column", "node_id", "message"),
+        [
+            ("usefulness.csv", 1, "9", "node ids [0, 1, 9] differ from constants.csv's [0, 1]"),
+            ("constants.csv", 0, "5", "node ids [5, 1] do not run 0..1 in order"),
+        ],
+    )
+    def test_node_ids_that_disagree_fail_naming_the_file(
+        self, tiny_config, tmp_path, capsys, name, column, node_id, message
+    ):
+        # The first data row of the file gets the wrong node id.
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+        path = tmp_path / "out" / "tiny_seed1" / name
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[column] = node_id
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--run", str(path.parent)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("damage", ["deleted", "malformed"])
     def test_unreadable_config_txt_fails_naming_it(self, tiny_config, tmp_path, capsys, damage):

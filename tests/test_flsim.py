@@ -1,5 +1,5 @@
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedbound import flsim
 from fedbound.cli import node_datasets
 from fedbound.config import ExperimentConfig, echo_lines, load_config
 from fedbound.data import SyntheticSpec, gen_synthetic
@@ -29,7 +30,7 @@ from fedbound.model import (
     sgd_epoch_traced,
     softmax_spec,
 )
-from fedbound.probe import InitDistributionSampler, draw_probe_pair
+from fedbound.probe import InitDistributionSampler, ProbeSample, draw_probe_pair
 from fedbound.rng import derive_seed
 
 
@@ -161,52 +162,45 @@ class TestLocalRound:
     def test_lr_zero_is_noop(self):
         cfg = scenario(lr=0.0)
         node, test, w = self.make_node(cfg)
-        trained, deltas, traces = local_round(
-            node, test, w, cfg, [3], loss(cfg.model, w, test)
-        )
+        trained, after, norms = local_round(node, test, w, cfg, [3])
         np.testing.assert_array_equal(trained, w[None])
-        assert deltas == [0.0]
-        assert len(traces[0]) == 2  # still one norm per step
+        np.testing.assert_array_equal(after, [loss(cfg.model, w, test)])
+        assert norms.shape == (1, 2)  # still one norm per step
 
     def test_training_that_helps_gives_positive_delta(self):
         cfg = scenario(lr=0.2, batch_size=40)
         node, test, w = self.make_node(cfg)
-        trained, deltas, _ = local_round(
-            node, test, w, cfg, [3], loss(cfg.model, w, test)
-        )
-        assert deltas[0] == loss(cfg.model, w, test) - loss(cfg.model, trained[0], test)
-        assert deltas[0] > 0.0
+        trained, after, _ = local_round(node, test, w, cfg, [3])
+        assert after[0] == loss(cfg.model, trained[0], test)
+        assert loss(cfg.model, w, test) - after[0] > 0.0
 
     def test_deterministic(self):
         cfg = scenario()
         node, test, w = self.make_node(cfg)
-        a = local_round(node, test, w, cfg, [7], loss(cfg.model, w, test))
-        b = local_round(node, test, w, cfg, [7], loss(cfg.model, w, test))
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[1] == b[1] and a[2] == b[2]
+        a = local_round(node, test, w, cfg, [7])
+        b = local_round(node, test, w, cfg, [7])
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_multiple_local_epochs_extend_trace(self):
         cfg = scenario(local_epochs_per_round=3, batch_size=40)
         node, test, w = self.make_node(cfg)
         with pytest.warns(UserWarning):
             run_federated_partitioned(cfg, test, [node] * cfg.n_nodes)
-        _, _, traces = local_round(node, test, w, cfg, [1], loss(cfg.model, w, test))
-        assert len(traces[0]) == 3
+        _, _, norms = local_round(node, test, w, cfg, [1])
+        assert norms.shape == (1, 3)
 
     def test_lockstep_round_equals_one_node_at_a_time(self):
         # Four nodes train as one stack, the last batch short; node order is kept.
         cfg = scenario(n_nodes=4, samples_per_node=25, batch_size=10)
         test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=3), cfg, 5)
         w = init_params(cfg.model, 2)
-        before = loss(cfg.model, w, test)
-        trained, deltas, traces = local_round(
-            Dataset.concat(nodes), test, w, cfg, [11, 12, 13, 14], before
-        )
+        trained, after, norms = local_round(Dataset.concat(nodes), test, w, cfg, [11, 12, 13, 14])
         for i, node in enumerate(nodes):
-            one, delta, trace = local_round(node, test, w, cfg, [11 + i], before)
+            one, one_after, one_norms = local_round(node, test, w, cfg, [11 + i])
             np.testing.assert_array_equal(trained[i], one[0])
-            assert deltas[i] == delta[0] == before - loss(cfg.model, trained[i], test)
-            assert traces[i] == trace[0]
+            assert after[i] == one_after[0] == loss(cfg.model, trained[i], test)
+            np.testing.assert_array_equal(norms[i], one_norms[0])
 
 
 class TestRunFederated:
@@ -216,7 +210,8 @@ class TestRunFederated:
         assert len(run.rounds) == 4
         for t, record in enumerate(run.rounds, start=1):
             assert record.t == t
-            assert set(record.per_node_usefulness) == {0, 1}
+            assert record.per_node_usefulness.shape == (2,)
+            assert record.training_g_values.shape == (2, 2)
             assert record.bound_value > 0
         assert run.global_constants.n_probes == cfg.n_probes * cfg.n_nodes
 
@@ -255,7 +250,8 @@ class TestRunFederated:
         b = run_federated(cfg, data)
         np.testing.assert_array_equal(a.final_params, b.final_params)
         for ra, rb in zip(a.rounds, b.rounds):
-            assert ra == rb
+            for field in fields(ra):
+                np.testing.assert_array_equal(getattr(ra, field.name), getattr(rb, field.name))
 
     def test_final_params_are_mean_of_last_round_locals(self):
         data = gen_synthetic(synthetic_spec(), seed=10)
@@ -268,13 +264,12 @@ class TestRunFederated:
         for t in (1, 2):
             locals_ = []
             for i, node in enumerate(nodes):
-                trained, deltas, _ = local_round(node, test, w, cfg,
-                                                 [derive_seed(cfg.seed, "round", t, i)],
-                                                 loss(cfg.model, w, test))
+                trained, after, _ = local_round(node, test, w, cfg,
+                                                [derive_seed(cfg.seed, "round", t, i)])
                 locals_.append(trained[0])
                 # The engine reuses the previous round's test loss as this
                 # round's starting loss; a fresh evaluation must agree exactly.
-                assert deltas[0] == run.rounds[t - 1].per_node_usefulness[i]
+                assert loss(cfg.model, w, test) - after[0] == run.rounds[t - 1].per_node_usefulness[i]
             w = fedavg(locals_)
         np.testing.assert_array_equal(w, run.final_params)
 
@@ -297,26 +292,32 @@ class TestRunFederated:
                         cfg.model, wi, data, cfg.lr, cfg.batch_size,
                         derive_seed(derive_seed(cfg.seed, "round", t, i), epoch),
                     )
-                    trace.extend(norms)
+                    trace.append(norms)
                 locals_.append(wi)
-                traces.append(tuple(trace))
+                traces.append(np.concatenate(trace))
                 assert record.per_node_usefulness[i] == before - loss(cfg.model, wi, test)
             w = fedavg(locals_)
             before = loss(cfg.model, w, test)
-            assert record.training_g_values == tuple(traces)
+            np.testing.assert_array_equal(record.training_g_values, traces)
             assert record.test_loss == before
             assert record.train_loss == float(np.mean([loss(cfg.model, w, d) for d in datasets]))
         np.testing.assert_array_equal(run.final_params, w)
 
-    def test_unequal_node_sizes_rejected(self):
+    def test_unequal_node_sizes_rejected(self, monkeypatch):
         cfg = scenario()
         test, (a, b) = partition_dataset(gen_synthetic(synthetic_spec(), seed=12), cfg, 5)
         nodes = [a.subset(np.arange(20)), b.subset(np.arange(25))]
         w1 = init_params(cfg.model, 1)
         with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
             training_phase(cfg, w1, test, nodes)
-        with pytest.raises(ValueError, match="differ in size"):
+        probed = []
+        monkeypatch.setattr(flsim, "collect_probes", lambda *args: probed.append(args))
+        with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
+            probe_phase(cfg, nodes)
+        with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
             run_federated_partitioned(cfg, test, nodes)
+        # Both fail before any node is probed.
+        assert probed == []
 
     def test_wstar_proxy_is_best_train_loss_params(self):
         data = gen_synthetic(synthetic_spec(), seed=11)
@@ -401,6 +402,13 @@ class TestSaveRun:
         assert (tmp_path / "run" / "probes.csv").exists()
         config_echo = (tmp_path / "run" / "config.txt").read_text()
         assert "scenario.seed = 11" in config_echo
+
+    def test_probes_csv_rows_ordered_by_node_then_index(self, tmp_path):
+        run = run_federated(scenario(rounds=1), gen_synthetic(synthetic_spec(), seed=12))
+        samples = ((ProbeSample(0.1, 3.0),), (ProbeSample(0.5, 1.0), ProbeSample(0.7, 2.0)))
+        save_run(replace(run, probe_samples=samples), tmp_path, echo(scenario(rounds=1)))
+        lines = (tmp_path / "probes.csv").read_text().splitlines()
+        assert lines == ["node_id,probe_index,m_value,g_value", "0,0,0.1,3", "1,0,0.5,1", "1,1,0.7,2"]
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = scenario(rounds=2)

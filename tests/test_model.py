@@ -245,8 +245,8 @@ class TestSgdEpoch:
         data = toy_dataset(n=10)
         spec = softmax_spec(4, 3)
         _, norms = sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 4, 0)
-        assert len(norms) == 3  # ceil(10 / 4)
-        assert all(n >= 0 for n in norms)
+        assert norms.shape == (3,)  # ceil(10 / 4)
+        assert (norms >= 0).all()
 
     def test_invalid_batch_rejected(self):
         data = toy_dataset(n=5)
@@ -663,14 +663,14 @@ class TestLockstepSgd:
         before = W.copy()
         trained, norms = sgd_epoch_traced(spec, W, data, lr, batch_size, seeds)
         np.testing.assert_array_equal(W, before)
-        assert len(norms) == -(-n // batch_size)
-        assert all(len(step) == stack for step in norms)
+        assert norms.shape == (-(-n // batch_size), stack)
         for p, block in enumerate(blocks):
             single, single_norms = sgd_epoch_traced(spec, W[p], block, lr, batch_size, seeds[p])
             ref, ref_norms = _per_node_epoch(spec, W[p], block, lr, batch_size, seeds[p])
             np.testing.assert_array_equal(trained[p], single)
             np.testing.assert_array_equal(single, ref)
-            assert [step[p] for step in norms] == single_norms == ref_norms
+            np.testing.assert_array_equal(norms[:, p], single_norms)
+            np.testing.assert_array_equal(single_norms, ref_norms)
 
     @pytest.mark.parametrize("l2", [0.0, 0.05])
     def test_capped_samples_train_in_lockstep(self, l2):
@@ -688,7 +688,7 @@ class TestLockstepSgd:
             block = data.subset(np.arange(10 * p, 10 * (p + 1)))
             ref, ref_norms = _per_node_epoch(spec, W[p], block, 0.2, 4, p + 1)
             np.testing.assert_array_equal(trained[p], ref)
-            assert [step[p] for step in norms] == ref_norms
+            np.testing.assert_array_equal(norms[:, p], ref_norms)
 
     def test_one_seed_per_row(self):
         spec = softmax_spec(4, 3)

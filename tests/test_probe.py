@@ -29,7 +29,6 @@ from fedbound.probe import (
     constants_from_samples,
     draw_probe_pair,
     probe_stack_size,
-    write_probes_csv,
 )
 from fedbound.rng import derive_seed, spawn_rng
 
@@ -237,21 +236,6 @@ class TestAggregateGlobal:
         shuffled = list(nodes)
         shuffler.shuffle(shuffled)
         assert aggregate_global(shuffled) == agg
-
-
-class TestProbeCsv:
-    def test_rows_ordered_by_node_then_index(self, tmp_path):
-        samples = {
-            1: (ProbeSample(0.5, 1.0), ProbeSample(0.7, 2.0)),
-            0: (ProbeSample(0.1, 3.0),),
-        }
-        path = tmp_path / "probes.csv"
-        write_probes_csv(path, samples)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "node_id,probe_index,m_value,g_value"
-        assert lines[1] == "0,0,0.1,3"
-        assert lines[2] == "1,0,0.5,1"
-        assert lines[3] == "1,1,0.7,2"
 
 
 class TestConstantsEstimate:
