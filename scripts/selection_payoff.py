@@ -42,9 +42,7 @@ def main() -> None:
         scenario = replace(cfg.scenario, seed=seed)
         test_data, nodes = node_datasets(cfg, seed)
         w1, _, node_constants, _ = probe_phase(scenario, nodes)
-        selected = select_nodes(
-            enumerate(node_constants), cfg.selection_k, args.policy, rng_seed=seed
-        )
+        selected = select_nodes(node_constants, cfg.selection_k, args.policy, rng_seed=seed)
         rest = set(range(len(nodes))) - selected
 
         finals = {}

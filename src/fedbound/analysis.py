@@ -89,31 +89,30 @@ def _cdf_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def select_nodes(estimates, k: int, policy: str, rng_seed: int | None = None) -> set[int]:
-    """Pick k node ids by a constants-only policy; ties break by ascending id.
+    """Pick k node positions by a constants-only policy; ties break by
+    ascending position.
 
-    ``estimates`` is a sequence of (node_id, ConstantsEstimate) pairs. The
-    ``random`` policy needs ``rng_seed``; ``all`` returns every node.
+    ``estimates`` is a sequence of each node's ConstantsEstimate in node
+    order. The ``random`` policy needs ``rng_seed``; ``all`` returns every node.
     """
-    pairs = list(estimates)
+    n = len(estimates)
     if policy not in SELECTION_POLICIES:
         raise ValueError(f"policy must be one of {SELECTION_POLICIES}")
-    if not 1 <= k <= len(pairs):
-        raise ValueError(f"k must lie in [1, {len(pairs)}]")
-    ids = [node_id for node_id, _ in pairs]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}]")
     if policy == "all":
-        return set(ids)
+        return set(range(n))
     if policy == "random":
         if rng_seed is None:
             raise ValueError("random policy needs rng_seed")
-        rng = spawn_rng("select", rng_seed)
-        return set(int(i) for i in rng.choice(sorted(ids), size=k, replace=False))
+        return set(spawn_rng("select", rng_seed).choice(n, size=k, replace=False).tolist())
     key = {
         "top-L": lambda c: c.L,
         "top-G": lambda c: c.G,
         "bottom-mu": lambda c: -c.mu,
     }[policy]
-    ranked = sorted(pairs, key=lambda pair: (-key(pair[1]), pair[0]))
-    return {node_id for node_id, _ in ranked[:k]}
+    # A stable sort keeps equal keys in ascending position.
+    return set(sorted(range(n), key=lambda i: -key(estimates[i]))[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,10 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     source, _, values = _read_columns(run_dir / "gtrace.csv", (object, None, np.float64))
     probe_g = values[source == "probe"]
     training_g = values[source == "training"]
-    seed, selection_k = _read_echo(run_dir / "config.txt")
+    path = run_dir / "config.txt"
+    seed, selection_k = _read_echo(path)
+    if selection_k is not None and not 1 <= selection_k <= len(ids):
+        raise ValueError(f"{path}: selection.k = {selection_k} lies outside [1, {len(ids)}]")
     return ReportInputs(usefulness, node_constants, probe_g, training_g, seed, selection_k)
 
 
@@ -218,23 +220,22 @@ def correlation_rows(inputs: ReportInputs) -> list[tuple[str, float, float, int]
 
 
 def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
-    """Emit correlations.csv, cdf_probe.csv, cdf_training.csv, selection.csv."""
-    run_dir = Path(run_dir)
-    write_csv(
-        run_dir / "correlations.csv",
-        ("quantity", "pearson", "spearman", "n"),
-        list(zip(*correlation_rows(inputs))),
-    )
-    write_csv(run_dir / "cdf_probe.csv", ("value", "fraction"), _cdf_arrays(inputs.probe_g))
-    write_csv(run_dir / "cdf_training.csv", ("value", "fraction"), _cdf_arrays(inputs.training_g))
+    """Emit correlations.csv, cdf_probe.csv, cdf_training.csv, selection.csv.
 
-    estimates = list(enumerate(inputs.node_constants))
-    n = len(estimates)
-    k = inputs.selection_k if inputs.selection_k is not None else math.ceil(n / 2)
+    Every table is built before the first is written, so a table that cannot
+    be built leaves each file as it was."""
+    run_dir = Path(run_dir)
+    estimates = inputs.node_constants
+    k = inputs.selection_k if inputs.selection_k is not None else math.ceil(len(estimates) / 2)
     chosen = [
         ";".join(str(i) for i in sorted(select_nodes(estimates, k, policy, rng_seed=inputs.seed)))
         for policy in SELECTION_POLICIES
     ]
+    correlations = list(zip(*correlation_rows(inputs)))
+    cdf_probe, cdf_training = _cdf_arrays(inputs.probe_g), _cdf_arrays(inputs.training_g)
+    write_csv(run_dir / "correlations.csv", ("quantity", "pearson", "spearman", "n"), correlations)
+    write_csv(run_dir / "cdf_probe.csv", ("value", "fraction"), cdf_probe)
+    write_csv(run_dir / "cdf_training.csv", ("value", "fraction"), cdf_training)
     write_csv(
         run_dir / "selection.csv",
         ("policy", "k", "chosen"),

@@ -235,11 +235,10 @@ def _selftest_quadratic() -> bool:
     data = Dataset(np.full((1, 2), 0.5), np.zeros(1, dtype=np.int64), 1)
     sampler = probe.InitDistributionSampler()
     spec = quadratic_spec([1.0, 4.0])
-    samples = probe.collect_probes(spec, data, 1000, sampler, rng_seed=7)
-    m_values = [s.m_value for s in samples]
-    ok_diag = min(m_values) >= 1.0 - 1e-9 and max(m_values) <= 4.0 + 1e-9
+    diag = probe.constants_from_samples(probe.collect_probes(spec, data, 1000, sampler, rng_seed=7))
+    ok_diag = diag.mu >= 1.0 - 1e-9 and diag.L <= 4.0 + 1e-9
     print(f"{'PASS' if ok_diag else 'FAIL'} quadratic probe bracket "
-          f"(m in [{min(m_values):.6f}, {max(m_values):.6f}], expected [1, 4])")
+          f"(m in [{diag.mu:.6f}, {diag.L:.6f}], expected [1, 4])")
     ident = quadratic_spec([1.0, 1.0, 1.0])
     est = probe.constants_from_samples(probe.collect_probes(ident, data, 200, sampler, rng_seed=8))
     ok_ident = abs(est.mu - 1.0) <= 1e-9 and abs(est.L - 1.0) <= 1e-9

@@ -46,7 +46,6 @@ from .probe import (
     ConstantsEstimate,
     GaussianPerturbationSampler,
     InitDistributionSampler,
-    ProbeSample,
     aggregate_global,
     collect_probes,
     constants_from_samples,
@@ -134,14 +133,15 @@ class RoundRecord:
 @dataclass(frozen=True)
 class FLRun:
     """A finished federated run with everything the analysis stage consumes;
-    ``node_constants[i]`` and ``probe_samples[i]`` are node i's."""
+    ``node_constants[i]`` is node i's, and ``probe_samples[i]`` node i's
+    ``(n_probes, 2)`` array of (m, g) rows in probe order."""
 
     config: ScenarioConfig
     rounds: tuple[RoundRecord, ...]
     final_params: ParamVector
     global_constants: ConstantsEstimate
     node_constants: tuple[ConstantsEstimate, ...]
-    probe_samples: tuple[tuple[ProbeSample, ...], ...]
+    probe_samples: np.ndarray
     wstar_proxy: ParamVector
     init_distance: float
 
@@ -156,7 +156,8 @@ class FLRun:
         return np.concatenate([record.training_g_values for record in self.rounds], axis=None)
 
     def probe_g_pooled(self) -> np.ndarray:
-        return np.array([s.g_value for samples in self.probe_samples for s in samples])
+        """Every probe g value, node by node and in probe order within a node."""
+        return self.probe_samples[:, :, 1].ravel()
 
 
 def held_out_size(cfg: ScenarioConfig, n: int) -> int:
@@ -194,14 +195,12 @@ def partition_dataset(
 
 
 def fedavg(models) -> ParamVector:
-    """Coordinate-wise arithmetic mean of equally-weighted parameter vectors."""
-    models = [np.asarray(m, dtype=np.float64) for m in models]
-    if not models:
-        raise ValueError("need at least one model")
-    dim = models[0].shape
-    if any(m.shape != dim for m in models):
-        raise ValueError("parameter vectors differ in shape")
-    return np.mean(np.stack(models), axis=0)
+    """Coordinate-wise arithmetic mean of the rows of an ``(N, dim)`` stack of
+    equally-weighted parameter vectors."""
+    models = np.asarray(models, dtype=np.float64)
+    if models.ndim != 2 or not len(models):
+        raise ValueError(f"need an (N, dim) stack of N >= 1 models, got shape {models.shape}")
+    return models.mean(axis=0)
 
 
 def local_round(
@@ -241,18 +240,14 @@ def _check_equal_sizes(node_datasets: Sequence[Dataset]) -> None:
 
 def probe_phase(
     cfg: ScenarioConfig, node_datasets: Sequence[Dataset]
-) -> tuple[
-    ParamVector,
-    tuple[tuple[ProbeSample, ...], ...],
-    tuple[ConstantsEstimate, ...],
-    ConstantsEstimate,
-]:
+) -> tuple[ParamVector, np.ndarray, tuple[ConstantsEstimate, ...], ConstantsEstimate]:
     """Phase 1 of a run: probe every node's loss landscape around w1.
 
     Node i probes with seed ``derive_seed(cfg.seed, "probe", i)``, drawing
     fresh parameter vectors or jitter around w1 per ``cfg.probe_sampler``.
-    Returns w1 (the initial global parameters), then in node order each
-    node's probe samples and (mu, L, G), and their worst-case global aggregate.
+    Returns w1 (the initial global parameters), the ``(N, n_probes, 2)``
+    array of every node's (m, g) samples, each node's (mu, L, G) in node
+    order, and their worst-case global aggregate.
     """
     if cfg.model is None:
         raise ValueError("config has no model spec")
@@ -264,13 +259,13 @@ def probe_phase(
         sampler = InitDistributionSampler()
     else:
         sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
-    probe_samples = tuple(
+    probe_samples = np.stack([
         collect_probes(
             cfg.model, local, cfg.n_probes, sampler,
             derive_seed(cfg.seed, "probe", i), cfg.g_formula,
         )
         for i, local in enumerate(node_datasets)
-    )
+    ])
     node_constants = tuple(map(constants_from_samples, probe_samples))
     return w1, probe_samples, node_constants, aggregate_global(node_constants)
 
@@ -406,8 +401,8 @@ def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> No
     )
     # gtrace.csv: every node's probe g values, then every round's training
     # norms node by node.
-    probe_counts = [len(samples) for samples in run.probe_samples]
-    probe_ids = np.repeat(np.arange(len(probe_counts)), probe_counts)
+    probe_nodes, n_probes, _ = run.probe_samples.shape
+    probe_ids = np.repeat(np.arange(probe_nodes), n_probes)
     steps = rounds[0].training_g_values.shape[1]
     training_ids = np.tile(np.repeat(np.arange(n_nodes), steps), n_rounds)
     probe_g, training_g = run.probe_g_pooled(), run.training_g_pooled()
@@ -438,8 +433,8 @@ def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> No
         ("node_id", "probe_index", "m_value", "g_value"),
         (
             probe_ids,
-            np.concatenate([np.arange(count) for count in probe_counts]),
-            [s.m_value for samples in run.probe_samples for s in samples],
+            np.tile(np.arange(n_probes), probe_nodes),
+            run.probe_samples[:, :, 0].ravel(),
             probe_g,
         ),
     )

@@ -57,20 +57,6 @@ class ProbeFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ProbeSample:
-    """The (m, g) pair produced by one probe."""
-
-    m_value: float
-    g_value: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m_value) and math.isfinite(self.g_value)):
-            raise ValueError("probe values must be finite")
-        if self.g_value < 0.0:
-            raise ValueError("g_value must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ConstantsEstimate:
     """Estimated (mu, L, G) triple with the probe count that produced it."""
 
@@ -225,9 +211,10 @@ def _stack_samples(
     data: Dataset,
     g_formula: str,
     first: int,
-) -> list[ProbeSample]:
-    """Evaluate the pairs of probes ``first, first + 1, ...`` as one stack; the
-    first with a non-finite vector, a degenerate pair or a non-finite value fails."""
+) -> np.ndarray:
+    """Evaluate the pairs of probes ``first, first + 1, ...`` as one stack and
+    return their ``(P, 2)`` array of ``(m, g)`` rows; the first probe with a
+    non-finite vector, a degenerate pair or a non-finite value fails."""
     with np.errstate(all="ignore"):
         f_u, f_v, grad_v = _pair_values(spec, U, V, data)
         sq_dist, m = _m_values(U, V, f_u, f_v, grad_v)
@@ -245,7 +232,7 @@ def _stack_samples(
         else:
             exc = ValueError("probe values must be finite")
         raise ProbeFailure(first + p, str(exc)) from exc
-    return [ProbeSample(m_p, g_p) for m_p, g_p in zip(m.tolist(), g.tolist())]
+    return np.column_stack((m, g))
 
 
 def collect_probes(
@@ -255,8 +242,8 @@ def collect_probes(
     sampler: ProbeSampler,
     rng_seed: int,
     g_formula: str = "gradient-norm",
-) -> tuple[ProbeSample, ...]:
-    """Run the probe loop and keep every (m, g) sample.
+) -> np.ndarray:
+    """Run the probe loop; row i of the ``(n_probes, 2)`` array it returns is probe i's (m, g).
 
     Probe i uses a seed derived from (rng_seed, i) only, so a longer run
     extends a shorter one sample-for-sample. Probes are drawn, checked and
@@ -274,26 +261,29 @@ def collect_probes(
     except ValueError as exc:
         raise ProbeFailure(0, str(exc)) from exc
     stack = probe_stack_size(spec, data)
-    samples: list[ProbeSample] = []
+    samples = []
     for first in range(0, n_probes, stack):
         seeds = [derive_seed(rng_seed, i) for i in range(first, min(first + stack, n_probes))]
         try:
             U, V = _draw_stack(spec, sampler, seeds)
         except ValueError as exc:
             raise ProbeFailure(first, str(exc)) from exc
-        samples.extend(_stack_samples(spec, U, V, data, g_formula, first))
-    return tuple(samples)
+        samples.append(_stack_samples(spec, U, V, data, g_formula, first))
+    return np.concatenate(samples)
 
 
 def constants_from_samples(samples) -> ConstantsEstimate:
-    """Reduce probe samples: mu = min m, L = max m, G = max g."""
-    samples = tuple(samples)
-    if not samples:
-        raise ValueError("no probe samples")
+    """Reduce an ``(n, 2)`` array of (m, g) rows: mu = min m, L = max m, G = max g,
+    each the first of equal extremes in probe order, as Python's ``min`` and
+    ``max`` pick it (``ndarray.min`` of ``[0.0, -0.0]`` gives ``-0.0``)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] != 2 or not len(samples):
+        raise ValueError(f"need an (n, 2) array of n >= 1 probe samples, not {samples.shape}")
+    m, g = samples.T
     return ConstantsEstimate(
-        mu=min(s.m_value for s in samples),
-        L=max(s.m_value for s in samples),
-        G=max(s.g_value for s in samples),
+        mu=float(m[m.argmin()]),
+        L=float(m[m.argmax()]),
+        G=float(g[g.argmax()]),
         n_probes=len(samples),
     )
 

@@ -133,13 +133,13 @@ def test_02_quadratic_probe_oracle():
 
     spec = quadratic_spec([1.0, 4.0])
     samples = collect_probes(spec, data, 1000, sampler, rng_seed=21)
-    m_values = np.array([s.m_value for s in samples])
+    m_values = samples[:, 0]
     bracket_ok = bool(np.all(m_values >= 1.0 - 1e-9) and np.all(m_values <= 4.0 + 1e-9))
     mu_hat, l_hat = float(m_values.min()), float(m_values.max())
 
     ident = quadratic_spec([1.0, 1.0, 1.0])
     ident_samples = collect_probes(ident, data, 1000, sampler, rng_seed=22)
-    ident_m = np.array([s.m_value for s in ident_samples])
+    ident_m = ident_samples[:, 0]
     ident_ok = bool(np.all(np.abs(ident_m - 1.0) <= 1e-9))
 
     elapsed = time.perf_counter() - start
@@ -292,10 +292,10 @@ def test_09_top_half_by_l_beats_bottom_half(hetero_runs):
     top_losses, bottom_losses = [], []
     for seed in SEEDS:
         run, test_data, nodes = runs[seed]
-        estimates = list(enumerate(run.node_constants))
+        estimates = run.node_constants
         k = math.ceil(len(estimates) / 2)
         top = select_nodes(estimates, k, "top-L")
-        bottom = set(i for i, _ in estimates) - top
+        bottom = set(range(len(estimates))) - top
         finals = {}
         for name, chosen in (("top", top), ("bottom", bottom)):
             cfg = ScenarioConfig(
@@ -336,11 +336,14 @@ def test_10_unit_example_suite():
 
     from fedbound.probe import ConstantsEstimate
 
-    pairs = [(1, ConstantsEstimate(0.1, 0.5, 1.0, 2)), (2, ConstantsEstimate(0.1, 2.0, 1.0, 2))]
-    assert select_nodes(pairs, 1, "top-L") == {2}
-    assert select_nodes(pairs, 2, "top-L") == {1, 2}
-    tied = [(i, ConstantsEstimate(0.1, 1.0, 1.0, 2)) for i in (4, 1, 9)]
-    assert select_nodes(tied, 2, "top-L") == {1, 4}
+    # select_nodes gives positions; ids maps them to these node ids.
+    ids = (1, 2)
+    consts = (ConstantsEstimate(0.1, 0.5, 1.0, 2), ConstantsEstimate(0.1, 2.0, 1.0, 2))
+    assert {ids[i] for i in select_nodes(consts, 1, "top-L")} == {2}
+    assert {ids[i] for i in select_nodes(consts, 2, "top-L")} == {1, 2}
+    ids = (4, 1, 9)
+    tied = (ConstantsEstimate(0.1, 1.0, 1.0, 2),) * len(ids)
+    assert {ids[i] for i in select_nodes(tied, 2, "top-L")} == {1, 4}
 
     def record(t, deltas):
         return RoundRecord(t=t, train_loss=1.0, test_loss=1.0, bound_value=1.0,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbound.analysis import (
+    SELECTION_POLICIES,
     ReportInputs,
     _average_ranks,
     _cdf_arrays,
@@ -25,6 +26,7 @@ from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import FLRun, RoundRecord, ScenarioConfig, run_federated, save_run
 from fedbound.model import softmax_spec
 from fedbound.probe import ConstantsEstimate
+from fedbound.rng import spawn_rng
 
 
 def run_with_deltas(per_round_deltas):
@@ -52,7 +54,7 @@ def run_with_deltas(per_round_deltas):
         final_params=w,
         global_constants=const,
         node_constants=(const,) * n_nodes,
-        probe_samples=((),) * n_nodes,
+        probe_samples=np.empty((n_nodes, 0, 2)),
         wstar_proxy=w,
         init_distance=0.0,
     )
@@ -230,54 +232,111 @@ class TestEmpiricalCdf:
 
 
 def estimates(**by_node):
-    return [
-        (int(name[1:]), ConstantsEstimate(mu=v[0], L=v[1], G=v[2], n_probes=2))
-        for name, v in sorted(by_node.items())
-    ]
+    """Node ids in ascending order and their constants, in the same order."""
+    ids = tuple(int(name[1:]) for name in sorted(by_node))
+    consts = tuple(
+        ConstantsEstimate(mu=v[0], L=v[1], G=v[2], n_probes=2) for _, v in sorted(by_node.items())
+    )
+    return ids, consts
+
+
+def selected_ids(ids, consts, k, policy, rng_seed=None):
+    return {ids[i] for i in select_nodes(consts, k, policy, rng_seed)}
+
+
+def select_nodes_by_id(estimates, k: int, policy: str, rng_seed: int | None = None) -> set[int]:
+    """Pick k node ids by a constants-only policy; ties break by ascending id.
+
+    ``estimates`` is a sequence of (node_id, ConstantsEstimate) pairs. The
+    ``random`` policy needs ``rng_seed``; ``all`` returns every node.
+    """
+    pairs = list(estimates)
+    if policy not in SELECTION_POLICIES:
+        raise ValueError(f"policy must be one of {SELECTION_POLICIES}")
+    if not 1 <= k <= len(pairs):
+        raise ValueError(f"k must lie in [1, {len(pairs)}]")
+    ids = [node_id for node_id, _ in pairs]
+    if policy == "all":
+        return set(ids)
+    if policy == "random":
+        if rng_seed is None:
+            raise ValueError("random policy needs rng_seed")
+        rng = spawn_rng("select", rng_seed)
+        return set(int(i) for i in rng.choice(sorted(ids), size=k, replace=False))
+    key = {
+        "top-L": lambda c: c.L,
+        "top-G": lambda c: c.G,
+        "bottom-mu": lambda c: -c.mu,
+    }[policy]
+    ranked = sorted(pairs, key=lambda pair: (-key(pair[1]), pair[0]))
+    return {node_id for node_id, _ in ranked[:k]}
+
+
+# Few distinct values, so that most draws tie on some constant.
+tied_values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def selection_cases(draw):
+    n = draw(st.integers(1, 12))
+    consts = []
+    for _ in range(n):
+        mu, L = sorted((draw(tied_values), draw(tied_values)))
+        consts.append(ConstantsEstimate(mu, L, abs(draw(tied_values)), 2))
+    k = draw(st.integers(1, n))
+    return tuple(consts), k, draw(st.sampled_from(SELECTION_POLICIES)), draw(st.integers(0, 2**32))
 
 
 class TestSelectNodes:
     def test_top_l_argmax(self):
-        pairs = estimates(n1=(0.1, 0.5, 1.0), n2=(0.1, 2.0, 1.0))
-        assert select_nodes(pairs, 1, "top-L") == {2}
+        ids, consts = estimates(n1=(0.1, 0.5, 1.0), n2=(0.1, 2.0, 1.0))
+        assert selected_ids(ids, consts, 1, "top-L") == {2}
 
     def test_k_equals_n_returns_all(self):
-        pairs = estimates(n1=(0.1, 0.5, 1.0), n2=(0.1, 2.0, 1.0), n3=(0.1, 1.0, 1.0))
+        ids, consts = estimates(n1=(0.1, 0.5, 1.0), n2=(0.1, 2.0, 1.0), n3=(0.1, 1.0, 1.0))
         for policy in ("top-L", "top-G", "bottom-mu", "all"):
-            assert select_nodes(pairs, 3, policy, rng_seed=0) == {1, 2, 3}
+            assert selected_ids(ids, consts, 3, policy, rng_seed=0) == {1, 2, 3}
 
     def test_ties_break_by_ascending_id(self):
-        pairs = estimates(n5=(0.1, 1.0, 1.0), n2=(0.1, 1.0, 1.0), n9=(0.1, 1.0, 1.0))
-        assert select_nodes(pairs, 2, "top-L") == {2, 5}
+        ids, consts = estimates(n5=(0.1, 1.0, 1.0), n2=(0.1, 1.0, 1.0), n9=(0.1, 1.0, 1.0))
+        assert selected_ids(ids, consts, 2, "top-L") == {2, 5}
 
     def test_bottom_mu_takes_smallest(self):
-        pairs = estimates(n1=(0.5, 1.0, 1.0), n2=(0.1, 1.0, 1.0), n3=(0.9, 1.0, 1.0))
-        assert select_nodes(pairs, 1, "bottom-mu") == {2}
+        ids, consts = estimates(n1=(0.5, 1.0, 1.0), n2=(0.1, 1.0, 1.0), n3=(0.9, 1.0, 1.0))
+        assert selected_ids(ids, consts, 1, "bottom-mu") == {2}
 
     def test_random_is_seeded_and_valid(self):
-        pairs = estimates(n1=(0.1, 1.0, 1.0), n2=(0.1, 1.0, 1.0), n3=(0.1, 1.0, 1.0))
-        a = select_nodes(pairs, 2, "random", rng_seed=4)
-        b = select_nodes(pairs, 2, "random", rng_seed=4)
+        ids, consts = estimates(n1=(0.1, 1.0, 1.0), n2=(0.1, 1.0, 1.0), n3=(0.1, 1.0, 1.0))
+        a = selected_ids(ids, consts, 2, "random", rng_seed=4)
+        b = selected_ids(ids, consts, 2, "random", rng_seed=4)
         assert a == b
         assert len(a) == 2 and a <= {1, 2, 3}
 
     def test_k_out_of_range_rejected(self):
-        pairs = estimates(n1=(0.1, 1.0, 1.0))
+        _, consts = estimates(n1=(0.1, 1.0, 1.0))
         with pytest.raises(ValueError):
-            select_nodes(pairs, 2, "top-L")
+            select_nodes(consts, 2, "top-L")
         with pytest.raises(ValueError):
-            select_nodes(pairs, 0, "top-L")
+            select_nodes(consts, 0, "top-L")
 
     @given(st.floats(min_value=0.01, max_value=100))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_uniform_rescaling(self, scale):
-        pairs = estimates(n1=(0.1, 0.5, 3.0), n2=(0.2, 2.0, 1.0), n3=(0.3, 1.0, 2.0))
+        _, consts = estimates(n1=(0.1, 0.5, 3.0), n2=(0.2, 2.0, 1.0), n3=(0.3, 1.0, 2.0))
         scaled = [
-            (i, ConstantsEstimate(c.mu * scale, c.L * scale, c.G * scale, c.n_probes))
-            for i, c in pairs
+            ConstantsEstimate(c.mu * scale, c.L * scale, c.G * scale, c.n_probes) for c in consts
         ]
         for policy in ("top-L", "top-G", "bottom-mu"):
-            assert select_nodes(scaled, 2, policy) == select_nodes(pairs, 2, policy)
+            assert select_nodes(scaled, 2, policy) == select_nodes(consts, 2, policy)
+
+    @given(selection_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_positions_pick_what_ids_picked(self, case):
+        # The pairs form that select_nodes replaced, with each node's id its position.
+        consts, k, policy, seed = case
+        ids = range(len(consts))
+        expected = select_nodes_by_id(zip(ids, consts), k, policy, seed)
+        assert {ids[i] for i in select_nodes(consts, k, policy, seed)} == expected
 
 
 class TestReports:

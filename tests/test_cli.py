@@ -526,18 +526,23 @@ class TestReportCommand:
         assert main(["report", "--run", str(path.parent)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("damage", ["deleted", "malformed"])
+    @pytest.mark.parametrize("damage", ["deleted", "malformed", "k=99", "k=0"])
     def test_unreadable_config_txt_fails_naming_it(self, tiny_config, tmp_path, capsys, damage):
         main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
         config_txt = tmp_path / "out" / "tiny_seed1" / "config.txt"
         if damage == "deleted":
             config_txt.unlink()
-        else:
+        elif damage == "malformed":
             config_txt.write_text(config_txt.read_text() + "no pair here\n")
+        else:
+            # A later assignment overrides the run's own selection.k.
+            config_txt.write_text(config_txt.read_text() + f"selection.k = {damage[2:]}\n")
+        before = read_tree(config_txt.parent)
         capsys.readouterr()
         assert main(["report", "--run", str(config_txt.parent)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(config_txt) in err
+        assert read_tree(config_txt.parent) == before
 
 
 def test_import_leaves_scipy_out():
@@ -560,6 +565,13 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+        assert out == (
+            "PASS gradient-vs-finite-difference (max rel err 1.75e-10)\n"
+            "PASS quadratic probe bracket (m in [1.000002, 4.000000], expected [1, 4])\n"
+            "PASS identity curvature (mu=1.000000000000, L=1.000000000000)\n"
+            "PASS batched seeding equals spawn_rng (5 seeds)\n"
+            "PASS bound arithmetic (t=1 -> 24.0, t=17 -> 12.0)\n"
+        )
 
 
 class TestAtomicCsv:

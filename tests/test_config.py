@@ -441,8 +441,14 @@ class TestEcho:
         with tempfile.TemporaryDirectory() as tmp:
             run_dir = Path(tmp)
             (run_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            (run_dir / "usefulness.csv").write_text("t,node_id,delta\n")
-            (run_dir / "constants.csv").write_text("node_id,mu,L,G,n_probes\n")
+            # One row per node, as a run writes, so that selection.k fits the run.
+            nodes = range(cfg.scenario.n_nodes)
+            (run_dir / "usefulness.csv").write_text(
+                "t,node_id,delta\n" + "".join(f"1,{i},0\n" for i in nodes)
+            )
+            (run_dir / "constants.csv").write_text(
+                "node_id,mu,L,G,n_probes\n" + "".join(f"{i},0,1,1,2\n" for i in nodes)
+            )
             (run_dir / "gtrace.csv").write_text("source,node_id,value\n")
             inputs = report_inputs_from_dir(run_dir)
         assert inputs.seed == cfg.scenario.seed

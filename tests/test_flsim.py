@@ -30,7 +30,7 @@ from fedbound.model import (
     sgd_epoch_traced,
     softmax_spec,
 )
-from fedbound.probe import InitDistributionSampler, ProbeSample, draw_probe_pair
+from fedbound.probe import InitDistributionSampler, draw_probe_pair
 from fedbound.rng import derive_seed
 
 
@@ -108,16 +108,16 @@ class TestPartition:
 class TestFedavg:
     def test_identical_inputs_unchanged(self):
         w = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(fedavg([w, w.copy(), w.copy()]), w)
+        np.testing.assert_array_equal(fedavg(np.stack([w, w, w])), w)
 
     def test_two_vector_mean(self):
-        out = fedavg([np.array([0.0, 2.0]), np.array([2.0, 0.0])])
+        out = fedavg(np.array([[0.0, 2.0], [2.0, 0.0]]))
         np.testing.assert_array_equal(out, np.array([1.0, 1.0]))
 
     @given(st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariant(self, rows):
-        models = [np.array(r) for r in rows]
+        models = np.array(rows)
         forward = fedavg(models)
         np.testing.assert_allclose(fedavg(models[::-1]), forward, atol=1e-12)
 
@@ -129,14 +129,14 @@ class TestFedavg:
     )
     @settings(max_examples=80, deadline=None)
     def test_invariant_to_node_order(self, rows, random):
-        models = [np.array(r) for r in rows]
+        models = np.array(rows)
         order = list(range(len(models)))
         random.shuffle(order)
         forward = fedavg(models)
-        shuffled = fedavg([models[i] for i in order])
+        shuffled = fedavg(models[order])
         # Only the summation order changes: each mean is within (n - 1) ulps
         # of the magnitude of the largest entry of the exact mean.
-        scale = np.abs(np.stack(models)).max(axis=0)
+        scale = np.abs(models).max(axis=0)
         tol = 2 * len(models) * np.finfo(float).eps * scale
         assert np.all(np.abs(shuffled - forward) <= tol)
 
@@ -145,12 +145,14 @@ class TestFedavg:
         np.testing.assert_array_equal(fedavg(stack), fedavg(list(stack)))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fedavg([])
+        for empty in ([], np.empty((0, 3))):
+            with pytest.raises(ValueError):
+                fedavg(empty)
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fedavg([np.zeros(2), np.zeros(3)])
+        for not_a_stack in ([np.zeros(2), np.zeros(3)], np.zeros(3), np.zeros((2, 2, 3))):
+            with pytest.raises(ValueError):
+                fedavg(not_a_stack)
 
 
 class TestLocalRound:
@@ -214,6 +216,8 @@ class TestRunFederated:
             assert record.training_g_values.shape == (2, 2)
             assert record.bound_value > 0
         assert run.global_constants.n_probes == cfg.n_probes * cfg.n_nodes
+        assert run.probe_samples.shape == (cfg.n_nodes, cfg.n_probes, 2)
+        assert run.probe_samples.dtype == np.float64
 
     def test_bound_values_strictly_decreasing(self):
         run = run_federated(scenario(rounds=6), gen_synthetic(synthetic_spec(), seed=6))
@@ -376,7 +380,7 @@ class TestRunFederated:
             derive_seed(derive_seed(cfg.seed, "probe", 0), 0),
         )
         expected = abs(loss(cfg.model, v, nodes[0]))
-        assert run.probe_samples[0][0].g_value == pytest.approx(expected, rel=1e-12)
+        assert run.probe_samples[0, 0, 1] == pytest.approx(expected, rel=1e-12)
 
 
 class TestSaveRun:
@@ -405,10 +409,16 @@ class TestSaveRun:
 
     def test_probes_csv_rows_ordered_by_node_then_index(self, tmp_path):
         run = run_federated(scenario(rounds=1), gen_synthetic(synthetic_spec(), seed=12))
-        samples = ((ProbeSample(0.1, 3.0),), (ProbeSample(0.5, 1.0), ProbeSample(0.7, 2.0)))
+        samples = np.array([[[0.1, 3.0], [0.2, 4.0]], [[0.5, 1.0], [0.7, 2.0]]])
         save_run(replace(run, probe_samples=samples), tmp_path, echo(scenario(rounds=1)))
         lines = (tmp_path / "probes.csv").read_text().splitlines()
-        assert lines == ["node_id,probe_index,m_value,g_value", "0,0,0.1,3", "1,0,0.5,1", "1,1,0.7,2"]
+        assert lines == [
+            "node_id,probe_index,m_value,g_value",
+            "0,0,0.1,3",
+            "0,1,0.2,4",
+            "1,0,0.5,1",
+            "1,1,0.7,2",
+        ]
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = scenario(rounds=2)

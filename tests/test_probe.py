@@ -1,6 +1,9 @@
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedbound import probe
@@ -21,7 +24,6 @@ from fedbound.probe import (
     GaussianPerturbationSampler,
     InitDistributionSampler,
     ProbeFailure,
-    ProbeSample,
     aggregate_global,
     collect_probes,
     compute_g,
@@ -143,7 +145,7 @@ class TestEstimateConstants:
         assert est.L == pytest.approx(1.0, abs=1e-9)
         # With H = I the gradient at v is v itself.
         samples = collect_probes(spec, data, 50, InitDistributionSampler(), 3)
-        assert est.G == pytest.approx(max(s.g_value for s in samples))
+        assert est.G == pytest.approx(samples[:, 1].max())
         assert est.n_probes == 50
 
     def test_diag_quadratic_brackets_eigenvalues(self):
@@ -248,9 +250,38 @@ class TestConstantsEstimate:
             ConstantsEstimate(mu=0.0, L=1.0, G=-1.0, n_probes=2)
 
     def test_constants_from_samples_reduces_min_max(self):
-        samples = [ProbeSample(1.0, 2.0), ProbeSample(3.0, 0.5), ProbeSample(2.0, 1.0)]
+        samples = np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 1.0]])
         est = constants_from_samples(samples)
         assert (est.mu, est.L, est.G, est.n_probes) == (1.0, 3.0, 2.0, 3)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3,), (3, 3), (2, 3, 2)])
+    def test_constants_from_samples_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="probe samples"):
+            constants_from_samples(np.ones(shape))
+
+    # Python's min and max keep the first of equal values; a reduction that
+    # keeps another one differs in the sign of a zero.
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3),
+                st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1e3),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @example([(0.0, 0.0), (-0.0, -0.0)])
+    @example([(-0.0, -0.0), (0.0, 0.0)])
+    @example([(1.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (1.0, 0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_equals_python_min_max_in_probe_order(self, rows):
+        m = [float(row[0]) for row in rows]
+        g = [float(row[1]) for row in rows]
+        est = constants_from_samples(np.array(rows))
+        expected = struct.pack("<3d", min(m), max(m), max(g))
+        assert struct.pack("<3d", est.mu, est.L, est.G) == expected
+        assert est.n_probes == len(rows)
 
 
 def small_stacks(monkeypatch, spec, data, stack):
@@ -348,7 +379,9 @@ def first_failure(spec, data, n_probes, sampler, rng_seed):
         for i in range(n_probes):
             try:
                 u, v = draw_probe_pair(spec, sampler, derive_seed(rng_seed, i))
-                ProbeSample(compute_m(spec, u, v, data), compute_g(spec, v, data))
+                m, g = compute_m(spec, u, v, data), compute_g(spec, v, data)
+                if not (math.isfinite(m) and math.isfinite(g)):
+                    raise ValueError("probe values must be finite")
             except ValueError as exc:
                 return i, exc
     return None
@@ -381,10 +414,10 @@ class TestStackedProbes:
         for sampler in (InitDistributionSampler(), perturb):
             samples = collect_probes(spec, data, 11, sampler, 9, g_formula)
             assert len(samples) == 11
-            for i, sample in enumerate(samples):
+            for i, (m, g) in enumerate(samples):
                 u, v = draw_probe_pair(spec, sampler, derive_seed(9, i))
-                assert sample.m_value == compute_m(spec, u, v, data)
-                assert sample.g_value == g_of(spec, v, data)
+                assert m == compute_m(spec, u, v, data)
+                assert g == g_of(spec, v, data)
 
     @pytest.mark.parametrize("stack", [1, 3, 8])
     def test_degenerate_pair_is_redrawn_as_draw_probe_pair_does(self, monkeypatch, stack):
@@ -396,11 +429,11 @@ class TestStackedProbes:
         u, v = draw_probe_pair(spec, sampler, derive_seed(0, 4))
         assert not np.array_equal(v, sampler.map(spec, sampler.u))
         samples = collect_probes(spec, data, 7, sampler, 0)
-        assert samples[4].m_value == compute_m(spec, u, v, data)
-        assert samples[4].g_value == compute_g(spec, v, data)
-        assert samples[:4] + samples[5:] == tuple(
-            s for i, s in enumerate(collect_probes(spec, data, 7, InitDistributionSampler(), 0))
-            if i != 4
+        assert samples[4, 0] == compute_m(spec, u, v, data)
+        assert samples[4, 1] == compute_g(spec, v, data)
+        np.testing.assert_array_equal(
+            np.delete(samples, 4, axis=0),
+            np.delete(collect_probes(spec, data, 7, InitDistributionSampler(), 0), 4, axis=0),
         )
 
     @pytest.mark.parametrize("stack", [1, 2, 4])
@@ -412,8 +445,8 @@ class TestStackedProbes:
         small_stacks(monkeypatch, spec, data, stack)
         short = collect_probes(spec, data, 5, InitDistributionSampler(), 3)
         longer = collect_probes(spec, data, 9, InitDistributionSampler(), 3)
-        assert short == longer[:5]
-        assert longer == whole
+        np.testing.assert_array_equal(short, longer[:5])
+        np.testing.assert_array_equal(longer, whole)
 
     @pytest.mark.parametrize("stack", [1, 2, 3, 8])
     def test_failure_names_first_failing_probe(self, monkeypatch, stack):
