@@ -175,6 +175,31 @@ def _read_columns(path: Path, dtypes) -> list:
         raise ValueError(f"{path}: line {i + 2}, column {header[j]}: {cell_exc}") from exc
 
 
+def _load_columns(path: Path, dtypes) -> list:
+    """:func:`_read_columns` through numpy's C reader, ``np.loadtxt``, which
+    parses a float to the same bits as ``float()``; a None column comes back
+    as an object array of its text. A file the C reader rejects, or could
+    read otherwise (blank lines, a header of another width), takes
+    :func:`_read_columns` instead, with its messages. So does a header-only
+    file, which ``np.loadtxt`` would warn about."""
+    text = path.read_text(encoding="utf-8")
+    # The rows and header width read_csv finds.
+    n_rows = text.removesuffix("\n").count("\n")
+    if n_rows and text.partition("\n")[0].count(",") == len(dtypes) - 1:
+        fields = [(f"f{j}", object if dtype is None else dtype) for j, dtype in enumerate(dtypes)]
+        try:
+            table = np.loadtxt(
+                path, dtype=fields, delimiter=",", comments=None, skiprows=1,
+                ndmin=1, encoding="utf-8",
+            )
+        except ValueError:
+            pass
+        else:
+            if len(table) == n_rows:
+                return [table[name] for name, _ in fields]
+    return _read_columns(path, dtypes)
+
+
 def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     """Rebuild report inputs from a saved run directory's CSV files."""
     run_dir = Path(run_dir)
@@ -188,7 +213,7 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     node_constants = tuple(ConstantsEstimate(*values) for _, *values in rows)
 
     path = run_dir / "usefulness.csv"
-    _, nodes, deltas = _read_columns(path, (None, np.int64, np.float64))
+    _, nodes, deltas = _load_columns(path, (None, np.int64, np.float64))
     found = np.unique(nodes).tolist()
     if found != ids:
         raise ValueError(f"{path}: node ids {found} differ from constants.csv's {ids}")
@@ -196,7 +221,7 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     usefulness = np.array([np.mean(deltas[nodes == i]) for i in ids])
     if not np.isfinite(usefulness).all():
         raise ValueError(f"{path}: usefulness must be finite")
-    source, _, values = _read_columns(run_dir / "gtrace.csv", (object, None, np.float64))
+    source, _, values = _load_columns(run_dir / "gtrace.csv", (object, None, np.float64))
     probe_g = values[source == "probe"]
     training_g = values[source == "training"]
     path = run_dir / "config.txt"

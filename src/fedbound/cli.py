@@ -24,7 +24,14 @@ import numpy as np
 
 from . import analysis, flsim, probe
 from .bound import BoundParams, convergence_bound
-from .config import CifarSource, ConfigError, ExperimentConfig, echo_lines, load_config
+from .config import (
+    CifarSource,
+    ConfigError,
+    ExperimentConfig,
+    check_class_centers,
+    echo_lines,
+    load_config,
+)
 from .csvio import write_csv
 from .data import gen_synthetic, gen_synthetic_nodes, load_cifar10
 from .model import (
@@ -36,7 +43,7 @@ from .model import (
     quadratic_spec,
     softmax_spec,
 )
-from .rng import derive_seed, normal_rows, spawn_rng
+from .rng import derive_seed, normal_rows, permutation_rows, spawn_rng
 
 SUMMARY_HEADER = (
     "scenario",
@@ -250,12 +257,15 @@ def _selftest_rng() -> bool:
     # A numpy whose SeedSequence or PCG64 seeding drifted would fail here
     # instead of silently moving every probe sample.
     seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
-    rows = normal_rows("probe-pair", seeds, 8)
+    normals = normal_rows("probe-pair", seeds, 8)
+    orders = permutation_rows("sgd", seeds, 150)
     ok = all(
-        row.tobytes() == spawn_rng("probe-pair", seed).standard_normal(8).tobytes()
-        for row, seed in zip(rows, seeds)
+        normal.tobytes() == spawn_rng("probe-pair", seed).standard_normal(8).tobytes()
+        and order.tobytes() == spawn_rng("sgd", seed).permutation(150).tobytes()
+        for normal, order, seed in zip(normals, orders, seeds)
     )
-    print(f"{'PASS' if ok else 'FAIL'} batched seeding equals spawn_rng ({len(seeds)} seeds)")
+    print(f"{'PASS' if ok else 'FAIL'} batched seeding equals spawn_rng "
+          f"(normals and permutations, {len(seeds)} seeds)")
     return ok
 
 
@@ -286,6 +296,7 @@ def _load_config_with_env(path: str) -> ExperimentConfig:
             scenario=replace(cfg.scenario, seed=seed),
             repeat_seeds=(seed,),
         )
+    check_class_centers(cfg, path)
     return cfg
 
 

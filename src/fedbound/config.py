@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .csvio import fmt_value
-from .data import SyntheticSpec
+from .data import SyntheticSpec, class_centers
 from .flsim import ScenarioConfig, held_out_size
 from .model import ModelSpec
 
@@ -334,6 +334,31 @@ def load_config(path: Path | str) -> ExperimentConfig:
     path = Path(path)
     raw = parse_config_text(path.read_text(encoding="utf-8"))
     return build_experiment_config(raw, base_dir=path.resolve().parent)
+
+
+def check_class_centers(cfg: ExperimentConfig, path: Path | str) -> None:
+    """Reject, naming its line in the config file at ``path``, a synthetic
+    class count, dimension and separation whose centers some seed of ``cfg``
+    cannot place.
+
+    It draws each seed's centers as that seed's run would, which costs a
+    shape that never places the generator's 1,000 draws once. It is not part
+    of :func:`load_config`: the seeds a run uses are known only once
+    ``FEDBOUND_SEED`` has been applied.
+    """
+    if not isinstance(cfg.dataset, SyntheticSpec):
+        return
+    for seed in cfg.repeat_seeds:
+        try:
+            class_centers(cfg.dataset, seed)
+        except ValueError as exc:
+            raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
+            d = _SYNTHETIC_KEYS
+            raise raw.error(
+                raw.first_set(d["feature_dim"], d["num_classes"], d["separation"]),
+                f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
+                f"{d['feature_dim'].name} or use fewer classes",
+            ) from exc
 
 
 def _echo_value(value) -> str:

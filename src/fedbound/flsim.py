@@ -11,13 +11,14 @@ proxy (the best-training-loss parameters seen anywhere in the run) is known.
 
 Rounds run in lockstep: every node of a round starts from the same global
 vector and holds equally many rows, so the N nodes train as one ``(N, dim)``
-stack, one stacked gradient call per SGD step. A round's usefulness losses
-are one kernel call over the one test set, and its training loss is one
-stacked loss call. Each stack row equals the node's own single-vector
-computation bit for bit.
+stack, one stacked gradient call per SGD step. A round's test losses, those
+of the N trained rows and of their average, are one kernel call over the one
+test set, and its training loss is one stacked loss call. Each stack row
+equals the node's own single-vector computation bit for bit.
 
 All randomness derives from (config seed, phase, round, node), so serial
-and parallel schedules produce identical results.
+and parallel schedules produce identical results. The generators of every
+SGD shuffle of a run are seeded in one vectorized pass before its first round.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .model import (
     Dataset,
     ModelSpec,
     ParamVector,
-    _loss_and_grad_stacked,
     init_params,
     loss,
     sgd_epoch_traced,
+    shared_data_loss,
 )
 from .probe import (
     G_FORMULAS,
@@ -50,7 +51,7 @@ from .probe import (
     collect_probes,
     constants_from_samples,
 )
-from .rng import derive_seed, spawn_rng
+from .rng import derive_seed, permutations, seed_states, spawn_rng
 
 PROBE_SAMPLER_KINDS = ("init", "perturb")
 
@@ -203,32 +204,43 @@ def fedavg(models) -> ParamVector:
     return models.mean(axis=0)
 
 
+def shuffle_states(round_seeds: Sequence[Sequence[int]], epochs: int) -> np.ndarray:
+    """The generators of every SGD shuffle of some rounds, seeded in one pass.
+
+    ``round_seeds[r][i]`` is node i's seed in round r. Returns the
+    ``(rounds, epochs, N, 4)`` array of :func:`rng.seed_states` whose entry
+    ``[r, e, i]`` is ``spawn_rng("sgd", derive_seed(round_seeds[r][i], e))``:
+    32 bytes a generator, not the ``(rounds, epochs, N, n)`` row orders.
+    """
+    seeds = [
+        derive_seed(seed, epoch)
+        for nodes in round_seeds
+        for epoch in range(epochs)
+        for seed in nodes
+    ]
+    return seed_states("sgd", seeds).reshape(len(round_seeds), epochs, -1, 4)
+
+
 def local_round(
-    rows: Dataset,
-    test_data: Dataset,
-    global_params: ParamVector,
-    cfg: ScenarioConfig,
-    rng_seeds: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows: Dataset, global_params: ParamVector, cfg: ScenarioConfig, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Replace every node's model with the global one and resume local training.
 
     ``rows`` holds the N nodes' equal row blocks, which train in lockstep as
-    one stack, node i's epochs seeded from ``rng_seeds[i]``. Returns the
-    ``(N, dim)`` trained stack, each trained row's loss on ``test_data`` as
-    an ``(N,)`` array, and the ``(N, steps)`` array of each node's
-    batch-gradient norms, one per SGD step.
+    one stack. ``states`` is one round of :func:`shuffle_states`: epoch e
+    orders node i's block by the ``permutation(n)`` drawn from ``states[e, i]``.
+    Returns the ``(N, dim)`` trained stack and the ``(N, steps)`` array of each
+    node's batch-gradient norms, one per SGD step.
     """
-    stack = np.tile(np.asarray(global_params, dtype=np.float64), (len(rng_seeds), 1))
+    _, n_nodes, _ = states.shape
+    stack = np.tile(np.asarray(global_params, dtype=np.float64), (n_nodes, 1))
+    n = len(rows) // n_nodes
     norms = []
-    for epoch in range(cfg.local_epochs_per_round):
-        seeds = [derive_seed(seed, epoch) for seed in rng_seeds]
-        stack, epoch_norms = sgd_epoch_traced(cfg.model, stack, rows, cfg.lr, cfg.batch_size, seeds)
+    for epoch_states in states:
+        order = permutations(epoch_states, n)
+        stack, epoch_norms = sgd_epoch_traced(cfg.model, stack, rows, cfg.lr, cfg.batch_size, order)
         norms.append(epoch_norms)
-    # Every trained row on the one test set, in one kernel call; row i equals
-    # loss(cfg.model, stack[i], test_data) bit for bit. sgd_epoch_traced
-    # has checked that every row is finite.
-    after, _ = _loss_and_grad_stacked(cfg.model, stack, test_data.features, test_data.labels, False)
-    return stack, after, np.concatenate(norms).T
+    return stack, np.concatenate(norms).T
 
 
 def _check_equal_sizes(node_datasets: Sequence[Dataset]) -> None:
@@ -276,12 +288,13 @@ def training_phase(
     """Phase 2 of a run: ``cfg.rounds`` FedAvg rounds from w1 over the given nodes,
     which must hold equally many rows (the bound is for equally weighted FedAvg).
 
-    Node i of round t trains with seed ``derive_seed(cfg.seed, "round", t, i)``;
-    the probes are never read, so a subset of a run's nodes trains the same
-    whether or not they were probed first. Returns the round records (their
-    ``bound_value`` is NaN until :func:`bound_phase` gives it), the final
-    global parameters, and the optimum proxy: the parameters, w1 included,
-    with the lowest mean training loss over the nodes.
+    Node i of round t trains with seed ``derive_seed(cfg.seed, "round", t, i)``
+    (see :func:`shuffle_states`); the probes are never read, so a subset of a
+    run's nodes trains the same whether or not they were probed first. Every
+    shuffle of the run is seeded before the first round. Returns the round
+    records (their ``bound_value`` is NaN until :func:`bound_phase` gives it),
+    the final global parameters, and the optimum proxy: the parameters, w1
+    included, with the lowest mean training loss over the nodes.
     """
     _check_equal_sizes(node_datasets)
     rows = Dataset.concat(node_datasets)
@@ -290,17 +303,24 @@ def training_phase(
     def train_loss_at(params: ParamVector) -> float:
         return float(np.mean(loss(cfg.model, np.tile(params, (n_nodes, 1)), rows)))
 
+    shuffles = shuffle_states(
+        [[derive_seed(cfg.seed, "round", t, i) for i in range(n_nodes)]
+         for t in range(1, cfg.rounds + 1)],
+        cfg.local_epochs_per_round,
+    )
     current = w1
     candidates = [(train_loss_at(w1), w1)]
     test_loss = loss(cfg.model, w1, test_data)
     records = []
-    for t in range(1, cfg.rounds + 1):
-        seeds = [derive_seed(cfg.seed, "round", t, i) for i in range(n_nodes)]
-        trained, after, norms = local_round(rows, test_data, current, cfg, seeds)
-        deltas = test_loss - after
+    for t, states in enumerate(shuffles, start=1):
+        trained, norms = local_round(rows, current, cfg, states)
         current = fedavg(trained)
+        # The trained rows and their average on the one test set, in one
+        # kernel call; row i equals loss(cfg.model, row, test_data) bit for bit.
+        scores = shared_data_loss(cfg.model, np.vstack((trained, current)), test_data)
+        deltas = test_loss - scores[:-1]
+        test_loss = float(scores[-1])
         train_loss = train_loss_at(current)
-        test_loss = loss(cfg.model, current, test_data)
         candidates.append((train_loss, current))
         records.append(
             RoundRecord(

@@ -1,7 +1,8 @@
 """Differentiable classifiers, their loss, exact gradients, and plain SGD.
 
 Parameters live in a single flat float64 vector; all operations are pure
-functions of their inputs, with randomness passed in as explicit seeds.
+functions of their inputs, with randomness passed in as explicit seeds or
+row orders.
 
 Three model kinds are supported:
 
@@ -16,7 +17,7 @@ Three model kinds are supported:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,15 +256,34 @@ def _class_sum(values: np.ndarray) -> np.ndarray:
 # far, for the life of the process. fedbound runs no threads (``--parallel``
 # uses processes), and the kernel returns no view of them.
 _scratch = [np.empty(0), np.empty(0)]
+# (stack, n, k) -> the two scratch views of that shape and the class gather's
+# base offsets, for the few shapes a run uses. An entry serves only while its
+# views are of the current buffers; growing them clears every entry.
+_views: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_MAX_VIEWS = 32
 
 
-def _scratch_views(stack: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _scratch_views(stack: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C-contiguous ``(stack, n, k)`` and ``(stack, k, n)`` views of the two
-    scratch buffers, each grown first if too small."""
+    scratch buffers, each grown first if too small, and the ``(stack, n)``
+    offsets ``p * k * n + i`` of entry ``(p, 0, i)`` in the second."""
+    key = (stack, n, k)
+    cached = _views.get(key)
+    if cached is not None and cached[0].base is _scratch[0] and cached[1].base is _scratch[1]:
+        return cached
     size = stack * n * k
     if _scratch[0].size < size:
         _scratch[:] = [np.empty(size), np.empty(size)]
-    return _scratch[0][:size].reshape(stack, n, k), _scratch[1][:size].reshape(stack, k, n)
+        _views.clear()
+    if len(_views) >= _MAX_VIEWS:
+        _views.clear()
+    offsets = np.arange(0, stack * k * n, k * n)[:, None] + np.arange(n)
+    cached = _views[key] = (
+        _scratch[0][:size].reshape(stack, n, k),
+        _scratch[1][:size].reshape(stack, k, n),
+        offsets,
+    )
+    return cached
 
 
 def _loss_and_grad_stacked(
@@ -309,7 +329,7 @@ def _loss_and_grad_stacked(
 
     stack, n = W.shape[0], feats.shape[-2]
     d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
-    prod, logp_all = _scratch_views(stack, n, k)
+    prod, logp_all, offsets = _scratch_views(stack, n, k)
     if spec.kind == "softmax":
         weights = W[:, : k * d].reshape(stack, k, d)
         np.matmul(feats, weights.transpose(0, 2, 1), out=prod)
@@ -331,7 +351,7 @@ def _loss_and_grad_stacked(
     # One flat index into ``logp_all`` serves shared and per-row labels:
     # entry (p, i) is the offset of row i's true class in stack row p. It
     # only copies values; ``take`` returns a fresh (P, n) array.
-    flat = np.ravel_multi_index((np.arange(stack)[:, None], labels, np.arange(n)), (stack, k, n))
+    flat = offsets + labels * n
     logp = logp_all.reshape(-1).take(flat)
     if want_loss:
         losses = np.add.reduce(np.minimum(-logp, _LOG_CAP), axis=1) / n + penalty
@@ -393,45 +413,66 @@ def gradient(spec: ModelSpec, params: ParamVector, data: Dataset) -> ParamVector
     return grads[0] if np.ndim(params) == 1 else grads
 
 
+def shared_data_loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
+    """The ``(P,)`` losses of the rows of a ``(P, dim)`` stack, each on all of
+    ``data``, in one kernel call; row p equals ``loss(spec, params[p], data)``
+    bit for bit."""
+    stack = _check_params(spec, params, allow_stack=True)
+    if stack.ndim != 2:
+        raise ValueError(f"expected a (P, {param_dim(spec)}) stack, got shape {stack.shape}")
+    _check_data(spec, data)
+    losses, _ = _loss_and_grad_stacked(spec, stack, data.features, data.labels, False)
+    return losses
+
+
 def sgd_epoch_traced(
     spec: ModelSpec,
     params: ParamVector,
     data: Dataset,
     lr: float,
     batch_size: int,
-    rng_seed: int | Sequence[int],
+    order: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One shuffled pass of mini-batch SGD, recording each batch-gradient norm.
+    """One pass of mini-batch SGD over the rows in ``order``, recording each
+    batch-gradient norm.
 
-    Returns the updated parameters and the ||grad|| of every SGD step. The
-    input is never mutated. A ``(P, dim)`` stack trains P models in lockstep:
-    ``data`` holds their P equal, consecutive row blocks, ``rng_seed`` is a
-    sequence of P seeds, and each step makes one stacked :func:`gradient`
-    call; the norms then come back as a ``(steps, P)`` array. Row p equals
-    the single-vector call on block p with seed p, bit for bit.
+    ``order`` holds row positions in ``[0, len(data))``; a run passes a
+    shuffle, ``spawn_rng("sgd", seed).permutation(len(data))``. Returns the
+    updated parameters and the ||grad|| of every SGD step. The input is never
+    mutated. A ``(P, dim)`` stack trains P models in lockstep: ``data`` holds
+    their P equal, consecutive row blocks of n rows, row p of the ``(P, n)``
+    ``order`` is block p's order within the block, and each step makes one
+    stacked :func:`gradient` call; the norms then come back as a ``(steps, P)``
+    array. Row p equals the single-vector call on block p with order row p,
+    bit for bit.
     """
     if lr < 0.0:
         raise ValueError("lr must be >= 0")
     single = np.ndim(params) == 1
-    seeds = [rng_seed] if single else list(rng_seed)
     stack = _check_inputs(spec, params, data)
-    if len(seeds) != stack.shape[0]:
-        raise ValueError(f"got {len(seeds)} seeds for a stack of {stack.shape[0]}")
-    n = len(data) // stack.shape[0]
+    blocks = stack.shape[0]
+    n = len(data) // blocks
+    order = np.asarray(order)
+    expected = (n,) if single else (blocks, n)
+    if order.shape != expected or order.dtype.kind not in "iu":
+        raise ValueError(f"row order is {order.dtype} {order.shape}, expected integers {expected}")
+    if order.min() < 0 or order.max() >= n:
+        raise ValueError(f"row order holds positions outside [0, {n})")
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch_size must lie in [1, {n}]")
-    # Row indices into ``data``: block p's own shuffle, offset to block p.
-    order = np.stack([spawn_rng("sgd", seed).permutation(n) for seed in seeds])
-    order += n * np.arange(len(seeds))[:, None]
-    # The epoch's rows gathered once, step by step, so that each step's
-    # batch (P blocks of its rows) is a contiguous slice of ``epoch``.
+    # The epoch's rows gathered once, step by step: step s takes columns
+    # [s * batch_size, (s + 1) * batch_size) of every block's order, block by
+    # block, offset to the block, so each step's batch is a contiguous slice.
+    rows = order.reshape(blocks, n) + n * np.arange(blocks)[:, None]
+    full = n - n % batch_size
+    steps = rows[:, :full].reshape(blocks, -1, batch_size).transpose(1, 0, 2)
+    epoch = data.subset(np.concatenate((steps.ravel(), rows[:, full:].ravel())))
     starts = range(0, n, batch_size)
-    epoch = data.subset(np.concatenate([order[:, s : s + batch_size].ravel() for s in starts]))
     current = stack.copy()
-    sq_norms = np.empty((len(starts), len(seeds)))
+    sq_norms = np.empty((len(starts), blocks))
     hi = 0
     for step, start in enumerate(starts):
-        lo, hi = hi, hi + len(seeds) * min(batch_size, n - start)
+        lo, hi = hi, hi + blocks * min(batch_size, n - start)
         grad = gradient(spec, current, epoch.subset(slice(lo, hi)))
         sq_norms[step] = np.vecdot(grad, grad)
         current = current - lr * grad

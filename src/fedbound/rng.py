@@ -82,9 +82,11 @@ def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return value ^ (value >> _SHIFT)
 
 
-def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
-    """``np.random.PCG64(seed).state`` for each 63-bit seed, through
-    SeedSequence's uint32 arithmetic run for all seeds at once."""
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """A ``(len(seeds), 4)`` uint64 array whose row i holds the (initstate_hi,
+    initstate_lo, initseq_hi, initseq_lo) words that
+    ``SeedSequence(seeds[i]).generate_state(4, np.uint64)`` gives PCG64, through
+    SeedSequence's uint32 arithmetic run for all 63-bit seeds at once."""
     words = np.array(seeds, dtype=np.uint64)
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
     # The entropy words are (lo32, hi32); a seed below 2**32 has one word,
@@ -102,22 +104,56 @@ def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
         mixed[src] = pool[src]
         pool = mixed
     # generate_state(4, uint64): eight words from the cycled pool, paired
-    # little-endian into (initstate_hi, initstate_lo, initseq_hi, initseq_lo).
+    # little-endian.
     state = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MUL).astype(np.uint64)
-    hi_s, lo_s, hi_i, lo_i = (state[0::2] | (state[1::2] << np.uint64(32))).tolist()
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(hi_s, lo_s, hi_i, lo_i):
-        # PCG64's srandom: inc = initseq << 1 | 1, then two LCG steps around
-        # adding initstate; a fresh generator holds no buffered uint32.
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        lcg = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({
-            "bit_generator": "PCG64",
-            "state": {"state": lcg, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        })
-    return states
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
+
+
+def _pcg64_state(state_hi: int, state_lo: int, seq_hi: int, seq_lo: int) -> dict:
+    """The ``PCG64.state`` that one row of :func:`_seed_words` seeds."""
+    # PCG64's srandom: inc = initseq << 1 | 1, then two LCG steps around
+    # adding initstate; a fresh generator holds no buffered uint32.
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    lcg = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": lcg, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def seed_states(label: str, seeds: Sequence[int]) -> np.ndarray:
+    """The generators ``spawn_rng(label, seed)`` makes for every seed, seeded in
+    one vectorized pass: a ``(len(seeds), 4)`` uint64 array, 32 bytes a
+    generator, for :func:`permutations` to draw from. The derived seeds are
+    the same."""
+    return _seed_words([derive_seed(label, seed) for seed in seeds])
+
+
+def _draw_rows(states: np.ndarray, rows: np.ndarray, draw) -> np.ndarray:
+    """Row i of ``rows`` filled in place by ``draw(generator, row)`` from a
+    generator moved to state i."""
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for row, words in zip(rows, states.tolist()):
+        bit_generator.state = _pcg64_state(*words)
+        draw(generator, row)
+    return rows
+
+
+def permutations(states: np.ndarray, n: int) -> np.ndarray:
+    """A ``(len(states), n)`` int64 array whose row i is the ``permutation(n)``
+    a generator in seeded state ``states[i]`` (see :func:`seed_states`) draws."""
+    # Generator.permutation(n) shuffles np.arange(n) in place.
+    rows = np.tile(np.arange(n, dtype=np.int64), (len(states), 1))
+    return _draw_rows(states, rows, np.random.Generator.shuffle)
+
+
+def permutation_rows(label: str, seeds: Sequence[int], n: int) -> np.ndarray:
+    """A ``(len(seeds), n)`` array whose row i is
+    ``spawn_rng(label, seeds[i]).permutation(n)``, bit for bit."""
+    return permutations(seed_states(label, seeds), n)
 
 
 def normal_rows(label: str, seeds: Sequence[int], n: int) -> np.ndarray:
@@ -127,11 +163,7 @@ def normal_rows(label: str, seeds: Sequence[int], n: int) -> np.ndarray:
     The generators are seeded in one vectorized pass instead of one
     ``default_rng`` per seed; the derived seeds are the same.
     """
-    states = _pcg64_states([derive_seed(label, seed) for seed in seeds])
-    rows = np.empty((len(states), n))
-    bit_generator = np.random.PCG64(0)
-    gen = np.random.Generator(bit_generator)
-    for row, state in zip(rows, states):
-        bit_generator.state = state
-        gen.standard_normal(out=row)
-    return rows
+    rows = np.empty((len(seeds), n))
+    return _draw_rows(
+        seed_states(label, seeds), rows, lambda gen, row: gen.standard_normal(out=row)
+    )

@@ -1,18 +1,24 @@
 import math
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedbound import analysis
 from fedbound.analysis import (
     SELECTION_POLICIES,
     ReportInputs,
     _average_ranks,
     _cdf_arrays,
+    _load_columns,
+    _read_columns,
     correlate,
     correlation_rows,
     report_inputs_from_dir,
@@ -22,6 +28,7 @@ from fedbound.analysis import (
     write_reports,
 )
 from fedbound.config import ExperimentConfig, echo_lines
+from fedbound.csvio import write_csv
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import FLRun, RoundRecord, ScenarioConfig, run_federated, save_run
 from fedbound.model import softmax_spec
@@ -439,3 +446,89 @@ class TestReports:
             assert p.n_probes == c.n_probes
         assert sig9(parsed.probe_g) == sig9(direct.probe_g)
         assert sig9(parsed.training_g) == sig9(direct.training_g)
+
+
+GTRACE = (object, None, np.float64)
+USEFULNESS = (None, np.int64, np.float64)
+
+
+def _sources(n):
+    return (["probe", "training"] * n)[:n]
+
+
+def _written_gtrace(run_dir, values):
+    path = Path(run_dir) / "gtrace.csv"
+    write_csv(path, ("source", "node_id", "value"), (_sources(len(values)), range(len(values)), values))
+    return path
+
+
+class TestReadBack:
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    @example([5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308])
+    @example([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308])
+    @example([float("nan"), float("inf"), -float("inf"), 0.1, 123456789.5])
+    def test_written_floats_parse_to_the_bits_of_float(self, values):
+        # Every %.9g string write_csv emits, read by the C reader alone.
+        with tempfile.TemporaryDirectory() as run_dir:
+            path = _written_gtrace(run_dir, np.array(values))
+            cells = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+            with mock.patch.object(analysis, "_read_columns", side_effect=AssertionError):
+                source, _, parsed = _load_columns(path, GTRACE)
+        assert parsed.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+        assert list(source) == _sources(len(values))
+
+    @pytest.mark.parametrize(
+        "name, header, dtypes",
+        [
+            ("gtrace.csv", "source,node_id,value", GTRACE),
+            ("usefulness.csv", "t,node_id,delta", USEFULNESS),
+        ],
+    )
+    def test_header_only_file_reads_as_empty_columns_without_a_warning(
+        self, tmp_path, name, header, dtypes
+    ):
+        path = tmp_path / name
+        path.write_text(header + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns = _load_columns(path, dtypes)
+        for column, dtype in zip(columns, dtypes):
+            assert len(column) == 0
+            assert dtype is None or column.dtype == dtype
+
+    def test_well_formed_file_reads_as_the_cell_parser_reads_it(self, tmp_path):
+        path = tmp_path / "usefulness.csv"
+        path.write_text("t,node_id,delta\n1,0,0.25\n1, 1 ,-1e-310\nx,0,nan\n2,1,inf\n")
+        with mock.patch.object(analysis, "_read_columns", side_effect=AssertionError):
+            fast = _load_columns(path, USEFULNESS)
+        slow = _read_columns(path, USEFULNESS)
+        assert list(fast[0]) == slow[0]
+        for a, b in zip(fast[1:], slow[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "probe,0,1\n\ntraining,0,2\n",  # blank line, which np.loadtxt skips
+            "probe,0,1\n   \n",  # blank but for spaces
+            "probe,0,1\n\n",  # trailing blank line
+            "probe,0,1\ntraining,0\n",  # short row
+            "probe,0,1,7\n",  # long row
+            "probe,0,abc\n",  # non-numeric value
+            "probe,1.0,1\n",  # non-integer node id
+            "probe,0,1_0\n",  # float() takes it, np.loadtxt does not
+            "probe,0,0x10\n",
+        ],
+    )
+    def test_malformed_file_keeps_the_cell_parsers_outcome(self, tmp_path, body):
+        path = tmp_path / "gtrace.csv"
+        for header in ("source,node_id,value", "source,value"):
+            path.write_text(f"{header}\n{body}")
+            outcomes = []
+            for read in (_load_columns, _read_columns):
+                try:
+                    outcomes.append([list(column) for column in read(path, GTRACE)])
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]

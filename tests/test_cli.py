@@ -181,11 +181,11 @@ class TestRunCommand:
         cfg.write_text(
             TINY
             + "data.num_classes = 4\ndata.samples_per_class = 200\nscenario.missing_classes = 3\n"
-            + "scenario.n_nodes = 5\nscenario.samples_per_node = 150\n"
+            + "scenario.n_nodes = 5\nscenario.samples_per_node = 150\ndata.feature_dim = 8\n"
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
-        assert capsys.readouterr().err.startswith("error: seed 1 failed: ")
+        assert capsys.readouterr().err.startswith("error: seed 1 failed: insufficient data: ")
         assert not out.exists()
 
     def test_rerun_replaces_existing_directory(self, tiny_config, tmp_path):
@@ -292,6 +292,27 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(f"config error: line 3: {key}: ")
         assert not (tmp_path / "o").exists()
 
+
+    # At separation 0.7 no seed places these shapes; each used to fail every
+    # seed after the generator's 1,000 draws, with exit 1 and no line.
+    @pytest.mark.parametrize("d, k", [(1, 4), (1, 2), (1, 3), (2, 4), (2, 6), (3, 8), (8, 20)])
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    def test_unplaceable_class_centers_exit_2_before_any_output(
+        self, tmp_path, capsys, monkeypatch, d, k, command
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            f"scenario.name = bad\ndata.num_classes = {k}\ndata.feature_dim = {d}\n"
+            f"scenario.n_nodes = 2\noutput.dir = {tmp_path / 'o'}\nrepeat_seeds = 3,4\n"
+        )
+        monkeypatch.setenv("FEDBOUND_SEED", "7")
+        assert main([command, "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: line 3: data.feature_dim: cannot place {k} centers at separation "
+            f"0.7 in {d} dimensions for seed 7; lower data.separation, raise "
+            "data.feature_dim or use fewer classes\n"
+        )
+        assert not (tmp_path / "o").exists()
 
 class TestGoldenRun:
     # sha256 of the tree `fedbound run` writes for the shipped hetero_eight_nodes
@@ -569,7 +590,7 @@ class TestSelftestCommand:
             "PASS gradient-vs-finite-difference (max rel err 1.75e-10)\n"
             "PASS quadratic probe bracket (m in [1.000002, 4.000000], expected [1, 4])\n"
             "PASS identity curvature (mu=1.000000000000, L=1.000000000000)\n"
-            "PASS batched seeding equals spawn_rng (5 seeds)\n"
+            "PASS batched seeding equals spawn_rng (normals and permutations, 5 seeds)\n"
             "PASS bound arithmetic (t=1 -> 24.0, t=17 -> 12.0)\n"
         )
 

@@ -11,6 +11,7 @@ from fedbound.data import (
     load_cifar10,
 )
 from fedbound.model import init_params, sgd_epoch_traced, softmax_spec
+from fedbound.rng import spawn_rng
 
 
 class TestSynthetic:
@@ -60,9 +61,8 @@ class TestSynthetic:
         model = softmax_spec(8, 3, l2=0.001)
         params = init_params(model, 0)
         for epoch in range(100):
-            params, _ = sgd_epoch_traced(
-                model, params, train, lr=1.0, batch_size=len(train), rng_seed=epoch
-            )
+            order = spawn_rng("sgd", epoch).permutation(len(train))
+            params, _ = sgd_epoch_traced(model, params, train, 1.0, len(train), order)
         weights = params[: 3 * 8].reshape(3, 8)
         bias = params[3 * 8 :]
         predictions = np.argmax(test.features @ weights.T + bias, axis=1)

@@ -20,6 +20,7 @@ from fedbound.flsim import (
     run_federated,
     run_federated_partitioned,
     save_run,
+    shuffle_states,
     training_phase,
 )
 from fedbound.model import (
@@ -31,7 +32,17 @@ from fedbound.model import (
     softmax_spec,
 )
 from fedbound.probe import InitDistributionSampler, draw_probe_pair
-from fedbound.rng import derive_seed
+from fedbound.rng import derive_seed, spawn_rng
+
+
+def round_states(seeds, epochs=1):
+    """The shuffle generators of one round whose node i trains with ``seeds[i]``."""
+    return shuffle_states([seeds], epochs)[0]
+
+
+def shuffle(seed, n):
+    """The row order a run's SGD epoch takes from ``seed``."""
+    return spawn_rng("sgd", seed).permutation(n)
 
 
 def synthetic_spec(**kwargs):
@@ -164,23 +175,21 @@ class TestLocalRound:
     def test_lr_zero_is_noop(self):
         cfg = scenario(lr=0.0)
         node, test, w = self.make_node(cfg)
-        trained, after, norms = local_round(node, test, w, cfg, [3])
+        trained, norms = local_round(node, w, cfg, round_states([3]))
         np.testing.assert_array_equal(trained, w[None])
-        np.testing.assert_array_equal(after, [loss(cfg.model, w, test)])
         assert norms.shape == (1, 2)  # still one norm per step
 
     def test_training_that_helps_gives_positive_delta(self):
         cfg = scenario(lr=0.2, batch_size=40)
         node, test, w = self.make_node(cfg)
-        trained, after, _ = local_round(node, test, w, cfg, [3])
-        assert after[0] == loss(cfg.model, trained[0], test)
-        assert loss(cfg.model, w, test) - after[0] > 0.0
+        trained, _ = local_round(node, w, cfg, round_states([3]))
+        assert loss(cfg.model, w, test) - loss(cfg.model, trained[0], test) > 0.0
 
     def test_deterministic(self):
         cfg = scenario()
         node, test, w = self.make_node(cfg)
-        a = local_round(node, test, w, cfg, [7])
-        b = local_round(node, test, w, cfg, [7])
+        a = local_round(node, w, cfg, round_states([7]))
+        b = local_round(node, w, cfg, round_states([7]))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -189,7 +198,7 @@ class TestLocalRound:
         node, test, w = self.make_node(cfg)
         with pytest.warns(UserWarning):
             run_federated_partitioned(cfg, test, [node] * cfg.n_nodes)
-        _, _, norms = local_round(node, test, w, cfg, [1])
+        _, norms = local_round(node, w, cfg, round_states([1], epochs=3))
         assert norms.shape == (1, 3)
 
     def test_lockstep_round_equals_one_node_at_a_time(self):
@@ -197,11 +206,10 @@ class TestLocalRound:
         cfg = scenario(n_nodes=4, samples_per_node=25, batch_size=10)
         test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=3), cfg, 5)
         w = init_params(cfg.model, 2)
-        trained, after, norms = local_round(Dataset.concat(nodes), test, w, cfg, [11, 12, 13, 14])
+        trained, norms = local_round(Dataset.concat(nodes), w, cfg, round_states([11, 12, 13, 14]))
         for i, node in enumerate(nodes):
-            one, one_after, one_norms = local_round(node, test, w, cfg, [11 + i])
+            one, one_norms = local_round(node, w, cfg, round_states([11 + i]))
             np.testing.assert_array_equal(trained[i], one[0])
-            assert after[i] == one_after[0] == loss(cfg.model, trained[i], test)
             np.testing.assert_array_equal(norms[i], one_norms[0])
 
 
@@ -234,7 +242,8 @@ class TestRunFederated:
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
         for t in range(1, 6):
             seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
-            w = sgd_epoch_traced(cfg.model, w, nodes[0], cfg.lr, cfg.batch_size, seed)[0]
+            order = shuffle(seed, len(nodes[0]))
+            w = sgd_epoch_traced(cfg.model, w, nodes[0], cfg.lr, cfg.batch_size, order)[0]
         assert np.abs(w - run.final_params).max() <= 1e-9
 
     def test_convex_single_node_full_batch_loss_nonincreasing(self):
@@ -268,12 +277,13 @@ class TestRunFederated:
         for t in (1, 2):
             locals_ = []
             for i, node in enumerate(nodes):
-                trained, after, _ = local_round(node, test, w, cfg,
-                                                [derive_seed(cfg.seed, "round", t, i)])
+                states = round_states([derive_seed(cfg.seed, "round", t, i)])
+                trained, _ = local_round(node, w, cfg, states)
                 locals_.append(trained[0])
                 # The engine reuses the previous round's test loss as this
                 # round's starting loss; a fresh evaluation must agree exactly.
-                assert loss(cfg.model, w, test) - after[0] == run.rounds[t - 1].per_node_usefulness[i]
+                delta = loss(cfg.model, w, test) - loss(cfg.model, trained[0], test)
+                assert delta == run.rounds[t - 1].per_node_usefulness[i]
             w = fedavg(locals_)
         np.testing.assert_array_equal(w, run.final_params)
 
@@ -292,9 +302,9 @@ class TestRunFederated:
             for i, data in enumerate(datasets):
                 wi, trace = w, []
                 for epoch in range(cfg.local_epochs_per_round):
+                    seed = derive_seed(derive_seed(cfg.seed, "round", t, i), epoch)
                     wi, norms = sgd_epoch_traced(
-                        cfg.model, wi, data, cfg.lr, cfg.batch_size,
-                        derive_seed(derive_seed(cfg.seed, "round", t, i), epoch),
+                        cfg.model, wi, data, cfg.lr, cfg.batch_size, shuffle(seed, len(data))
                     )
                     trace.append(norms)
                 locals_.append(wi)

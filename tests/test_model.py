@@ -18,10 +18,16 @@ from fedbound.model import (
     param_dim,
     quadratic_spec,
     sgd_epoch_traced,
+    shared_data_loss,
     softmax_spec,
 )
 from fedbound import model
-from fedbound.rng import spawn_rng
+from fedbound.rng import permutation_rows, spawn_rng
+
+
+def shuffle(seed, n):
+    """The row order a run's SGD epoch takes from ``seed``."""
+    return spawn_rng("sgd", seed).permutation(n)
 
 
 def toy_dataset(seed=0, n=12, dim=4, classes=3):
@@ -143,7 +149,7 @@ class TestLoss:
         params = init_params(spec, 0)
         losses = [loss(spec, params, data)]
         for epoch in range(30):
-            params = sgd_epoch_traced(spec, params, data, lr=0.5, batch_size=n, rng_seed=epoch)[0]
+            params = sgd_epoch_traced(spec, params, data, 0.5, n, shuffle(epoch, n))[0]
             losses.append(loss(spec, params, data))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
@@ -187,7 +193,7 @@ class TestGradient:
         spec = softmax_spec(4, 3, l2=0.05)
         params = init_params(spec, 2)
         for epoch in range(400):
-            params = sgd_epoch_traced(spec, params, data, lr=0.5, batch_size=30, rng_seed=epoch)[0]
+            params = sgd_epoch_traced(spec, params, data, 0.5, 30, shuffle(epoch, 30))[0]
         assert np.linalg.norm(gradient(spec, params, data)) < 1e-3
 
 
@@ -215,22 +221,22 @@ class TestSgdEpoch:
         spec = softmax_spec(4, 3)
         params = init_params(spec, 7)
         np.testing.assert_array_equal(
-            sgd_epoch_traced(spec, params, data, lr=0.0, batch_size=4, rng_seed=1)[0], params
+            sgd_epoch_traced(spec, params, data, 0.0, 4, shuffle(1, len(data)))[0], params
         )
 
     def test_quadratic_full_batch_scales_by_one_minus_lr(self):
         spec = quadratic_spec([1.0, 1.0])
         data = dummy_dataset(2)
         w = np.array([2.0, -4.0])
-        out = sgd_epoch_traced(spec, w, data, lr=0.1, batch_size=len(data), rng_seed=0)[0]
+        out = sgd_epoch_traced(spec, w, data, 0.1, len(data), shuffle(0, len(data)))[0]
         np.testing.assert_allclose(out, 0.9 * w, rtol=1e-15)
 
     def test_reproducible_bit_for_bit(self):
         data = toy_dataset(n=20)
         spec = mlp_spec(4, 3, 5)
         params = init_params(spec, 3)
-        a = sgd_epoch_traced(spec, params, data, lr=0.1, batch_size=6, rng_seed=42)[0]
-        b = sgd_epoch_traced(spec, params, data, lr=0.1, batch_size=6, rng_seed=42)[0]
+        a = sgd_epoch_traced(spec, params, data, 0.1, 6, shuffle(42, len(data)))[0]
+        b = sgd_epoch_traced(spec, params, data, 0.1, 6, shuffle(42, len(data)))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_input_untouched(self):
@@ -238,13 +244,13 @@ class TestSgdEpoch:
         spec = softmax_spec(4, 3)
         params = init_params(spec, 1)
         before = params.copy()
-        sgd_epoch_traced(spec, params, data, lr=0.3, batch_size=4, rng_seed=0)[0]
+        sgd_epoch_traced(spec, params, data, 0.3, 4, shuffle(0, len(data)))[0]
         np.testing.assert_array_equal(params, before)
 
     def test_trace_has_one_norm_per_step(self):
         data = toy_dataset(n=10)
         spec = softmax_spec(4, 3)
-        _, norms = sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 4, 0)
+        _, norms = sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 4, shuffle(0, 10))
         assert norms.shape == (3,)  # ceil(10 / 4)
         assert (norms >= 0).all()
 
@@ -252,15 +258,15 @@ class TestSgdEpoch:
         data = toy_dataset(n=5)
         spec = softmax_spec(4, 3)
         with pytest.raises(ValueError):
-            sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 6, 0)[0]
+            sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 6, shuffle(0, 5))[0]
         with pytest.raises(ValueError):
-            sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 0, 0)[0]
+            sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 0, shuffle(0, 5))[0]
 
     def test_negative_lr_rejected(self):
         data = toy_dataset()
         spec = softmax_spec(4, 3)
         with pytest.raises(ValueError):
-            sgd_epoch_traced(spec, init_params(spec, 0), data, -0.1, 4, 0)[0]
+            sgd_epoch_traced(spec, init_params(spec, 0), data, -0.1, 4, shuffle(0, len(data)))[0]
 
     @pytest.mark.parametrize("stack", [None, 3])
     def test_overflow_mid_epoch_raises(self, monkeypatch, stack):
@@ -268,14 +274,14 @@ class TestSgdEpoch:
         # step: finite after step 1, infinite after step 2, so the gradient
         # call of step 3 rejects it.
         spec = quadratic_spec([2.0, 2.0])
-        params, seeds, blocks = np.array([0.5, -1.0]), 0, 1
+        params, order, blocks = np.array([0.5, -1.0]), np.arange(6), 1
         if stack is not None:
-            params, seeds, blocks = np.tile(params, (stack, 1)), list(range(stack)), stack
+            params, order, blocks = np.tile(params, (stack, 1)), np.tile(order, (stack, 1)), stack
         data = Dataset(np.full((6 * blocks, 2), 0.5), np.zeros(6 * blocks, dtype=np.int64), 1)
         calls = []
         monkeypatch.setattr(model, "gradient", lambda *args: calls.append(1) or gradient(*args))
         with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
-            sgd_epoch_traced(spec, params, data, 1e200, 1, seeds)
+            sgd_epoch_traced(spec, params, data, 1e200, 1, order)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("stack", [None, 3])
@@ -283,13 +289,13 @@ class TestSgdEpoch:
         # Two rows at batch 1: step 1 leaves about -2e200 * w, step 2 leaves
         # +-inf, and no later gradient call sees it, so the epoch must.
         spec = quadratic_spec([2.0, 2.0])
-        params, seeds, blocks = np.array([0.5, -1.0]), 0, 1
+        params, order, blocks = np.array([0.5, -1.0]), np.arange(2), 1
         if stack is not None:
-            params, seeds, blocks = np.tile(params, (stack, 1)), list(range(stack)), stack
+            params, order, blocks = np.tile(params, (stack, 1)), np.tile(order, (stack, 1)), stack
         data = Dataset(np.full((2 * blocks, 2), 0.5), np.zeros(2 * blocks, dtype=np.int64), 1)
         with pytest.raises(ValueError, match="non-finite parameters after 2 steps"):
             with np.errstate(over="ignore"):
-                sgd_epoch_traced(spec, params, data, lr=1e200, batch_size=1, rng_seed=seeds)[0]
+                sgd_epoch_traced(spec, params, data, 1e200, 1, order)[0]
 
     @pytest.mark.parametrize("stack", [None, 4])
     def test_one_gradient_call_per_step(self, monkeypatch, stack):
@@ -301,7 +307,9 @@ class TestSgdEpoch:
         params = np.stack([init_params(spec, s) for s in range(blocks)])
         if stack is None:
             params = params[0]
-        seeds = list(range(blocks)) if stack else 0
+        order = permutation_rows("sgd", range(blocks), 10)
+        if stack is None:
+            order = order[0]
         calls = []
 
         def counted(*args):
@@ -309,7 +317,7 @@ class TestSgdEpoch:
             return gradient(*args)
 
         monkeypatch.setattr(model, "gradient", counted)
-        _, norms = sgd_epoch_traced(spec, params, toy_dataset(n=10 * blocks), 0.1, 4, seeds)
+        _, norms = sgd_epoch_traced(spec, params, toy_dataset(n=10 * blocks), 0.1, 4, order)
         assert len(calls) == len(norms) == 3  # ceil(10 / 4)
         assert [rows for _, rows, _ in calls] == [4 * blocks, 4 * blocks, 2 * blocks]
         assert {shape for shape, _, _ in calls} == {(blocks, params.shape[-1])}
@@ -574,6 +582,20 @@ class TestScratchBuffers:
         for out, copy in kept:
             np.testing.assert_array_equal(out, copy)
 
+    @pytest.mark.parametrize("size", [0, 10_000])
+    def test_cached_views_follow_a_reset_of_the_buffers(self, size):
+        # A reset to empty buffers grows them again; a reset to large ones
+        # does not, so only the cache's own check moves its views over.
+        spec, W, feats, labels = _kernel_call("softmax", False, 3, 20, 4, 3, 1, 0.0, 40.0, 0)
+        first = _loss_and_grad_stacked(spec, W, feats, labels, True)
+        model._scratch[:] = [np.empty(size), np.empty(size)]
+        again = _loss_and_grad_stacked(spec, W, feats, labels, True)
+        prod, logp_all, offsets = model._scratch_views(3, 20, 3)
+        assert prod.base is model._scratch[0] and logp_all.base is model._scratch[1]
+        np.testing.assert_array_equal(offsets, np.arange(3)[:, None] * 60 + np.arange(20))
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
 
 def _blocks_case(kind, stack, n, d, k, h, l2, scale, seed):
     """A spec, a ``(stack, dim)`` parameter stack and ``stack`` row blocks of ``n`` rows."""
@@ -660,12 +682,13 @@ class TestLockstepSgd:
         batch_size = min(batch_size, n)  # most draws leave a short last batch
         spec, W, data, blocks = _blocks_case(kind, stack, n, d, k, h, l2, scale, seed)
         seeds = [seed * 31 + p for p in range(stack)]
+        order = permutation_rows("sgd", seeds, n)
         before = W.copy()
-        trained, norms = sgd_epoch_traced(spec, W, data, lr, batch_size, seeds)
+        trained, norms = sgd_epoch_traced(spec, W, data, lr, batch_size, order)
         np.testing.assert_array_equal(W, before)
         assert norms.shape == (-(-n // batch_size), stack)
         for p, block in enumerate(blocks):
-            single, single_norms = sgd_epoch_traced(spec, W[p], block, lr, batch_size, seeds[p])
+            single, single_norms = sgd_epoch_traced(spec, W[p], block, lr, batch_size, order[p])
             ref, ref_norms = _per_node_epoch(spec, W[p], block, lr, batch_size, seeds[p])
             np.testing.assert_array_equal(trained[p], single)
             np.testing.assert_array_equal(single, ref)
@@ -683,25 +706,70 @@ class TestLockstepSgd:
         W[:, 12] += 60.0
         capped = data.subset(np.flatnonzero(data.labels != 0)[:10])
         np.testing.assert_array_equal(gradient(spec, W[0], capped), l2 * W[0])
-        trained, norms = sgd_epoch_traced(spec, W, data, 0.2, 4, [1, 2, 3])
+        trained, norms = sgd_epoch_traced(spec, W, data, 0.2, 4, permutation_rows("sgd", [1, 2, 3], 10))
         for p in range(3):
             block = data.subset(np.arange(10 * p, 10 * (p + 1)))
             ref, ref_norms = _per_node_epoch(spec, W[p], block, 0.2, 4, p + 1)
             np.testing.assert_array_equal(trained[p], ref)
             np.testing.assert_array_equal(norms[:, p], ref_norms)
 
-    def test_one_seed_per_row(self):
+    def test_one_order_row_per_stack_row(self):
         spec = softmax_spec(4, 3)
         W = np.stack([init_params(spec, s) for s in range(2)])
-        with pytest.raises(ValueError, match="seeds"):
-            sgd_epoch_traced(spec, W, toy_dataset(n=12), 0.1, 3, [1, 2, 3])
+        data = toy_dataset(n=12)
+        for order in (np.tile(np.arange(4), (3, 1)), np.arange(6), np.arange(12).reshape(2, 6)[:, :5]):
+            with pytest.raises(ValueError, match="row order"):
+                sgd_epoch_traced(spec, W, data, 0.1, 3, order)
+        with pytest.raises(ValueError, match="row order"):
+            sgd_epoch_traced(spec, W[0], toy_dataset(n=6), 0.1, 3, np.arange(6)[None])
+
+    def test_order_must_hold_integer_positions_within_the_block(self):
+        spec = softmax_spec(4, 3)
+        W = np.stack([init_params(spec, s) for s in range(2)])
+        data = toy_dataset(n=12)
+        bad = (
+            np.tile(np.arange(6.0), (2, 1)),
+            np.array([[0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 4, 5]]),
+            np.array([[0, 1, 2, 3, 4, 5], [-1, 1, 2, 3, 4, 5]]),
+        )
+        for order in bad:
+            with pytest.raises(ValueError, match="row order"):
+                sgd_epoch_traced(spec, W, data, 0.1, 3, order)
 
     def test_batch_size_bounded_by_block_rows(self):
         spec = softmax_spec(4, 3)
         W = np.stack([init_params(spec, s) for s in range(2)])
         with pytest.raises(ValueError, match=r"\[1, 6\]"):
-            sgd_epoch_traced(spec, W, toy_dataset(n=12), 0.1, 7, [1, 2])
+            sgd_epoch_traced(spec, W, toy_dataset(n=12), 0.1, 7, permutation_rows("sgd", [1, 2], 6))
 
+
+
+class TestSharedDataLoss:
+    @given(**_STACK_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_single_vector_calls_bit_for_bit(
+        self, kind, stack, n, d, k, h, l2, scale, seed
+    ):
+        spec = _kernel_case(kind, d, k, h, l2, seed)
+        rng = np.random.default_rng(seed + 1)
+        data = Dataset(rng.uniform(0, 1, (n, d)), rng.integers(0, k, n), k)
+        W = rng.normal(0.0, scale, (stack, param_dim(spec)))
+        losses = shared_data_loss(spec, W, data)
+        assert losses.shape == (stack,)
+        for p in range(stack):
+            assert losses[p] == loss(spec, W[p], data)
+
+    def test_stack_is_checked(self):
+        spec = softmax_spec(4, 3)
+        W = np.stack([init_params(spec, s) for s in range(3)])
+        data = toy_dataset(n=5)
+        with pytest.raises(ValueError, match="stack"):
+            shared_data_loss(spec, W[0], data)
+        with pytest.raises(ValueError, match="shape"):
+            shared_data_loss(spec, W[:, :-1], data)
+        W[2, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            shared_data_loss(spec, W, data)
 
 class TestDatasetConcat:
     def test_blocks_in_order(self):

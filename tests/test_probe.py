@@ -117,7 +117,8 @@ class TestComputeG:
         spec = softmax_spec(4, 3, l2=0.05)
         params = init_params(spec, 0)
         for epoch in range(400):
-            params = sgd_epoch_traced(spec, params, data, lr=0.5, batch_size=30, rng_seed=epoch)[0]
+            order = spawn_rng("sgd", epoch).permutation(30)
+            params = sgd_epoch_traced(spec, params, data, 0.5, 30, order)[0]
         assert compute_g(spec, params, data) < 1e-3
 
     def test_invariant_under_sample_reordering(self):

@@ -4,10 +4,24 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedbound.rng import _pcg64_states, derive_seed, normal_rows, spawn_rng
+from fedbound.flsim import shuffle_states
+from fedbound.rng import (
+    _pcg64_state,
+    _seed_words,
+    derive_seed,
+    normal_rows,
+    permutation_rows,
+    permutations,
+    spawn_rng,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
+
+
+def pcg64_states(seeds):
+    """The ``np.random.PCG64(seed).state`` the batched seeding gives each seed."""
+    return [_pcg64_state(*words) for words in _seed_words(seeds).tolist()]
 
 
 def derive_seed_bytes_join(*parts):
@@ -37,7 +51,7 @@ class TestNormalRows:
             assert row.tobytes() == spawn_rng("probe-pair", seed).standard_normal(n).tobytes()
         derived = [derive_seed("probe-pair", seed) for seed in seeds]
         # Raw seeds too, so that seeds below 2**32 (one entropy word) are covered.
-        for seed, state in zip(derived + seeds, _pcg64_states(derived + seeds)):
+        for seed, state in zip(derived + seeds, pcg64_states(derived + seeds)):
             assert state == np.random.default_rng(seed).bit_generator.state
 
     def test_state_drops_a_buffered_uint32(self):
@@ -47,7 +61,7 @@ class TestNormalRows:
         gen.integers(2**31, size=3)
         assert gen.bit_generator.state["has_uint32"] == 1
         seeds = [derive_seed("label", s) for s in (3, 4)]
-        for seed, state in zip(seeds, _pcg64_states(seeds)):
+        for seed, state in zip(seeds, pcg64_states(seeds)):
             gen.bit_generator.state = state
             fresh = np.random.default_rng(seed)
             assert gen.integers(2**31, size=5).tolist() == fresh.integers(2**31, size=5).tolist()
@@ -55,3 +69,38 @@ class TestNormalRows:
 
     def test_no_seeds_give_no_rows(self):
         assert normal_rows("probe-pair", [], 4).shape == (0, 4)
+
+
+class TestPermutationRows:
+    # The SGD shuffles of every saved run were drawn one default_rng at a time.
+    @given(seeds=st.lists(SEEDS, min_size=1, max_size=6), n=st.integers(1, 200))
+    @settings(max_examples=200, deadline=None)
+    @example(seeds=list(EDGE_SEEDS), n=1)
+    @example(seeds=list(EDGE_SEEDS), n=150)
+    def test_rows_equal_spawn_rng_bit_for_bit(self, seeds, n):
+        rows = permutation_rows("sgd", seeds, n)
+        assert rows.shape == (len(seeds), n) and rows.dtype == np.int64
+        for row, seed in zip(rows, seeds):
+            assert row.tobytes() == spawn_rng("sgd", seed).permutation(n).tobytes()
+
+    @given(
+        round_seeds=st.lists(st.lists(SEEDS, min_size=3, max_size=3), min_size=1, max_size=4),
+        epochs=st.integers(1, 3),
+        n=st.integers(1, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(round_seeds=[list(EDGE_SEEDS[:3]), list(EDGE_SEEDS[2:])], epochs=3, n=1)
+    def test_run_states_draw_each_epochs_shuffle(self, round_seeds, epochs, n):
+        # A run seeds every shuffle at once; round r's epoch e of node i is
+        # still spawn_rng("sgd", derive_seed(round seed, e)).permutation(n).
+        states = shuffle_states(round_seeds, epochs)
+        assert states.shape == (len(round_seeds), epochs, 3, 4)
+        for seeds, round_states in zip(round_seeds, states):
+            for epoch, epoch_states in enumerate(round_states):
+                rows = permutations(epoch_states, n)
+                for row, seed in zip(rows, seeds):
+                    expected = spawn_rng("sgd", derive_seed(seed, epoch)).permutation(n)
+                    assert row.tobytes() == expected.tobytes()
+
+    def test_no_seeds_give_no_rows(self):
+        assert permutation_rows("sgd", [], 4).shape == (0, 4)
