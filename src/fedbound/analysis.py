@@ -244,8 +244,11 @@ def correlation_rows(inputs: ReportInputs) -> list[tuple[str, float, float, int]
     return rows
 
 
-def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
-    """Emit correlations.csv, cdf_probe.csv, cdf_training.csv, selection.csv.
+def write_reports(
+    run_dir: Path | str, inputs: ReportInputs
+) -> list[tuple[str, float, float, int]]:
+    """Emit correlations.csv, cdf_probe.csv, cdf_training.csv, selection.csv,
+    and return the :func:`correlation_rows` written to correlations.csv.
 
     Every table is built before the first is written, so a table that cannot
     be built leaves each file as it was."""
@@ -256,7 +259,8 @@ def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
         ";".join(str(i) for i in sorted(select_nodes(estimates, k, policy, rng_seed=inputs.seed)))
         for policy in SELECTION_POLICIES
     ]
-    correlations = list(zip(*correlation_rows(inputs)))
+    rows = correlation_rows(inputs)
+    correlations = list(zip(*rows))
     cdf_probe, cdf_training = _cdf_arrays(inputs.probe_g), _cdf_arrays(inputs.training_g)
     write_csv(run_dir / "correlations.csv", ("quantity", "pearson", "spearman", "n"), correlations)
     write_csv(run_dir / "cdf_probe.csv", ("value", "fraction"), cdf_probe)
@@ -266,3 +270,4 @@ def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
         ("policy", "k", "chosen"),
         (SELECTION_POLICIES, [k] * len(SELECTION_POLICIES), chosen),
     )
+    return rows

@@ -127,11 +127,11 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> tuple:
         shutil.rmtree(tmp_dir)
     flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=run.config)))
     inputs = replace(analysis.report_inputs_from_run(run), selection_k=cfg.selection_k)
-    analysis.write_reports(tmp_dir, inputs)
+    correlations = analysis.write_reports(tmp_dir, inputs)
     _replace_dir(tmp_dir, final_dir)
 
     last = run.rounds[-1]
-    corr = {q: (p, s) for q, p, s, _ in analysis.correlation_rows(inputs)}
+    corr = {q: (p, s) for q, p, s, _ in correlations}
     return (
         cfg.scenario_name,
         seed,

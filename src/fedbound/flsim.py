@@ -51,7 +51,7 @@ from .probe import (
     collect_probes,
     constants_from_samples,
 )
-from .rng import derive_seed, permutations, seed_states, spawn_rng
+from .rng import derive_seed, derive_seeds, permutations, seed_states, spawn_rng
 
 PROBE_SAMPLER_KINDS = ("init", "perturb")
 
@@ -271,12 +271,10 @@ def probe_phase(
         sampler = InitDistributionSampler()
     else:
         sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
+    node_seeds = derive_seeds((cfg.seed, "probe"), range(len(node_datasets)))
     probe_samples = np.stack([
-        collect_probes(
-            cfg.model, local, cfg.n_probes, sampler,
-            derive_seed(cfg.seed, "probe", i), cfg.g_formula,
-        )
-        for i, local in enumerate(node_datasets)
+        collect_probes(cfg.model, local, cfg.n_probes, sampler, node_seed, cfg.g_formula)
+        for local, node_seed in zip(node_datasets, node_seeds)
     ])
     node_constants = tuple(map(constants_from_samples, probe_samples))
     return w1, probe_samples, node_constants, aggregate_global(node_constants)
@@ -304,8 +302,7 @@ def training_phase(
         return float(np.mean(loss(cfg.model, np.tile(params, (n_nodes, 1)), rows)))
 
     shuffles = shuffle_states(
-        [[derive_seed(cfg.seed, "round", t, i) for i in range(n_nodes)]
-         for t in range(1, cfg.rounds + 1)],
+        [derive_seeds((cfg.seed, "round", t), range(n_nodes)) for t in range(1, cfg.rounds + 1)],
         cfg.local_epochs_per_round,
     )
     current = w1

@@ -310,10 +310,15 @@ def _loss_and_grad_stacked(
     The log-softmax runs class-major, on one ``(P, k, n)`` array, so each
     elementwise step is k long passes over the rows rather than P * n short
     passes over the classes; :func:`_class_sum` keeps the class sum in the
-    order of a last-axis sum. Every matmul keeps its row-major operands
-    (``feats @ weights.T``, ``err.T @ feats``, ...): turned around, BLAS
-    rounds some gradients differently. Scratch slot 0 holds the logits
-    product, then the ``exp`` temporary, then ``err``; slot 1 holds ``logp_all``.
+    order of a last-axis sum. The logits leave a batched matmul class-major
+    (``weights @ feats.T``), bit-equal to the row-major product. The weight
+    gradients' matmuls keep their orientation (``err.T @ feats``, ``err @ w2``,
+    ``err.T @ hidden``) on a contiguous ``(P, n, k)`` copy of ``err``: turned
+    around, BLAS rounds some gradients differently. A bias gradient is the
+    sum of its rows in row order, a reduce over the outer axis of an
+    ``(n, P, k)`` copy. Scratch slot 1 holds the logits, then the
+    log-probabilities, then ``err``; slot 0 holds the ``exp`` temporary, then
+    the ``(n, P, k)`` copy of ``err``, then its ``(P, n, k)`` copy.
     """
     l2 = spec.l2_coefficient
     losses = grads = None
@@ -329,10 +334,10 @@ def _loss_and_grad_stacked(
 
     stack, n = W.shape[0], feats.shape[-2]
     d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
-    prod, logp_all, offsets = _scratch_views(stack, n, k)
+    rows_major, logp_all, offsets = _scratch_views(stack, n, k)
     if spec.kind == "softmax":
         weights = W[:, : k * d].reshape(stack, k, d)
-        np.matmul(feats, weights.transpose(0, 2, 1), out=prod)
+        np.matmul(weights, np.swapaxes(feats, -1, -2), out=logp_all)
         bias = W[:, k * d :]
     else:
         o1, o2, o3 = h * d, h * d + h, h * d + h + k * h
@@ -340,14 +345,13 @@ def _loss_and_grad_stacked(
         b1 = W[:, None, o1:o2]
         w2 = W[:, o2:o3].reshape(stack, k, h)
         hidden = np.tanh(feats @ w1.transpose(0, 2, 1) + b1)
-        np.matmul(hidden, w2.transpose(0, 2, 1), out=prod)
+        np.matmul(w2, hidden.transpose(0, 2, 1), out=logp_all)
         bias = W[:, o3:]
     # Class-major logits, shifted by their max and then by the log of their
     # exp-sum in place: ``logp_all[p, c, i]`` is log p(class c | row i).
-    # From here on ``prod`` is spent and its slot takes other temporaries.
-    np.add(prod.transpose(0, 2, 1), bias[:, :, None], out=logp_all)
+    logp_all += bias[:, :, None]
     logp_all -= np.maximum.reduce(logp_all, axis=1)[:, None]
-    logp_all -= np.log(_class_sum(np.exp(logp_all, out=prod.reshape(stack, k, n))))[:, None]
+    logp_all -= np.log(_class_sum(np.exp(logp_all, out=rows_major.reshape(stack, k, n))))[:, None]
     # One flat index into ``logp_all`` serves shared and per-row labels:
     # entry (p, i) is the offset of row i's true class in stack row p. It
     # only copies values; ``take`` returns a fresh (P, n) array.
@@ -358,23 +362,34 @@ def _loss_and_grad_stacked(
     if not want_grad:
         return losses, None
 
-    probs = np.exp(logp_all, out=logp_all)
-    probs.reshape(-1)[flat] -= 1.0
-    err = np.divide(probs.transpose(0, 2, 1), n, out=prod)
+    err_cm = np.exp(logp_all, out=logp_all)
+    err_cm.reshape(-1)[flat] -= 1.0
+    err_cm /= n
     # Samples whose true-class probability is below the floor sit on the
     # capped (flat) branch of the loss and contribute no gradient.
     kept = logp >= -_LOG_CAP
     if not kept.all():
-        err[~kept] = 0.0
+        np.copyto(err_cm, 0.0, where=~kept[:, None, :])
+    # A bias gradient sums the rows in order, as a reduce over the rows of a
+    # (P, n, k) array does; a reduce over the outer axis of an (n, P, k) copy
+    # takes that order and runs P * k wide.
+    rows_first = rows_major.reshape(n, stack, k)
+    np.copyto(rows_first, err_cm.transpose(2, 0, 1))
+    bias_grad = np.add.reduce(rows_first, axis=0)
+    # The weight matmuls take ``err`` as a contiguous (P, n, k) array: from
+    # the class-major array, or from a view of the (n, P, k) copy, BLAS rounds
+    # some gradients differently.
+    err = rows_major
+    np.copyto(err, err_cm.transpose(0, 2, 1))
     if spec.kind == "softmax":
-        parts = [err.transpose(0, 2, 1) @ feats, np.add.reduce(err, axis=1)]
+        parts = [err.transpose(0, 2, 1) @ feats, bias_grad]
     else:
         d_hidden = (err @ w2) * (1.0 - hidden * hidden)
         parts = [
             d_hidden.transpose(0, 2, 1) @ feats,
             np.add.reduce(d_hidden, axis=1),
             err.transpose(0, 2, 1) @ hidden,
-            np.add.reduce(err, axis=1),
+            bias_grad,
         ]
     grads = np.concatenate([part.reshape(stack, -1) for part in parts], axis=1)
     grads += l2 * W

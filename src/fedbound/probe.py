@@ -29,7 +29,7 @@ from .model import (
     init_scales,
     param_dim,
 )
-from .rng import derive_seed, normal_rows, spawn_rng
+from .rng import derive_seeds, normal_rows, spawn_rng
 
 # Below this squared distance a pair is useless for the m formula; pairs are
 # redrawn rather than divided through.
@@ -261,11 +261,11 @@ def collect_probes(
     except ValueError as exc:
         raise ProbeFailure(0, str(exc)) from exc
     stack = probe_stack_size(spec, data)
+    probe_seeds = derive_seeds((rng_seed,), range(n_probes))
     samples = []
     for first in range(0, n_probes, stack):
-        seeds = [derive_seed(rng_seed, i) for i in range(first, min(first + stack, n_probes))]
         try:
-            U, V = _draw_stack(spec, sampler, seeds)
+            U, V = _draw_stack(spec, sampler, probe_seeds[first : first + stack])
         except ValueError as exc:
             raise ProbeFailure(first, str(exc)) from exc
         samples.append(_stack_samples(spec, U, V, data, g_formula, first))

@@ -9,7 +9,7 @@ of execution order and identical across serial and parallel schedules.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,17 @@ def derive_seed(*parts: int | str) -> int:
     payload = "\x1f".join(map(str, parts)).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def derive_seeds(head: Sequence[int | str], tails: Iterable[int | str]) -> list[int]:
+    """``[derive_seed(*head, tail) for tail in tails]``, bit for bit, with the
+    shared prefix of the hashed path joined once."""
+    prefix = "\x1f".join(map(str, (*head, "")))
+    sha256 = hashlib.sha256
+    return [
+        int.from_bytes(sha256((prefix + str(tail)).encode("utf-8")).digest()[:8], "big") >> 1
+        for tail in tails
+    ]
 
 
 def spawn_rng(*parts: int | str) -> np.random.Generator:
@@ -128,7 +139,7 @@ def seed_states(label: str, seeds: Sequence[int]) -> np.ndarray:
     one vectorized pass: a ``(len(seeds), 4)`` uint64 array, 32 bytes a
     generator, for :func:`permutations` to draw from. The derived seeds are
     the same."""
-    return _seed_words([derive_seed(label, seed) for seed in seeds])
+    return _seed_words(derive_seeds((label,), seeds))
 
 
 def _draw_rows(states: np.ndarray, rows: np.ndarray, draw) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedbound.model import (
@@ -493,13 +493,21 @@ def _assert_matches_frozen(spec, W, feats, labels, want_grad, want_loss):
             np.testing.assert_array_equal(np.signbit(new), np.signbit(old))
 
 
+def _kernel_example(per_row, stack, n, d, k, scale, want):
+    """A softmax example for the frozen-kernel property."""
+    return example(
+        kind="softmax", per_row=per_row, stack=stack, n=n, d=d, k=k, h=1, l2=0.03,
+        scale=scale, want=want, seed=0,
+    )
+
+
 class TestFrozenKernel:
     @given(
         kind=st.sampled_from(["softmax", "mlp"]),
         per_row=st.booleans(),
         stack=st.integers(min_value=1, max_value=12),
         n=st.integers(min_value=1, max_value=60),
-        d=st.integers(min_value=1, max_value=6),
+        d=st.integers(min_value=1, max_value=16),
         k=st.integers(min_value=2, max_value=40),
         h=st.integers(min_value=1, max_value=8),
         l2=st.sampled_from([0.0, 0.03]),
@@ -508,6 +516,22 @@ class TestFrozenKernel:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=150, deadline=None)
+    # The shapes the benchmark runs: a hetero-eight probe stack, lockstep SGD
+    # batches of 8 and 32 rows, and a round's test-set scoring.
+    @_kernel_example(False, 80, 150, 8, 4, 0.3, (True, True))
+    @_kernel_example(True, 10, 8, 8, 4, 0.3, (True, False))
+    @_kernel_example(True, 8, 32, 8, 4, 3.0, (True, False))
+    @_kernel_example(False, 11, 240, 8, 4, 0.3, (False, True))
+    # A shape where ``err`` (P, k, n) @ feats rounds some gradients
+    # differently from the transposed product of the (P, n, k) copy.
+    @_kernel_example(False, 4, 60, 12, 3, 3.0, (True, True))
+    # One feature and two classes: BLAS takes ``err.T @ feats`` as a
+    # matrix-vector product, which rounds differently unless ``err`` is a
+    # contiguous (P, n, k) array.
+    @_kernel_example(False, 4, 30, 1, 2, 0.3, (True, False))
+    # One shared row, where one 2-D ``feats @ W.reshape(P * k, d).T`` for the
+    # logits rounds differently from the batched product.
+    @_kernel_example(False, 3, 1, 16, 11, 0.3, (False, True))
     def test_matches_frozen_kernel_bit_for_bit(
         self, kind, per_row, stack, n, d, k, h, l2, scale, want, seed
     ):

@@ -9,9 +9,11 @@ from fedbound.rng import (
     _pcg64_state,
     _seed_words,
     derive_seed,
+    derive_seeds,
     normal_rows,
     permutation_rows,
     permutations,
+    seed_states,
     spawn_rng,
 )
 
@@ -37,6 +39,33 @@ class TestDeriveSeed:
     @example([-1, 2**63, 2**64 + 5, "", "probe", "\u00e9\u4e2d\U0001f600", 0])
     def test_equals_bytes_join_form(self, parts):
         assert derive_seed(*parts) == derive_seed_bytes_join(*parts)
+
+
+PARTS = st.integers() | st.text()
+ODD_LABEL = "\u00e9\u4e2d\U0001f600"
+
+
+class TestDeriveSeeds:
+    @given(head=st.lists(PARTS, max_size=5), tails=st.lists(PARTS, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @example(head=[0, "probe"], tails=[0, 2**63 - 1, -1, -(2**63), 2**64 + 5])
+    @example(head=[2**63 - 1, -7, ODD_LABEL], tails=["", ODD_LABEL, 0])
+    @example(head=[], tails=[0, "sgd", 2**63 - 1])
+    def test_equals_one_derive_seed_per_tail(self, head, tails):
+        assert derive_seeds(head, tails) == [derive_seed(*head, tail) for tail in tails]
+
+    @given(label=st.text(), seeds=st.lists(SEEDS, max_size=6), n=st.integers(1, 20))
+    @settings(max_examples=100, deadline=None)
+    @example(label=ODD_LABEL, seeds=list(EDGE_SEEDS), n=9)
+    @example(label="", seeds=[0], n=1)
+    def test_seeded_rows_hash_the_label_as_derive_seed(self, label, seeds, n):
+        # Every label hash of a run, one per generator, goes through derive_seeds.
+        derived = [derive_seed(label, seed) for seed in seeds]
+        assert seed_states(label, seeds).tobytes() == _seed_words(derived).tobytes()
+        normals, orders = normal_rows(label, seeds, n), permutation_rows(label, seeds, n)
+        for seed, normal, order in zip(derived, normals, orders):
+            assert normal.tobytes() == np.random.default_rng(seed).standard_normal(n).tobytes()
+            assert order.tobytes() == np.random.default_rng(seed).permutation(n).tobytes()
 
 
 class TestNormalRows:
