@@ -48,8 +48,8 @@ def main() -> None:
         finals = {}
         for name, subset in (("selected", selected), ("rest", rest)):
             subset_nodes = [nodes[i] for i in sorted(subset)]
-            rounds, _, _ = training_phase(scenario, w1, test_data, subset_nodes)
-            finals[name] = rounds[-1].test_loss
+            _, test_loss, *_ = training_phase(scenario, w1, test_data, subset_nodes)
+            finals[name] = float(test_loss[-1])
         chosen_losses.append(finals["selected"])
         rest_losses.append(finals["rest"])
         ids = ",".join(str(i) for i in sorted(selected))

@@ -23,14 +23,15 @@ SELECTION_POLICIES = ("top-L", "top-G", "bottom-mu", "random", "all")
 CONSTANT_NAMES = ("mu", "L", "G")
 
 
-def usefulness_from_rounds(rounds) -> np.ndarray:
+def usefulness_from_rounds(deltas) -> np.ndarray:
     """Each node's mean per-round improvement in global test loss, as an
-    ``(N,)`` array in node order."""
-    if not rounds:
+    ``(N,)`` array in node order, from the ``(T, N)`` per-round deltas."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if not len(deltas):
         raise ValueError("run has no rounds")
     # Row i holds node i's deltas contiguously in round order, so its mean
     # sums them as np.mean of that 1-D array would.
-    return np.stack([r.per_node_usefulness for r in rounds], axis=1).mean(axis=1)
+    return np.ascontiguousarray(deltas.T).mean(axis=1)
 
 
 def _unit_centred(v: np.ndarray) -> np.ndarray:
@@ -139,10 +140,10 @@ class ReportInputs:
 
 def report_inputs_from_run(run: FLRun) -> ReportInputs:
     return ReportInputs(
-        usefulness=usefulness_from_rounds(run.rounds),
+        usefulness=usefulness_from_rounds(run.usefulness),
         node_constants=run.node_constants,
-        probe_g=run.probe_g_pooled(),
-        training_g=run.training_g_pooled(),
+        probe_g=run.probe_samples[:, :, 1].ravel(),
+        training_g=run.training_g.ravel(),
         seed=run.config.seed,
     )
 

@@ -130,14 +130,13 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> tuple:
     correlations = analysis.write_reports(tmp_dir, inputs)
     _replace_dir(tmp_dir, final_dir)
 
-    last = run.rounds[-1]
     corr = {q: (p, s) for q, p, s, _ in correlations}
     return (
         cfg.scenario_name,
         seed,
-        last.train_loss,
-        last.test_loss,
-        last.bound_value,
+        float(run.train_loss[-1]),
+        float(run.test_loss[-1]),
+        float(run.bound_value[-1]),
         corr["mu"][0],
         corr["mu"][1],
         corr["L"][0],

@@ -312,7 +312,8 @@ def _check_sizes(
         n_test = held_out_size(scenario, n_rows)
         empty = not dataset.has_node_knobs and n_test == 0
         # What partition_dataset leaves for the nodes is known here unless
-        # missing classes filter it by the random test split.
+        # missing classes filter it by the random test split. Even then it
+        # is at most the remaining classes' rows.
         need = scenario.n_nodes * scenario.samples_per_node
         if not (dataset.has_node_knobs or scenario.missing_classes) and n_rows - n_test < need:
             raise raw.error(
@@ -322,6 +323,15 @@ def _check_sizes(
                 f"n_nodes x samples_per_node = {need} training rows, but the synthetic "
                 f"pool of {n_rows} rows (num_classes x samples_per_class) leaves "
                 f"{n_rows - n_test} after holding out {n_test} for testing",
+            )
+        kept = (dataset.num_classes - len(scenario.missing_classes)) * dataset.samples_per_class
+        if not dataset.has_node_knobs and kept < need:
+            raise raw.error(
+                s["missing_classes"].name,
+                f"n_nodes x samples_per_node = {need} training rows, but leaving out "
+                f"classes {sorted(scenario.missing_classes)} keeps at most {kept} rows of the "
+                f"synthetic pool ({dataset.samples_per_class} per remaining class), "
+                "whatever the test split",
             )
     if empty:
         raise raw.error(

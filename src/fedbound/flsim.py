@@ -5,9 +5,10 @@ local loss landscape at the initial parameter distribution, yielding
 per-node and worst-case global (mu, L, G) estimates. :func:`training_phase`
 runs T rounds of broadcast, one-or-more local SGD epochs per node, and
 coordinate-wise averaging, keeping per-round losses, usefulness deltas, and
-gradient-norm traces for later analysis; it never reads the probes.
-:func:`bound_phase` then gives each round's bound value, once the optimum
-proxy (the best-training-loss parameters seen anywhere in the run) is known.
+gradient-norm traces as arrays with one row per round; it never reads the
+probes. :func:`bound_phase` then gives each round's bound value, once the
+optimum proxy (the best-training-loss parameters seen anywhere in the run) is
+known.
 
 Rounds run in lockstep: every node of a round starts from the same global
 vector and holds equally many rows, so the N nodes train as one ``(N, dim)``
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,39 +107,37 @@ class ScenarioConfig:
                 raise ValueError(f"missing_classes {bad} outside [0, {k})")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Observables of one federated round (losses at the aggregated model).
-
-    ``per_node_usefulness[i]`` is node i's delta in global test loss, and row
-    i of the ``(N, steps)`` array ``training_g_values`` its batch-gradient
-    norms, one per SGD step, in step order.
-    """
-
-    t: int
-    train_loss: float
-    test_loss: float
-    bound_value: float
-    per_node_usefulness: np.ndarray
-    training_g_values: np.ndarray
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("round index starts at 1")
-        if not (np.isfinite(self.train_loss) and np.isfinite(self.test_loss)):
-            raise ValueError("losses must be finite")
-        if not np.isfinite(self.per_node_usefulness).all():
-            raise ValueError("usefulness must be finite")
+def _check_rounds(cfg: ScenarioConfig, train_loss, test_loss, usefulness, *columns) -> None:
+    """Reject per-round columns that are not one row per round of ``cfg``,
+    non-finite losses or non-finite usefulness deltas."""
+    for column in (train_loss, test_loss, usefulness, *columns):
+        if len(column) != cfg.rounds:
+            raise ValueError(f"run has {len(column)} rounds, config says {cfg.rounds}")
+    if not (np.isfinite(train_loss).all() and np.isfinite(test_loss).all()):
+        raise ValueError("losses must be finite")
+    if not np.isfinite(usefulness).all():
+        raise ValueError("usefulness must be finite")
 
 
 @dataclass(frozen=True)
 class FLRun:
-    """A finished federated run with everything the analysis stage consumes;
-    ``node_constants[i]`` is node i's, and ``probe_samples[i]`` node i's
-    ``(n_probes, 2)`` array of (m, g) rows in probe order."""
+    """A finished federated run with everything the analysis stage consumes.
+
+    Round t's observables sit at row t - 1 of each per-round column:
+    ``train_loss``, ``test_loss`` and ``bound_value`` are ``(T,)`` (losses at
+    the aggregated model), ``usefulness[t - 1, i]`` is node i's delta in
+    global test loss and ``training_g[t - 1, i]`` its batch-gradient norms,
+    one per SGD step in step order. ``node_constants[i]`` is node i's, and
+    ``probe_samples[i]`` node i's ``(n_probes, 2)`` array of (m, g) rows in
+    probe order.
+    """
 
     config: ScenarioConfig
-    rounds: tuple[RoundRecord, ...]
+    train_loss: np.ndarray
+    test_loss: np.ndarray
+    bound_value: np.ndarray
+    usefulness: np.ndarray
+    training_g: np.ndarray
     final_params: ParamVector
     global_constants: ConstantsEstimate
     node_constants: tuple[ConstantsEstimate, ...]
@@ -147,18 +146,10 @@ class FLRun:
     init_distance: float
 
     def __post_init__(self):
-        if len(self.rounds) != self.config.rounds:
-            raise ValueError(
-                f"run has {len(self.rounds)} rounds, config says {self.config.rounds}"
-            )
-
-    def training_g_pooled(self) -> np.ndarray:
-        """Every training norm, round by round and node by node within a round."""
-        return np.concatenate([record.training_g_values for record in self.rounds], axis=None)
-
-    def probe_g_pooled(self) -> np.ndarray:
-        """Every probe g value, node by node and in probe order within a node."""
-        return self.probe_samples[:, :, 1].ravel()
+        _check_rounds(
+            self.config, self.train_loss, self.test_loss, self.usefulness,
+            self.bound_value, self.training_g,
+        )
 
 
 def held_out_size(cfg: ScenarioConfig, n: int) -> int:
@@ -282,17 +273,18 @@ def probe_phase(
 
 def training_phase(
     cfg: ScenarioConfig, w1: ParamVector, test_data: Dataset, node_datasets: Sequence[Dataset]
-) -> tuple[tuple[RoundRecord, ...], ParamVector, ParamVector]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ParamVector, ParamVector]:
     """Phase 2 of a run: ``cfg.rounds`` FedAvg rounds from w1 over the given nodes,
     which must hold equally many rows (the bound is for equally weighted FedAvg).
 
     Node i of round t trains with seed ``derive_seed(cfg.seed, "round", t, i)``
     (see :func:`shuffle_states`); the probes are never read, so a subset of a
     run's nodes trains the same whether or not they were probed first. Every
-    shuffle of the run is seeded before the first round. Returns the round
-    records (their ``bound_value`` is NaN until :func:`bound_phase` gives it),
-    the final global parameters, and the optimum proxy: the parameters, w1
-    included, with the lowest mean training loss over the nodes.
+    shuffle of the run is seeded before the first round. Returns the per-round
+    columns of :class:`FLRun` but the bound, ``train_loss``, ``test_loss``,
+    ``usefulness`` and ``training_g``, then the final global parameters and the
+    optimum proxy: the earliest parameters, w1 included, with the lowest mean
+    training loss over the nodes. Non-finite losses or deltas raise ValueError.
     """
     _check_equal_sizes(node_datasets)
     rows = Dataset.concat(node_datasets)
@@ -305,32 +297,27 @@ def training_phase(
         [derive_seeds((cfg.seed, "round", t), range(n_nodes)) for t in range(1, cfg.rounds + 1)],
         cfg.local_epochs_per_round,
     )
-    current = w1
-    candidates = [(train_loss_at(w1), w1)]
+    current = wstar_proxy = w1
+    best_loss = train_loss_at(w1)
     test_loss = loss(cfg.model, w1, test_data)
-    records = []
-    for t, states in enumerate(shuffles, start=1):
-        trained, norms = local_round(rows, current, cfg, states)
+    train_losses, test_losses, deltas, norms = [], [], [], []
+    for states in shuffles:
+        trained, round_norms = local_round(rows, current, cfg, states)
         current = fedavg(trained)
         # The trained rows and their average on the one test set, in one
         # kernel call; row i equals loss(cfg.model, row, test_data) bit for bit.
         scores = shared_data_loss(cfg.model, np.vstack((trained, current)), test_data)
-        deltas = test_loss - scores[:-1]
+        deltas.append(test_loss - scores[:-1])
         test_loss = float(scores[-1])
         train_loss = train_loss_at(current)
-        candidates.append((train_loss, current))
-        records.append(
-            RoundRecord(
-                t=t,
-                train_loss=train_loss,
-                test_loss=test_loss,
-                bound_value=float("nan"),
-                per_node_usefulness=deltas,
-                training_g_values=norms,
-            )
-        )
-    wstar_proxy = min(candidates, key=lambda pair: pair[0])[1]
-    return tuple(records), current, wstar_proxy
+        if train_loss < best_loss:
+            best_loss, wstar_proxy = train_loss, current
+        train_losses.append(train_loss)
+        test_losses.append(test_loss)
+        norms.append(round_norms)
+    columns = (np.array(train_losses), np.array(test_losses), np.stack(deltas), np.stack(norms))
+    _check_rounds(cfg, *columns)
+    return (*columns, current, wstar_proxy)
 
 
 def bound_phase(
@@ -367,12 +354,17 @@ def run_federated_partitioned(
     """The FedAvg engine, given already-built per-node datasets: probe, train, bound."""
     nodes = list(node_datasets)
     w1, probe_samples, node_constants, global_constants = probe_phase(cfg, nodes)
-    rounds, final_params, wstar_proxy = training_phase(cfg, w1, test_data, nodes)
+    train_loss, test_loss, usefulness, training_g, final_params, wstar_proxy = training_phase(
+        cfg, w1, test_data, nodes
+    )
     dist = estimate_initial_distance(w1, wstar_proxy)
-    bounds = bound_phase(cfg, global_constants, dist)
     return FLRun(
         config=cfg,
-        rounds=tuple(replace(r, bound_value=b) for r, b in zip(rounds, bounds)),
+        train_loss=train_loss,
+        test_loss=test_loss,
+        bound_value=np.array(bound_phase(cfg, global_constants, dist)),
+        usefulness=usefulness,
+        training_g=training_g,
         final_params=final_params,
         global_constants=global_constants,
         node_constants=node_constants,
@@ -394,35 +386,24 @@ def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> No
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.txt").write_text("\n".join(config_lines) + "\n", encoding="utf-8")
-    rounds = run.rounds
+    n_rounds, n_nodes, steps = run.training_g.shape
+    t = np.arange(1, n_rounds + 1)
     write_csv(
         run_dir / "rounds.csv",
         ("t", "train_loss", "test_loss", "bound_value"),
-        (
-            [r.t for r in rounds],
-            [r.train_loss for r in rounds],
-            [r.test_loss for r in rounds],
-            [r.bound_value for r in rounds],
-        ),
+        (t, run.train_loss, run.test_loss, run.bound_value),
     )
-    deltas = np.stack([r.per_node_usefulness for r in rounds])
-    n_rounds, n_nodes = deltas.shape
     write_csv(
         run_dir / "usefulness.csv",
         ("t", "node_id", "delta"),
-        (
-            np.repeat([r.t for r in rounds], n_nodes),
-            np.tile(np.arange(n_nodes), n_rounds),
-            deltas.ravel(),
-        ),
+        (np.repeat(t, n_nodes), np.tile(np.arange(n_nodes), n_rounds), run.usefulness.ravel()),
     )
     # gtrace.csv: every node's probe g values, then every round's training
     # norms node by node.
     probe_nodes, n_probes, _ = run.probe_samples.shape
     probe_ids = np.repeat(np.arange(probe_nodes), n_probes)
-    steps = rounds[0].training_g_values.shape[1]
     training_ids = np.tile(np.repeat(np.arange(n_nodes), steps), n_rounds)
-    probe_g, training_g = run.probe_g_pooled(), run.training_g_pooled()
+    probe_g, training_g = run.probe_samples[:, :, 1].ravel(), run.training_g.ravel()
     write_csv(
         run_dir / "gtrace.csv",
         ("source", "node_id", "value"),

@@ -16,7 +16,6 @@ from fedbound.bound import BoundParams, convergence_bound
 from fedbound.cli import main
 from fedbound.data import SyntheticSpec, gen_synthetic, gen_synthetic_nodes
 from fedbound.flsim import (
-    RoundRecord,
     ScenarioConfig,
     fedavg,
     partition_dataset,
@@ -221,8 +220,8 @@ def test_05_missing_class_trains_easier_tests_worse(paired_runs):
     wins = 0
     for seed in SEEDS:
         base, miss = runs[seed]
-        train_ok = miss.rounds[-1].train_loss < base.rounds[-1].train_loss
-        test_ok = miss.rounds[-1].test_loss > base.rounds[-1].test_loss
+        train_ok = miss.train_loss[-1] < base.train_loss[-1]
+        test_ok = miss.test_loss[-1] > base.test_loss[-1]
         wins += train_ok and test_ok
     ok = wins >= 4 and build_time < 300.0
     report("05 missing-class divergence", ok,
@@ -237,12 +236,12 @@ def test_06_bound_dominates_observed_loss_gap(paired_runs):
     ok = True
     for seed in SEEDS:
         for run in runs[seed]:
-            final = run.rounds[-1]
-            gap = final.train_loss - min(r.train_loss for r in run.rounds)
-            if not final.bound_value >= 10.0 * gap:
+            final_bound = run.bound_value[-1]
+            gap = run.train_loss[-1] - min(run.train_loss)
+            if not final_bound >= 10.0 * gap:
                 ok = False
             if gap > 0:
-                worst_margin = min(worst_margin, final.bound_value / gap)
+                worst_margin = min(worst_margin, final_bound / gap)
     detail = "bound >= 10x gap on all 10 runs"
     if worst_margin < math.inf:
         detail += f", tightest factor {worst_margin:.1f}"
@@ -256,8 +255,8 @@ def test_07_probe_gradients_dominate_training_gradients(paired_runs):
     ratios = []
     for seed in SEEDS:
         base, _ = runs[seed]
-        probe_median = float(np.median(base.probe_g_pooled()))
-        training_median = float(np.median(base.training_g_pooled()))
+        probe_median = float(np.median(base.probe_samples[:, :, 1]))
+        training_median = float(np.median(base.training_g))
         ratios.append(probe_median / training_median)
         wins += probe_median > training_median
     ok = wins >= 4
@@ -272,7 +271,7 @@ def test_08_constants_correlate_with_usefulness(hetero_runs):
     spearman_l, spearman_g = [], []
     for seed in SEEDS:
         run, _, _ = runs[seed]
-        usefulness = usefulness_from_rounds(run.rounds)
+        usefulness = usefulness_from_rounds(run.usefulness)
         l_values = np.array([run.node_constants[i].L for i in range(8)])
         g_values = np.array([run.node_constants[i].G for i in range(8)])
         spearman_l.append(correlate(l_values, usefulness)[1])
@@ -304,7 +303,7 @@ def test_09_top_half_by_l_beats_bottom_half(hetero_runs):
                 lr=0.05, batch_size=32, n_probes=4, seed=seed,
             )
             subset_run = run_federated_partitioned(cfg, test_data, [nodes[i] for i in sorted(chosen)])
-            finals[name] = subset_run.rounds[-1].test_loss
+            finals[name] = subset_run.test_loss[-1]
         top_losses.append(finals["top"])
         bottom_losses.append(finals["bottom"])
     mean_top, mean_bottom = float(np.mean(top_losses)), float(np.mean(bottom_losses))
@@ -346,14 +345,9 @@ def test_10_unit_example_suite():
     tied = (ConstantsEstimate(0.1, 1.0, 1.0, 2),) * len(ids)
     assert {ids[i] for i in select_nodes(tied, 2, "top-L")} == {1, 4}
 
-    def record(t, deltas):
-        return RoundRecord(t=t, train_loss=1.0, test_loss=1.0, bound_value=1.0,
-                           per_node_usefulness=np.array(deltas),
-                           training_g_values=np.empty((len(deltas), 0)))
-
-    records = usefulness_from_rounds([record(1, [0.5]), record(2, [0.3])])
+    records = usefulness_from_rounds([[0.5], [0.3]])
     assert records[0] == pytest.approx(0.4)
-    single = usefulness_from_rounds([record(1, [0.7])])
+    single = usefulness_from_rounds([[0.7]])
     assert single[0] == pytest.approx(0.7)
     frozen_run = run_federated(
         ScenarioConfig(
@@ -362,7 +356,7 @@ def test_10_unit_example_suite():
         ),
         gen_synthetic(SyntheticSpec(num_classes=3, feature_dim=4, samples_per_class=30), 1),
     )
-    assert all(u == 0.0 for u in usefulness_from_rounds(frozen_run.rounds))
+    assert all(u == 0.0 for u in usefulness_from_rounds(frozen_run.usefulness))
 
     w = np.array([1.0, -2.0])
     np.testing.assert_array_equal(fedavg([w, w.copy()]), w)

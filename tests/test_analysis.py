@@ -30,7 +30,7 @@ from fedbound.analysis import (
 from fedbound.config import ExperimentConfig, echo_lines
 from fedbound.csvio import write_csv
 from fedbound.data import SyntheticSpec, gen_synthetic
-from fedbound.flsim import FLRun, RoundRecord, ScenarioConfig, run_federated, save_run
+from fedbound.flsim import FLRun, ScenarioConfig, run_federated, save_run
 from fedbound.model import softmax_spec
 from fedbound.probe import ConstantsEstimate
 from fedbound.rng import spawn_rng
@@ -38,26 +38,18 @@ from fedbound.rng import spawn_rng
 
 def run_with_deltas(per_round_deltas):
     """A run whose round t gives node i the delta ``per_round_deltas[t - 1][i]``."""
-    n_nodes = len(per_round_deltas[0])
-    cfg = ScenarioConfig(
-        n_nodes=n_nodes, samples_per_node=1, rounds=len(per_round_deltas), n_probes=2
-    )
-    records = tuple(
-        RoundRecord(
-            t=i + 1,
-            train_loss=1.0,
-            test_loss=1.0,
-            bound_value=1.0,
-            per_node_usefulness=np.array(deltas),
-            training_g_values=np.empty((n_nodes, 0)),
-        )
-        for i, deltas in enumerate(per_round_deltas)
-    )
+    deltas = np.array(per_round_deltas, dtype=np.float64)
+    n_rounds, n_nodes = deltas.shape
+    cfg = ScenarioConfig(n_nodes=n_nodes, samples_per_node=1, rounds=n_rounds, n_probes=2)
     const = ConstantsEstimate(0.5, 1.0, 1.0, 2)
     w = np.zeros(3)
     return FLRun(
         config=cfg,
-        rounds=records,
+        train_loss=np.ones(n_rounds),
+        test_loss=np.ones(n_rounds),
+        bound_value=np.ones(n_rounds),
+        usefulness=deltas,
+        training_g=np.empty((n_rounds, n_nodes, 0)),
         final_params=w,
         global_constants=const,
         node_constants=(const,) * n_nodes,
@@ -70,13 +62,13 @@ def run_with_deltas(per_round_deltas):
 class TestNodeUsefulness:
     def test_mean_of_round_deltas(self):
         run = run_with_deltas([[0.5], [0.3]])
-        usefulness = usefulness_from_rounds(run.rounds)
+        usefulness = usefulness_from_rounds(run.usefulness)
         assert usefulness.shape == (1,)
         assert usefulness[0] == pytest.approx(0.4)
 
     def test_single_round_is_identity(self):
         run = run_with_deltas([[0.7, -0.2]])
-        np.testing.assert_array_equal(usefulness_from_rounds(run.rounds), [0.7, -0.2])
+        np.testing.assert_array_equal(usefulness_from_rounds(run.usefulness), [0.7, -0.2])
 
     def test_zero_lr_run_gives_all_zero(self):
         data = gen_synthetic(
@@ -87,14 +79,14 @@ class TestNodeUsefulness:
             lr=0.0, batch_size=30, n_probes=2, seed=1,
         )
         run = run_federated(cfg, data)
-        np.testing.assert_array_equal(usefulness_from_rounds(run.rounds), [0.0, 0.0])
+        np.testing.assert_array_equal(usefulness_from_rounds(run.usefulness), [0.0, 0.0])
 
     def test_concatenation_linearity(self):
         first = run_with_deltas([[0.4], [0.8]])
         second = run_with_deltas([[-0.2], [0.6]])
-        merged = usefulness_from_rounds(first.rounds + second.rounds)
-        a = usefulness_from_rounds(first.rounds)[0]
-        b = usefulness_from_rounds(second.rounds)[0]
+        merged = usefulness_from_rounds(np.concatenate((first.usefulness, second.usefulness)))
+        a = usefulness_from_rounds(first.usefulness)[0]
+        b = usefulness_from_rounds(second.usefulness)[0]
         assert merged[0] == pytest.approx((a + b) / 2)
 
     def test_empty_rounds_rejected(self):
@@ -121,9 +113,9 @@ class TestNodeUsefulness:
         )
         run = run_with_deltas(deltas.tolist())
         expected = [
-            float(np.mean([r.per_node_usefulness[i] for r in run.rounds])) for i in range(n_nodes)
+            float(np.mean([row[i] for row in run.usefulness])) for i in range(n_nodes)
         ]
-        assert usefulness_from_rounds(run.rounds).tolist() == expected
+        assert usefulness_from_rounds(run.usefulness).tolist() == expected
 
 
 class TestCorrelate:
@@ -437,7 +429,7 @@ class TestReports:
         assert parsed.seed == direct.seed == seed
         assert parsed.selection_k == direct.selection_k == k
         assert parsed.usefulness.shape == direct.usefulness.shape == (n_nodes,)
-        scale = np.abs(np.stack([r.per_node_usefulness for r in run.rounds])).max(axis=0)
+        scale = np.abs(run.usefulness).max(axis=0)
         error = np.abs(parsed.usefulness - direct.usefulness)
         assert (error <= 5e-9 * scale * (1 + 1e-6)).all()
         assert len(parsed.node_constants) == len(direct.node_constants) == n_nodes

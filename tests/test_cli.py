@@ -180,12 +180,27 @@ class TestRunCommand:
         cfg = tmp_path / "short.cfg"
         cfg.write_text(
             TINY
-            + "data.num_classes = 4\ndata.samples_per_class = 200\nscenario.missing_classes = 3\n"
+            + "data.num_classes = 4\ndata.samples_per_class = 260\nscenario.missing_classes = 3\n"
             + "scenario.n_nodes = 5\nscenario.samples_per_node = 150\ndata.feature_dim = 8\n"
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
         assert capsys.readouterr().err.startswith("error: seed 1 failed: insufficient data: ")
+        assert not out.exists()
+
+    def test_missing_class_shortfall_on_every_split_fails_at_load(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(
+            TINY
+            + "data.num_classes = 4\ndata.samples_per_class = 40\n"
+            + "scenario.missing_classes = 0, 1\nscenario.n_nodes = 3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        line = TINY.count("\n") + 3
+        assert err.startswith(f"config error: line {line}: scenario.missing_classes: ")
+        assert "leaving out classes [0, 1] keeps at most 80 rows" in err
         assert not out.exists()
 
     def test_rerun_replaces_existing_directory(self, tiny_config, tmp_path):

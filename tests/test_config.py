@@ -238,9 +238,33 @@ class TestBuild:
         )
         # 36 x 10 rows fill the pool exactly.
         build_experiment_config(parse_config_text(text.replace("200", "36")))
-        # Missing classes or per-node knobs leave the check to the run.
-        build_experiment_config(parse_config_text(text + "scenario.missing_classes = 1\n"))
+        # A shortfall that missing classes make depend on the test split, or
+        # per-node knobs, leave the check to the run.
+        split = "scenario.batch_size = 30\nscenario.missing_classes = 1\n"
+        build_experiment_config(parse_config_text(text.replace("200", "30") + split))
         knobs = "data.noise_mult = " + ", ".join(["1"] * 10) + "\n"
+        build_experiment_config(parse_config_text(text + knobs))
+
+    def test_missing_class_shortfall_on_every_split_rejected_with_line(self):
+        # 2 of 4 classes x 40 rows leave at most 80 for 3 x 30, whatever the split.
+        text = (
+            "data.num_classes = 4\n"
+            "data.samples_per_class = 40\n"
+            "scenario.missing_classes = 0, 1\n"
+            "scenario.n_nodes = 3\n"
+            "scenario.samples_per_node = 30\n"
+            "scenario.batch_size = 10\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert str(excinfo.value) == (
+            "line 3: scenario.missing_classes: n_nodes x samples_per_node = 90 training "
+            "rows, but leaving out classes [0, 1] keeps at most 80 rows of the synthetic "
+            "pool (40 per remaining class), whatever the test split"
+        )
+        # 80 rows can fill 3 x 26, so the split decides and the run checks.
+        build_experiment_config(parse_config_text(text.replace("= 30", "= 26")))
+        knobs = "data.noise_mult = 1, 1, 1\n"
         build_experiment_config(parse_config_text(text + knobs))
 
     def test_per_node_synthetic_always_has_a_test_row(self):

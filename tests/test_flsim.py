@@ -1,5 +1,5 @@
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -217,19 +217,17 @@ class TestRunFederated:
     def test_round_count_and_record_shape(self):
         cfg = scenario(rounds=4)
         run = run_federated(cfg, gen_synthetic(synthetic_spec(), seed=5))
-        assert len(run.rounds) == 4
-        for t, record in enumerate(run.rounds, start=1):
-            assert record.t == t
-            assert record.per_node_usefulness.shape == (2,)
-            assert record.training_g_values.shape == (2, 2)
-            assert record.bound_value > 0
+        assert run.train_loss.shape == run.test_loss.shape == run.bound_value.shape == (4,)
+        assert run.usefulness.shape == (4, 2)
+        assert run.training_g.shape == (4, 2, 2)
+        assert (run.bound_value > 0).all()
         assert run.global_constants.n_probes == cfg.n_probes * cfg.n_nodes
         assert run.probe_samples.shape == (cfg.n_nodes, cfg.n_probes, 2)
         assert run.probe_samples.dtype == np.float64
 
     def test_bound_values_strictly_decreasing(self):
         run = run_federated(scenario(rounds=6), gen_synthetic(synthetic_spec(), seed=6))
-        bounds = [r.bound_value for r in run.rounds]
+        bounds = run.bound_value.tolist()
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
 
     def test_single_node_matches_centralized_sgd(self):
@@ -253,7 +251,7 @@ class TestRunFederated:
             n_nodes=1, samples_per_node=n_train, rounds=6, lr=0.05, batch_size=n_train
         )
         run = run_federated(cfg, data)
-        train = [r.train_loss for r in run.rounds]
+        train = run.train_loss.tolist()
         assert all(b <= a + 1e-12 for a, b in zip(train, train[1:]))
 
     def test_bit_reproducible(self):
@@ -262,9 +260,8 @@ class TestRunFederated:
         a = run_federated(cfg, data)
         b = run_federated(cfg, data)
         np.testing.assert_array_equal(a.final_params, b.final_params)
-        for ra, rb in zip(a.rounds, b.rounds):
-            for field in fields(ra):
-                np.testing.assert_array_equal(getattr(ra, field.name), getattr(rb, field.name))
+        for name in ("train_loss", "test_loss", "bound_value", "usefulness", "training_g"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_final_params_are_mean_of_last_round_locals(self):
         data = gen_synthetic(synthetic_spec(), seed=10)
@@ -283,7 +280,7 @@ class TestRunFederated:
                 # The engine reuses the previous round's test loss as this
                 # round's starting loss; a fresh evaluation must agree exactly.
                 delta = loss(cfg.model, w, test) - loss(cfg.model, trained[0], test)
-                assert delta == run.rounds[t - 1].per_node_usefulness[i]
+                assert delta == run.usefulness[t - 1, i]
             w = fedavg(locals_)
         np.testing.assert_array_equal(w, run.final_params)
 
@@ -297,7 +294,7 @@ class TestRunFederated:
         # Replay one node and one single-vector call at a time.
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
         before = loss(cfg.model, w, test)
-        for t, record in enumerate(run.rounds, start=1):
+        for t in range(1, cfg.rounds + 1):
             locals_, traces = [], []
             for i, data in enumerate(datasets):
                 wi, trace = w, []
@@ -309,12 +306,13 @@ class TestRunFederated:
                     trace.append(norms)
                 locals_.append(wi)
                 traces.append(np.concatenate(trace))
-                assert record.per_node_usefulness[i] == before - loss(cfg.model, wi, test)
+                assert run.usefulness[t - 1, i] == before - loss(cfg.model, wi, test)
             w = fedavg(locals_)
             before = loss(cfg.model, w, test)
-            np.testing.assert_array_equal(record.training_g_values, traces)
-            assert record.test_loss == before
-            assert record.train_loss == float(np.mean([loss(cfg.model, w, d) for d in datasets]))
+            np.testing.assert_array_equal(run.training_g[t - 1], traces)
+            assert run.test_loss[t - 1] == before
+            train_loss = float(np.mean([loss(cfg.model, w, d) for d in datasets]))
+            assert run.train_loss[t - 1] == train_loss
         np.testing.assert_array_equal(run.final_params, w)
 
     def test_unequal_node_sizes_rejected(self, monkeypatch):
@@ -339,7 +337,7 @@ class TestRunFederated:
         run = run_federated(cfg, data)
         assert run.init_distance >= 0.0
         assert np.isfinite(run.init_distance)
-        best = min(r.train_loss for r in run.rounds)
+        best = min(run.train_loss)
         proxy_loss = float(
             np.mean([
                 loss(cfg.model, run.wstar_proxy, node)
@@ -347,6 +345,17 @@ class TestRunFederated:
             ])
         )
         assert proxy_loss <= best + 1e-12
+
+    def test_wstar_proxy_is_the_earliest_of_equal_losses(self):
+        # With lr 0 every round averages two copies of w1 back to w1 exactly,
+        # so every round ties w1's training loss and w1 itself must win.
+        cfg = scenario(lr=0.0)
+        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=11), cfg, 5)
+        w1 = init_params(cfg.model, 1)
+        train_loss, *_, final_params, wstar_proxy = training_phase(cfg, w1, test, nodes)
+        np.testing.assert_array_equal(final_params, w1)
+        assert len(set(train_loss.tolist())) == 1
+        assert wstar_proxy is w1
 
     def test_invalid_round_count_rejected(self):
         with pytest.raises(ValueError):
@@ -363,8 +372,8 @@ class TestRunFederated:
 
     def test_single_round_yields_one_record(self):
         run = run_federated(scenario(rounds=1), gen_synthetic(synthetic_spec(), seed=14))
-        assert len(run.rounds) == 1
-        assert run.rounds[0].t == 1
+        assert len(run.train_loss) == 1
+        assert run.usefulness.shape == (1, 2)
 
     def test_perturbation_sampler_probes_near_initial_weights(self):
         data = gen_synthetic(synthetic_spec(), seed=15)
@@ -393,6 +402,82 @@ class TestRunFederated:
         assert run.probe_samples[0, 0, 1] == pytest.approx(expected, rel=1e-12)
 
 
+def spoiled(real, row, value):
+    """``real`` with row ``row`` of every stacked result set to ``value``."""
+    def patched(model, params, data):
+        out = real(model, params, data)
+        if np.ndim(params) == 2:
+            out = out.copy()
+            out[row] = value
+        return out
+    return patched
+
+
+class TestRoundChecks:
+    """Every run's per-round columns are checked, as FLRun and as
+    training_phase returns them without an FLRun."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return run_federated(scenario(), gen_synthetic(synthetic_spec(), seed=5))
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ("train_loss", "losses must be finite"),
+            ("test_loss", "losses must be finite"),
+            ("usefulness", "usefulness must be finite"),
+        ],
+    )
+    def test_run_rejects_a_non_finite_column(self, run, column, message):
+        values = getattr(run, column).copy()
+        values[-1] = np.nan
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(run, **{column: values})
+        values[-1] = np.inf
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(run, **{column: values})
+
+    @pytest.mark.parametrize(
+        "column", ["train_loss", "test_loss", "bound_value", "usefulness", "training_g"]
+    )
+    def test_run_rejects_a_column_of_another_round_count(self, run, column):
+        with pytest.raises(ValueError, match="^run has 2 rounds, config says 3$"):
+            replace(run, **{column: getattr(run, column)[:-1]})
+
+    def test_run_rejects_a_config_of_another_round_count(self, run):
+        with pytest.raises(ValueError, match="^run has 3 rounds, config says 4$"):
+            replace(run, config=replace(run.config, rounds=4))
+
+    @pytest.mark.parametrize(
+        "name, row, value, message",
+        [
+            # The last row of a round's test scores is its test loss.
+            ("shared_data_loss", -1, np.nan, "losses must be finite"),
+            # A stacked loss call is a training loss.
+            ("loss", 0, np.nan, "losses must be finite"),
+            # The other rows give the nodes' deltas.
+            ("shared_data_loss", 0, np.inf, "usefulness must be finite"),
+        ],
+    )
+    def test_training_phase_rejects_non_finite_rounds(
+        self, monkeypatch, name, row, value, message
+    ):
+        cfg = scenario()
+        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
+        monkeypatch.setattr(flsim, name, spoiled(getattr(flsim, name), row, value))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            training_phase(cfg, init_params(cfg.model, 1), test, nodes)
+
+    def test_training_phase_rejects_another_round_count(self, monkeypatch):
+        cfg = scenario()
+        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
+        real = flsim.shuffle_states
+        monkeypatch.setattr(flsim, "shuffle_states", lambda *args: real(*args)[:-1])
+        with pytest.raises(ValueError, match="^run has 2 rounds, config says 3$"):
+            training_phase(cfg, init_params(cfg.model, 1), test, nodes)
+
+
 class TestSaveRun:
     def test_run_directory_contents(self, tmp_path):
         cfg = scenario(rounds=2)
@@ -409,7 +494,7 @@ class TestSaveRun:
         probe_rows = [l for l in gtrace[1:] if l.startswith("probe,")]
         training_rows = [l for l in gtrace[1:] if l.startswith("training,")]
         assert len(probe_rows) == cfg.n_probes * cfg.n_nodes
-        assert len(training_rows) == sum(len(g) for r in run.rounds for g in r.training_g_values)
+        assert len(training_rows) == run.training_g.size
         constants = (tmp_path / "run" / "constants.csv").read_text().splitlines()
         assert constants[0] == "node_id,mu,L,G,n_probes"
         assert len(constants) == 1 + cfg.n_nodes + 1

@@ -71,7 +71,7 @@ def test_selection_payoff_losses_are_engine_runs_on_each_subset():
     for ids in (selected, rest):
         scenario = replace(cfg.scenario, seed=1, n_nodes=len(ids))
         run = flsim.run_federated_partitioned(scenario, test_data, [nodes[i] for i in ids])
-        expected.append(format(run.rounds[-1].test_loss, ".4f"))
+        expected.append(format(run.test_loss[-1], ".4f"))
     assert rows[0][2:4] == expected
 
 
