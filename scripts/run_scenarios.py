@@ -43,12 +43,13 @@ def main() -> None:
             if args.seeds:
                 cfg = replace(cfg, repeat_seeds=args.seeds)
             run_experiment(cfg)
-            header, columns = read_csv(cfg.output_dir / "summary.csv")
+            header, columns = read_csv(
+                cfg.output_dir / "summary.csv", (None, np.int64) + (np.float64,) * 9
+            )
             table = dict(zip(header, columns))
-            for scenario, seed, *values in zip(
+            for scenario, seed, train, test, bound in zip(
                 table["scenario"], table["seed"], *(table[c] for c in COLUMNS)
             ):
-                train, test, bound = map(float, values)
                 totals.setdefault(scenario, []).append([train, test, bound])
                 print(f"{scenario:<24}{seed:>6}{train:>10.4f}{test:>10.4f}{bound:>12.1f}")
     print("-" * 62)

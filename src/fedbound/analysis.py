@@ -148,64 +148,11 @@ def report_inputs_from_run(run: FLRun) -> ReportInputs:
     )
 
 
-def _read_columns(path: Path, dtypes) -> list:
-    """A run file's columns, each parsed to its entry of ``dtypes`` (None
-    leaves the column's text unparsed); a malformed file raises a ValueError
-    that names it."""
-    header, columns = read_csv(path)
-    if len(header) != len(dtypes):
-        raise ValueError(f"{path}: {len(header)} columns, expected {len(dtypes)}")
-    try:
-        return [
-            column if dtype is None else np.array(column, dtype=dtype)
-            for column, dtype in zip(columns, dtypes)
-        ]
-    except ValueError as exc:
-        # Name the first cell, in file order, that does not parse.
-        bad = []
-        for j, (column, dtype) in enumerate(zip(columns, dtypes)):
-            for i, cell in enumerate(column if dtype is not None else ()):
-                try:
-                    np.array(cell, dtype=dtype)
-                except ValueError as cell_exc:
-                    bad.append((i, j, cell_exc))
-                    break
-        if not bad:
-            raise ValueError(f"{path}: {exc}") from exc
-        i, j, cell_exc = min(bad, key=lambda b: b[:2])
-        raise ValueError(f"{path}: line {i + 2}, column {header[j]}: {cell_exc}") from exc
-
-
-def _load_columns(path: Path, dtypes) -> list:
-    """:func:`_read_columns` through numpy's C reader, ``np.loadtxt``, which
-    parses a float to the same bits as ``float()``; a None column comes back
-    as an object array of its text. A file the C reader rejects, or could
-    read otherwise (blank lines, a header of another width), takes
-    :func:`_read_columns` instead, with its messages. So does a header-only
-    file, which ``np.loadtxt`` would warn about."""
-    text = path.read_text(encoding="utf-8")
-    # The rows and header width read_csv finds.
-    n_rows = text.removesuffix("\n").count("\n")
-    if n_rows and text.partition("\n")[0].count(",") == len(dtypes) - 1:
-        fields = [(f"f{j}", object if dtype is None else dtype) for j, dtype in enumerate(dtypes)]
-        try:
-            table = np.loadtxt(
-                path, dtype=fields, delimiter=",", comments=None, skiprows=1,
-                ndmin=1, encoding="utf-8",
-            )
-        except ValueError:
-            pass
-        else:
-            if len(table) == n_rows:
-                return [table[name] for name, _ in fields]
-    return _read_columns(path, dtypes)
-
-
 def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     """Rebuild report inputs from a saved run directory's CSV files."""
     run_dir = Path(run_dir)
     path = run_dir / "constants.csv"
-    constants = _read_columns(path, (np.int64, np.float64, np.float64, np.float64, np.int64))
+    _, constants = read_csv(path, (np.int64, np.float64, np.float64, np.float64, np.int64))
     # Node rows carry ids 0..N-1 in order; the global row carries -1.
     rows = [row for row in zip(*(column.tolist() for column in constants)) if row[0] >= 0]
     ids = [row[0] for row in rows]
@@ -214,15 +161,18 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     node_constants = tuple(ConstantsEstimate(*values) for _, *values in rows)
 
     path = run_dir / "usefulness.csv"
-    _, nodes, deltas = _load_columns(path, (None, np.int64, np.float64))
+    _, (_, nodes, deltas) = read_csv(path, (None, np.int64, np.float64))
     found = np.unique(nodes).tolist()
     if found != ids:
         raise ValueError(f"{path}: node ids {found} differ from constants.csv's {ids}")
-    # Each node's deltas in row order, so the mean sums them in that order.
-    usefulness = np.array([np.mean(deltas[nodes == i]) for i in ids])
+    # save_run writes the (T, N) deltas round by round.
+    n_rounds = len(nodes) // len(ids) if ids else 0
+    if not np.array_equal(nodes, np.tile(ids, n_rounds)):
+        raise ValueError(f"{path}: node ids do not run 0..{len(ids) - 1} in every round")
+    usefulness = usefulness_from_rounds(deltas.reshape(n_rounds, len(ids)))
     if not np.isfinite(usefulness).all():
         raise ValueError(f"{path}: usefulness must be finite")
-    source, _, values = _load_columns(run_dir / "gtrace.csv", (object, None, np.float64))
+    _, (source, _, values) = read_csv(run_dir / "gtrace.csv", (None, None, np.float64))
     probe_g = values[source == "probe"]
     training_g = values[source == "training"]
     path = run_dir / "config.txt"

@@ -258,6 +258,9 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
     if cls is CifarSource and raw.read(keys["path"]) is None:
         raise raw.error(_SOURCE.name, f"{source} source needs {keys['path'].name}")
     dataset = raw.build(cls, keys)
+    if cls is CifarSource:
+        # Relative to the config file, as output.dir is; an absolute path stays.
+        dataset = replace(dataset, path=base_dir / dataset.path)
 
     model = raw.build(
         ModelSpec, _MODEL_KEYS, feature_dim=dataset.feature_dim, num_classes=dataset.num_classes

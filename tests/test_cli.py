@@ -247,6 +247,17 @@ class TestRunCommand:
         assert (out / "tiny_seed42").exists()
         assert not (out / "tiny_seed1").exists()
 
+    def test_relative_cifar_path_resolves_against_the_config_file(self, tmp_path, monkeypatch):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        source = cifar_source(config_dir).replace(str(config_dir / "batch.bin"), "./batch.bin")
+        cfg = config_dir / "exp.cfg"
+        cfg.write_text(TINY + source)
+        # The working directory holds no batch.bin.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "tiny_seed1" / "rounds.csv").exists()
+
     def test_bad_env_seed_exits_2_naming_it(self, tiny_config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FEDBOUND_SEED", "abc")
         assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
@@ -445,13 +456,13 @@ class TestUndefinedBound:
             out = tmp / "out"
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
             run_dir = out / f"tiny_seed{seed}"
-            header, constants = csvio.read_csv(run_dir / "constants.csv")
+            header, constants = csvio.read_csv(run_dir / "constants.csv", (None,) * 5)
             assert constants[header.index("node_id")][-1] == "-1"
             assert float(constants[header.index("mu")][-1]) <= 0.0
-            header, rounds = csvio.read_csv(run_dir / "rounds.csv")
-            assert rounds[header.index("bound_value")] == ["nan", "nan"]
-            header, summary = csvio.read_csv(out / "summary.csv")
-            assert summary[header.index("final_bound")] == ["nan"]
+            header, rounds = csvio.read_csv(run_dir / "rounds.csv", (None,) * 4)
+            assert list(rounds[header.index("bound_value")]) == ["nan", "nan"]
+            header, summary = csvio.read_csv(out / "summary.csv", (None,) * 11)
+            assert list(summary[header.index("final_bound")]) == ["nan"]
 
             headers = {name: (run_dir / name).read_text().split("\n")[0] for name in self.REPORTS}
             for name in self.REPORTS:
@@ -477,7 +488,7 @@ class TestProbeCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         assert main(["probe", "--config", str(cfg)]) == 0
-        _, columns = csvio.read_csv(tmp_path / "out" / "tiny_seed1" / "constants.csv")
+        _, columns = csvio.read_csv(tmp_path / "out" / "tiny_seed1" / "constants.csv", (None,) * 5)
         expected = [
             f"{'global' if nid == '-1' else f'node {nid}'}: mu={mu} L={ell} G={g} n_probes={n}"
             for nid, mu, ell, g, n in zip(*columns)
@@ -560,6 +571,20 @@ class TestReportCommand:
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["report", "--run", str(path.parent)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_usefulness_rows_out_of_round_order_fail_naming_the_file(
+        self, tiny_config, tmp_path, capsys
+    ):
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+        path = tmp_path / "out" / "tiny_seed1" / "usefulness.csv"
+        header, *rows = path.read_text().splitlines()
+        # The same rows node by node; save_run writes them round by round.
+        rows.sort(key=lambda row: int(row.split(",")[1]))
+        path.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--run", str(path.parent)]) == 1
+        message = "node ids do not run 0..1 in every round"
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("damage", ["deleted", "malformed", "k=99", "k=0"])

@@ -433,10 +433,12 @@ class TestEcho:
     def test_echo_matches_the_frozen_config_txt(self, path):
         # Each .txt next to a .cfg is the config.txt a run of seed 2 wrote
         # before fedbound.config owned the format: byte for byte, trailing
-        # spaces included.
+        # spaces included. A relative data.cifar_path echoes resolved against
+        # the config file's directory, which {config_dir} stands for.
         cfg = load_config(path)
         cfg = replace(cfg, scenario=replace(cfg.scenario, seed=2))
         expected = path.with_suffix(".txt").read_text(encoding="utf-8")
+        expected = expected.replace("{config_dir}", str(path.resolve().parent))
         assert "\n".join(echo_lines(cfg)) + "\n" == expected
 
     @given(text=config_texts())

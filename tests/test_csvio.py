@@ -1,9 +1,10 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedbound.csvio import _column_cells, fmt_value, read_csv, write_csv
@@ -53,7 +54,9 @@ def test_empty_table_is_the_header_line(tmp_path, columns):
     path = tmp_path / "out.csv"
     write_csv(path, ("x", "y", "z"), columns)
     assert path.read_bytes() == b"x,y,z\n"
-    assert read_csv(path) == (["x", "y", "z"], [[], [], []])
+    header, read = read_csv(path, (np.float64, np.int64, None))
+    assert header == ["x", "y", "z"]
+    assert [len(column) for column in read] == [0, 0, 0]
 
 
 def test_cell_formats_follow_column_types():
@@ -150,12 +153,12 @@ def test_float_column_reads_back_at_nine_digits(tmp_path_factory, values, labels
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     columns = ([labels] * len(values), np.arange(len(values)), np.array(values, dtype=np.float64))
     write_csv(path, ("source", "node_id", "value"), columns)
-    header, (source, ids, cells) = read_csv(path)
+    header, (source, ids, cells) = read_csv(path, (None, np.int64, np.float64))
     assert header == ["source", "node_id", "value"]
-    assert source == [labels] * len(values)
-    assert ids == [str(i) for i in range(len(values))]
+    assert list(source) == [labels] * len(values)
+    assert ids.tolist() == list(range(len(values)))
     # repr tells -0.0 from 0.0, and every NaN reads back as the one "nan".
-    assert [repr(float(c)) for c in cells] == [repr(float(format(x, ".9g"))) for x in values]
+    assert [repr(c) for c in cells.tolist()] == [repr(float(format(x, ".9g"))) for x in values]
 
 
 @pytest.mark.parametrize(
@@ -167,11 +170,136 @@ def test_read_names_the_malformed_line(tmp_path, text, line):
     path.write_text(text)
     message = rf"^{re.escape(str(path))}: line {line}: \d cells, expected 2$"
     with pytest.raises(ValueError, match=message):
-        read_csv(path)
+        read_csv(path, (np.int64, np.int64))
 
 
 def test_read_rejects_an_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="is empty"):
-        read_csv(path)
+        read_csv(path, (None,))
+
+
+GTRACE = (None, None, np.float64)
+# Each run file's header and dtypes, as save_run writes it.
+SCHEMAS = {
+    "rounds.csv": (
+        ("t", "train_loss", "test_loss", "bound_value"),
+        (np.int64, np.float64, np.float64, np.float64),
+    ),
+    "usefulness.csv": (("t", "node_id", "delta"), (np.int64, np.int64, np.float64)),
+    "gtrace.csv": (("source", "node_id", "value"), GTRACE),
+    "constants.csv": (
+        ("node_id", "mu", "L", "G", "n_probes"),
+        (np.int64, np.float64, np.float64, np.float64, np.int64),
+    ),
+    "probes.csv": (
+        ("node_id", "probe_index", "m_value", "g_value"),
+        (np.int64, np.int64, np.float64, np.float64),
+    ),
+}
+
+
+def _sources(n):
+    return (["probe", "training"] * n)[:n]
+
+
+# What reading each gtrace.csv body gives: a ValueError's message after the
+# path, or the columns.
+MALFORMED = {
+    # A blank line, which np.loadtxt skips, fails the cell count.
+    "probe,0,1\n\ntraining,0,2\n": "line 3: 1 cells, expected 3",
+    "probe,0,1\n   \n": "line 3: 1 cells, expected 3",
+    "probe,0,1\n\n": "line 3: 1 cells, expected 3",
+    "probe,0,1\ntraining,0\n": "line 3: 2 cells, expected 3",
+    "probe,0,1,7\n": "line 2: 4 cells, expected 3",
+    "probe,0,abc\n": "line 2, column value: could not convert string to float: 'abc'",
+    # The node id column is text here.
+    "probe,1.0,1\n": [["probe"], ["1.0"], [1.0]],
+    # float() takes it, np.loadtxt does not, and write_csv never writes it.
+    "probe,0,1_0\n": "could not convert string '1_0' to float64 at row 0, column 3.",
+    "probe,0,0x10\n": "line 2, column value: could not convert string to float: '0x10'",
+}
+
+
+class TestReadBack:
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    @example([5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308])
+    @example([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308])
+    @example([float("nan"), float("inf"), -float("inf"), 0.1, 123456789.5])
+    def test_written_floats_parse_to_the_bits_of_float(self, tmp_path_factory, values):
+        # Every %.9g string write_csv emits.
+        path = tmp_path_factory.mktemp("csv") / "gtrace.csv"
+        n = len(values)
+        write_csv(path, SCHEMAS["gtrace.csv"][0], (_sources(n), range(n), np.array(values)))
+        cells = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+        _, (source, _, parsed) = read_csv(path, GTRACE)
+        assert parsed.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+        assert list(source) == _sources(n)
+
+    @pytest.mark.parametrize("name", ["gtrace.csv", "usefulness.csv"])
+    def test_header_only_file_reads_as_empty_columns_without_a_warning(self, tmp_path, name):
+        header, dtypes = SCHEMAS[name]
+        path = tmp_path / name
+        path.write_text(",".join(header) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, columns = read_csv(path, dtypes)
+        for column, dtype in zip(columns, dtypes):
+            assert len(column) == 0
+            assert column.dtype == (object if dtype is None else dtype)
+
+    @given(name=st.sampled_from(sorted(SCHEMAS)), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_run_file_reads_back_as_written(self, tmp_path_factory, name, data):
+        header, dtypes = SCHEMAS[name]
+        n = data.draw(st.integers(0, 20), label="rows")
+        cells = {
+            None: st.sampled_from(["probe", "training"]),
+            np.int64: st.integers(-(2**63), 2**63 - 1),
+            np.float64: st.floats(),
+        }
+        columns = []
+        for dtype in dtypes:
+            values = data.draw(st.lists(cells[dtype], min_size=n, max_size=n))
+            columns.append(values if dtype is None else np.array(values, dtype))
+        path = tmp_path_factory.mktemp("csv") / name
+        write_csv(path, header, columns)
+        read_header, read = read_csv(path, dtypes)
+        assert read_header == list(header)
+        for column, written, dtype in zip(read, columns, dtypes):
+            if dtype is None:
+                assert column.dtype == object and list(column) == written
+            elif dtype is np.float64:
+                # The bits float() gives each value's %.9g cell.
+                nine_digits = np.array([float(format(x, ".9g")) for x in written])
+                assert column.dtype == dtype and column.tobytes() == nine_digits.tobytes()
+            else:
+                assert column.dtype == dtype and column.tolist() == written.tolist()
+
+    def test_well_formed_file_reads_as_typed_columns(self, tmp_path):
+        path = tmp_path / "usefulness.csv"
+        path.write_text("t,node_id,delta\n1,0,0.25\n1, 1 ,-1e-310\nx,0,nan\n2,1,inf\n")
+        header, (t, nodes, deltas) = read_csv(path, (None, np.int64, np.float64))
+        assert header == ["t", "node_id", "delta"]
+        assert list(t) == ["1", "1", "x", "2"]
+        assert nodes.dtype == np.int64 and nodes.tolist() == [0, 1, 0, 1]
+        assert deltas.tobytes() == np.array([0.25, -1e-310, math.nan, math.inf]).tobytes()
+
+    @pytest.mark.parametrize("body", MALFORMED)
+    def test_malformed_file_has_its_outcome(self, tmp_path, body):
+        outcome = MALFORMED[body]
+        path = tmp_path / "gtrace.csv"
+        path.write_text(f"source,node_id,value\n{body}")
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as excinfo:
+                read_csv(path, GTRACE)
+            assert str(excinfo.value) == f"{path}: {outcome}"
+        else:
+            assert [column.tolist() for column in read_csv(path, GTRACE)[1]] == outcome
+        # A header of another width fails first, whatever the body holds.
+        path.write_text(f"source,value\n{body}")
+        with pytest.raises(ValueError) as excinfo:
+            read_csv(path, GTRACE)
+        assert str(excinfo.value) == f"{path}: 2 columns, expected 3"

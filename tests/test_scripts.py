@@ -38,7 +38,7 @@ def hetero_run(tmp_path_factory):
 
 
 def test_usefulness_correlation_prints_the_summary_coefficients(hetero_run):
-    header, columns = read_csv(hetero_run / "summary.csv")
+    header, columns = read_csv(hetero_run / "summary.csv", (None,) * 11)
     summary = {
         int(row[header.index("seed")]): [row[header.index(c)] for c in COEFFICIENTS]
         for row in zip(*columns)
@@ -54,7 +54,9 @@ def test_usefulness_correlation_prints_the_summary_coefficients(hetero_run):
 
 
 def test_selection_payoff_selects_the_top_l_row(hetero_run):
-    header, columns = read_csv(hetero_run / "hetero_eight_nodes_seed1" / "selection.csv")
+    header, columns = read_csv(
+        hetero_run / "hetero_eight_nodes_seed1" / "selection.csv", (None,) * 3
+    )
     chosen = dict(zip(columns[header.index("policy")], columns[header.index("chosen")]))
     rows = [line for line in run_script("selection_payoff.py", "--seeds", "1") if line[:1] == ["1"]]
     assert len(rows) == 1
