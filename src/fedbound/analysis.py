@@ -156,6 +156,8 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     # Node rows carry ids 0..N-1 in order; the global row carries -1.
     rows = [row for row in zip(*(column.tolist() for column in constants)) if row[0] >= 0]
     ids = [row[0] for row in rows]
+    if not ids:
+        raise ValueError(f"{path}: no node rows")
     if ids != list(range(len(ids))):
         raise ValueError(f"{path}: node ids {ids} do not run 0..{len(ids) - 1} in order")
     node_constants = tuple(ConstantsEstimate(*values) for _, *values in rows)
@@ -166,7 +168,7 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     if found != ids:
         raise ValueError(f"{path}: node ids {found} differ from constants.csv's {ids}")
     # save_run writes the (T, N) deltas round by round.
-    n_rounds = len(nodes) // len(ids) if ids else 0
+    n_rounds = len(nodes) // len(ids)
     if not np.array_equal(nodes, np.tile(ids, n_rounds)):
         raise ValueError(f"{path}: node ids do not run 0..{len(ids) - 1} in every round")
     usefulness = usefulness_from_rounds(deltas.reshape(n_rounds, len(ids)))

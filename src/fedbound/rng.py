@@ -12,6 +12,7 @@ import hashlib
 from collections.abc import Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -42,14 +43,11 @@ def spawn_rng(*parts: int | str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
-# numpy's SeedSequence constants (pool of 4 uint32 words) and PCG64's
-# 128-bit LCG multiplier.
+# numpy's SeedSequence constants (pool of 4 uint32 words).
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_consts(init: int, mult: int, n: int) -> list[int]:
@@ -120,18 +118,17 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
 
 
-def _pcg64_state(state_hi: int, state_lo: int, seq_hi: int, seq_lo: int) -> dict:
-    """The ``PCG64.state`` that one row of :func:`_seed_words` seeds."""
-    # PCG64's srandom: inc = initseq << 1 | 1, then two LCG steps around
-    # adding initstate; a fresh generator holds no buffered uint32.
-    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-    lcg = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": lcg, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+class _SeedWords(ISeedSequence):
+    """Hands ``PCG64`` one row of :func:`_seed_words` as its seed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # Any other request is not PCG64's seeding: fail rather than drift.
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words hold 4 uint64, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def seed_states(label: str, seeds: Sequence[int]) -> np.ndarray:
@@ -144,12 +141,12 @@ def seed_states(label: str, seeds: Sequence[int]) -> np.ndarray:
 
 def _draw_rows(states: np.ndarray, rows: np.ndarray, draw) -> np.ndarray:
     """Row i of ``rows`` filled in place by ``draw(generator, row)`` from a
-    generator moved to state i."""
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for row, words in zip(rows, states.tolist()):
-        bit_generator.state = _pcg64_state(*words)
-        draw(generator, row)
+    fresh generator that PCG64 seeds from ``states[i]``."""
+    # PCG64 reads the seed words as raw memory, so a strided row would seed
+    # another state; the rows of a C-ordered array are contiguous.
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    for row, words in zip(rows, states):
+        draw(np.random.Generator(np.random.PCG64(_SeedWords(words))), row)
     return rows
 
 

@@ -21,6 +21,7 @@ from fedbound.analysis import (
     usefulness_from_rounds,
     write_reports,
 )
+from fedbound.cli import main
 from fedbound.config import ExperimentConfig, echo_lines
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import FLRun, ScenarioConfig, run_federated, save_run
@@ -390,6 +391,21 @@ class TestReports:
             )
         assert len(parsed.probe_g) == len(direct.probe_g)
         assert len(parsed.training_g) == len(direct.training_g)
+
+    def test_report_names_constants_csv_without_node_rows(self, tmp_path, capsys):
+        spec = SyntheticSpec(num_classes=3, feature_dim=4, samples_per_class=20)
+        cfg = ScenarioConfig(
+            n_nodes=2, samples_per_node=10, rounds=1, model=softmax_spec(4, 3, l2=0.01),
+            lr=0.1, batch_size=5, n_probes=2, seed=1,
+        )
+        run = run_federated(cfg, gen_synthetic(spec, seed=1))
+        save_run(run, tmp_path, echo_lines(ExperimentConfig(cfg, spec, tmp_path, (cfg.seed,))))
+        # Keep the header and the global row (node id -1) only.
+        for name, keep in (("constants.csv", [0, -1]), ("usefulness.csv", [0])):
+            lines = (tmp_path / name).read_text().splitlines(keepends=True)
+            (tmp_path / name).write_text("".join(lines[i] for i in keep))
+        assert main(["report", "--run", str(tmp_path)]) != 0
+        assert f"{tmp_path / 'constants.csv'}: no node rows" in capsys.readouterr().err
 
     @given(
         n_nodes=st.integers(2, 4),

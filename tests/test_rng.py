@@ -1,13 +1,15 @@
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedbound.flsim import shuffle_states
 from fedbound.rng import (
-    _pcg64_state,
+    _draw_rows,
     _seed_words,
+    _SeedWords,
     derive_seed,
     derive_seeds,
     normal_rows,
@@ -22,8 +24,8 @@ EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
 
 
 def pcg64_states(seeds):
-    """The ``np.random.PCG64(seed).state`` the batched seeding gives each seed."""
-    return [_pcg64_state(*words) for words in _seed_words(seeds).tolist()]
+    """The ``np.random.PCG64`` state the batched seed words give each seed."""
+    return [np.random.PCG64(_SeedWords(words)).state for words in _seed_words(seeds)]
 
 
 def derive_seed_bytes_join(*parts):
@@ -85,16 +87,21 @@ class TestNormalRows:
 
     def test_state_drops_a_buffered_uint32(self):
         # An odd number of 31-bit draws leaves half a 64-bit word buffered;
-        # a generator moved to a batched state must not use it.
-        gen = np.random.default_rng(5)
-        gen.integers(2**31, size=3)
-        assert gen.bit_generator.state["has_uint32"] == 1
-        seeds = [derive_seed("label", s) for s in (3, 4)]
-        for seed, state in zip(seeds, pcg64_states(seeds)):
-            gen.bit_generator.state = state
+        # the next row's generator must not use it.
+        seeds = [derive_seed("label", s) for s in (3, 4, 5)]
+        buffered = []
+
+        def draw(gen, row):
+            row[:3] = gen.integers(2**31, size=3)
+            buffered.append(gen.bit_generator.state["has_uint32"])
+            gen.standard_normal(out=row[3:])
+
+        rows = _draw_rows(_seed_words(seeds), np.empty((len(seeds), 10)), draw)
+        assert buffered == [1] * len(seeds)
+        for row, seed in zip(rows, seeds):
             fresh = np.random.default_rng(seed)
-            assert gen.integers(2**31, size=5).tolist() == fresh.integers(2**31, size=5).tolist()
-            assert gen.standard_normal(7).tobytes() == fresh.standard_normal(7).tobytes()
+            assert row[:3].tolist() == fresh.integers(2**31, size=3).tolist()
+            assert row[3:].tobytes() == fresh.standard_normal(7).tobytes()
 
     def test_no_seeds_give_no_rows(self):
         assert normal_rows("probe-pair", [], 4).shape == (0, 4)
@@ -133,3 +140,21 @@ class TestPermutationRows:
 
     def test_no_seeds_give_no_rows(self):
         assert permutation_rows("sgd", [], 4).shape == (0, 4)
+
+    def test_strided_states_draw_as_c_ordered_ones(self):
+        # PCG64 reads its seed words as raw memory: a strided row holding the
+        # same four words would seed another state.
+        states = seed_states("sgd", EDGE_SEEDS)
+        wide = np.zeros((len(states), 8), dtype=np.uint64)
+        wide[:, ::2] = states
+        expected = permutations(states, 50).tobytes()
+        assert permutations(np.asfortranarray(states), 50).tobytes() == expected
+        assert permutations(wide[:, ::2], 50).tobytes() == expected
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("bit_generator", [np.random.SFC64, np.random.MT19937])
+    def test_other_bit_generators_are_refused(self, bit_generator):
+        # SFC64 asks for 3 uint64 words and MT19937 for 624 uint32 words.
+        with pytest.raises(ValueError, match="seed words hold 4 uint64"):
+            bit_generator(_SeedWords(seed_states("sgd", [0])[0]))
