@@ -1,5 +1,6 @@
 """Post-run analysis: node usefulness, constants-vs-usefulness correlations,
-gradient-magnitude CDFs, and constant-driven node selection policies.
+gradient-magnitude CDFs, constant-driven node selection policies, and the
+rows of the tables that ``fedbound report`` prints for an output directory.
 
 Selection uses nothing but the probed (mu, L, G) triples, so it requires no
 information about node dataset sizes or contents.
@@ -8,12 +9,13 @@ information about node dataset sizes or contents.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import _read_echo
+from .config import read_echo
 from .csvio import read_csv, write_csv
 from .flsim import FLRun
 from .probe import ConstantsEstimate
@@ -178,7 +180,7 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     probe_g = values[source == "probe"]
     training_g = values[source == "training"]
     path = run_dir / "config.txt"
-    seed, selection_k = _read_echo(path)
+    _, seed, selection_k = read_echo(path)
     if selection_k is not None and not 1 <= selection_k <= len(ids):
         raise ValueError(f"{path}: selection.k = {selection_k} lies outside [1, {len(ids)}]")
     return ReportInputs(usefulness, node_constants, probe_g, training_g, seed, selection_k)
@@ -224,3 +226,27 @@ def write_reports(
         (SELECTION_POLICIES, [k] * len(SELECTION_POLICIES), chosen),
     )
     return rows
+
+
+def output_rows(out_dir: Path | str) -> list[tuple]:
+    """A row per ``<name>_seed<s>`` run directory of ``out_dir`` (hidden ones
+    skipped), sorted by (scenario, seed): its ``config.txt`` scenario and seed,
+    final train loss, test loss and bound, the Pearson then the Spearman
+    coefficients of mu, L and G, and the probe and training g medians."""
+    rows = []
+    for run_dir in Path(out_dir).iterdir():
+        if not (run_dir.is_dir() and re.fullmatch(r"[^.].*_seed-?[0-9]+", run_dir.name)):
+            continue
+        name, seed, _ = read_echo(run_dir / "config.txt")
+        path = run_dir / "rounds.csv"
+        _, (_, *finals) = read_csv(path, (None, np.float64, np.float64, np.float64))
+        if not len(finals[0]):
+            raise ValueError(f"{path}: run has no rounds")
+        path = run_dir / "correlations.csv"
+        _, (quantity, pearson, spearman, _) = read_csv(path, (None, np.float64, np.float64, None))
+        if tuple(quantity) != CONSTANT_NAMES:
+            raise ValueError(f"{path}: quantities {list(quantity)} are not {list(CONSTANT_NAMES)}")
+        _, (source, _, values) = read_csv(run_dir / "gtrace.csv", (None, None, np.float64))
+        medians = [np.median(values[source == kind]) for kind in ("probe", "training")]
+        rows.append((name, seed, *(c[-1] for c in finals), *pearson, *spearman, *medians))
+    return sorted(rows, key=lambda row: row[:2])

@@ -5,10 +5,13 @@ Subcommands:
 * ``run``      -- full pipeline: per-seed federated runs, analysis reports,
                   and an aggregate summary.csv
 * ``probe``    -- constants estimation only; prints per-node and global (mu, L, G)
-* ``report``   -- regenerate the analysis CSVs from an existing run directory
+* ``report``   -- regenerate the analysis CSVs of a run directory, or print
+                  the tables of the saved runs of an output directory
 * ``selftest`` -- built-in gradient and probe-oracle checks
 
 The environment variable ``FEDBOUND_SEED`` overrides the configured seed.
+``run`` and ``probe`` check every seed's set-up (``config.preflight``) before
+any work, so a config that cannot run exits 2 naming its line.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import os
 import shutil
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,9 +32,9 @@ from .config import (
     CifarSource,
     ConfigError,
     ExperimentConfig,
-    check_class_centers,
     echo_lines,
     load_config,
+    preflight,
 )
 from .csvio import write_csv
 from .data import gen_synthetic, gen_synthetic_nodes, load_cifar10
@@ -87,9 +91,15 @@ def node_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, list[Datas
 
 
 def run_one_seed(cfg: ExperimentConfig, seed: int) -> flsim.FLRun:
-    """Build the datasets of one seed and run the federated pipeline."""
+    """Build the datasets of one seed and run the federated pipeline; each
+    warning of the run reaches stderr as one ``warning: seed <s>:`` line."""
     scenario = replace(cfg.scenario, seed=seed)
-    return flsim.run_federated_partitioned(scenario, *node_datasets(cfg, seed))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        run = flsim.run_federated_partitioned(scenario, *node_datasets(cfg, seed))
+    for warning in caught:
+        print(f"warning: seed {seed}: {warning.message}", file=sys.stderr)
+    return run
 
 
 def _replace_dir(tmp_dir: Path, final_dir: Path) -> None:
@@ -207,12 +217,47 @@ def _cmd_probe(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
-    if not (run_dir / "rounds.csv").exists():
-        print(f"error: {run_dir} does not look like a run directory", file=sys.stderr)
+    if (run_dir / "rounds.csv").exists():
+        analysis.write_reports(run_dir, analysis.report_inputs_from_dir(run_dir))
+        print(f"reports regenerated under {run_dir}")
+        return 0
+    rows = analysis.output_rows(run_dir) if run_dir.is_dir() else []
+    if not rows:
+        kinds = "a run directory (no rounds.csv) nor an output directory (no <name>_seed<s>)"
+        print(f"error: {run_dir} is neither {kinds}", file=sys.stderr)
         return 1
-    analysis.write_reports(run_dir, analysis.report_inputs_from_dir(run_dir))
-    print(f"reports regenerated under {run_dir}")
+    print("\n".join(_tables(rows)))
     return 0
+
+
+def _tables(rows: list[tuple]) -> list[str]:
+    """The two tables of :func:`analysis.output_rows`, a line per run, then a
+    mean line per scenario: the final losses and bound, then the constants'
+    correlations with usefulness and the g medians."""
+    width = max(24, *(len(row[0]) for row in rows))
+    means = [
+        (name, "mean", *np.mean([row[2:] for row in rows if row[0] == name], axis=0))
+        for name in dict.fromkeys(row[0] for row in rows)
+    ]
+    label, triple = f"{'scenario':<{width}} {'seed':>6}", f"{'mu':>8}{'L':>8}{'G':>8}"
+    coefficients = "  {:>+8.3f}{:>+8.3f}{:>+8.3f}"
+    tables = (
+        ([f"{label}{'train':>10}{'test':>10}{'bound':>12}"], "{:>10.4f}{:>10.4f}{:>12.1f}", 2),
+        (
+            [
+                f"{'':<{width + 7}}  {'pearson':^24}  {'spearman':^24}  {'median g':^20}".rstrip(),
+                f"{label}  {triple}  {triple}  {'probe':>10}{'training':>10}",
+            ],
+            coefficients * 2 + "  {:>10.3f}{:>10.3f}",
+            5,
+        ),
+    )
+    lines = []
+    for header, cells, first in tables:
+        rule = "-" * len(header[-1])
+        body = [f"{r[0]:<{width}} {r[1]:>6}" + cells.format(*r[first:]) for r in rows + means]
+        lines += ["", *header, rule, *body[: len(rows)], rule, *body[len(rows) :]]
+    return lines[1:]
 
 
 def _selftest_gradients(n_cases: int = 20) -> bool:
@@ -295,7 +340,7 @@ def _load_config_with_env(path: str) -> ExperimentConfig:
             scenario=replace(cfg.scenario, seed=seed),
             repeat_seeds=(seed,),
         )
-    check_class_centers(cfg, path)
+    preflight(cfg, path)
     return cfg
 
 
@@ -338,8 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     probe_p.add_argument("--config", required=True)
     probe_p.set_defaults(func=_cmd_probe)
 
-    report_p = sub.add_parser("report", help="re-run analysis on a run directory")
-    report_p.add_argument("--run", required=True)
+    report_p = sub.add_parser("report", help="rewrite a run directory's analysis CSVs, "
+                              "or print the tables of an output directory's runs")
+    report_p.add_argument("--run", required=True, help="a run directory (holds rounds.csv) or "
+                          "an output directory (holds <name>_seed<s> run directories)")
     report_p.set_defaults(func=_cmd_report)
 
     selftest_p = sub.add_parser("selftest", help="gradient and probe-oracle checks")

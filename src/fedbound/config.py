@@ -18,9 +18,11 @@ from pathlib import Path
 from typing import Any
 
 from .csvio import fmt_value
-from .data import SyntheticSpec, class_centers
-from .flsim import ScenarioConfig, held_out_size
+from .data import SyntheticSpec, class_centers, gen_synthetic
+from .flsim import ScenarioConfig, held_out_size, partition_dataset, probe_setup
 from .model import ModelSpec
+from .probe import ProbeFailure, check_probe_pairs
+from .rng import derive_seed
 
 
 class ConfigError(ValueError):
@@ -349,29 +351,47 @@ def load_config(path: Path | str) -> ExperimentConfig:
     return build_experiment_config(raw, base_dir=path.resolve().parent)
 
 
-def check_class_centers(cfg: ExperimentConfig, path: Path | str) -> None:
-    """Reject, naming its line in the config file at ``path``, a synthetic
-    class count, dimension and separation whose centers some seed of ``cfg``
-    cannot place.
+def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
+    """Reject, naming its line in the config file at ``path``, a config that
+    some seed of ``cfg`` cannot run past its set-up.
 
-    It draws each seed's centers as that seed's run would, which costs a
-    shape that never places the generator's 1,000 draws once. It is not part
-    of :func:`load_config`: the seeds a run uses are known only once
-    ``FEDBOUND_SEED`` has been applied.
+    Each seed draws what its run draws first, with the run's own code: the
+    synthetic class centers, the test split of a shared pool that missing
+    classes filter, and every ``perturb`` probe pair with its redraws. The
+    seeds are known only once ``FEDBOUND_SEED`` has been applied, so
+    :func:`load_config` does not call it.
     """
-    if not isinstance(cfg.dataset, SyntheticSpec):
-        return
+    raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    s, d = _SCENARIO_KEYS, _SYNTHETIC_KEYS
     for seed in cfg.repeat_seeds:
-        try:
-            class_centers(cfg.dataset, seed)
-        except ValueError as exc:
-            raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
-            d = _SYNTHETIC_KEYS
-            raise raw.error(
-                raw.first_set(d["feature_dim"], d["num_classes"], d["separation"]),
-                f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
-                f"{d['feature_dim'].name} or use fewer classes",
-            ) from exc
+        scenario = replace(cfg.scenario, seed=seed)
+        if isinstance(cfg.dataset, SyntheticSpec):
+            try:
+                class_centers(cfg.dataset, seed)
+            except ValueError as exc:
+                raise raw.error(
+                    raw.first_set(d["feature_dim"], d["num_classes"], d["separation"]),
+                    f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
+                    f"{d['feature_dim'].name} or use fewer classes",
+                ) from exc
+            if scenario.missing_classes and not cfg.dataset.has_node_knobs:
+                try:
+                    data = gen_synthetic(cfg.dataset, seed)
+                    partition_dataset(data, scenario, derive_seed(seed, "partition"))
+                except ValueError as exc:
+                    raise raw.error(
+                        s["missing_classes"].name,
+                        f"seed {seed}'s test split leaves too few rows: {exc}; raise "
+                        f"{d['samples_per_class'].name} or lower {s['samples_per_node'].name}",
+                    ) from exc
+        if scenario.probe_sampler == "perturb":
+            _, sampler, node_seeds = probe_setup(scenario)
+            for node, node_seed in enumerate(node_seeds):
+                try:
+                    check_probe_pairs(scenario.model, sampler, node_seed, scenario.n_probes)
+                except ProbeFailure as exc:
+                    name = s["perturb_sigma"].name
+                    raise raw.error(name, f"seed {seed}, node {node}: {exc}; raise {name}") from exc
 
 
 def _echo_value(value) -> str:
@@ -398,10 +418,12 @@ def echo_lines(cfg: ExperimentConfig) -> list[str]:
     return [f"{name} = {_echo_value(value)}" for name, value in pairs]
 
 
-def _read_echo(config_file: Path) -> tuple[int, int | None]:
-    """The seed and ``selection.k`` a ``config.txt`` records; a ValueError names a bad file."""
+def read_echo(config_file: Path) -> tuple[str, int, int | None]:
+    """The scenario name, seed and ``selection.k`` a ``config.txt`` records;
+    a ValueError names a bad file."""
     try:
         raw = parse_config_text(config_file.read_text(encoding="utf-8"))
-        return raw.read(_SCENARIO_KEYS["seed"]), raw.read(_RUN_KEYS["selection_k"])
+        name, seed = raw.read(_RUN_KEYS["scenario_name"]), raw.read(_SCENARIO_KEYS["seed"])
+        return name, seed, raw.read(_RUN_KEYS["selection_k"])
     except ConfigError as exc:
         raise ValueError(f"{config_file}: {exc}") from exc

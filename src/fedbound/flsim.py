@@ -48,6 +48,7 @@ from .probe import (
     ConstantsEstimate,
     GaussianPerturbationSampler,
     InitDistributionSampler,
+    ProbeSampler,
     aggregate_global,
     collect_probes,
     constants_from_samples,
@@ -241,6 +242,16 @@ def _check_equal_sizes(node_datasets: Sequence[Dataset]) -> None:
         raise ValueError(f"node datasets differ in size: {sizes}")
 
 
+def probe_setup(cfg: ScenarioConfig) -> tuple[ParamVector, ProbeSampler, list[int]]:
+    """w1, the probe sampler and each node's probe seed of a run of ``cfg``."""
+    w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
+    if cfg.probe_sampler == "init":
+        sampler = InitDistributionSampler()
+    else:
+        sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
+    return w1, sampler, derive_seeds((cfg.seed, "probe"), range(cfg.n_nodes))
+
+
 def probe_phase(
     cfg: ScenarioConfig, node_datasets: Sequence[Dataset]
 ) -> tuple[ParamVector, np.ndarray, tuple[ConstantsEstimate, ...], ConstantsEstimate]:
@@ -257,12 +268,7 @@ def probe_phase(
     if len(node_datasets) != cfg.n_nodes:
         raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
     _check_equal_sizes(node_datasets)
-    w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
-    if cfg.probe_sampler == "init":
-        sampler = InitDistributionSampler()
-    else:
-        sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
-    node_seeds = derive_seeds((cfg.seed, "probe"), range(len(node_datasets)))
+    w1, sampler, node_seeds = probe_setup(cfg)
     probe_samples = np.stack([
         collect_probes(cfg.model, local, cfg.n_probes, sampler, node_seed, cfg.g_formula)
         for local, node_seed in zip(node_datasets, node_seeds)

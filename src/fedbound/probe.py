@@ -204,6 +204,19 @@ def _draw_stack(
     return U, V
 
 
+def check_probe_pairs(spec: ModelSpec, sampler: ProbeSampler, rng_seed: int, n_probes: int) -> None:
+    """Draw the ``n_probes`` pairs that :func:`collect_probes` draws with
+    ``rng_seed``, redraws included, and raise the :class:`ProbeFailure` it
+    would raise for the first pair that stays degenerate."""
+    U, V = _draw_stack(spec, sampler, derive_seeds((rng_seed,), range(n_probes)))
+    diff = U - V
+    sq_dist = np.vecdot(diff, diff)
+    degenerate = np.flatnonzero(sq_dist < DEGENERATE_SQ_DIST)
+    if degenerate.size:
+        p = int(degenerate[0])
+        raise ProbeFailure(p, _degenerate_message(float(sq_dist[p])))
+
+
 def _stack_samples(
     spec: ModelSpec,
     U: np.ndarray,

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -175,17 +177,13 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_seeds_that_fail_before_writing_leave_no_output_dir(self, tmp_path, capsys, parallel):
-        # Missing classes filter the pool by the random test split, so the
-        # shortfall of 750 training rows shows only once a seed builds its data.
-        cfg = tmp_path / "short.cfg"
-        cfg.write_text(
-            TINY
-            + "data.num_classes = 4\ndata.samples_per_class = 260\nscenario.missing_classes = 3\n"
-            + "scenario.n_nodes = 5\nscenario.samples_per_node = 150\ndata.feature_dim = 8\n"
-        )
+        # A CIFAR-10 file is read only once a seed builds its data.
+        cfg = tmp_path / "missing.cfg"
+        cfg.write_text(TINY + cifar_source(tmp_path))
+        (tmp_path / "batch.bin").unlink()
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
-        assert capsys.readouterr().err.startswith("error: seed 1 failed: insufficient data: ")
+        assert capsys.readouterr().err.startswith("error: seed 1 failed: [Errno 2] ")
         assert not out.exists()
 
     def test_missing_class_shortfall_on_every_split_fails_at_load(self, tmp_path, capsys):
@@ -339,6 +337,47 @@ class TestRunCommand:
             "data.feature_dim or use fewer classes\n"
         )
         assert not (tmp_path / "o").exists()
+
+    # Each case loads, and used to fail every seed mid-run with exit 1.
+    @pytest.mark.parametrize("lines, key, message", [
+        (
+            "probe.sampler = perturb\nprobe.perturb_sigma = 1e-16\n",
+            "probe.perturb_sigma",
+            "seed 1, node 0: probe 0 failed: ||u - v||^2 = 5.909129227572303e-31 is below "
+            "1e-30; raise probe.perturb_sigma",
+        ),
+        (
+            "data.samples_per_class = 260\n",
+            "scenario.missing_classes",
+            "seed 1's test split leaves too few rows: insufficient data: need 750 training "
+            "samples after filtering, have 709; raise data.samples_per_class or lower "
+            "scenario.samples_per_node",
+        ),
+    ])
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    def test_seed_set_up_failure_exits_2_before_any_output(
+        self, tmp_path, capsys, command, lines, key, message
+    ):
+        name = "five_nodes_missing_class" if "missing" in key else "five_nodes"
+        text = (REPO / "configs" / f"{name}.cfg").read_text()
+        text += f"output.dir = {tmp_path / 'o'}\n" + lines
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        line = next(i for i, entry in enumerate(text.splitlines(), 1) if entry.startswith(key))
+        assert main([command, "--config", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"config error: line {line}: {key}: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_run_warnings_are_one_line_each_naming_the_seed(self, tiny_config, tmp_path, capsys):
+        tiny_config.write_text(
+            TINY + "model.kind = mlp\nscenario.local_epochs_per_round = 2\nrepeat_seeds = 6\n"
+        )
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: seed 6: bound values assume one local epoch per round; this config uses 2\n"
+            "warning: seed 6: probed mu is not positive; bound values are undefined for this run\n"
+        )
+
 
 class TestGoldenRun:
     # sha256 of the tree `fedbound run` writes for the shipped hetero_eight_nodes
@@ -648,3 +687,30 @@ class TestAtomicCsv:
         with pytest.raises(OSError):
             write_csv(path, ("a", "b"), ([3], [4.5]))
         assert path.read_bytes() == before
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``fedbound ...`` line in README's ``sh`` blocks,
+    each with its optional ``[...]`` parts dropped and with them kept, and
+    leading ``VAR=value`` assignments dropped."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", (REPO / "README.md").read_text(), re.S):
+        for line in block.splitlines():
+            for variant in {re.sub(r"\[[^]]*\]", "", line), re.sub(r"[][]", "", line)}:
+                words = shlex.split(variant, comments=True)
+                while words and re.fullmatch(r"[A-Z_]+=\S*", words[0]):
+                    words.pop(0)
+                if words[:1] == ["fedbound"]:
+                    commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse_with_the_cli_parser(capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"run", "probe", "report", "selftest"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README: fedbound {' '.join(argv)}: {capsys.readouterr().err}")

@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 REPO = Path(__file__).resolve().parents[1]
@@ -20,9 +20,11 @@ from fedbound.config import (
     echo_lines,
     load_config,
     parse_config_text,
+    preflight,
 )
-from fedbound.flsim import PROBE_SAMPLER_KINDS
-from fedbound.probe import G_FORMULAS
+from fedbound.cli import node_datasets
+from fedbound.flsim import PROBE_SAMPLER_KINDS, probe_phase
+from fedbound.probe import G_FORMULAS, ProbeFailure
 
 GOOD = """\
 # experiment settings
@@ -180,7 +182,7 @@ class TestBuild:
             build_experiment_config(parse_config_text(text))
         assert excinfo.value.line == 2
         assert str(excinfo.value).startswith("line 2: repeat_seeds: repeat_seeds must be distinct")
-        # A config built in code, as run_scenarios.py --seeds builds one, is checked too.
+        # A config built in code, with its seeds replaced, is checked too.
         cfg = build_experiment_config(parse_config_text("scenario.n_nodes = 3\n"))
         with pytest.raises(ValueError, match="seed 1 is listed more than once"):
             replace(cfg, repeat_seeds=(1, 2, 1))
@@ -302,6 +304,64 @@ class TestBuild:
         path.write_text(GOOD)
         cfg = load_config(path)
         assert cfg.output_dir == tmp_path / "runs"
+
+
+class TestPreflight:
+    """The per-seed pre-flight rejects a config exactly when one of its seeds
+    would fail the same way in its run."""
+
+    TEXT = (
+        "scenario.n_nodes = 2\nscenario.samples_per_node = 30\nscenario.batch_size = 15\n"
+        "probe.n_probes = 40\ndata.num_classes = 3\ndata.feature_dim = 4\n"
+        "repeat_seeds = 1,2,3\n"
+    )
+
+    @staticmethod
+    def outcomes(text: str, run_seed) -> tuple[str | None, bool]:
+        """The pre-flight's message (None if it passes), and whether ``run_seed``
+        fails on some seed."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cfg"
+            path.write_text(text)
+            cfg = load_config(path)
+            try:
+                preflight(cfg, path)
+                message = None
+            except ConfigError as exc:
+                message = str(exc)
+        failed = False
+        for seed in cfg.repeat_seeds:
+            try:
+                run_seed(cfg, seed)
+            except (ProbeFailure, ValueError):
+                failed = True
+        return message, failed
+
+    @settings(max_examples=25, deadline=None)
+    @given(exponent=st.floats(-16.5, -15.5))
+    # All seeds fail at node 0; seed 1 fails only at node 1's probe 14; all pass.
+    @example(exponent=-16.0)
+    @example(exponent=-15.8)
+    @example(exponent=-15.7)
+    def test_perturb_sigma_fails_exactly_when_a_probe_pair_does(self, exponent):
+        text = self.TEXT + f"probe.sampler = perturb\nprobe.perturb_sigma = {10 ** exponent!r}\n"
+
+        def probe(cfg, seed):
+            probe_phase(replace(cfg.scenario, seed=seed), node_datasets(cfg, seed)[1])
+
+        message, failed = self.outcomes(text, probe)
+        assert (message is not None) == failed
+        if failed:
+            assert message.startswith("line 9: probe.perturb_sigma: seed ")
+            assert "is below 1e-30; raise probe.perturb_sigma" in message
+
+    @pytest.mark.parametrize("per_class", range(30, 42))
+    def test_missing_class_split_fails_exactly_when_a_seed_runs_short(self, per_class):
+        text = self.TEXT + f"scenario.missing_classes = 2\ndata.samples_per_class = {per_class}\n"
+        message, failed = self.outcomes(text, node_datasets)
+        assert (message is not None) == failed
+        if failed:
+            assert message.startswith("line 8: scenario.missing_classes: seed ")
 
 
 class TestKeys:

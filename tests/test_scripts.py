@@ -1,4 +1,4 @@
-"""The experiment scripts print what ``fedbound run`` writes for the shipped configs."""
+"""scripts/selection_payoff.py selects what ``fedbound run`` selects and trains each subset."""
 
 import os
 import runpy
@@ -9,14 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from fedbound import cli, flsim
+from fedbound import flsim
 from fedbound.cli import main, node_datasets
 from fedbound.config import load_config
 from fedbound.csvio import read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 HETERO = ROOT / "configs" / "hetero_eight_nodes.cfg"
-COEFFICIENTS = ("pearson_mu", "pearson_L", "pearson_G", "spearman_mu", "spearman_L", "spearman_G")
 
 
 def run_script(name: str, *args: str) -> list[list[str]]:
@@ -35,22 +34,6 @@ def hetero_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("hetero") / "out"
     assert main(["run", "--config", str(HETERO), "--out", str(out)]) == 0
     return out
-
-
-def test_usefulness_correlation_prints_the_summary_coefficients(hetero_run):
-    header, columns = read_csv(hetero_run / "summary.csv", (None,) * 11)
-    summary = {
-        int(row[header.index("seed")]): [row[header.index(c)] for c in COEFFICIENTS]
-        for row in zip(*columns)
-    }
-    rows = [
-        line for line in run_script("usefulness_correlation.py", "--seeds", "1,2")
-        if line and line[0].isdigit()
-    ]
-    assert [int(line[0]) for line in rows] == [1, 2]
-    for line in rows:
-        expected = [format(float(cell), "+.3f") for cell in summary[int(line[0])]]
-        assert line[1:7] == expected
 
 
 def test_selection_payoff_selects_the_top_l_row(hetero_run):
@@ -92,17 +75,7 @@ def test_selection_payoff_probes_each_seed_once(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
-def test_run_scenarios_prints_one_row_per_scenario():
-    lines = run_script("run_scenarios.py", "--seeds", "1")
-    rows = [line[0] for line in lines if len(line) == 5 and line[1] == "1"]
-    assert rows == ["five_nodes", "ten_nodes", "five_nodes_missing_class"]
-
-
-@pytest.mark.parametrize("script, work", [
-    ("selection_payoff.py", (flsim, "probe_phase")),
-    ("usefulness_correlation.py", (cli, "run_one_seed")),
-    ("run_scenarios.py", (cli, "run_experiment")),
-])
+@pytest.mark.parametrize("script, work", [("selection_payoff.py", (flsim, "probe_phase"))])
 @pytest.mark.parametrize("seeds", ["1,1", "2,3,2", "abc", "1,2.5", "", ","])
 def test_bad_seeds_exit_2_before_any_work(monkeypatch, capsys, script, work, seeds):
     # Duplicate, non-integer and empty seed lists; no seed may start.
