@@ -19,11 +19,26 @@ from pathlib import Path
 import numpy as np
 
 from fedbound.analysis import select_nodes
-from fedbound.cli import _seed_list, node_datasets
+from fedbound.cli import node_datasets
 from fedbound.config import load_config
 from fedbound.flsim import probe_phase, training_phase
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    """``--seeds``: one or more distinct integers, comma-separated."""
+    try:
+        seeds = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("must name at least one seed")
+    twice = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if twice:
+        raise argparse.ArgumentTypeError(f"seed {twice[0]} is listed more than once")
+    return seeds
 
 
 def main() -> None:

@@ -1,6 +1,6 @@
 """Post-run analysis: node usefulness, constants-vs-usefulness correlations,
 gradient-magnitude CDFs, constant-driven node selection policies, and the
-rows of the tables that ``fedbound report`` prints for an output directory.
+per-run rows of an output directory's summary.csv and ``report`` tables.
 
 Selection uses nothing but the probed (mu, L, G) triples, so it requires no
 information about node dataset sizes or contents.
@@ -23,6 +23,19 @@ from .rng import spawn_rng
 
 SELECTION_POLICIES = ("top-L", "top-G", "bottom-mu", "random", "all")
 CONSTANT_NAMES = ("mu", "L", "G")
+SUMMARY_HEADER = (
+    "scenario",
+    "seed",
+    "final_train_loss",
+    "final_test_loss",
+    "final_bound",
+    "pearson_mu",
+    "spearman_mu",
+    "pearson_L",
+    "spearman_L",
+    "pearson_G",
+    "spearman_G",
+)
 
 
 def usefulness_from_rounds(deltas) -> np.ndarray:
@@ -199,11 +212,8 @@ def correlation_rows(inputs: ReportInputs) -> list[tuple[str, float, float, int]
     return rows
 
 
-def write_reports(
-    run_dir: Path | str, inputs: ReportInputs
-) -> list[tuple[str, float, float, int]]:
-    """Emit correlations.csv, cdf_probe.csv, cdf_training.csv, selection.csv,
-    and return the :func:`correlation_rows` written to correlations.csv.
+def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
+    """Emit correlations.csv, cdf_probe.csv, cdf_training.csv and selection.csv.
 
     Every table is built before the first is written, so a table that cannot
     be built leaves each file as it was."""
@@ -214,8 +224,7 @@ def write_reports(
         ";".join(str(i) for i in sorted(select_nodes(estimates, k, policy, rng_seed=inputs.seed)))
         for policy in SELECTION_POLICIES
     ]
-    rows = correlation_rows(inputs)
-    correlations = list(zip(*rows))
+    correlations = list(zip(*correlation_rows(inputs)))
     cdf_probe, cdf_training = _cdf_arrays(inputs.probe_g), _cdf_arrays(inputs.training_g)
     write_csv(run_dir / "correlations.csv", ("quantity", "pearson", "spearman", "n"), correlations)
     write_csv(run_dir / "cdf_probe.csv", ("value", "fraction"), cdf_probe)
@@ -225,28 +234,49 @@ def write_reports(
         ("policy", "k", "chosen"),
         (SELECTION_POLICIES, [k] * len(SELECTION_POLICIES), chosen),
     )
-    return rows
+
+
+def run_dirs(out_dir: Path | str) -> list[Path]:
+    """The ``<name>_seed<s>`` run directories of ``out_dir``; hidden ones
+    (a ``.tmp-`` staging or an ``.old-`` swapped-out directory) are skipped."""
+    paths = Path(out_dir).iterdir()
+    return [p for p in paths if p.is_dir() and re.fullmatch(r"[^.].*_seed-?[0-9]+", p.name)]
+
+
+def summary_row(run_dir: Path) -> tuple:
+    """A run directory's :data:`SUMMARY_HEADER` row: its ``config.txt``
+    scenario and seed, the last row of its ``rounds.csv``, and each
+    constant's Pearson and Spearman coefficients from ``correlations.csv``."""
+    name, seed, _ = read_echo(run_dir / "config.txt")
+    path = run_dir / "rounds.csv"
+    _, (_, *finals) = read_csv(path, (None, np.float64, np.float64, np.float64))
+    if not len(finals[0]):
+        raise ValueError(f"{path}: run has no rounds")
+    path = run_dir / "correlations.csv"
+    _, (quantity, pearson, spearman, _) = read_csv(path, (None, np.float64, np.float64, None))
+    if tuple(quantity) != CONSTANT_NAMES:
+        raise ValueError(f"{path}: quantities {list(quantity)} are not {list(CONSTANT_NAMES)}")
+    coefficients = (c for pair in zip(pearson, spearman) for c in pair)
+    return (name, seed, *(c[-1] for c in finals), *coefficients)
 
 
 def output_rows(out_dir: Path | str) -> list[tuple]:
-    """A row per ``<name>_seed<s>`` run directory of ``out_dir`` (hidden ones
-    skipped), sorted by (scenario, seed): its ``config.txt`` scenario and seed,
-    final train loss, test loss and bound, the Pearson then the Spearman
-    coefficients of mu, L and G, and the probe and training g medians."""
+    """A row per run directory of ``out_dir``, sorted by (scenario, seed): its
+    :func:`summary_row` with the Pearson coefficients before the Spearman ones,
+    then the probe and training g medians of its ``gtrace.csv``."""
     rows = []
-    for run_dir in Path(out_dir).iterdir():
-        if not (run_dir.is_dir() and re.fullmatch(r"[^.].*_seed-?[0-9]+", run_dir.name)):
-            continue
-        name, seed, _ = read_echo(run_dir / "config.txt")
-        path = run_dir / "rounds.csv"
-        _, (_, *finals) = read_csv(path, (None, np.float64, np.float64, np.float64))
-        if not len(finals[0]):
-            raise ValueError(f"{path}: run has no rounds")
-        path = run_dir / "correlations.csv"
-        _, (quantity, pearson, spearman, _) = read_csv(path, (None, np.float64, np.float64, None))
-        if tuple(quantity) != CONSTANT_NAMES:
-            raise ValueError(f"{path}: quantities {list(quantity)} are not {list(CONSTANT_NAMES)}")
+    for run_dir in run_dirs(out_dir):
+        row = summary_row(run_dir)
         _, (source, _, values) = read_csv(run_dir / "gtrace.csv", (None, None, np.float64))
         medians = [np.median(values[source == kind]) for kind in ("probe", "training")]
-        rows.append((name, seed, *(c[-1] for c in finals), *pearson, *spearman, *medians))
+        rows.append((*row[:5], *row[5::2], *row[6::2], *medians))
     return sorted(rows, key=lambda row: row[:2])
+
+
+def write_summary(out_dir: Path | str) -> None:
+    """Rewrite ``out_dir/summary.csv`` from the run directories beside it: a
+    :data:`SUMMARY_HEADER` row per run directory, sorted by (scenario, seed),
+    and only the header when there is none. It reads no ``gtrace.csv``."""
+    rows = sorted(map(summary_row, run_dirs(out_dir)), key=lambda row: row[:2])
+    columns = list(zip(*rows)) or [()] * len(SUMMARY_HEADER)
+    write_csv(Path(out_dir) / "summary.csv", SUMMARY_HEADER, columns)

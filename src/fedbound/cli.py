@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``      -- full pipeline: per-seed federated runs, analysis reports,
-                  and an aggregate summary.csv
+                  and a summary.csv of every run directory in the output
 * ``probe``    -- constants estimation only; prints per-node and global (mu, L, G)
 * ``report``   -- regenerate the analysis CSVs of a run directory, or print
                   the tables of the saved runs of an output directory
@@ -36,7 +36,6 @@ from .config import (
     load_config,
     preflight,
 )
-from .csvio import write_csv
 from .data import gen_synthetic, gen_synthetic_nodes, load_cifar10
 from .model import (
     Dataset,
@@ -48,20 +47,6 @@ from .model import (
     softmax_spec,
 )
 from .rng import derive_seed, normal_rows, permutation_rows, spawn_rng
-
-SUMMARY_HEADER = (
-    "scenario",
-    "seed",
-    "final_train_loss",
-    "final_test_loss",
-    "final_bound",
-    "pearson_mu",
-    "spearman_mu",
-    "pearson_L",
-    "spearman_L",
-    "pearson_G",
-    "spearman_G",
-)
 
 
 def node_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, list[Dataset]]:
@@ -127,42 +112,32 @@ def _replace_dir(tmp_dir: Path, final_dir: Path) -> None:
         shutil.rmtree(old_dir)
 
 
-def execute_seed(cfg: ExperimentConfig, seed: int) -> tuple:
-    """Run one seed, write its run directory atomically, return its summary row."""
+def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
+    """Run one seed and write its run directory atomically; a failure after
+    staging it as ``.tmp-<run>`` removes the staged directory."""
     run = run_one_seed(cfg, seed)
     run_name = f"{cfg.scenario_name}_seed{seed}"
     final_dir = cfg.output_dir / run_name
     tmp_dir = cfg.output_dir / f".tmp-{run_name}"
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
-    flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=run.config)))
-    inputs = replace(analysis.report_inputs_from_run(run), selection_k=cfg.selection_k)
-    correlations = analysis.write_reports(tmp_dir, inputs)
-    _replace_dir(tmp_dir, final_dir)
-
-    corr = {q: (p, s) for q, p, s, _ in correlations}
-    return (
-        cfg.scenario_name,
-        seed,
-        float(run.train_loss[-1]),
-        float(run.test_loss[-1]),
-        float(run.bound_value[-1]),
-        corr["mu"][0],
-        corr["mu"][1],
-        corr["L"][0],
-        corr["L"][1],
-        corr["G"][0],
-        corr["G"][1],
-    )
+    try:
+        flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=run.config)))
+        inputs = replace(analysis.report_inputs_from_run(run), selection_k=cfg.selection_k)
+        analysis.write_reports(tmp_dir, inputs)
+        _replace_dir(tmp_dir, final_dir)
+    except BaseException:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        raise
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
-    """Run every repeat seed, then write the aggregate summary.csv.
+    """Run every repeat seed, then rebuild summary.csv from the output directory.
 
-    Every seed runs, serial or parallel, even after one fails. summary.csv
-    then holds the rows of the seeds that completed (it is left alone if
-    none did), and a ``ValueError`` names the first seed that failed. The
-    first seed to save its run makes the output directory.
+    Every seed runs, serial or parallel, even after one fails. The first
+    seed to save its run makes the output directory, and
+    :func:`analysis.write_summary` then lists every run directory in it.
+    Last, a ``ValueError`` names the first seed that failed.
     """
     seeds = list(cfg.repeat_seeds)
     if parallel > 1 and len(seeds) > 1:
@@ -175,12 +150,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
             outcomes = [_outcome(future.result) for future in futures]
     else:
         outcomes = [_outcome(execute_seed, cfg, seed) for seed in seeds]
-    rows = sorted(
-        (row for row in outcomes if not isinstance(row, Exception)),
-        key=lambda row: (row[0], row[1]),
-    )
-    if rows:
-        write_csv(cfg.output_dir / "summary.csv", SUMMARY_HEADER, list(zip(*rows)))
+    if cfg.output_dir.is_dir():
+        analysis.write_summary(cfg.output_dir)
     failed = [(seed, exc) for seed, exc in zip(seeds, outcomes) if isinstance(exc, Exception)]
     if failed:
         seed, exc = failed[0]
@@ -352,21 +323,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _seed_list(text: str) -> tuple[int, ...]:
-    """The scripts' ``--seeds``: one or more distinct integers, comma-separated."""
-    try:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        message = f"expected comma-separated integers, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
-    if not seeds:
-        raise argparse.ArgumentTypeError("must name at least one seed")
-    twice = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if twice:
-        raise argparse.ArgumentTypeError(f"seed {twice[0]} is listed more than once")
-    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shlex
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -98,6 +100,49 @@ def tree_digest(out_dir: Path) -> str:
         h.update(name.encode("utf-8") + b"\0")
         h.update(data + b"\0")
     return h.hexdigest()
+
+
+def summary_from_run_dirs(out_dir: Path) -> list[str]:
+    """The lines of the summary.csv that the ``<name>_seed<s>`` run directories
+    of ``out_dir`` give, sorted by (scenario, seed): each row is the strings of
+    the last rounds.csv row and of correlations.csv, Pearson then Spearman per
+    constant."""
+    rows = []
+    for run_dir in out_dir.iterdir():
+        match = re.fullmatch(r"([^.].*)_seed(-?[0-9]+)", run_dir.name)
+        if not (run_dir.is_dir() and match):
+            continue
+        finals = (run_dir / "rounds.csv").read_text().splitlines()[-1].split(",")[1:]
+        correlations = (run_dir / "correlations.csv").read_text().splitlines()[1:]
+        coefficients = [cell for line in correlations for cell in line.split(",")[1:3]]
+        rows.append((match[1], int(match[2]), ",".join([*match.groups(), *finals, *coefficients])))
+    header = (
+        "scenario,seed,final_train_loss,final_test_loss,final_bound,"
+        "pearson_mu,spearman_mu,pearson_L,spearman_L,pearson_G,spearman_G"
+    )
+    return [header, *(line for *_, line in sorted(rows))]
+
+
+class FaultAt:
+    """Counts the file writes, renames and rmtrees of a ``run``; the
+    ``fail_at``-th of them raises instead of acting."""
+
+    CALLS = ((Path, "write_text"), (Path, "rename"), (os, "replace"), (shutil, "rmtree"))
+
+    def __init__(self, monkeypatch, fail_at: int | None = None):
+        self.calls = 0
+        self.fail_at = fail_at
+        for owner, name in self.CALLS:
+            monkeypatch.setattr(owner, name, self.wrap(getattr(owner, name)))
+
+    def wrap(self, call):
+        def faulty(*args, **kwargs):
+            self.calls += 1
+            if self.calls == self.fail_at:
+                raise OSError(f"injected fault in {call.__name__}")
+            return call(*args, **kwargs)
+
+        return faulty
 
 
 _execute_seed = cli.execute_seed
@@ -223,9 +268,104 @@ class TestRunCommand:
         monkeypatch.setattr(Path, "rename", failing_rename)
         assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
         monkeypatch.undo()
-        after = {name: data for name, data in read_tree(out).items() if ".tmp-" not in name}
-        assert after == before
-        assert not any(p.name.startswith(".old-") for p in out.iterdir())
+        assert read_tree(out) == before
+        assert not any(p.name.startswith((".old-", ".tmp-")) for p in out.iterdir())
+
+    def test_failed_seed_removes_its_staging_directory(self, tiny_config, tmp_path, monkeypatch):
+        def failing_write_reports(run_dir, inputs):
+            raise ValueError("reports went wrong")
+
+        monkeypatch.setattr(cli.analysis, "write_reports", failing_write_reports)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+
+    @pytest.mark.parametrize("before", ["fresh", "rerun"])
+    def test_any_single_fault_leaves_a_consistent_output_dir(
+        self, tiny_config, tmp_path, monkeypatch, before
+    ):
+        # A fresh output directory, or one that a clean run filled, so that
+        # the swap's moves aside and deletions are hit too.
+        argv = ["run", "--config", str(tiny_config), "--out"]
+        clean = tmp_path / "clean"
+        assert main([*argv, str(clean)]) == 0
+        expected = read_tree(clean)
+        with monkeypatch.context() as patch:
+            counter = FaultAt(patch)
+            assert main([*argv, str(clean if before == "rerun" else tmp_path / "counted")]) == 0
+        assert read_tree(clean) == expected
+        assert counter.calls >= 40
+        for k in range(1, counter.calls + 1):
+            out = tmp_path / f"fault{k}"
+            if before == "rerun":
+                shutil.copytree(clean, out)
+            with monkeypatch.context() as patch:
+                FaultAt(patch, fail_at=k)
+                assert main([*argv, str(out)]) == 1, k
+            assert not any(p.name.startswith(".tmp-") for p in out.iterdir()), k
+            summary = out / "summary.csv"
+            if summary.exists():
+                assert summary.read_text().splitlines() == summary_from_run_dirs(out), k
+            assert main([*argv, str(out)]) == 0
+            assert read_tree(out) == expected, k
+
+    def test_two_configs_in_one_output_dir_share_one_summary(self, tiny_config, tmp_path):
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY + "scenario.name = other\nscenario.rounds = 3\nrepeat_seeds = 5,2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(other), "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines == summary_from_run_dirs(out)
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["other", "2"], ["other", "5"], ["tiny", "1"], ["tiny", "2"]
+        ]
+
+    def test_unreadable_run_dir_fails_naming_the_file_after_every_seed(
+        self, tiny_config, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        rounds = out / "stray_seed7" / "rounds.csv"
+        rounds.parent.mkdir(parents=True)
+        (rounds.parent / "config.txt").write_text("scenario.name = stray\nscenario.seed = 7\n")
+        rounds.write_text("t,train_loss,test_loss,bound_value\n")
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {rounds}: run has no rounds\n"
+        assert sorted(p.name for p in out.iterdir()) == ["stray_seed7", "tiny_seed1", "tiny_seed2"]
+
+    def test_next_run_repairs_the_summary_of_a_killed_rerun(
+        self, tiny_config, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+        longer = tmp_path / "longer.cfg"
+        longer.write_text(TINY + "scenario.rounds = 4\n")
+        # The rerun is killed once its first seed's run directory is swapped in.
+        code = (
+            "import os, signal, sys\n"
+            "from fedbound import cli\n"
+            "swap = cli._replace_dir\n"
+            "def swap_then_die(*args):\n"
+            "    swap(*args)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "cli._replace_dir = swap_then_die\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        killed = subprocess.run(
+            [sys.executable, "-c", code, "run", "--config", str(longer), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=120,
+        )
+        assert killed.returncode == -signal.SIGKILL
+        rounds = [(out / f"tiny_seed{s}" / "rounds.csv").read_text().count("\n") for s in (1, 2)]
+        assert rounds == [5, 3]
+        assert (out / "summary.csv").read_text().splitlines() != summary_from_run_dirs(out)
+        # The next run, of seed 2 alone, rebuilds summary.csv from both run directories.
+        monkeypatch.setenv("FEDBOUND_SEED", "2")
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines == summary_from_run_dirs(out)
+        assert len(lines) == 3
 
     def test_swap_cut_off_midway_is_recovered(self, tiny_config, tmp_path):
         # A run moved aside by a swap that never finished is the last good one.
