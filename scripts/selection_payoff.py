@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from fedbound.analysis import select_nodes
-from fedbound.cli import node_datasets
 from fedbound.config import load_config
-from fedbound.flsim import probe_phase, training_phase
+from fedbound.flsim import node_datasets, probe_phase, training_phase
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
 
@@ -55,7 +54,7 @@ def main() -> None:
     chosen_losses, rest_losses = [], []
     for seed in args.seeds:
         scenario = replace(cfg.scenario, seed=seed)
-        test_data, nodes = node_datasets(cfg, seed)
+        test_data, nodes = node_datasets(cfg.dataset, scenario)
         w1, _, node_constants, _ = probe_phase(scenario, nodes)
         selected = select_nodes(node_constants, cfg.selection_k, args.policy, rng_seed=seed)
         rest = set(range(len(nodes))) - selected

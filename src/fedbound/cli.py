@@ -28,15 +28,7 @@ import numpy as np
 
 from . import analysis, flsim, probe
 from .bound import BoundParams, convergence_bound
-from .config import (
-    CifarSource,
-    ConfigError,
-    ExperimentConfig,
-    echo_lines,
-    load_config,
-    preflight,
-)
-from .data import gen_synthetic, gen_synthetic_nodes, load_cifar10
+from .config import ConfigError, ExperimentConfig, echo_lines, load_config, preflight
 from .model import (
     Dataset,
     finite_difference_gradient,
@@ -46,33 +38,7 @@ from .model import (
     quadratic_spec,
     softmax_spec,
 )
-from .rng import derive_seed, normal_rows, permutation_rows, spawn_rng
-
-
-def node_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, list[Dataset]]:
-    """The test set and the per-node training sets of one seed.
-
-    CIFAR-10 and a synthetic pool without per-node knobs are partitioned;
-    a synthetic spec with per-node knobs generates each node on its own,
-    with a test set sized so it makes up ``test_fraction`` of all rows.
-    """
-    scenario = cfg.scenario
-    if isinstance(cfg.dataset, CifarSource):
-        data = load_cifar10(cfg.dataset.path, cfg.dataset.pool, cfg.dataset.grayscale)
-    elif cfg.dataset.has_node_knobs:
-        total_train = scenario.n_nodes * scenario.samples_per_node
-        frac = scenario.test_fraction
-        return gen_synthetic_nodes(
-            cfg.dataset,
-            scenario.n_nodes,
-            scenario.samples_per_node,
-            max(1, int(round(frac / (1.0 - frac) * total_train))),
-            seed,
-            scenario.missing_classes,
-        )
-    else:
-        data = gen_synthetic(cfg.dataset, seed)
-    return flsim.partition_dataset(data, scenario, derive_seed(seed, "partition"))
+from .rng import normal_rows, permutation_rows, spawn_rng
 
 
 def run_one_seed(cfg: ExperimentConfig, seed: int) -> flsim.FLRun:
@@ -81,18 +47,21 @@ def run_one_seed(cfg: ExperimentConfig, seed: int) -> flsim.FLRun:
     scenario = replace(cfg.scenario, seed=seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        run = flsim.run_federated_partitioned(scenario, *node_datasets(cfg, seed))
+        test_data, nodes = flsim.node_datasets(cfg.dataset, scenario)
+        run = flsim.run_federated_partitioned(scenario, test_data, nodes)
     for warning in caught:
         print(f"warning: seed {seed}: {warning.message}", file=sys.stderr)
     return run
 
 
-def _replace_dir(tmp_dir: Path, final_dir: Path) -> None:
+def _replace_dir(tmp_dir: Path, final_dir: Path) -> Path:
     """Rename ``tmp_dir`` to ``final_dir``; a previous ``final_dir`` survives a failed swap.
 
-    The previous directory is moved aside first and deleted only once the
-    new one is in place. One left aside by a swap that was cut off is the
-    last complete run, so it goes back first if ``final_dir`` is missing.
+    The previous directory is moved aside first; the path it was moved to is
+    returned, for the caller to delete once the new one is in place. One left
+    aside by an earlier swap goes first: deleted if ``final_dir`` exists, and
+    otherwise put back, since it is the last complete run of a swap that was
+    cut off.
     """
     old_dir = final_dir.with_name(f".old-{final_dir.name}")
     if old_dir.exists():
@@ -108,13 +77,14 @@ def _replace_dir(tmp_dir: Path, final_dir: Path) -> None:
         if old_dir.exists():
             old_dir.rename(final_dir)
         raise
-    if old_dir.exists():
-        shutil.rmtree(old_dir)
+    return old_dir
 
 
 def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
     """Run one seed and write its run directory atomically; a failure after
-    staging it as ``.tmp-<run>`` removes the staged directory."""
+    staging it as ``.tmp-<run>`` removes the staged directory. Once the new
+    directory is in place, a previous one that cannot be deleted only warns:
+    the next swap of the run deletes it."""
     run = run_one_seed(cfg, seed)
     run_name = f"{cfg.scenario_name}_seed{seed}"
     final_dir = cfg.output_dir / run_name
@@ -125,10 +95,15 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
         flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=run.config)))
         inputs = replace(analysis.report_inputs_from_run(run), selection_k=cfg.selection_k)
         analysis.write_reports(tmp_dir, inputs)
-        _replace_dir(tmp_dir, final_dir)
+        old_dir = _replace_dir(tmp_dir, final_dir)
     except BaseException:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         raise
+    if old_dir.exists():
+        try:
+            shutil.rmtree(old_dir)
+        except OSError as exc:
+            print(f"warning: seed {seed}: could not remove {old_dir}: {exc}", file=sys.stderr)
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
@@ -177,9 +152,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = _load_config_with_env(args.config)
-    seed = cfg.repeat_seeds[0]
-    _, nodes = node_datasets(cfg, seed)
-    _, _, node_constants, agg = flsim.probe_phase(replace(cfg.scenario, seed=seed), nodes)
+    scenario = replace(cfg.scenario, seed=cfg.repeat_seeds[0])
+    _, nodes = flsim.node_datasets(cfg.dataset, scenario)
+    _, _, node_constants, agg = flsim.probe_phase(scenario, nodes)
     for i, est in enumerate(node_constants):
         print(f"node {i}: mu={est.mu:.9g} L={est.L:.9g} G={est.G:.9g} n_probes={est.n_probes}")
     print(f"global: mu={agg.mu:.9g} L={agg.L:.9g} G={agg.G:.9g} n_probes={agg.n_probes}")
@@ -306,11 +281,7 @@ def _load_config_with_env(path: str) -> ExperimentConfig:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"FEDBOUND_SEED must be an integer, got {env_seed!r}") from None
-        cfg = replace(
-            cfg,
-            scenario=replace(cfg.scenario, seed=seed),
-            repeat_seeds=(seed,),
-        )
+        cfg = replace(cfg, repeat_seeds=(seed,))
     preflight(cfg, path)
     return cfg
 

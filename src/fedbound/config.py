@@ -18,11 +18,10 @@ from pathlib import Path
 from typing import Any
 
 from .csvio import fmt_value
-from .data import SyntheticSpec, class_centers, gen_synthetic
-from .flsim import ScenarioConfig, held_out_size, partition_dataset, probe_setup
+from .data import CifarSource, SyntheticSpec, class_centers
+from .flsim import ScenarioConfig, held_out_size, node_datasets, probe_setup
 from .model import ModelSpec
 from .probe import ProbeFailure, check_probe_pairs
-from .rng import derive_seed
 
 
 class ConfigError(ValueError):
@@ -32,22 +31,6 @@ class ConfigError(ValueError):
         location = f"line {line}: " if line is not None else ""
         super().__init__(f"{location}{message}")
         self.line = line
-
-
-@dataclass(frozen=True)
-class CifarSource:
-    path: Path
-    pool: int = 1
-    grayscale: bool = False
-    num_classes = 10  # a class attribute, not a field
-
-    def __post_init__(self):
-        if self.pool < 1 or 32 % self.pool != 0:
-            raise ValueError(f"pool {self.pool} must divide 32")
-
-    @property
-    def feature_dim(self) -> int:
-        return (1 if self.grayscale else 3) * (32 // self.pool) ** 2
 
 
 @dataclass(frozen=True)
@@ -356,8 +339,9 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
     some seed of ``cfg`` cannot run past its set-up.
 
     Each seed draws what its run draws first, with the run's own code: the
-    synthetic class centers, the test split of a shared pool that missing
-    classes filter, and every ``perturb`` probe pair with its redraws. The
+    synthetic class centers, the split of a shared pool that missing classes
+    filter (:func:`flsim.node_datasets`, the run's own builder), and every
+    ``perturb`` probe pair with its redraws. The
     seeds are known only once ``FEDBOUND_SEED`` has been applied, so
     :func:`load_config` does not call it.
     """
@@ -376,8 +360,7 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
                 ) from exc
             if scenario.missing_classes and not cfg.dataset.has_node_knobs:
                 try:
-                    data = gen_synthetic(cfg.dataset, seed)
-                    partition_dataset(data, scenario, derive_seed(seed, "partition"))
+                    node_datasets(cfg.dataset, scenario)
                 except ValueError as exc:
                     raise raw.error(
                         s["missing_classes"].name,

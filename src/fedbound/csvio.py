@@ -3,7 +3,8 @@
 All reports share one rendering rule -- floats at 9 significant digits,
 LF line endings -- so repeated runs of the same experiment produce
 byte-identical files. Each file is written under a temporary name and then
-renamed into place, so a crash never leaves a half-written CSV.
+renamed into place, so a crash never leaves a half-written CSV; a failed
+write or rename removes the temporary file.
 
 Tables travel as columns, both ways: :func:`write_csv` takes one sequence
 per header field, and :func:`read_csv` returns one typed array per field,
@@ -61,8 +62,12 @@ def write_csv(path: Path | str, header: Sequence[str], columns: Sequence[Sequenc
     body = ((",".join(formats) + "\n") * n_rows) % tuple(flat)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path: Path | str, dtypes: Sequence) -> tuple[list[str], list[np.ndarray]]:

@@ -31,6 +31,24 @@ class CifarFormatError(ValueError):
 
 
 @dataclass(frozen=True)
+class CifarSource:
+    """CIFAR-10 binary batches at ``path``, as :func:`load_cifar10` reads them."""
+
+    path: Path
+    pool: int = 1
+    grayscale: bool = False
+    num_classes = CIFAR_CLASSES  # a class attribute, not a field
+
+    def __post_init__(self):
+        if self.pool < 1 or CIFAR_SIDE % self.pool != 0:
+            raise ValueError(f"pool {self.pool} must divide {CIFAR_SIDE}")
+
+    @property
+    def feature_dim(self) -> int:
+        return (1 if self.grayscale else 3) * (CIFAR_SIDE // self.pool) ** 2
+
+
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Gaussian class clusters inside [0, 1]^d.
 

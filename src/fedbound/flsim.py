@@ -34,6 +34,7 @@ import numpy as np
 
 from .bound import BoundParams, convergence_bound, estimate_initial_distance
 from .csvio import write_csv
+from .data import CifarSource, SyntheticSpec, gen_synthetic, gen_synthetic_nodes, load_cifar10
 from .model import (
     Dataset,
     ModelSpec,
@@ -185,6 +186,29 @@ def partition_dataset(
         for i in range(cfg.n_nodes)
     ]
     return data.subset(test_idx), nodes
+
+
+def node_datasets(
+    source: SyntheticSpec | CifarSource, cfg: ScenarioConfig
+) -> tuple[Dataset, list[Dataset]]:
+    """The test set and the per-node training sets of a run of ``cfg``.
+
+    CIFAR-10 and a synthetic pool without per-node knobs are partitioned;
+    a synthetic spec with per-node knobs generates each node on its own,
+    with a test set sized so it makes up ``test_fraction`` of all rows.
+    """
+    if isinstance(source, CifarSource):
+        data = load_cifar10(source.path, source.pool, source.grayscale)
+    elif source.has_node_knobs:
+        total_train = cfg.n_nodes * cfg.samples_per_node
+        frac = cfg.test_fraction
+        n_test = max(1, int(round(frac / (1.0 - frac) * total_train)))
+        return gen_synthetic_nodes(
+            source, cfg.n_nodes, cfg.samples_per_node, n_test, cfg.seed, cfg.missing_classes
+        )
+    else:
+        data = gen_synthetic(source, cfg.seed)
+    return partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
 
 
 def fedavg(models) -> ParamVector:

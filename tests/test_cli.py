@@ -125,13 +125,15 @@ def summary_from_run_dirs(out_dir: Path) -> list[str]:
 
 class FaultAt:
     """Counts the file writes, renames and rmtrees of a ``run``; the
-    ``fail_at``-th of them raises instead of acting."""
+    ``fail_at``-th of them raises instead of acting, and ``failed`` holds its
+    name and arguments."""
 
     CALLS = ((Path, "write_text"), (Path, "rename"), (os, "replace"), (shutil, "rmtree"))
 
     def __init__(self, monkeypatch, fail_at: int | None = None):
         self.calls = 0
         self.fail_at = fail_at
+        self.failed = None
         for owner, name in self.CALLS:
             monkeypatch.setattr(owner, name, self.wrap(getattr(owner, name)))
 
@@ -139,6 +141,7 @@ class FaultAt:
         def faulty(*args, **kwargs):
             self.calls += 1
             if self.calls == self.fail_at:
+                self.failed = (call.__name__, args)
                 raise OSError(f"injected fault in {call.__name__}")
             return call(*args, **kwargs)
 
@@ -300,14 +303,47 @@ class TestRunCommand:
             if before == "rerun":
                 shutil.copytree(clean, out)
             with monkeypatch.context() as patch:
-                FaultAt(patch, fail_at=k)
-                assert main([*argv, str(out)]) == 1, k
+                fault = FaultAt(patch, fail_at=k)
+                status = main([*argv, str(out)])
+            # Only deleting the previous run, once the new one is in place, fails softly.
+            name, args = fault.failed
+            soft = name == "rmtree" and Path(args[0]).name.startswith(".old-")
+            assert status == (0 if soft else 1), k
             assert not any(p.name.startswith(".tmp-") for p in out.iterdir()), k
+            assert not [p for p in out.rglob(".*.tmp")], k
             summary = out / "summary.csv"
             if summary.exists():
                 assert summary.read_text().splitlines() == summary_from_run_dirs(out), k
             assert main([*argv, str(out)]) == 0
             assert read_tree(out) == expected, k
+
+    def test_previous_run_that_cannot_be_deleted_only_warns(
+        self, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+        longer = tmp_path / "longer.cfg"
+        longer.write_text(TINY + "scenario.rounds = 3\n")
+        rmtree = shutil.rmtree
+
+        def failing_rmtree(path, *args, **kwargs):
+            if Path(path).name == ".old-tiny_seed1":
+                raise OSError("device busy")
+            return rmtree(path, *args, **kwargs)
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(shutil, "rmtree", failing_rmtree)
+            assert main(["run", "--config", str(longer), "--out", str(out)]) == 0
+        old = out / ".old-tiny_seed1"
+        assert capsys.readouterr().err == (
+            f"warning: seed 1: could not remove {old}: device busy\n"
+        )
+        assert (old / "rounds.csv").read_text().count("\n") == 3
+        assert (out / "tiny_seed1" / "rounds.csv").read_text().count("\n") == 4
+        assert (out / "summary.csv").read_text().splitlines() == summary_from_run_dirs(out)
+        assert main(["run", "--config", str(longer), "--out", str(out)]) == 0
+        assert not any(p.name.startswith(".old-") for p in out.iterdir())
 
     def test_two_configs_in_one_output_dir_share_one_summary(self, tiny_config, tmp_path):
         other = tmp_path / "other.cfg"
@@ -827,6 +863,7 @@ class TestAtomicCsv:
         with pytest.raises(OSError):
             write_csv(path, ("a", "b"), ([3], [4.5]))
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
 def readme_commands() -> list[list[str]]:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import re
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +17,6 @@ from fedbound import config
 from fedbound.analysis import report_inputs_from_dir
 from fedbound.config import (
     KNOWN_KEYS,
-    CifarSource,
     ConfigError,
     build_experiment_config,
     echo_lines,
@@ -22,8 +24,9 @@ from fedbound.config import (
     parse_config_text,
     preflight,
 )
-from fedbound.cli import node_datasets
-from fedbound.flsim import PROBE_SAMPLER_KINDS, probe_phase
+from fedbound.cli import main, run_one_seed
+from fedbound.data import CifarSource
+from fedbound.flsim import PROBE_SAMPLER_KINDS, node_datasets, probe_phase
 from fedbound.probe import G_FORMULAS, ProbeFailure
 
 GOOD = """\
@@ -347,7 +350,8 @@ class TestPreflight:
         text = self.TEXT + f"probe.sampler = perturb\nprobe.perturb_sigma = {10 ** exponent!r}\n"
 
         def probe(cfg, seed):
-            probe_phase(replace(cfg.scenario, seed=seed), node_datasets(cfg, seed)[1])
+            scenario = replace(cfg.scenario, seed=seed)
+            probe_phase(scenario, node_datasets(cfg.dataset, scenario)[1])
 
         message, failed = self.outcomes(text, probe)
         assert (message is not None) == failed
@@ -358,7 +362,11 @@ class TestPreflight:
     @pytest.mark.parametrize("per_class", range(30, 42))
     def test_missing_class_split_fails_exactly_when_a_seed_runs_short(self, per_class):
         text = self.TEXT + f"scenario.missing_classes = 2\ndata.samples_per_class = {per_class}\n"
-        message, failed = self.outcomes(text, node_datasets)
+
+        def run_one_round(cfg, seed):
+            run_one_seed(replace(cfg, scenario=replace(cfg.scenario, rounds=1)), seed)
+
+        message, failed = self.outcomes(text, run_one_round)
         assert (message is not None) == failed
         if failed:
             assert message.startswith("line 8: scenario.missing_classes: seed ")
@@ -418,21 +426,25 @@ def floats(lo, hi):
 
 
 @st.composite
-def config_texts(draw) -> str:
-    """A valid config that sets every key a run's config.txt echoes."""
+def config_texts(draw, tiny: bool = False) -> str:
+    """A valid config that sets every key a run's config.txt echoes.
+
+    A ``tiny`` one runs in milliseconds: a synthetic source of 100 rows per
+    class, at most 20 rows per node, 3 rounds and 8 probes.
+    """
     n_nodes = draw(st.integers(1, 5))
-    per_node = draw(st.integers(1, 50))
+    per_node = draw(st.integers(1, 20 if tiny else 50))
     values = {
         "scenario.name": draw(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)),
         "scenario.n_nodes": n_nodes,
         "scenario.samples_per_node": per_node,
-        "scenario.rounds": draw(st.integers(1, 100)),
+        "scenario.rounds": draw(st.integers(1, 3 if tiny else 100)),
         "scenario.lr": draw(floats(0.0, 10.0)),
         "scenario.batch_size": draw(st.integers(1, per_node)),
         "scenario.local_epochs_per_round": draw(st.integers(1, 3)),
         "scenario.test_fraction": draw(floats(0.01, 0.5)),
         "scenario.seed": draw(st.integers(0, 2**63 - 1)),
-        "probe.n_probes": draw(st.integers(2, 500)),
+        "probe.n_probes": draw(st.integers(2, 8 if tiny else 500)),
         "probe.sampler": draw(st.sampled_from(PROBE_SAMPLER_KINDS)),
         "probe.perturb_sigma": draw(st.floats(0.0, 5.0, exclude_min=True)),
         "probe.g_formula": draw(st.sampled_from(G_FORMULAS)),
@@ -445,7 +457,7 @@ def config_texts(draw) -> str:
     }
     if draw(st.booleans()):
         values["selection.k"] = draw(st.integers(1, n_nodes))
-    if draw(st.booleans()):
+    if not tiny and draw(st.booleans()):
         values["data.source"] = "cifar10"
         path = st.from_regex(r"(/|\./)?[a-z]{1,6}(/[a-z_]{1,6}){0,2}", fullmatch=True)
         values["data.cifar_path"] = draw(path)
@@ -453,11 +465,12 @@ def config_texts(draw) -> str:
         values["data.cifar_grayscale"] = draw(st.sampled_from(["true", "false"]))
         num_classes = 10
     else:
-        # 1000 rows per class fill five nodes of 50 even with half held out.
+        # 1000 rows per class fill five nodes of 50 even with half held out,
+        # and 100 fill five of 20.
         num_classes = draw(st.integers(2, 6))
         values["data.num_classes"] = num_classes
         values["data.feature_dim"] = draw(st.integers(1, 16))
-        values["data.samples_per_class"] = 1000
+        values["data.samples_per_class"] = 100 if tiny else 1000
         values["data.separation"] = draw(floats(0.01, 5.0))
         values["data.noise_sigma"] = draw(floats(0.01, 1.0))
         knobs = {
@@ -558,3 +571,48 @@ class TestEcho:
                 # "()" is an empty list.
                 assert listed[key.name] is not None, key.name
                 assert key.parse(listed[key.name]) == key.default, key.name
+
+
+# The causes a seed of a config that loaded may fail with: a number that
+# went non-finite in SGD, in a round's losses or usefulness, or in a probe.
+NUMERIC_FAILURE = re.compile(
+    r"error: seed \d+ failed: (SGD left non-finite parameters after \d+ steps"
+    r"|losses must be finite|usefulness must be finite"
+    r"|probe \d+ failed: probe values must be finite)"
+)
+
+
+class TestGeneratedConfigs:
+    @given(text=config_texts(tiny=True))
+    @settings(max_examples=100, deadline=None)
+    def test_a_config_that_loads_runs_or_fails_at_load_naming_its_line(self, text):
+        sys.path.insert(0, str(REPO / "perfbench"))
+        try:
+            from checks import check_run_dir
+        finally:
+            sys.path.remove(str(REPO / "perfbench"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.cfg", Path(tmp) / "out"
+            path.write_text(text)
+            stderr = io.StringIO()
+            with (
+                warnings.catch_warnings(),
+                contextlib.redirect_stdout(io.StringIO()),
+                contextlib.redirect_stderr(stderr),
+            ):
+                # A plain run prints numpy's overflow warnings; tier-1 makes them
+                # errors. An exception that main lets through fails the example.
+                warnings.simplefilter("default", RuntimeWarning)
+                status = main(["run", "--config", str(path), "--out", str(out)])
+            err = stderr.getvalue()
+            if status == 0:
+                run_dirs = [d for d in out.iterdir() if d.is_dir()]
+                assert len(run_dirs) == 1
+                assert check_run_dir(run_dirs[0]) == []
+            elif status == 2:
+                assert re.match(r"config error: line \d+: ", err), err
+                assert not out.exists()
+            else:
+                assert status == 1
+                assert NUMERIC_FAILURE.fullmatch(err.splitlines()[-1]), err
+                assert not out.exists()

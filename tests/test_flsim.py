@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbound import flsim
-from fedbound.cli import node_datasets
 from fedbound.config import ExperimentConfig, echo_lines, load_config
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
@@ -532,8 +531,8 @@ def test_repeated_probe_phase_takes_almost_no_page_faults():
     import resource
 
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
-    _, nodes = node_datasets(cfg, 1)
     scenario = replace(cfg.scenario, seed=1)
+    _, nodes = flsim.node_datasets(cfg.dataset, scenario)
     probe_phase(scenario, nodes)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     probe_phase(scenario, nodes)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fedbound import flsim
-from fedbound.cli import main, node_datasets
+from fedbound.cli import main
 from fedbound.config import load_config
 from fedbound.csvio import read_csv
 
@@ -48,7 +48,7 @@ def test_selection_payoff_selects_the_top_l_row(hetero_run):
 
 def test_selection_payoff_losses_are_engine_runs_on_each_subset():
     cfg = load_config(HETERO)
-    test_data, nodes = node_datasets(cfg, 1)
+    test_data, nodes = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=1))
     rows = [line for line in run_script("selection_payoff.py", "--seeds", "1") if line[:1] == ["1"]]
     selected = [int(i) for i in rows[0][1].split(",")]
     rest = sorted(set(range(len(nodes))) - set(selected))
