@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, probe.ProbeFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

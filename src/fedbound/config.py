@@ -341,9 +341,8 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
     Each seed draws what its run draws first, with the run's own code: the
     synthetic class centers, the split of a shared pool that missing classes
     filter (:func:`flsim.node_datasets`, the run's own builder), and every
-    ``perturb`` probe pair with its redraws. The
-    seeds are known only once ``FEDBOUND_SEED`` has been applied, so
-    :func:`load_config` does not call it.
+    ``perturb`` probe pair. The seeds are known only once ``FEDBOUND_SEED``
+    has been applied, so :func:`load_config` does not call it.
     """
     raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
     s, d = _SCENARIO_KEYS, _SYNTHETIC_KEYS

@@ -27,7 +27,13 @@ class CifarFormatError(ValueError):
 
     def __init__(self, path, byte_offset: int, reason: str):
         super().__init__(f"{path}: {reason} (byte offset {byte_offset})")
+        self.path = path
         self.byte_offset = byte_offset
+        self.reason = reason
+
+    def __reduce__(self):
+        # A parallel run's worker process sends its failure back pickled.
+        return type(self), (self.path, self.byte_offset, self.reason)
 
 
 @dataclass(frozen=True)
@@ -200,22 +206,20 @@ def _parse_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return pixels, labels
 
 
-def load_cifar10(path: Path | str, pool: int = 1, grayscale: bool = False) -> Dataset:
+def load_cifar10(source: CifarSource) -> Dataset:
     """Load CIFAR-10 binary batches (3073-byte records: label, then R/G/B planes).
 
-    ``path`` may be one .bin file or a directory of them. Pixels are scaled
-    to [0, 1]; optional average pooling by ``pool`` and channel-mean
-    grayscaling shrink the feature vector for desk-scale runs.
+    ``source.path`` may be one .bin file or a directory of them. Pixels are
+    scaled to [0, 1]; optional average pooling by ``source.pool`` and
+    channel-mean grayscaling shrink the feature vector for desk-scale runs.
     """
-    path = Path(path)
+    path, pool = Path(source.path), source.pool
     if path.is_dir():
         files = sorted(path.glob("*.bin"))
         if not files:
             raise FileNotFoundError(f"no .bin files under {path}")
     else:
         files = [path]
-    if pool < 1 or CIFAR_SIDE % pool != 0:
-        raise ValueError(f"pool must divide {CIFAR_SIDE}")
 
     all_pixels = []
     all_labels = []
@@ -226,7 +230,7 @@ def load_cifar10(path: Path | str, pool: int = 1, grayscale: bool = False) -> Da
     pixels = np.concatenate(all_pixels).astype(np.float64) / 255.0
     labels = np.concatenate(all_labels)
 
-    if grayscale:
+    if source.grayscale:
         pixels = pixels.mean(axis=1, keepdims=True)
     if pool > 1:
         n, c, side, _ = pixels.shape

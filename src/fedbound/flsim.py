@@ -198,7 +198,7 @@ def node_datasets(
     with a test set sized so it makes up ``test_fraction`` of all rows.
     """
     if isinstance(source, CifarSource):
-        data = load_cifar10(source.path, source.pool, source.grayscale)
+        data = load_cifar10(source)
     elif source.has_node_knobs:
         total_train = cfg.n_nodes * cfg.samples_per_node
         frac = cfg.test_fraction

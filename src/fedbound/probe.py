@@ -13,7 +13,6 @@ estimate takes the worst case of per-node estimates in every coordinate.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,10 @@ from .model import (
     init_scales,
     param_dim,
 )
-from .rng import derive_seeds, normal_rows, spawn_rng
+from .rng import derive_seeds, normal_rows
 
-# Below this squared distance a pair is useless for the m formula; pairs are
-# redrawn rather than divided through.
+# Below this squared distance a pair is useless for the m formula: its probe
+# fails rather than divide rounding noise through.
 DEGENERATE_SQ_DIST = 1e-30
 
 G_FORMULAS = ("gradient-norm", "loss-magnitude")
@@ -45,7 +44,7 @@ STACK_ELEMENTS = 1 << 18
 
 
 class DegeneratePairError(ValueError):
-    """Raised when u and v (nearly) coincide and cannot be separated."""
+    """Raised when u and v (nearly) coincide."""
 
 
 class ProbeFailure(RuntimeError):
@@ -54,6 +53,11 @@ class ProbeFailure(RuntimeError):
     def __init__(self, probe_index: int, reason: str):
         super().__init__(f"probe {probe_index} failed: {reason}")
         self.probe_index = probe_index
+        self.reason = reason
+
+    def __reduce__(self):
+        # A parallel run's worker process sends its failure back pickled.
+        return type(self), (self.probe_index, self.reason)
 
 
 @dataclass(frozen=True)
@@ -103,25 +107,9 @@ class GaussianPerturbationSampler:
         return _check_params(spec, self.center) + self.sigma * z
 
 
-# A sampler is an affine map of standard normals; draw_probe_pair and
-# collect_probes draw the normals from the probe's own stream.
+# A sampler is an affine map of standard normals; collect_probes draws the
+# normals from the probe's own stream.
 ProbeSampler = InitDistributionSampler | GaussianPerturbationSampler
-
-
-def draw_probe_pair(
-    spec: ModelSpec, sampler: ProbeSampler, rng_seed: int
-) -> tuple[ParamVector, ParamVector]:
-    """Two distinct random parameter vectors; v is redrawn on collision."""
-    rng = spawn_rng("probe-pair", rng_seed)
-    dim = param_dim(spec)
-    u = sampler.map(spec, rng.standard_normal(dim))
-    v = sampler.map(spec, rng.standard_normal(dim))
-    for _ in range(100):
-        diff = u - v
-        if diff @ diff >= DEGENERATE_SQ_DIST:
-            return u, v
-        v = sampler.map(spec, rng.standard_normal(dim))
-    raise DegeneratePairError("sampler keeps producing coincident pairs")
 
 
 def _pair_values(spec: ModelSpec, U: np.ndarray, V: np.ndarray, data: Dataset):
@@ -182,12 +170,11 @@ def _draw_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``(P, dim)`` stacks U and V of the probes with these seeds.
 
-    Row p is ``draw_probe_pair(spec, sampler, seeds[p])``: both vectors are
-    mapped from one :func:`normal_rows` row of ``2 * dim`` standard normals,
-    and only a degenerate row is redrawn, through ``draw_probe_pair``, which
-    replays the same first pair. A row still degenerate after its redraws
-    stays as drawn, for :func:`_stack_samples` to reject. A sampler that does
-    not map the stack to ``(P, dim)`` stacks raises ``ValueError``.
+    Row p maps the first and second ``dim`` normals of one :func:`normal_rows`
+    row of ``2 * dim``, drawn from the ``probe-pair`` stream of ``seeds[p]``,
+    to u and v. A degenerate row stays as drawn, for :func:`_stack_samples`
+    to reject. A sampler that does not map the stack to ``(P, dim)`` stacks
+    raises ``ValueError``.
     """
     dim = param_dim(spec)
     Z = normal_rows("probe-pair", seeds, 2 * dim)
@@ -195,22 +182,17 @@ def _draw_stack(
     V = np.asarray(sampler.map(spec, Z[:, dim:]), dtype=np.float64)
     if U.shape != (len(seeds), dim) or V.shape != U.shape:
         raise ValueError(f"sampler gave shapes {U.shape}, {V.shape}, not ({len(seeds)}, {dim})")
-    with np.errstate(all="ignore"):
-        diff = U - V
-        # As in draw_probe_pair, a NaN distance is redrawn too.
-        for p in np.flatnonzero(~(np.vecdot(diff, diff) >= DEGENERATE_SQ_DIST)).tolist():
-            with suppress(DegeneratePairError):
-                U[p], V[p] = draw_probe_pair(spec, sampler, seeds[p])
     return U, V
 
 
 def check_probe_pairs(spec: ModelSpec, sampler: ProbeSampler, rng_seed: int, n_probes: int) -> None:
     """Draw the ``n_probes`` pairs that :func:`collect_probes` draws with
-    ``rng_seed``, redraws included, and raise the :class:`ProbeFailure` it
-    would raise for the first pair that stays degenerate."""
+    ``rng_seed`` and raise the :class:`ProbeFailure` it would raise for the
+    first degenerate one."""
     U, V = _draw_stack(spec, sampler, derive_seeds((rng_seed,), range(n_probes)))
-    diff = U - V
-    sq_dist = np.vecdot(diff, diff)
+    with np.errstate(all="ignore"):
+        diff = U - V
+        sq_dist = np.vecdot(diff, diff)
     degenerate = np.flatnonzero(sq_dist < DEGENERATE_SQ_DIST)
     if degenerate.size:
         p = int(degenerate[0])

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from fedbound import cli, csvio
 from fedbound.cli import main
 from fedbound.csvio import write_csv
+from fedbound.data import CifarFormatError
+from fedbound.probe import ProbeFailure
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = str(REPO / "src")
@@ -158,6 +161,24 @@ def execute_seed_failing_on_2(cfg, seed):
     return _execute_seed(cfg, seed)
 
 
+# Seed errors whose constructors take more than the message.
+SEED_ERRORS = {
+    "probe": ProbeFailure(7, "probe values must be finite"),
+    "cifar": CifarFormatError("batch.bin", 3073, "label byte 12 exceeds 9"),
+}
+
+
+def execute_seed_raising_on_2(error, cfg, seed):
+    """``cli.execute_seed``, except that seed 2 raises ``SEED_ERRORS[error]``."""
+    if seed == 2:
+        raise SEED_ERRORS[error]
+    return _execute_seed(cfg, seed)
+
+
+# A perturbation so wide that every probe's loss overflows.
+WIDE_PERTURB = "probe.sampler = perturb\nprobe.perturb_sigma = 1e200\n"
+
+
 class TestRunCommand:
     def test_creates_run_dirs_and_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -222,6 +243,31 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed3"]
         for seed in (1, 3):
             assert read_tree(out / f"tiny_seed{seed}") == read_tree(clean / f"tiny_seed{seed}")
+
+    # A worker sends its seed's error back pickled; one that does not unpickle
+    # would break the pool and fail every seed.
+    @pytest.mark.parametrize("error", sorted(SEED_ERRORS))
+    def test_parallel_run_reports_the_error_a_worker_raised(
+        self, tmp_path, monkeypatch, capsys, error
+    ):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY + "repeat_seeds = 1,2,3\n")
+        monkeypatch.setattr(cli, "execute_seed", partial(execute_seed_raising_on_2, error))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 1
+        assert capsys.readouterr().err == f"error: seed 2 failed: {SEED_ERRORS[error]}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed3"]
+
+    def test_parallel_probe_failure_names_its_probe(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TINY + WIDE_PERTURB)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed 1 failed: probe 0 failed: probe values must be finite"
+            " (2 of 2 seeds failed)\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_seeds_that_fail_before_writing_leave_no_output_dir(self, tmp_path, capsys, parallel):
@@ -695,6 +741,11 @@ class TestProbeCommand:
         assert lines[1].startswith("node 1: mu=")
         assert lines[2].startswith("global: mu=")
 
+    def test_probe_failure_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TINY + WIDE_PERTURB)
+        assert main(["probe", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "error: probe 0 failed: probe values must be finite\n")
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_prints_the_constants_rows_of_run(self, tmp_path, capsys, source):

@@ -342,7 +342,9 @@ class TestPreflight:
 
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(-16.5, -15.5))
-    # All seeds fail at node 0; seed 1 fails only at node 1's probe 14; all pass.
+    # Every seed fails at node 0: at its probe 0; at probe 0, or 1 for seed 3;
+    # at probe 1 or 2. No exponent up to -15.5 passes; the next test takes
+    # the side that does.
     @example(exponent=-16.0)
     @example(exponent=-15.8)
     @example(exponent=-15.7)
@@ -358,6 +360,16 @@ class TestPreflight:
         if failed:
             assert message.startswith("line 9: probe.perturb_sigma: seed ")
             assert "is below 1e-30; raise probe.perturb_sigma" in message
+
+    @pytest.mark.parametrize("exponent", [-15.45, -15.0])
+    def test_perturb_sigma_past_the_failing_band_passes_and_probes(self, exponent):
+        text = self.TEXT + f"probe.sampler = perturb\nprobe.perturb_sigma = {10 ** exponent!r}\n"
+
+        def probe(cfg, seed):
+            scenario = replace(cfg.scenario, seed=seed)
+            probe_phase(scenario, node_datasets(cfg.dataset, scenario)[1])
+
+        assert self.outcomes(text, probe) == (None, False)
 
     @pytest.mark.parametrize("per_class", range(30, 42))
     def test_missing_class_split_fails_exactly_when_a_seed_runs_short(self, per_class):
@@ -471,7 +483,9 @@ def config_texts(draw, tiny: bool = False) -> str:
         values["data.num_classes"] = num_classes
         values["data.feature_dim"] = draw(st.integers(1, 16))
         values["data.samples_per_class"] = 100 if tiny else 1000
-        values["data.separation"] = draw(floats(0.01, 5.0))
+        # Class centers lie in [0.15, 0.85]^d; up to 1.0 apart most shapes
+        # place them, and some still exit 2 at load.
+        values["data.separation"] = draw(floats(0.01, 1.0))
         values["data.noise_sigma"] = draw(floats(0.01, 1.0))
         knobs = {
             "data.label_skew": floats(0.0, 1.0),

@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from fedbound.data import (
     CIFAR_RECORD_BYTES,
     CifarFormatError,
+    CifarSource,
     SyntheticSpec,
     class_centers,
     gen_synthetic,
@@ -152,7 +155,7 @@ class TestCifarLoader:
         path = tmp_path / "batch.bin"
         path.write_bytes(b"".join(make_record(i % 10) for i in range(10)))
         assert path.stat().st_size == 30730
-        data = load_cifar10(path)
+        data = load_cifar10(CifarSource(path))
         assert len(data) == 10
         assert data.feature_dim == 3072
 
@@ -160,14 +163,14 @@ class TestCifarLoader:
         path = tmp_path / "bad.bin"
         path.write_bytes(make_record(1) + b"\x00" * 3072)  # 3072-byte tail
         with pytest.raises(CifarFormatError) as excinfo:
-            load_cifar10(path)
+            load_cifar10(CifarSource(path))
         assert excinfo.value.byte_offset == CIFAR_RECORD_BYTES
         assert str(CIFAR_RECORD_BYTES) in str(excinfo.value)
 
     def test_all_zero_record(self, tmp_path):
         path = tmp_path / "zero.bin"
         path.write_bytes(make_record(0))
-        data = load_cifar10(path)
+        data = load_cifar10(CifarSource(path))
         assert data.labels[0] == 0
         assert np.all(data.features[0] == 0.0)
 
@@ -175,37 +178,48 @@ class TestCifarLoader:
         path = tmp_path / "label.bin"
         path.write_bytes(make_record(3) + make_record(11))
         with pytest.raises(CifarFormatError) as excinfo:
-            load_cifar10(path)
+            load_cifar10(CifarSource(path))
         assert excinfo.value.byte_offset == CIFAR_RECORD_BYTES
 
     def test_pixels_scaled_to_unit_interval(self, tmp_path):
         path = tmp_path / "max.bin"
         path.write_bytes(make_record(9, fill=255))
-        data = load_cifar10(path)
+        data = load_cifar10(CifarSource(path))
         assert np.all(data.features[0] == 1.0)
 
     def test_labels_roundtrip(self, tmp_path):
         labels = [3, 1, 4, 1, 5, 9, 2, 6]
         path = tmp_path / "labels.bin"
         path.write_bytes(b"".join(make_record(l) for l in labels))
-        data = load_cifar10(path)
+        data = load_cifar10(CifarSource(path))
         assert list(data.labels) == labels
 
     def test_directory_of_batches(self, tmp_path):
         (tmp_path / "a.bin").write_bytes(make_record(0))
         (tmp_path / "b.bin").write_bytes(make_record(1))
-        data = load_cifar10(tmp_path)
+        data = load_cifar10(CifarSource(tmp_path))
         assert len(data) == 2
 
     def test_grayscale_and_pooling_shrink_features(self, tmp_path):
         path = tmp_path / "small.bin"
         path.write_bytes(make_record(2, fill=128))
-        assert load_cifar10(path, pool=4).feature_dim == 3 * 8 * 8
-        assert load_cifar10(path, grayscale=True).feature_dim == 1024
-        assert load_cifar10(path, pool=8, grayscale=True).feature_dim == 16
+        assert load_cifar10(CifarSource(path, pool=4)).feature_dim == 3 * 8 * 8
+        assert load_cifar10(CifarSource(path, grayscale=True)).feature_dim == 1024
+        assert load_cifar10(CifarSource(path, pool=8, grayscale=True)).feature_dim == 16
 
     def test_bad_pool_rejected(self, tmp_path):
         path = tmp_path / "p.bin"
         path.write_bytes(make_record(0))
-        with pytest.raises(ValueError):
-            load_cifar10(path, pool=5)
+        with pytest.raises(ValueError, match="pool 5 must divide 32"):
+            CifarSource(path, pool=5)
+
+    def test_format_error_survives_pickle(self, tmp_path):
+        path = tmp_path / "label.bin"
+        path.write_bytes(make_record(3) + make_record(11))
+        with pytest.raises(CifarFormatError) as excinfo:
+            load_cifar10(CifarSource(path))
+        copy = pickle.loads(pickle.dumps(excinfo.value))
+        assert type(copy) is CifarFormatError
+        assert str(copy) == str(excinfo.value)
+        assert (copy.path, copy.byte_offset) == (path, CIFAR_RECORD_BYTES)
+        assert copy.reason == "label byte 11 exceeds 9"

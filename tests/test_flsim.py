@@ -30,8 +30,9 @@ from fedbound.model import (
     sgd_epoch_traced,
     softmax_spec,
 )
-from fedbound.probe import InitDistributionSampler, draw_probe_pair
+from fedbound.probe import InitDistributionSampler
 from fedbound.rng import derive_seed, spawn_rng
+from test_probe import draw_probe_pair
 
 
 def round_states(seeds, epochs=1):

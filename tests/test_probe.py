@@ -1,4 +1,5 @@
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -29,7 +30,6 @@ from fedbound.probe import (
     compute_g,
     compute_m,
     constants_from_samples,
-    draw_probe_pair,
     probe_stack_size,
 )
 from fedbound.rng import derive_seed, spawn_rng
@@ -39,20 +39,26 @@ def dummy_data(dim=2):
     return Dataset(np.full((1, dim), 0.5), np.zeros(1, dtype=np.int64), 1)
 
 
+def draw_probe_pair(spec, sampler, rng_seed):
+    """Reference pair of the probe seeded ``rng_seed``: u and v map the first
+    and second ``dim`` normals of its ``probe-pair`` stream."""
+    u, v = spawn_rng("probe-pair", rng_seed).standard_normal((2, param_dim(spec)))
+    return sampler.map(spec, u), sampler.map(spec, v)
+
+
 class TestDrawProbePair:
     def test_same_seed_same_pair(self):
         spec = quadratic_spec([1.0, 2.0, 3.0])
         sampler = InitDistributionSampler()
-        u1, v1 = draw_probe_pair(spec, sampler, 5)
-        u2, v2 = draw_probe_pair(spec, sampler, 5)
-        np.testing.assert_array_equal(u1, u2)
-        np.testing.assert_array_equal(v1, v2)
+        U, V = probe._draw_stack(spec, sampler, [5, 5])
+        u, v = draw_probe_pair(spec, sampler, 5)
+        assert U.tobytes() == np.stack([u, u]).tobytes()
+        assert V.tobytes() == np.stack([v, v]).tobytes()
 
     def test_pair_is_distinct(self):
         spec = quadratic_spec([1.0, 1.0])
-        for seed in range(50):
-            u, v = draw_probe_pair(spec, InitDistributionSampler(), seed)
-            assert np.linalg.norm(u - v) > 0
+        U, V = probe._draw_stack(spec, InitDistributionSampler(), list(range(50)))
+        assert (np.linalg.norm(U - V, axis=1) > 0).all()
 
     def test_zero_sigma_sampler_rejected(self):
         with pytest.raises(ValueError):
@@ -66,9 +72,9 @@ class TestDrawProbePair:
     def test_perturbation_sampler_centers_draws(self):
         spec = quadratic_spec([1.0] * 4)
         sampler = GaussianPerturbationSampler(center=(10.0, 10.0, 10.0, 10.0), sigma=0.01)
-        u, v = draw_probe_pair(spec, sampler, 0)
-        assert np.all(np.abs(u - 10.0) < 1.0)
-        assert np.all(np.abs(v - 10.0) < 1.0)
+        U, V = probe._draw_stack(spec, sampler, [0])
+        assert np.all(np.abs(U - 10.0) < 1.0)
+        assert np.all(np.abs(V - 10.0) < 1.0)
 
 
 class TestComputeM:
@@ -293,7 +299,7 @@ def small_stacks(monkeypatch, spec, data, stack):
 
 
 def first_normals(spec, rng_seed, i):
-    """The standard normals probe i maps to its first pair, one row for u and one for v."""
+    """The standard normals probe i maps to its pair, one row for u and one for v."""
     dim = param_dim(spec)
     stream = spawn_rng("probe-pair", derive_seed(rng_seed, i))
     return stream.standard_normal(2 * dim).reshape(2, dim)
@@ -337,34 +343,19 @@ class BadDraw:
         return w[..., :-1]
 
 
-class CoincidentFirstPair:
-    """Init-distribution points, except that the first v of probe ``target``
-    lands on its u, so that probe must redraw v."""
-
-    def __init__(self, spec, rng_seed, target):
-        self.u, self.v = first_normals(spec, rng_seed, target)
-
-    def map(self, spec, z):
-        z = np.where(matches(z, self.v[None])[..., None], self.u, z)
-        return InitDistributionSampler().map(spec, z)
-
-
 class Poisoned:
     """Init-distribution points, except for the probes ``kinds`` names: a
-    "degenerate" probe maps its first pair and every redraw to one point, an
-    "inf" probe's first v is infinite, and a "value" probe's first u lies so
-    far out that its L2 penalty overflows."""
+    "degenerate" probe maps u and v to one point, an "inf" probe's v is
+    infinite, and a "value" probe's u lies so far out that its L2 penalty
+    overflows."""
 
     POINTS = {"degenerate": 0.0, "inf": np.inf, "value": 1e200}
 
     def __init__(self, spec, rng_seed, kinds):
-        dim = param_dim(spec)
         self.rows = []
         for i, kind in kinds.items():
-            stream = spawn_rng("probe-pair", derive_seed(rng_seed, i))
-            # u, v and draw_probe_pair's 100 redraws of v, in stream order.
-            normals = stream.standard_normal((102, dim))
-            rows = {"degenerate": normals, "inf": normals[1:2], "value": normals[:1]}[kind]
+            normals = first_normals(spec, rng_seed, i)
+            rows = {"degenerate": normals, "inf": normals[1:], "value": normals[:1]}[kind]
             self.rows.append((rows, self.POINTS[kind]))
 
     def map(self, spec, z):
@@ -419,23 +410,6 @@ class TestStackedProbes:
                 u, v = draw_probe_pair(spec, sampler, derive_seed(9, i))
                 assert m == compute_m(spec, u, v, data)
                 assert g == g_of(spec, v, data)
-
-    @pytest.mark.parametrize("stack", [1, 3, 8])
-    def test_degenerate_pair_is_redrawn_as_draw_probe_pair_does(self, monkeypatch, stack):
-        spec = softmax_spec(4, 2, l2=0.01)
-        rng = spawn_rng("toy", 9)
-        data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
-        small_stacks(monkeypatch, spec, data, stack)
-        sampler = CoincidentFirstPair(spec, 0, 4)
-        u, v = draw_probe_pair(spec, sampler, derive_seed(0, 4))
-        assert not np.array_equal(v, sampler.map(spec, sampler.u))
-        samples = collect_probes(spec, data, 7, sampler, 0)
-        assert samples[4, 0] == compute_m(spec, u, v, data)
-        assert samples[4, 1] == compute_g(spec, v, data)
-        np.testing.assert_array_equal(
-            np.delete(samples, 4, axis=0),
-            np.delete(collect_probes(spec, data, 7, InitDistributionSampler(), 0), 4, axis=0),
-        )
 
     @pytest.mark.parametrize("stack", [1, 2, 4])
     def test_prefix_holds_across_stack_boundaries(self, monkeypatch, stack):
@@ -529,6 +503,11 @@ class TestStackedProbes:
         cause = excinfo.value.__cause__
         assert type(cause) is type(exc)
         assert isinstance(cause, DegeneratePairError) == (kinds[index] == "degenerate")
-        if kinds[index] != "degenerate":
-            # The degenerate message differs: the oracle gives up after its redraws.
-            assert str(cause) == str(exc)
+        assert str(cause) == str(exc)
+
+
+def test_probe_failure_survives_pickle():
+    copy = pickle.loads(pickle.dumps(ProbeFailure(3, "probe values must be finite")))
+    assert type(copy) is ProbeFailure
+    assert str(copy) == "probe 3 failed: probe values must be finite"
+    assert (copy.probe_index, copy.reason) == (3, "probe values must be finite")
