@@ -12,6 +12,7 @@ switches to the squared variant used by some analyses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,17 @@ def convergence_bound(t: int, p: BoundParams) -> float:
     if t < 1:
         raise ValueError("t must be >= 1")
     ratio = 8.0 * p.L / p.mu
-    dist = p.init_distance ** 2 if p.squared_distance else p.init_distance
-    return ratio / (t - 1 + ratio) * (16.0 * p.G ** 2 / p.mu + 4.0 * p.L * dist)
+    dist = _square(p.init_distance) if p.squared_distance else p.init_distance
+    return ratio / (t - 1 + ratio) * (16.0 * _square(p.G) / p.mu + 4.0 * p.L * dist)
+
+
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where the float power overflows: Python raises
+    OverflowError there, while a product that overflows gives inf."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def estimate_initial_distance(w1: np.ndarray, wstar_proxy: np.ndarray) -> float:

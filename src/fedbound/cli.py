@@ -154,7 +154,10 @@ def _cmd_probe(args) -> int:
     cfg = _load_config_with_env(args.config)
     scenario = replace(cfg.scenario, seed=cfg.repeat_seeds[0])
     _, nodes = flsim.node_datasets(cfg.dataset, scenario)
-    _, _, node_constants, agg = flsim.probe_phase(scenario, nodes)
+    try:
+        _, _, node_constants, agg = flsim.probe_phase(scenario, nodes)
+    except probe.ProbeFailure as exc:
+        raise ValueError(f"seed {scenario.seed} failed: {exc}") from exc
     for i, est in enumerate(node_constants):
         print(f"node {i}: mu={est.mu:.9g} L={est.L:.9g} G={est.G:.9g} n_probes={est.n_probes}")
     print(f"global: mu={agg.mu:.9g} L={agg.L:.9g} G={agg.G:.9g} n_probes={agg.n_probes}")

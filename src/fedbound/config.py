@@ -18,10 +18,10 @@ from pathlib import Path
 from typing import Any
 
 from .csvio import fmt_value
-from .data import CifarSource, SyntheticSpec, class_centers
-from .flsim import ScenarioConfig, held_out_size, node_datasets, probe_setup
+from .data import CifarFormatError, CifarSource, SyntheticSpec, class_centers, count_cifar_records
+from .flsim import ScenarioConfig, held_out_size, node_datasets, probe_phase
 from .model import ModelSpec
-from .probe import ProbeFailure, check_probe_pairs
+from .probe import DegeneratePairError, ProbeFailure
 
 
 class ConfigError(ValueError):
@@ -284,46 +284,59 @@ def _check_sizes(
             s["missing_classes"].name, "lists every class, which leaves no training data"
         )
     if isinstance(dataset, CifarSource):
-        empty = scenario.test_fraction == 0.0
-    else:
-        for knob in ("label_skew", "noise_mult", "feature_scale"):
-            entries = getattr(dataset, knob)
-            if entries and len(entries) != scenario.n_nodes:
-                raise raw.error(
-                    d[knob].name,
-                    f"needs {scenario.n_nodes} entries, one per node "
-                    f"({s['n_nodes'].name} = {scenario.n_nodes}), got {len(entries)}",
-                )
-        # Per-node synthetic generation always draws at least one test row; a
-        # partitioned dataset holds out a share of its rows, which may round to 0.
-        n_rows = dataset.num_classes * dataset.samples_per_class
-        n_test = held_out_size(scenario, n_rows)
-        empty = not dataset.has_node_knobs and n_test == 0
-        # What partition_dataset leaves for the nodes is known here unless
-        # missing classes filter it by the random test split. Even then it
-        # is at most the remaining classes' rows.
-        need = scenario.n_nodes * scenario.samples_per_node
-        if not (dataset.has_node_knobs or scenario.missing_classes) and n_rows - n_test < need:
+        # Only the pre-flight knows the record count; a share of 0 empties any split.
+        if scenario.test_fraction == 0.0:
+            raise raw.error(s["test_fraction"].name, "test_fraction 0 leaves the test split empty")
+        return
+    for knob in ("label_skew", "noise_mult", "feature_scale"):
+        entries = getattr(dataset, knob)
+        if entries and len(entries) != scenario.n_nodes:
             raise raw.error(
-                raw.first_set(
-                    s["samples_per_node"], s["n_nodes"], d["samples_per_class"], d["num_classes"]
-                ),
-                f"n_nodes x samples_per_node = {need} training rows, but the synthetic "
-                f"pool of {n_rows} rows (num_classes x samples_per_class) leaves "
-                f"{n_rows - n_test} after holding out {n_test} for testing",
+                d[knob].name,
+                f"needs {scenario.n_nodes} entries, one per node "
+                f"({s['n_nodes'].name} = {scenario.n_nodes}), got {len(entries)}",
             )
-        kept = (dataset.num_classes - len(scenario.missing_classes)) * dataset.samples_per_class
-        if not dataset.has_node_knobs and kept < need:
-            raise raw.error(
-                s["missing_classes"].name,
-                f"n_nodes x samples_per_node = {need} training rows, but leaving out "
-                f"classes {sorted(scenario.missing_classes)} keeps at most {kept} rows of the "
-                f"synthetic pool ({dataset.samples_per_class} per remaining class), "
-                "whatever the test split",
-            )
-    if empty:
+    # Per-node synthetic generation always draws at least one test row.
+    if dataset.has_node_knobs:
+        return
+    # Missing classes filter the pool by the random test split, but it keeps
+    # at most the remaining classes' rows.
+    need = scenario.n_nodes * scenario.samples_per_node
+    kept = (dataset.num_classes - len(scenario.missing_classes)) * dataset.samples_per_class
+    if scenario.missing_classes and kept < need:
         raise raw.error(
-            raw.first_set(s["test_fraction"], d["samples_per_class"]),
+            s["missing_classes"].name,
+            f"n_nodes x samples_per_node = {need} training rows, but leaving out "
+            f"classes {sorted(scenario.missing_classes)} keeps at most {kept} rows of the "
+            f"synthetic pool ({dataset.samples_per_class} per remaining class), "
+            "whatever the test split",
+        )
+    n_rows = dataset.num_classes * dataset.samples_per_class
+    _check_pool(
+        raw, scenario, n_rows,
+        f"the synthetic pool of {n_rows} rows (num_classes x samples_per_class)",
+        d["samples_per_class"], d["num_classes"],
+    )
+
+
+def _check_pool(
+    raw: _RawConfig, scenario: ScenarioConfig, n_rows: int, pool: str, *keys: _Key
+) -> None:
+    """Reject a shared pool of ``n_rows`` rows, which ``pool`` describes and
+    ``keys`` size, if :func:`flsim.partition_dataset` would hold out no test
+    row or, with no class missing, leave too few rows for the nodes."""
+    s = _SCENARIO_KEYS
+    n_test = held_out_size(scenario, n_rows)
+    need = scenario.n_nodes * scenario.samples_per_node
+    if not scenario.missing_classes and n_rows - n_test < need:
+        raise raw.error(
+            raw.first_set(s["samples_per_node"], s["n_nodes"], *keys),
+            f"n_nodes x samples_per_node = {need} training rows, but {pool} leaves "
+            f"{n_rows - n_test} after holding out {n_test} for testing",
+        )
+    if n_test == 0:
+        raise raw.error(
+            raw.first_set(s["test_fraction"], keys[0]),
             f"test_fraction {scenario.test_fraction:g} leaves the test split empty",
         )
 
@@ -338,17 +351,28 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
     """Reject, naming its line in the config file at ``path``, a config that
     some seed of ``cfg`` cannot run past its set-up.
 
-    Each seed draws what its run draws first, with the run's own code: the
-    synthetic class centers, the split of a shared pool that missing classes
-    filter (:func:`flsim.node_datasets`, the run's own builder), and every
-    ``perturb`` probe pair. The seeds are known only once ``FEDBOUND_SEED``
-    has been applied, so :func:`load_config` does not call it.
+    CIFAR-10 batch files are first checked by their sizes, which give the
+    pool's record count. Then each seed runs what its run runs first, with
+    the run's own code: the synthetic class centers, the split of a shared
+    pool that missing classes filter (:func:`flsim.node_datasets`) and,
+    under the ``perturb`` sampler, the probe phase on those datasets
+    (:func:`flsim.probe_phase`). The seeds are known only once
+    ``FEDBOUND_SEED`` has been applied, so :func:`load_config` does not call it.
     """
     raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    s, d = _SCENARIO_KEYS, _SYNTHETIC_KEYS
+    s, d, c = _SCENARIO_KEYS, _SYNTHETIC_KEYS, _CIFAR_KEYS
+    cifar = isinstance(cfg.dataset, CifarSource)
+    if cifar:
+        try:
+            n_rows = count_cifar_records(cfg.dataset)
+        except (OSError, ValueError) as exc:
+            raise raw.error(c["path"].name, str(exc)) from exc
+        pool = f"the CIFAR-10 pool of {n_rows} records ({c['path'].name})"
+        _check_pool(raw, cfg.scenario, n_rows, pool, c["path"])
     for seed in cfg.repeat_seeds:
         scenario = replace(cfg.scenario, seed=seed)
-        if isinstance(cfg.dataset, SyntheticSpec):
+        nodes = None
+        if not cifar:
             try:
                 class_centers(cfg.dataset, seed)
             except ValueError as exc:
@@ -357,23 +381,27 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
                     f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
                     f"{d['feature_dim'].name} or use fewer classes",
                 ) from exc
-            if scenario.missing_classes and not cfg.dataset.has_node_knobs:
-                try:
-                    node_datasets(cfg.dataset, scenario)
-                except ValueError as exc:
-                    raise raw.error(
-                        s["missing_classes"].name,
-                        f"seed {seed}'s test split leaves too few rows: {exc}; raise "
-                        f"{d['samples_per_class'].name} or lower {s['samples_per_node'].name}",
-                    ) from exc
+        if scenario.missing_classes and (cifar or not cfg.dataset.has_node_knobs):
+            more = f"lower {s['samples_per_node'].name}"
+            if not cifar:
+                more = f"raise {d['samples_per_class'].name} or {more}"
+            try:
+                _, nodes = node_datasets(cfg.dataset, scenario)
+            except CifarFormatError:
+                raise
+            except ValueError as exc:
+                raise raw.error(
+                    s["missing_classes"].name,
+                    f"seed {seed}'s test split leaves too few rows: {exc}; {more}",
+                ) from exc
         if scenario.probe_sampler == "perturb":
-            _, sampler, node_seeds = probe_setup(scenario)
-            for node, node_seed in enumerate(node_seeds):
-                try:
-                    check_probe_pairs(scenario.model, sampler, node_seed, scenario.n_probes)
-                except ProbeFailure as exc:
-                    name = s["perturb_sigma"].name
-                    raise raw.error(name, f"seed {seed}, node {node}: {exc}; raise {name}") from exc
+            nodes = nodes or node_datasets(cfg.dataset, scenario)[1]
+            try:
+                probe_phase(scenario, nodes)
+            except ProbeFailure as exc:
+                name = s["perturb_sigma"].name
+                advice = "raise" if isinstance(exc.__cause__, DegeneratePairError) else "lower"
+                raise raw.error(name, f"seed {seed}, {exc}; {advice} {name}") from exc
 
 
 def _echo_value(value) -> str:

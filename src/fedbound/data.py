@@ -188,13 +188,38 @@ def gen_synthetic_nodes(
     return test, nodes
 
 
+def _records_in(path: Path, size: int) -> int:
+    """The records in a CIFAR-10 file of ``size`` bytes, which must be a
+    positive multiple of :data:`CIFAR_RECORD_BYTES`."""
+    tail = size % CIFAR_RECORD_BYTES
+    if tail or not size:
+        raise CifarFormatError(
+            path, size - tail, f"file size {size} is not a positive multiple of {CIFAR_RECORD_BYTES}"
+        )
+    return size // CIFAR_RECORD_BYTES
+
+
+def _cifar_files(source: CifarSource) -> list[Path]:
+    """The batch files of ``source``: its path, or the ``*.bin`` files of a directory."""
+    path = Path(source.path)
+    if not path.is_dir():
+        return [path]
+    files = sorted(path.glob("*.bin"))
+    if not files:
+        raise FileNotFoundError(f"no .bin files under {path}")
+    return files
+
+
+def count_cifar_records(source: CifarSource) -> int:
+    """The records in the batch files of ``source``, from their sizes alone: a
+    missing file, a directory without ``.bin`` files or a size that is not a
+    positive multiple of :data:`CIFAR_RECORD_BYTES` raises, as loading would."""
+    return sum(_records_in(f, f.stat().st_size) for f in _cifar_files(source))
+
+
 def _parse_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     raw = path.read_bytes()
-    tail = len(raw) % CIFAR_RECORD_BYTES
-    if tail != 0:
-        raise CifarFormatError(
-            path, len(raw) - tail, f"file size {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}"
-        )
+    _records_in(path, len(raw))
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
     bad = np.nonzero(labels >= CIFAR_CLASSES)[0]
@@ -213,17 +238,10 @@ def load_cifar10(source: CifarSource) -> Dataset:
     scaled to [0, 1]; optional average pooling by ``source.pool`` and
     channel-mean grayscaling shrink the feature vector for desk-scale runs.
     """
-    path, pool = Path(source.path), source.pool
-    if path.is_dir():
-        files = sorted(path.glob("*.bin"))
-        if not files:
-            raise FileNotFoundError(f"no .bin files under {path}")
-    else:
-        files = [path]
-
+    pool = source.pool
     all_pixels = []
     all_labels = []
-    for f in files:
+    for f in _cifar_files(source):
         pixels, labels = _parse_cifar_file(f)
         all_pixels.append(pixels)
         all_labels.append(labels)

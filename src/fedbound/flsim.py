@@ -49,7 +49,7 @@ from .probe import (
     ConstantsEstimate,
     GaussianPerturbationSampler,
     InitDistributionSampler,
-    ProbeSampler,
+    ProbeFailure,
     aggregate_global,
     collect_probes,
     constants_from_samples,
@@ -266,16 +266,6 @@ def _check_equal_sizes(node_datasets: Sequence[Dataset]) -> None:
         raise ValueError(f"node datasets differ in size: {sizes}")
 
 
-def probe_setup(cfg: ScenarioConfig) -> tuple[ParamVector, ProbeSampler, list[int]]:
-    """w1, the probe sampler and each node's probe seed of a run of ``cfg``."""
-    w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
-    if cfg.probe_sampler == "init":
-        sampler = InitDistributionSampler()
-    else:
-        sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
-    return w1, sampler, derive_seeds((cfg.seed, "probe"), range(cfg.n_nodes))
-
-
 def probe_phase(
     cfg: ScenarioConfig, node_datasets: Sequence[Dataset]
 ) -> tuple[ParamVector, np.ndarray, tuple[ConstantsEstimate, ...], ConstantsEstimate]:
@@ -285,18 +275,29 @@ def probe_phase(
     fresh parameter vectors or jitter around w1 per ``cfg.probe_sampler``.
     Returns w1 (the initial global parameters), the ``(N, n_probes, 2)``
     array of every node's (m, g) samples, each node's (mu, L, G) in node
-    order, and their worst-case global aggregate.
+    order, and their worst-case global aggregate. A :class:`ProbeFailure`
+    names the node whose probe failed.
     """
     if cfg.model is None:
         raise ValueError("config has no model spec")
     if len(node_datasets) != cfg.n_nodes:
         raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
     _check_equal_sizes(node_datasets)
-    w1, sampler, node_seeds = probe_setup(cfg)
-    probe_samples = np.stack([
-        collect_probes(cfg.model, local, cfg.n_probes, sampler, node_seed, cfg.g_formula)
-        for local, node_seed in zip(node_datasets, node_seeds)
-    ])
+    w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
+    if cfg.probe_sampler == "init":
+        sampler = InitDistributionSampler()
+    else:
+        sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
+    node_seeds = derive_seeds((cfg.seed, "probe"), range(cfg.n_nodes))
+    samples = []
+    for node, (local, node_seed) in enumerate(zip(node_datasets, node_seeds)):
+        try:
+            samples.append(
+                collect_probes(cfg.model, local, cfg.n_probes, sampler, node_seed, cfg.g_formula)
+            )
+        except ProbeFailure as exc:
+            raise ProbeFailure(exc.probe_index, exc.reason, node) from exc.__cause__
+    probe_samples = np.stack(samples)
     node_constants = tuple(map(constants_from_samples, probe_samples))
     return w1, probe_samples, node_constants, aggregate_global(node_constants)
 

@@ -48,16 +48,19 @@ class DegeneratePairError(ValueError):
 
 
 class ProbeFailure(RuntimeError):
-    """A single probe produced an error or a non-finite value."""
+    """A single probe produced an error or a non-finite value; :func:`flsim.probe_phase`
+    names the node whose probe it was."""
 
-    def __init__(self, probe_index: int, reason: str):
-        super().__init__(f"probe {probe_index} failed: {reason}")
+    def __init__(self, probe_index: int, reason: str, node: int | None = None):
+        where = "" if node is None else f"node {node}: "
+        super().__init__(f"{where}probe {probe_index} failed: {reason}")
         self.probe_index = probe_index
         self.reason = reason
+        self.node = node
 
     def __reduce__(self):
         # A parallel run's worker process sends its failure back pickled.
-        return type(self), (self.probe_index, self.reason)
+        return type(self), (self.probe_index, self.reason, self.node)
 
 
 @dataclass(frozen=True)
@@ -183,20 +186,6 @@ def _draw_stack(
     if U.shape != (len(seeds), dim) or V.shape != U.shape:
         raise ValueError(f"sampler gave shapes {U.shape}, {V.shape}, not ({len(seeds)}, {dim})")
     return U, V
-
-
-def check_probe_pairs(spec: ModelSpec, sampler: ProbeSampler, rng_seed: int, n_probes: int) -> None:
-    """Draw the ``n_probes`` pairs that :func:`collect_probes` draws with
-    ``rng_seed`` and raise the :class:`ProbeFailure` it would raise for the
-    first degenerate one."""
-    U, V = _draw_stack(spec, sampler, derive_seeds((rng_seed,), range(n_probes)))
-    with np.errstate(all="ignore"):
-        diff = U - V
-        sq_dist = np.vecdot(diff, diff)
-    degenerate = np.flatnonzero(sq_dist < DEGENERATE_SQ_DIST)
-    if degenerate.size:
-        p = int(degenerate[0])
-        raise ProbeFailure(p, _degenerate_message(float(sq_dist[p])))
 
 
 def _stack_samples(

@@ -71,6 +71,12 @@ class TestConvergenceBound:
             expected = 4.0 * convergence_bound(t, lo)
             assert convergence_bound(t, hi) == pytest.approx(expected, rel=1e-12)
 
+    # G ** 2 past the float range used to raise OverflowError, which failed
+    # the run's seed after it had trained.
+    @pytest.mark.parametrize("G, dist, squared", [(1e160, 1.0, False), (1.0, 1e160, True)])
+    def test_square_past_the_float_range_gives_an_infinite_bound(self, G, dist, squared):
+        assert convergence_bound(2, params(G=G, dist=dist, squared=squared)) == np.inf
+
 
 class TestInitialDistance:
     def test_zero_for_identical_vectors(self):

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbound import cli, csvio
+from fedbound import cli, csvio, flsim
 from fedbound.cli import main
 from fedbound.csvio import write_csv
 from fedbound.data import CifarFormatError
 from fedbound.probe import ProbeFailure
+from fedbound.rng import derive_seed
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = str(REPO / "src")
@@ -178,6 +179,23 @@ def execute_seed_raising_on_2(error, cfg, seed):
 # A perturbation so wide that every probe's loss overflows.
 WIDE_PERTURB = "probe.sampler = perturb\nprobe.perturb_sigma = 1e200\n"
 
+_collect_probes = flsim.collect_probes
+
+
+def collect_probes_failing_at_seed_1_node_1(spec, data, n_probes, sampler, rng_seed, g_formula):
+    """``probe.collect_probes``, except that probe 2 of node 1 of seed 1 fails."""
+    if rng_seed == derive_seed(1, "probe", 1):
+        raise ProbeFailure(2, "probe values must be finite")
+    return _collect_probes(spec, data, n_probes, sampler, rng_seed, g_formula)
+
+
+def execute_seed_with_failing_probe(cfg, seed):
+    """``cli.execute_seed`` with probe 2 of node 1 of seed 1 failing, patched in
+    the process that runs it; module-level so a worker can unpickle it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flsim, "collect_probes", collect_probes_failing_at_seed_1_node_1)
+        return _execute_seed(cfg, seed)
+
 
 class TestRunCommand:
     def test_creates_run_dirs_and_summary(self, tiny_config, tmp_path):
@@ -258,26 +276,32 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: seed 2 failed: {SEED_ERRORS[error]}\n"
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed3"]
 
-    def test_parallel_probe_failure_names_its_probe(self, tmp_path, capsys):
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text(TINY + WIDE_PERTURB)
+    # The pre-flight stops a config whose probes fail, so the failure is
+    # injected in the worker; it comes back pickled, node and all.
+    def test_parallel_probe_failure_names_its_probe(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        monkeypatch.setattr(cli, "execute_seed", execute_seed_with_failing_probe)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 1
         assert capsys.readouterr().err == (
-            "error: seed 1 failed: probe 0 failed: probe values must be finite"
-            " (2 of 2 seeds failed)\n"
+            "error: seed 1 failed: node 1: probe 2 failed: probe values must be finite\n"
         )
-        assert not out.exists()
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed2"]
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_seeds_that_fail_before_writing_leave_no_output_dir(self, tmp_path, capsys, parallel):
-        # A CIFAR-10 file is read only once a seed builds its data.
-        cfg = tmp_path / "missing.cfg"
+        # The pre-flight checks a CIFAR-10 file by its size; its label bytes
+        # are read only once a seed builds its data.
+        cfg = tmp_path / "bad_label.cfg"
         cfg.write_text(TINY + cifar_source(tmp_path))
-        (tmp_path / "batch.bin").unlink()
+        with open(tmp_path / "batch.bin", "r+b") as batch:
+            batch.write(bytes([12]))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
-        assert capsys.readouterr().err.startswith("error: seed 1 failed: [Errno 2] ")
+        assert capsys.readouterr().err.startswith(
+            "error: seed 1 failed: " + str(tmp_path / "batch.bin") + ": label byte 12 exceeds 9"
+        )
         assert not out.exists()
 
     def test_missing_class_shortfall_on_every_split_fails_at_load(self, tmp_path, capsys):
@@ -568,6 +592,15 @@ class TestRunCommand:
             "seed 1, node 0: probe 0 failed: ||u - v||^2 = 5.909129227572303e-31 is below "
             "1e-30; raise probe.perturb_sigma",
         ),
+        *(
+            (
+                f"probe.sampler = perturb\nprobe.perturb_sigma = {sigma}\n",
+                "probe.perturb_sigma",
+                "seed 1, node 0: probe 0 failed: probe values must be finite; "
+                "lower probe.perturb_sigma",
+            )
+            for sigma in ("1e200", "1e300")
+        ),
         (
             "data.samples_per_class = 260\n",
             "scenario.missing_classes",
@@ -588,6 +621,50 @@ class TestRunCommand:
         line = next(i for i, entry in enumerate(text.splitlines(), 1) if entry.startswith(key))
         assert main([command, "--config", str(bad)]) == 2
         assert capsys.readouterr() == ("", f"config error: line {line}: {key}: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    # Each loads, and used to fail every seed with exit 1 once a seed read the file.
+    @pytest.mark.parametrize("damage, key, message", [
+        ("missing", "data.cifar_path", "[Errno 2] No such file or directory: "),
+        ("empty_dir", "data.cifar_path", "no .bin files under "),
+        ("ragged", "data.cifar_path", "file size 245836 is not a positive multiple of 3073"),
+        ("empty_file", "data.cifar_path", "file size 0 is not a positive multiple of 3073"),
+        ("few", "scenario.samples_per_node", (
+            "n_nodes x samples_per_node = 60 training rows, but the CIFAR-10 pool of 40 "
+            "records (data.cifar_path) leaves 36 after holding out 4 for testing"
+        )),
+        ("tiny", "scenario.test_fraction", "test_fraction 0.005 leaves the test split empty"),
+        ("one_class", "scenario.missing_classes", (
+            "seed 1's test split leaves too few rows: insufficient data: need 60 training "
+            "samples after filtering, have 7; lower scenario.samples_per_node"
+        )),
+    ])
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    def test_cifar_batches_that_cannot_run_exit_2_naming_the_line(
+        self, tmp_path, capsys, command, damage, key, message
+    ):
+        text = TINY + cifar_source(tmp_path) + f"output.dir = {tmp_path / 'o'}\n"
+        batch = tmp_path / "batch.bin"
+        if damage in ("missing", "empty_dir"):
+            batch.unlink()
+        if damage == "empty_dir":
+            batch.mkdir()
+        if damage == "ragged":
+            batch.write_bytes(batch.read_bytes()[:-4])
+        if damage == "empty_file":
+            batch.write_bytes(b"")
+        if damage == "few":
+            batch.write_bytes(batch.read_bytes()[: 40 * 3073])
+        if damage == "tiny":
+            text += "scenario.test_fraction = 0.005\n"
+        if damage == "one_class":
+            text += "scenario.missing_classes = " + ", ".join(map(str, range(1, 10))) + "\n"
+        (tmp_path / "c.cfg").write_text(text)
+        line = max(i for i, entry in enumerate(text.splitlines(), 1) if entry.startswith(key))
+        assert main([command, "--config", str(tmp_path / "c.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: {key}: ")
+        assert message in err
         assert not (tmp_path / "o").exists()
 
     def test_run_warnings_are_one_line_each_naming_the_seed(self, tiny_config, tmp_path, capsys):
@@ -741,11 +818,15 @@ class TestProbeCommand:
         assert lines[1].startswith("node 1: mu=")
         assert lines[2].startswith("global: mu=")
 
-    def test_probe_failure_exits_1(self, tmp_path, capsys):
+    def test_probe_failure_exits_2_naming_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(TINY + WIDE_PERTURB)
-        assert main(["probe", "--config", str(cfg)]) == 1
-        assert capsys.readouterr() == ("", "error: probe 0 failed: probe values must be finite\n")
+        assert main(["probe", "--config", str(cfg)]) == 2
+        line = (TINY + WIDE_PERTURB).count("\n")
+        assert capsys.readouterr() == ("", (
+            f"config error: line {line}: probe.perturb_sigma: seed 1, node 0: probe 0 failed: "
+            "probe values must be finite; lower probe.perturb_sigma\n"
+        ))
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_prints_the_constants_rows_of_run(self, tmp_path, capsys, source):
@@ -761,6 +842,28 @@ class TestProbeCommand:
         ]
         assert len(expected) == 3
         assert capsys.readouterr().out.splitlines() == expected
+
+
+class TestProbeFailureMessage:
+    def test_run_probe_and_preflight_name_seed_node_and_probe_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(flsim, "collect_probes", collect_probes_failing_at_seed_1_node_1)
+        perturb = TINY + "probe.sampler = perturb\nprobe.perturb_sigma = 0.1\n"
+        cases = [
+            (TINY, ["run", "--out", str(tmp_path / "o")], 1, "error: seed 1 failed: "),
+            (TINY, ["probe"], 1, "error: seed 1 failed: "),
+            (perturb, ["probe"], 2, f"config error: line {perturb.count(chr(10))}: "
+             "probe.perturb_sigma: seed 1, "),
+        ]
+        for text, command, status, head in cases:
+            (tmp_path / "c.cfg").write_text(text)
+            assert main([*command, "--config", str(tmp_path / "c.cfg")]) == status
+            err = capsys.readouterr().err
+            tail = "; lower probe.perturb_sigma" if status == 2 else ""
+            assert err == f"{head}node 1: probe 2 failed: probe values must be finite{tail}\n"
+            for name in ("seed 1", "node 1", "probe 2"):
+                assert err.count(name) == 1
 
 
 class TestReportCommand:

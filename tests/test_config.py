@@ -25,9 +25,10 @@ from fedbound.config import (
     preflight,
 )
 from fedbound.cli import main, run_one_seed
-from fedbound.data import CifarSource
+from fedbound.data import CIFAR_RECORD_BYTES, CifarSource
 from fedbound.flsim import PROBE_SAMPLER_KINDS, node_datasets, probe_phase
 from fedbound.probe import G_FORMULAS, ProbeFailure
+from test_data import make_record
 
 GOOD = """\
 # experiment settings
@@ -441,8 +442,10 @@ def floats(lo, hi):
 def config_texts(draw, tiny: bool = False) -> str:
     """A valid config that sets every key a run's config.txt echoes.
 
-    A ``tiny`` one runs in milliseconds: a synthetic source of 100 rows per
-    class, at most 20 rows per node, 3 rounds and 8 probes.
+    A ``tiny`` one runs in milliseconds: at most 20 rows per node, 3 rounds
+    and 8 probes, on a synthetic source of 100 rows per class or on CIFAR-10
+    batches at ``./cifar``, pooled to at most 48 features, which
+    :func:`write_cifar` writes.
     """
     n_nodes = draw(st.integers(1, 5))
     per_node = draw(st.integers(1, 20 if tiny else 50))
@@ -458,7 +461,12 @@ def config_texts(draw, tiny: bool = False) -> str:
         "scenario.seed": draw(st.integers(0, 2**63 - 1)),
         "probe.n_probes": draw(st.integers(2, 8 if tiny else 500)),
         "probe.sampler": draw(st.sampled_from(PROBE_SAMPLER_KINDS)),
-        "probe.perturb_sigma": draw(st.floats(0.0, 5.0, exclude_min=True)),
+        "probe.perturb_sigma": draw(
+            st.one_of(
+                st.floats(0.0, 5.0, exclude_min=True),
+                st.floats(-17.0, 300.0).map(lambda exponent: 10.0**exponent),
+            )
+        ),
         "probe.g_formula": draw(st.sampled_from(G_FORMULAS)),
         "bound.squared_distance": draw(st.sampled_from(["true", "false"])),
         "model.kind": draw(
@@ -469,11 +477,12 @@ def config_texts(draw, tiny: bool = False) -> str:
     }
     if draw(st.booleans()):
         values["selection.k"] = draw(st.integers(1, n_nodes))
-    if not tiny and draw(st.booleans()):
+    if draw(st.booleans()):
         values["data.source"] = "cifar10"
         path = st.from_regex(r"(/|\./)?[a-z]{1,6}(/[a-z_]{1,6}){0,2}", fullmatch=True)
-        values["data.cifar_path"] = draw(path)
-        values["data.cifar_pool"] = draw(st.sampled_from([1, 2, 4, 8, 16, 32]))
+        values["data.cifar_path"] = "cifar" if tiny else draw(path)
+        pools = [8, 16, 32] if tiny else [1, 2, 4, 8, 16, 32]
+        values["data.cifar_pool"] = draw(st.sampled_from(pools))
         values["data.cifar_grayscale"] = draw(st.sampled_from(["true", "false"]))
         num_classes = 10
     else:
@@ -592,14 +601,47 @@ class TestEcho:
 NUMERIC_FAILURE = re.compile(
     r"error: seed \d+ failed: (SGD left non-finite parameters after \d+ steps"
     r"|losses must be finite|usefulness must be finite"
-    r"|probe \d+ failed: probe values must be finite)"
+    r"|node \d+: probe \d+ failed: probe values must be finite)"
+)
+
+# What a tiny config's ./cifar is, half the time one batch file or a
+# directory of two, else one that the pre-flight must reject.
+CIFAR_LAYOUTS = st.one_of(
+    st.sampled_from(["file", "dir"]),
+    st.sampled_from(["missing", "empty_dir", "ragged", "empty_file"]),
 )
 
 
+def write_cifar(path: Path, layout: str, n_records: int, tail: int) -> None:
+    """Write ``path`` as ``layout`` says, from ``n_records`` records of
+    :func:`make_record`; a ragged file has ``tail`` bytes more."""
+    batch = b"".join(make_record(i % 10, fill=37 * i % 256) for i in range(n_records))
+    if layout in ("dir", "empty_dir"):
+        path.mkdir()
+    if layout == "dir":
+        cut = n_records // 2 * CIFAR_RECORD_BYTES
+        (path / "data_batch_1.bin").write_bytes(batch[:cut] or batch)
+        if cut:
+            (path / "data_batch_2.bin").write_bytes(batch[cut:])
+    elif layout == "file":
+        path.write_bytes(batch)
+    elif layout == "ragged":
+        path.write_bytes(batch + bytes(tail))
+    elif layout == "empty_file":
+        path.write_bytes(b"")
+
+
 class TestGeneratedConfigs:
-    @given(text=config_texts(tiny=True))
+    @given(
+        text=config_texts(tiny=True),
+        layout=CIFAR_LAYOUTS,
+        n_records=st.integers(1, 300),
+        tail=st.integers(1, CIFAR_RECORD_BYTES - 1),
+    )
     @settings(max_examples=100, deadline=None)
-    def test_a_config_that_loads_runs_or_fails_at_load_naming_its_line(self, text):
+    def test_a_config_that_loads_runs_or_fails_at_load_naming_its_line(
+        self, text, layout, n_records, tail
+    ):
         sys.path.insert(0, str(REPO / "perfbench"))
         try:
             from checks import check_run_dir
@@ -608,6 +650,8 @@ class TestGeneratedConfigs:
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "c.cfg", Path(tmp) / "out"
             path.write_text(text)
+            if "data.source = cifar10" in text:
+                write_cifar(Path(tmp) / "cifar", layout, n_records, tail)
             stderr = io.StringIO()
             with (
                 warnings.catch_warnings(),
