@@ -109,8 +109,10 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
     """Run every repeat seed, then rebuild summary.csv from the output directory.
 
-    Every seed runs, serial or parallel, even after one fails. The first
-    seed to save its run makes the output directory, and
+    Every seed runs, serial or parallel, even after one fails; a seed's
+    outcome is ``None`` or its error text, which a worker sends back as a
+    string, so no error class needs to pickle. A worker that dies fails its
+    seed. The first seed to save its run makes the output directory, and
     :func:`analysis.write_summary` then lists every run directory in it.
     Last, a ``ValueError`` names the first seed that failed.
     """
@@ -121,26 +123,26 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(execute_seed, cfg, seed) for seed in seeds]
+            futures = [pool.submit(_outcome, execute_seed, cfg, seed) for seed in seeds]
             outcomes = [_outcome(future.result) for future in futures]
     else:
         outcomes = [_outcome(execute_seed, cfg, seed) for seed in seeds]
     if cfg.output_dir.is_dir():
         analysis.write_summary(cfg.output_dir)
-    failed = [(seed, exc) for seed, exc in zip(seeds, outcomes) if isinstance(exc, Exception)]
+    failed = [(seed, error) for seed, error in zip(seeds, outcomes) if error is not None]
     if failed:
-        seed, exc = failed[0]
+        seed, error = failed[0]
         others = f" ({len(failed)} of {len(seeds)} seeds failed)" if len(failed) > 1 else ""
-        raise ValueError(f"seed {seed} failed: {exc}{others}") from exc
+        raise ValueError(f"seed {seed} failed: {error}{others}")
     return 0
 
 
 def _outcome(call, *args):
-    """``call(*args)``, or the exception it raised."""
+    """What ``call(*args)`` returned, or the text of the exception it raised."""
     try:
         return call(*args)
     except Exception as exc:
-        return exc
+        return str(exc)
 
 
 def _cmd_run(args) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .csvio import fmt_value
-from .data import CifarFormatError, CifarSource, SyntheticSpec, class_centers, count_cifar_records
+from .data import CifarSource, SyntheticSpec, class_centers, count_cifar_records
 from .flsim import ScenarioConfig, held_out_size, node_datasets, probe_phase
 from .model import ModelSpec
 from .probe import DegeneratePairError, ProbeFailure
@@ -351,7 +351,7 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
     """Reject, naming its line in the config file at ``path``, a config that
     some seed of ``cfg`` cannot run past its set-up.
 
-    CIFAR-10 batch files are first checked by their sizes, which give the
+    CIFAR-10 batch files are first parsed, as the loader parses them, for the
     pool's record count. Then each seed runs what its run runs first, with
     the run's own code: the synthetic class centers, the split of a shared
     pool that missing classes filter (:func:`flsim.node_datasets`) and,
@@ -387,8 +387,6 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
                 more = f"raise {d['samples_per_class'].name} or {more}"
             try:
                 _, nodes = node_datasets(cfg.dataset, scenario)
-            except CifarFormatError:
-                raise
             except ValueError as exc:
                 raise raw.error(
                     s["missing_classes"].name,

@@ -31,10 +31,6 @@ class CifarFormatError(ValueError):
         self.byte_offset = byte_offset
         self.reason = reason
 
-    def __reduce__(self):
-        # A parallel run's worker process sends its failure back pickled.
-        return type(self), (self.path, self.byte_offset, self.reason)
-
 
 @dataclass(frozen=True)
 class CifarSource:
@@ -188,17 +184,6 @@ def gen_synthetic_nodes(
     return test, nodes
 
 
-def _records_in(path: Path, size: int) -> int:
-    """The records in a CIFAR-10 file of ``size`` bytes, which must be a
-    positive multiple of :data:`CIFAR_RECORD_BYTES`."""
-    tail = size % CIFAR_RECORD_BYTES
-    if tail or not size:
-        raise CifarFormatError(
-            path, size - tail, f"file size {size} is not a positive multiple of {CIFAR_RECORD_BYTES}"
-        )
-    return size // CIFAR_RECORD_BYTES
-
-
 def _cifar_files(source: CifarSource) -> list[Path]:
     """The batch files of ``source``: its path, or the ``*.bin`` files of a directory."""
     path = Path(source.path)
@@ -211,15 +196,22 @@ def _cifar_files(source: CifarSource) -> list[Path]:
 
 
 def count_cifar_records(source: CifarSource) -> int:
-    """The records in the batch files of ``source``, from their sizes alone: a
-    missing file, a directory without ``.bin`` files or a size that is not a
-    positive multiple of :data:`CIFAR_RECORD_BYTES` raises, as loading would."""
-    return sum(_records_in(f, f.stat().st_size) for f in _cifar_files(source))
+    """The records in the batch files of ``source``, each parsed as
+    :func:`load_cifar10` parses it, so any file that loading rejects raises."""
+    return sum(len(_parse_cifar_file(f)[1]) for f in _cifar_files(source))
 
 
 def _parse_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, 3, 32, 32)`` pixel bytes and ``(n,)`` labels of one batch file;
+    a size that is not a positive multiple of :data:`CIFAR_RECORD_BYTES` or a
+    label byte above 9 raises :class:`CifarFormatError`."""
     raw = path.read_bytes()
-    _records_in(path, len(raw))
+    size = len(raw)
+    tail = size % CIFAR_RECORD_BYTES
+    if tail or not size:
+        raise CifarFormatError(
+            path, size - tail, f"file size {size} is not a positive multiple of {CIFAR_RECORD_BYTES}"
+        )
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
     bad = np.nonzero(labels >= CIFAR_CLASSES)[0]

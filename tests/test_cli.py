@@ -162,10 +162,18 @@ def execute_seed_failing_on_2(cfg, seed):
     return _execute_seed(cfg, seed)
 
 
+class TwoPartError(Exception):
+    """An error whose constructor takes two arguments and that defines no pickling."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
 # Seed errors whose constructors take more than the message.
 SEED_ERRORS = {
     "probe": ProbeFailure(7, "probe values must be finite"),
     "cifar": CifarFormatError("batch.bin", 3073, "label byte 12 exceeds 9"),
+    "two_part": TwoPartError("seed two", "went wrong"),
 }
 
 
@@ -187,6 +195,19 @@ def collect_probes_failing_at_seed_1_node_1(spec, data, n_probes, sampler, rng_s
     if rng_seed == derive_seed(1, "probe", 1):
         raise ProbeFailure(2, "probe values must be finite")
     return _collect_probes(spec, data, n_probes, sampler, rng_seed, g_formula)
+
+
+def run_one_seed_failing(cfg, seed):
+    """``cli.run_one_seed``, except that it fails before a run exists."""
+    raise ValueError(f"no data for seed {seed}")
+
+
+def execute_seed_failing_before_writing(cfg, seed):
+    """``cli.execute_seed`` with ``cli.run_one_seed`` failing, patched in the
+    process that runs it; module-level so a worker can unpickle it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_one_seed", run_one_seed_failing)
+        return _execute_seed(cfg, seed)
 
 
 def execute_seed_with_failing_probe(cfg, seed):
@@ -262,8 +283,8 @@ class TestRunCommand:
         for seed in (1, 3):
             assert read_tree(out / f"tiny_seed{seed}") == read_tree(clean / f"tiny_seed{seed}")
 
-    # A worker sends its seed's error back pickled; one that does not unpickle
-    # would break the pool and fail every seed.
+    # A worker sends its seed's error back as text, so an error class that
+    # does not pickle fails its own seed alone.
     @pytest.mark.parametrize("error", sorted(SEED_ERRORS))
     def test_parallel_run_reports_the_error_a_worker_raised(
         self, tmp_path, monkeypatch, capsys, error
@@ -277,7 +298,7 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed3"]
 
     # The pre-flight stops a config whose probes fail, so the failure is
-    # injected in the worker; it comes back pickled, node and all.
+    # injected in the worker; its text names the node.
     def test_parallel_probe_failure_names_its_probe(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY)
@@ -290,17 +311,15 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed2"]
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
-    def test_seeds_that_fail_before_writing_leave_no_output_dir(self, tmp_path, capsys, parallel):
-        # The pre-flight checks a CIFAR-10 file by its size; its label bytes
-        # are read only once a seed builds its data.
-        cfg = tmp_path / "bad_label.cfg"
-        cfg.write_text(TINY + cifar_source(tmp_path))
-        with open(tmp_path / "batch.bin", "r+b") as batch:
-            batch.write(bytes([12]))
+    def test_seeds_that_fail_before_writing_leave_no_output_dir(
+        self, tiny_config, tmp_path, monkeypatch, capsys, parallel
+    ):
+        monkeypatch.setattr(cli, "execute_seed", execute_seed_failing_before_writing)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: seed 1 failed: " + str(tmp_path / "batch.bin") + ": label byte 12 exceeds 9"
+        args = ["run", "--config", str(tiny_config), "--out", str(out), "--parallel", parallel]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: seed 1 failed: no data for seed 1 (2 of 2 seeds failed)\n"
         )
         assert not out.exists()
 
@@ -602,6 +621,12 @@ class TestRunCommand:
             for sigma in ("1e200", "1e300")
         ),
         (
+            "probe.sampler = perturb\nprobe.perturb_sigma = 1e308\n",
+            "probe.perturb_sigma",
+            "seed 1, node 0: probe 0 failed: parameter vector contains non-finite values; "
+            "lower probe.perturb_sigma",
+        ),
+        (
             "data.samples_per_class = 260\n",
             "scenario.missing_classes",
             "seed 1's test split leaves too few rows: insufficient data: need 750 training "
@@ -629,6 +654,7 @@ class TestRunCommand:
         ("empty_dir", "data.cifar_path", "no .bin files under "),
         ("ragged", "data.cifar_path", "file size 245836 is not a positive multiple of 3073"),
         ("empty_file", "data.cifar_path", "file size 0 is not a positive multiple of 3073"),
+        ("label", "data.cifar_path", "label byte 12 exceeds 9 (byte offset 0)"),
         ("few", "scenario.samples_per_node", (
             "n_nodes x samples_per_node = 60 training rows, but the CIFAR-10 pool of 40 "
             "records (data.cifar_path) leaves 36 after holding out 4 for testing"
@@ -653,6 +679,9 @@ class TestRunCommand:
             batch.write_bytes(batch.read_bytes()[:-4])
         if damage == "empty_file":
             batch.write_bytes(b"")
+        if damage == "label":
+            with open(batch, "r+b") as f:
+                f.write(bytes([12]))
         if damage == "few":
             batch.write_bytes(batch.read_bytes()[: 40 * 3073])
         if damage == "tiny":

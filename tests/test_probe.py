@@ -1,5 +1,4 @@
 import math
-import pickle
 import struct
 
 import numpy as np
@@ -504,10 +503,3 @@ class TestStackedProbes:
         assert type(cause) is type(exc)
         assert isinstance(cause, DegeneratePairError) == (kinds[index] == "degenerate")
         assert str(cause) == str(exc)
-
-
-def test_probe_failure_survives_pickle():
-    copy = pickle.loads(pickle.dumps(ProbeFailure(3, "probe values must be finite")))
-    assert type(copy) is ProbeFailure
-    assert str(copy) == "probe 3 failed: probe values must be finite"
-    assert (copy.probe_index, copy.reason) == (3, "probe values must be finite")
