@@ -163,6 +163,23 @@ def report_inputs_from_run(run: FLRun) -> ReportInputs:
     )
 
 
+def _read_gtrace(run_dir: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The probe and the training g values of ``run_dir/gtrace.csv``; a source
+    cell other than ``probe`` or ``training``, or a kind without rows, raises
+    a ValueError naming the file."""
+    path = run_dir / "gtrace.csv"
+    _, (source, _, values) = read_csv(path, (None, None, np.float64))
+    probe, training = source == "probe", source == "training"
+    other = np.flatnonzero(~(probe | training))
+    if other.size:
+        i = other[0]
+        raise ValueError(f"{path}: line {i + 2}: source {source[i]!r} is not probe or training")
+    for kind, rows in (("probe", probe), ("training", training)):
+        if not rows.any():
+            raise ValueError(f"{path}: no {kind} rows")
+    return values[probe], values[training]
+
+
 def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     """Rebuild report inputs from a saved run directory's CSV files."""
     run_dir = Path(run_dir)
@@ -189,9 +206,7 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     usefulness = usefulness_from_rounds(deltas.reshape(n_rounds, len(ids)))
     if not np.isfinite(usefulness).all():
         raise ValueError(f"{path}: usefulness must be finite")
-    _, (source, _, values) = read_csv(run_dir / "gtrace.csv", (None, None, np.float64))
-    probe_g = values[source == "probe"]
-    training_g = values[source == "training"]
+    probe_g, training_g = _read_gtrace(run_dir)
     path = run_dir / "config.txt"
     _, seed, selection_k = read_echo(path)
     if selection_k is not None and not 1 <= selection_k <= len(ids):
@@ -267,8 +282,7 @@ def output_rows(out_dir: Path | str) -> list[tuple]:
     rows = []
     for run_dir in run_dirs(out_dir):
         row = summary_row(run_dir)
-        _, (source, _, values) = read_csv(run_dir / "gtrace.csv", (None, None, np.float64))
-        medians = [np.median(values[source == kind]) for kind in ("probe", "training")]
+        medians = [np.median(values) for values in _read_gtrace(run_dir)]
         rows.append((*row[:5], *row[5::2], *row[6::2], *medians))
     return sorted(rows, key=lambda row: row[:2])
 

@@ -16,7 +16,9 @@ Three model kinds are supported:
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -247,43 +249,20 @@ def _class_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
-# Two grow-only float64 scratch buffers for the kernel's class-sized
-# ``(P, n, k)`` intermediates. A probe stack's intermediate is a few hundred
-# KB, and glibc's dynamic mmap threshold settles at exactly that size, so a
-# fresh one per call is mmap'd, faulted in page by page and unmapped again:
-# about 4,000 minor faults per hetero-eight probe phase, against a handful
-# with these buffers. Each holds up to the largest intermediate seen so
-# far, for the life of the process. fedbound runs no threads (``--parallel``
-# uses processes), and the kernel returns no view of them.
-_scratch = [np.empty(0), np.empty(0)]
-# (stack, n, k) -> the two scratch views of that shape and the class gather's
-# base offsets, for the few shapes a run uses. An entry serves only while its
-# views are of the current buffers; growing them clears every entry.
-_views: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_MAX_VIEWS = 32
-
-
-def _scratch_views(stack: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C-contiguous ``(stack, n, k)`` and ``(stack, k, n)`` views of the two
-    scratch buffers, each grown first if too small, and the ``(stack, n)``
-    offsets ``p * k * n + i`` of entry ``(p, 0, i)`` in the second."""
-    key = (stack, n, k)
-    cached = _views.get(key)
-    if cached is not None and cached[0].base is _scratch[0] and cached[1].base is _scratch[1]:
-        return cached
-    size = stack * n * k
-    if _scratch[0].size < size:
-        _scratch[:] = [np.empty(size), np.empty(size)]
-        _views.clear()
-    if len(_views) >= _MAX_VIEWS:
-        _views.clear()
+# The kernel's class-sized ``(P, n, k)`` intermediates go into reused arrays.
+# A probe stack's intermediate is a few hundred KB, and glibc's dynamic mmap
+# threshold settles at exactly that size, so a fresh one per call is mmap'd,
+# faulted in page by page and unmapped again: about 4,000 minor faults per
+# hetero-eight probe phase, against a handful with reused arrays. One
+# workspace serves one thread and one shape, the 32 most recently used are
+# kept, and the kernel returns no view of them.
+@functools.lru_cache(maxsize=32)
+def _workspace(thread: int, stack: int, n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Thread ``thread``'s C-contiguous ``(stack, n, k)`` and ``(stack, k, n)``
+    float64 arrays for the kernel, and the ``(stack, n)`` offsets
+    ``p * k * n + i`` of entry ``(p, 0, i)`` in the second."""
     offsets = np.arange(0, stack * k * n, k * n)[:, None] + np.arange(n)
-    cached = _views[key] = (
-        _scratch[0][:size].reshape(stack, n, k),
-        _scratch[1][:size].reshape(stack, k, n),
-        offsets,
-    )
-    return cached
+    return np.empty((stack, n, k)), np.empty((stack, k, n)), offsets
 
 
 def _loss_and_grad_stacked(
@@ -316,9 +295,10 @@ def _loss_and_grad_stacked(
     ``err.T @ hidden``) on a contiguous ``(P, n, k)`` copy of ``err``: turned
     around, BLAS rounds some gradients differently. A bias gradient is the
     sum of its rows in row order, a reduce over the outer axis of an
-    ``(n, P, k)`` copy. Scratch slot 1 holds the logits, then the
-    log-probabilities, then ``err``; slot 0 holds the ``exp`` temporary, then
-    the ``(n, P, k)`` copy of ``err``, then its ``(P, n, k)`` copy.
+    ``(n, P, k)`` copy. The workspace's ``(P, k, n)`` array holds the logits,
+    then the log-probabilities, then ``err``; its ``(P, n, k)`` array holds
+    the ``exp`` temporary, then the ``(n, P, k)`` copy of ``err``, then its
+    ``(P, n, k)`` copy.
     """
     l2 = spec.l2_coefficient
     losses = grads = None
@@ -334,7 +314,7 @@ def _loss_and_grad_stacked(
 
     stack, n = W.shape[0], feats.shape[-2]
     d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_width
-    rows_major, logp_all, offsets = _scratch_views(stack, n, k)
+    rows_major, logp_all, offsets = _workspace(threading.get_ident(), stack, n, k)
     if spec.kind == "softmax":
         weights = W[:, : k * d].reshape(stack, k, d)
         np.matmul(weights, np.swapaxes(feats, -1, -2), out=logp_all)

@@ -38,8 +38,8 @@ G_FORMULAS = ("gradient-norm", "loss-magnitude")
 
 # Probes evaluated in one stacked kernel call hold about this many floats in
 # each (probe, row, max(hidden, classes)) intermediate, a few MB at most.
-# The kernel's two scratch buffers (``model._scratch``) each hold up to the
-# largest class-sized intermediate seen so far, for the life of the process.
+# The kernel keeps two arrays of its class-sized intermediate's size per
+# thread and stack shape (``model._workspace``), for at most 32 of them.
 STACK_ELEMENTS = 1 << 18
 
 

@@ -785,7 +785,7 @@ class TestGoldenRun:
         # 200 rows x 32 features x 64 hidden units per product is above
         # OpenBLAS's single-thread cut-off, so the second child splits its
         # GEMMs over two threads; the kernel writes their results through
-        # ``out=`` into reused scratch buffers.
+        # ``out=`` into its reused per-thread, per-shape workspace.
         config = tmp_path / "mlp.cfg"
         config.write_text(TINY + (
             "model.kind = mlp\nmodel.hidden_width = 64\ndata.feature_dim = 32\n"

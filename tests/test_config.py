@@ -571,7 +571,9 @@ class TestEcho:
             (run_dir / "constants.csv").write_text(
                 "node_id,mu,L,G,n_probes\n" + "".join(f"{i},0,1,1,2\n" for i in nodes)
             )
-            (run_dir / "gtrace.csv").write_text("source,node_id,value\n")
+            (run_dir / "gtrace.csv").write_text(
+                "source,node_id,value\nprobe,0,1\ntraining,0,1\n"
+            )
             inputs = report_inputs_from_dir(run_dir)
         assert inputs.seed == cfg.scenario.seed
         assert inputs.selection_k == cfg.selection_k

@@ -1,5 +1,6 @@
 import sys
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from fedbound.model import (
     sgd_epoch_traced,
     softmax_spec,
 )
-from fedbound.probe import InitDistributionSampler
+from fedbound.probe import ConstantsEstimate, InitDistributionSampler
 from fedbound.rng import derive_seed, spawn_rng
 from test_probe import draw_probe_pair
 
@@ -524,11 +525,53 @@ class TestSaveRun:
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
 
+def _phase_arrays(outputs):
+    """A phase's outputs as float64 arrays, each ConstantsEstimate as its fields."""
+    arrays = []
+    for out in outputs:
+        if isinstance(out, ConstantsEstimate):
+            out = astuple(out)
+        elif isinstance(out, tuple):
+            out = [astuple(estimate) for estimate in out]
+        arrays.append(np.asarray(out, dtype=np.float64))
+    return arrays
+
+
+def test_probe_and_training_phases_in_two_threads_match_serial_runs():
+    # Each thread has its own kernel workspace, so two seeds' phases can run
+    # at once, their kernel calls on the same shapes, and still give the
+    # serial bits.
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    seeds = (1, 2, 3)
+
+    def phases(seed):
+        seeded = replace(cfg.scenario, seed=seed)
+        test, nodes = flsim.node_datasets(cfg.dataset, seeded)
+        probed = probe_phase(seeded, nodes)
+        return probed, training_phase(seeded, probed[0], test, nodes)
+
+    serial = [phases(seed) for seed in seeds]
+    # A short switch interval interleaves the two threads' kernel calls.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(phases, seed) for seed in seeds]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, got, expected in zip(seeds, threaded, serial):
+        for a, b in zip(got, expected):
+            for x, y in zip(_phase_arrays(a), _phase_arrays(b), strict=True):
+                np.testing.assert_array_equal(x, y, err_msg=f"seed {seed}")
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
 def test_repeated_probe_phase_takes_almost_no_page_faults():
-    # The kernel's class-sized intermediates live in two reused scratch
-    # buffers. Allocated fresh per call, they went through mmap and munmap
-    # on every hetero-eight probe stack: about 4,000 minor faults per phase.
+    # The kernel's class-sized intermediates live in a reused workspace per
+    # thread and shape. Allocated fresh per call, they went through mmap and
+    # munmap on every hetero-eight probe stack: about 4,000 minor faults per
+    # phase.
     import resource
 
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -568,39 +570,63 @@ _SCRATCH_CALL = st.tuples(
 )
 
 
+_WANTS = st.sampled_from([(True, True), (True, False), (False, True)])
+
+
+def _workspace_of(call):
+    """The calling thread's kernel workspace for a :func:`_kernel_call`'s shape."""
+    _, _, stack, n, _, k, *_ = call
+    return model._workspace(threading.get_ident(), stack, n, k)
+
+
 class TestScratchBuffers:
     @given(
         calls=st.lists(_SCRATCH_CALL, min_size=4, max_size=7),
-        wants=st.lists(
-            st.sampled_from([(True, True), (True, False), (False, True)]), min_size=7, max_size=7
-        ),
+        wants=st.lists(_WANTS, min_size=7, max_size=7),
     )
     @settings(max_examples=60, deadline=None)
     def test_calls_that_grow_shrink_and_grow_match_frozen_kernel(self, calls, wants):
         # Ordered by the size of the (P, n, k) intermediates: the middle calls
         # grow, the smallest shrinks, the largest grows past all of them. The
-        # buffers start empty, so the first and last calls grow them.
+        # cache starts empty, so every new shape takes a new workspace.
         by_size = sorted(calls, key=lambda call: call[2] * call[3] * call[5])
-        model._scratch[:] = [np.empty(0), np.empty(0)]
+        model._workspace.cache_clear()
         for call, want in zip([*by_size[1:-1], by_size[0], by_size[-1]], wants):
             _assert_matches_frozen(*_kernel_call(*call), *want)
+
+    @given(
+        calls=st.lists(
+            st.tuples(_SCRATCH_CALL, _WANTS),
+            min_size=33,
+            max_size=40,
+            unique_by=lambda call: (call[0][2], call[0][3], call[0][5]),
+        ),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_more_shapes_than_the_cache_holds_match_frozen_kernel(self, calls):
+        # Over 32 distinct shapes evict the least recently used workspaces;
+        # the first four shapes come back after their eviction.
+        for call, want in [*calls, *calls[:4]]:
+            _assert_matches_frozen(*_kernel_call(*call), *want)
+            assert model._workspace.cache_info().currsize <= 32
 
     @pytest.mark.parametrize("kind", ["softmax", "mlp"])
     @pytest.mark.parametrize("per_row", [False, True])
     def test_outputs_outlive_later_calls_and_share_no_scratch(self, kind, per_row):
         # Bigger, smaller, then bigger again than the first; scale 40 puts
-        # samples on the capped branch, where ``err`` is zeroed in scratch.
+        # samples on the capped branch, where ``err`` is zeroed in place.
         shapes = [(6, 40, 5), (9, 50, 7), (2, 10, 3), (12, 60, 9)]
         kept = []
         for i, (stack, n, k) in enumerate(shapes):
-            spec, W, feats, labels = _kernel_call(kind, per_row, stack, n, 4, k, 6, 0.03, 40.0, i)
+            call = (kind, per_row, stack, n, 4, k, 6, 0.03, 40.0, i)
+            spec, W, feats, labels = _kernel_call(*call)
             outputs = [
                 *_loss_and_grad_stacked(spec, W, feats, labels, True),
                 _loss_and_grad_stacked(spec, W, feats, labels, False)[0],
                 _loss_and_grad_stacked(spec, W, feats, labels, True, want_loss=False)[1],
             ]
             for out in outputs:
-                for buf in model._scratch:
+                for buf in _workspace_of(call):
                     assert not np.shares_memory(out, buf)
             kept.extend((out, out.copy()) for out in outputs)
         for out, copy in kept:
@@ -608,15 +634,37 @@ class TestScratchBuffers:
 
     @pytest.mark.parametrize("size", [0, 10_000])
     def test_cached_views_follow_a_reset_of_the_buffers(self, size):
-        # A reset to empty buffers grows them again; a reset to large ones
-        # does not, so only the cache's own check moves its views over.
-        spec, W, feats, labels = _kernel_call("softmax", False, 3, 20, 4, 3, 1, 0.0, 40.0, 0)
-        first = _loss_and_grad_stacked(spec, W, feats, labels, True)
-        model._scratch[:] = [np.empty(size), np.empty(size)]
-        again = _loss_and_grad_stacked(spec, W, feats, labels, True)
-        prod, logp_all, offsets = model._scratch_views(3, 20, 3)
-        assert prod.base is model._scratch[0] and logp_all.base is model._scratch[1]
+        # A reset of the cache drops the workspace; a call in between with a
+        # ``size``-entry intermediate (none at 0) takes one of its own, so the
+        # shape's next call gets a fresh workspace of its own shape.
+        call = ("softmax", False, 3, 20, 4, 3, 1, 0.0, 40.0, 0)
+        first = _loss_and_grad_stacked(*_kernel_call(*call), True)
+        old = _workspace_of(call)
+        model._workspace.cache_clear()
+        if size:
+            between = ("softmax", False, 10, size // 100, 4, 10, 1, 0.0, 40.0, 1)
+            _loss_and_grad_stacked(*_kernel_call(*between), True)
+        again = _loss_and_grad_stacked(*_kernel_call(*call), True)
+        rows_major, class_major, offsets = _workspace_of(call)
+        assert rows_major is not old[0] and class_major is not old[1]
+        assert rows_major.shape == (3, 20, 3) and class_major.shape == (3, 3, 20)
+        assert rows_major.flags.c_contiguous and class_major.flags.c_contiguous
         np.testing.assert_array_equal(offsets, np.arange(3)[:, None] * 60 + np.arange(20))
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
+    def test_each_thread_and_shape_has_its_own_workspace(self):
+        call = ("softmax", False, 3, 20, 4, 3, 1, 0.0, 40.0, 0)
+        first = _loss_and_grad_stacked(*_kernel_call(*call), True)
+        mine = _workspace_of(call)
+        assert _workspace_of(call) is mine
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            again = pool.submit(_loss_and_grad_stacked, *_kernel_call(*call), True).result()
+            theirs = pool.submit(_workspace_of, call).result()
+        other_shape = _workspace_of(("softmax", False, 3, 21, 4, 3, 1, 0.0, 40.0, 0))
+        for other in (theirs, other_shape):
+            for a, b in zip(mine[:2], other[:2]):
+                assert not np.shares_memory(a, b)
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
 

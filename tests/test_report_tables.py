@@ -119,3 +119,35 @@ def test_a_broken_run_directory_fails_naming_its_file(outputs, tmp_path, capsys)
     assert main(["report", "--run", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {rounds}: run has no rounds\n"
     assert tree_bytes(out) == before
+
+
+def _drop_source(kind):
+    return lambda lines: [line for line in lines if not line.startswith(f"{kind},")]
+
+
+# gtrace.csv edits that ``report`` must refuse, each with the error it names.
+GTRACE_FAULTS = {
+    "no probe rows": (_drop_source("probe"), "no probe rows"),
+    "no training rows": (_drop_source("training"), "no training rows"),
+    "misspelled source": (
+        lambda lines: [lines[0], lines[1].replace("probe", "prboe", 1), *lines[2:]],
+        "line 2: source 'prboe' is not probe or training",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(GTRACE_FAULTS))
+@pytest.mark.parametrize("target", ["run directory", "output directory"])
+def test_a_malformed_gtrace_fails_naming_it(outputs, tmp_path, capsys, fault, target):
+    out = tmp_path / "out"
+    shutil.copytree(outputs[1], out)
+    gtrace = out / "hetero_eight_nodes_seed3" / "gtrace.csv"
+    edit, message = GTRACE_FAULTS[fault]
+    gtrace.write_text("".join(edit(gtrace.read_text().splitlines(keepends=True))))
+    before = tree_bytes(out)
+    path = gtrace.parent if target == "run directory" else out
+    assert main(["report", "--run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {gtrace}: {message}\n"
+    assert tree_bytes(out) == before
