@@ -163,26 +163,38 @@ def report_inputs_from_run(run: FLRun) -> ReportInputs:
     )
 
 
-def _read_gtrace(run_dir: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The probe and the training g values of ``run_dir/gtrace.csv``; a source
-    cell other than ``probe`` or ``training``, or a kind without rows, raises
-    a ValueError naming the file."""
+def _read_gtrace(run_dir: Path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe and the training g values of ``run_dir/gtrace.csv``, a run of
+    ``n_nodes`` nodes; a source cell other than ``probe`` or ``training``, a
+    node id outside ``0..n_nodes - 1``, or a kind without rows, raises a
+    ValueError naming the file."""
     path = run_dir / "gtrace.csv"
-    _, (source, _, values) = read_csv(path, (None, None, np.float64))
+    _, (source, nodes, values) = read_csv(path, (None, np.int64, np.float64))
     probe, training = source == "probe", source == "training"
     other = np.flatnonzero(~(probe | training))
     if other.size:
         i = other[0]
         raise ValueError(f"{path}: line {i + 2}: source {source[i]!r} is not probe or training")
+    outside = np.flatnonzero((nodes < 0) | (nodes >= n_nodes))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"{path}: line {i + 2}: node id {nodes[i]} lies outside 0..{n_nodes - 1}")
     for kind, rows in (("probe", probe), ("training", training)):
         if not rows.any():
             raise ValueError(f"{path}: no {kind} rows")
     return values[probe], values[training]
 
 
-def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
-    """Rebuild report inputs from a saved run directory's CSV files."""
-    run_dir = Path(run_dir)
+def _check_t(path: Path, t: np.ndarray, expected: np.ndarray) -> None:
+    """Reject a ``t`` column other than ``expected``, naming its first wrong line."""
+    wrong = np.flatnonzero(t != expected)
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"{path}: line {i + 2}: t = {t[i]}, expected {expected[i]}")
+
+
+def _read_node_constants(run_dir: Path) -> tuple[ConstantsEstimate, ...]:
+    """The node rows of ``run_dir/constants.csv``, node i's at position i."""
     path = run_dir / "constants.csv"
     _, constants = read_csv(path, (np.int64, np.float64, np.float64, np.float64, np.int64))
     # Node rows carry ids 0..N-1 in order; the global row carries -1.
@@ -192,10 +204,16 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
         raise ValueError(f"{path}: no node rows")
     if ids != list(range(len(ids))):
         raise ValueError(f"{path}: node ids {ids} do not run 0..{len(ids) - 1} in order")
-    node_constants = tuple(ConstantsEstimate(*values) for _, *values in rows)
+    return tuple(ConstantsEstimate(*values) for _, *values in rows)
 
+
+def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
+    """Rebuild report inputs from a saved run directory's CSV files."""
+    run_dir = Path(run_dir)
+    node_constants = _read_node_constants(run_dir)
+    ids = list(range(len(node_constants)))
     path = run_dir / "usefulness.csv"
-    _, (_, nodes, deltas) = read_csv(path, (None, np.int64, np.float64))
+    _, (rounds, nodes, deltas) = read_csv(path, (np.int64, np.int64, np.float64))
     found = np.unique(nodes).tolist()
     if found != ids:
         raise ValueError(f"{path}: node ids {found} differ from constants.csv's {ids}")
@@ -203,10 +221,11 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     n_rounds = len(nodes) // len(ids)
     if not np.array_equal(nodes, np.tile(ids, n_rounds)):
         raise ValueError(f"{path}: node ids do not run 0..{len(ids) - 1} in every round")
+    _check_t(path, rounds, np.repeat(np.arange(1, n_rounds + 1), len(ids)))
     usefulness = usefulness_from_rounds(deltas.reshape(n_rounds, len(ids)))
     if not np.isfinite(usefulness).all():
         raise ValueError(f"{path}: usefulness must be finite")
-    probe_g, training_g = _read_gtrace(run_dir)
+    probe_g, training_g = _read_gtrace(run_dir, len(ids))
     path = run_dir / "config.txt"
     _, seed, selection_k = read_echo(path)
     if selection_k is not None and not 1 <= selection_k <= len(ids):
@@ -264,11 +283,12 @@ def summary_row(run_dir: Path) -> tuple:
     constant's Pearson and Spearman coefficients from ``correlations.csv``."""
     name, seed, _ = read_echo(run_dir / "config.txt")
     path = run_dir / "rounds.csv"
-    _, (_, *finals) = read_csv(path, (None, np.float64, np.float64, np.float64))
-    if not len(finals[0]):
+    _, (t, *finals) = read_csv(path, (np.int64, np.float64, np.float64, np.float64))
+    if not len(t):
         raise ValueError(f"{path}: run has no rounds")
+    _check_t(path, t, np.arange(1, len(t) + 1))
     path = run_dir / "correlations.csv"
-    _, (quantity, pearson, spearman, _) = read_csv(path, (None, np.float64, np.float64, None))
+    _, (quantity, pearson, spearman, _) = read_csv(path, (None, np.float64, np.float64, np.int64))
     if tuple(quantity) != CONSTANT_NAMES:
         raise ValueError(f"{path}: quantities {list(quantity)} are not {list(CONSTANT_NAMES)}")
     coefficients = (c for pair in zip(pearson, spearman) for c in pair)
@@ -278,11 +298,13 @@ def summary_row(run_dir: Path) -> tuple:
 def output_rows(out_dir: Path | str) -> list[tuple]:
     """A row per run directory of ``out_dir``, sorted by (scenario, seed): its
     :func:`summary_row` with the Pearson coefficients before the Spearman ones,
-    then the probe and training g medians of its ``gtrace.csv``."""
+    then the probe and training g medians of its ``gtrace.csv``, whose node
+    ids its ``constants.csv`` bounds."""
     rows = []
     for run_dir in run_dirs(out_dir):
         row = summary_row(run_dir)
-        medians = [np.median(values) for values in _read_gtrace(run_dir)]
+        n_nodes = len(_read_node_constants(run_dir))
+        medians = [np.median(values) for values in _read_gtrace(run_dir, n_nodes)]
         rows.append((*row[:5], *row[5::2], *row[6::2], *medians))
     return sorted(rows, key=lambda row: row[:2])
 

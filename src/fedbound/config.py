@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .csvio import fmt_value
-from .data import CifarSource, SyntheticSpec, class_centers, count_cifar_records
+from .data import CifarSource, SyntheticSpec, class_centers
 from .flsim import ScenarioConfig, held_out_size, node_datasets, probe_phase
 from .model import ModelSpec
 from .probe import DegeneratePairError, ProbeFailure
@@ -351,8 +351,8 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
     """Reject, naming its line in the config file at ``path``, a config that
     some seed of ``cfg`` cannot run past its set-up.
 
-    CIFAR-10 batch files are first parsed, as the loader parses them, for the
-    pool's record count. Then each seed runs what its run runs first, with
+    CIFAR-10 batches are first loaded, for the pool's record count; the run
+    reuses what this loads. Then each seed runs what its run runs first, with
     the run's own code: the synthetic class centers, the split of a shared
     pool that missing classes filter (:func:`flsim.node_datasets`) and,
     under the ``perturb`` sampler, the probe phase on those datasets
@@ -364,7 +364,7 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
     cifar = isinstance(cfg.dataset, CifarSource)
     if cifar:
         try:
-            n_rows = count_cifar_records(cfg.dataset)
+            n_rows = len(cfg.dataset.records)
         except (OSError, ValueError) as exc:
             raise raw.error(c["path"].name, str(exc)) from exc
         pool = f"the CIFAR-10 pool of {n_rows} records ({c['path'].name})"

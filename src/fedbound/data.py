@@ -10,6 +10,7 @@ fidelity mode for larger runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,11 @@ class CifarFormatError(ValueError):
 
 @dataclass(frozen=True)
 class CifarSource:
-    """CIFAR-10 binary batches at ``path``, as :func:`load_cifar10` reads them."""
+    """CIFAR-10 binary batches at ``path``, as :func:`load_cifar10` reads them.
+
+    :attr:`records` loads them on first use and keeps them, so one command
+    reads its batches once; a pickled copy leaves them out.
+    """
 
     path: Path
     pool: int = 1
@@ -48,6 +53,15 @@ class CifarSource:
     @property
     def feature_dim(self) -> int:
         return (1 if self.grayscale else 3) * (CIFAR_SIDE // self.pool) ** 2
+
+    @cached_property
+    def records(self) -> Dataset:
+        """Every record of the batches, as :func:`load_cifar10` returns them."""
+        return load_cifar10(self)
+
+    def __getstate__(self):
+        # A --parallel worker loads the batches itself rather than unpickle them.
+        return {k: v for k, v in self.__dict__.items() if k != "records"}
 
 
 @dataclass(frozen=True)
@@ -193,12 +207,6 @@ def _cifar_files(source: CifarSource) -> list[Path]:
     if not files:
         raise FileNotFoundError(f"no .bin files under {path}")
     return files
-
-
-def count_cifar_records(source: CifarSource) -> int:
-    """The records in the batch files of ``source``, each parsed as
-    :func:`load_cifar10` parses it, so any file that loading rejects raises."""
-    return sum(len(_parse_cifar_file(f)[1]) for f in _cifar_files(source))
 
 
 def _parse_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:

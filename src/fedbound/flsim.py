@@ -34,7 +34,7 @@ import numpy as np
 
 from .bound import BoundParams, convergence_bound, estimate_initial_distance
 from .csvio import write_csv
-from .data import CifarSource, SyntheticSpec, gen_synthetic, gen_synthetic_nodes, load_cifar10
+from .data import CifarSource, SyntheticSpec, gen_synthetic, gen_synthetic_nodes
 from .model import (
     Dataset,
     ModelSpec,
@@ -66,7 +66,7 @@ class ScenarioConfig:
     n_nodes: int
     samples_per_node: int
     rounds: int
-    model: ModelSpec | None = None
+    model: ModelSpec
     lr: float = 0.05
     batch_size: int = 32
     local_epochs_per_round: int = 1
@@ -102,7 +102,7 @@ class ScenarioConfig:
             raise ValueError(f"probe_sampler must be one of {PROBE_SAMPLER_KINDS}")
         if self.g_formula not in G_FORMULAS:
             raise ValueError(f"g_formula must be one of {G_FORMULAS}")
-        if self.model is not None and self.model.kind != "quadratic":
+        if self.model.kind != "quadratic":
             k = self.model.num_classes
             bad = sorted(c for c in self.missing_classes if c < 0 or c >= k)
             if bad:
@@ -144,8 +144,6 @@ class FLRun:
     global_constants: ConstantsEstimate
     node_constants: tuple[ConstantsEstimate, ...]
     probe_samples: np.ndarray
-    wstar_proxy: ParamVector
-    init_distance: float
 
     def __post_init__(self):
         _check_rounds(
@@ -198,7 +196,7 @@ def node_datasets(
     with a test set sized so it makes up ``test_fraction`` of all rows.
     """
     if isinstance(source, CifarSource):
-        data = load_cifar10(source)
+        data = source.records
     elif source.has_node_knobs:
         total_train = cfg.n_nodes * cfg.samples_per_node
         frac = cfg.test_fraction
@@ -278,8 +276,6 @@ def probe_phase(
     order, and their worst-case global aggregate. A :class:`ProbeFailure`
     names the node whose probe failed.
     """
-    if cfg.model is None:
-        raise ValueError("config has no model spec")
     if len(node_datasets) != cfg.n_nodes:
         raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
     _check_equal_sizes(node_datasets)
@@ -400,8 +396,6 @@ def run_federated_partitioned(
         global_constants=global_constants,
         node_constants=node_constants,
         probe_samples=probe_samples,
-        wstar_proxy=wstar_proxy,
-        init_distance=dist,
     )
 
 

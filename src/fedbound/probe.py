@@ -172,17 +172,12 @@ def _draw_stack(
     Row p maps the first and second ``dim`` normals of one :func:`normal_rows`
     row of ``2 * dim``, drawn from the ``probe-pair`` stream of ``seeds[p]``,
     to u and v. A degenerate or overflowed row stays as drawn, for
-    :func:`_stack_samples` to reject. A sampler that does not map the stack
-    to ``(P, dim)`` stacks raises ``ValueError``.
+    :func:`_stack_samples` to reject.
     """
     dim = param_dim(spec)
     Z = normal_rows("probe-pair", seeds, 2 * dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        U = np.asarray(sampler.map(spec, Z[:, :dim]), dtype=np.float64)
-        V = np.asarray(sampler.map(spec, Z[:, dim:]), dtype=np.float64)
-    if U.shape != (len(seeds), dim) or V.shape != U.shape:
-        raise ValueError(f"sampler gave shapes {U.shape}, {V.shape}, not ({len(seeds)}, {dim})")
-    return U, V
+        return sampler.map(spec, Z[:, :dim]), sampler.map(spec, Z[:, dim:])
 
 
 def _stack_samples(

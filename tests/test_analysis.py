@@ -34,7 +34,9 @@ def run_with_deltas(per_round_deltas):
     """A run whose round t gives node i the delta ``per_round_deltas[t - 1][i]``."""
     deltas = np.array(per_round_deltas, dtype=np.float64)
     n_rounds, n_nodes = deltas.shape
-    cfg = ScenarioConfig(n_nodes=n_nodes, samples_per_node=1, rounds=n_rounds, n_probes=2)
+    cfg = ScenarioConfig(
+        n_nodes=n_nodes, samples_per_node=1, rounds=n_rounds, model=softmax_spec(4, 3), n_probes=2
+    )
     const = ConstantsEstimate(0.5, 1.0, 1.0, 2)
     w = np.zeros(3)
     return FLRun(
@@ -48,8 +50,6 @@ def run_with_deltas(per_round_deltas):
         global_constants=const,
         node_constants=(const,) * n_nodes,
         probe_samples=np.empty((n_nodes, 0, 2)),
-        wstar_proxy=w,
-        init_distance=0.0,
     )
 
 

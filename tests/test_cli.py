@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbound import cli, csvio, flsim
+from fedbound import cli, csvio, data, flsim
 from fedbound.cli import main
 from fedbound.csvio import write_csv
 from fedbound.data import CifarFormatError
@@ -509,6 +509,25 @@ class TestRunCommand:
         main(["run", "--config", str(tiny_config), "--out", str(out)])
         assert (out / "tiny_seed42").exists()
         assert not (out / "tiny_seed1").exists()
+
+    # sha256 of the tree the run below writes, with its temporary directory
+    # written as $TMP, recorded when the pre-flight and every seed loaded the
+    # batch again (6 loads).
+    CIFAR_DIGEST = "d6ea3862d4d202888ce5f5bb855680fea3b437253880511f328357dc8bca4a8d"
+
+    def test_cifar_run_loads_its_batch_once(self, tmp_path, monkeypatch):
+        loads, load = [], data.load_cifar10
+        monkeypatch.setattr(data, "load_cifar10", lambda source: loads.append(1) or load(source))
+        config = tmp_path / "cifar.cfg"
+        config.write_text(
+            TINY + cifar_source(tmp_path) + "scenario.missing_classes = 3\nrepeat_seeds = 1,2,3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert len(loads) == 1
+        tree = {n: b.replace(str(tmp_path).encode(), b"$TMP") for n, b in read_tree(out).items()}
+        assert len(tree) == 31
+        assert hashlib.sha256(repr(sorted(tree.items())).encode()).hexdigest() == self.CIFAR_DIGEST
 
     def test_relative_cifar_path_resolves_against_the_config_file(self, tmp_path, monkeypatch):
         config_dir = tmp_path / "configs"

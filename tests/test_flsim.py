@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbound import flsim
+from fedbound.bound import estimate_initial_distance
 from fedbound.config import ExperimentConfig, echo_lines, load_config
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
@@ -333,18 +334,16 @@ class TestRunFederated:
         assert probed == []
 
     def test_wstar_proxy_is_best_train_loss_params(self):
-        data = gen_synthetic(synthetic_spec(), seed=11)
         cfg = scenario(rounds=4)
-        run = run_federated(cfg, data)
-        assert run.init_distance >= 0.0
-        assert np.isfinite(run.init_distance)
-        best = min(run.train_loss)
-        proxy_loss = float(
-            np.mean([
-                loss(cfg.model, run.wstar_proxy, node)
-                for node in partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))[1]
-            ])
-        )
+        data = gen_synthetic(synthetic_spec(), seed=11)
+        test, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+        w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
+        train_loss, *_, wstar_proxy = training_phase(cfg, w1, test, nodes)
+        init_distance = estimate_initial_distance(w1, wstar_proxy)
+        assert init_distance >= 0.0
+        assert np.isfinite(init_distance)
+        best = min(train_loss)
+        proxy_loss = float(np.mean([loss(cfg.model, wstar_proxy, node) for node in nodes]))
         assert proxy_loss <= best + 1e-12
 
     def test_wstar_proxy_is_the_earliest_of_equal_losses(self):

@@ -164,7 +164,9 @@ class TestEstimateConstants:
     def test_single_probe_rejected(self):
         # A single probe pins mu = L trivially; runs take n_probes from the config.
         with pytest.raises(ValueError, match="n_probes"):
-            ScenarioConfig(n_nodes=1, samples_per_node=1, rounds=1, n_probes=1)
+            ScenarioConfig(
+                n_nodes=1, samples_per_node=1, rounds=1, model=softmax_spec(3, 2), n_probes=1
+            )
 
     def test_probe_failure_carries_index(self):
         spec = softmax_spec(3, 2)
@@ -324,22 +326,15 @@ class CoincidentFrom:
 
 
 class BadDraw:
-    """Init-distribution points, except that the v of probe ``target`` is
-    infinite, or that a stack holding it comes back one column short."""
+    """Init-distribution points, except that the v of probe ``target`` is infinite."""
 
-    def __init__(self, spec, rng_seed, target, bad):
+    def __init__(self, spec, rng_seed, target):
         self.v = first_normals(spec, rng_seed, target)[1:]
-        self.bad = bad
 
     def map(self, spec, z):
         w = InitDistributionSampler().map(spec, z)
-        hit = matches(z, self.v)
-        if not hit.any():
-            return w
-        if self.bad == "inf":
-            w[hit] = np.inf
-            return w
-        return w[..., :-1]
+        w[matches(z, self.v)] = np.inf
+        return w
 
 
 class Poisoned:
@@ -433,19 +428,18 @@ class TestStackedProbes:
         assert excinfo.value.probe_index == 3
         assert isinstance(excinfo.value.__cause__, DegeneratePairError)
 
-    # An infinite vector is its probe's; a short stack is the whole stack's,
-    # so it names the stack's first probe.
+    # An infinite vector is its probe's, whichever stack holds it.
     @pytest.mark.parametrize("stack", [1, 3, 8])
-    @pytest.mark.parametrize("bad, message", [("inf", "non-finite"), ("short", "shape")])
+    @pytest.mark.parametrize("bad, message", [("inf", "non-finite")])
     def test_bad_vector_names_its_probe(self, monkeypatch, stack, bad, message):
         spec = softmax_spec(4, 2)
         rng = spawn_rng("toy", 7)
         data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
         small_stacks(monkeypatch, spec, data, stack)
-        sampler = BadDraw(spec, 0, 4, bad)
+        sampler = BadDraw(spec, 0, 4)
         with pytest.raises(ProbeFailure, match=message) as excinfo:
             collect_probes(spec, data, 8, sampler, 0)
-        assert excinfo.value.probe_index == (4 if bad == "inf" else 4 - 4 % stack)
+        assert excinfo.value.probe_index == 4
 
     @pytest.mark.parametrize(
         "center, message", [((0.0,) * 7, "shape"), ((np.inf,) + (0.0,) * 9, "non-finite")]
@@ -476,7 +470,7 @@ class TestStackedProbes:
             return f_u, f_v, grad_v
 
         monkeypatch.setattr(probe, "_pair_values", poisoned)
-        sampler = BadDraw(spec, 0, 5, "inf") if bad_later else InitDistributionSampler()
+        sampler = BadDraw(spec, 0, 5) if bad_later else InitDistributionSampler()
         with pytest.raises(ProbeFailure, match="probe 4 failed: probe values must be finite"):
             collect_probes(spec, data, 9, sampler, 0)
 

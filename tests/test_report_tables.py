@@ -151,3 +151,55 @@ def test_a_malformed_gtrace_fails_naming_it(outputs, tmp_path, capsys, fault, ta
     assert captured.out == ""
     assert captured.err == f"error: {gtrace}: {message}\n"
     assert tree_bytes(out) == before
+
+
+BOTH_FORMS = ("run directory", "output directory")
+# One cell of hetero_eight_nodes seed 1 that ``report`` must refuse: the file,
+# the line, the column and the new cell, the report forms that read the
+# file, and the error they name after the file.
+CORRUPT_CELLS = {
+    "gtrace node id x": (
+        "gtrace.csv", 2, "node_id", "x", BOTH_FORMS,
+        "line 2, column node_id: invalid literal for int() with base 10: 'x'",
+    ),
+    "gtrace node id 99": (
+        "gtrace.csv", 2, "node_id", "99", BOTH_FORMS, "line 2: node id 99 lies outside 0..7"
+    ),
+    "usefulness t x": (
+        "usefulness.csv", 2, "t", "x", ("run directory",),
+        "line 2, column t: invalid literal for int() with base 10: 'x'",
+    ),
+    "usefulness t 7 in round 1": (
+        "usefulness.csv", 3, "t", "7", ("run directory",), "line 3: t = 7, expected 1"
+    ),
+    "rounds t oops": (
+        "rounds.csv", 2, "t", "oops", ("output directory",),
+        "line 2, column t: invalid literal for int() with base 10: 'oops'",
+    ),
+    "correlations n many": (
+        "correlations.csv", 2, "n", "many", ("output directory",),
+        "line 2, column n: invalid literal for int() with base 10: 'many'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, target",
+    [(case, target) for case, spec in CORRUPT_CELLS.items() for target in spec[4]],
+)
+def test_a_corrupt_cell_fails_naming_its_file_and_line(outputs, tmp_path, capsys, case, target):
+    out = tmp_path / "out"
+    shutil.copytree(outputs[1], out)
+    name, line, column, cell, _, message = CORRUPT_CELLS[case]
+    path = out / "hetero_eight_nodes_seed1" / name
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    before = tree_bytes(out)
+    assert main(["report", "--run", str(path.parent if target == "run directory" else out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+    assert tree_bytes(out) == before
