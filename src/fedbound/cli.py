@@ -112,7 +112,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
     Every seed runs, serial or parallel, even after one fails; a seed's
     outcome is ``None`` or its error text, which a worker sends back as a
     string, so no error class needs to pickle. A worker that dies fails its
-    seed. The first seed to save its run makes the output directory, and
+    seed. At most one worker a seed starts, and each is given ``cfg`` once,
+    so a forked worker shares the CIFAR-10 pool the pre-flight loaded. The
+    first seed to save its run makes the output directory, and
     :func:`analysis.write_summary` then lists every run directory in it.
     Last, a ``ValueError`` names the first seed that failed.
     """
@@ -122,8 +124,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
         # command tens of milliseconds of start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(_outcome, execute_seed, cfg, seed) for seed in seeds]
+        workers = min(parallel, len(seeds))
+        with ProcessPoolExecutor(workers, initializer=_keep_cfg, initargs=(cfg,)) as pool:
+            futures = [pool.submit(_execute_kept, seed) for seed in seeds]
             outcomes = [_outcome(future.result) for future in futures]
     else:
         outcomes = [_outcome(execute_seed, cfg, seed) for seed in seeds]
@@ -135,6 +138,20 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
         others = f" ({len(failed)} of {len(seeds)} seeds failed)" if len(failed) > 1 else ""
         raise ValueError(f"seed {seed} failed: {error}{others}")
     return 0
+
+
+_kept_cfg: ExperimentConfig | None = None
+
+
+def _keep_cfg(cfg: ExperimentConfig) -> None:
+    """Hold ``cfg`` for every seed this ``--parallel`` worker runs."""
+    global _kept_cfg
+    _kept_cfg = cfg
+
+
+def _execute_kept(seed: int):
+    """The outcome of :func:`execute_seed` on the worker's ``cfg`` and ``seed``."""
+    return _outcome(execute_seed, _kept_cfg, seed)
 
 
 def _outcome(call, *args):

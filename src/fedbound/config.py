@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Any
 
 from .csvio import fmt_value
-from .data import CifarSource, SyntheticSpec, class_centers
-from .flsim import ScenarioConfig, held_out_size, node_datasets, probe_phase
+from .data import CifarFormatError, CifarSource, ClassCentersError, SyntheticSpec
+from .flsim import EmptyTestSplitError, ScenarioConfig, ShortfallError, node_datasets, probe_phase
 from .model import ModelSpec
 from .probe import DegeneratePairError, ProbeFailure
 
@@ -271,7 +271,8 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
 def _check_sizes(
     raw: _RawConfig, scenario: ScenarioConfig, dataset: SyntheticSpec | CifarSource
 ) -> None:
-    """Reject sizes that would otherwise fail only once a run has started."""
+    """Reject sizes that fail without any data; :func:`preflight` builds each
+    seed's datasets, which checks the rest."""
     s, d = _SCENARIO_KEYS, _SYNTHETIC_KEYS
     if scenario.batch_size > scenario.samples_per_node:
         raise raw.error(
@@ -284,9 +285,6 @@ def _check_sizes(
             s["missing_classes"].name, "lists every class, which leaves no training data"
         )
     if isinstance(dataset, CifarSource):
-        # Only the pre-flight knows the record count; a share of 0 empties any split.
-        if scenario.test_fraction == 0.0:
-            raise raw.error(s["test_fraction"].name, "test_fraction 0 leaves the test split empty")
         return
     for knob in ("label_skew", "noise_mult", "feature_scale"):
         entries = getattr(dataset, knob)
@@ -296,49 +294,6 @@ def _check_sizes(
                 f"needs {scenario.n_nodes} entries, one per node "
                 f"({s['n_nodes'].name} = {scenario.n_nodes}), got {len(entries)}",
             )
-    # Per-node synthetic generation always draws at least one test row.
-    if dataset.has_node_knobs:
-        return
-    # Missing classes filter the pool by the random test split, but it keeps
-    # at most the remaining classes' rows.
-    need = scenario.n_nodes * scenario.samples_per_node
-    kept = (dataset.num_classes - len(scenario.missing_classes)) * dataset.samples_per_class
-    if scenario.missing_classes and kept < need:
-        raise raw.error(
-            s["missing_classes"].name,
-            f"n_nodes x samples_per_node = {need} training rows, but leaving out "
-            f"classes {sorted(scenario.missing_classes)} keeps at most {kept} rows of the "
-            f"synthetic pool ({dataset.samples_per_class} per remaining class), "
-            "whatever the test split",
-        )
-    n_rows = dataset.num_classes * dataset.samples_per_class
-    _check_pool(
-        raw, scenario, n_rows,
-        f"the synthetic pool of {n_rows} rows (num_classes x samples_per_class)",
-        d["samples_per_class"], d["num_classes"],
-    )
-
-
-def _check_pool(
-    raw: _RawConfig, scenario: ScenarioConfig, n_rows: int, pool: str, *keys: _Key
-) -> None:
-    """Reject a shared pool of ``n_rows`` rows, which ``pool`` describes and
-    ``keys`` size, if :func:`flsim.partition_dataset` would hold out no test
-    row or, with no class missing, leave too few rows for the nodes."""
-    s = _SCENARIO_KEYS
-    n_test = held_out_size(scenario, n_rows)
-    need = scenario.n_nodes * scenario.samples_per_node
-    if not scenario.missing_classes and n_rows - n_test < need:
-        raise raw.error(
-            raw.first_set(s["samples_per_node"], s["n_nodes"], *keys),
-            f"n_nodes x samples_per_node = {need} training rows, but {pool} leaves "
-            f"{n_rows - n_test} after holding out {n_test} for testing",
-        )
-    if n_test == 0:
-        raise raw.error(
-            raw.first_set(s["test_fraction"], keys[0]),
-            f"test_fraction {scenario.test_fraction:g} leaves the test split empty",
-        )
 
 
 def load_config(path: Path | str) -> ExperimentConfig:
@@ -351,49 +306,41 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
     """Reject, naming its line in the config file at ``path``, a config that
     some seed of ``cfg`` cannot run past its set-up.
 
-    CIFAR-10 batches are first loaded, for the pool's record count; the run
-    reuses what this loads. Then each seed runs what its run runs first, with
-    the run's own code: the synthetic class centers, the split of a shared
-    pool that missing classes filter (:func:`flsim.node_datasets`) and,
-    under the ``perturb`` sampler, the probe phase on those datasets
-    (:func:`flsim.probe_phase`). The seeds are known only once
-    ``FEDBOUND_SEED`` has been applied, so :func:`load_config` does not call it.
+    Each seed runs what its run runs first, with the run's own code: it builds
+    its datasets (:func:`flsim.node_datasets`), the first of which loads the
+    CIFAR-10 batches that the run then reuses, and under the ``perturb``
+    sampler it probes them (:func:`flsim.probe_phase`). A fault is told apart
+    by its exception class. The seeds are known only once ``FEDBOUND_SEED``
+    has been applied, so :func:`load_config` does not call it.
     """
     raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
     s, d, c = _SCENARIO_KEYS, _SYNTHETIC_KEYS, _CIFAR_KEYS
-    cifar = isinstance(cfg.dataset, CifarSource)
-    if cifar:
-        try:
-            n_rows = len(cfg.dataset.records)
-        except (OSError, ValueError) as exc:
-            raise raw.error(c["path"].name, str(exc)) from exc
-        pool = f"the CIFAR-10 pool of {n_rows} records ({c['path'].name})"
-        _check_pool(raw, cfg.scenario, n_rows, pool, c["path"])
+    if isinstance(cfg.dataset, CifarSource):
+        pool, more = (c["path"],), ""
+    else:
+        pool = (d["samples_per_class"], d["num_classes"])
+        more = f"raise {d['samples_per_class'].name} or "
     for seed in cfg.repeat_seeds:
         scenario = replace(cfg.scenario, seed=seed)
-        nodes = None
-        if not cifar:
-            try:
-                class_centers(cfg.dataset, seed)
-            except ValueError as exc:
-                raise raw.error(
-                    raw.first_set(d["feature_dim"], d["num_classes"], d["separation"]),
-                    f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
-                    f"{d['feature_dim'].name} or use fewer classes",
-                ) from exc
-        if scenario.missing_classes and (cifar or not cfg.dataset.has_node_knobs):
-            more = f"lower {s['samples_per_node'].name}"
-            if not cifar:
-                more = f"raise {d['samples_per_class'].name} or {more}"
-            try:
-                _, nodes = node_datasets(cfg.dataset, scenario)
-            except ValueError as exc:
-                raise raw.error(
-                    s["missing_classes"].name,
-                    f"seed {seed}'s test split leaves too few rows: {exc}; {more}",
-                ) from exc
+        try:
+            _, nodes = node_datasets(cfg.dataset, scenario)
+        except (OSError, CifarFormatError) as exc:
+            raise raw.error(c["path"].name, str(exc)) from exc
+        except ClassCentersError as exc:
+            raise raw.error(
+                raw.first_set(d["feature_dim"], d["num_classes"], d["separation"]),
+                f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
+                f"{d['feature_dim'].name} or use fewer classes",
+            ) from exc
+        except ShortfallError as exc:
+            short = (s["samples_per_node"], s["n_nodes"], *pool)
+            raise raw.error(
+                raw.first_set(*([s["missing_classes"]] if scenario.missing_classes else short)),
+                f"seed {seed}: {exc}; {more}lower {s['samples_per_node'].name}",
+            ) from exc
+        except EmptyTestSplitError as exc:
+            raise raw.error(raw.first_set(s["test_fraction"], pool[0]), str(exc)) from exc
         if scenario.probe_sampler == "perturb":
-            nodes = nodes or node_datasets(cfg.dataset, scenario)[1]
             try:
                 probe_phase(scenario, nodes)
             except ProbeFailure as exc:

@@ -33,6 +33,10 @@ class CifarFormatError(ValueError):
         self.reason = reason
 
 
+class ClassCentersError(ValueError):
+    """No draw placed a spec's class centers at its separation."""
+
+
 @dataclass(frozen=True)
 class CifarSource:
     """CIFAR-10 binary batches at ``path``, as :func:`load_cifar10` reads them.
@@ -60,7 +64,8 @@ class CifarSource:
         return load_cifar10(self)
 
     def __getstate__(self):
-        # A --parallel worker loads the batches itself rather than unpickle them.
+        # A --parallel worker that is not forked loads the batches itself
+        # rather than unpickle them.
         return {k: v for k, v in self.__dict__.items() if k != "records"}
 
 
@@ -121,7 +126,7 @@ def class_centers(spec: SyntheticSpec, seed: int) -> np.ndarray:
         np.fill_diagonal(dists, np.inf)
         if dists.min() >= spec.separation:
             return centers
-    raise ValueError(
+    raise ClassCentersError(
         f"cannot place {spec.num_classes} centers at separation {spec.separation} "
         f"in {spec.feature_dim} dimensions"
     )

@@ -152,9 +152,12 @@ class FLRun:
         )
 
 
-def held_out_size(cfg: ScenarioConfig, n: int) -> int:
-    """Rows :func:`partition_dataset` holds out for testing from ``n`` rows."""
-    return int(round(cfg.test_fraction * n))
+class ShortfallError(ValueError):
+    """A shared pool leaves too few training rows for the nodes."""
+
+
+class EmptyTestSplitError(ValueError):
+    """The held-out share of a shared pool rounds to zero rows."""
 
 
 def partition_dataset(
@@ -163,12 +166,14 @@ def partition_dataset(
     """Split a global dataset into a held-out test set and disjoint node sets.
 
     The test split keeps every class; only the training side drops samples
-    of the configured missing classes.
+    of the configured missing classes. Too few training rows for the nodes
+    raise :class:`ShortfallError`, then a test split of no row
+    :class:`EmptyTestSplitError`.
     """
     n = len(data)
     rng = spawn_rng("partition", rng_seed)
     order = rng.permutation(n)
-    n_test = held_out_size(cfg, n)
+    n_test = int(round(cfg.test_fraction * n))
     test_idx = order[:n_test]
     pool = order[n_test:]
     if cfg.missing_classes:
@@ -176,8 +181,14 @@ def partition_dataset(
         pool = pool[keep]
     need = cfg.n_nodes * cfg.samples_per_node
     if len(pool) < need:
-        raise ValueError(
-            f"insufficient data: need {need} training samples after filtering, have {len(pool)}"
+        dropped = f" and leaving out classes {sorted(cfg.missing_classes)}"
+        raise ShortfallError(
+            f"insufficient data: need {need} training samples, have {len(pool)} of {n} "
+            f"after holding out {n_test}{dropped if cfg.missing_classes else ''}"
+        )
+    if n_test == 0:
+        raise EmptyTestSplitError(
+            f"test_fraction {cfg.test_fraction:g} leaves the test split empty"
         )
     nodes = [
         data.subset(pool[i * cfg.samples_per_node : (i + 1) * cfg.samples_per_node])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -79,6 +80,12 @@ RUN_FILES = (
     "cdf_probe.csv",
     "cdf_training.csv",
     "selection.csv",
+)
+
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="counts what forked --parallel workers inherit",
 )
 
 
@@ -325,17 +332,21 @@ class TestRunCommand:
 
     def test_missing_class_shortfall_on_every_split_fails_at_load(self, tmp_path, capsys):
         cfg = tmp_path / "short.cfg"
+        # At separation 0.7, four classes place in 8 dimensions but not in
+        # TINY's 4, which would fail the pre-flight first.
         cfg.write_text(
             TINY
             + "data.num_classes = 4\ndata.samples_per_class = 40\n"
-            + "scenario.missing_classes = 0, 1\nscenario.n_nodes = 3\n"
+            + "scenario.missing_classes = 0, 1\nscenario.n_nodes = 3\ndata.feature_dim = 8\n"
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
         line = TINY.count("\n") + 3
-        assert err.startswith(f"config error: line {line}: scenario.missing_classes: ")
-        assert "leaving out classes [0, 1] keeps at most 80 rows" in err
+        assert capsys.readouterr().err == (
+            f"config error: line {line}: scenario.missing_classes: seed 1: insufficient data: "
+            "need 90 training samples, have 70 of 160 after holding out 16 and leaving out "
+            "classes [0, 1]; raise data.samples_per_class or lower scenario.samples_per_node\n"
+        )
         assert not out.exists()
 
     def test_rerun_replaces_existing_directory(self, tiny_config, tmp_path):
@@ -529,6 +540,44 @@ class TestRunCommand:
         assert len(tree) == 31
         assert hashlib.sha256(repr(sorted(tree.items())).encode()).hexdigest() == self.CIFAR_DIGEST
 
+    # A forked worker inherits the cfg its pool was given, and with it the
+    # batch the pre-flight loaded. The count goes through a file, which
+    # every process appends to.
+    @FORK_ONLY
+    def test_parallel_cifar_run_loads_its_batch_once(self, tmp_path, monkeypatch):
+        loads, load = tmp_path / "loads", data.load_cifar10
+
+        def counted(source):
+            with open(loads, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return load(source)
+
+        monkeypatch.setattr(data, "load_cifar10", counted)
+        config = tmp_path / "cifar.cfg"
+        config.write_text(TINY + cifar_source(tmp_path) + "repeat_seeds = 1,2,3\n")
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        argv = ["run", "--config", str(config), "--out", str(parallel), "--parallel", "2"]
+        assert main(argv) == 0
+        assert loads.read_text().splitlines() == [str(os.getpid())]
+        assert main(["run", "--config", str(config), "--out", str(serial)]) == 0
+        assert read_tree(serial) == read_tree(parallel)
+
+    # Under fork the pool starts all its workers at once.
+    @FORK_ONLY
+    def test_parallel_starts_no_more_workers_than_seeds(self, tiny_config, tmp_path, monkeypatch):
+        from multiprocessing import popen_fork
+
+        started, launch = [], popen_fork.Popen._launch
+        monkeypatch.setattr(
+            popen_fork.Popen, "_launch", lambda self, obj: started.append(1) or launch(self, obj)
+        )
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        argv = ["run", "--config", str(tiny_config), "--out", str(parallel), "--parallel", "8"]
+        assert main(argv) == 0
+        assert len(started) == 2
+        assert main(["run", "--config", str(tiny_config), "--out", str(serial)]) == 0
+        assert read_tree(serial) == read_tree(parallel)
+
     def test_relative_cifar_path_resolves_against_the_config_file(self, tmp_path, monkeypatch):
         config_dir = tmp_path / "configs"
         config_dir.mkdir()
@@ -648,9 +697,9 @@ class TestRunCommand:
         (
             "data.samples_per_class = 260\n",
             "scenario.missing_classes",
-            "seed 1's test split leaves too few rows: insufficient data: need 750 training "
-            "samples after filtering, have 709; raise data.samples_per_class or lower "
-            "scenario.samples_per_node",
+            "seed 1: insufficient data: need 750 training samples, have 709 of 1040 after "
+            "holding out 104 and leaving out classes [3]; raise data.samples_per_class or "
+            "lower scenario.samples_per_node",
         ),
     ])
     @pytest.mark.parametrize("command", ["run", "probe"])
@@ -675,13 +724,14 @@ class TestRunCommand:
         ("empty_file", "data.cifar_path", "file size 0 is not a positive multiple of 3073"),
         ("label", "data.cifar_path", "label byte 12 exceeds 9 (byte offset 0)"),
         ("few", "scenario.samples_per_node", (
-            "n_nodes x samples_per_node = 60 training rows, but the CIFAR-10 pool of 40 "
-            "records (data.cifar_path) leaves 36 after holding out 4 for testing"
+            "seed 1: insufficient data: need 60 training samples, have 36 of 40 after "
+            "holding out 4; lower scenario.samples_per_node"
         )),
         ("tiny", "scenario.test_fraction", "test_fraction 0.005 leaves the test split empty"),
         ("one_class", "scenario.missing_classes", (
-            "seed 1's test split leaves too few rows: insufficient data: need 60 training "
-            "samples after filtering, have 7; lower scenario.samples_per_node"
+            "seed 1: insufficient data: need 60 training samples, have 7 of 80 after holding "
+            "out 8 and leaving out classes [1, 2, 3, 4, 5, 6, 7, 8, 9]; lower "
+            "scenario.samples_per_node"
         )),
     ])
     @pytest.mark.parametrize("command", ["run", "probe"])

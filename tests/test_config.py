@@ -49,6 +49,25 @@ repeat_seeds = 1, 2, 3
 """
 
 
+def preflight_error(tmp_path: Path, capsys, text: str) -> str:
+    """The config error of ``fedbound run`` on ``text``, which must exit 2
+    before making its output directory."""
+    path, out = tmp_path / "c.cfg", tmp_path / "out"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith("\n"), err
+    return err[len("config error: ") : -1]
+
+
+def preflight_text(tmp_path: Path, text: str) -> None:
+    """Load ``text`` and run its pre-flight, which must pass."""
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    preflight(load_config(path), path)
+
+
 class TestParser:
     def test_key_values_with_comments(self):
         raw = parse_config_text(GOOD)
@@ -204,30 +223,39 @@ class TestBuild:
         assert excinfo.value.line == 2
         assert "[1, 150]" in str(excinfo.value)
 
-    def test_empty_test_split_rejected_with_line(self):
+    # The split rules belong to flsim.partition_dataset, so a config that
+    # breaks one loads and fails the pre-flight of fedbound run.
+    def test_empty_test_split_rejected_with_line(self, tmp_path, capsys):
         text = (
             "data.num_classes = 4\n"
             "data.samples_per_class = 100\n"
             "scenario.samples_per_node = 50\n"
             "scenario.test_fraction = 0.001\n"
         )
-        with pytest.raises(ConfigError) as excinfo:
-            build_experiment_config(parse_config_text(text))
-        assert excinfo.value.line == 4
+        assert preflight_error(tmp_path, capsys, text) == (
+            "line 4: scenario.test_fraction: test_fraction 0.001 leaves the test split empty"
+        )
         # 0.002 of 400 rows rounds to one held-out row.
-        build_experiment_config(parse_config_text(text.replace("0.001", "0.002")))
+        preflight_text(tmp_path, text.replace("0.001", "0.002"))
 
-    def test_zero_test_fraction_rejected_for_cifar(self):
+    def test_zero_test_fraction_rejected_for_cifar(self, tmp_path, capsys):
+        (tmp_path / "batch.bin").write_bytes(
+            b"".join(make_record(i % 10) for i in range(60))
+        )
         text = (
             "data.source = cifar10\n"
-            "data.cifar_path = /data/cifar\n"
+            "data.cifar_path = batch.bin\n"
             "scenario.test_fraction = 0\n"
+            "scenario.n_nodes = 2\n"
+            "scenario.samples_per_node = 20\n"
+            "scenario.batch_size = 10\n"
         )
-        with pytest.raises(ConfigError) as excinfo:
-            build_experiment_config(parse_config_text(text))
-        assert excinfo.value.line == 3
+        assert preflight_error(tmp_path, capsys, text) == (
+            "line 3: scenario.test_fraction: test_fraction 0 leaves the test split empty"
+        )
+        preflight_text(tmp_path, text.replace("= 0\n", "= 0.1\n"))
 
-    def test_pool_too_small_for_the_nodes_rejected_with_line(self):
+    def test_pool_too_small_for_the_nodes_rejected_with_line(self, tmp_path, capsys):
         # 4 x 100 rows less 40 held out leave 360 for 10 x 200.
         text = (
             "data.num_classes = 4\n"
@@ -235,23 +263,17 @@ class TestBuild:
             "data.samples_per_class = 100\n"
             "scenario.samples_per_node = 200\n"
         )
-        with pytest.raises(ConfigError) as excinfo:
-            build_experiment_config(parse_config_text(text))
-        assert str(excinfo.value) == (
-            "line 4: scenario.samples_per_node: n_nodes x samples_per_node = 2000 training "
-            "rows, but the synthetic pool of 400 rows (num_classes x samples_per_class) "
-            "leaves 360 after holding out 40 for testing"
+        assert preflight_error(tmp_path, capsys, text) == (
+            "line 4: scenario.samples_per_node: seed 0: insufficient data: need 2000 "
+            "training samples, have 360 of 400 after holding out 40; raise "
+            "data.samples_per_class or lower scenario.samples_per_node"
         )
         # 36 x 10 rows fill the pool exactly.
-        build_experiment_config(parse_config_text(text.replace("200", "36")))
-        # A shortfall that missing classes make depend on the test split, or
-        # per-node knobs, leave the check to the run.
-        split = "scenario.batch_size = 30\nscenario.missing_classes = 1\n"
-        build_experiment_config(parse_config_text(text.replace("200", "30") + split))
-        knobs = "data.noise_mult = " + ", ".join(["1"] * 10) + "\n"
-        build_experiment_config(parse_config_text(text + knobs))
+        preflight_text(tmp_path, text.replace("200", "36"))
+        # Per-node knobs generate each node's rows, so any pool size runs.
+        preflight_text(tmp_path, text + "data.noise_mult = " + ", ".join(["1"] * 10) + "\n")
 
-    def test_missing_class_shortfall_on_every_split_rejected_with_line(self):
+    def test_missing_class_shortfall_on_every_split_rejected_with_line(self, tmp_path, capsys):
         # 2 of 4 classes x 40 rows leave at most 80 for 3 x 30, whatever the split.
         text = (
             "data.num_classes = 4\n"
@@ -261,17 +283,14 @@ class TestBuild:
             "scenario.samples_per_node = 30\n"
             "scenario.batch_size = 10\n"
         )
-        with pytest.raises(ConfigError) as excinfo:
-            build_experiment_config(parse_config_text(text))
-        assert str(excinfo.value) == (
-            "line 3: scenario.missing_classes: n_nodes x samples_per_node = 90 training "
-            "rows, but leaving out classes [0, 1] keeps at most 80 rows of the synthetic "
-            "pool (40 per remaining class), whatever the test split"
+        assert preflight_error(tmp_path, capsys, text) == (
+            "line 3: scenario.missing_classes: seed 0: insufficient data: need 90 training "
+            "samples, have 71 of 160 after holding out 16 and leaving out classes [0, 1]; "
+            "raise data.samples_per_class or lower scenario.samples_per_node"
         )
-        # 80 rows can fill 3 x 26, so the split decides and the run checks.
-        build_experiment_config(parse_config_text(text.replace("= 30", "= 26")))
-        knobs = "data.noise_mult = 1, 1, 1\n"
-        build_experiment_config(parse_config_text(text + knobs))
+        # 71 rows fill 3 x 23 on this seed's split.
+        preflight_text(tmp_path, text.replace("= 30", "= 23"))
+        preflight_text(tmp_path, text + "data.noise_mult = 1, 1, 1\n")
 
     def test_per_node_synthetic_always_has_a_test_row(self):
         text = "scenario.n_nodes = 2\ndata.feature_scale = 0.5, 1.0\nscenario.test_fraction = 0\n"
@@ -443,9 +462,10 @@ def config_texts(draw, tiny: bool = False) -> str:
     """A valid config that sets every key a run's config.txt echoes.
 
     A ``tiny`` one runs in milliseconds: at most 20 rows per node, 3 rounds
-    and 8 probes, on a synthetic source of 100 rows per class or on CIFAR-10
-    batches at ``./cifar``, pooled to at most 48 features, which
-    :func:`write_cifar` writes.
+    and 8 probes, on a synthetic source of at most 100 rows per class or on
+    CIFAR-10 batches at ``./cifar``, pooled to at most 48 features, which
+    :func:`write_cifar` writes. Its pool may be too small for its nodes, and
+    its ``test_fraction`` may hold out no row.
     """
     n_nodes = draw(st.integers(1, 5))
     per_node = draw(st.integers(1, 20 if tiny else 50))
@@ -457,7 +477,9 @@ def config_texts(draw, tiny: bool = False) -> str:
         "scenario.lr": draw(floats(0.0, 10.0)),
         "scenario.batch_size": draw(st.integers(1, per_node)),
         "scenario.local_epochs_per_round": draw(st.integers(1, 3)),
-        "scenario.test_fraction": draw(floats(0.01, 0.5)),
+        "scenario.test_fraction": draw(
+            st.one_of(st.just(0.0), floats(0.001, 0.5)) if tiny else floats(0.01, 0.5)
+        ),
         "scenario.seed": draw(st.integers(0, 2**63 - 1)),
         "probe.n_probes": draw(st.integers(2, 8 if tiny else 500)),
         "probe.sampler": draw(st.sampled_from(PROBE_SAMPLER_KINDS)),
@@ -486,12 +508,11 @@ def config_texts(draw, tiny: bool = False) -> str:
         values["data.cifar_grayscale"] = draw(st.sampled_from(["true", "false"]))
         num_classes = 10
     else:
-        # 1000 rows per class fill five nodes of 50 even with half held out,
-        # and 100 fill five of 20.
+        # 1000 rows per class fill five nodes of 50 even with half held out.
         num_classes = draw(st.integers(2, 6))
         values["data.num_classes"] = num_classes
         values["data.feature_dim"] = draw(st.integers(1, 16))
-        values["data.samples_per_class"] = 100 if tiny else 1000
+        values["data.samples_per_class"] = draw(st.integers(1, 100)) if tiny else 1000
         # Class centers lie in [0.15, 0.85]^d; up to 1.0 apart most shapes
         # place them, and some still exit 2 at load.
         values["data.separation"] = draw(floats(0.01, 1.0))

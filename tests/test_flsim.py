@@ -13,6 +13,7 @@ from fedbound.bound import estimate_initial_distance
 from fedbound.config import ExperimentConfig, echo_lines, load_config
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
+    EmptyTestSplitError,
     ScenarioConfig,
     fedavg,
     local_round,
@@ -107,6 +108,16 @@ class TestPartition:
         cfg = scenario(n_nodes=4, samples_per_node=100)
         with pytest.raises(ValueError, match="insufficient"):
             partition_dataset(data, cfg, rng_seed=0)
+
+    def test_empty_test_split_rejected(self):
+        # 0.001 of 360 rows rounds to no held-out row; 0.002 to one.
+        data = gen_synthetic(synthetic_spec(), seed=3)
+        cfg = scenario(test_fraction=0.001)
+        message = "^test_fraction 0.001 leaves the test split empty$"
+        with pytest.raises(EmptyTestSplitError, match=message):
+            partition_dataset(data, cfg, rng_seed=0)
+        test, _ = partition_dataset(data, replace(cfg, test_fraction=0.002), rng_seed=0)
+        assert len(test) == 1
 
     def test_deterministic_given_seed(self):
         data = gen_synthetic(synthetic_spec(), seed=4)
