@@ -1,76 +1,82 @@
 #!/usr/bin/env python3
 """Does picking nodes by probed constants pay off?
 
-Probes every node of the shipped ``configs/hetero_eight_nodes.cfg``
-federation once per seed, selects the config's ``selection.k`` nodes under
-a chosen policy (default: largest local L), then trains the selected nodes
-and the rest as two federations from the same initial parameters and
-compares their final test losses. Selection sees only the probed (mu, L, G)
-triples, never dataset sizes or contents, and picks the nodes that the
-seed's selection.csv from ``fedbound run`` lists for the policy.
+For each seed that ``fedbound run --config configs/hetero_eight_nodes.cfg``
+saved, trains the nodes that its selection.csv lists for a policy (default:
+largest local L) and the rest as two federations from the run's w1, and
+compares their final test losses.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from fedbound.analysis import select_nodes
-from fedbound.config import load_config
-from fedbound.flsim import node_datasets, probe_phase, training_phase
+from fedbound.analysis import run_dirs
+from fedbound.config import ExperimentConfig, echo_lines, load_config
+from fedbound.csvio import read_csv
+from fedbound.flsim import initial_params, node_datasets, training_phase
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
 
 
-def _seed_list(text: str) -> tuple[int, ...]:
-    """``--seeds``: one or more distinct integers, comma-separated."""
-    try:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        message = f"expected comma-separated integers, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
-    if not seeds:
-        raise argparse.ArgumentTypeError("must name at least one seed")
-    twice = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if twice:
-        raise argparse.ArgumentTypeError(f"seed {twice[0]} is listed more than once")
-    return seeds
+def _selection(run_dir: Path, cfg: ExperimentConfig, seed: int, policy: str) -> set[int]:
+    """The nodes that ``run_dir``'s selection.csv lists for ``policy``; a
+    ValueError says why the directory is not a run of ``cfg`` at ``seed``."""
+    lines = (run_dir / "config.txt").read_text(encoding="utf-8").splitlines()
+    shipped_lines = echo_lines(replace(cfg, scenario=replace(cfg.scenario, seed=seed)))
+    for saved, shipped in zip_longest(lines, shipped_lines):
+        if saved != shipped:
+            raise ValueError(f"config.txt has {saved!r} where {CONFIG.name} gives {shipped!r}")
+    _, (policies, _, chosen) = read_csv(run_dir / "selection.csv", (None,) * 3)
+    ids = dict(zip(policies, chosen)).get(policy, "").split(";")
+    if not set(ids) <= {str(i) for i in range(cfg.scenario.n_nodes)}:
+        raise ValueError(f"selection.csv has no {policy} row of the run's node ids")
+    return set(map(int, ids))
 
 
 def main() -> None:
     cfg = load_config(CONFIG)
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=_seed_list, default=cfg.repeat_seeds,
-                        help="comma-separated seeds (default: the config's repeat_seeds)")
+    parser.add_argument("--runs", type=Path, default=cfg.output_dir,
+                        help="where fedbound run saved the config's runs (default: its output.dir)")
     parser.add_argument("--policy", default="top-L",
                         choices=("top-L", "top-G", "bottom-mu", "random"))
     args = parser.parse_args()
 
+    # Every run is checked before the first one trains.
+    selections = {}
+    for run_dir in run_dirs(args.runs) if args.runs.is_dir() else []:
+        name, _, seed = run_dir.name.rpartition("_seed")
+        if name == cfg.scenario_name:
+            try:
+                selections[int(seed)] = _selection(run_dir, cfg, int(seed), args.policy)
+            except (OSError, ValueError) as exc:
+                parser.error(f"{run_dir}: {exc}")
+    if not selections:
+        parser.error(f"{args.runs} holds no {cfg.scenario_name}_seed<s> run directory")
+
     print(f"{'seed':>6}{'selected':>20}{'selected loss':>15}{'rest loss':>12}")
     print("-" * 53)
-    chosen_losses, rest_losses = [], []
-    for seed in args.seeds:
+    losses = []
+    for seed, selected in sorted(selections.items()):
         scenario = replace(cfg.scenario, seed=seed)
         test_data, nodes = node_datasets(cfg.dataset, scenario)
-        w1, _, node_constants, _ = probe_phase(scenario, nodes)
-        selected = select_nodes(node_constants, cfg.selection_k, args.policy, rng_seed=seed)
-        rest = set(range(len(nodes))) - selected
-
-        finals = {}
-        for name, subset in (("selected", selected), ("rest", rest)):
+        w1 = initial_params(scenario)
+        losses.append([])
+        for subset in (selected, set(range(len(nodes))) - selected):
             subset_nodes = [nodes[i] for i in sorted(subset)]
             _, test_loss, *_ = training_phase(scenario, w1, test_data, subset_nodes)
-            finals[name] = float(test_loss[-1])
-        chosen_losses.append(finals["selected"])
-        rest_losses.append(finals["rest"])
+            losses[-1].append(float(test_loss[-1]))
         ids = ",".join(str(i) for i in sorted(selected))
-        print(f"{seed:>6}{ids:>20}{finals['selected']:>15.4f}{finals['rest']:>12.4f}")
+        print(f"{seed:>6}{ids:>20}{losses[-1][0]:>15.4f}{losses[-1][1]:>12.4f}")
     print("-" * 53)
-    print(f"{'mean':>6}{'':>20}{float(np.mean(chosen_losses)):>15.4f}"
-          f"{float(np.mean(rest_losses)):>12.4f}")
+    selected_mean, rest_mean = np.mean(losses, axis=0)
+    print(f"{'mean':>6}{'':>20}{selected_mean:>15.4f}{rest_mean:>12.4f}")
 
 
 if __name__ == "__main__":

@@ -83,8 +83,10 @@ def correlate(x, y) -> tuple[float, float]:
     if x.size < 3:
         raise ValueError("need at least 3 points")
     # All-equal values can leave a rounding-sized std; scipy gives NaN there.
-    if any(np.std(v) == 0.0 or (v == v[0]).all() for v in (x, y)):
-        raise ValueError("inputs must have nonzero variance")
+    # Past about 1e154 the std's squares overflow to inf, which is not zero.
+    with np.errstate(over="ignore"):
+        if any(np.std(v) == 0.0 or (v == v[0]).all() for v in (x, y)):
+            raise ValueError("inputs must have nonzero variance")
     pearson = float(np.clip(np.dot(_unit_centred(x), _unit_centred(y)), -1.0, 1.0))
     if np.isnan(x).any() or np.isnan(y).any():
         return pearson, float("nan")

@@ -10,8 +10,9 @@ Subcommands:
 * ``selftest`` -- built-in gradient and probe-oracle checks
 
 The environment variable ``FEDBOUND_SEED`` overrides the configured seed.
-``run`` and ``probe`` check every seed's set-up (``config.preflight``) before
-any work, so a config that cannot run exits 2 naming its line.
+``run`` checks every seed's set-up (``config.preflight``) before any work,
+and ``probe`` the one seed it prints, so a config that cannot run exits 2
+naming its line.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import analysis, flsim, probe
 from .bound import BoundParams, convergence_bound
-from .config import ConfigError, ExperimentConfig, echo_lines, load_config, preflight
+from .config import ConfigError, ExperimentConfig, echo_lines, preflight, read_config
 from .model import (
     Dataset,
     finite_difference_gradient,
@@ -170,7 +171,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg = _load_config_with_env(args.config)
+    cfg = _load_config_with_env(args.config, first_seed=True)
     scenario = replace(cfg.scenario, seed=cfg.repeat_seeds[0])
     _, nodes = flsim.node_datasets(cfg.dataset, scenario)
     try:
@@ -295,8 +296,10 @@ def _cmd_selftest(_args) -> int:
     return 0 if all(results) else 1
 
 
-def _load_config_with_env(path: str) -> ExperimentConfig:
-    cfg = load_config(path)
+def _load_config_with_env(path: str, first_seed: bool = False) -> ExperimentConfig:
+    """The config at ``path``, its seeds overridden by ``FEDBOUND_SEED`` and
+    cut to the first if ``first_seed``, once those seeds pass the pre-flight."""
+    cfg, raw = read_config(path)
     env_seed = os.environ.get("FEDBOUND_SEED")
     if env_seed is not None:
         try:
@@ -304,7 +307,9 @@ def _load_config_with_env(path: str) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"FEDBOUND_SEED must be an integer, got {env_seed!r}") from None
         cfg = replace(cfg, repeat_seeds=(seed,))
-    preflight(cfg, path)
+    if first_seed:
+        cfg = replace(cfg, repeat_seeds=cfg.repeat_seeds[:1])
+    preflight(cfg, raw)
     return cfg
 
 

@@ -173,6 +173,8 @@ _TABLES = (
 )
 # Every key build_experiment_config reads, under any data.source.
 KNOWN_KEYS = frozenset(k.name for table in _TABLES for k in table.values() if k.parse is not None)
+# The one data.source that reads each data key.
+_KEY_SOURCE = {k.name: source for source, (_, keys) in _SOURCES.items() for k in keys.values()}
 
 
 @dataclass
@@ -231,12 +233,15 @@ def parse_config_text(text: str) -> _RawConfig:
 def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate raw key-value pairs into a typed experiment configuration."""
     base_dir = base_dir or Path.cwd()
-    # The first unknown key in file order, so a typo fails before any work.
+    source = raw.read(_SOURCE)
+    # The first unknown key in file order, so a typo fails before any work. A
+    # key of another data.source is refused too: this source would ignore it.
     for key in sorted(raw.values, key=lambda key: raw.lines.get(key, 0)):
         if key not in KNOWN_KEYS:
             raise raw.error(key, "unknown key")
+        if source in _SOURCES and _KEY_SOURCE.get(key, source) != source:
+            raise raw.error(key, f"a key of {_SOURCE.name} = {_KEY_SOURCE[key]}, not {source}")
 
-    source = raw.read(_SOURCE)
     if source not in _SOURCES:
         raise raw.error(_SOURCE.name, f"unknown source {source!r}")
     cls, keys = _SOURCES[source]
@@ -296,15 +301,21 @@ def _check_sizes(
             )
 
 
-def load_config(path: Path | str) -> ExperimentConfig:
+def read_config(path: Path | str) -> tuple[ExperimentConfig, _RawConfig]:
+    """The config at ``path`` and the parsed lines it was built from, for
+    :func:`preflight` to name; the file is read once, so it may be a pipe."""
     path = Path(path)
     raw = parse_config_text(path.read_text(encoding="utf-8"))
-    return build_experiment_config(raw, base_dir=path.resolve().parent)
+    return build_experiment_config(raw, base_dir=path.resolve().parent), raw
 
 
-def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
-    """Reject, naming its line in the config file at ``path``, a config that
-    some seed of ``cfg`` cannot run past its set-up.
+def load_config(path: Path | str) -> ExperimentConfig:
+    return read_config(path)[0]
+
+
+def preflight(cfg: ExperimentConfig, raw: _RawConfig) -> None:
+    """Reject, naming its line in ``raw``, the parsed text ``cfg`` was built
+    from, a config that some seed of ``cfg`` cannot run past its set-up.
 
     Each seed runs what its run runs first, with the run's own code: it builds
     its datasets (:func:`flsim.node_datasets`), the first of which loads the
@@ -313,7 +324,6 @@ def preflight(cfg: ExperimentConfig, path: Path | str) -> None:
     by its exception class. The seeds are known only once ``FEDBOUND_SEED``
     has been applied, so :func:`load_config` does not call it.
     """
-    raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
     s, d, c = _SCENARIO_KEYS, _SYNTHETIC_KEYS, _CIFAR_KEYS
     if isinstance(cfg.dataset, CifarSource):
         pool, more = (c["path"],), ""

@@ -275,6 +275,11 @@ def _check_equal_sizes(node_datasets: Sequence[Dataset]) -> None:
         raise ValueError(f"node datasets differ in size: {sizes}")
 
 
+def initial_params(cfg: ScenarioConfig) -> ParamVector:
+    """w1, the global parameters every run of seed ``cfg.seed`` starts from."""
+    return init_params(cfg.model, derive_seed(cfg.seed, "init"))
+
+
 def probe_phase(
     cfg: ScenarioConfig, node_datasets: Sequence[Dataset]
 ) -> tuple[ParamVector, np.ndarray, tuple[ConstantsEstimate, ...], ConstantsEstimate]:
@@ -290,7 +295,7 @@ def probe_phase(
     if len(node_datasets) != cfg.n_nodes:
         raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
     _check_equal_sizes(node_datasets)
-    w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
+    w1 = initial_params(cfg)
     if cfg.probe_sampler == "init":
         sampler = InitDistributionSampler()
     else:

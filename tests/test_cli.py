@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbound import cli, csvio, data, flsim
+from fedbound import cli, config, csvio, data, flsim
 from fedbound.cli import main
 from fedbound.csvio import write_csv
 from fedbound.data import CifarFormatError
@@ -47,13 +47,15 @@ repeat_seeds = 1,2
 
 
 
-def cifar_source(tmp_path: Path) -> str:
-    """Config lines for a CIFAR-10 batch of 80 random records in ``tmp_path``."""
+def cifar_config(tmp_path: Path) -> str:
+    """TINY on a CIFAR-10 batch of 80 random records in ``tmp_path``: the
+    synthetic data keys give way to the CIFAR-10 ones."""
     rng = np.random.default_rng(0)
     labels = (np.arange(80) % 10).astype(np.uint8)
     pixels = rng.integers(0, 256, (80, 3072), dtype=np.uint8)
     (tmp_path / "batch.bin").write_bytes(np.column_stack([labels, pixels]).tobytes())
-    return (
+    tiny = "".join(line for line in TINY.splitlines(True) if not line.startswith("data."))
+    return tiny + (
         "data.source = cifar10\n"
         f"data.cifar_path = {tmp_path / 'batch.bin'}\n"
         "data.cifar_pool = 8\n"
@@ -61,12 +63,11 @@ def cifar_source(tmp_path: Path) -> str:
     )
 
 
-# Lines appended to TINY; later assignments win, and a CIFAR source ignores
-# the synthetic keys.
+# TINY on each kind of data source.
 SOURCES = {
-    "shared_pool": lambda tmp_path: "",
-    "node_knobs": lambda tmp_path: "data.feature_scale = 0.5, 1.0\n",
-    "cifar": cifar_source,
+    "shared_pool": lambda tmp_path: TINY,
+    "node_knobs": lambda tmp_path: TINY + "data.feature_scale = 0.5, 1.0\n",
+    "cifar": cifar_config,
 }
 
 RUN_FILES = (
@@ -263,8 +264,7 @@ class TestRunCommand:
             tmp = Path(tmp)
             cfg = tmp / "tiny.cfg"
             cfg.write_text(
-                TINY
-                + SOURCES[source](tmp)
+                SOURCES[source](tmp)
                 + f"model.kind = {kind}\nmodel.hidden_width = 3\n"
                 + f"repeat_seeds = {','.join(map(str, seeds))}\n"
             )
@@ -531,7 +531,7 @@ class TestRunCommand:
         monkeypatch.setattr(data, "load_cifar10", lambda source: loads.append(1) or load(source))
         config = tmp_path / "cifar.cfg"
         config.write_text(
-            TINY + cifar_source(tmp_path) + "scenario.missing_classes = 3\nrepeat_seeds = 1,2,3\n"
+            cifar_config(tmp_path) + "scenario.missing_classes = 3\nrepeat_seeds = 1,2,3\n"
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
@@ -554,7 +554,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(data, "load_cifar10", counted)
         config = tmp_path / "cifar.cfg"
-        config.write_text(TINY + cifar_source(tmp_path) + "repeat_seeds = 1,2,3\n")
+        config.write_text(cifar_config(tmp_path) + "repeat_seeds = 1,2,3\n")
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         argv = ["run", "--config", str(config), "--out", str(parallel), "--parallel", "2"]
         assert main(argv) == 0
@@ -581,9 +581,9 @@ class TestRunCommand:
     def test_relative_cifar_path_resolves_against_the_config_file(self, tmp_path, monkeypatch):
         config_dir = tmp_path / "configs"
         config_dir.mkdir()
-        source = cifar_source(config_dir).replace(str(config_dir / "batch.bin"), "./batch.bin")
+        source = cifar_config(config_dir).replace(str(config_dir / "batch.bin"), "./batch.bin")
         cfg = config_dir / "exp.cfg"
-        cfg.write_text(TINY + source)
+        cfg.write_text(source)
         # The working directory holds no batch.bin.
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -738,7 +738,7 @@ class TestRunCommand:
     def test_cifar_batches_that_cannot_run_exit_2_naming_the_line(
         self, tmp_path, capsys, command, damage, key, message
     ):
-        text = TINY + cifar_source(tmp_path) + f"output.dir = {tmp_path / 'o'}\n"
+        text = cifar_config(tmp_path) + f"output.dir = {tmp_path / 'o'}\n"
         batch = tmp_path / "batch.bin"
         if damage in ("missing", "empty_dir"):
             batch.unlink()
@@ -926,10 +926,29 @@ class TestProbeCommand:
             "probe values must be finite; lower probe.perturb_sigma\n"
         ))
 
+    @pytest.mark.parametrize("sampler, probe_phases", [("init", 1), ("perturb", 2)])
+    def test_preflights_only_the_seed_it_prints(self, tmp_path, monkeypatch, sampler, probe_phases):
+        # The pre-flight builds seed 1's datasets, and probes them under
+        # perturb; the command then builds and probes them. Seeds 2 and 3
+        # are left alone.
+        calls = []
+
+        def counting(name, work):
+            return lambda *args: calls.append(name) or work(*args)
+
+        for module in (config, flsim):
+            for name in ("node_datasets", "probe_phase"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY + f"probe.sampler = {sampler}\nrepeat_seeds = 1,2,3\n")
+        assert main(["probe", "--config", str(cfg)]) == 0
+        assert calls.count("node_datasets") == 2
+        assert calls.count("probe_phase") == probe_phases
+
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_prints_the_constants_rows_of_run(self, tmp_path, capsys, source):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(TINY + SOURCES[source](tmp_path))
+        cfg.write_text(SOURCES[source](tmp_path))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         assert main(["probe", "--config", str(cfg)]) == 0
@@ -1071,6 +1090,22 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(config_txt) in err
         assert read_tree(config_txt.parent) == before
+
+
+def test_a_piped_config_error_names_its_line(tmp_path):
+    # The command reads its config once: a second read of the pipe would
+    # find it empty, and the pre-flight's error would lose its line.
+    text = "scenario.n_nodes = 5\nscenario.rounds = 2\nscenario.samples_per_node = 150\n"
+    text += "data.samples_per_class = 100\n"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "fedbound.cli", "run", "--config", "/dev/stdin", "--out", str(out)],
+        input=text, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: line 3: scenario.samples_per_node: seed 0: ")
+    assert not out.exists()
 
 
 def test_import_leaves_scipy_out():

@@ -23,6 +23,7 @@ from fedbound.config import (
     load_config,
     parse_config_text,
     preflight,
+    read_config,
 )
 from fedbound.cli import main, run_one_seed
 from fedbound.data import CIFAR_RECORD_BYTES, CifarSource
@@ -65,7 +66,7 @@ def preflight_text(tmp_path: Path, text: str) -> None:
     """Load ``text`` and run its pre-flight, which must pass."""
     path = tmp_path / "c.cfg"
     path.write_text(text)
-    preflight(load_config(path), path)
+    preflight(*read_config(path))
 
 
 class TestParser:
@@ -346,9 +347,9 @@ class TestPreflight:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.cfg"
             path.write_text(text)
-            cfg = load_config(path)
+            cfg, raw = read_config(path)
             try:
-                preflight(cfg, path)
+                preflight(cfg, raw)
                 message = None
             except ConfigError as exc:
                 message = str(exc)
@@ -417,11 +418,7 @@ class TestKeys:
             build_experiment_config(parse_config_text(text))
 
     def test_every_known_key_is_accepted(self):
-        synthetic = {
-            "data.source": "synthetic", "data.num_classes": "3", "data.feature_dim": "4",
-            "data.samples_per_class": "50", "data.separation": "0.5", "data.noise_sigma": "0.1",
-            "data.label_skew": "0.5, 0.2", "data.noise_mult": "1, 1", "data.feature_scale": "1, 1",
-            "data.cifar_path": "unused", "data.cifar_pool": "2", "data.cifar_grayscale": "true",
+        common = {
             "model.kind": "mlp", "model.l2": "0.01", "model.hidden_width": "5",
             "scenario.name": "all", "scenario.n_nodes": "2", "scenario.samples_per_node": "20",
             "scenario.rounds": "2", "scenario.lr": "0.1", "scenario.batch_size": "5",
@@ -431,10 +428,43 @@ class TestKeys:
             "probe.g_formula": "loss-magnitude", "bound.squared_distance": "true",
             "output.dir": "out", "repeat_seeds": "1, 2", "selection.k": "1",
         }
-        assert set(synthetic) == KNOWN_KEYS
-        text = "".join(f"{key} = {value}\n" for key, value in synthetic.items())
-        cfg = build_experiment_config(parse_config_text(text))
-        assert cfg.scenario.probe_sampler == "perturb"
+        sources = {
+            "synthetic": {
+                "data.source": "synthetic", "data.num_classes": "3", "data.feature_dim": "4",
+                "data.samples_per_class": "50", "data.separation": "0.5",
+                "data.noise_sigma": "0.1", "data.label_skew": "0.5, 0.2",
+                "data.noise_mult": "1, 1", "data.feature_scale": "1, 1",
+            },
+            "cifar10": {
+                "data.source": "cifar10", "data.cifar_path": "unused", "data.cifar_pool": "2",
+                "data.cifar_grayscale": "true",
+            },
+        }
+        assert set(common).union(*sources.values()) == KNOWN_KEYS
+        for keys in sources.values():
+            text = "".join(f"{key} = {value}\n" for key, value in {**common, **keys}.items())
+            cfg = build_experiment_config(parse_config_text(text))
+            assert cfg.scenario.probe_sampler == "perturb"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "data.source = synthetic\ndata.cifar_pool = 4\n",
+                "line 2: data.cifar_pool: a key of data.source = cifar10, not synthetic",
+            ),
+            (
+                "data.source = cifar10\ndata.cifar_path = x\ndata.feature_dim = 16\n"
+                "data.samples_per_class = 5\n",
+                "line 3: data.feature_dim: a key of data.source = synthetic, not cifar10",
+            ),
+        ],
+        ids=["cifar10_key_under_synthetic", "synthetic_key_under_cifar10"],
+    )
+    def test_a_key_of_the_other_source_fails_naming_its_line(self, text, message):
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(text))
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):

@@ -16,20 +16,22 @@ stats = pytest.importorskip("scipy.stats")
 
 @st.composite
 def samples(draw, n):
-    """n values at a scale from 1e-6 to 1e6, often with ties, sometimes far
-    from zero relative to their spread."""
+    """n values at a scale from 1e-6 to 1e200, often with ties, sometimes far
+    from zero relative to their spread. Past about 1e154 a std's squares
+    overflow."""
     if draw(st.booleans()):
         elements = st.integers(-3, 3).map(float)
     else:
         elements = st.floats(-1.0, 1.0, allow_subnormal=False)
     values = np.array(draw(st.lists(elements, min_size=n, max_size=n)))
-    scale = 10.0 ** draw(st.integers(-6, 6))
+    scale = 10.0 ** draw(st.integers(-6, 200))
     offset = draw(st.sampled_from([0.0, 1.0, -50.0, 1e3]))
     return (values + offset) * scale
 
 
 def varies(v):
-    return np.std(v) != 0.0 and not (v == v[0]).all()
+    with np.errstate(over="ignore"):
+        return np.std(v) != 0.0 and not (v == v[0]).all()
 
 
 def same_bits(a: float, b: float) -> bool:

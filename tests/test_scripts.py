@@ -1,7 +1,8 @@
-"""scripts/selection_payoff.py selects what ``fedbound run`` selects and trains each subset."""
+"""scripts/selection_payoff.py trains what ``fedbound run`` selected, from its saved runs."""
 
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from fedbound import flsim
+from fedbound import analysis, flsim
 from fedbound.cli import main
 from fedbound.config import load_config
 from fedbound.csvio import read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 HETERO = ROOT / "configs" / "hetero_eight_nodes.cfg"
+SCRIPT = ROOT / "scripts" / "selection_payoff.py"
 
 
 def run_script(name: str, *args: str) -> list[list[str]]:
@@ -36,20 +38,37 @@ def hetero_run(tmp_path_factory):
     return out
 
 
+def exit_2_before_training(monkeypatch, capsys, *args: str) -> str:
+    """The stderr of the script on ``args``, which must exit 2 before it trains."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("a federation started training")
+
+    monkeypatch.setattr(flsim, "training_phase", no_training)
+    monkeypatch.setattr(sys, "argv", ["selection_payoff.py", *args])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
 def test_selection_payoff_selects_the_top_l_row(hetero_run):
     header, columns = read_csv(
         hetero_run / "hetero_eight_nodes_seed1" / "selection.csv", (None,) * 3
     )
     chosen = dict(zip(columns[header.index("policy")], columns[header.index("chosen")]))
-    rows = [line for line in run_script("selection_payoff.py", "--seeds", "1") if line[:1] == ["1"]]
+    lines = run_script("selection_payoff.py", "--runs", str(hetero_run))
+    rows = [line for line in lines if line[:1] == ["1"]]
     assert len(rows) == 1
     assert rows[0][1].split(",") == chosen["top-L"].split(";")
 
 
-def test_selection_payoff_losses_are_engine_runs_on_each_subset():
+def test_selection_payoff_losses_are_engine_runs_on_each_subset(hetero_run):
     cfg = load_config(HETERO)
     test_data, nodes = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=1))
-    rows = [line for line in run_script("selection_payoff.py", "--seeds", "1") if line[:1] == ["1"]]
+    lines = run_script("selection_payoff.py", "--runs", str(hetero_run))
+    rows = [line for line in lines if line[:1] == ["1"]]
     selected = [int(i) for i in rows[0][1].split(",")]
     rest = sorted(set(range(len(nodes))) - set(selected))
     expected = []
@@ -60,32 +79,58 @@ def test_selection_payoff_losses_are_engine_runs_on_each_subset():
     assert rows[0][2:4] == expected
 
 
-def test_selection_payoff_probes_each_seed_once(monkeypatch, capsys):
-    probed = []
-    probe_phase = flsim.probe_phase
-
-    def counting_probe_phase(cfg, nodes):
-        probed.append(cfg.seed)
-        return probe_phase(cfg, nodes)
-
-    monkeypatch.setattr(flsim, "probe_phase", counting_probe_phase)
-    monkeypatch.setattr(sys, "argv", ["selection_payoff.py", "--seeds", "1,2"])
-    runpy.run_path(str(ROOT / "scripts" / "selection_payoff.py"), run_name="__main__")
-    assert probed == [1, 2]
-    assert len(capsys.readouterr().out.splitlines()) == 6
+def test_selection_payoff_neither_probes_nor_selects(hetero_run, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(flsim, "probe_phase", lambda *args: calls.append("probe_phase"))
+    monkeypatch.setattr(analysis, "select_nodes", lambda *args, **kw: calls.append("select"))
+    monkeypatch.setattr(sys, "argv", ["selection_payoff.py", "--runs", str(hetero_run)])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert calls == []
+    # A header, two rules, the mean and one line for each of the 5 seeds.
+    assert len(capsys.readouterr().out.splitlines()) == 9
 
 
-@pytest.mark.parametrize("script, work", [("selection_payoff.py", (flsim, "probe_phase"))])
-@pytest.mark.parametrize("seeds", ["1,1", "2,3,2", "abc", "1,2.5", "", ","])
-def test_bad_seeds_exit_2_before_any_work(monkeypatch, capsys, script, work, seeds):
-    # Duplicate, non-integer and empty seed lists; no seed may start.
-    def no_work(*args, **kwargs):
-        raise AssertionError("a seed started")
+def set_lr(run_dir: Path) -> None:
+    config_txt = run_dir / "config.txt"
+    text = config_txt.read_text()
+    assert "scenario.lr = 0.05\n" in text
+    config_txt.write_text(text.replace("scenario.lr = 0.05\n", "scenario.lr = 0.1\n"))
 
-    monkeypatch.setattr(*work, no_work)
-    monkeypatch.setattr(sys, "argv", [script, "--seeds", seeds])
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
-    assert exited.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "argument --seeds" in err
+
+def drop_top_l_row(run_dir: Path) -> None:
+    selection = run_dir / "selection.csv"
+    lines = selection.read_text().splitlines(True)
+    selection.write_text("".join(line for line in lines if not line.startswith("top-L,")))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (set_lr, "config.txt has 'scenario.lr = 0.1' where hetero_eight_nodes.cfg gives "
+         "'scenario.lr = 0.05'"),
+        (lambda run_dir: (run_dir / "selection.csv").unlink(), "No such file or directory"),
+        (drop_top_l_row, "selection.csv has no top-L row of the run's node ids"),
+    ],
+    ids=["other_lr", "no_selection_csv", "no_policy_row"],
+)
+def test_a_run_that_fails_a_check_exits_2_naming_it_before_any_training(
+    hetero_run, tmp_path, monkeypatch, capsys, damage, message
+):
+    out = tmp_path / "out"
+    shutil.copytree(hetero_run, out)
+    damage(out / "hetero_eight_nodes_seed4")
+    err = exit_2_before_training(monkeypatch, capsys, "--runs", str(out))
+    assert f"error: {out / 'hetero_eight_nodes_seed4'}: " in err and message in err
+
+
+@pytest.mark.parametrize("runs", ["empty", "missing", "other_scenario"])
+def test_an_output_directory_without_a_hetero_run_exits_2_naming_it(
+    tmp_path, monkeypatch, capsys, runs
+):
+    out = tmp_path / "out"
+    if runs != "missing":
+        out.mkdir()
+    if runs == "other_scenario":
+        (out / "five_nodes_seed1").mkdir()
+    err = exit_2_before_training(monkeypatch, capsys, "--runs", str(out))
+    assert f"error: {out} holds no hetero_eight_nodes_seed<s> run directory" in err
