@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_echo
+from .config import ExperimentConfig, read_config
 from .csvio import read_csv, write_csv
 from .flsim import FLRun
 from .probe import ConstantsEstimate
@@ -195,8 +195,8 @@ def _check_t(path: Path, t: np.ndarray, expected: np.ndarray) -> None:
         raise ValueError(f"{path}: line {i + 2}: t = {t[i]}, expected {expected[i]}")
 
 
-def _read_node_constants(run_dir: Path) -> tuple[ConstantsEstimate, ...]:
-    """The node rows of ``run_dir/constants.csv``, node i's at position i."""
+def _read_node_constants(run_dir: Path, n_nodes: int) -> tuple[ConstantsEstimate, ...]:
+    """The ``n_nodes`` node rows of ``run_dir/constants.csv``, node i's at position i."""
     path = run_dir / "constants.csv"
     _, constants = read_csv(path, (np.int64, np.float64, np.float64, np.float64, np.int64))
     # Node rows carry ids 0..N-1 in order; the global row carries -1.
@@ -204,15 +204,24 @@ def _read_node_constants(run_dir: Path) -> tuple[ConstantsEstimate, ...]:
     ids = [row[0] for row in rows]
     if not ids:
         raise ValueError(f"{path}: no node rows")
-    if ids != list(range(len(ids))):
-        raise ValueError(f"{path}: node ids {ids} do not run 0..{len(ids) - 1} in order")
+    if ids != list(range(n_nodes)):
+        raise ValueError(f"{path}: node ids {ids} do not run 0..{n_nodes - 1} in order")
     return tuple(ConstantsEstimate(*values) for _, *values in rows)
 
 
+def _run_config(run_dir: Path) -> ExperimentConfig:
+    """The config ``run_dir/config.txt`` records; a ValueError names a bad file."""
+    try:
+        return read_config(run_dir / "config.txt")[0]
+    except ValueError as exc:
+        raise ValueError(f"{run_dir / 'config.txt'}: {exc}") from exc
+
+
 def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
-    """Rebuild report inputs from a saved run directory's CSV files."""
+    """Rebuild report inputs from a saved run directory's config.txt and CSV files."""
     run_dir = Path(run_dir)
-    node_constants = _read_node_constants(run_dir)
+    cfg = _run_config(run_dir)
+    node_constants = _read_node_constants(run_dir, cfg.scenario.n_nodes)
     ids = list(range(len(node_constants)))
     path = run_dir / "usefulness.csv"
     _, (rounds, nodes, deltas) = read_csv(path, (np.int64, np.int64, np.float64))
@@ -228,11 +237,8 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     if not np.isfinite(usefulness).all():
         raise ValueError(f"{path}: usefulness must be finite")
     probe_g, training_g = _read_gtrace(run_dir, len(ids))
-    path = run_dir / "config.txt"
-    _, seed, selection_k = read_echo(path)
-    if selection_k is not None and not 1 <= selection_k <= len(ids):
-        raise ValueError(f"{path}: selection.k = {selection_k} lies outside [1, {len(ids)}]")
-    return ReportInputs(usefulness, node_constants, probe_g, training_g, seed, selection_k)
+    seed, k = cfg.scenario.seed, cfg.selection_k
+    return ReportInputs(usefulness, node_constants, probe_g, training_g, seed, k)
 
 
 def correlation_rows(inputs: ReportInputs) -> list[tuple[str, float, float, int]]:
@@ -279,11 +285,11 @@ def run_dirs(out_dir: Path | str) -> list[Path]:
     return [p for p in paths if p.is_dir() and re.fullmatch(r"[^.].*_seed-?[0-9]+", p.name)]
 
 
-def summary_row(run_dir: Path) -> tuple:
-    """A run directory's :data:`SUMMARY_HEADER` row: its ``config.txt``
-    scenario and seed, the last row of its ``rounds.csv``, and each
-    constant's Pearson and Spearman coefficients from ``correlations.csv``."""
-    name, seed, _ = read_echo(run_dir / "config.txt")
+def summary_row(run_dir: Path, cfg: ExperimentConfig) -> tuple:
+    """A run directory's :data:`SUMMARY_HEADER` row: the scenario and seed of
+    ``cfg``, the config its ``config.txt`` records, the last row of its
+    ``rounds.csv``, and each constant's Pearson and Spearman coefficients
+    from ``correlations.csv``."""
     path = run_dir / "rounds.csv"
     _, (t, *finals) = read_csv(path, (np.int64, np.float64, np.float64, np.float64))
     if not len(t):
@@ -294,19 +300,19 @@ def summary_row(run_dir: Path) -> tuple:
     if tuple(quantity) != CONSTANT_NAMES:
         raise ValueError(f"{path}: quantities {list(quantity)} are not {list(CONSTANT_NAMES)}")
     coefficients = (c for pair in zip(pearson, spearman) for c in pair)
-    return (name, seed, *(c[-1] for c in finals), *coefficients)
+    return (cfg.scenario_name, cfg.scenario.seed, *(c[-1] for c in finals), *coefficients)
 
 
 def output_rows(out_dir: Path | str) -> list[tuple]:
     """A row per run directory of ``out_dir``, sorted by (scenario, seed): its
     :func:`summary_row` with the Pearson coefficients before the Spearman ones,
     then the probe and training g medians of its ``gtrace.csv``, whose node
-    ids its ``constants.csv`` bounds."""
+    ids its ``config.txt``'s ``scenario.n_nodes`` bounds."""
     rows = []
     for run_dir in run_dirs(out_dir):
-        row = summary_row(run_dir)
-        n_nodes = len(_read_node_constants(run_dir))
-        medians = [np.median(values) for values in _read_gtrace(run_dir, n_nodes)]
+        cfg = _run_config(run_dir)
+        row = summary_row(run_dir, cfg)
+        medians = [np.median(values) for values in _read_gtrace(run_dir, cfg.scenario.n_nodes)]
         rows.append((*row[:5], *row[5::2], *row[6::2], *medians))
     return sorted(rows, key=lambda row: row[:2])
 
@@ -315,6 +321,7 @@ def write_summary(out_dir: Path | str) -> None:
     """Rewrite ``out_dir/summary.csv`` from the run directories beside it: a
     :data:`SUMMARY_HEADER` row per run directory, sorted by (scenario, seed),
     and only the header when there is none. It reads no ``gtrace.csv``."""
-    rows = sorted(map(summary_row, run_dirs(out_dir)), key=lambda row: row[:2])
+    rows = [summary_row(run_dir, _run_config(run_dir)) for run_dir in run_dirs(out_dir)]
+    rows.sort(key=lambda row: row[:2])
     columns = list(zip(*rows)) or [()] * len(SUMMARY_HEADER)
     write_csv(Path(out_dir) / "summary.csv", SUMMARY_HEADER, columns)

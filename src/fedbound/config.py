@@ -6,7 +6,7 @@ offending line number.
 
 One table per dataclass names each key, the field it sets, its parser and
 its default. The tables drive the typed reads, the line a field check names,
-and :func:`echo_lines`, the ``config.txt`` of a run that ``report`` reads back.
+and :func:`echo_lines`, a run's ``config.txt``: a config that reruns the run.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def _parse_model_kind(raw: str) -> str:
 
 @dataclass(frozen=True)
 class _Key:
-    """A config key; one without a parser is echoed but never read."""
+    """A config key: its name, the field it sets, its parser and its default."""
 
     name: str
     field: str
-    parse: Callable[[str], Any] | None = None
+    parse: Callable[[str], Any]
     default: Any = None
 
 
@@ -131,11 +131,11 @@ _SCENARIO_KEYS = _table(
     _Key("probe.g_formula", "g_formula", str, "gradient-norm"),
     _Key("bound.squared_distance", "squared_distance", _parse_bool, False),
 )
-# The data source fixes the feature dimension and the class count.
+# The data source fixes the feature dimension and class count; a config may only restate them.
 _MODEL_KEYS = _table(
     _Key("model.kind", "kind", _parse_model_kind, "softmax"),
-    _Key("model.feature_dim", "feature_dim"),
-    _Key("model.num_classes", "num_classes"),
+    _Key("model.feature_dim", "feature_dim", int),
+    _Key("model.num_classes", "num_classes", int),
     _Key("model.hidden_width", "hidden_width", int, 16),
     _Key("model.l2", "l2_coefficient", _parse_float, 0.01),
 )
@@ -172,7 +172,7 @@ _TABLES = (
     _SYNTHETIC_KEYS, _CIFAR_KEYS, _RUN_KEYS, _SWEEP_KEYS,
 )
 # Every key build_experiment_config reads, under any data.source.
-KNOWN_KEYS = frozenset(k.name for table in _TABLES for k in table.values() if k.parse is not None)
+KNOWN_KEYS = frozenset(k.name for table in _TABLES for k in table.values())
 # The one data.source that reads each data key.
 _KEY_SOURCE = {k.name: source for source, (_, keys) in _SOURCES.items() for k in keys.values()}
 
@@ -198,7 +198,7 @@ class _RawConfig:
     def build(self, cls, keys: dict[str, _Key], **given):
         """``cls`` from the values of ``keys`` and the ``given`` fields. The class
         checks its fields, each message starting with the field's name."""
-        fields = {name: self.read(key) for name, key in keys.items() if key.parse is not None}
+        fields = {name: self.read(key) for name, key in keys.items()}
         try:
             return cls(**{**fields, **given})
         except ValueError as exc:
@@ -252,9 +252,11 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
         # Relative to the config file, as output.dir is; an absolute path stays.
         dataset = replace(dataset, path=base_dir / dataset.path)
 
-    model = raw.build(
-        ModelSpec, _MODEL_KEYS, feature_dim=dataset.feature_dim, num_classes=dataset.num_classes
-    )
+    fixed = {f: getattr(dataset, f) for f in ("feature_dim", "num_classes")}
+    for f, value in fixed.items():
+        if (stated := raw.read(_MODEL_KEYS[f])) not in (None, value):
+            raise raw.error(_MODEL_KEYS[f].name, f"{stated} differs from the data source's {value}")
+    model = raw.build(ModelSpec, _MODEL_KEYS, **fixed)
     if model.kind == "softmax":
         # A softmax model has no hidden layer, whatever model.hidden_width says.
         model = replace(model, hidden_width=0)
@@ -360,19 +362,20 @@ def preflight(cfg: ExperimentConfig, raw: _RawConfig) -> None:
 
 
 def _echo_value(value) -> str:
-    """A field's value as config.txt writes it; tuples and sorted frozensets comma-joined."""
+    """A field's value as config.txt writes it, to read back exactly: a float at 9
+    significant digits, or 17 where 9 lose bits; tuples and sorted frozensets comma-joined."""
     if isinstance(value, (tuple, frozenset)):
-        return ",".join(map(fmt_value, sorted(value) if isinstance(value, frozenset) else value))
+        return ",".join(map(_echo_value, sorted(value) if isinstance(value, frozenset) else value))
+    if isinstance(value, float) and float(fmt_value(value)) != value:
+        return format(value, ".17g")
     return fmt_value(value)
 
 
 def echo_lines(cfg: ExperimentConfig) -> list[str]:
-    """The ``config.txt`` lines of a run of ``cfg``: scenario, probe, bound and model
-    keys in table order, a bound warning, then the set data and run keys, sorted."""
+    """The ``config.txt`` lines of a run of ``cfg``, a config that reruns it: scenario,
+    probe, bound and model keys in table order, then the set data and run keys, sorted."""
     pairs = [(key.name, getattr(cfg.scenario, f)) for f, key in _SCENARIO_KEYS.items()]
     pairs += [(key.name, getattr(cfg.scenario.model, f)) for f, key in _MODEL_KEYS.items()]
-    if cfg.scenario.local_epochs_per_round != 1:
-        pairs.append(("warning.bound_assumptions", "local_epochs_per_round != 1"))
     source, keys = next(
         (name, keys) for name, (cls, keys) in _SOURCES.items() if isinstance(cfg.dataset, cls)
     )
@@ -381,14 +384,3 @@ def echo_lines(cfg: ExperimentConfig) -> list[str]:
     extras += [(key.name, getattr(cfg, f)) for f, key in _RUN_KEYS.items()]
     pairs += sorted(pair for pair in extras if pair[1] not in (None, ()))
     return [f"{name} = {_echo_value(value)}" for name, value in pairs]
-
-
-def read_echo(config_file: Path) -> tuple[str, int, int | None]:
-    """The scenario name, seed and ``selection.k`` a ``config.txt`` records;
-    a ValueError names a bad file."""
-    try:
-        raw = parse_config_text(config_file.read_text(encoding="utf-8"))
-        name, seed = raw.read(_RUN_KEYS["scenario_name"]), raw.read(_SCENARIO_KEYS["seed"])
-        return name, seed, raw.read(_RUN_KEYS["selection_k"])
-    except ConfigError as exc:
-        raise ValueError(f"{config_file}: {exc}") from exc

@@ -1073,17 +1073,25 @@ class TestReportCommand:
         message = "node ids do not run 0..1 in every round"
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("damage", ["deleted", "malformed", "k=99", "k=0"])
+    @pytest.mark.parametrize(
+        "damage", ["deleted", "malformed", "k=99", "k=0", "bound_assumptions", "feature_dim=99"]
+    )
     def test_unreadable_config_txt_fails_naming_it(self, tiny_config, tmp_path, capsys, damage):
         main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
         config_txt = tmp_path / "out" / "tiny_seed1" / "config.txt"
+        # A later assignment overrides the run's own value.
+        extra = {
+            "malformed": "no pair here",
+            "k=99": "selection.k = 99",
+            "k=0": "selection.k = 0",
+            # The line runs written before it was dropped carry.
+            "bound_assumptions": "warning.bound_assumptions = local_epochs_per_round != 1",
+            "feature_dim=99": "model.feature_dim = 99",
+        }
         if damage == "deleted":
             config_txt.unlink()
-        elif damage == "malformed":
-            config_txt.write_text(config_txt.read_text() + "no pair here\n")
         else:
-            # A later assignment overrides the run's own selection.k.
-            config_txt.write_text(config_txt.read_text() + f"selection.k = {damage[2:]}\n")
+            config_txt.write_text(config_txt.read_text() + extra[damage] + "\n")
         before = read_tree(config_txt.parent)
         capsys.readouterr()
         assert main(["report", "--run", str(config_txt.parent)]) == 1

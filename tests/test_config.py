@@ -195,6 +195,28 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_experiment_config(parse_config_text("data.source = cifar10\n"))
 
+    @pytest.mark.parametrize(
+        "source, dim, classes",
+        [
+            ("", 6, 4),
+            ("data.source = cifar10\ndata.cifar_path = x\ndata.cifar_pool = 4\n", 192, 10),
+        ],
+        ids=["synthetic", "cifar10"],
+    )
+    def test_model_feature_dim_and_num_classes_must_restate_the_source(self, source, dim, classes):
+        sizes = "data.feature_dim = 6\ndata.num_classes = 4\n" if not source else source
+        text = f"{sizes}model.feature_dim = {dim}\nmodel.num_classes = {classes}\n"
+        model = build_experiment_config(parse_config_text(text)).scenario.model
+        assert (model.feature_dim, model.num_classes) == (dim, classes)
+        line = sizes.count("\n") + 1
+        for key, value, given in (("feature_dim", dim, 99), ("num_classes", classes, 3)):
+            wrong = text.replace(f"model.{key} = {value}\n", f"model.{key} = {given}\n")
+            with pytest.raises(ConfigError) as excinfo:
+                build_experiment_config(parse_config_text(wrong))
+            message = f"model.{key}: {given} differs from the data source's {value}"
+            assert str(excinfo.value) == f"line {line}: {message}"
+            line += 1
+
     def test_label_skew_knob(self):
         text = "scenario.n_nodes = 2\ndata.label_skew = 0.0, 0.5\n"
         cfg = build_experiment_config(parse_config_text(text))
@@ -431,13 +453,15 @@ class TestKeys:
         sources = {
             "synthetic": {
                 "data.source": "synthetic", "data.num_classes": "3", "data.feature_dim": "4",
+                "model.num_classes": "3", "model.feature_dim": "4",
                 "data.samples_per_class": "50", "data.separation": "0.5",
                 "data.noise_sigma": "0.1", "data.label_skew": "0.5, 0.2",
                 "data.noise_mult": "1, 1", "data.feature_scale": "1, 1",
             },
             "cifar10": {
                 "data.source": "cifar10", "data.cifar_path": "unused", "data.cifar_pool": "2",
-                "data.cifar_grayscale": "true",
+                "data.cifar_grayscale": "true", "model.num_classes": "10",
+                "model.feature_dim": "256",
             },
         }
         assert set(common).union(*sources.values()) == KNOWN_KEYS
@@ -564,15 +588,6 @@ def config_texts(draw, tiny: bool = False) -> str:
     )
 
 
-def sig9(value):
-    """``value`` with every float at the 9 significant digits config.txt keeps."""
-    if isinstance(value, float):
-        return format(value, ".9g")
-    if isinstance(value, tuple):
-        return tuple(map(sig9, value))
-    return value
-
-
 class TestEcho:
     @pytest.mark.parametrize(
         "path", sorted((REPO / "tests" / "echo_golden").glob("*.cfg")), ids=lambda p: p.stem
@@ -580,7 +595,8 @@ class TestEcho:
     def test_echo_matches_the_frozen_config_txt(self, path):
         # Each .txt next to a .cfg is the config.txt a run of seed 2 wrote
         # before fedbound.config owned the format: byte for byte, trailing
-        # spaces included. A relative data.cifar_path echoes resolved against
+        # spaces included, less the warning.bound_assumptions line that
+        # epochs3.txt held. A relative data.cifar_path echoes resolved against
         # the config file's directory, which {config_dir} stands for.
         cfg = load_config(path)
         cfg = replace(cfg, scenario=replace(cfg.scenario, seed=2))
@@ -609,8 +625,11 @@ class TestEcho:
                 if key.name not in echoed:
                     # Only an unset data or run key is left out.
                     assert not always and value in (None, ())
-                elif key.parse is not None:
-                    assert sig9(key.parse(echoed[key.name])) == sig9(value), key.name
+                else:
+                    assert key.parse(echoed[key.name]) == value, key.name
+        again = build_experiment_config(parse_config_text("\n".join(lines)), base_dir=Path("/"))
+        for name in ("scenario", "dataset", "scenario_name", "selection_k"):
+            assert getattr(again, name) == getattr(cfg, name), name
         with tempfile.TemporaryDirectory() as tmp:
             run_dir = Path(tmp)
             (run_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -642,7 +661,7 @@ class TestEcho:
         assert set(listed) == KNOWN_KEYS
         for keys in config._TABLES:
             for key in keys.values():
-                if key.parse is None or key.default is None:
+                if key.default is None:
                     continue
                 # "()" is an empty list.
                 assert listed[key.name] is not None, key.name
@@ -705,21 +724,31 @@ class TestGeneratedConfigs:
             path.write_text(text)
             if "data.source = cifar10" in text:
                 write_cifar(Path(tmp) / "cifar", layout, n_records, tail)
-            stderr = io.StringIO()
-            with (
-                warnings.catch_warnings(),
-                contextlib.redirect_stdout(io.StringIO()),
-                contextlib.redirect_stderr(stderr),
-            ):
-                # A plain run prints numpy's overflow warnings; tier-1 makes them
-                # errors. An exception that main lets through fails the example.
-                warnings.simplefilter("default", RuntimeWarning)
-                status = main(["run", "--config", str(path), "--out", str(out)])
-            err = stderr.getvalue()
+
+            def run(config: Path, out: Path) -> tuple[int, str]:
+                stderr = io.StringIO()
+                with (
+                    warnings.catch_warnings(),
+                    contextlib.redirect_stdout(io.StringIO()),
+                    contextlib.redirect_stderr(stderr),
+                ):
+                    # A plain run prints numpy's overflow warnings; tier-1 makes them
+                    # errors. An exception that main lets through fails the example.
+                    warnings.simplefilter("default", RuntimeWarning)
+                    status = main(["run", "--config", str(config), "--out", str(out)])
+                return status, stderr.getvalue()
+
+            status, err = run(path, out)
             if status == 0:
                 run_dirs = [d for d in out.iterdir() if d.is_dir()]
                 assert len(run_dirs) == 1
                 assert check_run_dir(run_dirs[0]) == []
+                # The run's own config.txt reruns it, every file byte for byte.
+                rerun = Path(tmp) / "rerun"
+                assert run(run_dirs[0] / "config.txt", rerun) == (0, err)
+                first, again = run_dirs[0], rerun / run_dirs[0].name
+                files = {p.name: p.read_bytes() for p in first.iterdir()}
+                assert {p.name: p.read_bytes() for p in again.iterdir()} == files
             elif status == 2:
                 assert re.match(r"config error: line \d+: ", err), err
                 assert not out.exists()
