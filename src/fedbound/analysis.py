@@ -82,12 +82,12 @@ def correlate(x, y) -> tuple[float, float]:
         raise ValueError("x and y must be 1-D of equal length")
     if x.size < 3:
         raise ValueError("need at least 3 points")
-    # All-equal values can leave a rounding-sized std; scipy gives NaN there.
-    # Past about 1e154 the std's squares overflow to inf, which is not zero.
-    with np.errstate(over="ignore"):
+    # All-equal values can leave a rounding-sized std; scipy gives NaN there. Past about 1e154
+    # the std's squares overflow to inf (not zero); a sum past the float max makes Pearson NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
         if any(np.std(v) == 0.0 or (v == v[0]).all() for v in (x, y)):
             raise ValueError("inputs must have nonzero variance")
-    pearson = float(np.clip(np.dot(_unit_centred(x), _unit_centred(y)), -1.0, 1.0))
+        pearson = float(np.clip(np.dot(_unit_centred(x), _unit_centred(y)), -1.0, 1.0))
     if np.isnan(x).any() or np.isnan(y).any():
         return pearson, float("nan")
     # The [1, 0] entry of the (n, 2) column layout, as spearmanr takes it:
@@ -212,7 +212,7 @@ def _read_node_constants(run_dir: Path, n_nodes: int) -> tuple[ConstantsEstimate
 def _run_config(run_dir: Path) -> ExperimentConfig:
     """The config ``run_dir/config.txt`` records; a ValueError names a bad file."""
     try:
-        return read_config(run_dir / "config.txt")[0]
+        return read_config(run_dir / "config.txt")
     except ValueError as exc:
         raise ValueError(f"{run_dir / 'config.txt'}: {exc}") from exc
 

@@ -11,8 +11,8 @@ Subcommands:
 
 The environment variable ``FEDBOUND_SEED`` overrides the configured seed.
 ``run`` checks every seed's set-up (``config.preflight``) before any work,
-and ``probe`` the one seed it prints, so a config that cannot run exits 2
-naming its line.
+and ``probe`` sets up only the seed it prints and probes the datasets its
+pre-flight built, so a config that cannot run exits 2 naming its line.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
-    """Run every repeat seed, then rebuild summary.csv from the output directory.
+    """Pre-flight every repeat seed, run each, then rebuild summary.csv from the output directory.
 
     Every seed runs, serial or parallel, even after one fails; a seed's
     outcome is ``None`` or its error text, which a worker sends back as a
@@ -120,6 +120,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
     Last, a ``ValueError`` names the first seed that failed.
     """
     seeds = list(cfg.repeat_seeds)
+    for seed in seeds:
+        preflight(cfg, seed)
     if parallel > 1 and len(seeds) > 1:
         # Imported here: it loads multiprocessing, which costs every other
         # command tens of milliseconds of start-up.
@@ -171,9 +173,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg = _load_config_with_env(args.config, first_seed=True)
+    cfg = _load_config_with_env(args.config)
     scenario = replace(cfg.scenario, seed=cfg.repeat_seeds[0])
-    _, nodes = flsim.node_datasets(cfg.dataset, scenario)
+    _, nodes = preflight(cfg, scenario.seed)
     try:
         _, _, node_constants, agg = flsim.probe_phase(scenario, nodes)
     except probe.ProbeFailure as exc:
@@ -296,10 +298,9 @@ def _cmd_selftest(_args) -> int:
     return 0 if all(results) else 1
 
 
-def _load_config_with_env(path: str, first_seed: bool = False) -> ExperimentConfig:
-    """The config at ``path``, its seeds overridden by ``FEDBOUND_SEED`` and
-    cut to the first if ``first_seed``, once those seeds pass the pre-flight."""
-    cfg, raw = read_config(path)
+def _load_config_with_env(path: str) -> ExperimentConfig:
+    """The config at ``path``, its seeds overridden by ``FEDBOUND_SEED``."""
+    cfg = read_config(path)
     env_seed = os.environ.get("FEDBOUND_SEED")
     if env_seed is not None:
         try:
@@ -307,9 +308,6 @@ def _load_config_with_env(path: str, first_seed: bool = False) -> ExperimentConf
         except ValueError:
             raise ConfigError(f"FEDBOUND_SEED must be an integer, got {env_seed!r}") from None
         cfg = replace(cfg, repeat_seeds=(seed,))
-    if first_seed:
-        cfg = replace(cfg, repeat_seeds=cfg.repeat_seeds[:1])
-    preflight(cfg, raw)
     return cfg
 
 

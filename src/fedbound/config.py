@@ -1,8 +1,8 @@
 """Plain-text experiment configuration.
 
-The format is one ``key = value`` per line with ``#`` comments and dotted
-keys for nesting; no external parser needed. Validation errors carry the
-offending line number.
+The format is one ``key = value`` per line with dotted keys for nesting; a
+``#`` at the start of a line or after whitespace starts a comment. No
+external parser needed. Validation errors carry the offending line number.
 
 One table per dataclass names each key, the field it sets, its parser and
 its default. The tables drive the typed reads, the line a field check names,
@@ -12,7 +12,8 @@ and :func:`echo_lines`, a run's ``config.txt``: a config that reruns the run.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import re
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -20,7 +21,7 @@ from typing import Any
 from .csvio import fmt_value
 from .data import CifarFormatError, CifarSource, ClassCentersError, SyntheticSpec
 from .flsim import EmptyTestSplitError, ScenarioConfig, ShortfallError, node_datasets, probe_phase
-from .model import ModelSpec
+from .model import Dataset, ModelSpec
 from .probe import DegeneratePairError, ProbeFailure
 
 
@@ -35,7 +36,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scenario plus dataset source, output location, and repeat seeds."""
+    """One scenario plus dataset source, output location, and repeat seeds; ``lines``
+    holds each key's line in the text read, and is empty for a config built in code."""
 
     scenario: ScenarioConfig
     dataset: SyntheticSpec | CifarSource
@@ -43,6 +45,7 @@ class ExperimentConfig:
     repeat_seeds: tuple[int, ...]
     scenario_name: str = "default"
     selection_k: int | None = None
+    lines: Mapping[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.repeat_seeds:
@@ -175,6 +178,7 @@ _TABLES = (
 KNOWN_KEYS = frozenset(k.name for table in _TABLES for k in table.values())
 # The one data.source that reads each data key.
 _KEY_SOURCE = {k.name: source for source, (_, keys) in _SOURCES.items() for k in keys.values()}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass
@@ -216,7 +220,7 @@ def parse_config_text(text: str) -> _RawConfig:
     """Parse ``key = value`` lines; later assignments override earlier ones."""
     raw = _RawConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -251,6 +255,9 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
     if cls is CifarSource:
         # Relative to the config file, as output.dir is; an absolute path stays.
         dataset = replace(dataset, path=base_dir / dataset.path)
+        if _COMMENT.search(str(dataset.path)):
+            message = f"{dataset.path}: a '#' after whitespace would start a comment in config.txt"
+            raise raw.error(keys["path"].name, message)
 
     fixed = {f: getattr(dataset, f) for f in ("feature_dim", "num_classes")}
     for f, value in fixed.items():
@@ -272,6 +279,7 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
         # An absolute output.dir stays as it is.
         output_dir=base_dir / raw.read(_SWEEP_KEYS["output_dir"]),
         repeat_seeds=(scenario.seed,) if seeds is None else seeds,
+        lines=raw.lines,
     )
 
 
@@ -303,62 +311,64 @@ def _check_sizes(
             )
 
 
-def read_config(path: Path | str) -> tuple[ExperimentConfig, _RawConfig]:
-    """The config at ``path`` and the parsed lines it was built from, for
+def read_config(path: Path | str) -> ExperimentConfig:
+    """The config at ``path``, which keeps the line of each key for
     :func:`preflight` to name; the file is read once, so it may be a pipe."""
     path = Path(path)
     raw = parse_config_text(path.read_text(encoding="utf-8"))
-    return build_experiment_config(raw, base_dir=path.resolve().parent), raw
+    return build_experiment_config(raw, base_dir=path.resolve().parent)
 
 
 def load_config(path: Path | str) -> ExperimentConfig:
-    return read_config(path)[0]
+    """The name perfbench times; fedbound itself calls :func:`read_config`."""
+    return read_config(path)
 
 
-def preflight(cfg: ExperimentConfig, raw: _RawConfig) -> None:
-    """Reject, naming its line in ``raw``, the parsed text ``cfg`` was built
-    from, a config that some seed of ``cfg`` cannot run past its set-up.
+def preflight(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, list[Dataset]]:
+    """``seed``'s test set and node datasets; a :class:`ConfigError` naming the key, and
+    its line if ``cfg`` was read from text, if the seed cannot run past its set-up.
 
-    Each seed runs what its run runs first, with the run's own code: it builds
+    The seed runs what its run runs first, with the run's own code: it builds
     its datasets (:func:`flsim.node_datasets`), the first of which loads the
     CIFAR-10 batches that the run then reuses, and under the ``perturb``
     sampler it probes them (:func:`flsim.probe_phase`). A fault is told apart
     by its exception class. The seeds are known only once ``FEDBOUND_SEED``
-    has been applied, so :func:`load_config` does not call it.
+    has been applied, so :func:`read_config` does not call it.
     """
+    raw = _RawConfig(lines=cfg.lines)
     s, d, c = _SCENARIO_KEYS, _SYNTHETIC_KEYS, _CIFAR_KEYS
     if isinstance(cfg.dataset, CifarSource):
         pool, more = (c["path"],), ""
     else:
         pool = (d["samples_per_class"], d["num_classes"])
         more = f"raise {d['samples_per_class'].name} or "
-    for seed in cfg.repeat_seeds:
-        scenario = replace(cfg.scenario, seed=seed)
+    scenario = replace(cfg.scenario, seed=seed)
+    try:
+        test_data, nodes = node_datasets(cfg.dataset, scenario)
+    except (OSError, CifarFormatError) as exc:
+        raise raw.error(c["path"].name, str(exc)) from exc
+    except ClassCentersError as exc:
+        raise raw.error(
+            raw.first_set(d["feature_dim"], d["num_classes"], d["separation"]),
+            f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
+            f"{d['feature_dim'].name} or use fewer classes",
+        ) from exc
+    except ShortfallError as exc:
+        short = (s["samples_per_node"], s["n_nodes"], *pool)
+        raise raw.error(
+            raw.first_set(*([s["missing_classes"]] if scenario.missing_classes else short)),
+            f"seed {seed}: {exc}; {more}lower {s['samples_per_node'].name}",
+        ) from exc
+    except EmptyTestSplitError as exc:
+        raise raw.error(raw.first_set(s["test_fraction"], pool[0]), str(exc)) from exc
+    if scenario.probe_sampler == "perturb":
         try:
-            _, nodes = node_datasets(cfg.dataset, scenario)
-        except (OSError, CifarFormatError) as exc:
-            raise raw.error(c["path"].name, str(exc)) from exc
-        except ClassCentersError as exc:
-            raise raw.error(
-                raw.first_set(d["feature_dim"], d["num_classes"], d["separation"]),
-                f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
-                f"{d['feature_dim'].name} or use fewer classes",
-            ) from exc
-        except ShortfallError as exc:
-            short = (s["samples_per_node"], s["n_nodes"], *pool)
-            raise raw.error(
-                raw.first_set(*([s["missing_classes"]] if scenario.missing_classes else short)),
-                f"seed {seed}: {exc}; {more}lower {s['samples_per_node'].name}",
-            ) from exc
-        except EmptyTestSplitError as exc:
-            raise raw.error(raw.first_set(s["test_fraction"], pool[0]), str(exc)) from exc
-        if scenario.probe_sampler == "perturb":
-            try:
-                probe_phase(scenario, nodes)
-            except ProbeFailure as exc:
-                name = s["perturb_sigma"].name
-                advice = "raise" if isinstance(exc.__cause__, DegeneratePairError) else "lower"
-                raise raw.error(name, f"seed {seed}, {exc}; {advice} {name}") from exc
+            probe_phase(scenario, nodes)
+        except ProbeFailure as exc:
+            name = s["perturb_sigma"].name
+            advice = "raise" if isinstance(exc.__cause__, DegeneratePairError) else "lower"
+            raise raw.error(name, f"seed {seed}, {exc}; {advice} {name}") from exc
+    return test_data, nodes
 
 
 def _echo_value(value) -> str:

@@ -163,10 +163,19 @@ class TestCorrelate:
         assert _average_ranks(np.array(x, dtype=float)).tolist() == ranks_x
         assert correlate(x, y)[1] == pytest.approx(spearman, rel=4e-16)
 
-    def test_values_past_1e154_correlate_without_an_overflow_warning(self):
-        # np.std squares them to inf; scipy.stats.pearsonr gives this value.
-        pearson, spearman = correlate([1e200, 2e200, 3e200, 5e200], [1, 2, 3, 4])
-        assert pearson == 0.9827076298239908 and spearman == 1.0
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            # np.std squares them to inf.
+            ([1e200, 2e200, 3e200, 5e200], (0.9827076298239908, 1.0)),
+            # Their sum passes the float maximum, so the mean is inf.
+            ([1.7e308, 1.7e308, 1.6e308, 1e300], (math.nan, -0.9486832980505139)),
+        ],
+        ids=["squares_past_max", "sum_past_max"],
+    )
+    def test_values_past_1e154_correlate_without_an_overflow_warning(self, x, expected):
+        # scipy.stats.pearsonr and spearmanr give these values.
+        np.testing.assert_equal(correlate(x, [1, 2, 3, 4]), expected)
 
     def test_nan_input_gives_nan(self):
         pearson, spearman = correlate([1.0, 2.0, math.nan, 4.0], [1.0, 3.0, 2.0, 5.0])

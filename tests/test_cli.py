@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -61,6 +62,15 @@ def cifar_config(tmp_path: Path) -> str:
         "data.cifar_pool = 8\n"
         "data.cifar_grayscale = true\n"
     )
+
+
+def cifar_config_under(config_dir: Path) -> Path:
+    """A config file made by :func:`cifar_config` in the new ``config_dir``,
+    next to its batch, which it names by the relative path ``batch.bin``."""
+    config_dir.mkdir()
+    path = config_dir / "exp.cfg"
+    path.write_text(cifar_config(config_dir).replace(str(config_dir / "batch.bin"), "batch.bin"))
+    return path
 
 
 # TINY on each kind of data source.
@@ -589,6 +599,39 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "tiny_seed1" / "rounds.csv").exists()
 
+    def test_config_txt_reruns_a_cifar_run_under_a_hash_directory(self, tmp_path):
+        # A "#" starts a comment only at a line's start or after whitespace,
+        # so the absolute data.cifar_path that config.txt echoes reads back.
+        cfg = cifar_config_under(tmp_path / "hash#dir")
+        out, rerun = tmp_path / "out", tmp_path / "rerun"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        config_txt = out / "tiny_seed1" / "config.txt"
+        assert f"data.cifar_path = {cfg.parent / 'batch.bin'}\n" in config_txt.read_text()
+        assert main(["run", "--config", str(config_txt), "--out", str(rerun)]) == 0
+        assert read_tree(rerun / "tiny_seed1") == read_tree(out / "tiny_seed1")
+
+    def test_cifar_path_holding_a_comment_exits_2_naming_the_line(self, tmp_path, capsys):
+        # Its config.txt would cut the path at " #", so the run could not rerun.
+        cfg = cifar_config_under(tmp_path / "a #b")
+        line = cfg.read_text().splitlines().index("data.cifar_path = batch.bin") + 1
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"config error: line {line}: data.cifar_path: {cfg.parent / 'batch.bin'}: "
+            "a '#' after whitespace would start a comment in config.txt\n"
+        ))
+        assert not out.exists()
+
+    def test_run_experiment_preflights_before_any_seed(self, tmp_path):
+        # 4 classes x 100 rows cannot fill 5 nodes x 150 rows.
+        text = (REPO / "configs" / "five_nodes.cfg").read_text()
+        small_pool = tmp_path / "small_pool.cfg"
+        small_pool.write_text(text.replace("samples_per_class = 300", "samples_per_class = 100"))
+        cfg = replace(config.read_config(small_pool), output_dir=tmp_path / "o")
+        with pytest.raises(config.ConfigError, match=r"^line 5: scenario\.samples_per_node: "):
+            cli.run_experiment(cfg)
+        assert not (tmp_path / "o").exists()
+
     def test_bad_env_seed_exits_2_naming_it(self, tiny_config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FEDBOUND_SEED", "abc")
         assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
@@ -929,8 +972,8 @@ class TestProbeCommand:
     @pytest.mark.parametrize("sampler, probe_phases", [("init", 1), ("perturb", 2)])
     def test_preflights_only_the_seed_it_prints(self, tmp_path, monkeypatch, sampler, probe_phases):
         # The pre-flight builds seed 1's datasets, and probes them under
-        # perturb; the command then builds and probes them. Seeds 2 and 3
-        # are left alone.
+        # perturb; the command then probes the datasets the pre-flight built.
+        # Seeds 2 and 3 are left alone.
         calls = []
 
         def counting(name, work):
@@ -942,7 +985,7 @@ class TestProbeCommand:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY + f"probe.sampler = {sampler}\nrepeat_seeds = 1,2,3\n")
         assert main(["probe", "--config", str(cfg)]) == 0
-        assert calls.count("node_datasets") == 2
+        assert calls.count("node_datasets") == 1
         assert calls.count("probe_phase") == probe_phases
 
     @pytest.mark.parametrize("source", sorted(SOURCES))

@@ -18,6 +18,7 @@ from fedbound.analysis import report_inputs_from_dir
 from fedbound.config import (
     KNOWN_KEYS,
     ConfigError,
+    ExperimentConfig,
     build_experiment_config,
     echo_lines,
     load_config,
@@ -63,10 +64,12 @@ def preflight_error(tmp_path: Path, capsys, text: str) -> str:
 
 
 def preflight_text(tmp_path: Path, text: str) -> None:
-    """Load ``text`` and run its pre-flight, which must pass."""
+    """Load ``text`` and run its pre-flight on each seed, which must pass."""
     path = tmp_path / "c.cfg"
     path.write_text(text)
-    preflight(*read_config(path))
+    cfg = read_config(path)
+    for seed in cfg.repeat_seeds:
+        preflight(cfg, seed)
 
 
 class TestParser:
@@ -75,6 +78,9 @@ class TestParser:
         assert raw.values["scenario.n_nodes"] == "3"
         assert raw.values["scenario.samples_per_node"] == "50"
         assert raw.lines["scenario.rounds"] == 5
+        # A "#" starts a comment only at a line's start or after whitespace.
+        raw = parse_config_text("#a = 1\nb = x#y\t# tab\nc = p#q #r\n  # d = 2\n")
+        assert raw.values == {"b": "x#y", "c": "p#q"}
 
     def test_bad_line_reports_number(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -363,18 +369,27 @@ class TestPreflight:
     )
 
     @staticmethod
-    def outcomes(text: str, run_seed) -> tuple[str | None, bool]:
+    def message(cfg: ExperimentConfig) -> str | None:
+        """The pre-flight's message on the first seed it rejects, or None."""
+        try:
+            for seed in cfg.repeat_seeds:
+                preflight(cfg, seed)
+        except ConfigError as exc:
+            return str(exc)
+        return None
+
+    def outcomes(self, text: str, run_seed) -> tuple[str | None, bool]:
         """The pre-flight's message (None if it passes), and whether ``run_seed``
-        fails on some seed."""
+        fails on some seed. The same config built in code, so with no lines,
+        gets the message less its line."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.cfg"
             path.write_text(text)
-            cfg, raw = read_config(path)
-            try:
-                preflight(cfg, raw)
-                message = None
-            except ConfigError as exc:
-                message = str(exc)
+            cfg = read_config(path)
+            message = self.message(cfg)
+        built = ExperimentConfig(cfg.scenario, cfg.dataset, cfg.output_dir, cfg.repeat_seeds)
+        assert built == cfg and not built.lines
+        assert self.message(built) == (message and re.sub(r"^line \d+: ", "", message))
         failed = False
         for seed in cfg.repeat_seeds:
             try:
