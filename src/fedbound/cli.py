@@ -10,9 +10,9 @@ Subcommands:
 * ``selftest`` -- built-in gradient and probe-oracle checks
 
 The environment variable ``FEDBOUND_SEED`` overrides the configured seed.
-``run`` checks every seed's set-up (``config.preflight``) before any work,
-and ``probe`` sets up only the seed it prints and probes the datasets its
-pre-flight built, so a config that cannot run exits 2 naming its line.
+``run`` sets up every seed (``config.preflight``) before any seed trains, and
+``probe`` sets up only the seed it prints and prints the constants it probed,
+so a config that cannot run exits 2 naming its line.
 """
 
 from __future__ import annotations
@@ -42,19 +42,6 @@ from .model import (
 from .rng import normal_rows, permutation_rows, spawn_rng
 
 
-def run_one_seed(cfg: ExperimentConfig, seed: int) -> flsim.FLRun:
-    """Build the datasets of one seed and run the federated pipeline; each
-    warning of the run reaches stderr as one ``warning: seed <s>:`` line."""
-    scenario = replace(cfg.scenario, seed=seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        test_data, nodes = flsim.node_datasets(cfg.dataset, scenario)
-        run = flsim.run_federated_partitioned(scenario, test_data, nodes)
-    for warning in caught:
-        print(f"warning: seed {seed}: {warning.message}", file=sys.stderr)
-    return run
-
-
 def _replace_dir(tmp_dir: Path, final_dir: Path) -> Path:
     """Rename ``tmp_dir`` to ``final_dir``; a previous ``final_dir`` survives a failed swap.
 
@@ -81,19 +68,24 @@ def _replace_dir(tmp_dir: Path, final_dir: Path) -> Path:
     return old_dir
 
 
-def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
-    """Run one seed and write its run directory atomically; a failure after
-    staging it as ``.tmp-<run>`` removes the staged directory. Once the new
-    directory is in place, a previous one that cannot be deleted only warns:
-    the next swap of the run deletes it."""
-    run = run_one_seed(cfg, seed)
+def run_one_seed(cfg: ExperimentConfig, seed: int, setup: flsim.Setup) -> None:
+    """Train, bound and write one seed from its :func:`preflight` set-up. Each warning
+    reaches stderr as one ``warning: seed <s>:`` line; numpy's are off, so a diverging
+    run fails its own finiteness checks. The run directory is staged as ``.tmp-<run>``,
+    removed on failure; a previous one that cannot be deleted only warns."""
+    scenario = replace(cfg.scenario, seed=seed)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always", UserWarning)
+        run = flsim.run_federated_partitioned(scenario, *setup)
+    for warning in caught:
+        print(f"warning: seed {seed}: {warning.message}", file=sys.stderr)
     run_name = f"{cfg.scenario_name}_seed{seed}"
     final_dir = cfg.output_dir / run_name
     tmp_dir = cfg.output_dir / f".tmp-{run_name}"
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
     try:
-        flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=run.config)))
+        flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=scenario)))
         inputs = replace(analysis.report_inputs_from_run(run), selection_k=cfg.selection_k)
         analysis.write_reports(tmp_dir, inputs)
         old_dir = _replace_dir(tmp_dir, final_dir)
@@ -107,32 +99,37 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
             print(f"warning: seed {seed}: could not remove {old_dir}: {exc}", file=sys.stderr)
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
-    """Pre-flight every repeat seed, run each, then rebuild summary.csv from the output directory.
+def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
+    """Set up one seed and run it: what ``fedbound run`` does for each seed."""
+    run_one_seed(cfg, seed, preflight(cfg, seed))
 
-    Every seed runs, serial or parallel, even after one fails; a seed's
-    outcome is ``None`` or its error text, which a worker sends back as a
-    string, so no error class needs to pickle. A worker that dies fails its
-    seed. At most one worker a seed starts, and each is given ``cfg`` once,
-    so a forked worker shares the CIFAR-10 pool the pre-flight loaded. The
+
+def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
+    """Set up every repeat seed, run each, then rebuild summary.csv from the output directory.
+
+    No seed trains before every seed is set up; each set-up is held until its
+    seed is written. Every seed runs, serial or parallel, even after one fails;
+    a seed's outcome is ``None`` or its error text, which a worker sends back as
+    a string, so no error class needs to pickle. A worker that dies fails its
+    seed. At most one worker a seed starts, and each is given ``cfg`` and the
+    set-ups once, so a forked worker shares them and the CIFAR-10 pool. The
     first seed to save its run makes the output directory, and
     :func:`analysis.write_summary` then lists every run directory in it.
     Last, a ``ValueError`` names the first seed that failed.
     """
     seeds = list(cfg.repeat_seeds)
-    for seed in seeds:
-        preflight(cfg, seed)
+    setups = {seed: preflight(cfg, seed) for seed in seeds}
     if parallel > 1 and len(seeds) > 1:
         # Imported here: it loads multiprocessing, which costs every other
         # command tens of milliseconds of start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(parallel, len(seeds))
-        with ProcessPoolExecutor(workers, initializer=_keep_cfg, initargs=(cfg,)) as pool:
-            futures = [pool.submit(_execute_kept, seed) for seed in seeds]
+        with ProcessPoolExecutor(workers, initializer=_keep, initargs=(cfg, setups)) as pool:
+            futures = [pool.submit(_run_kept, seed) for seed in seeds]
             outcomes = [_outcome(future.result) for future in futures]
     else:
-        outcomes = [_outcome(execute_seed, cfg, seed) for seed in seeds]
+        outcomes = [_outcome(run_one_seed, cfg, seed, setups.pop(seed)) for seed in seeds]
     if cfg.output_dir.is_dir():
         analysis.write_summary(cfg.output_dir)
     failed = [(seed, error) for seed, error in zip(seeds, outcomes) if error is not None]
@@ -143,18 +140,19 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
     return 0
 
 
-_kept_cfg: ExperimentConfig | None = None
+_kept: tuple[ExperimentConfig, dict[int, flsim.Setup]] | None = None
 
 
-def _keep_cfg(cfg: ExperimentConfig) -> None:
-    """Hold ``cfg`` for every seed this ``--parallel`` worker runs."""
-    global _kept_cfg
-    _kept_cfg = cfg
+def _keep(cfg: ExperimentConfig, setups: dict[int, flsim.Setup]) -> None:
+    """Hold ``cfg`` and the seeds' set-ups for every seed this ``--parallel`` worker runs."""
+    global _kept
+    _kept = cfg, setups
 
 
-def _execute_kept(seed: int):
-    """The outcome of :func:`execute_seed` on the worker's ``cfg`` and ``seed``."""
-    return _outcome(execute_seed, _kept_cfg, seed)
+def _run_kept(seed: int):
+    """The outcome of :func:`run_one_seed` on the worker's ``cfg`` and ``seed``'s set-up."""
+    cfg, setups = _kept
+    return _outcome(run_one_seed, cfg, seed, setups[seed])
 
 
 def _outcome(call, *args):
@@ -174,12 +172,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = _load_config_with_env(args.config)
-    scenario = replace(cfg.scenario, seed=cfg.repeat_seeds[0])
-    _, nodes = preflight(cfg, scenario.seed)
-    try:
-        _, _, node_constants, agg = flsim.probe_phase(scenario, nodes)
-    except probe.ProbeFailure as exc:
-        raise ValueError(f"seed {scenario.seed} failed: {exc}") from exc
+    _, _, (_, _, node_constants, agg) = preflight(cfg, cfg.repeat_seeds[0])
     for i, est in enumerate(node_constants):
         print(f"node {i}: mu={est.mu:.9g} L={est.L:.9g} G={est.G:.9g} n_probes={est.n_probes}")
     print(f"global: mu={agg.mu:.9g} L={agg.L:.9g} G={agg.G:.9g} n_probes={agg.n_probes}")

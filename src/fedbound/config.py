@@ -20,8 +20,9 @@ from typing import Any
 
 from .csvio import fmt_value
 from .data import CifarFormatError, CifarSource, ClassCentersError, SyntheticSpec
-from .flsim import EmptyTestSplitError, ScenarioConfig, ShortfallError, node_datasets, probe_phase
-from .model import Dataset, ModelSpec
+from .flsim import EmptyTestSplitError, ScenarioConfig, Setup, ShortfallError
+from .flsim import node_datasets, probe_phase
+from .model import ModelSpec
 from .probe import DegeneratePairError, ProbeFailure
 
 
@@ -324,16 +325,16 @@ def load_config(path: Path | str) -> ExperimentConfig:
     return read_config(path)
 
 
-def preflight(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, list[Dataset]]:
-    """``seed``'s test set and node datasets; a :class:`ConfigError` naming the key, and
-    its line if ``cfg`` was read from text, if the seed cannot run past its set-up.
+def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
+    """``seed``'s set-up: its test set, node datasets and their probe result. A
+    :class:`ConfigError` names the key, and its line if ``cfg`` was read from text,
+    if the seed cannot run past it; a probe failure under ``init`` is a ValueError.
 
-    The seed runs what its run runs first, with the run's own code: it builds
-    its datasets (:func:`flsim.node_datasets`), the first of which loads the
-    CIFAR-10 batches that the run then reuses, and under the ``perturb``
-    sampler it probes them (:func:`flsim.probe_phase`). A fault is told apart
-    by its exception class. The seeds are known only once ``FEDBOUND_SEED``
-    has been applied, so :func:`read_config` does not call it.
+    The set-up is the run's first phase: :func:`flsim.node_datasets`, the first
+    of which loads the CIFAR-10 batches the run reuses, then
+    :func:`flsim.probe_phase`. A fault is told apart by its exception class.
+    The seeds are known only once ``FEDBOUND_SEED`` has been applied, so
+    :func:`read_config` does not call it.
     """
     raw = _RawConfig(lines=cfg.lines)
     s, d, c = _SCENARIO_KEYS, _SYNTHETIC_KEYS, _CIFAR_KEYS
@@ -361,14 +362,14 @@ def preflight(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, list[Dataset]]
         ) from exc
     except EmptyTestSplitError as exc:
         raise raw.error(raw.first_set(s["test_fraction"], pool[0]), str(exc)) from exc
-    if scenario.probe_sampler == "perturb":
-        try:
-            probe_phase(scenario, nodes)
-        except ProbeFailure as exc:
-            name = s["perturb_sigma"].name
-            advice = "raise" if isinstance(exc.__cause__, DegeneratePairError) else "lower"
-            raise raw.error(name, f"seed {seed}, {exc}; {advice} {name}") from exc
-    return test_data, nodes
+    try:
+        return test_data, nodes, probe_phase(scenario, nodes)
+    except ProbeFailure as exc:
+        if scenario.probe_sampler == "init":
+            raise ValueError(f"seed {seed} failed: {exc}") from exc
+        name = s["perturb_sigma"].name
+        advice = "raise" if isinstance(exc.__cause__, DegeneratePairError) else "lower"
+        raise raw.error(name, f"seed {seed}, {exc}; {advice} {name}") from exc
 
 
 def _echo_value(value) -> str:

@@ -280,9 +280,12 @@ def initial_params(cfg: ScenarioConfig) -> ParamVector:
     return init_params(cfg.model, derive_seed(cfg.seed, "init"))
 
 
-def probe_phase(
-    cfg: ScenarioConfig, node_datasets: Sequence[Dataset]
-) -> tuple[ParamVector, np.ndarray, tuple[ConstantsEstimate, ...], ConstantsEstimate]:
+Probed = tuple[ParamVector, np.ndarray, tuple[ConstantsEstimate, ...], ConstantsEstimate]
+# A seed's set-up: its test set, its node datasets and their probe_phase result.
+Setup = tuple[Dataset, list[Dataset], Probed]
+
+
+def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed:
     """Phase 1 of a run: probe every node's loss landscape around w1.
 
     Node i probes with seed ``derive_seed(cfg.seed, "probe", i)``, drawing
@@ -392,13 +395,13 @@ def bound_phase(
 
 
 def run_federated_partitioned(
-    cfg: ScenarioConfig, test_data: Dataset, node_datasets
+    cfg: ScenarioConfig, test_data: Dataset, node_datasets: Sequence[Dataset], probed: Probed
 ) -> FLRun:
-    """The FedAvg engine, given already-built per-node datasets: probe, train, bound."""
-    nodes = list(node_datasets)
-    w1, probe_samples, node_constants, global_constants = probe_phase(cfg, nodes)
+    """The FedAvg engine, given already-built per-node datasets and their
+    :func:`probe_phase` result: train, bound."""
+    w1, probe_samples, node_constants, global_constants = probed
     train_loss, test_loss, usefulness, training_g, final_params, wstar_proxy = training_phase(
-        cfg, w1, test_data, nodes
+        cfg, w1, test_data, node_datasets
     )
     dist = estimate_initial_distance(w1, wstar_proxy)
     return FLRun(
@@ -416,9 +419,9 @@ def run_federated_partitioned(
 
 
 def run_federated(cfg: ScenarioConfig, data: Dataset) -> FLRun:
-    """Partition a global dataset per the config, then run the engine."""
-    test_data, node_datasets = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
-    return run_federated_partitioned(cfg, test_data, node_datasets)
+    """Partition a global dataset per the config, probe the nodes, then run the engine."""
+    test_data, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+    return run_federated_partitioned(cfg, test_data, nodes, probe_phase(cfg, nodes))
 
 
 def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> None:

@@ -19,6 +19,7 @@ from fedbound.flsim import (
     ScenarioConfig,
     fedavg,
     partition_dataset,
+    probe_phase,
     run_federated,
     run_federated_partitioned,
 )
@@ -92,7 +93,8 @@ def hetero_runs():
             lr=0.05, batch_size=32, n_probes=80, seed=seed,
         )
         test_data, nodes = gen_synthetic_nodes(HETERO_DATA, 8, 150, n_test=400, seed=seed)
-        out[seed] = (run_federated_partitioned(cfg, test_data, nodes), test_data, nodes)
+        run = run_federated_partitioned(cfg, test_data, nodes, probe_phase(cfg, nodes))
+        out[seed] = (run, test_data, nodes)
     return out, time.perf_counter() - start
 
 
@@ -302,7 +304,8 @@ def test_09_top_half_by_l_beats_bottom_half(hetero_runs):
                 n_nodes=len(chosen), samples_per_node=150, rounds=20, model=HETERO_MODEL,
                 lr=0.05, batch_size=32, n_probes=4, seed=seed,
             )
-            subset_run = run_federated_partitioned(cfg, test_data, [nodes[i] for i in sorted(chosen)])
+            subset = [nodes[i] for i in sorted(chosen)]
+            subset_run = run_federated_partitioned(cfg, test_data, subset, probe_phase(cfg, subset))
             finals[name] = subset_run.test_loss[-1]
         top_losses.append(finals["top"])
         bottom_losses.append(finals["bottom"])

@@ -170,14 +170,14 @@ class FaultAt:
         return faulty
 
 
-_execute_seed = cli.execute_seed
+_run_one_seed = cli.run_one_seed
 
 
-def execute_seed_failing_on_2(cfg, seed):
-    """``cli.execute_seed``, except that seed 2 fails; module-level so a worker can unpickle it."""
+def run_one_seed_failing_on_2(cfg, seed, setup):
+    """``cli.run_one_seed``, except that seed 2 fails."""
     if seed == 2:
         raise ValueError("seed two went wrong")
-    return _execute_seed(cfg, seed)
+    return _run_one_seed(cfg, seed, setup)
 
 
 class TwoPartError(Exception):
@@ -195,11 +195,11 @@ SEED_ERRORS = {
 }
 
 
-def execute_seed_raising_on_2(error, cfg, seed):
-    """``cli.execute_seed``, except that seed 2 raises ``SEED_ERRORS[error]``."""
+def run_one_seed_raising_on_2(error, cfg, seed, setup):
+    """``cli.run_one_seed``, except that seed 2 raises ``SEED_ERRORS[error]``."""
     if seed == 2:
         raise SEED_ERRORS[error]
-    return _execute_seed(cfg, seed)
+    return _run_one_seed(cfg, seed, setup)
 
 
 # A perturbation so wide that every probe's loss overflows.
@@ -215,25 +215,26 @@ def collect_probes_failing_at_seed_1_node_1(spec, data, n_probes, sampler, rng_s
     return _collect_probes(spec, data, n_probes, sampler, rng_seed, g_formula)
 
 
-def run_one_seed_failing(cfg, seed):
+def count_set_up_calls(monkeypatch, calls: Path) -> None:
+    """Append ``<name> <pid>`` to ``calls`` for each ``node_datasets`` and
+    ``probe_phase`` call, in whichever process makes it."""
+
+    def counting(name, work):
+        def counted(*args):
+            with open(calls, "a") as f:
+                f.write(f"{name} {os.getpid()}\n")
+            return work(*args)
+
+        return counted
+
+    for module in (config, flsim):
+        for name in ("node_datasets", "probe_phase"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+
+def run_one_seed_failing(cfg, seed, setup):
     """``cli.run_one_seed``, except that it fails before a run exists."""
     raise ValueError(f"no data for seed {seed}")
-
-
-def execute_seed_failing_before_writing(cfg, seed):
-    """``cli.execute_seed`` with ``cli.run_one_seed`` failing, patched in the
-    process that runs it; module-level so a worker can unpickle it."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_one_seed", run_one_seed_failing)
-        return _execute_seed(cfg, seed)
-
-
-def execute_seed_with_failing_probe(cfg, seed):
-    """``cli.execute_seed`` with probe 2 of node 1 of seed 1 failing, patched in
-    the process that runs it; module-level so a worker can unpickle it."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flsim, "collect_probes", collect_probes_failing_at_seed_1_node_1)
-        return _execute_seed(cfg, seed)
 
 
 class TestRunCommand:
@@ -289,7 +290,7 @@ class TestRunCommand:
         cfg.write_text(TINY + "repeat_seeds = 1,2,3\n")
         clean = tmp_path / "clean"
         assert main(["run", "--config", str(cfg), "--out", str(clean)]) == 0
-        monkeypatch.setattr(cli, "execute_seed", execute_seed_failing_on_2)
+        monkeypatch.setattr(cli, "run_one_seed", run_one_seed_failing_on_2)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
@@ -308,35 +309,81 @@ class TestRunCommand:
     ):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY + "repeat_seeds = 1,2,3\n")
-        monkeypatch.setattr(cli, "execute_seed", partial(execute_seed_raising_on_2, error))
+        monkeypatch.setattr(cli, "run_one_seed", partial(run_one_seed_raising_on_2, error))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 1
         assert capsys.readouterr().err == f"error: seed 2 failed: {SEED_ERRORS[error]}\n"
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed3"]
 
-    # The pre-flight stops a config whose probes fail, so the failure is
-    # injected in the worker; its text names the node.
+    # Every seed is probed in the command's set-up pass, before any worker
+    # starts; the failure's text names the node.
     def test_parallel_probe_failure_names_its_probe(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY)
-        monkeypatch.setattr(cli, "execute_seed", execute_seed_with_failing_probe)
+        monkeypatch.setattr(flsim, "collect_probes", collect_probes_failing_at_seed_1_node_1)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 1
         assert capsys.readouterr().err == (
             "error: seed 1 failed: node 1: probe 2 failed: probe values must be finite\n"
         )
-        assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed2"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_seeds_that_fail_before_writing_leave_no_output_dir(
         self, tiny_config, tmp_path, monkeypatch, capsys, parallel
     ):
-        monkeypatch.setattr(cli, "execute_seed", execute_seed_failing_before_writing)
+        monkeypatch.setattr(cli, "run_one_seed", run_one_seed_failing)
         out = tmp_path / "out"
         args = ["run", "--config", str(tiny_config), "--out", str(out), "--parallel", parallel]
         assert main(args) == 1
         assert capsys.readouterr().err == (
             "error: seed 1 failed: no data for seed 1 (2 of 2 seeds failed)\n"
+        )
+        assert not out.exists()
+
+    # The command sets up each seed once, and a --parallel worker trains from
+    # the set-up it inherited.
+    @pytest.mark.parametrize("parallel", ["1", pytest.param("2", marks=FORK_ONLY)])
+    @pytest.mark.parametrize("sampler", ["init", "perturb"])
+    def test_sets_up_each_seed_once_in_the_command(self, tmp_path, monkeypatch, sampler, parallel):
+        calls = tmp_path / "calls"
+        count_set_up_calls(monkeypatch, calls)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY + f"probe.sampler = {sampler}\nrepeat_seeds = 1,2,3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 0
+        expected = [f"{name} {os.getpid()}" for name in ("node_datasets", "probe_phase")] * 3
+        assert sorted(calls.read_text().splitlines()) == sorted(expected)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "summary.csv", "tiny_seed1", "tiny_seed2", "tiny_seed3"
+        ]
+
+    def test_probe_failure_under_init_stops_the_run_before_any_seed_trains(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        trained = []
+        monkeypatch.setattr(flsim, "training_phase", lambda *args: trained.append(args))
+        cfg = tmp_path / "l2.cfg"
+        cfg.write_text((REPO / "configs" / "five_nodes.cfg").read_text() + "model.l2 = 1e308\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed 1 failed: node 0: probe 0 failed: probe values must be finite\n"
+        )
+        assert not out.exists()
+        assert trained == []
+
+    # The first overflow is the L2 penalty of a round's test-set scoring; under
+    # the tier-1 error::RuntimeWarning filter it would fail the seed with
+    # numpy's warning text in place of the run's own check.
+    def test_diverging_run_fails_each_seed_on_its_finiteness_check(self, tmp_path, capsys):
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text((REPO / "configs" / "five_nodes.cfg").read_text() + "scenario.lr = 1e10\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed 1 failed: parameter vector contains non-finite values "
+            "(5 of 5 seeds failed)\n"
         )
         assert not out.exists()
 
@@ -969,24 +1016,17 @@ class TestProbeCommand:
             "probe values must be finite; lower probe.perturb_sigma\n"
         ))
 
-    @pytest.mark.parametrize("sampler, probe_phases", [("init", 1), ("perturb", 2)])
-    def test_preflights_only_the_seed_it_prints(self, tmp_path, monkeypatch, sampler, probe_phases):
-        # The pre-flight builds seed 1's datasets, and probes them under
-        # perturb; the command then probes the datasets the pre-flight built.
-        # Seeds 2 and 3 are left alone.
-        calls = []
-
-        def counting(name, work):
-            return lambda *args: calls.append(name) or work(*args)
-
-        for module in (config, flsim):
-            for name in ("node_datasets", "probe_phase"):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    @pytest.mark.parametrize("sampler", ["init", "perturb"])
+    def test_preflights_only_the_seed_it_prints(self, tmp_path, monkeypatch, sampler):
+        # The pre-flight builds seed 1's datasets and probes them; the command
+        # prints what it probed. Seeds 2 and 3 are left alone.
+        calls = tmp_path / "calls"
+        count_set_up_calls(monkeypatch, calls)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY + f"probe.sampler = {sampler}\nrepeat_seeds = 1,2,3\n")
         assert main(["probe", "--config", str(cfg)]) == 0
-        assert calls.count("node_datasets") == 1
-        assert calls.count("probe_phase") == probe_phases
+        names = sorted(line.split()[0] for line in calls.read_text().splitlines())
+        assert names == ["node_datasets", "probe_phase"]
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_prints_the_constants_rows_of_run(self, tmp_path, capsys, source):

@@ -26,7 +26,7 @@ from fedbound.config import (
     preflight,
     read_config,
 )
-from fedbound.cli import main, run_one_seed
+from fedbound.cli import main
 from fedbound.data import CIFAR_RECORD_BYTES, CifarSource
 from fedbound.flsim import PROBE_SAMPLER_KINDS, node_datasets, probe_phase
 from fedbound.probe import G_FORMULAS, ProbeFailure
@@ -433,10 +433,10 @@ class TestPreflight:
     def test_missing_class_split_fails_exactly_when_a_seed_runs_short(self, per_class):
         text = self.TEXT + f"scenario.missing_classes = 2\ndata.samples_per_class = {per_class}\n"
 
-        def run_one_round(cfg, seed):
-            run_one_seed(replace(cfg, scenario=replace(cfg.scenario, rounds=1)), seed)
+        def build(cfg, seed):
+            node_datasets(cfg.dataset, replace(cfg.scenario, seed=seed))
 
-        message, failed = self.outcomes(text, run_one_round)
+        message, failed = self.outcomes(text, build)
         assert (message is not None) == failed
         if failed:
             assert message.startswith("line 8: scenario.missing_classes: seed ")

@@ -210,7 +210,8 @@ class TestLocalRound:
         cfg = scenario(local_epochs_per_round=3, batch_size=40)
         node, test, w = self.make_node(cfg)
         with pytest.warns(UserWarning):
-            run_federated_partitioned(cfg, test, [node] * cfg.n_nodes)
+            nodes = [node] * cfg.n_nodes
+            run_federated_partitioned(cfg, test, nodes, probe_phase(cfg, nodes))
         _, norms = local_round(node, w, cfg, round_states([1], epochs=3))
         assert norms.shape == (1, 3)
 
@@ -302,7 +303,7 @@ class TestRunFederated:
         cfg = scenario(n_nodes=3, rounds=3, batch_size=15, local_epochs_per_round=2, model=model)
         test, datasets = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
         with pytest.warns(UserWarning):
-            run = run_federated_partitioned(cfg, test, datasets)
+            run = run_federated_partitioned(cfg, test, datasets, probe_phase(cfg, datasets))
 
         # Replay one node and one single-vector call at a time.
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
@@ -335,13 +336,15 @@ class TestRunFederated:
         w1 = init_params(cfg.model, 1)
         with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
             training_phase(cfg, w1, test, nodes)
+        # The engine is handed a probe result; its training phase rejects the nodes.
+        equal = probe_phase(cfg, [nodes[0]] * 2)
+        with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
+            run_federated_partitioned(cfg, test, nodes, equal)
         probed = []
         monkeypatch.setattr(flsim, "collect_probes", lambda *args: probed.append(args))
         with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
             probe_phase(cfg, nodes)
-        with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
-            run_federated_partitioned(cfg, test, nodes)
-        # Both fail before any node is probed.
+        # It fails before any node is probed.
         assert probed == []
 
     def test_wstar_proxy_is_best_train_loss_params(self):

@@ -74,7 +74,9 @@ def test_selection_payoff_losses_are_engine_runs_on_each_subset(hetero_run):
     expected = []
     for ids in (selected, rest):
         scenario = replace(cfg.scenario, seed=1, n_nodes=len(ids))
-        run = flsim.run_federated_partitioned(scenario, test_data, [nodes[i] for i in ids])
+        subset = [nodes[i] for i in ids]
+        probed = flsim.probe_phase(scenario, subset)
+        run = flsim.run_federated_partitioned(scenario, test_data, subset, probed)
         expected.append(format(run.test_loss[-1], ".4f"))
     assert rows[0][2:4] == expected
 
