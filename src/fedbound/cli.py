@@ -10,9 +10,9 @@ Subcommands:
 * ``selftest`` -- built-in gradient and probe-oracle checks
 
 The environment variable ``FEDBOUND_SEED`` overrides the configured seed.
-``run`` sets up every seed (``config.preflight``) before any seed trains, and
-``probe`` sets up only the seed it prints and prints the constants it probed,
-so a config that cannot run exits 2 naming its line.
+``run`` sets up every seed (``config.preflight``) before it trains them one by
+one, and ``probe`` sets up only the seed it prints and prints the constants it
+probed, so a config that cannot run exits 2 naming its line.
 """
 
 from __future__ import annotations
@@ -104,35 +104,25 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
     run_one_seed(cfg, seed, preflight(cfg, seed))
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
+def run_experiment(cfg: ExperimentConfig) -> int:
     """Set up every repeat seed, run each, then rebuild summary.csv from the output directory.
 
     No seed trains before every seed is set up; each set-up is held until its
-    seed is written. Every seed runs, serial or parallel, even after one fails;
-    a seed's outcome is ``None`` or its error text, which a worker sends back as
-    a string, so no error class needs to pickle. A worker that dies fails its
-    seed. At most one worker a seed starts, and each is given ``cfg`` and the
-    set-ups once, so a forked worker shares them and the CIFAR-10 pool. The
-    first seed to save its run makes the output directory, and
+    seed is written. Every seed runs, in order, even after one fails. The first
+    seed to save its run makes the output directory, and
     :func:`analysis.write_summary` then lists every run directory in it.
     Last, a ``ValueError`` names the first seed that failed.
     """
     seeds = list(cfg.repeat_seeds)
     setups = {seed: preflight(cfg, seed) for seed in seeds}
-    if parallel > 1 and len(seeds) > 1:
-        # Imported here: it loads multiprocessing, which costs every other
-        # command tens of milliseconds of start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(parallel, len(seeds))
-        with ProcessPoolExecutor(workers, initializer=_keep, initargs=(cfg, setups)) as pool:
-            futures = [pool.submit(_run_kept, seed) for seed in seeds]
-            outcomes = [_outcome(future.result) for future in futures]
-    else:
-        outcomes = [_outcome(run_one_seed, cfg, seed, setups.pop(seed)) for seed in seeds]
+    failed = []
+    for seed in seeds:
+        try:
+            run_one_seed(cfg, seed, setups.pop(seed))
+        except Exception as exc:
+            failed.append((seed, str(exc)))
     if cfg.output_dir.is_dir():
         analysis.write_summary(cfg.output_dir)
-    failed = [(seed, error) for seed, error in zip(seeds, outcomes) if error is not None]
     if failed:
         seed, error = failed[0]
         others = f" ({len(failed)} of {len(seeds)} seeds failed)" if len(failed) > 1 else ""
@@ -140,34 +130,11 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> int:
     return 0
 
 
-_kept: tuple[ExperimentConfig, dict[int, flsim.Setup]] | None = None
-
-
-def _keep(cfg: ExperimentConfig, setups: dict[int, flsim.Setup]) -> None:
-    """Hold ``cfg`` and the seeds' set-ups for every seed this ``--parallel`` worker runs."""
-    global _kept
-    _kept = cfg, setups
-
-
-def _run_kept(seed: int):
-    """The outcome of :func:`run_one_seed` on the worker's ``cfg`` and ``seed``'s set-up."""
-    cfg, setups = _kept
-    return _outcome(run_one_seed, cfg, seed, setups[seed])
-
-
-def _outcome(call, *args):
-    """What ``call(*args)`` returned, or the text of the exception it raised."""
-    try:
-        return call(*args)
-    except Exception as exc:
-        return str(exc)
-
-
 def _cmd_run(args) -> int:
     cfg = _load_config_with_env(args.config)
     if args.out:
         cfg = replace(cfg, output_dir=Path(args.out))
-    return run_experiment(cfg, parallel=args.parallel)
+    return run_experiment(cfg)
 
 
 def _cmd_probe(args) -> int:
@@ -304,16 +271,6 @@ def _load_config_with_env(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedbound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the full experiment pipeline")
     run_p.add_argument("--config", required=True, help="path to a key = value config file")
     run_p.add_argument("--out", default=None, help="override the output directory")
-    run_p.add_argument("--parallel", type=_positive_int, default=1, help="seeds to run in parallel")
     run_p.set_defaults(func=_cmd_run)
 
     probe_p = sub.add_parser("probe", help="estimate constants only")

@@ -42,7 +42,7 @@ class CifarSource:
     """CIFAR-10 binary batches at ``path``, as :func:`load_cifar10` reads them.
 
     :attr:`records` loads them on first use and keeps them, so one command
-    reads its batches once; a pickled copy leaves them out.
+    reads its batches once.
     """
 
     path: Path
@@ -62,11 +62,6 @@ class CifarSource:
     def records(self) -> Dataset:
         """Every record of the batches, as :func:`load_cifar10` returns them."""
         return load_cifar10(self)
-
-    def __getstate__(self):
-        # A --parallel worker that is not forked loads the batches itself
-        # rather than unpickle them.
-        return {k: v for k, v in self.__dict__.items() if k != "records"}
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ of the N trained rows and of their average, are one kernel call over the one
 test set, and its training loss is one stacked loss call. Each stack row
 equals the node's own single-vector computation bit for bit.
 
-All randomness derives from (config seed, phase, round, node), so serial
-and parallel schedules produce identical results. The generators of every
-SGD shuffle of a run are seeded in one vectorized pass before its first round.
+All randomness derives from (config seed, phase, round, node), so results do
+not depend on the order in which seeds, rounds or nodes run. The generators
+of every SGD shuffle of a run are seeded in one vectorized pass before its
+first round.
 """
 
 from __future__ import annotations

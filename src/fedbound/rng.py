@@ -3,7 +3,7 @@
 Every stochastic operation in the package takes an explicit integer seed.
 Sub-streams (per node, per round, per probe) are derived by hashing the
 base seed together with a path of labels, so that results are independent
-of execution order and identical across serial and parallel schedules.
+of execution order.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import shlex
@@ -91,12 +90,6 @@ RUN_FILES = (
     "cdf_probe.csv",
     "cdf_training.csv",
     "selection.csv",
-)
-
-
-FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="counts what forked --parallel workers inherit",
 )
 
 
@@ -215,14 +208,14 @@ def collect_probes_failing_at_seed_1_node_1(spec, data, n_probes, sampler, rng_s
     return _collect_probes(spec, data, n_probes, sampler, rng_seed, g_formula)
 
 
-def count_set_up_calls(monkeypatch, calls: Path) -> None:
-    """Append ``<name> <pid>`` to ``calls`` for each ``node_datasets`` and
-    ``probe_phase`` call, in whichever process makes it."""
+def count_set_up_calls(monkeypatch) -> list[str]:
+    """The list to which each ``node_datasets`` and ``probe_phase`` call
+    appends its name."""
+    calls = []
 
     def counting(name, work):
         def counted(*args):
-            with open(calls, "a") as f:
-                f.write(f"{name} {os.getpid()}\n")
+            calls.append(name)
             return work(*args)
 
         return counted
@@ -230,6 +223,7 @@ def count_set_up_calls(monkeypatch, calls: Path) -> None:
     for module in (config, flsim):
         for name in ("node_datasets", "probe_phase"):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
 
 def run_one_seed_failing(cfg, seed, setup):
@@ -257,35 +251,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(tiny_config), "--out", str(out_b)]) == 0
         assert read_tree(out_a) == read_tree(out_b)
 
-    def test_parallel_matches_serial(self, tiny_config, tmp_path):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        main(["run", "--config", str(tiny_config), "--out", str(serial)])
-        main(["run", "--config", str(tiny_config), "--out", str(parallel), "--parallel", "2"])
-        assert read_tree(serial) == read_tree(parallel)
-
-    @given(
-        seeds=st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_size=3, unique=True),
-        kind=st.sampled_from(["softmax", "mlp"]),
-        source=st.sampled_from(["shared_pool", "node_knobs"]),
-    )
-    @settings(max_examples=10, deadline=None)
-    @pytest.mark.filterwarnings("ignore:probed mu is not positive")
-    def test_parallel_writes_the_serial_bytes(self, seeds, kind, source):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            cfg = tmp / "tiny.cfg"
-            cfg.write_text(
-                SOURCES[source](tmp)
-                + f"model.kind = {kind}\nmodel.hidden_width = 3\n"
-                + f"repeat_seeds = {','.join(map(str, seeds))}\n"
-            )
-            serial, parallel = tmp / "serial", tmp / "parallel"
-            assert main(["run", "--config", str(cfg), "--out", str(serial)]) == 0
-            assert main(["run", "--config", str(cfg), "--out", str(parallel), "--parallel", "2"]) == 0
-            assert read_tree(serial) == read_tree(parallel)
-
-    @pytest.mark.parametrize("parallel", ["1", "2"])
-    def test_failed_seed_keeps_the_completed_rows(self, tmp_path, monkeypatch, capsys, parallel):
+    def test_failed_seed_keeps_the_completed_rows(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY + "repeat_seeds = 1,2,3\n")
         clean = tmp_path / "clean"
@@ -293,7 +259,7 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run_one_seed", run_one_seed_failing_on_2)
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: seed 2 failed: seed two went wrong\n"
         lines = (clean / "summary.csv").read_text().splitlines()
         assert (out / "summary.csv").read_text().splitlines() == [lines[0], lines[1], lines[3]]
@@ -301,59 +267,37 @@ class TestRunCommand:
         for seed in (1, 3):
             assert read_tree(out / f"tiny_seed{seed}") == read_tree(clean / f"tiny_seed{seed}")
 
-    # A worker sends its seed's error back as text, so an error class that
-    # does not pickle fails its own seed alone.
+    # Whatever its class's constructor takes, a seed's error fails that seed
+    # alone and is printed as its own text.
     @pytest.mark.parametrize("error", sorted(SEED_ERRORS))
-    def test_parallel_run_reports_the_error_a_worker_raised(
-        self, tmp_path, monkeypatch, capsys, error
-    ):
+    def test_failed_seed_reports_the_error_it_raised(self, tmp_path, monkeypatch, capsys, error):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY + "repeat_seeds = 1,2,3\n")
         monkeypatch.setattr(cli, "run_one_seed", partial(run_one_seed_raising_on_2, error))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: seed 2 failed: {SEED_ERRORS[error]}\n"
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "tiny_seed1", "tiny_seed3"]
 
-    # Every seed is probed in the command's set-up pass, before any worker
-    # starts; the failure's text names the node.
-    def test_parallel_probe_failure_names_its_probe(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(TINY)
-        monkeypatch.setattr(flsim, "collect_probes", collect_probes_failing_at_seed_1_node_1)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == 1
-        assert capsys.readouterr().err == (
-            "error: seed 1 failed: node 1: probe 2 failed: probe values must be finite\n"
-        )
-        assert not out.exists()
-
-    @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_seeds_that_fail_before_writing_leave_no_output_dir(
-        self, tiny_config, tmp_path, monkeypatch, capsys, parallel
+        self, tiny_config, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(cli, "run_one_seed", run_one_seed_failing)
         out = tmp_path / "out"
-        args = ["run", "--config", str(tiny_config), "--out", str(out), "--parallel", parallel]
-        assert main(args) == 1
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: seed 1 failed: no data for seed 1 (2 of 2 seeds failed)\n"
         )
         assert not out.exists()
 
-    # The command sets up each seed once, and a --parallel worker trains from
-    # the set-up it inherited.
-    @pytest.mark.parametrize("parallel", ["1", pytest.param("2", marks=FORK_ONLY)])
     @pytest.mark.parametrize("sampler", ["init", "perturb"])
-    def test_sets_up_each_seed_once_in_the_command(self, tmp_path, monkeypatch, sampler, parallel):
-        calls = tmp_path / "calls"
-        count_set_up_calls(monkeypatch, calls)
+    def test_sets_up_each_seed_once_in_the_command(self, tmp_path, monkeypatch, sampler):
+        calls = count_set_up_calls(monkeypatch)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY + f"probe.sampler = {sampler}\nrepeat_seeds = 1,2,3\n")
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel]) == 0
-        expected = [f"{name} {os.getpid()}" for name in ("node_datasets", "probe_phase")] * 3
-        assert sorted(calls.read_text().splitlines()) == sorted(expected)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == ["node_datasets", "probe_phase"] * 3
         assert sorted(p.name for p in out.iterdir()) == [
             "summary.csv", "tiny_seed1", "tiny_seed2", "tiny_seed3"
         ]
@@ -597,44 +541,6 @@ class TestRunCommand:
         assert len(tree) == 31
         assert hashlib.sha256(repr(sorted(tree.items())).encode()).hexdigest() == self.CIFAR_DIGEST
 
-    # A forked worker inherits the cfg its pool was given, and with it the
-    # batch the pre-flight loaded. The count goes through a file, which
-    # every process appends to.
-    @FORK_ONLY
-    def test_parallel_cifar_run_loads_its_batch_once(self, tmp_path, monkeypatch):
-        loads, load = tmp_path / "loads", data.load_cifar10
-
-        def counted(source):
-            with open(loads, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            return load(source)
-
-        monkeypatch.setattr(data, "load_cifar10", counted)
-        config = tmp_path / "cifar.cfg"
-        config.write_text(cifar_config(tmp_path) + "repeat_seeds = 1,2,3\n")
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        argv = ["run", "--config", str(config), "--out", str(parallel), "--parallel", "2"]
-        assert main(argv) == 0
-        assert loads.read_text().splitlines() == [str(os.getpid())]
-        assert main(["run", "--config", str(config), "--out", str(serial)]) == 0
-        assert read_tree(serial) == read_tree(parallel)
-
-    # Under fork the pool starts all its workers at once.
-    @FORK_ONLY
-    def test_parallel_starts_no_more_workers_than_seeds(self, tiny_config, tmp_path, monkeypatch):
-        from multiprocessing import popen_fork
-
-        started, launch = [], popen_fork.Popen._launch
-        monkeypatch.setattr(
-            popen_fork.Popen, "_launch", lambda self, obj: started.append(1) or launch(self, obj)
-        )
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        argv = ["run", "--config", str(tiny_config), "--out", str(parallel), "--parallel", "8"]
-        assert main(argv) == 0
-        assert len(started) == 2
-        assert main(["run", "--config", str(tiny_config), "--out", str(serial)]) == 0
-        assert read_tree(serial) == read_tree(parallel)
-
     def test_relative_cifar_path_resolves_against_the_config_file(self, tmp_path, monkeypatch):
         config_dir = tmp_path / "configs"
         config_dir.mkdir()
@@ -688,19 +594,17 @@ class TestRunCommand:
     def test_duplicate_repeat_seeds_exit_2_before_any_output(self, tiny_config, tmp_path, capsys):
         tiny_config.write_text(TINY + "repeat_seeds = 1,1,2\n")
         out = tmp_path / "o"
-        argv = ["run", "--config", str(tiny_config), "--out", str(out), "--parallel", "3"]
-        assert main(argv) == 2
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: line 16: repeat_seeds: repeat_seeds must be distinct")
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-4"])
-    def test_parallel_below_one_exits_2(self, tiny_config, tmp_path, capsys, value):
+    def test_parallel_option_is_gone(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--config", str(tiny_config), "--out", str(out), "--parallel", value])
+            main(["run", "--config", str(tiny_config), "--out", str(out), "--parallel", "2"])
         assert excinfo.value.code == 2
-        assert "--parallel: must be at least 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):
@@ -1020,13 +924,11 @@ class TestProbeCommand:
     def test_preflights_only_the_seed_it_prints(self, tmp_path, monkeypatch, sampler):
         # The pre-flight builds seed 1's datasets and probes them; the command
         # prints what it probed. Seeds 2 and 3 are left alone.
-        calls = tmp_path / "calls"
-        count_set_up_calls(monkeypatch, calls)
+        calls = count_set_up_calls(monkeypatch)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY + f"probe.sampler = {sampler}\nrepeat_seeds = 1,2,3\n")
         assert main(["probe", "--config", str(cfg)]) == 0
-        names = sorted(line.split()[0] for line in calls.read_text().splitlines())
-        assert names == ["node_datasets", "probe_phase"]
+        assert calls == ["node_datasets", "probe_phase"]
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_prints_the_constants_rows_of_run(self, tmp_path, capsys, source):
@@ -1201,8 +1103,8 @@ def test_a_piped_config_error_names_its_line(tmp_path):
 
 def test_import_leaves_scipy_out():
     # scipy's import alone took about 1.4 s of every command's start-up, and
-    # concurrent.futures (with multiprocessing) 26-34 ms; only `run
-    # --parallel` needs the latter.
+    # concurrent.futures (with multiprocessing) 26-34 ms; no command needs
+    # either.
     modules = ("scipy", "concurrent.futures")
     code = f"import sys, fedbound.cli; print([m in sys.modules for m in {modules!r}])"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

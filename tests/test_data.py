@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 
@@ -201,19 +199,16 @@ class TestCifarLoader:
         data = load_cifar10(CifarSource(tmp_path))
         assert len(data) == 2
 
-    def test_records_load_once_per_source_and_never_pickle(self, tmp_path):
+    def test_records_load_once_per_source(self, tmp_path):
         path = tmp_path / "batch.bin"
         path.write_bytes(make_record(3))
         source = CifarSource(path)
         assert source.records is source.records
         assert list(source.records.labels) == [3]
-        # A new source reads the file as it now is; a pickled one loads afresh.
+        # A new source reads the file as it now is.
         path.write_bytes(make_record(7))
         assert list(source.records.labels) == [3]
         assert list(CifarSource(path).records.labels) == [7]
-        copy = pickle.loads(pickle.dumps(source))
-        assert copy == source and "records" not in vars(copy)
-        assert list(copy.records.labels) == [7]
 
     def test_grayscale_and_pooling_shrink_features(self, tmp_path):
         path = tmp_path / "small.bin"

@@ -12,7 +12,7 @@ import pytest
 
 from fedbound import analysis, flsim
 from fedbound.cli import main
-from fedbound.config import load_config
+from fedbound.config import read_config
 from fedbound.csvio import read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,7 +65,7 @@ def test_selection_payoff_selects_the_top_l_row(hetero_run):
 
 
 def test_selection_payoff_losses_are_engine_runs_on_each_subset(hetero_run):
-    cfg = load_config(HETERO)
+    cfg = read_config(HETERO)
     test_data, nodes = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=1))
     lines = run_script("selection_payoff.py", "--runs", str(hetero_run))
     rows = [line for line in lines if line[:1] == ["1"]]
