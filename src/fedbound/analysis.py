@@ -218,7 +218,15 @@ def _run_config(run_dir: Path) -> ExperimentConfig:
 
 
 def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
-    """Rebuild report inputs from a saved run directory's config.txt and CSV files."""
+    """Rebuild report inputs from a saved run directory's config.txt and CSV files.
+
+    A ValueError names the first file at fault: a config.txt that does not
+    load, constants.csv node rows other than ids 0..N-1 in order (N is
+    ``scenario.n_nodes``), usefulness.csv rows other than those ids in every
+    round with ``t`` running 1..T, a non-finite usefulness, or a gtrace.csv
+    that :func:`_read_gtrace` rejects. Integer columns are read as int64, so
+    a cell that is no integer names its line and column.
+    """
     run_dir = Path(run_dir)
     cfg = _run_config(run_dir)
     node_constants = _read_node_constants(run_dir, cfg.scenario.n_nodes)

@@ -74,14 +74,19 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    @staticmethod
+    def _unchecked(features: np.ndarray, labels: np.ndarray, num_classes: int) -> "Dataset":
+        """A dataset of rows already validated, built without ``__post_init__``."""
+        rows = object.__new__(Dataset)
+        object.__setattr__(rows, "features", features)
+        object.__setattr__(rows, "labels", labels)
+        object.__setattr__(rows, "num_classes", num_classes)
+        return rows
+
     def subset(self, indices: np.ndarray | slice) -> "Dataset":
         """The rows at an integer index array (a copy) or a slice (a view);
         they were validated with ``self``."""
-        rows = object.__new__(Dataset)
-        object.__setattr__(rows, "features", self.features[indices])
-        object.__setattr__(rows, "labels", self.labels[indices])
-        object.__setattr__(rows, "num_classes", self.num_classes)
-        return rows
+        return Dataset._unchecked(self.features[indices], self.labels[indices], self.num_classes)
 
     @staticmethod
     def concat(parts: Iterable["Dataset"]) -> "Dataset":
@@ -95,11 +100,11 @@ class Dataset:
             for part in parts
         ):
             raise ValueError("datasets differ in num_classes or feature_dim")
-        rows = object.__new__(Dataset)
-        object.__setattr__(rows, "features", np.concatenate([part.features for part in parts]))
-        object.__setattr__(rows, "labels", np.concatenate([part.labels for part in parts]))
-        object.__setattr__(rows, "num_classes", first.num_classes)
-        return rows
+        return Dataset._unchecked(
+            np.concatenate([part.features for part in parts]),
+            np.concatenate([part.labels for part in parts]),
+            first.num_classes,
+        )
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(tiny_config), "--out", str(out_b)]) == 0
         assert read_tree(out_a) == read_tree(out_b)
 
+    def test_run_trees_do_not_depend_on_the_seed_list(self, tmp_path, monkeypatch):
+        # Each seed's run directory is the same bytes whichever seeds run with
+        # it, in whichever order, alone, or picked by FEDBOUND_SEED.
+        trees = []
+        runs = [("1,2,3", None), ("3,1,2", None), ("2", None), ("1,2,3", "2")]
+        for i, (seeds, env_seed) in enumerate(runs):
+            if env_seed:
+                monkeypatch.setenv("FEDBOUND_SEED", env_seed)
+            config = tmp_path / f"seeds{i}.cfg"
+            config.write_text(TINY.replace("repeat_seeds = 1,2", f"repeat_seeds = {seeds}"))
+            out = tmp_path / f"out{i}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            trees.append({k: v for k, v in read_tree(out).items() if k != "summary.csv"})
+        in_order, shuffled, alone, from_env = trees
+        assert {name.split("/")[0] for name in in_order} == {"tiny_seed1", "tiny_seed2", "tiny_seed3"}
+        assert shuffled == in_order
+        seed2 = {name: data for name, data in in_order.items() if name.startswith("tiny_seed2/")}
+        assert alone == seed2
+        assert from_env == seed2
+
     def test_failed_seed_keeps_the_completed_rows(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY + "repeat_seeds = 1,2,3\n")

@@ -7,6 +7,7 @@ running the shipped configs again (``run_scenarios.py`` and
 they were deleted. The tables must print every one of those numbers.
 """
 
+import re
 import shutil
 from pathlib import Path
 
@@ -78,6 +79,30 @@ def test_report_prints_the_recorded_usefulness_correlation_table(outputs, capsys
     mean = constants.pop(("hetero_eight_nodes", "mean"))
     assert constants == recorded
     assert mean[3:6] == mean_spearman
+
+
+def test_readme_table_excerpts_are_lines_report_prints(outputs, capsys):
+    """Every line of a table that README quotes under "The paper's tables" is
+    a line that ``report`` prints for the output directory of the ``sh``
+    block before it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## The paper's tables\n", 1)[1].split("\n## ", 1)[0]
+    outs = {"runs/scenarios": outputs[0], "runs/hetero": outputs[1]}
+    printed, quoted = None, set()
+    for lang, block in re.findall(r"```(\w*)\n(.*?)```", section, re.S):
+        if lang == "sh":
+            reported = re.findall(r"^fedbound report --run (\S+)$", block, re.M)
+            if reported:
+                capsys.readouterr()
+                assert main(["report", "--run", str(outs[reported[-1]])]) == 0
+                printed, out = capsys.readouterr().out.splitlines(), reported[-1]
+            continue
+        assert printed is not None
+        quoted.add(out)
+        for line in block.splitlines():
+            if line != "...":
+                assert line in printed, line
+    assert quoted == set(outs)
 
 
 def test_hidden_and_unrelated_directories_are_skipped(outputs, tmp_path, capsys):
