@@ -18,7 +18,7 @@ import numpy as np
 
 from fedbound.analysis import run_dirs
 from fedbound.config import ExperimentConfig, echo_lines, read_config
-from fedbound.csvio import read_csv
+from fedbound.csvio import RUN_TABLES, read_csv
 from fedbound.flsim import initial_params, node_datasets, training_phase
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
@@ -32,7 +32,7 @@ def _selection(run_dir: Path, cfg: ExperimentConfig, seed: int, policy: str) -> 
     for saved, shipped in zip_longest(lines, shipped_lines):
         if saved != shipped:
             raise ValueError(f"config.txt has {saved!r} where {CONFIG.name} gives {shipped!r}")
-    _, (policies, _, chosen) = read_csv(run_dir / "selection.csv", (None,) * 3)
+    policies, _, chosen = read_csv(run_dir / "selection.csv", RUN_TABLES["selection.csv"])
     ids = dict(zip(policies, chosen)).get(policy, "").split(";")
     if not set(ids) <= {str(i) for i in range(cfg.scenario.n_nodes)}:
         raise ValueError(f"selection.csv has no {policy} row of the run's node ids")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, read_config
-from .csvio import read_csv, write_csv
+from .csvio import RUN_TABLES, read_csv, write_csv
 from .flsim import FLRun
 from .probe import ConstantsEstimate
 from .rng import spawn_rng
@@ -171,7 +171,7 @@ def _read_gtrace(run_dir: Path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     node id outside ``0..n_nodes - 1``, or a kind without rows, raises a
     ValueError naming the file."""
     path = run_dir / "gtrace.csv"
-    _, (source, nodes, values) = read_csv(path, (None, np.int64, np.float64))
+    source, nodes, values = read_csv(path, RUN_TABLES["gtrace.csv"])
     probe, training = source == "probe", source == "training"
     other = np.flatnonzero(~(probe | training))
     if other.size:
@@ -196,17 +196,24 @@ def _check_t(path: Path, t: np.ndarray, expected: np.ndarray) -> None:
 
 
 def _read_node_constants(run_dir: Path, n_nodes: int) -> tuple[ConstantsEstimate, ...]:
-    """The ``n_nodes`` node rows of ``run_dir/constants.csv``, node i's at position i."""
+    """The ``n_nodes`` node rows of ``run_dir/constants.csv``, node i's at
+    position i; a row that is no :class:`ConstantsEstimate` names its line."""
     path = run_dir / "constants.csv"
-    _, constants = read_csv(path, (np.int64, np.float64, np.float64, np.float64, np.int64))
+    columns = (column.tolist() for column in read_csv(path, RUN_TABLES["constants.csv"]))
     # Node rows carry ids 0..N-1 in order; the global row carries -1.
-    rows = [row for row in zip(*(column.tolist() for column in constants)) if row[0] >= 0]
-    ids = [row[0] for row in rows]
+    rows = [(i, row) for i, row in enumerate(zip(*columns), start=2) if row[0] >= 0]
+    ids = [row[0] for _, row in rows]
     if not ids:
         raise ValueError(f"{path}: no node rows")
     if ids != list(range(n_nodes)):
         raise ValueError(f"{path}: node ids {ids} do not run 0..{n_nodes - 1} in order")
-    return tuple(ConstantsEstimate(*values) for _, *values in rows)
+    estimates = []
+    for line, (_, *values) in rows:
+        try:
+            estimates.append(ConstantsEstimate(*values))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from exc
+    return tuple(estimates)
 
 
 def _run_config(run_dir: Path) -> ExperimentConfig:
@@ -221,18 +228,20 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     """Rebuild report inputs from a saved run directory's config.txt and CSV files.
 
     A ValueError names the first file at fault: a config.txt that does not
-    load, constants.csv node rows other than ids 0..N-1 in order (N is
-    ``scenario.n_nodes``), usefulness.csv rows other than those ids in every
-    round with ``t`` running 1..T, a non-finite usefulness, or a gtrace.csv
-    that :func:`_read_gtrace` rejects. Integer columns are read as int64, so
-    a cell that is no integer names its line and column.
+    load, a CSV whose header is not its ``RUN_TABLES`` entry's, constants.csv
+    node rows other than ids 0..N-1 in order (N is ``scenario.n_nodes``) or
+    one that is no :class:`ConstantsEstimate`, usefulness.csv rows other
+    than those ids in every round with ``t`` running 1..T, a non-finite
+    usefulness, or a gtrace.csv that :func:`_read_gtrace` rejects. Integer
+    columns are read as int64, so a cell that is no integer names its line
+    and column.
     """
     run_dir = Path(run_dir)
     cfg = _run_config(run_dir)
     node_constants = _read_node_constants(run_dir, cfg.scenario.n_nodes)
     ids = list(range(len(node_constants)))
     path = run_dir / "usefulness.csv"
-    _, (rounds, nodes, deltas) = read_csv(path, (np.int64, np.int64, np.float64))
+    rounds, nodes, deltas = read_csv(path, RUN_TABLES["usefulness.csv"])
     found = np.unique(nodes).tolist()
     if found != ids:
         raise ValueError(f"{path}: node ids {found} differ from constants.csv's {ids}")
@@ -274,16 +283,14 @@ def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
         ";".join(str(i) for i in sorted(select_nodes(estimates, k, policy, rng_seed=inputs.seed)))
         for policy in SELECTION_POLICIES
     ]
-    correlations = list(zip(*correlation_rows(inputs)))
-    cdf_probe, cdf_training = _cdf_arrays(inputs.probe_g), _cdf_arrays(inputs.training_g)
-    write_csv(run_dir / "correlations.csv", ("quantity", "pearson", "spearman", "n"), correlations)
-    write_csv(run_dir / "cdf_probe.csv", ("value", "fraction"), cdf_probe)
-    write_csv(run_dir / "cdf_training.csv", ("value", "fraction"), cdf_training)
-    write_csv(
-        run_dir / "selection.csv",
-        ("policy", "k", "chosen"),
-        (SELECTION_POLICIES, [k] * len(SELECTION_POLICIES), chosen),
-    )
+    tables = {
+        "correlations.csv": list(zip(*correlation_rows(inputs))),
+        "cdf_probe.csv": _cdf_arrays(inputs.probe_g),
+        "cdf_training.csv": _cdf_arrays(inputs.training_g),
+        "selection.csv": (SELECTION_POLICIES, [k] * len(SELECTION_POLICIES), chosen),
+    }
+    for name, columns in tables.items():
+        write_csv(run_dir / name, RUN_TABLES[name], columns)
 
 
 def run_dirs(out_dir: Path | str) -> list[Path]:
@@ -299,12 +306,12 @@ def summary_row(run_dir: Path, cfg: ExperimentConfig) -> tuple:
     ``rounds.csv``, and each constant's Pearson and Spearman coefficients
     from ``correlations.csv``."""
     path = run_dir / "rounds.csv"
-    _, (t, *finals) = read_csv(path, (np.int64, np.float64, np.float64, np.float64))
+    t, *finals = read_csv(path, RUN_TABLES["rounds.csv"])
     if not len(t):
         raise ValueError(f"{path}: run has no rounds")
     _check_t(path, t, np.arange(1, len(t) + 1))
     path = run_dir / "correlations.csv"
-    _, (quantity, pearson, spearman, _) = read_csv(path, (None, np.float64, np.float64, np.int64))
+    quantity, pearson, spearman, _ = read_csv(path, RUN_TABLES["correlations.csv"])
     if tuple(quantity) != CONSTANT_NAMES:
         raise ValueError(f"{path}: quantities {list(quantity)} are not {list(CONSTANT_NAMES)}")
     coefficients = (c for pair in zip(pearson, spearman) for c in pair)

@@ -10,16 +10,35 @@ Tables travel as columns, both ways: :func:`write_csv` takes one sequence
 per header field, and :func:`read_csv` returns one typed array per field,
 parsed by numpy's C reader, which gives every ``%.9g`` cell the bits that
 ``float()`` gives. A malformed file raises a ValueError naming the file and
-the first bad line.
+its header or the first bad line.
+
+:data:`RUN_TABLES` is the layout of every CSV in a run directory: each
+writer takes its header from it and each reader its header and dtypes, so a
+file whose header differs from its table fails to read.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+
+_INT, _FLOAT, _TEXT = np.int64, np.float64, None
+# Each run file's columns, in order, with the dtype each reads back as;
+# None keeps a column as text.
+RUN_TABLES: dict[str, dict[str, type | None]] = {
+    "rounds.csv": {"t": _INT, "train_loss": _FLOAT, "test_loss": _FLOAT, "bound_value": _FLOAT},
+    "usefulness.csv": {"t": _INT, "node_id": _INT, "delta": _FLOAT},
+    "gtrace.csv": {"source": _TEXT, "node_id": _INT, "value": _FLOAT},
+    "constants.csv": {"node_id": _INT, "mu": _FLOAT, "L": _FLOAT, "G": _FLOAT, "n_probes": _INT},
+    "probes.csv": {"node_id": _INT, "probe_index": _INT, "m_value": _FLOAT, "g_value": _FLOAT},
+    "correlations.csv": {"quantity": _TEXT, "pearson": _FLOAT, "spearman": _FLOAT, "n": _INT},
+    "cdf_probe.csv": {"value": _FLOAT, "fraction": _FLOAT},
+    "cdf_training.csv": {"value": _FLOAT, "fraction": _FLOAT},
+    "selection.csv": {"policy": _TEXT, "k": _INT, "chosen": _TEXT},
+}
 
 
 def fmt_value(value) -> str:
@@ -70,29 +89,28 @@ def write_csv(path: Path | str, header: Sequence[str], columns: Sequence[Sequenc
         raise
 
 
-def read_csv(path: Path | str, dtypes: Sequence) -> tuple[list[str], list[np.ndarray]]:
-    """The header and the columns of a file write_csv wrote, column j as an
-    array of ``dtypes[j]``, or as an object array of its text where
-    ``dtypes[j]`` is None.
+def read_csv(path: Path | str, table: Mapping[str, type | None]) -> list[np.ndarray]:
+    """The columns of a file write_csv wrote with the header ``table``'s
+    keys, each as an array of its dtype in ``table``, or as an object array
+    of its text where that dtype is None.
 
     A malformed file raises a ValueError that names it and, in this order,
-    a header of another width than ``dtypes``, the first line with another
-    cell count than the header, or the first cell in file order that its
-    dtype rejects.
+    a header other than ``table``'s keys, the first line with another cell
+    count than the header, or the first cell in file order that its dtype
+    rejects.
     """
     text = Path(path).read_text(encoding="utf-8")
     if not text.strip():
         raise ValueError(f"{path} is empty")
     head, _, body = text.partition("\n")
-    header = head.split(",")
-    if len(header) != len(dtypes):
-        raise ValueError(f"{path}: {len(header)} columns, expected {len(dtypes)}")
-    fields = [(f"f{j}", object if dtype is None else dtype) for j, dtype in enumerate(dtypes)]
+    if head.split(",") != list(table):
+        raise ValueError(f"{path}: header {head}, expected {','.join(table)}")
+    fields = [(f"f{j}", object if t is None else t) for j, t in enumerate(table.values())]
     n_rows = text.removesuffix("\n").count("\n")
     try:
         # np.loadtxt warns of a file with no data row, so a header-only file
         # skips it; it skips blank lines, which the row count then catches.
-        table = (
+        rows = (
             np.loadtxt(
                 path, dtype=fields, delimiter=",", comments=None, skiprows=1, ndmin=1,
                 encoding="utf-8",
@@ -100,20 +118,20 @@ def read_csv(path: Path | str, dtypes: Sequence) -> tuple[list[str], list[np.nda
             if body.strip()
             else np.empty(0, fields)
         )
-        if len(table) != n_rows:
-            raise ValueError(f"{len(table)} rows read, expected {n_rows}")
+        if len(rows) != n_rows:
+            raise ValueError(f"{len(rows)} rows read, expected {n_rows}")
     except ValueError as exc:
         lines = body.removesuffix("\n").split("\n")
         for i, line in enumerate(lines, start=2):
-            if line.count(",") != len(header) - 1:
+            if line.count(",") != len(table) - 1:
                 raise ValueError(
-                    f"{path}: line {i}: {line.count(',') + 1} cells, expected {len(header)}"
+                    f"{path}: line {i}: {line.count(',') + 1} cells, expected {len(table)}"
                 ) from exc
         for i, line in enumerate(lines, start=2):
-            for name, cell, dtype in zip(header, line.split(","), dtypes):
+            for (name, dtype), cell in zip(table.items(), line.split(",")):
                 try:
                     np.array(cell, dtype)
                 except ValueError as cell_exc:
                     raise ValueError(f"{path}: line {i}, column {name}: {cell_exc}") from exc
         raise ValueError(f"{path}: {exc}") from exc
-    return header, [table[name] for name, _ in fields]
+    return [rows[name] for name, _ in fields]

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .bound import BoundParams, convergence_bound, estimate_initial_distance
-from .csvio import write_csv
+from .csvio import RUN_TABLES, write_csv
 from .data import CifarSource, SyntheticSpec, gen_synthetic, gen_synthetic_nodes
 from .model import (
     Dataset,
@@ -433,51 +433,36 @@ def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> No
     (run_dir / "config.txt").write_text("\n".join(config_lines) + "\n", encoding="utf-8")
     n_rounds, n_nodes, steps = run.training_g.shape
     t = np.arange(1, n_rounds + 1)
-    write_csv(
-        run_dir / "rounds.csv",
-        ("t", "train_loss", "test_loss", "bound_value"),
-        (t, run.train_loss, run.test_loss, run.bound_value),
-    )
-    write_csv(
-        run_dir / "usefulness.csv",
-        ("t", "node_id", "delta"),
-        (np.repeat(t, n_nodes), np.tile(np.arange(n_nodes), n_rounds), run.usefulness.ravel()),
-    )
     # gtrace.csv: every node's probe g values, then every round's training
     # norms node by node.
     probe_nodes, n_probes, _ = run.probe_samples.shape
     probe_ids = np.repeat(np.arange(probe_nodes), n_probes)
     training_ids = np.tile(np.repeat(np.arange(n_nodes), steps), n_rounds)
     probe_g, training_g = run.probe_samples[:, :, 1].ravel(), run.training_g.ravel()
-    write_csv(
-        run_dir / "gtrace.csv",
-        ("source", "node_id", "value"),
-        (
+    estimates = (*run.node_constants, run.global_constants)
+    tables = {
+        "rounds.csv": (t, run.train_loss, run.test_loss, run.bound_value),
+        "usefulness.csv": (
+            np.repeat(t, n_nodes), np.tile(np.arange(n_nodes), n_rounds), run.usefulness.ravel()
+        ),
+        "gtrace.csv": (
             ["probe"] * probe_g.size + ["training"] * training_g.size,
             np.concatenate([probe_ids, training_ids]),
             np.concatenate([probe_g, training_g]),
         ),
-    )
-
-    estimates = (*run.node_constants, run.global_constants)
-    write_csv(
-        run_dir / "constants.csv",
-        ("node_id", "mu", "L", "G", "n_probes"),
-        (
+        "constants.csv": (
             [*range(len(run.node_constants)), -1],
             [c.mu for c in estimates],
             [c.L for c in estimates],
             [c.G for c in estimates],
             [c.n_probes for c in estimates],
         ),
-    )
-    write_csv(
-        run_dir / "probes.csv",
-        ("node_id", "probe_index", "m_value", "g_value"),
-        (
+        "probes.csv": (
             probe_ids,
             np.tile(np.arange(n_probes), probe_nodes),
             run.probe_samples[:, :, 0].ravel(),
             probe_g,
         ),
-    )
+    }
+    for name, columns in tables.items():
+        write_csv(run_dir / name, RUN_TABLES[name], columns)

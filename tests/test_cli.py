@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbound import cli, config, csvio, data, flsim
+from fedbound import analysis, cli, config, csvio, data, flsim
 from fedbound.cli import main
 from fedbound.csvio import write_csv
 from fedbound.data import CifarFormatError
@@ -98,6 +98,11 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
     return path
+
+
+def as_text(name: str) -> dict[str, None]:
+    """Run file ``name``'s table with every column read as text."""
+    return dict.fromkeys(csvio.RUN_TABLES[name])
 
 
 def read_tree(out_dir: Path) -> dict[str, bytes]:
@@ -906,13 +911,13 @@ class TestUndefinedBound:
             out = tmp / "out"
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
             run_dir = out / f"tiny_seed{seed}"
-            header, constants = csvio.read_csv(run_dir / "constants.csv", (None,) * 5)
-            assert constants[header.index("node_id")][-1] == "-1"
-            assert float(constants[header.index("mu")][-1]) <= 0.0
-            header, rounds = csvio.read_csv(run_dir / "rounds.csv", (None,) * 4)
-            assert list(rounds[header.index("bound_value")]) == ["nan", "nan"]
-            header, summary = csvio.read_csv(out / "summary.csv", (None,) * 11)
-            assert list(summary[header.index("final_bound")]) == ["nan"]
+            node_ids, mu, *_ = csvio.read_csv(run_dir / "constants.csv", as_text("constants.csv"))
+            assert node_ids[-1] == "-1"
+            assert float(mu[-1]) <= 0.0
+            *_, bounds = csvio.read_csv(run_dir / "rounds.csv", as_text("rounds.csv"))
+            assert list(bounds) == ["nan", "nan"]
+            summary = csvio.read_csv(out / "summary.csv", dict.fromkeys(analysis.SUMMARY_HEADER))
+            assert list(summary[analysis.SUMMARY_HEADER.index("final_bound")]) == ["nan"]
 
             headers = {name: (run_dir / name).read_text().split("\n")[0] for name in self.REPORTS}
             for name in self.REPORTS:
@@ -957,7 +962,8 @@ class TestProbeCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         assert main(["probe", "--config", str(cfg)]) == 0
-        _, columns = csvio.read_csv(tmp_path / "out" / "tiny_seed1" / "constants.csv", (None,) * 5)
+        constants = tmp_path / "out" / "tiny_seed1" / "constants.csv"
+        columns = csvio.read_csv(constants, as_text("constants.csv"))
         expected = [
             f"{'global' if nid == '-1' else f'node {nid}'}: mu={mu} L={ell} G={g} n_probes={n}"
             for nid, mu, ell, g, n in zip(*columns)
@@ -1063,6 +1069,63 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", "--run", str(path.parent)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("column", "cell", "message"),
+        [
+            (1, "9.0", "mu=9.0 exceeds L={L}"),
+            (3, "-1", "G must be nonnegative"),
+            (4, "0", "n_probes must be positive"),
+        ],
+    )
+    def test_constants_row_that_is_no_estimate_fails_naming_its_line(
+        self, tiny_config, tmp_path, capsys, column, cell, message
+    ):
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+        path = tmp_path / "out" / "tiny_seed1" / "constants.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        L = float(cells[2])
+        cells[column] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        before = read_tree(path.parent)
+        capsys.readouterr()
+        assert main(["report", "--run", str(path.parent)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 3: {message.format(L=L)}\n"
+        assert read_tree(path.parent) == before
+
+    def test_swapped_rounds_header_fails_the_tables_naming_the_file(
+        self, tiny_config, tmp_path, capsys
+    ):
+        # Read by position, the swapped file would print the test loss as train.
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config), "--out", str(out)])
+        path = out / "tiny_seed1" / "rounds.csv"
+        header, body = path.read_text().split("\n", 1)
+        assert header == "t,train_loss,test_loss,bound_value"
+        path.write_text("t,test_loss,train_loss,bound_value\n" + body)
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {path}: header t,test_loss,train_loss,bound_value, "
+            "expected t,train_loss,test_loss,bound_value\n"
+        ))
+
+    def test_swapped_usefulness_header_fails_leaving_every_file(
+        self, tiny_config, tmp_path, capsys
+    ):
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+        path = tmp_path / "out" / "tiny_seed1" / "usefulness.csv"
+        header, body = path.read_text().split("\n", 1)
+        assert header == "t,node_id,delta"
+        path.write_text("node_id,t,delta\n" + body)
+        before = read_tree(path.parent)
+        capsys.readouterr()
+        assert main(["report", "--run", str(path.parent)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: header node_id,t,delta, expected t,node_id,delta\n"
+        assert read_tree(path.parent) == before
 
     def test_usefulness_rows_out_of_round_order_fail_naming_the_file(
         self, tiny_config, tmp_path, capsys

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedbound.csvio import _column_cells, fmt_value, read_csv, write_csv
+from fedbound.csvio import RUN_TABLES, _column_cells, fmt_value, read_csv, write_csv
 
 
 def reference_bytes(header, columns) -> bytes:
@@ -54,8 +54,7 @@ def test_empty_table_is_the_header_line(tmp_path, columns):
     path = tmp_path / "out.csv"
     write_csv(path, ("x", "y", "z"), columns)
     assert path.read_bytes() == b"x,y,z\n"
-    header, read = read_csv(path, (np.float64, np.int64, None))
-    assert header == ["x", "y", "z"]
+    read = read_csv(path, {"x": np.float64, "y": np.int64, "z": None})
     assert [len(column) for column in read] == [0, 0, 0]
 
 
@@ -152,9 +151,8 @@ def test_typed_columns_match_cell_by_cell_formatting(tmp_path_factory, data):
 def test_float_column_reads_back_at_nine_digits(tmp_path_factory, values, labels):
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     columns = ([labels] * len(values), np.arange(len(values)), np.array(values, dtype=np.float64))
-    write_csv(path, ("source", "node_id", "value"), columns)
-    header, (source, ids, cells) = read_csv(path, (None, np.int64, np.float64))
-    assert header == ["source", "node_id", "value"]
+    write_csv(path, RUN_TABLES["gtrace.csv"], columns)
+    source, ids, cells = read_csv(path, RUN_TABLES["gtrace.csv"])
     assert list(source) == [labels] * len(values)
     assert ids.tolist() == list(range(len(values)))
     # repr tells -0.0 from 0.0, and every NaN reads back as the one "nan".
@@ -170,34 +168,18 @@ def test_read_names_the_malformed_line(tmp_path, text, line):
     path.write_text(text)
     message = rf"^{re.escape(str(path))}: line {line}: \d cells, expected 2$"
     with pytest.raises(ValueError, match=message):
-        read_csv(path, (np.int64, np.int64))
+        read_csv(path, {"a": np.int64, "b": np.int64})
 
 
 def test_read_rejects_an_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="is empty"):
-        read_csv(path, (None,))
+        read_csv(path, {"a": None})
 
 
-GTRACE = (None, None, np.float64)
-# Each run file's header and dtypes, as save_run writes it.
-SCHEMAS = {
-    "rounds.csv": (
-        ("t", "train_loss", "test_loss", "bound_value"),
-        (np.int64, np.float64, np.float64, np.float64),
-    ),
-    "usefulness.csv": (("t", "node_id", "delta"), (np.int64, np.int64, np.float64)),
-    "gtrace.csv": (("source", "node_id", "value"), GTRACE),
-    "constants.csv": (
-        ("node_id", "mu", "L", "G", "n_probes"),
-        (np.int64, np.float64, np.float64, np.float64, np.int64),
-    ),
-    "probes.csv": (
-        ("node_id", "probe_index", "m_value", "g_value"),
-        (np.int64, np.int64, np.float64, np.float64),
-    ),
-}
+# gtrace.csv's columns with the node id read as text.
+TEXT_IDS = {"source": None, "node_id": None, "value": np.float64}
 
 
 def _sources(n):
@@ -232,28 +214,29 @@ class TestReadBack:
         # Every %.9g string write_csv emits.
         path = tmp_path_factory.mktemp("csv") / "gtrace.csv"
         n = len(values)
-        write_csv(path, SCHEMAS["gtrace.csv"][0], (_sources(n), range(n), np.array(values)))
+        write_csv(path, RUN_TABLES["gtrace.csv"], (_sources(n), range(n), np.array(values)))
         cells = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
-        _, (source, _, parsed) = read_csv(path, GTRACE)
+        source, _, parsed = read_csv(path, RUN_TABLES["gtrace.csv"])
         assert parsed.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
         assert list(source) == _sources(n)
 
-    @pytest.mark.parametrize("name", ["gtrace.csv", "usefulness.csv"])
+    @pytest.mark.parametrize("name", sorted(RUN_TABLES))
     def test_header_only_file_reads_as_empty_columns_without_a_warning(self, tmp_path, name):
-        header, dtypes = SCHEMAS[name]
+        table = RUN_TABLES[name]
         path = tmp_path / name
-        path.write_text(",".join(header) + "\n")
+        path.write_text(",".join(table) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, columns = read_csv(path, dtypes)
-        for column, dtype in zip(columns, dtypes):
+            columns = read_csv(path, table)
+        assert len(columns) == len(table)
+        for column, dtype in zip(columns, table.values()):
             assert len(column) == 0
             assert column.dtype == (object if dtype is None else dtype)
 
-    @given(name=st.sampled_from(sorted(SCHEMAS)), data=st.data())
+    @given(name=st.sampled_from(sorted(RUN_TABLES)), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_every_run_file_reads_back_as_written(self, tmp_path_factory, name, data):
-        header, dtypes = SCHEMAS[name]
+        table = RUN_TABLES[name]
         n = data.draw(st.integers(0, 20), label="rows")
         cells = {
             None: st.sampled_from(["probe", "training"]),
@@ -261,14 +244,14 @@ class TestReadBack:
             np.float64: st.floats(),
         }
         columns = []
-        for dtype in dtypes:
+        for dtype in table.values():
             values = data.draw(st.lists(cells[dtype], min_size=n, max_size=n))
             columns.append(values if dtype is None else np.array(values, dtype))
         path = tmp_path_factory.mktemp("csv") / name
-        write_csv(path, header, columns)
-        read_header, read = read_csv(path, dtypes)
-        assert read_header == list(header)
-        for column, written, dtype in zip(read, columns, dtypes):
+        write_csv(path, table, columns)
+        read = read_csv(path, table)
+        assert len(read) == len(table)
+        for column, written, dtype in zip(read, columns, table.values()):
             if dtype is None:
                 assert column.dtype == object and list(column) == written
             elif dtype is np.float64:
@@ -281,8 +264,7 @@ class TestReadBack:
     def test_well_formed_file_reads_as_typed_columns(self, tmp_path):
         path = tmp_path / "usefulness.csv"
         path.write_text("t,node_id,delta\n1,0,0.25\n1, 1 ,-1e-310\nx,0,nan\n2,1,inf\n")
-        header, (t, nodes, deltas) = read_csv(path, (None, np.int64, np.float64))
-        assert header == ["t", "node_id", "delta"]
+        t, nodes, deltas = read_csv(path, {"t": None, "node_id": np.int64, "delta": np.float64})
         assert list(t) == ["1", "1", "x", "2"]
         assert nodes.dtype == np.int64 and nodes.tolist() == [0, 1, 0, 1]
         assert deltas.tobytes() == np.array([0.25, -1e-310, math.nan, math.inf]).tobytes()
@@ -294,12 +276,31 @@ class TestReadBack:
         path.write_text(f"source,node_id,value\n{body}")
         if isinstance(outcome, str):
             with pytest.raises(ValueError) as excinfo:
-                read_csv(path, GTRACE)
+                read_csv(path, TEXT_IDS)
             assert str(excinfo.value) == f"{path}: {outcome}"
         else:
-            assert [column.tolist() for column in read_csv(path, GTRACE)[1]] == outcome
-        # A header of another width fails first, whatever the body holds.
+            assert [column.tolist() for column in read_csv(path, TEXT_IDS)] == outcome
+        # A header other than the table's fails first, whatever the body holds.
         path.write_text(f"source,value\n{body}")
         with pytest.raises(ValueError) as excinfo:
-            read_csv(path, GTRACE)
-        assert str(excinfo.value) == f"{path}: 2 columns, expected 3"
+            read_csv(path, TEXT_IDS)
+        assert str(excinfo.value) == f"{path}: header source,value, expected source,node_id,value"
+
+    @pytest.mark.parametrize("damage", ["swapped", "renamed", "dropped", "added"])
+    @pytest.mark.parametrize("name", sorted(RUN_TABLES))
+    def test_header_other_than_the_tables_fails_naming_the_file(self, tmp_path, name, damage):
+        table = RUN_TABLES[name]
+        names = list(table)
+        # The file is what write_csv writes for an empty table but its header.
+        header = {
+            "swapped": [*names[:-2], names[-1], names[-2]],
+            "renamed": [*names[:-1], names[-1] + "_"],
+            "dropped": names[:-1],
+            "added": [*names, "extra"],
+        }[damage]
+        path = tmp_path / name
+        path.write_text(",".join(header) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_csv(path, table)
+        expected = f"{path}: header {','.join(header)}, expected {','.join(names)}"
+        assert str(excinfo.value) == expected

@@ -13,7 +13,7 @@ import pytest
 from fedbound import analysis, flsim
 from fedbound.cli import main
 from fedbound.config import read_config
-from fedbound.csvio import read_csv
+from fedbound.csvio import RUN_TABLES, read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 HETERO = ROOT / "configs" / "hetero_eight_nodes.cfg"
@@ -54,10 +54,9 @@ def exit_2_before_training(monkeypatch, capsys, *args: str) -> str:
 
 
 def test_selection_payoff_selects_the_top_l_row(hetero_run):
-    header, columns = read_csv(
-        hetero_run / "hetero_eight_nodes_seed1" / "selection.csv", (None,) * 3
-    )
-    chosen = dict(zip(columns[header.index("policy")], columns[header.index("chosen")]))
+    path = hetero_run / "hetero_eight_nodes_seed1" / "selection.csv"
+    policies, _, chosen = read_csv(path, RUN_TABLES["selection.csv"])
+    chosen = dict(zip(policies, chosen))
     lines = run_script("selection_payoff.py", "--runs", str(hetero_run))
     rows = [line for line in lines if line[:1] == ["1"]]
     assert len(rows) == 1
