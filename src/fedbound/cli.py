@@ -21,7 +21,6 @@ import argparse
 import os
 import shutil
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -69,16 +68,13 @@ def _replace_dir(tmp_dir: Path, final_dir: Path) -> Path:
 
 
 def run_one_seed(cfg: ExperimentConfig, seed: int, setup: flsim.Setup) -> None:
-    """Train, bound and write one seed from its :func:`preflight` set-up. Each warning
-    reaches stderr as one ``warning: seed <s>:`` line; numpy's are off, so a diverging
-    run fails its own finiteness checks. The run directory is staged as ``.tmp-<run>``,
-    removed on failure; a previous one that cannot be deleted only warns."""
+    """Train, bound and write one seed from its :func:`preflight` set-up; each bound note
+    reaches stderr as a ``warning: seed <s>:`` line. The run directory is staged as
+    ``.tmp-<run>``, removed on failure; a previous one that cannot be deleted only warns."""
     scenario = replace(cfg.scenario, seed=seed)
-    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
-        warnings.simplefilter("always", UserWarning)
-        run = flsim.run_federated_partitioned(scenario, *setup)
-    for warning in caught:
-        print(f"warning: seed {seed}: {warning.message}", file=sys.stderr)
+    run = flsim.run_federated_partitioned(scenario, *setup)
+    for note in run.bound_notes:
+        print(f"warning: seed {seed}: {note}", file=sys.stderr)
     run_name = f"{cfg.scenario_name}_seed{seed}"
     final_dir = cfg.output_dir / run_name
     tmp_dir = cfg.output_dir / f".tmp-{run_name}"

@@ -57,6 +57,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"repeat_seeds must be distinct; seed {twice[0]} is listed more than once"
             )
+        # The name starts every run directory's name and a summary.csv cell.
+        name = self.scenario_name
+        if name.startswith(".") or set(name) & set("/\\,"):
+            raise ValueError(f"scenario_name {name!r} holds '/', '\\' or ',' or starts with '.'")
         n = self.scenario.n_nodes
         if self.selection_k is not None and not 1 <= self.selection_k <= n:
             raise ValueError(f"selection_k must lie in [1, {n}]")

@@ -8,7 +8,7 @@ coordinate-wise averaging, keeping per-round losses, usefulness deltas, and
 gradient-norm traces as arrays with one row per round; it never reads the
 probes. :func:`bound_phase` then gives each round's bound value, once the
 optimum proxy (the best-training-loss parameters seen anywhere in the run) is
-known.
+known, and its caveats as notes that :class:`FLRun` keeps in ``bound_notes``.
 
 Rounds run in lockstep: every node of a round starts from the same global
 vector and holds equally many rows, so the N nodes train as one ``(N, dim)``
@@ -26,7 +26,6 @@ first round.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,7 +131,7 @@ class FLRun:
     global test loss and ``training_g[t - 1, i]`` its batch-gradient norms,
     one per SGD step in step order. ``node_constants[i]`` is node i's, and
     ``probe_samples[i]`` node i's ``(n_probes, 2)`` array of (m, g) rows in
-    probe order.
+    probe order. ``bound_notes`` holds the caveats of :func:`bound_phase`.
     """
 
     config: ScenarioConfig
@@ -145,6 +144,7 @@ class FLRun:
     global_constants: ConstantsEstimate
     node_constants: tuple[ConstantsEstimate, ...]
     probe_samples: np.ndarray
+    bound_notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         _check_rounds(
@@ -318,6 +318,7 @@ def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed
     return w1, probe_samples, node_constants, aggregate_global(node_constants)
 
 
+@np.errstate(all="ignore")
 def training_phase(
     cfg: ScenarioConfig, w1: ParamVector, test_data: Dataset, node_datasets: Sequence[Dataset]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ParamVector, ParamVector]:
@@ -331,7 +332,8 @@ def training_phase(
     columns of :class:`FLRun` but the bound, ``train_loss``, ``test_loss``,
     ``usefulness`` and ``training_g``, then the final global parameters and the
     optimum proxy: the earliest parameters, w1 included, with the lowest mean
-    training loss over the nodes. Non-finite losses or deltas raise ValueError.
+    training loss over the nodes. numpy's floating-point errors are off: non-finite
+    parameters, losses or deltas raise the run's own ValueError.
     """
     _check_equal_sizes(node_datasets)
     rows = Dataset.concat(node_datasets)
@@ -369,22 +371,19 @@ def training_phase(
 
 def bound_phase(
     cfg: ScenarioConfig, global_constants: ConstantsEstimate, init_distance: float
-) -> list[float]:
-    """Phase 3 of a run: the convergence bound of rounds 1..T, all NaN (with
-    a warning) unless the probed mu is positive. It assumes one local epoch
-    per round, and warns if the config runs more."""
+) -> tuple[list[float], tuple[str, ...]]:
+    """Phase 3 of a run: the convergence bound of rounds 1..T and its caveats as notes.
+    The bound assumes one local epoch per round, noted if the config runs more;
+    unless the probed mu is positive, every value is NaN, noted too."""
+    notes = []
     if cfg.local_epochs_per_round != 1:
-        warnings.warn(
+        notes.append(
             "bound values assume one local epoch per round; this config uses "
-            f"{cfg.local_epochs_per_round}",
-            stacklevel=3,
+            f"{cfg.local_epochs_per_round}"
         )
     if not global_constants.mu > 0.0:
-        warnings.warn(
-            "probed mu is not positive; bound values are undefined for this run",
-            stacklevel=3,
-        )
-        return [float("nan")] * cfg.rounds
+        notes.append("probed mu is not positive; bound values are undefined for this run")
+        return [float("nan")] * cfg.rounds, tuple(notes)
     params = BoundParams(
         mu=global_constants.mu,
         L=global_constants.L,
@@ -392,7 +391,7 @@ def bound_phase(
         init_distance=init_distance,
         squared_distance=cfg.squared_distance,
     )
-    return [convergence_bound(t, params) for t in range(1, cfg.rounds + 1)]
+    return [convergence_bound(t, params) for t in range(1, cfg.rounds + 1)], tuple(notes)
 
 
 def run_federated_partitioned(
@@ -405,17 +404,19 @@ def run_federated_partitioned(
         cfg, w1, test_data, node_datasets
     )
     dist = estimate_initial_distance(w1, wstar_proxy)
+    bound_value, bound_notes = bound_phase(cfg, global_constants, dist)
     return FLRun(
         config=cfg,
         train_loss=train_loss,
         test_loss=test_loss,
-        bound_value=np.array(bound_phase(cfg, global_constants, dist)),
+        bound_value=np.array(bound_value),
         usefulness=usefulness,
         training_g=training_g,
         final_params=final_params,
         global_constants=global_constants,
         node_constants=node_constants,
         probe_samples=probe_samples,
+        bound_notes=bound_notes,
     )
 
 

@@ -130,11 +130,10 @@ def _m_values(U, V, f_u, f_v, grad_v) -> tuple[np.ndarray, np.ndarray]:
     """
     diff = U - V
     sq_dist = np.vecdot(diff, diff)
-    with np.errstate(all="ignore"):
-        m = 2.0 * (f_u - f_v + np.vecdot(V - U, grad_v)) / sq_dist
-    return sq_dist, m
+    return sq_dist, 2.0 * (f_u - f_v + np.vecdot(V - U, grad_v)) / sq_dist
 
 
+@np.errstate(all="ignore")
 def compute_m(spec: ModelSpec, u: ParamVector, v: ParamVector, data: Dataset) -> float:
     """Normalized curvature of the loss between two parameter vectors.
 
@@ -176,8 +175,7 @@ def _draw_stack(
     """
     dim = param_dim(spec)
     Z = normal_rows("probe-pair", seeds, 2 * dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return sampler.map(spec, Z[:, :dim]), sampler.map(spec, Z[:, dim:])
+    return sampler.map(spec, Z[:, :dim]), sampler.map(spec, Z[:, dim:])
 
 
 def _stack_samples(
@@ -191,11 +189,10 @@ def _stack_samples(
     """Evaluate the pairs of probes ``first, first + 1, ...`` as one stack and
     return their ``(P, 2)`` array of ``(m, g)`` rows; the first probe with a
     non-finite vector, a degenerate pair or a non-finite value fails."""
-    with np.errstate(all="ignore"):
-        f_u, f_v, grad_v = _pair_values(spec, U, V, data)
-        sq_dist, m = _m_values(U, V, f_u, f_v, grad_v)
-        # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
-        g = np.sqrt(np.vecdot(grad_v, grad_v)) if g_formula == "gradient-norm" else np.abs(f_v)
+    f_u, f_v, grad_v = _pair_values(spec, U, V, data)
+    sq_dist, m = _m_values(U, V, f_u, f_v, grad_v)
+    # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
+    g = np.sqrt(np.vecdot(grad_v, grad_v)) if g_formula == "gradient-norm" else np.abs(f_v)
     finite = np.isfinite(U).all(axis=1) & np.isfinite(V).all(axis=1)
     degenerate = sq_dist < DEGENERATE_SQ_DIST
     bad = ~finite | degenerate | ~np.isfinite(m) | ~np.isfinite(g)
@@ -211,6 +208,7 @@ def _stack_samples(
     return np.column_stack((m, g))
 
 
+@np.errstate(all="ignore")
 def collect_probes(
     spec: ModelSpec,
     data: Dataset,

@@ -342,9 +342,9 @@ class TestRunCommand:
         assert not out.exists()
         assert trained == []
 
-    # The first overflow is the L2 penalty of a round's test-set scoring; under
-    # the tier-1 error::RuntimeWarning filter it would fail the seed with
-    # numpy's warning text in place of the run's own check.
+    # The first overflow is the L2 penalty of a round's test-set scoring;
+    # training_phase turns numpy's floating-point errors off, so under any
+    # warning filter the seed fails on the run's own check.
     def test_diverging_run_fails_each_seed_on_its_finiteness_check(self, tmp_path, capsys):
         cfg = tmp_path / "lr.cfg"
         cfg.write_text((REPO / "configs" / "five_nodes.cfg").read_text() + "scenario.lr = 1e10\n")
@@ -649,6 +649,18 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
 
+    # Each name used to run: "a/b" failed mid-run leaving ".tmp-a", "a,b" gave
+    # summary.csv a row one cell too long, ".hid" hid its run from summary.csv.
+    @pytest.mark.parametrize("name", ["a/b", "a,b", ".hid"])
+    def test_name_that_breaks_the_output_layout_exits_2(self, tiny_config, tmp_path, capsys, name):
+        tiny_config.write_text(TINY + f"scenario.name = {name}\n")
+        line = TINY.count("\n") + 1
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: line {line}: scenario.name: scenario_name {name!r} "
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "lines, key",
         [
@@ -902,7 +914,6 @@ class TestUndefinedBound:
 
     @given(seed=st.integers(0, 2000))
     @settings(max_examples=10, deadline=None)
-    @pytest.mark.filterwarnings("ignore:probed mu is not positive")
     def test_nan_bounds_reach_the_csvs_and_report_reruns(self, seed):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)

@@ -3,7 +3,6 @@ import io
 import re
 import sys
 import tempfile
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,6 +158,10 @@ class TestBuild:
             ("data.separation = nan", "data.separation"),
             ("data.noise_sigma = inf", "data.noise_sigma"),
             ("data.noise_mult = 1, -inf", "data.noise_mult"),
+            ("scenario.name = a/b", "scenario.name"),
+            ("scenario.name = a\\b", "scenario.name"),
+            ("scenario.name = a,b", "scenario.name"),
+            ("scenario.name = .hid", "scenario.name"),
         ],
     )
     def test_field_check_names_the_line(self, line, key):
@@ -742,14 +745,9 @@ class TestGeneratedConfigs:
 
             def run(config: Path, out: Path) -> tuple[int, str]:
                 stderr = io.StringIO()
-                with (
-                    warnings.catch_warnings(),
-                    contextlib.redirect_stdout(io.StringIO()),
-                    contextlib.redirect_stderr(stderr),
-                ):
-                    # A plain run prints numpy's overflow warnings; tier-1 makes them
-                    # errors. An exception that main lets through fails the example.
-                    warnings.simplefilter("default", RuntimeWarning)
+                # A Python warning, an error under tier-1, or an exception that
+                # main lets through fails the example.
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                     status = main(["run", "--config", str(config), "--out", str(out)])
                 return status, stderr.getvalue()
 

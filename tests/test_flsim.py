@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedbound import flsim
 from fedbound.bound import estimate_initial_distance
-from fedbound.config import ExperimentConfig, echo_lines, load_config
+from fedbound.config import ExperimentConfig, echo_lines, load_config, preflight
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
     EmptyTestSplitError,
@@ -36,6 +36,10 @@ from fedbound.model import (
 from fedbound.probe import ConstantsEstimate, InitDistributionSampler
 from fedbound.rng import derive_seed, spawn_rng
 from test_probe import draw_probe_pair
+
+
+EPOCHS_NOTE = "bound values assume one local epoch per round; this config uses {}"
+MU_NOTE = "probed mu is not positive; bound values are undefined for this run"
 
 
 def round_states(seeds, epochs=1):
@@ -209,9 +213,9 @@ class TestLocalRound:
     def test_multiple_local_epochs_extend_trace(self):
         cfg = scenario(local_epochs_per_round=3, batch_size=40)
         node, test, w = self.make_node(cfg)
-        with pytest.warns(UserWarning):
-            nodes = [node] * cfg.n_nodes
-            run_federated_partitioned(cfg, test, nodes, probe_phase(cfg, nodes))
+        nodes = [node] * cfg.n_nodes
+        run = run_federated_partitioned(cfg, test, nodes, probe_phase(cfg, nodes))
+        assert run.bound_notes == (EPOCHS_NOTE.format(3),)
         _, norms = local_round(node, w, cfg, round_states([1], epochs=3))
         assert norms.shape == (1, 3)
 
@@ -238,6 +242,7 @@ class TestRunFederated:
         assert run.global_constants.n_probes == cfg.n_probes * cfg.n_nodes
         assert run.probe_samples.shape == (cfg.n_nodes, cfg.n_probes, 2)
         assert run.probe_samples.dtype == np.float64
+        assert run.bound_notes == ()
 
     def test_bound_values_strictly_decreasing(self):
         run = run_federated(scenario(rounds=6), gen_synthetic(synthetic_spec(), seed=6))
@@ -302,8 +307,9 @@ class TestRunFederated:
     def test_two_epochs_equal_a_per_node_replay(self, model):
         cfg = scenario(n_nodes=3, rounds=3, batch_size=15, local_epochs_per_round=2, model=model)
         test, datasets = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
-        with pytest.warns(UserWarning):
-            run = run_federated_partitioned(cfg, test, datasets, probe_phase(cfg, datasets))
+        run = run_federated_partitioned(cfg, test, datasets, probe_phase(cfg, datasets))
+        epochs = EPOCHS_NOTE.format(2)
+        assert run.bound_notes == ((epochs,) if run.global_constants.mu > 0 else (epochs, MU_NOTE))
 
         # Replay one node and one single-vector call at a time.
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
@@ -328,6 +334,23 @@ class TestRunFederated:
             train_loss = float(np.mean([loss(cfg.model, w, d) for d in datasets]))
             assert run.train_loss[t - 1] == train_loss
         np.testing.assert_array_equal(run.final_params, w)
+
+    def test_bound_phase_notes_a_probed_mu_that_is_not_positive(self):
+        cfg = scenario(rounds=3)
+        values, notes = flsim.bound_phase(cfg, ConstantsEstimate(0.0, 1.0, 1.0, 2), 1.0)
+        assert np.isnan(values).all() and len(values) == 3
+        assert notes == (MU_NOTE,)
+
+    # numpy overflows first in a round's test-set scoring; training_phase turns
+    # its floating-point errors off, so the run fails on its own check even
+    # where a RuntimeWarning is an error.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_fails_on_its_own_check_whatever_the_warning_filter(self):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "five_nodes.cfg")
+        seed = cfg.repeat_seeds[0]
+        diverging = replace(cfg.scenario, seed=seed, lr=1e10)
+        with pytest.raises(ValueError, match="^parameter vector contains non-finite values$"):
+            run_federated_partitioned(diverging, *preflight(cfg, seed))
 
     def test_unequal_node_sizes_rejected(self, monkeypatch):
         cfg = scenario()
