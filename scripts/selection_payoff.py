@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedbound.analysis import run_dirs
+from fedbound.analysis import SELECTION_POLICIES, run_dirs
 from fedbound.config import ExperimentConfig, echo_lines, read_config
 from fedbound.csvio import RUN_TABLES, read_csv
 from fedbound.flsim import initial_params, node_datasets, training_phase
@@ -44,8 +44,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=Path, default=cfg.output_dir,
                         help="where fedbound run saved the config's runs (default: its output.dir)")
+    # "all" selects every node, which leaves no rest to compare against.
     parser.add_argument("--policy", default="top-L",
-                        choices=("top-L", "top-G", "bottom-mu", "random"))
+                        choices=[p for p in SELECTION_POLICIES if p != "all"])
     args = parser.parse_args()
 
     # Every run is checked before the first one trains.

@@ -4,9 +4,9 @@ The format is one ``key = value`` per line with dotted keys for nesting; a
 ``#`` at the start of a line or after whitespace starts a comment. No
 external parser needed. Validation errors carry the offending line number.
 
-One table per dataclass names each key, the field it sets, its parser and
-its default. The tables drive the typed reads, the line a field check names,
-and :func:`echo_lines`, a run's ``config.txt``: a config that reruns the run.
+One table per dataclass names each key, the field it sets, its parser and its
+default, if not the field's. The tables drive the typed reads, the line a check
+names, and :func:`echo_lines`, a run's ``config.txt``: a config that reruns the run.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -37,8 +37,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scenario plus dataset source, output location, and repeat seeds; ``lines``
-    holds each key's line in the text read, and is empty for a config built in code."""
+    """One scenario plus dataset source, output location, and repeat seeds; ``lines`` holds
+    each key's line in the text read, for its checks to name; empty for a config built in code."""
 
     scenario: ScenarioConfig
     dataset: SyntheticSpec | CifarSource
@@ -49,19 +49,35 @@ class ExperimentConfig:
     lines: Mapping[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        lines, s, scenario, n = self.lines, _SCENARIO_KEYS, self.scenario, self.scenario.n_nodes
+        if isinstance(self.dataset, CifarSource) and _COMMENT.search(str(self.dataset.path)):
+            message = "a '#' after whitespace would start a comment in config.txt"
+            raise _error(lines, _CIFAR_KEYS["path"].name, f"{self.dataset.path}: {message}")
+        # Sizes that fail without any data; :func:`preflight` checks the rest.
+        if scenario.batch_size > (per_node := scenario.samples_per_node):
+            key = _first_set(lines, s["batch_size"], s["samples_per_node"])
+            message = f"batch_size {scenario.batch_size} exceeds samples_per_node {per_node}"
+            raise _error(lines, key, f"{message}; it must lie in [1, {per_node}]")
+        if len(scenario.missing_classes) == scenario.model.num_classes:
+            message = "lists every class, which leaves no training data"
+            raise _error(lines, s["missing_classes"].name, message)
+        for knob in ("label_skew", "noise_mult", "feature_scale"):
+            if (entries := getattr(self.dataset, knob, ())) and len(entries) != n:
+                message = f"needs {n} entries, one per node ({s['n_nodes'].name} = {n})"
+                raise _error(lines, _SYNTHETIC_KEYS[knob].name, f"{message}, got {len(entries)}")
         if not self.repeat_seeds:
             raise ValueError("repeat_seeds must be nonempty")
         # Two runs of one seed would write one run directory twice.
-        twice = [s for i, s in enumerate(self.repeat_seeds) if s in self.repeat_seeds[:i]]
-        if twice:
+        if twice := [t for i, t in enumerate(self.repeat_seeds) if t in self.repeat_seeds[:i]]:
             raise ValueError(
                 f"repeat_seeds must be distinct; seed {twice[0]} is listed more than once"
             )
         # The name starts every run directory's name and a summary.csv cell.
         name = self.scenario_name
+        if not name:
+            raise ValueError("scenario_name must be nonempty")
         if name.startswith(".") or set(name) & set("/\\,"):
             raise ValueError(f"scenario_name {name!r} holds '/', '\\' or ',' or starts with '.'")
-        n = self.scenario.n_nodes
         if self.selection_k is not None and not 1 <= self.selection_k <= n:
             raise ValueError(f"selection_k must lie in [1, {n}]")
 
@@ -75,12 +91,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _parse_int_set(raw: str) -> frozenset[int]:
-    return frozenset(_parse_int_list(raw))
+def _list_of(parse: Callable[[str], Any], kind: type = tuple) -> Callable[[str], Any]:
+    """A parser of comma-separated items, each read by ``parse``, into a ``kind``;
+    an empty item fails, and an empty value has none."""
+    def parse_items(raw: str):
+        items = [part.strip() for part in raw.split(",")] if raw else []
+        if "" in items:
+            raise ValueError(f"item {items.index('') + 1} is empty")
+        return kind(map(parse, items))
+    return parse_items
 
 
 def _parse_float(raw: str) -> float:
@@ -88,10 +107,6 @@ def _parse_float(raw: str) -> float:
     if not math.isfinite(value):
         raise ValueError("expected a finite number")
     return value
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part.strip()) for part in raw.split(",") if part.strip())
 
 
 _MODEL_KIND_ALIASES = {
@@ -115,32 +130,36 @@ class _Key:
     name: str
     field: str
     parse: Callable[[str], Any]
-    default: Any = None
+    default: Any = ...  # unstated: _table gives the field's
 
 
-def _table(*keys: _Key) -> dict[str, _Key]:
-    """Keys by the field they set, in echo order."""
-    return {key.field: key for key in keys}
+def _table(cls, *keys: _Key) -> dict[str, _Key]:
+    """Keys by the field of ``cls`` they set, in echo order; a key that states no
+    default takes its field's, or None if the field has none."""
+    defaults = {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
+    return {k.field: replace(k, default=defaults[k.field]) if k.default is ... else k for k in keys}
 
 
 _SCENARIO_KEYS = _table(
+    ScenarioConfig,
     _Key("scenario.n_nodes", "n_nodes", int, 5),
     _Key("scenario.samples_per_node", "samples_per_node", int, 200),
     _Key("scenario.rounds", "rounds", int, 30),
-    _Key("scenario.lr", "lr", _parse_float, 0.05),
-    _Key("scenario.batch_size", "batch_size", int, 32),
-    _Key("scenario.local_epochs_per_round", "local_epochs_per_round", int, 1),
-    _Key("scenario.missing_classes", "missing_classes", _parse_int_set, frozenset()),
-    _Key("scenario.test_fraction", "test_fraction", _parse_float, 0.1),
-    _Key("scenario.seed", "seed", int, 0),
-    _Key("probe.n_probes", "n_probes", int, 100),
-    _Key("probe.sampler", "probe_sampler", str, "init"),
-    _Key("probe.perturb_sigma", "perturb_sigma", _parse_float, 0.1),
-    _Key("probe.g_formula", "g_formula", str, "gradient-norm"),
-    _Key("bound.squared_distance", "squared_distance", _parse_bool, False),
+    _Key("scenario.lr", "lr", _parse_float),
+    _Key("scenario.batch_size", "batch_size", int),
+    _Key("scenario.local_epochs_per_round", "local_epochs_per_round", int),
+    _Key("scenario.missing_classes", "missing_classes", _list_of(int, frozenset)),
+    _Key("scenario.test_fraction", "test_fraction", _parse_float),
+    _Key("scenario.seed", "seed", int),
+    _Key("probe.n_probes", "n_probes", int),
+    _Key("probe.sampler", "probe_sampler", str),
+    _Key("probe.perturb_sigma", "perturb_sigma", _parse_float),
+    _Key("probe.g_formula", "g_formula", str),
+    _Key("bound.squared_distance", "squared_distance", _parse_bool),
 )
 # The data source fixes the feature dimension and class count; a config may only restate them.
 _MODEL_KEYS = _table(
+    ModelSpec,
     _Key("model.kind", "kind", _parse_model_kind, "softmax"),
     _Key("model.feature_dim", "feature_dim", int),
     _Key("model.num_classes", "num_classes", int),
@@ -148,35 +167,39 @@ _MODEL_KEYS = _table(
     _Key("model.l2", "l2_coefficient", _parse_float, 0.01),
 )
 _SYNTHETIC_KEYS = _table(
+    SyntheticSpec,
     _Key("data.num_classes", "num_classes", int, 4),
     _Key("data.feature_dim", "feature_dim", int, 8),
     _Key("data.samples_per_class", "samples_per_class", int, 400),
-    _Key("data.separation", "separation", _parse_float, 0.7),
-    _Key("data.noise_sigma", "noise_sigma", _parse_float, 0.12),
-    _Key("data.label_skew", "label_skew", _parse_float_list, ()),
-    _Key("data.noise_mult", "noise_mult", _parse_float_list, ()),
-    _Key("data.feature_scale", "feature_scale", _parse_float_list, ()),
+    _Key("data.separation", "separation", _parse_float),
+    _Key("data.noise_sigma", "noise_sigma", _parse_float),
+    _Key("data.label_skew", "label_skew", _list_of(_parse_float)),
+    _Key("data.noise_mult", "noise_mult", _list_of(_parse_float)),
+    _Key("data.feature_scale", "feature_scale", _list_of(_parse_float)),
 )
 _CIFAR_KEYS = _table(
+    CifarSource,
     _Key("data.cifar_path", "path", Path),
-    _Key("data.cifar_pool", "pool", int, 1),
-    _Key("data.cifar_grayscale", "grayscale", _parse_bool, False),
+    _Key("data.cifar_pool", "pool", int),
+    _Key("data.cifar_grayscale", "grayscale", _parse_bool),
 )
 _SOURCE = _Key("data.source", "dataset", str, "synthetic")
 _SOURCES = {"synthetic": (SyntheticSpec, _SYNTHETIC_KEYS), "cifar10": (CifarSource, _CIFAR_KEYS)}
 # ExperimentConfig fields that describe one run, so its config.txt records them.
 _RUN_KEYS = _table(
-    _Key("scenario.name", "scenario_name", str, "default"),
+    ExperimentConfig,
+    _Key("scenario.name", "scenario_name", str),
     _Key("selection.k", "selection_k", int),
 )
 # Where the runs go and which seeds run; no one run directory records them.
 _SWEEP_KEYS = _table(
+    ExperimentConfig,
     _Key("output.dir", "output_dir", Path, Path("runs")),
-    _Key("repeat_seeds", "repeat_seeds", _parse_int_list),
+    _Key("repeat_seeds", "repeat_seeds", _list_of(int)),
 )
 
 _TABLES = (
-    _table(_SOURCE), _SCENARIO_KEYS, _MODEL_KEYS,
+    _table(ExperimentConfig, _SOURCE), _SCENARIO_KEYS, _MODEL_KEYS,
     _SYNTHETIC_KEYS, _CIFAR_KEYS, _RUN_KEYS, _SWEEP_KEYS,
 )
 # Every key build_experiment_config reads, under any data.source.
@@ -186,13 +209,20 @@ _KEY_SOURCE = {k.name: source for source, (_, keys) in _SOURCES.items() for k in
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
+def _error(lines: Mapping[str, int], key: str, message: str) -> ConfigError:
+    """An error on ``key``, at its line in ``lines`` if it has one."""
+    return ConfigError(f"{key}: {message}", lines.get(key))
+
+
+def _first_set(lines: Mapping[str, int], *keys: _Key) -> str:
+    """The first of ``keys`` that ``lines`` holds, so an error can name its line."""
+    return next((key.name for key in keys if key.name in lines), keys[0].name)
+
+
 @dataclass
 class _RawConfig:
     values: dict[str, str] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)
-
-    def error(self, key: str, message: str):
-        return ConfigError(f"{key}: {message}", self.lines.get(key))
 
     def read(self, key: _Key):
         """The typed value of ``key``; an unset or empty key takes its default."""
@@ -202,23 +232,22 @@ class _RawConfig:
         try:
             return key.parse(raw)
         except (TypeError, ValueError) as exc:
-            raise self.error(key.name, f"cannot parse {raw!r}: {exc}") from exc
+            raise _error(self.lines, key.name, f"cannot parse {raw!r}: {exc}") from exc
 
     def build(self, cls, keys: dict[str, _Key], **given):
         """``cls`` from the values of ``keys`` and the ``given`` fields. The class
-        checks its fields, each message starting with the field's name."""
-        fields = {name: self.read(key) for name, key in keys.items()}
+        checks its fields, each ValueError starting with the field's name, and
+        each ConfigError naming its key."""
+        values = {name: self.read(key) for name, key in keys.items()}
         try:
-            return cls(**{**fields, **given})
+            return cls(**{**values, **given})
+        except ConfigError:
+            raise
         except ValueError as exc:
             key = keys.get(str(exc).split(" ", 1)[0])
             if key is None:
                 raise ConfigError(str(exc)) from exc
-            raise self.error(key.name, str(exc)) from exc
-
-    def first_set(self, *keys: _Key) -> str:
-        """The first of ``keys`` the config sets, so an error can name its line."""
-        return next((key.name for key in keys if key.name in self.lines), keys[0].name)
+            raise _error(self.lines, key.name, str(exc)) from exc
 
 
 def parse_config_text(text: str) -> _RawConfig:
@@ -247,33 +276,28 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
     # key of another data.source is refused too: this source would ignore it.
     for key in sorted(raw.values, key=lambda key: raw.lines.get(key, 0)):
         if key not in KNOWN_KEYS:
-            raise raw.error(key, "unknown key")
+            raise _error(raw.lines, key, "unknown key")
         if source in _SOURCES and _KEY_SOURCE.get(key, source) != source:
-            raise raw.error(key, f"a key of {_SOURCE.name} = {_KEY_SOURCE[key]}, not {source}")
+            message = f"a key of {_SOURCE.name} = {_KEY_SOURCE[key]}, not {source}"
+            raise _error(raw.lines, key, message)
 
     if source not in _SOURCES:
-        raise raw.error(_SOURCE.name, f"unknown source {source!r}")
+        raise _error(raw.lines, _SOURCE.name, f"unknown source {source!r}")
     cls, keys = _SOURCES[source]
     if cls is CifarSource and raw.read(keys["path"]) is None:
-        raise raw.error(_SOURCE.name, f"{source} source needs {keys['path'].name}")
+        raise _error(raw.lines, _SOURCE.name, f"{source} source needs {keys['path'].name}")
     dataset = raw.build(cls, keys)
     if cls is CifarSource:
         # Relative to the config file, as output.dir is; an absolute path stays.
         dataset = replace(dataset, path=base_dir / dataset.path)
-        if _COMMENT.search(str(dataset.path)):
-            message = f"{dataset.path}: a '#' after whitespace would start a comment in config.txt"
-            raise raw.error(keys["path"].name, message)
 
     fixed = {f: getattr(dataset, f) for f in ("feature_dim", "num_classes")}
     for f, value in fixed.items():
         if (stated := raw.read(_MODEL_KEYS[f])) not in (None, value):
-            raise raw.error(_MODEL_KEYS[f].name, f"{stated} differs from the data source's {value}")
+            message = f"{stated} differs from the data source's {value}"
+            raise _error(raw.lines, _MODEL_KEYS[f].name, message)
     model = raw.build(ModelSpec, _MODEL_KEYS, **fixed)
-    if model.kind == "softmax":
-        # A softmax model has no hidden layer, whatever model.hidden_width says.
-        model = replace(model, hidden_width=0)
     scenario = raw.build(ScenarioConfig, _SCENARIO_KEYS, model=model)
-    _check_sizes(raw, scenario, dataset)
 
     seeds = raw.read(_SWEEP_KEYS["repeat_seeds"])
     return raw.build(
@@ -286,34 +310,6 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
         repeat_seeds=(scenario.seed,) if seeds is None else seeds,
         lines=raw.lines,
     )
-
-
-def _check_sizes(
-    raw: _RawConfig, scenario: ScenarioConfig, dataset: SyntheticSpec | CifarSource
-) -> None:
-    """Reject sizes that fail without any data; :func:`preflight` builds each
-    seed's datasets, which checks the rest."""
-    s, d = _SCENARIO_KEYS, _SYNTHETIC_KEYS
-    if scenario.batch_size > scenario.samples_per_node:
-        raise raw.error(
-            raw.first_set(s["batch_size"], s["samples_per_node"]),
-            f"batch_size {scenario.batch_size} exceeds samples_per_node "
-            f"{scenario.samples_per_node}; it must lie in [1, {scenario.samples_per_node}]",
-        )
-    if len(scenario.missing_classes) == scenario.model.num_classes:
-        raise raw.error(
-            s["missing_classes"].name, "lists every class, which leaves no training data"
-        )
-    if isinstance(dataset, CifarSource):
-        return
-    for knob in ("label_skew", "noise_mult", "feature_scale"):
-        entries = getattr(dataset, knob)
-        if entries and len(entries) != scenario.n_nodes:
-            raise raw.error(
-                d[knob].name,
-                f"needs {scenario.n_nodes} entries, one per node "
-                f"({s['n_nodes'].name} = {scenario.n_nodes}), got {len(entries)}",
-            )
 
 
 def read_config(path: Path | str) -> ExperimentConfig:
@@ -340,8 +336,7 @@ def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
     The seeds are known only once ``FEDBOUND_SEED`` has been applied, so
     :func:`read_config` does not call it.
     """
-    raw = _RawConfig(lines=cfg.lines)
-    s, d, c = _SCENARIO_KEYS, _SYNTHETIC_KEYS, _CIFAR_KEYS
+    lines, s, d, c = cfg.lines, _SCENARIO_KEYS, _SYNTHETIC_KEYS, _CIFAR_KEYS
     if isinstance(cfg.dataset, CifarSource):
         pool, more = (c["path"],), ""
     else:
@@ -351,21 +346,20 @@ def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
     try:
         test_data, nodes = node_datasets(cfg.dataset, scenario)
     except (OSError, CifarFormatError) as exc:
-        raise raw.error(c["path"].name, str(exc)) from exc
+        raise _error(lines, c["path"].name, str(exc)) from exc
     except ClassCentersError as exc:
-        raise raw.error(
-            raw.first_set(d["feature_dim"], d["num_classes"], d["separation"]),
-            f"{exc} for seed {seed}; lower {d['separation'].name}, raise "
-            f"{d['feature_dim'].name} or use fewer classes",
-        ) from exc
+        key = _first_set(lines, d["feature_dim"], d["num_classes"], d["separation"])
+        advice = f"lower {d['separation'].name}, raise {d['feature_dim'].name} or use fewer classes"
+        raise _error(lines, key, f"{exc} for seed {seed}; {advice}") from exc
     except ShortfallError as exc:
         short = (s["samples_per_node"], s["n_nodes"], *pool)
-        raise raw.error(
-            raw.first_set(*([s["missing_classes"]] if scenario.missing_classes else short)),
+        raise _error(
+            lines,
+            _first_set(lines, *([s["missing_classes"]] if scenario.missing_classes else short)),
             f"seed {seed}: {exc}; {more}lower {s['samples_per_node'].name}",
         ) from exc
     except EmptyTestSplitError as exc:
-        raise raw.error(raw.first_set(s["test_fraction"], pool[0]), str(exc)) from exc
+        raise _error(lines, _first_set(lines, s["test_fraction"], pool[0]), str(exc)) from exc
     try:
         return test_data, nodes, probe_phase(scenario, nodes)
     except ProbeFailure as exc:
@@ -373,7 +367,7 @@ def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
             raise ValueError(f"seed {seed} failed: {exc}") from exc
         name = s["perturb_sigma"].name
         advice = "raise" if isinstance(exc.__cause__, DegeneratePairError) else "lower"
-        raise raw.error(name, f"seed {seed}, {exc}; {advice} {name}") from exc
+        raise _error(lines, name, f"seed {seed}, {exc}; {advice} {name}") from exc
 
 
 def _echo_value(value) -> str:

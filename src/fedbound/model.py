@@ -137,6 +137,8 @@ class ModelSpec:
                 raise ValueError("need feature_dim >= 1 and num_classes >= 2")
             if self.kind == "mlp" and self.hidden_width < 1:
                 raise ValueError("hidden_width must be >= 1 for an mlp")
+            if self.kind == "softmax":  # no hidden layer, whatever hidden_width says
+                object.__setattr__(self, "hidden_width", 0)
 
 
 def softmax_spec(feature_dim: int, num_classes: int, l2: float = 0.0) -> ModelSpec:

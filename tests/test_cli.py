@@ -1195,18 +1195,34 @@ def test_a_piped_config_error_names_its_line(tmp_path):
     assert not out.exists()
 
 
-def test_import_leaves_scipy_out():
+def test_import_leaves_scipy_out(tmp_path):
     # scipy's import alone took about 1.4 s of every command's start-up, and
     # concurrent.futures (with multiprocessing) 26-34 ms; no command needs
-    # either.
+    # either. Nor does any command load a module that is not the standard
+    # library's, fedbound's or numpy's own: numpy is the one runtime dependency.
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY)
     modules = ("scipy", "concurrent.futures")
-    code = f"import sys, fedbound.cli; print([m in sys.modules for m in {modules!r}])"
+    run = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    code = f"""\
+import contextlib, io, sys
+top = lambda: {{name.split(".")[0] for name in sys.modules}}
+import numpy, numpy.random  # numpy.random's Cython modules bring Cython's runtime
+numpy_own = top()
+from fedbound.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["selftest"]) == 0 and main({run!r}) == 0
+print([m in sys.modules for m in {modules!r}])
+print(sorted(top() - numpy_own - sys.stdlib_module_names - {{"fedbound"}}))
+"""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[False, False]"
+    left_out, others = result.stdout.splitlines()
+    assert left_out == "[False, False]"
+    assert others == "[]"
 
 
 class TestSelftestCommand:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import re
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 REPO = Path(__file__).resolve().parents[1]
 
-from fedbound import config
+from fedbound import cli, config, flsim
 from fedbound.analysis import report_inputs_from_dir
 from fedbound.config import (
     KNOWN_KEYS,
@@ -26,8 +27,9 @@ from fedbound.config import (
     read_config,
 )
 from fedbound.cli import main
-from fedbound.data import CIFAR_RECORD_BYTES, CifarSource
-from fedbound.flsim import PROBE_SAMPLER_KINDS, node_datasets, probe_phase
+from fedbound.data import CIFAR_RECORD_BYTES, CifarSource, SyntheticSpec
+from fedbound.flsim import PROBE_SAMPLER_KINDS, ScenarioConfig, node_datasets, probe_phase
+from fedbound.model import ModelSpec
 from fedbound.probe import G_FORMULAS, ProbeFailure
 from test_data import make_record
 
@@ -90,6 +92,24 @@ class TestParser:
     def test_later_assignment_wins(self):
         raw = parse_config_text("x = 1\nx = 2\n")
         assert raw.values["x"] == "2"
+
+    @pytest.mark.parametrize(
+        "line, item",
+        [
+            ("repeat_seeds = 1,,2", 2),
+            ("data.feature_scale = 0.5,,1", 2),
+            ("data.noise_mult = 1, 1, ", 3),
+            ("scenario.missing_classes = ,1", 1),
+        ],
+    )
+    def test_an_empty_list_item_fails_naming_its_line(self, line, item):
+        key, value = (part.strip() for part in line.split("="))
+        with pytest.raises(ConfigError) as excinfo:
+            build_experiment_config(parse_config_text(f"scenario.n_nodes = 3\n{line}\n"))
+        assert str(excinfo.value) == f"line 2: {key}: cannot parse {value!r}: item {item} is empty"
+        # An empty whole value, as config.txt echoes an unset list, takes the default.
+        empty = build_experiment_config(parse_config_text(f"scenario.n_nodes = 3\n{key} =\n"))
+        assert empty == build_experiment_config(parse_config_text("scenario.n_nodes = 3\n"))
 
 
 class TestBuild:
@@ -359,6 +379,131 @@ class TestBuild:
         path.write_text(GOOD)
         cfg = load_config(path)
         assert cfg.output_dir == tmp_path / "runs"
+
+
+def line_of(path: Path, key: str) -> int:
+    """The line of ``path`` that sets ``key``."""
+    lines = [line.split("=", 1)[0].strip() for line in path.read_text().splitlines()]
+    return lines.index(key) + 1
+
+
+class TestConstruction:
+    """ExperimentConfig and ModelSpec check themselves, so a config built in code
+    or by ``replace`` meets the rules of one read from text."""
+
+    @pytest.mark.parametrize(
+        "name, change, key, message",
+        [
+            (
+                "hetero_eight_nodes",
+                lambda cfg: {"scenario": replace(cfg.scenario, batch_size=200)},
+                "scenario.batch_size",
+                "batch_size 200 exceeds samples_per_node 150; it must lie in [1, 150]",
+            ),
+            (
+                "five_nodes_missing_class",
+                lambda cfg: {
+                    "scenario": replace(cfg.scenario, missing_classes=frozenset({3, 0, 1, 2}))
+                },
+                "scenario.missing_classes",
+                "lists every class, which leaves no training data",
+            ),
+            (
+                "hetero_eight_nodes",
+                lambda cfg: {"dataset": replace(cfg.dataset, feature_scale=(0.5, 1.0))},
+                "data.feature_scale",
+                "needs 8 entries, one per node (scenario.n_nodes = 8), got 2",
+            ),
+            (
+                "cifar10",
+                lambda cfg: {"dataset": replace(cfg.dataset, path=Path("/data/a #b"))},
+                "data.cifar_path",
+                "/data/a #b: a '#' after whitespace would start a comment in config.txt",
+            ),
+        ],
+        ids=["batch_size", "every_class_missing", "knob_length", "cifar_path_comment"],
+    )
+    def test_a_fault_fails_at_construction(self, monkeypatch, name, change, key, message):
+        def no_datasets(*args, **kwargs):
+            raise AssertionError("node_datasets was called")
+
+        monkeypatch.setattr(config, "node_datasets", no_datasets)
+        monkeypatch.setattr(flsim, "node_datasets", no_datasets)
+        path = REPO / "configs" / f"{name}.cfg"
+        cfg = read_config(path)
+        changed = change(cfg)
+        # Replaced on a config read from text, the error names the line it was read from.
+        with pytest.raises(ConfigError) as replaced:
+            replace(cfg, **changed)
+        assert str(replaced.value) == f"line {line_of(path, key)}: {key}: {message}"
+        # Built in code, the same error names no line.
+        given = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.init}
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**{**given, "lines": {}, **changed})
+        assert str(built.value) == f"{key}: {message}"
+        assert built.value.line is None
+
+    def test_an_empty_scenario_name_is_rejected(self):
+        # No run directory pattern matches "_seed1", so summary.csv would leave the run out.
+        cfg = build_experiment_config(parse_config_text(""))
+        with pytest.raises(ValueError, match="^scenario_name must be nonempty$"):
+            replace(cfg, scenario_name="")
+        # Text cannot give "": an empty value takes the default.
+        assert build_experiment_config(parse_config_text("scenario.name =\n")) == cfg
+
+    def test_a_softmax_model_has_no_hidden_width(self):
+        assert ModelSpec("softmax", 4, 3, hidden_width=16) == ModelSpec("softmax", 4, 3)
+        assert ModelSpec("softmax", 4, 3, hidden_width=16).hidden_width == 0
+        assert ModelSpec("mlp", 4, 3, hidden_width=16).hidden_width == 16
+
+    def test_a_softmax_config_built_in_code_reruns_from_its_config_txt(self, tmp_path):
+        model = ModelSpec("softmax", 4, 3, hidden_width=16, l2_coefficient=0.01)
+        scenario = ScenarioConfig(2, 30, 2, model, batch_size=15, n_probes=3, seed=1)
+        out, rerun = tmp_path / "out", tmp_path / "rerun"
+        cfg = ExperimentConfig(scenario, SyntheticSpec(3, 4, 40), out, (1,), "code")
+        assert cli.run_experiment(cfg) == 0
+        run_dir = out / "code_seed1"
+        assert "model.hidden_width = 0\n" in (run_dir / "config.txt").read_text()
+        assert main(["run", "--config", str(run_dir / "config.txt"), "--out", str(rerun)]) == 0
+        files = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert {p.name: p.read_bytes() for p in (rerun / "code_seed1").iterdir()} == files
+
+    def test_an_empty_config_gives_each_field_its_dataclass_default(self):
+        # The keys whose field has no default or another one state their own.
+        stated = {
+            "scenario.n_nodes", "scenario.samples_per_node", "scenario.rounds",
+            "model.kind", "model.hidden_width", "model.l2", "data.num_classes",
+            "data.feature_dim", "data.samples_per_class", "output.dir",
+        }
+        taken = set()
+        for text in ("", "data.source = cifar10\ndata.cifar_path = x\n"):
+            cfg = build_experiment_config(parse_config_text(text))
+            source_keys = next(keys for cls, keys in config._SOURCES.values()
+                               if isinstance(cfg.dataset, cls))
+            owners = [
+                (cfg.scenario, config._SCENARIO_KEYS),
+                (cfg.scenario.model, config._MODEL_KEYS),
+                (cfg.dataset, source_keys),
+                (cfg, {**config._RUN_KEYS, **config._SWEEP_KEYS}),
+            ]
+            for owner, keys in owners:
+                defaults = {f.name: f.default for f in dataclasses.fields(owner)}
+                for name, key in keys.items():
+                    if key.name in stated:
+                        assert key.default not in (None, defaults[name]), key.name
+                    elif defaults[name] is dataclasses.MISSING:
+                        assert key.default is None, key.name
+                    else:
+                        # The very object the field holds: the default is stated once.
+                        assert key.default is defaults[name], key.name
+                        assert getattr(owner, name) == key.default, key.name
+                        taken.add(key.name)
+        assert len(taken) == 20
+        none_keys = {"model.feature_dim", "model.num_classes", "data.cifar_path", "repeat_seeds"}
+        defaults = {key.name: key.default for keys in config._TABLES for key in keys.values()}
+        assert {name for name, value in defaults.items() if value is None} == none_keys | {
+            "selection.k"
+        }
 
 
 class TestPreflight:

@@ -135,3 +135,10 @@ def test_an_output_directory_without_a_hetero_run_exits_2_naming_it(
         (out / "five_nodes_seed1").mkdir()
     err = exit_2_before_training(monkeypatch, capsys, "--runs", str(out))
     assert f"error: {out} holds no hetero_eight_nodes_seed<s> run directory" in err
+
+
+def test_the_policies_are_the_selection_policies_but_all(monkeypatch, capsys):
+    # "all" selects every node, which leaves no rest to train.
+    err = exit_2_before_training(monkeypatch, capsys, "--policy", "all")
+    choices = ", ".join(repr(p) for p in analysis.SELECTION_POLICIES if p != "all")
+    assert f"argument --policy: invalid choice: 'all' (choose from {choices})" in err
