@@ -11,7 +11,6 @@ names, and :func:`echo_lines`, a run's ``config.txt``: a config that reruns the 
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -50,6 +49,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         lines, s, scenario, n = self.lines, _SCENARIO_KEYS, self.scenario, self.scenario.n_nodes
+        for f in ("feature_dim", "num_classes"):
+            if (stated := getattr(scenario.model, f)) != (fixed := getattr(self.dataset, f)):
+                message = f"{stated} differs from the data source's {fixed}"
+                raise _error(lines, _MODEL_KEYS[f].name, message)
         if isinstance(self.dataset, CifarSource) and _COMMENT.search(str(self.dataset.path)):
             message = "a '#' after whitespace would start a comment in config.txt"
             raise _error(lines, _CIFAR_KEYS["path"].name, f"{self.dataset.path}: {message}")
@@ -102,13 +105,6 @@ def _list_of(parse: Callable[[str], Any], kind: type = tuple) -> Callable[[str],
     return parse_items
 
 
-def _parse_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("expected a finite number")
-    return value
-
-
 _MODEL_KIND_ALIASES = {
     "softmax": "softmax",
     "softmax-regression": "softmax",
@@ -145,15 +141,15 @@ _SCENARIO_KEYS = _table(
     _Key("scenario.n_nodes", "n_nodes", int, 5),
     _Key("scenario.samples_per_node", "samples_per_node", int, 200),
     _Key("scenario.rounds", "rounds", int, 30),
-    _Key("scenario.lr", "lr", _parse_float),
+    _Key("scenario.lr", "lr", float),
     _Key("scenario.batch_size", "batch_size", int),
     _Key("scenario.local_epochs_per_round", "local_epochs_per_round", int),
     _Key("scenario.missing_classes", "missing_classes", _list_of(int, frozenset)),
-    _Key("scenario.test_fraction", "test_fraction", _parse_float),
+    _Key("scenario.test_fraction", "test_fraction", float),
     _Key("scenario.seed", "seed", int),
     _Key("probe.n_probes", "n_probes", int),
     _Key("probe.sampler", "probe_sampler", str),
-    _Key("probe.perturb_sigma", "perturb_sigma", _parse_float),
+    _Key("probe.perturb_sigma", "perturb_sigma", float),
     _Key("probe.g_formula", "g_formula", str),
     _Key("bound.squared_distance", "squared_distance", _parse_bool),
 )
@@ -164,18 +160,18 @@ _MODEL_KEYS = _table(
     _Key("model.feature_dim", "feature_dim", int),
     _Key("model.num_classes", "num_classes", int),
     _Key("model.hidden_width", "hidden_width", int, 16),
-    _Key("model.l2", "l2_coefficient", _parse_float, 0.01),
+    _Key("model.l2", "l2_coefficient", float, 0.01),
 )
 _SYNTHETIC_KEYS = _table(
     SyntheticSpec,
     _Key("data.num_classes", "num_classes", int, 4),
     _Key("data.feature_dim", "feature_dim", int, 8),
     _Key("data.samples_per_class", "samples_per_class", int, 400),
-    _Key("data.separation", "separation", _parse_float),
-    _Key("data.noise_sigma", "noise_sigma", _parse_float),
-    _Key("data.label_skew", "label_skew", _list_of(_parse_float)),
-    _Key("data.noise_mult", "noise_mult", _list_of(_parse_float)),
-    _Key("data.feature_scale", "feature_scale", _list_of(_parse_float)),
+    _Key("data.separation", "separation", float),
+    _Key("data.noise_sigma", "noise_sigma", float),
+    _Key("data.label_skew", "label_skew", _list_of(float)),
+    _Key("data.noise_mult", "noise_mult", _list_of(float)),
+    _Key("data.feature_scale", "feature_scale", _list_of(float)),
 )
 _CIFAR_KEYS = _table(
     CifarSource,
@@ -291,12 +287,9 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
         # Relative to the config file, as output.dir is; an absolute path stays.
         dataset = replace(dataset, path=base_dir / dataset.path)
 
-    fixed = {f: getattr(dataset, f) for f in ("feature_dim", "num_classes")}
-    for f, value in fixed.items():
-        if (stated := raw.read(_MODEL_KEYS[f])) not in (None, value):
-            message = f"{stated} differs from the data source's {value}"
-            raise _error(raw.lines, _MODEL_KEYS[f].name, message)
-    model = raw.build(ModelSpec, _MODEL_KEYS, **fixed)
+    # A model size the text leaves unset is the data source's; ExperimentConfig checks a set one.
+    unset = [f for f in ("feature_dim", "num_classes") if raw.read(_MODEL_KEYS[f]) is None]
+    model = raw.build(ModelSpec, _MODEL_KEYS, **{f: getattr(dataset, f) for f in unset})
     scenario = raw.build(ScenarioConfig, _SCENARIO_KEYS, model=model)
 
     seeds = raw.read(_SWEEP_KEYS["repeat_seeds"])

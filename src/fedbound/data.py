@@ -94,14 +94,14 @@ class SyntheticSpec:
             raise ValueError("feature_dim must be >= 1")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
-        if self.separation <= 0.0:
-            raise ValueError("separation must be > 0")
-        if self.noise_sigma <= 0.0:
-            raise ValueError("noise_sigma must be > 0")
+        if not 0.0 < self.separation < np.inf:
+            raise ValueError("separation must be finite and > 0")
+        if not 0.0 < self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and > 0")
         if any(not 0.0 <= s <= 1.0 for s in self.label_skew):
             raise ValueError("label_skew fractions must lie in [0, 1]")
-        if any(m <= 0.0 for m in self.noise_mult):
-            raise ValueError("noise_mult entries must be > 0")
+        if not all(0.0 < m < np.inf for m in self.noise_mult):
+            raise ValueError("noise_mult entries must be finite and > 0")
         if any(not 0.0 < s <= 1.0 for s in self.feature_scale):
             raise ValueError("feature_scale entries must lie in (0, 1]")
 

@@ -86,8 +86,8 @@ class ScenarioConfig:
             raise ValueError("samples_per_node must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.lr < 0.0:
-            raise ValueError("lr must be >= 0")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError("lr must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.local_epochs_per_round < 1:

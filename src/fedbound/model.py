@@ -125,16 +125,18 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.l2_coefficient < 0.0:
-            raise ValueError("l2_coefficient must be >= 0")
+        if not 0.0 <= self.l2_coefficient < math.inf:
+            raise ValueError("l2_coefficient must be finite and >= 0")
         if self.kind == "quadratic":
             if not self.quad_diag:
                 raise ValueError("quadratic kind needs a nonempty quad_diag")
-            if any(h <= 0.0 for h in self.quad_diag):
-                raise ValueError("quad_diag entries must be positive")
+            if not all(0.0 < h < math.inf for h in self.quad_diag):
+                raise ValueError("quad_diag entries must be finite and positive")
         else:
-            if self.feature_dim < 1 or self.num_classes < 2:
-                raise ValueError("need feature_dim >= 1 and num_classes >= 2")
+            if self.feature_dim < 1:
+                raise ValueError("feature_dim must be >= 1")
+            if self.num_classes < 2:
+                raise ValueError("num_classes must be >= 2")
             if self.kind == "mlp" and self.hidden_width < 1:
                 raise ValueError("hidden_width must be >= 1 for an mlp")
             if self.kind == "softmax":  # no hidden layer, whatever hidden_width says
@@ -448,8 +450,8 @@ def sgd_epoch_traced(
     array. Row p equals the single-vector call on block p with order row p,
     bit for bit.
     """
-    if lr < 0.0:
-        raise ValueError("lr must be >= 0")
+    if not 0.0 <= lr < math.inf:
+        raise ValueError("lr must be finite and >= 0")
     single = np.ndim(params) == 1
     stack = _check_inputs(spec, params, data)
     blocks = stack.shape[0]

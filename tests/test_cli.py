@@ -639,7 +639,14 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["data.label_skew = 1, 2", "scenario.lr = -1", "probe.perturb_sigma = nan"]
+        "line",
+        [
+            "data.label_skew = 1, 2",
+            "scenario.lr = -1",
+            "probe.perturb_sigma = nan",
+            "scenario.lr = nan",
+            "model.feature_dim = 99",
+        ],
     )
     def test_field_check_exits_2_naming_the_line(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import math
 import re
 import sys
 import tempfile
@@ -8,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 REPO = Path(__file__).resolve().parents[1]
@@ -182,6 +183,8 @@ class TestBuild:
             ("scenario.name = a\\b", "scenario.name"),
             ("scenario.name = a,b", "scenario.name"),
             ("scenario.name = .hid", "scenario.name"),
+            ("model.num_classes = 1", "model.num_classes"),
+            ("model.feature_dim = 0", "model.feature_dim"),
         ],
     )
     def test_field_check_names_the_line(self, line, key):
@@ -387,9 +390,27 @@ def line_of(path: Path, key: str) -> int:
     return lines.index(key) + 1
 
 
+def replace_in(cfg: ExperimentConfig, owner: str, **changes) -> ExperimentConfig:
+    """``cfg`` with ``changes`` made to its ``"scenario"``, ``"model"`` or ``"dataset"``."""
+    if owner == "model":
+        model = replace(cfg.scenario.model, **changes)
+        return replace(cfg, scenario=replace(cfg.scenario, model=model))
+    return replace(cfg, **{owner: replace(getattr(cfg, owner), **changes)})
+
+
+@pytest.fixture
+def no_datasets(monkeypatch):
+    """Fails a test that builds a node dataset."""
+    def fail(*args, **kwargs):
+        raise AssertionError("node_datasets was called")
+
+    monkeypatch.setattr(config, "node_datasets", fail)
+    monkeypatch.setattr(flsim, "node_datasets", fail)
+
+
 class TestConstruction:
-    """ExperimentConfig and ModelSpec check themselves, so a config built in code
-    or by ``replace`` meets the rules of one read from text."""
+    """ExperimentConfig and the dataclasses it holds check themselves, so a
+    config built in code or by ``replace`` meets the rules of one read from text."""
 
     @pytest.mark.parametrize(
         "name, change, key, message",
@@ -423,12 +444,7 @@ class TestConstruction:
         ],
         ids=["batch_size", "every_class_missing", "knob_length", "cifar_path_comment"],
     )
-    def test_a_fault_fails_at_construction(self, monkeypatch, name, change, key, message):
-        def no_datasets(*args, **kwargs):
-            raise AssertionError("node_datasets was called")
-
-        monkeypatch.setattr(config, "node_datasets", no_datasets)
-        monkeypatch.setattr(flsim, "node_datasets", no_datasets)
+    def test_a_fault_fails_at_construction(self, no_datasets, name, change, key, message):
         path = REPO / "configs" / f"{name}.cfg"
         cfg = read_config(path)
         changed = change(cfg)
@@ -442,6 +458,35 @@ class TestConstruction:
             ExperimentConfig(**{**given, "lines": {}, **changed})
         assert str(built.value) == f"{key}: {message}"
         assert built.value.line is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("scenario", "lr"),
+            ("model", "l2_coefficient"),
+            ("dataset", "separation"),
+            ("dataset", "noise_sigma"),
+            ("dataset", "noise_mult"),
+        ],
+    )
+    def test_a_non_finite_float_fails_at_construction(self, no_datasets, owner, name, value):
+        cfg = read_config(REPO / "configs" / "five_nodes.cfg")
+        value = (value,) if name == "noise_mult" else value
+        with pytest.raises(ValueError, match=rf"^{name}( entries)? must be finite and >=? 0$"):
+            replace_in(cfg, owner, **{name: value})
+
+    def test_a_model_that_differs_from_its_data_source_fails_at_construction(self, no_datasets):
+        # five_nodes.cfg sets no model size, so the error names no line.
+        cfg = read_config(REPO / "configs" / "five_nodes.cfg")
+        with pytest.raises(ConfigError) as excinfo:
+            replace_in(cfg, "dataset", feature_dim=16)
+        assert str(excinfo.value) == "model.feature_dim: 8 differs from the data source's 16"
+        assert excinfo.value.line is None
+        cfg = build_experiment_config(parse_config_text("model.num_classes = 4\n"))
+        with pytest.raises(ConfigError) as excinfo:
+            replace_in(cfg, "dataset", num_classes=5)
+        assert str(excinfo.value) == "line 1: model.num_classes: 4 differs from the data source's 5"
 
     def test_an_empty_scenario_name_is_rejected(self):
         # No run directory pattern matches "_seed1", so summary.csv would leave the run out.
@@ -914,3 +959,46 @@ class TestGeneratedConfigs:
                 assert status == 1
                 assert NUMERIC_FAILURE.fullmatch(err.splitlines()[-1]), err
                 assert not out.exists()
+
+    @given(text=config_texts(), data=st.data())
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_a_config_built_in_code_fails_when_made_or_reruns_from_its_config_txt(
+        self, no_datasets, text, data
+    ):
+        # Each float field that a key sets takes an edge or an in-range value,
+        # or a model size another size; text and code must then agree.
+        cfg = build_experiment_config(parse_config_text(text), base_dir=Path("/"))
+        owners = {
+            "scenario": (cfg.scenario, config._SCENARIO_KEYS),
+            "model": (cfg.scenario.model, config._MODEL_KEYS),
+            "dataset": next((cfg.dataset, keys) for cls, keys in config._SOURCES.values()
+                            if isinstance(cfg.dataset, cls)),
+        }
+        choices = [
+            (owner, f.name, f.type)
+            for owner, (obj, keys) in owners.items()
+            for f in dataclasses.fields(obj)
+            if f.name in keys and f.type in ("float", "tuple[float, ...]")
+        ]
+        choices += [("model", "feature_dim", "int"), ("model", "num_classes", "int")]
+        owner, name, kind = data.draw(st.sampled_from(choices))
+        if kind == "int":
+            value = data.draw(st.integers(1, 16))
+        else:
+            edges = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308]
+            value = data.draw(st.one_of(st.sampled_from(edges), floats(0.01, 1.0)))
+            if kind != "float":
+                # One node's entry; the others hold 0.5, which every knob takes.
+                n = cfg.scenario.n_nodes
+                entries = list(getattr(owners[owner][0], name) or (0.5,) * n)
+                entries[data.draw(st.integers(0, n - 1))] = value
+                value = tuple(entries)
+        try:
+            built = replace_in(cfg, owner, **{name: value})
+        except ValueError:
+            return
+        echoed = parse_config_text("\n".join(echo_lines(built)))
+        again = build_experiment_config(echoed, base_dir=Path("/"))
+        assert replace(again, output_dir=built.output_dir, repeat_seeds=built.repeat_seeds) == built

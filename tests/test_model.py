@@ -55,6 +55,11 @@ class TestParamDim:
     def test_quadratic_equals_diag_length(self):
         assert param_dim(quadratic_spec([1.0, 2.0, 3.0])) == 3
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_quadratic_curvature_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="^quad_diag entries must be finite and positive$"):
+            quadratic_spec([h, 1.0])
+
 
 def _frozen_per_layer_init(spec, rng):
     """The per-layer ``rng.normal`` draws ``init_params`` made before it drew
@@ -267,8 +272,9 @@ class TestSgdEpoch:
     def test_negative_lr_rejected(self):
         data = toy_dataset()
         spec = softmax_spec(4, 3)
-        with pytest.raises(ValueError):
-            sgd_epoch_traced(spec, init_params(spec, 0), data, -0.1, 4, shuffle(0, len(data)))[0]
+        for lr in (-0.1, math.nan, math.inf):  # a NaN or inf step is no step size either
+            with pytest.raises(ValueError, match="^lr must be finite and >= 0$"):
+                sgd_epoch_traced(spec, init_params(spec, 0), data, lr, 4, shuffle(0, len(data)))
 
     @pytest.mark.parametrize("stack", [None, 3])
     def test_overflow_mid_epoch_raises(self, monkeypatch, stack):
