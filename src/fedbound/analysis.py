@@ -158,8 +158,8 @@ class ReportInputs:
 def report_inputs_from_run(run: FLRun) -> ReportInputs:
     return ReportInputs(
         usefulness=usefulness_from_rounds(run.usefulness),
-        node_constants=run.node_constants,
-        probe_g=run.probe_samples[:, :, 1].ravel(),
+        node_constants=run.probed.node_constants,
+        probe_g=run.probed.samples[:, :, 1].ravel(),
         training_g=run.training_g.ravel(),
         seed=run.config.seed,
     )

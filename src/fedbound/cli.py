@@ -72,7 +72,7 @@ def run_one_seed(cfg: ExperimentConfig, seed: int, setup: flsim.Setup) -> None:
     reaches stderr as a ``warning: seed <s>:`` line. The run directory is staged as
     ``.tmp-<run>``, removed on failure; a previous one that cannot be deleted only warns."""
     scenario = replace(cfg.scenario, seed=seed)
-    run = flsim.run_federated_partitioned(scenario, *setup)
+    run = flsim.run_federated_partitioned(scenario, setup)
     for note in run.bound_notes:
         print(f"warning: seed {seed}: {note}", file=sys.stderr)
     run_name = f"{cfg.scenario_name}_seed{seed}"
@@ -135,10 +135,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = _load_config_with_env(args.config)
-    _, _, (_, _, node_constants, agg) = preflight(cfg, cfg.repeat_seeds[0])
-    for i, est in enumerate(node_constants):
-        print(f"node {i}: mu={est.mu:.9g} L={est.L:.9g} G={est.G:.9g} n_probes={est.n_probes}")
-    print(f"global: mu={agg.mu:.9g} L={agg.L:.9g} G={agg.G:.9g} n_probes={agg.n_probes}")
+    probed = preflight(cfg, cfg.repeat_seeds[0]).probed
+    names = [f"node {i}" for i in range(len(probed.node_constants))] + ["global"]
+    for name, est in zip(names, (*probed.node_constants, probed.global_constants)):
+        print(f"{name}: mu={est.mu:.9g} L={est.L:.9g} G={est.G:.9g} n_probes={est.n_probes}")
     return 0
 
 

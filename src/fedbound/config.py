@@ -354,7 +354,7 @@ def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
     except EmptyTestSplitError as exc:
         raise _error(lines, _first_set(lines, s["test_fraction"], pool[0]), str(exc)) from exc
     try:
-        return test_data, nodes, probe_phase(scenario, nodes)
+        return Setup(test_data, tuple(nodes), probe_phase(scenario, nodes))
     except ProbeFailure as exc:
         if scenario.probe_sampler == "init":
             raise ValueError(f"seed {seed} failed: {exc}") from exc

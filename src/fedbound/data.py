@@ -127,11 +127,14 @@ def class_centers(spec: SyntheticSpec, seed: int) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore")
 def _cluster_features(
-    centers: np.ndarray, labels: np.ndarray, sigma: float, rng: np.random.Generator
+    centers: np.ndarray, labels: np.ndarray, sigma: float, rng: np.random.Generator, scale=1.0
 ) -> np.ndarray:
+    """``scale * (center + noise)`` per label, clipped to [0, 1]; noise that
+    overflows to an infinity is clipped like any other value outside [0, 1]."""
     noise = sigma * rng.standard_normal((labels.size, centers.shape[1]))
-    return np.clip(centers[labels] + noise, 0.0, 1.0)
+    return np.clip(scale * (centers[labels] + noise), 0.0, 1.0)
 
 
 def gen_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
@@ -192,8 +195,7 @@ def gen_synthetic_nodes(
             ]
         )
         rng.shuffle(labels)
-        noise = spec.noise_sigma * mult * rng.standard_normal((labels.size, centers.shape[1]))
-        features = np.clip(scale * (centers[labels] + noise), 0.0, 1.0)
+        features = _cluster_features(centers, labels, spec.noise_sigma * mult, rng, scale)
         nodes.append(Dataset(features, labels, spec.num_classes))
     return test, nodes
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +122,18 @@ def _check_rounds(cfg: ScenarioConfig, train_loss, test_loss, usefulness, *colum
 
 
 @dataclass(frozen=True)
+class Probed:
+    """A :func:`probe_phase` result: w1, the initial global parameters; the ``(N, n_probes, 2)``
+    array of every node's (m, g) samples in probe order; each node's (mu, L, G) and their
+    worst-case global aggregate."""
+
+    w1: ParamVector
+    samples: np.ndarray
+    node_constants: tuple[ConstantsEstimate, ...]
+    global_constants: ConstantsEstimate
+
+
+@dataclass(frozen=True)
 class FLRun:
     """A finished federated run with everything the analysis stage consumes.
 
@@ -129,9 +141,8 @@ class FLRun:
     ``train_loss``, ``test_loss`` and ``bound_value`` are ``(T,)`` (losses at
     the aggregated model), ``usefulness[t - 1, i]`` is node i's delta in
     global test loss and ``training_g[t - 1, i]`` its batch-gradient norms,
-    one per SGD step in step order. ``node_constants[i]`` is node i's, and
-    ``probe_samples[i]`` node i's ``(n_probes, 2)`` array of (m, g) rows in
-    probe order. ``bound_notes`` holds the caveats of :func:`bound_phase`.
+    one per SGD step in step order. ``probed`` is the probe result the run
+    trained after, and ``bound_notes`` holds the caveats of :func:`bound_phase`.
     """
 
     config: ScenarioConfig
@@ -141,9 +152,7 @@ class FLRun:
     usefulness: np.ndarray
     training_g: np.ndarray
     final_params: ParamVector
-    global_constants: ConstantsEstimate
-    node_constants: tuple[ConstantsEstimate, ...]
-    probe_samples: np.ndarray
+    probed: Probed
     bound_notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -281,9 +290,13 @@ def initial_params(cfg: ScenarioConfig) -> ParamVector:
     return init_params(cfg.model, derive_seed(cfg.seed, "init"))
 
 
-Probed = tuple[ParamVector, np.ndarray, tuple[ConstantsEstimate, ...], ConstantsEstimate]
-# A seed's set-up: its test set, its node datasets and their probe_phase result.
-Setup = tuple[Dataset, list[Dataset], Probed]
+@dataclass(frozen=True)
+class Setup:
+    """A seed's set-up: its test set, its node datasets and their probe result."""
+
+    test: Dataset
+    nodes: tuple[Dataset, ...]
+    probed: Probed
 
 
 def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed:
@@ -291,10 +304,7 @@ def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed
 
     Node i probes with seed ``derive_seed(cfg.seed, "probe", i)``, drawing
     fresh parameter vectors or jitter around w1 per ``cfg.probe_sampler``.
-    Returns w1 (the initial global parameters), the ``(N, n_probes, 2)``
-    array of every node's (m, g) samples, each node's (mu, L, G) in node
-    order, and their worst-case global aggregate. A :class:`ProbeFailure`
-    names the node whose probe failed.
+    A :class:`ProbeFailure` names the node whose probe failed.
     """
     if len(node_datasets) != cfg.n_nodes:
         raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
@@ -315,7 +325,7 @@ def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed
             raise ProbeFailure(exc.probe_index, exc.reason, node) from exc.__cause__
     probe_samples = np.stack(samples)
     node_constants = tuple(map(constants_from_samples, probe_samples))
-    return w1, probe_samples, node_constants, aggregate_global(node_constants)
+    return Probed(w1, probe_samples, node_constants, aggregate_global(node_constants))
 
 
 @np.errstate(all="ignore")
@@ -394,17 +404,14 @@ def bound_phase(
     return [convergence_bound(t, params) for t in range(1, cfg.rounds + 1)], tuple(notes)
 
 
-def run_federated_partitioned(
-    cfg: ScenarioConfig, test_data: Dataset, node_datasets: Sequence[Dataset], probed: Probed
-) -> FLRun:
-    """The FedAvg engine, given already-built per-node datasets and their
-    :func:`probe_phase` result: train, bound."""
-    w1, probe_samples, node_constants, global_constants = probed
+def run_federated_partitioned(cfg: ScenarioConfig, setup: Setup) -> FLRun:
+    """The FedAvg engine, given a seed's set-up: train, bound."""
+    w1 = setup.probed.w1
     train_loss, test_loss, usefulness, training_g, final_params, wstar_proxy = training_phase(
-        cfg, w1, test_data, node_datasets
+        cfg, w1, setup.test, setup.nodes
     )
     dist = estimate_initial_distance(w1, wstar_proxy)
-    bound_value, bound_notes = bound_phase(cfg, global_constants, dist)
+    bound_value, bound_notes = bound_phase(cfg, setup.probed.global_constants, dist)
     return FLRun(
         config=cfg,
         train_loss=train_loss,
@@ -413,9 +420,7 @@ def run_federated_partitioned(
         usefulness=usefulness,
         training_g=training_g,
         final_params=final_params,
-        global_constants=global_constants,
-        node_constants=node_constants,
-        probe_samples=probe_samples,
+        probed=setup.probed,
         bound_notes=bound_notes,
     )
 
@@ -423,7 +428,7 @@ def run_federated_partitioned(
 def run_federated(cfg: ScenarioConfig, data: Dataset) -> FLRun:
     """Partition a global dataset per the config, probe the nodes, then run the engine."""
     test_data, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
-    return run_federated_partitioned(cfg, test_data, nodes, probe_phase(cfg, nodes))
+    return run_federated_partitioned(cfg, Setup(test_data, tuple(nodes), probe_phase(cfg, nodes)))
 
 
 def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> None:
@@ -436,11 +441,11 @@ def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> No
     t = np.arange(1, n_rounds + 1)
     # gtrace.csv: every node's probe g values, then every round's training
     # norms node by node.
-    probe_nodes, n_probes, _ = run.probe_samples.shape
+    probe_nodes, n_probes, _ = run.probed.samples.shape
     probe_ids = np.repeat(np.arange(probe_nodes), n_probes)
     training_ids = np.tile(np.repeat(np.arange(n_nodes), steps), n_rounds)
-    probe_g, training_g = run.probe_samples[:, :, 1].ravel(), run.training_g.ravel()
-    estimates = (*run.node_constants, run.global_constants)
+    probe_g, training_g = run.probed.samples[:, :, 1].ravel(), run.training_g.ravel()
+    estimates = (*run.probed.node_constants, run.probed.global_constants)
     tables = {
         "rounds.csv": (t, run.train_loss, run.test_loss, run.bound_value),
         "usefulness.csv": (
@@ -451,17 +456,12 @@ def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> No
             np.concatenate([probe_ids, training_ids]),
             np.concatenate([probe_g, training_g]),
         ),
-        "constants.csv": (
-            [*range(len(run.node_constants)), -1],
-            [c.mu for c in estimates],
-            [c.L for c in estimates],
-            [c.G for c in estimates],
-            [c.n_probes for c in estimates],
-        ),
+        # Node i's row, then the global one as node -1; astuple gives mu, L, G, n_probes.
+        "constants.csv": ([*range(probe_nodes), -1], *zip(*map(astuple, estimates))),
         "probes.csv": (
             probe_ids,
             np.tile(np.arange(n_probes), probe_nodes),
-            run.probe_samples[:, :, 0].ravel(),
+            run.probed.samples[:, :, 0].ravel(),
             probe_g,
         ),
     }

@@ -85,8 +85,12 @@ class Dataset:
 
     def subset(self, indices: np.ndarray | slice) -> "Dataset":
         """The rows at an integer index array (a copy) or a slice (a view);
-        they were validated with ``self``."""
-        return Dataset._unchecked(self.features[indices], self.labels[indices], self.num_classes)
+        they were validated with ``self``. ``take`` gathers an index array's
+        rows with the bytes of ``features[indices]``, several times faster."""
+        if isinstance(indices, slice):
+            return Dataset._unchecked(self.features[indices], self.labels[indices], self.num_classes)
+        features, labels = self.features.take(indices, axis=0), self.labels.take(indices)
+        return Dataset._unchecked(features, labels, self.num_classes)
 
     @staticmethod
     def concat(parts: Iterable["Dataset"]) -> "Dataset":

@@ -17,6 +17,7 @@ from fedbound.cli import main
 from fedbound.data import SyntheticSpec, gen_synthetic, gen_synthetic_nodes
 from fedbound.flsim import (
     ScenarioConfig,
+    Setup,
     fedavg,
     partition_dataset,
     probe_phase,
@@ -93,7 +94,8 @@ def hetero_runs():
             lr=0.05, batch_size=32, n_probes=80, seed=seed,
         )
         test_data, nodes = gen_synthetic_nodes(HETERO_DATA, 8, 150, n_test=400, seed=seed)
-        run = run_federated_partitioned(cfg, test_data, nodes, probe_phase(cfg, nodes))
+        setup = Setup(test_data, tuple(nodes), probe_phase(cfg, nodes))
+        run = run_federated_partitioned(cfg, setup)
         out[seed] = (run, test_data, nodes)
     return out, time.perf_counter() - start
 
@@ -257,7 +259,7 @@ def test_07_probe_gradients_dominate_training_gradients(paired_runs):
     ratios = []
     for seed in SEEDS:
         base, _ = runs[seed]
-        probe_median = float(np.median(base.probe_samples[:, :, 1]))
+        probe_median = float(np.median(base.probed.samples[:, :, 1]))
         training_median = float(np.median(base.training_g))
         ratios.append(probe_median / training_median)
         wins += probe_median > training_median
@@ -274,8 +276,8 @@ def test_08_constants_correlate_with_usefulness(hetero_runs):
     for seed in SEEDS:
         run, _, _ = runs[seed]
         usefulness = usefulness_from_rounds(run.usefulness)
-        l_values = np.array([run.node_constants[i].L for i in range(8)])
-        g_values = np.array([run.node_constants[i].G for i in range(8)])
+        l_values = np.array([run.probed.node_constants[i].L for i in range(8)])
+        g_values = np.array([run.probed.node_constants[i].G for i in range(8)])
         spearman_l.append(correlate(l_values, usefulness)[1])
         spearman_g.append(correlate(g_values, usefulness)[1])
     mean_l, mean_g = float(np.mean(spearman_l)), float(np.mean(spearman_g))
@@ -294,7 +296,7 @@ def test_09_top_half_by_l_beats_bottom_half(hetero_runs):
     top_losses, bottom_losses = [], []
     for seed in SEEDS:
         run, test_data, nodes = runs[seed]
-        estimates = run.node_constants
+        estimates = run.probed.node_constants
         k = math.ceil(len(estimates) / 2)
         top = select_nodes(estimates, k, "top-L")
         bottom = set(range(len(estimates))) - top
@@ -305,7 +307,8 @@ def test_09_top_half_by_l_beats_bottom_half(hetero_runs):
                 lr=0.05, batch_size=32, n_probes=4, seed=seed,
             )
             subset = [nodes[i] for i in sorted(chosen)]
-            subset_run = run_federated_partitioned(cfg, test_data, subset, probe_phase(cfg, subset))
+            setup = Setup(test_data, tuple(subset), probe_phase(cfg, subset))
+            subset_run = run_federated_partitioned(cfg, setup)
             finals[name] = subset_run.test_loss[-1]
         top_losses.append(finals["top"])
         bottom_losses.append(finals["bottom"])

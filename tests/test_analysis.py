@@ -24,7 +24,7 @@ from fedbound.analysis import (
 from fedbound.cli import main
 from fedbound.config import ExperimentConfig, echo_lines
 from fedbound.data import SyntheticSpec, gen_synthetic
-from fedbound.flsim import FLRun, ScenarioConfig, run_federated, save_run
+from fedbound.flsim import FLRun, Probed, ScenarioConfig, run_federated, save_run
 from fedbound.model import softmax_spec
 from fedbound.probe import ConstantsEstimate
 from fedbound.rng import spawn_rng
@@ -47,9 +47,7 @@ def run_with_deltas(per_round_deltas):
         usefulness=deltas,
         training_g=np.empty((n_rounds, n_nodes, 0)),
         final_params=w,
-        global_constants=const,
-        node_constants=(const,) * n_nodes,
-        probe_samples=np.empty((n_nodes, 0, 2)),
+        probed=Probed(w, np.empty((n_nodes, 0, 2)), (const,) * n_nodes, const),
     )
 
 

@@ -356,6 +356,19 @@ class TestRunCommand:
         )
         assert not out.exists()
 
+    # Noise of sigma 1e308 overflows in data generation, which sets its own
+    # numpy error state and clips an infinity to 0 or 1 like any other value
+    # outside [0, 1]; the suite makes every warning an error.
+    @pytest.mark.parametrize("source", ["shared_pool", "node_knobs"])
+    def test_noise_that_overflows_runs_on_clipped_features(self, tmp_path, source):
+        path = tmp_path / "noisy.cfg"
+        path.write_text(SOURCES[source](tmp_path) + "data.noise_sigma = 1e308\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        cfg = config.read_config(path)
+        for seed in cfg.repeat_seeds:
+            _, nodes = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=seed))
+            assert all(np.isin(node.features, (0.0, 1.0)).all() for node in nodes)
+
     def test_missing_class_shortfall_on_every_split_fails_at_load(self, tmp_path, capsys):
         cfg = tmp_path / "short.cfg"
         # At separation 0.7, four classes place in 8 dimensions but not in

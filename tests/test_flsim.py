@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbound import flsim
+from fedbound import flsim, model, probe
 from fedbound.bound import estimate_initial_distance
 from fedbound.config import ExperimentConfig, echo_lines, load_config, preflight
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
     EmptyTestSplitError,
     ScenarioConfig,
+    Setup,
     fedavg,
     local_round,
     partition_dataset,
@@ -214,7 +215,7 @@ class TestLocalRound:
         cfg = scenario(local_epochs_per_round=3, batch_size=40)
         node, test, w = self.make_node(cfg)
         nodes = [node] * cfg.n_nodes
-        run = run_federated_partitioned(cfg, test, nodes, probe_phase(cfg, nodes))
+        run = run_federated_partitioned(cfg, Setup(test, tuple(nodes), probe_phase(cfg, nodes)))
         assert run.bound_notes == (EPOCHS_NOTE.format(3),)
         _, norms = local_round(node, w, cfg, round_states([1], epochs=3))
         assert norms.shape == (1, 3)
@@ -239,9 +240,9 @@ class TestRunFederated:
         assert run.usefulness.shape == (4, 2)
         assert run.training_g.shape == (4, 2, 2)
         assert (run.bound_value > 0).all()
-        assert run.global_constants.n_probes == cfg.n_probes * cfg.n_nodes
-        assert run.probe_samples.shape == (cfg.n_nodes, cfg.n_probes, 2)
-        assert run.probe_samples.dtype == np.float64
+        assert run.probed.global_constants.n_probes == cfg.n_probes * cfg.n_nodes
+        assert run.probed.samples.shape == (cfg.n_nodes, cfg.n_probes, 2)
+        assert run.probed.samples.dtype == np.float64
         assert run.bound_notes == ()
 
     def test_bound_values_strictly_decreasing(self):
@@ -307,9 +308,11 @@ class TestRunFederated:
     def test_two_epochs_equal_a_per_node_replay(self, model):
         cfg = scenario(n_nodes=3, rounds=3, batch_size=15, local_epochs_per_round=2, model=model)
         test, datasets = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
-        run = run_federated_partitioned(cfg, test, datasets, probe_phase(cfg, datasets))
+        setup = Setup(test, tuple(datasets), probe_phase(cfg, datasets))
+        run = run_federated_partitioned(cfg, setup)
         epochs = EPOCHS_NOTE.format(2)
-        assert run.bound_notes == ((epochs,) if run.global_constants.mu > 0 else (epochs, MU_NOTE))
+        mu = run.probed.global_constants.mu
+        assert run.bound_notes == ((epochs,) if mu > 0 else (epochs, MU_NOTE))
 
         # Replay one node and one single-vector call at a time.
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
@@ -350,7 +353,7 @@ class TestRunFederated:
         seed = cfg.repeat_seeds[0]
         diverging = replace(cfg.scenario, seed=seed, lr=1e10)
         with pytest.raises(ValueError, match="^parameter vector contains non-finite values$"):
-            run_federated_partitioned(diverging, *preflight(cfg, seed))
+            run_federated_partitioned(diverging, preflight(cfg, seed))
 
     def test_unequal_node_sizes_rejected(self, monkeypatch):
         cfg = scenario()
@@ -362,7 +365,7 @@ class TestRunFederated:
         # The engine is handed a probe result; its training phase rejects the nodes.
         equal = probe_phase(cfg, [nodes[0]] * 2)
         with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
-            run_federated_partitioned(cfg, test, nodes, equal)
+            run_federated_partitioned(cfg, Setup(test, tuple(nodes), equal))
         probed = []
         monkeypatch.setattr(flsim, "collect_probes", lambda *args: probed.append(args))
         with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
@@ -420,8 +423,8 @@ class TestRunFederated:
         fresh = run_federated(scenario(rounds=1), data)
         # Jitter of 1e-4 around w1 pins every node's curvature samples into a
         # far narrower band than fresh init-distribution draws produce.
-        tight_spread = tight.global_constants.L - tight.global_constants.mu
-        fresh_spread = fresh.global_constants.L - fresh.global_constants.mu
+        tight_spread = tight.probed.global_constants.L - tight.probed.global_constants.mu
+        fresh_spread = fresh.probed.global_constants.L - fresh.probed.global_constants.mu
         assert tight_spread < fresh_spread
 
     def test_loss_magnitude_g_formula(self):
@@ -436,7 +439,7 @@ class TestRunFederated:
             derive_seed(derive_seed(cfg.seed, "probe", 0), 0),
         )
         expected = abs(loss(cfg.model, v, nodes[0]))
-        assert run.probe_samples[0, 0, 1] == pytest.approx(expected, rel=1e-12)
+        assert run.probed.samples[0, 0, 1] == pytest.approx(expected, rel=1e-12)
 
 
 def spoiled(real, row, value):
@@ -542,7 +545,8 @@ class TestSaveRun:
     def test_probes_csv_rows_ordered_by_node_then_index(self, tmp_path):
         run = run_federated(scenario(rounds=1), gen_synthetic(synthetic_spec(), seed=12))
         samples = np.array([[[0.1, 3.0], [0.2, 4.0]], [[0.5, 1.0], [0.7, 2.0]]])
-        save_run(replace(run, probe_samples=samples), tmp_path, echo(scenario(rounds=1)))
+        probed = replace(run.probed, samples=samples)
+        save_run(replace(run, probed=probed), tmp_path, echo(scenario(rounds=1)))
         lines = (tmp_path / "probes.csv").read_text().splitlines()
         assert lines == [
             "node_id,probe_index,m_value,g_value",
@@ -584,7 +588,8 @@ def test_probe_and_training_phases_in_two_threads_match_serial_runs():
         seeded = replace(cfg.scenario, seed=seed)
         test, nodes = flsim.node_datasets(cfg.dataset, seeded)
         probed = probe_phase(seeded, nodes)
-        return probed, training_phase(seeded, probed[0], test, nodes)
+        fields = (probed.w1, probed.samples, probed.node_constants, probed.global_constants)
+        return fields, training_phase(seeded, probed.w1, test, nodes)
 
     serial = [phases(seed) for seed in seeds]
     # A short switch interval interleaves the two threads' kernel calls.
@@ -617,3 +622,36 @@ def test_repeated_probe_phase_takes_almost_no_page_faults():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     probe_phase(scenario, nodes)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+def test_each_phase_makes_its_pinned_kernel_calls(monkeypatch):
+    # hetero_eight_nodes seed 1. The probe phase makes two calls a node, one
+    # with a gradient, over its 80 probes. Training makes one gradient call a
+    # SGD step (5 a round) over the 8-node stack, and two loss calls a round:
+    # the 8 trained rows with their average on the test set, and the average
+    # on each node; w1 is scored the same two ways before the first round.
+    # Work that a change adds fails here without any timing.
+    calls = []
+
+    def spying(kernel):
+        def spy(spec, W, feats, labels, want_grad, want_loss=True):
+            calls.append((want_grad, len(W)))
+            return kernel(spec, W, feats, labels, want_grad, want_loss)
+
+        return spy
+
+    # Both bindings of the one kernel: the model's and the probe's.
+    for module in (model, probe):
+        monkeypatch.setattr(module, "_loss_and_grad_stacked", spying(module._loss_and_grad_stacked))
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    setup = preflight(cfg, 1)
+    probe_calls = calls.copy()
+    calls.clear()
+    run_federated_partitioned(replace(cfg.scenario, seed=1), setup)
+
+    def work(phase_calls):
+        """Calls, calls with a gradient and stack rows."""
+        return len(phase_calls), sum(g for g, _ in phase_calls), sum(n for _, n in phase_calls)
+
+    assert work(probe_calls) == (16, 8, 16 * 80)
+    assert work(calls) == (177, 125, 125 * 8 + (1 + 8) + 25 * (9 + 8))

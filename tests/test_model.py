@@ -348,6 +348,25 @@ class TestDataset:
         np.testing.assert_array_equal(rows.labels, data.labels[[5, 0, 5]])
         assert rows.num_classes == data.num_classes
 
+    @given(
+        n=st.integers(1, 40),
+        dim=st.integers(1, 6),
+        picks=st.lists(st.integers(-(2**31), 2**31), max_size=60),
+        dtype=st.sampled_from([np.int64, np.int32]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_subset_equals_fancy_indexing_bit_for_bit(self, n, dim, picks, dtype):
+        # Negative and repeated indices included; a slice stays a view.
+        rng = np.random.default_rng(n * 7 + dim)
+        data = Dataset(rng.uniform(0, 1, (n, dim)), rng.integers(0, 3, n), 3)
+        idx = np.array([p % (2 * n) - n for p in picks], dtype=dtype)
+        rows = data.subset(idx)
+        for got, expected in ((rows.features, data.features[idx]), (rows.labels, data.labels[idx])):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.flags.c_contiguous and got.tobytes() == expected.tobytes()
+        view = data.subset(slice(1, None, 2))
+        assert np.shares_memory(view.features, data.features) or len(view) == 0
+
 
 def _kernel_case(kind, d, k, h, l2, seed):
     """A spec of one kind; the quadratic's curvature is drawn from ``seed``."""
