@@ -162,17 +162,19 @@ def _tables(rows: list[tuple]) -> list[str]:
     mean line per scenario: the final losses and bound, then the constants'
     correlations with usefulness and the g medians."""
     width = max(24, *(len(row[0]) for row in rows))
+    seed_width = max(6, *(len(str(row[1])) for row in rows))
     means = [
         (name, "mean", *np.mean([row[2:] for row in rows if row[0] == name], axis=0))
         for name in dict.fromkeys(row[0] for row in rows)
     ]
-    label, triple = f"{'scenario':<{width}} {'seed':>6}", f"{'mu':>8}{'L':>8}{'G':>8}"
+    label = f"{'scenario':<{width}} {'seed':>{seed_width}}"
+    triple = f"{'mu':>8}{'L':>8}{'G':>8}"
     coefficients = "  {:>+8.3f}{:>+8.3f}{:>+8.3f}"
     tables = (
         ([f"{label}{'train':>10}{'test':>10}{'bound':>12}"], "{:>10.4f}{:>10.4f}{:>12.1f}", 2),
         (
             [
-                f"{'':<{width + 7}}  {'pearson':^24}  {'spearman':^24}  {'median g':^20}".rstrip(),
+                f"{'':<{len(label)}}  {'pearson':^24}  {'spearman':^24}  {'median g':^20}".rstrip(),
                 f"{label}  {triple}  {triple}  {'probe':>10}{'training':>10}",
             ],
             coefficients * 2 + "  {:>10.3f}{:>10.3f}",
@@ -182,7 +184,10 @@ def _tables(rows: list[tuple]) -> list[str]:
     lines = []
     for header, cells, first in tables:
         rule = "-" * len(header[-1])
-        body = [f"{r[0]:<{width}} {r[1]:>6}" + cells.format(*r[first:]) for r in rows + means]
+        body = [
+            f"{r[0]:<{width}} {r[1]:>{seed_width}}" + cells.format(*r[first:])
+            for r in rows + means
+        ]
         lines += ["", *header, rule, *body[: len(rows)], rule, *body[len(rows) :]]
     return lines[1:]
 
@@ -211,14 +216,13 @@ def _selftest_gradients(n_cases: int = 20) -> bool:
 
 def _selftest_quadratic() -> bool:
     data = Dataset(np.full((1, 2), 0.5), np.zeros(1, dtype=np.int64), 1)
-    sampler = probe.InitDistributionSampler()
     spec = quadratic_spec([1.0, 4.0])
-    diag = probe.constants_from_samples(probe.collect_probes(spec, data, 1000, sampler, rng_seed=7))
+    diag = probe.constants_from_samples(probe.collect_probes(spec, data, 1000, rng_seed=7))
     ok_diag = diag.mu >= 1.0 - 1e-9 and diag.L <= 4.0 + 1e-9
     print(f"{'PASS' if ok_diag else 'FAIL'} quadratic probe bracket "
           f"(m in [{diag.mu:.6f}, {diag.L:.6f}], expected [1, 4])")
     ident = quadratic_spec([1.0, 1.0, 1.0])
-    est = probe.constants_from_samples(probe.collect_probes(ident, data, 200, sampler, rng_seed=8))
+    est = probe.constants_from_samples(probe.collect_probes(ident, data, 200, rng_seed=8))
     ok_ident = abs(est.mu - 1.0) <= 1e-9 and abs(est.L - 1.0) <= 1e-9
     print(f"{'PASS' if ok_ident else 'FAIL'} identity curvature (mu={est.mu:.12f}, L={est.L:.12f})")
     return ok_diag and ok_ident

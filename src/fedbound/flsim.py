@@ -47,8 +47,6 @@ from .model import (
 from .probe import (
     G_FORMULAS,
     ConstantsEstimate,
-    GaussianPerturbationSampler,
-    InitDistributionSampler,
     ProbeFailure,
     aggregate_global,
     collect_probes,
@@ -303,23 +301,21 @@ def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed
     """Phase 1 of a run: probe every node's loss landscape around w1.
 
     Node i probes with seed ``derive_seed(cfg.seed, "probe", i)``, drawing
-    fresh parameter vectors or jitter around w1 per ``cfg.probe_sampler``.
-    A :class:`ProbeFailure` names the node whose probe failed.
+    fresh parameter vectors under ``cfg.probe_sampler`` ``init`` and
+    ``w1 + cfg.perturb_sigma * z`` under ``perturb``. A :class:`ProbeFailure`
+    names the node whose probe failed.
     """
     if len(node_datasets) != cfg.n_nodes:
         raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
     _check_equal_sizes(node_datasets)
     w1 = initial_params(cfg)
-    if cfg.probe_sampler == "init":
-        sampler = InitDistributionSampler()
-    else:
-        sampler = GaussianPerturbationSampler(center=tuple(w1), sigma=cfg.perturb_sigma)
+    affine = {} if cfg.probe_sampler == "init" else {"center": w1, "scale": cfg.perturb_sigma}
     node_seeds = derive_seeds((cfg.seed, "probe"), range(cfg.n_nodes))
     samples = []
     for node, (local, node_seed) in enumerate(zip(node_datasets, node_seeds)):
         try:
             samples.append(
-                collect_probes(cfg.model, local, cfg.n_probes, sampler, node_seed, cfg.g_formula)
+                collect_probes(cfg.model, local, cfg.n_probes, node_seed, cfg.g_formula, **affine)
             )
         except ProbeFailure as exc:
             raise ProbeFailure(exc.probe_index, exc.reason, node) from exc.__cause__

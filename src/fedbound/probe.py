@@ -12,7 +12,6 @@ estimate takes the worst case of per-node estimates in every coordinate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,40 +76,6 @@ class ConstantsEstimate:
             raise ValueError("n_probes must be positive")
 
 
-@dataclass(frozen=True)
-class InitDistributionSampler:
-    """Draws probe points from the model's initialization distribution."""
-
-    def map(self, spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-        """Probe points from standard normals ``z`` of shape ``(..., dim)``."""
-        return 0.0 + init_scales(spec) * z
-
-
-@dataclass(frozen=True)
-class GaussianPerturbationSampler:
-    """Draws probe points as ``center + sigma * N(0, I)``.
-
-    Useful for probing around current weights instead of fresh ones, e.g.
-    to compare probe-time against training-time gradient magnitudes.
-    """
-
-    center: tuple[float, ...]
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be finite and > 0 to give distinct pairs")
-
-    def map(self, spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-        """Probe points from standard normals ``z`` of shape ``(..., dim)``."""
-        return _check_params(spec, self.center) + self.sigma * z
-
-
-# A sampler is an affine map of standard normals; collect_probes draws the
-# normals from the probe's own stream.
-ProbeSampler = InitDistributionSampler | GaussianPerturbationSampler
-
-
 def _pair_values(spec: ModelSpec, U: np.ndarray, V: np.ndarray, data: Dataset):
     """F(u), F(v) and grad F(v) for stacked pairs; one kernel call per stack."""
     f_u, _ = _loss_and_grad_stacked(spec, U, data.features, data.labels, False)
@@ -164,18 +129,18 @@ def probe_stack_size(spec: ModelSpec, data: Dataset) -> int:
 
 
 def _draw_stack(
-    spec: ModelSpec, sampler: ProbeSampler, seeds: list[int]
+    spec: ModelSpec, center: float | np.ndarray, scale: np.ndarray, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``(P, dim)`` stacks U and V of the probes with these seeds.
 
-    Row p maps the first and second ``dim`` normals of one :func:`normal_rows`
+    Row p maps the first and second ``dim`` normals z of one :func:`normal_rows`
     row of ``2 * dim``, drawn from the ``probe-pair`` stream of ``seeds[p]``,
-    to u and v. A degenerate or overflowed row stays as drawn, for
-    :func:`_stack_samples` to reject.
+    to u and v as ``center + scale * z``. A degenerate or overflowed row stays
+    as drawn, for :func:`_stack_samples` to reject.
     """
     dim = param_dim(spec)
     Z = normal_rows("probe-pair", seeds, 2 * dim)
-    return sampler.map(spec, Z[:, :dim]), sampler.map(spec, Z[:, dim:])
+    return center + scale * Z[:, :dim], center + scale * Z[:, dim:]
 
 
 def _stack_samples(
@@ -213,35 +178,43 @@ def collect_probes(
     spec: ModelSpec,
     data: Dataset,
     n_probes: int,
-    sampler: ProbeSampler,
     rng_seed: int,
     g_formula: str = "gradient-norm",
+    center: float | ParamVector = 0.0,
+    scale: float | np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the probe loop; row i of the ``(n_probes, 2)`` array it returns is probe i's (m, g).
 
-    Probe i uses a seed derived from (rng_seed, i) only, so a longer run
-    extends a shorter one sample-for-sample. Probes are drawn, checked and
-    evaluated :func:`probe_stack_size` at a time, each stack's pairs from
-    one :func:`normal_rows` call. A failure names the first probe that drew
-    a non-finite vector or a degenerate pair, or gave a non-finite value; a
-    sampler that fails on a stack names the stack's first probe.
+    Probe i draws u and v as ``center + scale * z`` for standard normals z
+    from a seed derived from (rng_seed, i) only, so a longer run extends a
+    shorter one sample-for-sample. ``scale=None`` is :func:`init_scales`, so
+    the default draws from the initialization distribution. Probes are
+    drawn, checked and evaluated :func:`probe_stack_size` at a time, each
+    stack's pairs from one :func:`normal_rows` call. A failure names the
+    first probe that drew a non-finite vector or a degenerate pair, or gave
+    a non-finite value; a vector ``center`` that is no finite parameter
+    vector fails as probe 0.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
     if g_formula not in G_FORMULAS:
         raise ValueError(f"g_formula must be one of {G_FORMULAS}")
+    scale = init_scales(spec) if scale is None else np.asarray(scale, dtype=np.float64)
+    if scale.shape not in ((), (param_dim(spec),)):
+        raise ValueError(f"scale has shape {scale.shape}, expected () or ({param_dim(spec)},)")
+    if not (np.isfinite(scale).all() and (scale > 0.0).all()):
+        raise ValueError("scale (sigma) must be finite and > 0 to give distinct pairs")
     try:
         _check_data(spec, data)
+        if np.ndim(center):
+            center = _check_params(spec, center)
     except ValueError as exc:
         raise ProbeFailure(0, str(exc)) from exc
     stack = probe_stack_size(spec, data)
     probe_seeds = derive_seeds((rng_seed,), range(n_probes))
     samples = []
     for first in range(0, n_probes, stack):
-        try:
-            U, V = _draw_stack(spec, sampler, probe_seeds[first : first + stack])
-        except ValueError as exc:
-            raise ProbeFailure(first, str(exc)) from exc
+        U, V = _draw_stack(spec, center, scale, probe_seeds[first : first + stack])
         samples.append(_stack_samples(spec, U, V, data, g_formula, first))
     return np.concatenate(samples)
 

@@ -34,7 +34,7 @@ from fedbound.model import (
     sgd_epoch_traced,
     softmax_spec,
 )
-from fedbound.probe import InitDistributionSampler, collect_probes, compute_g, compute_m
+from fedbound.probe import collect_probes, compute_g, compute_m
 from fedbound.rng import derive_seed, spawn_rng
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -132,16 +132,15 @@ def test_01_gradients_match_finite_differences():
 def test_02_quadratic_probe_oracle():
     start = time.perf_counter()
     data = Dataset(np.full((1, 2), 0.5), np.zeros(1, dtype=np.int64), 1)
-    sampler = InitDistributionSampler()
 
     spec = quadratic_spec([1.0, 4.0])
-    samples = collect_probes(spec, data, 1000, sampler, rng_seed=21)
+    samples = collect_probes(spec, data, 1000, rng_seed=21)
     m_values = samples[:, 0]
     bracket_ok = bool(np.all(m_values >= 1.0 - 1e-9) and np.all(m_values <= 4.0 + 1e-9))
     mu_hat, l_hat = float(m_values.min()), float(m_values.max())
 
     ident = quadratic_spec([1.0, 1.0, 1.0])
-    ident_samples = collect_probes(ident, data, 1000, sampler, rng_seed=22)
+    ident_samples = collect_probes(ident, data, 1000, rng_seed=22)
     ident_m = ident_samples[:, 0]
     ident_ok = bool(np.all(np.abs(ident_m - 1.0) <= 1e-9))
 

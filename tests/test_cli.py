@@ -206,11 +206,11 @@ WIDE_PERTURB = "probe.sampler = perturb\nprobe.perturb_sigma = 1e200\n"
 _collect_probes = flsim.collect_probes
 
 
-def collect_probes_failing_at_seed_1_node_1(spec, data, n_probes, sampler, rng_seed, g_formula):
+def collect_probes_failing_at_seed_1_node_1(spec, data, n_probes, rng_seed, g_formula, **affine):
     """``probe.collect_probes``, except that probe 2 of node 1 of seed 1 fails."""
     if rng_seed == derive_seed(1, "probe", 1):
         raise ProbeFailure(2, "probe values must be finite")
-    return _collect_probes(spec, data, n_probes, sampler, rng_seed, g_formula)
+    return _collect_probes(spec, data, n_probes, rng_seed, g_formula, **affine)
 
 
 def count_set_up_calls(monkeypatch) -> list[str]:
@@ -924,6 +924,36 @@ class TestGoldenRun:
             )
             digests.append(tree_digest(out))
         assert digests[0] == digests[1]
+
+
+class TestProbePrefix:
+    # Probe i of a node draws from a seed of (node seed, i) only, under either
+    # sampler, so a run at fewer probes writes a prefix of each node's probes
+    # and trains the same. Its bound may differ: its constants come from
+    # fewer probes.
+    @pytest.mark.parametrize("sampler", ["init", "perturb"])
+    def test_fewer_probes_write_a_prefix_of_each_nodes_probes(self, tmp_path, monkeypatch, sampler):
+        shipped = (REPO / "configs" / "hetero_eight_nodes.cfg").read_text()
+        assert "probe.n_probes = 80\n" in shipped
+        monkeypatch.setenv("FEDBOUND_SEED", "1")
+        runs = {}
+        for n_probes in (20, 80):
+            config = tmp_path / f"n{n_probes}.cfg"
+            config.write_text(
+                shipped.replace("probe.n_probes = 80\n", f"probe.n_probes = {n_probes}\n")
+                + f"probe.sampler = {sampler}\n"
+            )
+            out = tmp_path / f"n{n_probes}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            run_dir = out / "hetero_eight_nodes_seed1"
+            probes = (run_dir / "probes.csv").read_text().splitlines()
+            rounds = (run_dir / "rounds.csv").read_text().splitlines()
+            # Each rounds.csv row without its bound_value cell.
+            runs[n_probes] = probes, [row.rsplit(",", 1)[0] for row in rounds]
+        (few, few_rounds), (many, many_rounds) = runs[20], runs[80]
+        assert len(few) == 1 + 8 * 20 and len(many) == 1 + 8 * 80
+        assert few == many[:1] + [row for row in many[1:] if int(row.split(",")[1]) < 20]
+        assert few_rounds == many_rounds
 
 
 class TestUndefinedBound:

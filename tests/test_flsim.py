@@ -34,7 +34,7 @@ from fedbound.model import (
     sgd_epoch_traced,
     softmax_spec,
 )
-from fedbound.probe import ConstantsEstimate, InitDistributionSampler
+from fedbound.probe import ConstantsEstimate
 from fedbound.rng import derive_seed, spawn_rng
 from test_probe import draw_probe_pair
 
@@ -433,11 +433,7 @@ class TestRunFederated:
         run = run_federated(cfg, data)
         # Replay node 0's first probe pair: its g must be |F(v)|, not a norm.
         _, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
-        _, v = draw_probe_pair(
-            cfg.model,
-            InitDistributionSampler(),
-            derive_seed(derive_seed(cfg.seed, "probe", 0), 0),
-        )
+        _, v = draw_probe_pair(cfg.model, derive_seed(derive_seed(cfg.seed, "probe", 0), 0))
         expected = abs(loss(cfg.model, v, nodes[0]))
         assert run.probed.samples[0, 0, 1] == pytest.approx(expected, rel=1e-12)
 

@@ -11,6 +11,7 @@ from fedbound.flsim import ScenarioConfig
 from fedbound.model import (
     Dataset,
     init_params,
+    init_scales,
     mlp_spec,
     param_dim,
     quadratic_spec,
@@ -21,8 +22,6 @@ from fedbound.model import (
 from fedbound.probe import (
     ConstantsEstimate,
     DegeneratePairError,
-    GaussianPerturbationSampler,
-    InitDistributionSampler,
     ProbeFailure,
     aggregate_global,
     collect_probes,
@@ -38,40 +37,72 @@ def dummy_data(dim=2):
     return Dataset(np.full((1, dim), 0.5), np.zeros(1, dtype=np.int64), 1)
 
 
-def draw_probe_pair(spec, sampler, rng_seed):
-    """Reference pair of the probe seeded ``rng_seed``: u and v map the first
-    and second ``dim`` normals of its ``probe-pair`` stream."""
+def draw_probe_pair(spec, rng_seed, center=0.0, scale=None):
+    """Reference pair of the probe seeded ``rng_seed``: u and v are
+    ``center + scale * z`` for the first and second ``dim`` normals z of its
+    ``probe-pair`` stream; ``scale`` defaults to the init scales."""
     u, v = spawn_rng("probe-pair", rng_seed).standard_normal((2, param_dim(spec)))
-    return sampler.map(spec, u), sampler.map(spec, v)
+    scale = init_scales(spec) if scale is None else scale
+    return center + scale * u, center + scale * v
+
+
+def recorded_draws(monkeypatch) -> list[list[int]]:
+    """The list to which each stack draw of ``collect_probes`` appends its seeds."""
+    draws, normal_rows = [], probe.normal_rows
+
+    def recorded(label, seeds, n):
+        draws.append(list(seeds))
+        return normal_rows(label, seeds, n)
+
+    monkeypatch.setattr(probe, "normal_rows", recorded)
+    return draws
 
 
 class TestDrawProbePair:
     def test_same_seed_same_pair(self):
         spec = quadratic_spec([1.0, 2.0, 3.0])
-        sampler = InitDistributionSampler()
-        U, V = probe._draw_stack(spec, sampler, [5, 5])
-        u, v = draw_probe_pair(spec, sampler, 5)
+        U, V = probe._draw_stack(spec, 0.0, init_scales(spec), [5, 5])
+        u, v = draw_probe_pair(spec, 5)
         assert U.tobytes() == np.stack([u, u]).tobytes()
         assert V.tobytes() == np.stack([v, v]).tobytes()
 
     def test_pair_is_distinct(self):
         spec = quadratic_spec([1.0, 1.0])
-        U, V = probe._draw_stack(spec, InitDistributionSampler(), list(range(50)))
+        U, V = probe._draw_stack(spec, 0.0, init_scales(spec), list(range(50)))
         assert (np.linalg.norm(U - V, axis=1) > 0).all()
 
-    def test_zero_sigma_sampler_rejected(self):
+    def test_zero_sigma_sampler_rejected(self, monkeypatch):
+        draws = recorded_draws(monkeypatch)
+        spec = quadratic_spec([1.0, 2.0])
         with pytest.raises(ValueError):
-            GaussianPerturbationSampler(center=(1.0, 2.0), sigma=0.0)
+            collect_probes(spec, dummy_data(2), 5, 0, center=np.array([1.0, 2.0]), scale=0.0)
+        assert draws == []
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
-    def test_non_finite_sigma_sampler_rejected(self, sigma):
+    def test_non_finite_sigma_sampler_rejected(self, monkeypatch, sigma):
+        draws = recorded_draws(monkeypatch)
+        spec = quadratic_spec([1.0, 2.0])
         with pytest.raises(ValueError, match="sigma"):
-            GaussianPerturbationSampler(center=(1.0, 2.0), sigma=sigma)
+            collect_probes(spec, dummy_data(2), 5, 0, center=np.array([1.0, 2.0]), scale=sigma)
+        assert draws == []
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            ([0.5, 0.5, 0.5], "shape"),
+            ([0.5, -0.5], "finite and > 0 to give distinct pairs"),
+            ([0.5, np.nan], "finite and > 0 to give distinct pairs"),
+        ],
+    )
+    def test_bad_scale_vector_rejected_before_any_draw(self, monkeypatch, scale, message):
+        draws = recorded_draws(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            collect_probes(quadratic_spec([1.0, 2.0]), dummy_data(2), 5, 0, scale=scale)
+        assert draws == []
 
     def test_perturbation_sampler_centers_draws(self):
         spec = quadratic_spec([1.0] * 4)
-        sampler = GaussianPerturbationSampler(center=(10.0, 10.0, 10.0, 10.0), sigma=0.01)
-        U, V = probe._draw_stack(spec, sampler, [0])
+        U, V = probe._draw_stack(spec, np.full(4, 10.0), 0.01, [0])
         assert np.all(np.abs(U - 10.0) < 1.0)
         assert np.all(np.abs(V - 10.0) < 1.0)
 
@@ -146,18 +177,18 @@ class TestEstimateConstants:
     def test_identity_quadratic_pins_mu_and_l(self):
         spec = quadratic_spec([1.0, 1.0, 1.0])
         data = dummy_data(3)
-        est = constants_from_samples(collect_probes(spec, data, 50, InitDistributionSampler(), 3))
+        est = constants_from_samples(collect_probes(spec, data, 50, 3))
         assert est.mu == pytest.approx(1.0, abs=1e-9)
         assert est.L == pytest.approx(1.0, abs=1e-9)
         # With H = I the gradient at v is v itself.
-        samples = collect_probes(spec, data, 50, InitDistributionSampler(), 3)
+        samples = collect_probes(spec, data, 50, 3)
         assert est.G == pytest.approx(samples[:, 1].max())
         assert est.n_probes == 50
 
     def test_diag_quadratic_brackets_eigenvalues(self):
         spec = quadratic_spec([1.0, 4.0])
         est = constants_from_samples(
-            collect_probes(spec, dummy_data(2), 1000, InitDistributionSampler(), 11)
+            collect_probes(spec, dummy_data(2), 1000, 11)
         )
         assert 1.0 - 1e-9 <= est.mu <= est.L <= 4.0 + 1e-9
 
@@ -172,7 +203,7 @@ class TestEstimateConstants:
         spec = softmax_spec(3, 2)
         mismatched = Dataset(np.full((2, 5), 0.5), np.zeros(2, dtype=np.int64), 2)
         with pytest.raises(ProbeFailure) as excinfo:
-            collect_probes(spec, mismatched, 4, InitDistributionSampler(), 0)
+            collect_probes(spec, mismatched, 4, 0)
         assert excinfo.value.probe_index == 0
 
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=100))
@@ -180,9 +211,8 @@ class TestEstimateConstants:
     def test_monotone_refinement(self, extra, seed):
         spec = quadratic_spec([0.5, 2.5, 5.0])
         data = dummy_data(3)
-        sampler = InitDistributionSampler()
-        small = constants_from_samples(collect_probes(spec, data, 5, sampler, seed))
-        big = constants_from_samples(collect_probes(spec, data, 5 + extra, sampler, seed))
+        small = constants_from_samples(collect_probes(spec, data, 5, seed))
+        big = constants_from_samples(collect_probes(spec, data, 5 + extra, seed))
         assert big.mu <= small.mu
         assert big.L >= small.L
         assert big.G >= small.G
@@ -190,9 +220,7 @@ class TestEstimateConstants:
     def test_mu_never_exceeds_l(self):
         for seed in range(10):
             est = constants_from_samples(
-                collect_probes(
-                    quadratic_spec([1.0, 9.0]), dummy_data(2), 20, InitDistributionSampler(), seed
-                )
+                collect_probes(quadratic_spec([1.0, 9.0]), dummy_data(2), 20, seed)
             )
             assert est.mu <= est.L
 
@@ -299,72 +327,47 @@ def small_stacks(monkeypatch, spec, data, stack):
     assert probe_stack_size(spec, data) == stack
 
 
-def first_normals(spec, rng_seed, i):
-    """The standard normals probe i maps to its pair, one row for u and one for v."""
-    dim = param_dim(spec)
-    stream = spawn_rng("probe-pair", derive_seed(rng_seed, i))
-    return stream.standard_normal(2 * dim).reshape(2, dim)
-
-
-def matches(z, rows):
-    """Which vectors of ``z`` (``(..., dim)``) equal one of ``rows``."""
-    return (z[..., None, :] == rows).all(axis=-1).any(axis=-1)
-
-
-class CoincidentFrom:
-    """Init-distribution points for the first pairs of the probes before
-    ``start``; any other normals map to one fixed point."""
-
-    def __init__(self, spec, rng_seed, start):
-        pairs = [first_normals(spec, rng_seed, i) for i in range(start)]
-        self.clean = np.array(pairs).reshape(-1, param_dim(spec))
-
-    def map(self, spec, z):
-        w = InitDistributionSampler().map(spec, z)
-        w[~matches(z, self.clean)] = 0.0
-        return w
-
-
-class BadDraw:
-    """Init-distribution points, except that the v of probe ``target`` is infinite."""
-
-    def __init__(self, spec, rng_seed, target):
-        self.v = first_normals(spec, rng_seed, target)[1:]
-
-    def map(self, spec, z):
-        w = InitDistributionSampler().map(spec, z)
-        w[matches(z, self.v)] = np.inf
-        return w
-
-
 class Poisoned:
-    """Init-distribution points, except for the probes ``kinds`` names: a
-    "degenerate" probe maps u and v to one point, an "inf" probe's v is
-    infinite, and a "value" probe's u lies so far out that its L2 penalty
-    overflows."""
+    """Init-distribution pairs, except for the probes ``kinds`` names, found
+    by their seeds: a "degenerate" probe draws u and v at one point, an "inf"
+    probe's v is infinite, and a "value" probe's u lies so far out that its
+    L2 penalty overflows."""
 
-    POINTS = {"degenerate": 0.0, "inf": np.inf, "value": 1e200}
+    def __init__(self, rng_seed, kinds):
+        self.kinds = {derive_seed(rng_seed, i): kind for i, kind in kinds.items()}
 
-    def __init__(self, spec, rng_seed, kinds):
-        self.rows = []
-        for i, kind in kinds.items():
-            normals = first_normals(spec, rng_seed, i)
-            rows = {"degenerate": normals, "inf": normals[1:], "value": normals[:1]}[kind]
-            self.rows.append((rows, self.POINTS[kind]))
+    def poison(self, seed, u, v):
+        """Poison, in place, the pair that the probe seeded ``seed`` drew."""
+        kind = self.kinds.get(seed)
+        if kind == "degenerate":
+            u[:] = v[:] = 0.0
+        elif kind == "inf":
+            v[:] = np.inf
+        elif kind == "value":
+            u[:] = 1e200
 
-    def map(self, spec, z):
-        w = InitDistributionSampler().map(spec, z)
-        for rows, point in self.rows:
-            w[matches(z, rows)] = point
-        return w
+    def install(self, monkeypatch):
+        """Make ``probe._draw_stack`` poison the rows of the probes ``kinds`` names."""
+        draw_stack = probe._draw_stack
+
+        def poisoned(spec, center, scale, seeds):
+            U, V = draw_stack(spec, center, scale, seeds)
+            for p, seed in enumerate(seeds):
+                self.poison(seed, U[p], V[p])
+            return U, V
+
+        monkeypatch.setattr(probe, "_draw_stack", poisoned)
 
 
-def first_failure(spec, data, n_probes, sampler, rng_seed):
+def first_failure(spec, data, n_probes, rng_seed, center=0.0, scale=None, poisoned=None):
     """The first probe the single-vector oracles reject, and their error, or None."""
     with np.errstate(all="ignore"):
         for i in range(n_probes):
             try:
-                u, v = draw_probe_pair(spec, sampler, derive_seed(rng_seed, i))
+                seed = derive_seed(rng_seed, i)
+                u, v = draw_probe_pair(spec, seed, center, scale)
+                if poisoned is not None:
+                    poisoned.poison(seed, u, v)
                 m, g = compute_m(spec, u, v, data), compute_g(spec, v, data)
                 if not (math.isfinite(m) and math.isfinite(g)):
                     raise ValueError("probe values must be finite")
@@ -378,7 +381,9 @@ def poisonings(draw):
     n_probes = draw(st.integers(1, 8))
     stack = draw(st.integers(1, n_probes))
     kinds = draw(
-        st.dictionaries(st.integers(0, n_probes - 1), st.sampled_from(sorted(Poisoned.POINTS)))
+        st.dictionaries(
+            st.integers(0, n_probes - 1), st.sampled_from(["degenerate", "inf", "value"])
+        )
     )
     return n_probes, stack, kinds
 
@@ -396,12 +401,11 @@ class TestStackedProbes:
         data = Dataset(rng.uniform(0, 1, (30, 5)), rng.integers(0, 3, 30), 3)
         small_stacks(monkeypatch, spec, data, 3)
         g_of = compute_g if g_formula == "gradient-norm" else lambda *a: abs(loss(*a))
-        perturb = GaussianPerturbationSampler(tuple(init_params(spec, 2)), 0.3)
-        for sampler in (InitDistributionSampler(), perturb):
-            samples = collect_probes(spec, data, 11, sampler, 9, g_formula)
+        for center, scale in ((0.0, None), (init_params(spec, 2), 0.3)):
+            samples = collect_probes(spec, data, 11, 9, g_formula, center, scale)
             assert len(samples) == 11
             for i, (m, g) in enumerate(samples):
-                u, v = draw_probe_pair(spec, sampler, derive_seed(9, i))
+                u, v = draw_probe_pair(spec, derive_seed(9, i), center, scale)
                 assert m == compute_m(spec, u, v, data)
                 assert g == g_of(spec, v, data)
 
@@ -410,10 +414,10 @@ class TestStackedProbes:
         spec = softmax_spec(4, 2, l2=0.01)
         rng = spawn_rng("toy", 5)
         data = Dataset(rng.uniform(0, 1, (20, 4)), rng.integers(0, 2, 20), 2)
-        whole = collect_probes(spec, data, 9, InitDistributionSampler(), 3)
+        whole = collect_probes(spec, data, 9, 3)
         small_stacks(monkeypatch, spec, data, stack)
-        short = collect_probes(spec, data, 5, InitDistributionSampler(), 3)
-        longer = collect_probes(spec, data, 9, InitDistributionSampler(), 3)
+        short = collect_probes(spec, data, 5, 3)
+        longer = collect_probes(spec, data, 9, 3)
         np.testing.assert_array_equal(short, longer[:5])
         np.testing.assert_array_equal(longer, whole)
 
@@ -423,8 +427,9 @@ class TestStackedProbes:
         rng = spawn_rng("toy", 6)
         data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
         small_stacks(monkeypatch, spec, data, stack)
+        Poisoned(0, dict.fromkeys(range(3, 6), "degenerate")).install(monkeypatch)
         with pytest.raises(ProbeFailure) as excinfo:
-            collect_probes(spec, data, 6, CoincidentFrom(spec, 0, 3), 0)
+            collect_probes(spec, data, 6, 0)
         assert excinfo.value.probe_index == 3
         assert isinstance(excinfo.value.__cause__, DegeneratePairError)
 
@@ -436,21 +441,23 @@ class TestStackedProbes:
         rng = spawn_rng("toy", 7)
         data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
         small_stacks(monkeypatch, spec, data, stack)
-        sampler = BadDraw(spec, 0, 4)
+        Poisoned(0, {4: bad}).install(monkeypatch)
         with pytest.raises(ProbeFailure, match=message) as excinfo:
-            collect_probes(spec, data, 8, sampler, 0)
+            collect_probes(spec, data, 8, 0)
         assert excinfo.value.probe_index == 4
 
     @pytest.mark.parametrize(
         "center, message", [((0.0,) * 7, "shape"), ((np.inf,) + (0.0,) * 9, "non-finite")]
     )
-    def test_bad_perturbation_center_names_probe_0(self, center, message):
+    def test_bad_perturbation_center_names_probe_0(self, monkeypatch, center, message):
         spec = softmax_spec(4, 2)
         rng = spawn_rng("toy", 7)
         data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
+        draws = recorded_draws(monkeypatch)
         with pytest.raises(ProbeFailure, match=message) as excinfo:
-            collect_probes(spec, data, 5, GaussianPerturbationSampler(center, 0.1), 0)
+            collect_probes(spec, data, 5, 0, center=center, scale=0.1)
         assert excinfo.value.probe_index == 0
+        assert draws == []
 
     # A bad vector later in the same stack (the v of probe 5) does not hide
     # the earlier probe's failure.
@@ -470,9 +477,10 @@ class TestStackedProbes:
             return f_u, f_v, grad_v
 
         monkeypatch.setattr(probe, "_pair_values", poisoned)
-        sampler = BadDraw(spec, 0, 5) if bad_later else InitDistributionSampler()
+        if bad_later:
+            Poisoned(0, {5: "inf"}).install(monkeypatch)
         with pytest.raises(ProbeFailure, match="probe 4 failed: probe values must be finite"):
-            collect_probes(spec, data, 9, sampler, 0)
+            collect_probes(spec, data, 9, 0)
 
     @given(poisonings())
     @settings(max_examples=40, deadline=None)
@@ -481,16 +489,17 @@ class TestStackedProbes:
         spec = softmax_spec(4, 2, l2=0.01)
         rng = spawn_rng("toy", 10)
         data = Dataset(rng.uniform(0, 1, (10, 4)), rng.integers(0, 2, 10), 2)
-        sampler = Poisoned(spec, 0, kinds)
-        expected = first_failure(spec, data, n_probes, sampler, 0)
+        poisoned = Poisoned(0, kinds)
+        expected = first_failure(spec, data, n_probes, 0, poisoned=poisoned)
         with pytest.MonkeyPatch.context() as mp:
             small_stacks(mp, spec, data, stack)
+            poisoned.install(mp)
             if not kinds:
                 assert expected is None
-                assert len(collect_probes(spec, data, n_probes, sampler, 0)) == n_probes
+                assert len(collect_probes(spec, data, n_probes, 0)) == n_probes
                 return
             with pytest.raises(ProbeFailure) as excinfo:
-                collect_probes(spec, data, n_probes, sampler, 0)
+                collect_probes(spec, data, n_probes, 0)
         index, exc = expected
         assert excinfo.value.probe_index == index == min(kinds)
         cause = excinfo.value.__cause__

@@ -119,6 +119,27 @@ def test_hidden_and_unrelated_directories_are_skipped(outputs, tmp_path, capsys)
     assert [seed for _, seed in constants] == seeds
 
 
+def test_tables_fit_a_seven_digit_seed(tmp_path, monkeypatch, capsys):
+    """Each table's rows and rules are one length, and its group header keeps
+    its place over the columns, whether the widest seed has 1 or 7 digits."""
+    out, config = tmp_path / "out", ROOT / "configs" / "five_nodes.cfg"
+    offsets = []
+    for seed in ("1", "1234567"):
+        monkeypatch.setenv("FEDBOUND_SEED", seed)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 0
+        tables = capsys.readouterr().out.split("\n\n")
+        assert len(tables) == 2
+        for table in tables:
+            lines = table.splitlines()
+            group = [line for line in lines if "pearson" in line]
+            label = next(line for line in lines if line.startswith("scenario"))
+            assert len({len(line) for line in lines if line not in group}) == 1, table
+            offsets += [g.index("pearson") - label.index("seed") for g in group]
+    assert len(offsets) == 2 and offsets[0] == offsets[1]
+
+
 @pytest.mark.parametrize("make", ["missing", "empty", "file", "other dirs"])
 def test_neither_kind_of_directory_exits_1_naming_it(tmp_path, capsys, make):
     path = tmp_path / "x"
