@@ -24,17 +24,18 @@ from fedbound.flsim import initial_params, node_datasets, training_phase
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg"
 
 
-def _selection(run_dir: Path, cfg: ExperimentConfig, seed: int, policy: str) -> set[int]:
+def _selection(run_dir: Path, seeded: ExperimentConfig, policy: str) -> set[int]:
     """The nodes that ``run_dir``'s selection.csv lists for ``policy``; a
-    ValueError says why the directory is not a run of ``cfg`` at ``seed``."""
+    ValueError says why the directory is not a run of ``seeded``, the config
+    at the run's seed."""
     lines = (run_dir / "config.txt").read_text(encoding="utf-8").splitlines()
-    shipped_lines = echo_lines(replace(cfg, scenario=replace(cfg.scenario, seed=seed)))
+    shipped_lines = echo_lines(seeded)
     for saved, shipped in zip_longest(lines, shipped_lines):
         if saved != shipped:
             raise ValueError(f"config.txt has {saved!r} where {CONFIG.name} gives {shipped!r}")
     policies, _, chosen = read_csv(run_dir / "selection.csv", RUN_TABLES["selection.csv"])
     ids = dict(zip(policies, chosen)).get(policy, "").split(";")
-    if not set(ids) <= {str(i) for i in range(cfg.scenario.n_nodes)}:
+    if not set(ids) <= {str(i) for i in range(seeded.scenario.n_nodes)}:
         raise ValueError(f"selection.csv has no {policy} row of the run's node ids")
     return set(map(int, ids))
 
@@ -54,8 +55,9 @@ def main() -> None:
     for run_dir in run_dirs(args.runs) if args.runs.is_dir() else []:
         name, _, seed = run_dir.name.rpartition("_seed")
         if name == cfg.scenario_name:
+            seeded = replace(cfg, scenario=replace(cfg.scenario, seed=int(seed)))
             try:
-                selections[int(seed)] = _selection(run_dir, cfg, int(seed), args.policy)
+                selections[int(seed)] = seeded.scenario, _selection(run_dir, seeded, args.policy)
             except (OSError, ValueError) as exc:
                 parser.error(f"{run_dir}: {exc}")
     if not selections:
@@ -64,15 +66,14 @@ def main() -> None:
     print(f"{'seed':>6}{'selected':>20}{'selected loss':>15}{'rest loss':>12}")
     print("-" * 53)
     losses = []
-    for seed, selected in sorted(selections.items()):
-        scenario = replace(cfg.scenario, seed=seed)
+    for seed, (scenario, selected) in sorted(selections.items()):
         test_data, nodes = node_datasets(cfg.dataset, scenario)
         w1 = initial_params(scenario)
         losses.append([])
         for subset in (selected, set(range(len(nodes))) - selected):
             subset_nodes = [nodes[i] for i in sorted(subset)]
-            _, test_loss, *_ = training_phase(scenario, w1, test_data, subset_nodes)
-            losses[-1].append(float(test_loss[-1]))
+            trained = training_phase(scenario, w1, test_data, subset_nodes)
+            losses[-1].append(float(trained.test_loss[-1]))
         ids = ",".join(str(i) for i in sorted(selected))
         print(f"{seed:>6}{ids:>20}{losses[-1][0]:>15.4f}{losses[-1][1]:>12.4f}")
     print("-" * 53)

@@ -157,10 +157,10 @@ class ReportInputs:
 
 def report_inputs_from_run(run: FLRun) -> ReportInputs:
     return ReportInputs(
-        usefulness=usefulness_from_rounds(run.usefulness),
+        usefulness=usefulness_from_rounds(run.trained.usefulness),
         node_constants=run.probed.node_constants,
         probe_g=run.probed.samples[:, :, 1].ravel(),
-        training_g=run.training_g.ravel(),
+        training_g=run.trained.training_g.ravel(),
         seed=run.config.seed,
     )
 

@@ -67,12 +67,13 @@ def _replace_dir(tmp_dir: Path, final_dir: Path) -> Path:
     return old_dir
 
 
-def run_one_seed(cfg: ExperimentConfig, seed: int, setup: flsim.Setup) -> None:
-    """Train, bound and write one seed from its :func:`preflight` set-up; each bound note
-    reaches stderr as a ``warning: seed <s>:`` line. The run directory is staged as
-    ``.tmp-<run>``, removed on failure; a previous one that cannot be deleted only warns."""
-    scenario = replace(cfg.scenario, seed=seed)
-    run = flsim.run_federated_partitioned(scenario, setup)
+def run_one_seed(cfg: ExperimentConfig, setup: flsim.Setup) -> None:
+    """Train, bound and write the seed of a :func:`preflight` set-up under its seeded
+    scenario; each bound note reaches stderr as a ``warning: seed <s>:`` line. The run
+    directory is staged as ``.tmp-<run>``, removed on failure; a previous one that cannot
+    be deleted only warns."""
+    seed = setup.scenario.seed
+    run = flsim.run_federated_partitioned(setup)
     for note in run.bound_notes:
         print(f"warning: seed {seed}: {note}", file=sys.stderr)
     run_name = f"{cfg.scenario_name}_seed{seed}"
@@ -81,7 +82,7 @@ def run_one_seed(cfg: ExperimentConfig, seed: int, setup: flsim.Setup) -> None:
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
     try:
-        flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=scenario)))
+        flsim.save_run(run, tmp_dir, echo_lines(replace(cfg, scenario=setup.scenario)))
         inputs = replace(analysis.report_inputs_from_run(run), selection_k=cfg.selection_k)
         analysis.write_reports(tmp_dir, inputs)
         old_dir = _replace_dir(tmp_dir, final_dir)
@@ -97,7 +98,7 @@ def run_one_seed(cfg: ExperimentConfig, seed: int, setup: flsim.Setup) -> None:
 
 def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
     """Set up one seed and run it: what ``fedbound run`` does for each seed."""
-    run_one_seed(cfg, seed, preflight(cfg, seed))
+    run_one_seed(cfg, preflight(cfg, seed))
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -114,7 +115,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     failed = []
     for seed in seeds:
         try:
-            run_one_seed(cfg, seed, setups.pop(seed))
+            run_one_seed(cfg, setups.pop(seed))
         except Exception as exc:
             failed.append((seed, str(exc)))
     if cfg.output_dir.is_dir():

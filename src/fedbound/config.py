@@ -53,9 +53,8 @@ class ExperimentConfig:
             if (stated := getattr(scenario.model, f)) != (fixed := getattr(self.dataset, f)):
                 message = f"{stated} differs from the data source's {fixed}"
                 raise _error(lines, _MODEL_KEYS[f].name, message)
-        if isinstance(self.dataset, CifarSource) and _COMMENT.search(str(self.dataset.path)):
-            message = "a '#' after whitespace would start a comment in config.txt"
-            raise _error(lines, _CIFAR_KEYS["path"].name, f"{self.dataset.path}: {message}")
+        if isinstance(self.dataset, CifarSource) and (why := _unechoable(str(self.dataset.path))):
+            raise _error(lines, _CIFAR_KEYS["path"].name, f"{self.dataset.path}: {why}")
         # Sizes that fail without any data; :func:`preflight` checks the rest.
         if scenario.batch_size > (per_node := scenario.samples_per_node):
             key = _first_set(lines, s["batch_size"], s["samples_per_node"])
@@ -81,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("scenario_name must be nonempty")
         if name.startswith(".") or set(name) & set("/\\,"):
             raise ValueError(f"scenario_name {name!r} holds '/', '\\' or ',' or starts with '.'")
+        if why := _unechoable(name):
+            raise ValueError(f"scenario_name {name!r}: {why}")
         if self.selection_k is not None and not 1 <= self.selection_k <= n:
             raise ValueError(f"selection_k must lie in [1, {n}]")
 
@@ -203,6 +204,19 @@ KNOWN_KEYS = frozenset(k.name for table in _TABLES for k in table.values())
 # The one data.source that reads each data key.
 _KEY_SOURCE = {k.name: source for source, (_, keys) in _SOURCES.items() for k in keys.values()}
 _COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _unechoable(value: str) -> str | None:
+    """Why a text value would not read back from its ``key = value`` line in
+    config.txt, which is cut at a comment, stripped and split into lines; None
+    if it would."""
+    if _COMMENT.search(value):
+        return "a '#' after whitespace would start a comment in config.txt"
+    if value != value.strip():
+        return "leading or trailing whitespace would be stripped from config.txt"
+    if value.splitlines() != [value]:
+        return "a line break would split its config.txt line"
+    return None
 
 
 def _error(lines: Mapping[str, int], key: str, message: str) -> ConfigError:
@@ -354,7 +368,7 @@ def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
     except EmptyTestSplitError as exc:
         raise _error(lines, _first_set(lines, s["test_fraction"], pool[0]), str(exc)) from exc
     try:
-        return Setup(test_data, tuple(nodes), probe_phase(scenario, nodes))
+        return Setup(scenario, test_data, tuple(nodes), probe_phase(scenario, nodes))
     except ProbeFailure as exc:
         if scenario.probe_sampler == "init":
             raise ValueError(f"seed {seed} failed: {exc}") from exc

@@ -37,6 +37,7 @@ from .csvio import RUN_TABLES, write_csv
 from .data import CifarSource, SyntheticSpec, gen_synthetic, gen_synthetic_nodes
 from .model import (
     Dataset,
+    DivergenceError,
     ModelSpec,
     ParamVector,
     init_params,
@@ -107,18 +108,6 @@ class ScenarioConfig:
                 raise ValueError(f"missing_classes {bad} outside [0, {k})")
 
 
-def _check_rounds(cfg: ScenarioConfig, train_loss, test_loss, usefulness, *columns) -> None:
-    """Reject per-round columns that are not one row per round of ``cfg``,
-    non-finite losses or non-finite usefulness deltas."""
-    for column in (train_loss, test_loss, usefulness, *columns):
-        if len(column) != cfg.rounds:
-            raise ValueError(f"run has {len(column)} rounds, config says {cfg.rounds}")
-    if not (np.isfinite(train_loss).all() and np.isfinite(test_loss).all()):
-        raise ValueError("losses must be finite")
-    if not np.isfinite(usefulness).all():
-        raise ValueError("usefulness must be finite")
-
-
 @dataclass(frozen=True)
 class Probed:
     """A :func:`probe_phase` result: w1, the initial global parameters; the ``(N, n_probes, 2)``
@@ -132,32 +121,49 @@ class Probed:
 
 
 @dataclass(frozen=True)
-class FLRun:
-    """A finished federated run with everything the analysis stage consumes.
+class Trained:
+    """A :func:`training_phase` result. Round t's observables sit at row t - 1 of
+    each column: ``train_loss`` and ``test_loss`` are ``(T,)``, the losses at the
+    aggregated model, ``usefulness[t - 1, i]`` is node i's delta in global test
+    loss and ``training_g[t - 1, i]`` its batch-gradient norms, one per SGD step
+    in step order. ``final_params`` are the last global parameters and
+    ``wstar_proxy`` the optimum proxy."""
 
-    Round t's observables sit at row t - 1 of each per-round column:
-    ``train_loss``, ``test_loss`` and ``bound_value`` are ``(T,)`` (losses at
-    the aggregated model), ``usefulness[t - 1, i]`` is node i's delta in
-    global test loss and ``training_g[t - 1, i]`` its batch-gradient norms,
-    one per SGD step in step order. ``probed`` is the probe result the run
-    trained after, and ``bound_notes`` holds the caveats of :func:`bound_phase`.
-    """
-
-    config: ScenarioConfig
     train_loss: np.ndarray
     test_loss: np.ndarray
-    bound_value: np.ndarray
     usefulness: np.ndarray
     training_g: np.ndarray
     final_params: ParamVector
+    wstar_proxy: ParamVector
+
+    def __post_init__(self):
+        columns = (self.train_loss, self.test_loss, self.usefulness, self.training_g)
+        rounds = sorted({len(column) for column in columns})
+        if len(rounds) > 1:
+            raise ValueError(f"training columns differ in round count: {rounds}")
+        if not (np.isfinite(self.train_loss).all() and np.isfinite(self.test_loss).all()):
+            raise ValueError("losses must be finite")
+        if not np.isfinite(self.usefulness).all():
+            raise ValueError("usefulness must be finite")
+
+
+@dataclass(frozen=True)
+class FLRun:
+    """A finished federated run with everything the analysis stage consumes:
+    ``probed``, the probe result it trained after; ``trained``, its training
+    result; ``bound_value``, round t's bound at row t - 1; and ``bound_notes``,
+    the caveats of :func:`bound_phase`."""
+
+    config: ScenarioConfig
     probed: Probed
+    trained: Trained
+    bound_value: np.ndarray
     bound_notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        _check_rounds(
-            self.config, self.train_loss, self.test_loss, self.usefulness,
-            self.bound_value, self.training_g,
-        )
+        for column in (self.trained.train_loss, self.bound_value):
+            if len(column) != self.config.rounds:
+                raise ValueError(f"run has {len(column)} rounds, config says {self.config.rounds}")
 
 
 class ShortfallError(ValueError):
@@ -263,15 +269,22 @@ def local_round(
     one stack. ``states`` is one round of :func:`shuffle_states`: epoch e
     orders node i's block by the ``permutation(n)`` drawn from ``states[e, i]``.
     Returns the ``(N, dim)`` trained stack and the ``(N, steps)`` array of each
-    node's batch-gradient norms, one per SGD step.
+    node's batch-gradient norms, one per SGD step. A ValueError names the node,
+    the epoch if there are several, and the SGD step that left non-finite parameters.
     """
-    _, n_nodes, _ = states.shape
+    epochs, n_nodes, _ = states.shape
     stack = np.tile(np.asarray(global_params, dtype=np.float64), (n_nodes, 1))
     n = len(rows) // n_nodes
     norms = []
-    for epoch_states in states:
+    for epoch, epoch_states in enumerate(states, 1):
         order = permutations(epoch_states, n)
-        stack, epoch_norms = sgd_epoch_traced(cfg.model, stack, rows, cfg.lr, cfg.batch_size, order)
+        try:
+            stack, epoch_norms = sgd_epoch_traced(
+                cfg.model, stack, rows, cfg.lr, cfg.batch_size, order
+            )
+        except DivergenceError as exc:
+            where = f"node {exc.row}: " + (f"epoch {epoch}: " if epochs > 1 else "")
+            raise ValueError(f"{where}SGD step {exc.step} left non-finite parameters") from exc
         norms.append(epoch_norms)
     return stack, np.concatenate(norms).T
 
@@ -290,8 +303,10 @@ def initial_params(cfg: ScenarioConfig) -> ParamVector:
 
 @dataclass(frozen=True)
 class Setup:
-    """A seed's set-up: its test set, its node datasets and their probe result."""
+    """A seed's set-up: the seeded scenario it was built for, its test set, its
+    node datasets and their probe result."""
 
+    scenario: ScenarioConfig
     test: Dataset
     nodes: tuple[Dataset, ...]
     probed: Probed
@@ -327,19 +342,17 @@ def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed
 @np.errstate(all="ignore")
 def training_phase(
     cfg: ScenarioConfig, w1: ParamVector, test_data: Dataset, node_datasets: Sequence[Dataset]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ParamVector, ParamVector]:
+) -> Trained:
     """Phase 2 of a run: ``cfg.rounds`` FedAvg rounds from w1 over the given nodes,
     which must hold equally many rows (the bound is for equally weighted FedAvg).
 
     Node i of round t trains with seed ``derive_seed(cfg.seed, "round", t, i)``
     (see :func:`shuffle_states`); the probes are never read, so a subset of a
     run's nodes trains the same whether or not they were probed first. Every
-    shuffle of the run is seeded before the first round. Returns the per-round
-    columns of :class:`FLRun` but the bound, ``train_loss``, ``test_loss``,
-    ``usefulness`` and ``training_g``, then the final global parameters and the
-    optimum proxy: the earliest parameters, w1 included, with the lowest mean
-    training loss over the nodes. numpy's floating-point errors are off: non-finite
-    parameters, losses or deltas raise the run's own ValueError.
+    shuffle of the run is seeded before the first round. The optimum proxy of the
+    :class:`Trained` result is the earliest parameters, w1 included, with the
+    lowest mean training loss over the nodes. numpy's floating-point errors are
+    off: non-finite parameters, losses or deltas raise the run's own ValueError.
     """
     _check_equal_sizes(node_datasets)
     rows = Dataset.concat(node_datasets)
@@ -356,8 +369,11 @@ def training_phase(
     best_loss = train_loss_at(w1)
     test_loss = loss(cfg.model, w1, test_data)
     train_losses, test_losses, deltas, norms = [], [], [], []
-    for states in shuffles:
-        trained, round_norms = local_round(rows, current, cfg, states)
+    for t, states in enumerate(shuffles, 1):
+        try:
+            trained, round_norms = local_round(rows, current, cfg, states)
+        except ValueError as exc:
+            raise ValueError(f"round {t}: {exc}") from exc
         current = fedavg(trained)
         # The trained rows and their average on the one test set, in one
         # kernel call; row i equals loss(cfg.model, row, test_data) bit for bit.
@@ -370,9 +386,10 @@ def training_phase(
         train_losses.append(train_loss)
         test_losses.append(test_loss)
         norms.append(round_norms)
-    columns = (np.array(train_losses), np.array(test_losses), np.stack(deltas), np.stack(norms))
-    _check_rounds(cfg, *columns)
-    return (*columns, current, wstar_proxy)
+    return Trained(
+        np.array(train_losses), np.array(test_losses), np.stack(deltas), np.stack(norms),
+        current, wstar_proxy,
+    )
 
 
 def bound_phase(
@@ -400,31 +417,19 @@ def bound_phase(
     return [convergence_bound(t, params) for t in range(1, cfg.rounds + 1)], tuple(notes)
 
 
-def run_federated_partitioned(cfg: ScenarioConfig, setup: Setup) -> FLRun:
+def run_federated_partitioned(setup: Setup) -> FLRun:
     """The FedAvg engine, given a seed's set-up: train, bound."""
-    w1 = setup.probed.w1
-    train_loss, test_loss, usefulness, training_g, final_params, wstar_proxy = training_phase(
-        cfg, w1, setup.test, setup.nodes
-    )
-    dist = estimate_initial_distance(w1, wstar_proxy)
-    bound_value, bound_notes = bound_phase(cfg, setup.probed.global_constants, dist)
-    return FLRun(
-        config=cfg,
-        train_loss=train_loss,
-        test_loss=test_loss,
-        bound_value=np.array(bound_value),
-        usefulness=usefulness,
-        training_g=training_g,
-        final_params=final_params,
-        probed=setup.probed,
-        bound_notes=bound_notes,
-    )
+    cfg, probed = setup.scenario, setup.probed
+    trained = training_phase(cfg, probed.w1, setup.test, setup.nodes)
+    dist = estimate_initial_distance(probed.w1, trained.wstar_proxy)
+    bound_value, bound_notes = bound_phase(cfg, probed.global_constants, dist)
+    return FLRun(cfg, probed, trained, np.array(bound_value), bound_notes)
 
 
 def run_federated(cfg: ScenarioConfig, data: Dataset) -> FLRun:
     """Partition a global dataset per the config, probe the nodes, then run the engine."""
     test_data, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
-    return run_federated_partitioned(cfg, Setup(test_data, tuple(nodes), probe_phase(cfg, nodes)))
+    return run_federated_partitioned(Setup(cfg, test_data, tuple(nodes), probe_phase(cfg, nodes)))
 
 
 def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> None:
@@ -433,19 +438,21 @@ def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> No
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.txt").write_text("\n".join(config_lines) + "\n", encoding="utf-8")
-    n_rounds, n_nodes, steps = run.training_g.shape
+    trained = run.trained
+    n_rounds, n_nodes, steps = trained.training_g.shape
     t = np.arange(1, n_rounds + 1)
     # gtrace.csv: every node's probe g values, then every round's training
     # norms node by node.
     probe_nodes, n_probes, _ = run.probed.samples.shape
     probe_ids = np.repeat(np.arange(probe_nodes), n_probes)
     training_ids = np.tile(np.repeat(np.arange(n_nodes), steps), n_rounds)
-    probe_g, training_g = run.probed.samples[:, :, 1].ravel(), run.training_g.ravel()
+    probe_g, training_g = run.probed.samples[:, :, 1].ravel(), trained.training_g.ravel()
     estimates = (*run.probed.node_constants, run.probed.global_constants)
     tables = {
-        "rounds.csv": (t, run.train_loss, run.test_loss, run.bound_value),
+        "rounds.csv": (t, trained.train_loss, trained.test_loss, run.bound_value),
         "usefulness.csv": (
-            np.repeat(t, n_nodes), np.tile(np.arange(n_nodes), n_rounds), run.usefulness.ravel()
+            np.repeat(t, n_nodes), np.tile(np.arange(n_nodes), n_rounds),
+            trained.usefulness.ravel(),
         ),
         "gtrace.csv": (
             ["probe"] * probe_g.size + ["training"] * training_g.size,

@@ -433,6 +433,23 @@ def shared_data_loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.
     return losses
 
 
+class DivergenceError(ValueError):
+    """An SGD epoch left non-finite parameters: ``step`` is the 1-based step that
+    did, ``row`` the first stack row it left non-finite (None for a single vector)."""
+
+    def __init__(self, step: int, row: int | None = None):
+        where = "" if row is None else f", first in stack row {row}"
+        super().__init__(f"SGD left non-finite parameters after {step} steps{where}")
+        self.step = step
+        self.row = row
+
+
+def _diverged(stack: np.ndarray, steps: int, single: bool) -> DivergenceError:
+    """The error of an epoch whose first ``steps`` steps left ``stack`` non-finite."""
+    row = int(np.flatnonzero(~np.isfinite(stack).all(axis=1))[0])
+    return DivergenceError(steps, None if single else row)
+
+
 def sgd_epoch_traced(
     spec: ModelSpec,
     params: ParamVector,
@@ -452,7 +469,8 @@ def sgd_epoch_traced(
     ``order`` is block p's order within the block, and each step makes one
     stacked :func:`gradient` call; the norms then come back as a ``(steps, P)``
     array. Row p equals the single-vector call on block p with order row p,
-    bit for bit.
+    bit for bit. A step that leaves non-finite parameters raises a
+    :class:`DivergenceError` naming it.
     """
     if not 0.0 <= lr < math.inf:
         raise ValueError("lr must be finite and >= 0")
@@ -479,15 +497,21 @@ def sgd_epoch_traced(
     current = stack.copy()
     sq_norms = np.empty((len(starts), blocks))
     hi = 0
-    for step, start in enumerate(starts):
-        lo, hi = hi, hi + blocks * min(batch_size, n - start)
-        grad = gradient(spec, current, epoch.subset(slice(lo, hi)))
-        sq_norms[step] = np.vecdot(grad, grad)
-        current = current - lr * grad
-    # Each step's gradient call checks the stack it starts from; this checks
-    # the one the last step leaves.
+    try:
+        for step, start in enumerate(starts):
+            lo, hi = hi, hi + blocks * min(batch_size, n - start)
+            grad = gradient(spec, current, epoch.subset(slice(lo, hi)))
+            sq_norms[step] = np.vecdot(grad, grad)
+            current = current - lr * grad
+    except ValueError:
+        # Each step's gradient call checks the stack it starts from, so the
+        # first one to fail it is the one the previous ``step`` steps left.
+        if np.isfinite(current).all():
+            raise
+        raise _diverged(current, step, single) from None
+    # This checks the stack the last step leaves.
     if not np.isfinite(current).all():
-        raise ValueError(f"SGD left non-finite parameters after {len(starts)} steps")
+        raise _diverged(current, len(starts), single)
     # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
     norms = np.sqrt(sq_norms)
     return (current[0], norms[:, 0]) if single else (current, norms)

@@ -94,8 +94,8 @@ def hetero_runs():
             lr=0.05, batch_size=32, n_probes=80, seed=seed,
         )
         test_data, nodes = gen_synthetic_nodes(HETERO_DATA, 8, 150, n_test=400, seed=seed)
-        setup = Setup(test_data, tuple(nodes), probe_phase(cfg, nodes))
-        run = run_federated_partitioned(cfg, setup)
+        setup = Setup(cfg, test_data, tuple(nodes), probe_phase(cfg, nodes))
+        run = run_federated_partitioned(setup)
         out[seed] = (run, test_data, nodes)
     return out, time.perf_counter() - start
 
@@ -209,7 +209,7 @@ def test_04_single_node_run_equals_centralized_sgd():
         seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
         order = spawn_rng("sgd", seed).permutation(len(nodes[0]))
         w = sgd_epoch_traced(model, w, nodes[0], cfg.lr, cfg.batch_size, order)[0]
-    gap = float(np.abs(w - run.final_params).max())
+    gap = float(np.abs(w - run.trained.final_params).max())
     elapsed = time.perf_counter() - start
     ok = gap <= 1e-9 and elapsed < 30.0
     report("04 federated degeneracy", ok,
@@ -223,8 +223,8 @@ def test_05_missing_class_trains_easier_tests_worse(paired_runs):
     wins = 0
     for seed in SEEDS:
         base, miss = runs[seed]
-        train_ok = miss.train_loss[-1] < base.train_loss[-1]
-        test_ok = miss.test_loss[-1] > base.test_loss[-1]
+        train_ok = miss.trained.train_loss[-1] < base.trained.train_loss[-1]
+        test_ok = miss.trained.test_loss[-1] > base.trained.test_loss[-1]
         wins += train_ok and test_ok
     ok = wins >= 4 and build_time < 300.0
     report("05 missing-class divergence", ok,
@@ -240,7 +240,7 @@ def test_06_bound_dominates_observed_loss_gap(paired_runs):
     for seed in SEEDS:
         for run in runs[seed]:
             final_bound = run.bound_value[-1]
-            gap = run.train_loss[-1] - min(run.train_loss)
+            gap = run.trained.train_loss[-1] - min(run.trained.train_loss)
             if not final_bound >= 10.0 * gap:
                 ok = False
             if gap > 0:
@@ -259,7 +259,7 @@ def test_07_probe_gradients_dominate_training_gradients(paired_runs):
     for seed in SEEDS:
         base, _ = runs[seed]
         probe_median = float(np.median(base.probed.samples[:, :, 1]))
-        training_median = float(np.median(base.training_g))
+        training_median = float(np.median(base.trained.training_g))
         ratios.append(probe_median / training_median)
         wins += probe_median > training_median
     ok = wins >= 4
@@ -274,7 +274,7 @@ def test_08_constants_correlate_with_usefulness(hetero_runs):
     spearman_l, spearman_g = [], []
     for seed in SEEDS:
         run, _, _ = runs[seed]
-        usefulness = usefulness_from_rounds(run.usefulness)
+        usefulness = usefulness_from_rounds(run.trained.usefulness)
         l_values = np.array([run.probed.node_constants[i].L for i in range(8)])
         g_values = np.array([run.probed.node_constants[i].G for i in range(8)])
         spearman_l.append(correlate(l_values, usefulness)[1])
@@ -306,9 +306,9 @@ def test_09_top_half_by_l_beats_bottom_half(hetero_runs):
                 lr=0.05, batch_size=32, n_probes=4, seed=seed,
             )
             subset = [nodes[i] for i in sorted(chosen)]
-            setup = Setup(test_data, tuple(subset), probe_phase(cfg, subset))
-            subset_run = run_federated_partitioned(cfg, setup)
-            finals[name] = subset_run.test_loss[-1]
+            setup = Setup(cfg, test_data, tuple(subset), probe_phase(cfg, subset))
+            subset_run = run_federated_partitioned(setup)
+            finals[name] = subset_run.trained.test_loss[-1]
         top_losses.append(finals["top"])
         bottom_losses.append(finals["bottom"])
     mean_top, mean_bottom = float(np.mean(top_losses)), float(np.mean(bottom_losses))
@@ -361,7 +361,7 @@ def test_10_unit_example_suite():
         ),
         gen_synthetic(SyntheticSpec(num_classes=3, feature_dim=4, samples_per_class=30), 1),
     )
-    assert all(u == 0.0 for u in usefulness_from_rounds(frozen_run.usefulness))
+    assert all(u == 0.0 for u in usefulness_from_rounds(frozen_run.trained.usefulness))
 
     w = np.array([1.0, -2.0])
     np.testing.assert_array_equal(fedavg([w, w.copy()]), w)

@@ -24,7 +24,7 @@ from fedbound.analysis import (
 from fedbound.cli import main
 from fedbound.config import ExperimentConfig, echo_lines
 from fedbound.data import SyntheticSpec, gen_synthetic
-from fedbound.flsim import FLRun, Probed, ScenarioConfig, run_federated, save_run
+from fedbound.flsim import FLRun, Probed, ScenarioConfig, Trained, run_federated, save_run
 from fedbound.model import softmax_spec
 from fedbound.probe import ConstantsEstimate
 from fedbound.rng import spawn_rng
@@ -41,26 +41,29 @@ def run_with_deltas(per_round_deltas):
     w = np.zeros(3)
     return FLRun(
         config=cfg,
-        train_loss=np.ones(n_rounds),
-        test_loss=np.ones(n_rounds),
-        bound_value=np.ones(n_rounds),
-        usefulness=deltas,
-        training_g=np.empty((n_rounds, n_nodes, 0)),
-        final_params=w,
         probed=Probed(w, np.empty((n_nodes, 0, 2)), (const,) * n_nodes, const),
+        trained=Trained(
+            train_loss=np.ones(n_rounds),
+            test_loss=np.ones(n_rounds),
+            usefulness=deltas,
+            training_g=np.empty((n_rounds, n_nodes, 0)),
+            final_params=w,
+            wstar_proxy=w,
+        ),
+        bound_value=np.ones(n_rounds),
     )
 
 
 class TestNodeUsefulness:
     def test_mean_of_round_deltas(self):
         run = run_with_deltas([[0.5], [0.3]])
-        usefulness = usefulness_from_rounds(run.usefulness)
+        usefulness = usefulness_from_rounds(run.trained.usefulness)
         assert usefulness.shape == (1,)
         assert usefulness[0] == pytest.approx(0.4)
 
     def test_single_round_is_identity(self):
         run = run_with_deltas([[0.7, -0.2]])
-        np.testing.assert_array_equal(usefulness_from_rounds(run.usefulness), [0.7, -0.2])
+        np.testing.assert_array_equal(usefulness_from_rounds(run.trained.usefulness), [0.7, -0.2])
 
     def test_zero_lr_run_gives_all_zero(self):
         data = gen_synthetic(
@@ -71,14 +74,14 @@ class TestNodeUsefulness:
             lr=0.0, batch_size=30, n_probes=2, seed=1,
         )
         run = run_federated(cfg, data)
-        np.testing.assert_array_equal(usefulness_from_rounds(run.usefulness), [0.0, 0.0])
+        np.testing.assert_array_equal(usefulness_from_rounds(run.trained.usefulness), [0.0, 0.0])
 
     def test_concatenation_linearity(self):
         first = run_with_deltas([[0.4], [0.8]])
         second = run_with_deltas([[-0.2], [0.6]])
-        merged = usefulness_from_rounds(np.concatenate((first.usefulness, second.usefulness)))
-        a = usefulness_from_rounds(first.usefulness)[0]
-        b = usefulness_from_rounds(second.usefulness)[0]
+        merged = usefulness_from_rounds(np.concatenate((first.trained.usefulness, second.trained.usefulness)))
+        a = usefulness_from_rounds(first.trained.usefulness)[0]
+        b = usefulness_from_rounds(second.trained.usefulness)[0]
         assert merged[0] == pytest.approx((a + b) / 2)
 
     def test_empty_rounds_rejected(self):
@@ -105,9 +108,9 @@ class TestNodeUsefulness:
         )
         run = run_with_deltas(deltas.tolist())
         expected = [
-            float(np.mean([row[i] for row in run.usefulness])) for i in range(n_nodes)
+            float(np.mean([row[i] for row in run.trained.usefulness])) for i in range(n_nodes)
         ]
-        assert usefulness_from_rounds(run.usefulness).tolist() == expected
+        assert usefulness_from_rounds(run.trained.usefulness).tolist() == expected
 
 
 class TestCorrelate:
@@ -450,7 +453,7 @@ class TestReports:
         assert parsed.seed == direct.seed == seed
         assert parsed.selection_k == direct.selection_k == k
         assert parsed.usefulness.shape == direct.usefulness.shape == (n_nodes,)
-        scale = np.abs(run.usefulness).max(axis=0)
+        scale = np.abs(run.trained.usefulness).max(axis=0)
         error = np.abs(parsed.usefulness - direct.usefulness)
         assert (error <= 5e-9 * scale * (1 + 1e-6)).all()
         assert len(parsed.node_constants) == len(direct.node_constants) == n_nodes

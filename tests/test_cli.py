@@ -171,11 +171,11 @@ class FaultAt:
 _run_one_seed = cli.run_one_seed
 
 
-def run_one_seed_failing_on_2(cfg, seed, setup):
+def run_one_seed_failing_on_2(cfg, setup):
     """``cli.run_one_seed``, except that seed 2 fails."""
-    if seed == 2:
+    if setup.scenario.seed == 2:
         raise ValueError("seed two went wrong")
-    return _run_one_seed(cfg, seed, setup)
+    return _run_one_seed(cfg, setup)
 
 
 class TwoPartError(Exception):
@@ -193,11 +193,11 @@ SEED_ERRORS = {
 }
 
 
-def run_one_seed_raising_on_2(error, cfg, seed, setup):
+def run_one_seed_raising_on_2(error, cfg, setup):
     """``cli.run_one_seed``, except that seed 2 raises ``SEED_ERRORS[error]``."""
-    if seed == 2:
+    if setup.scenario.seed == 2:
         raise SEED_ERRORS[error]
-    return _run_one_seed(cfg, seed, setup)
+    return _run_one_seed(cfg, setup)
 
 
 # A perturbation so wide that every probe's loss overflows.
@@ -231,9 +231,9 @@ def count_set_up_calls(monkeypatch) -> list[str]:
     return calls
 
 
-def run_one_seed_failing(cfg, seed, setup):
+def run_one_seed_failing(cfg, setup):
     """``cli.run_one_seed``, except that it fails before a run exists."""
-    raise ValueError(f"no data for seed {seed}")
+    raise ValueError(f"no data for seed {setup.scenario.seed}")
 
 
 class TestRunCommand:
@@ -249,6 +249,17 @@ class TestRunCommand:
         assert len(summary) == 3
         assert summary[1].startswith("tiny,1,")
         assert summary[2].startswith("tiny,2,")
+
+    def test_a_seed_runs_under_the_scenario_of_its_set_up(self, tiny_config, tmp_path):
+        cfg = replace(config.read_config(tiny_config), output_dir=tmp_path / "out")
+        for seed in (1, 2, 3, 17):
+            assert config.preflight(cfg, seed).scenario == replace(cfg.scenario, seed=seed)
+        cli.run_one_seed(cfg, config.preflight(cfg, 2))
+        assert [p.name for p in cfg.output_dir.iterdir()] == ["tiny_seed2"]
+        # The run's own config.txt reruns it, every file byte for byte.
+        run_dir, rerun = cfg.output_dir / "tiny_seed2", tmp_path / "rerun"
+        assert main(["run", "--config", str(run_dir / "config.txt"), "--out", str(rerun)]) == 0
+        assert read_tree(rerun / "tiny_seed2") == read_tree(run_dir)
 
     def test_two_runs_are_byte_identical(self, tiny_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -351,7 +362,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: seed 1 failed: parameter vector contains non-finite values "
+            "error: seed 1 failed: round 8: node 0: SGD step 4 left non-finite parameters "
             "(5 of 5 seeds failed)\n"
         )
         assert not out.exists()

@@ -412,6 +412,31 @@ class TestConstruction:
     """ExperimentConfig and the dataclasses it holds check themselves, so a
     config built in code or by ``replace`` meets the rules of one read from text."""
 
+    # A text field that config.txt would cut, strip or split would rerun as
+    # another config, or not at all.
+    UNECHOABLE = [
+        ("a #b", "a '#' after whitespace would start a comment in config.txt"),
+        (" pad", "leading or trailing whitespace would be stripped from config.txt"),
+        ("pad ", "leading or trailing whitespace would be stripped from config.txt"),
+        ("a\nb", "a line break would split its config.txt line"),
+        ("a\x0cb", "a line break would split its config.txt line"),
+    ]
+
+    @pytest.mark.parametrize("text, message", UNECHOABLE)
+    def test_a_text_field_that_config_txt_cannot_echo_fails_at_construction(
+        self, no_datasets, text, message
+    ):
+        cfg = read_config(REPO / "configs" / "five_nodes.cfg")
+        with pytest.raises(ValueError) as named:
+            replace(cfg, scenario_name=text)
+        assert str(named.value) == f"scenario_name {text!r}: {message}"
+        path = REPO / "configs" / "cifar10.cfg"
+        cifar = read_config(path)
+        with pytest.raises(ConfigError) as pathed:
+            replace(cifar, dataset=replace(cifar.dataset, path=Path(text)))
+        line = line_of(path, "data.cifar_path")
+        assert str(pathed.value) == f"line {line}: data.cifar_path: {text}: {message}"
+
     @pytest.mark.parametrize(
         "name, change, key, message",
         [
@@ -879,7 +904,8 @@ class TestEcho:
 # The causes a seed of a config that loaded may fail with: a number that
 # went non-finite in SGD, in a round's losses or usefulness, or in a probe.
 NUMERIC_FAILURE = re.compile(
-    r"error: seed \d+ failed: (SGD left non-finite parameters after \d+ steps"
+    r"error: seed \d+ failed: (round \d+: node \d+: (epoch \d+: )?SGD step \d+ left non-finite"
+    r" parameters"
     r"|losses must be finite|usefulness must be finite"
     r"|node \d+: probe \d+ failed: probe values must be finite)"
 )
@@ -968,7 +994,9 @@ class TestGeneratedConfigs:
         self, no_datasets, text, data
     ):
         # Each float field that a key sets takes an edge or an in-range value,
-        # or a model size another size; text and code must then agree.
+        # a model size another size, or, half the time, the scenario name or
+        # the CIFAR-10 path a text of comment marks, spaces and line breaks;
+        # text and code must then agree.
         cfg = build_experiment_config(parse_config_text(text), base_dir=Path("/"))
         owners = {
             "scenario": (cfg.scenario, config._SCENARIO_KEYS),
@@ -983,8 +1011,15 @@ class TestGeneratedConfigs:
             if f.name in keys and f.type in ("float", "tuple[float, ...]")
         ]
         choices += [("model", "feature_dim", "int"), ("model", "num_classes", "int")]
-        owner, name, kind = data.draw(st.sampled_from(choices))
-        if kind == "int":
+        texts = [("config", "scenario_name", "text")]
+        if isinstance(cfg.dataset, CifarSource):
+            texts.append(("dataset", "path", "text"))
+        owner, name, kind = data.draw(st.sampled_from(choices) | st.sampled_from(texts))
+        if kind == "text":
+            value = data.draw(st.text(st.sampled_from("ab#. \t\n\r\x0c\x85\u2028"), min_size=1))
+            # An absolute path, as build_experiment_config makes every CIFAR-10 path.
+            value = Path("/" + value) if name == "path" else value
+        elif kind == "int":
             value = data.draw(st.integers(1, 16))
         else:
             edges = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308]
@@ -996,7 +1031,10 @@ class TestGeneratedConfigs:
                 entries[data.draw(st.integers(0, n - 1))] = value
                 value = tuple(entries)
         try:
-            built = replace_in(cfg, owner, **{name: value})
+            if owner == "config":
+                built = replace(cfg, **{name: value})
+            else:
+                built = replace_in(cfg, owner, **{name: value})
         except ValueError:
             return
         echoed = parse_config_text("\n".join(echo_lines(built)))

@@ -215,7 +215,7 @@ class TestLocalRound:
         cfg = scenario(local_epochs_per_round=3, batch_size=40)
         node, test, w = self.make_node(cfg)
         nodes = [node] * cfg.n_nodes
-        run = run_federated_partitioned(cfg, Setup(test, tuple(nodes), probe_phase(cfg, nodes)))
+        run = run_federated_partitioned(Setup(cfg, test, tuple(nodes), probe_phase(cfg, nodes)))
         assert run.bound_notes == (EPOCHS_NOTE.format(3),)
         _, norms = local_round(node, w, cfg, round_states([1], epochs=3))
         assert norms.shape == (1, 3)
@@ -236,9 +236,10 @@ class TestRunFederated:
     def test_round_count_and_record_shape(self):
         cfg = scenario(rounds=4)
         run = run_federated(cfg, gen_synthetic(synthetic_spec(), seed=5))
-        assert run.train_loss.shape == run.test_loss.shape == run.bound_value.shape == (4,)
-        assert run.usefulness.shape == (4, 2)
-        assert run.training_g.shape == (4, 2, 2)
+        trained = run.trained
+        assert trained.train_loss.shape == trained.test_loss.shape == run.bound_value.shape == (4,)
+        assert trained.usefulness.shape == (4, 2)
+        assert trained.training_g.shape == (4, 2, 2)
         assert (run.bound_value > 0).all()
         assert run.probed.global_constants.n_probes == cfg.n_probes * cfg.n_nodes
         assert run.probed.samples.shape == (cfg.n_nodes, cfg.n_probes, 2)
@@ -262,7 +263,7 @@ class TestRunFederated:
             seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
             order = shuffle(seed, len(nodes[0]))
             w = sgd_epoch_traced(cfg.model, w, nodes[0], cfg.lr, cfg.batch_size, order)[0]
-        assert np.abs(w - run.final_params).max() <= 1e-9
+        assert np.abs(w - run.trained.final_params).max() <= 1e-9
 
     def test_convex_single_node_full_batch_loss_nonincreasing(self):
         data = gen_synthetic(synthetic_spec(), seed=8)
@@ -271,7 +272,7 @@ class TestRunFederated:
             n_nodes=1, samples_per_node=n_train, rounds=6, lr=0.05, batch_size=n_train
         )
         run = run_federated(cfg, data)
-        train = run.train_loss.tolist()
+        train = run.trained.train_loss.tolist()
         assert all(b <= a + 1e-12 for a, b in zip(train, train[1:]))
 
     def test_bit_reproducible(self):
@@ -279,9 +280,10 @@ class TestRunFederated:
         cfg = scenario(rounds=3)
         a = run_federated(cfg, data)
         b = run_federated(cfg, data)
-        np.testing.assert_array_equal(a.final_params, b.final_params)
-        for name in ("train_loss", "test_loss", "bound_value", "usefulness", "training_g"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(a.trained.final_params, b.trained.final_params)
+        np.testing.assert_array_equal(a.bound_value, b.bound_value)
+        for name in ("train_loss", "test_loss", "usefulness", "training_g"):
+            np.testing.assert_array_equal(getattr(a.trained, name), getattr(b.trained, name))
 
     def test_final_params_are_mean_of_last_round_locals(self):
         data = gen_synthetic(synthetic_spec(), seed=10)
@@ -300,16 +302,16 @@ class TestRunFederated:
                 # The engine reuses the previous round's test loss as this
                 # round's starting loss; a fresh evaluation must agree exactly.
                 delta = loss(cfg.model, w, test) - loss(cfg.model, trained[0], test)
-                assert delta == run.usefulness[t - 1, i]
+                assert delta == run.trained.usefulness[t - 1, i]
             w = fedavg(locals_)
-        np.testing.assert_array_equal(w, run.final_params)
+        np.testing.assert_array_equal(w, run.trained.final_params)
 
     @pytest.mark.parametrize("model", [softmax_spec(4, 3, l2=0.01), mlp_spec(4, 3, 5, l2=0.0)])
     def test_two_epochs_equal_a_per_node_replay(self, model):
         cfg = scenario(n_nodes=3, rounds=3, batch_size=15, local_epochs_per_round=2, model=model)
         test, datasets = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
-        setup = Setup(test, tuple(datasets), probe_phase(cfg, datasets))
-        run = run_federated_partitioned(cfg, setup)
+        setup = Setup(cfg, test, tuple(datasets), probe_phase(cfg, datasets))
+        run = run_federated_partitioned(setup)
         epochs = EPOCHS_NOTE.format(2)
         mu = run.probed.global_constants.mu
         assert run.bound_notes == ((epochs,) if mu > 0 else (epochs, MU_NOTE))
@@ -329,14 +331,14 @@ class TestRunFederated:
                     trace.append(norms)
                 locals_.append(wi)
                 traces.append(np.concatenate(trace))
-                assert run.usefulness[t - 1, i] == before - loss(cfg.model, wi, test)
+                assert run.trained.usefulness[t - 1, i] == before - loss(cfg.model, wi, test)
             w = fedavg(locals_)
             before = loss(cfg.model, w, test)
-            np.testing.assert_array_equal(run.training_g[t - 1], traces)
-            assert run.test_loss[t - 1] == before
+            np.testing.assert_array_equal(run.trained.training_g[t - 1], traces)
+            assert run.trained.test_loss[t - 1] == before
             train_loss = float(np.mean([loss(cfg.model, w, d) for d in datasets]))
-            assert run.train_loss[t - 1] == train_loss
-        np.testing.assert_array_equal(run.final_params, w)
+            assert run.trained.train_loss[t - 1] == train_loss
+        np.testing.assert_array_equal(run.trained.final_params, w)
 
     def test_bound_phase_notes_a_probed_mu_that_is_not_positive(self):
         cfg = scenario(rounds=3)
@@ -352,8 +354,10 @@ class TestRunFederated:
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "five_nodes.cfg")
         seed = cfg.repeat_seeds[0]
         diverging = replace(cfg.scenario, seed=seed, lr=1e10)
-        with pytest.raises(ValueError, match="^parameter vector contains non-finite values$"):
-            run_federated_partitioned(diverging, preflight(cfg, seed))
+        with pytest.raises(
+            ValueError, match="^round 8: node 0: SGD step 4 left non-finite parameters$"
+        ):
+            run_federated_partitioned(replace(preflight(cfg, seed), scenario=diverging))
 
     def test_unequal_node_sizes_rejected(self, monkeypatch):
         cfg = scenario()
@@ -365,7 +369,7 @@ class TestRunFederated:
         # The engine is handed a probe result; its training phase rejects the nodes.
         equal = probe_phase(cfg, [nodes[0]] * 2)
         with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
-            run_federated_partitioned(cfg, Setup(test, tuple(nodes), equal))
+            run_federated_partitioned(Setup(cfg, test, tuple(nodes), equal))
         probed = []
         monkeypatch.setattr(flsim, "collect_probes", lambda *args: probed.append(args))
         with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
@@ -378,12 +382,12 @@ class TestRunFederated:
         data = gen_synthetic(synthetic_spec(), seed=11)
         test, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
         w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
-        train_loss, *_, wstar_proxy = training_phase(cfg, w1, test, nodes)
-        init_distance = estimate_initial_distance(w1, wstar_proxy)
+        trained = training_phase(cfg, w1, test, nodes)
+        init_distance = estimate_initial_distance(w1, trained.wstar_proxy)
         assert init_distance >= 0.0
         assert np.isfinite(init_distance)
-        best = min(train_loss)
-        proxy_loss = float(np.mean([loss(cfg.model, wstar_proxy, node) for node in nodes]))
+        best = min(trained.train_loss)
+        proxy_loss = float(np.mean([loss(cfg.model, trained.wstar_proxy, node) for node in nodes]))
         assert proxy_loss <= best + 1e-12
 
     def test_wstar_proxy_is_the_earliest_of_equal_losses(self):
@@ -392,10 +396,10 @@ class TestRunFederated:
         cfg = scenario(lr=0.0)
         test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=11), cfg, 5)
         w1 = init_params(cfg.model, 1)
-        train_loss, *_, final_params, wstar_proxy = training_phase(cfg, w1, test, nodes)
-        np.testing.assert_array_equal(final_params, w1)
-        assert len(set(train_loss.tolist())) == 1
-        assert wstar_proxy is w1
+        trained = training_phase(cfg, w1, test, nodes)
+        np.testing.assert_array_equal(trained.final_params, w1)
+        assert len(set(trained.train_loss.tolist())) == 1
+        assert trained.wstar_proxy is w1
 
     def test_invalid_round_count_rejected(self):
         with pytest.raises(ValueError):
@@ -412,8 +416,8 @@ class TestRunFederated:
 
     def test_single_round_yields_one_record(self):
         run = run_federated(scenario(rounds=1), gen_synthetic(synthetic_spec(), seed=14))
-        assert len(run.train_loss) == 1
-        assert run.usefulness.shape == (1, 2)
+        assert len(run.trained.train_loss) == 1
+        assert run.trained.usefulness.shape == (1, 2)
 
     def test_perturbation_sampler_probes_near_initial_weights(self):
         data = gen_synthetic(synthetic_spec(), seed=15)
@@ -450,8 +454,8 @@ def spoiled(real, row, value):
 
 
 class TestRoundChecks:
-    """Every run's per-round columns are checked, as FLRun and as
-    training_phase returns them without an FLRun."""
+    """Every run's per-round columns are checked: the training columns as
+    training_phase returns them in a Trained, then the round count as FLRun."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -466,20 +470,26 @@ class TestRoundChecks:
         ],
     )
     def test_run_rejects_a_non_finite_column(self, run, column, message):
-        values = getattr(run, column).copy()
+        values = getattr(run.trained, column).copy()
         values[-1] = np.nan
         with pytest.raises(ValueError, match=f"^{message}$"):
-            replace(run, **{column: values})
+            replace(run.trained, **{column: values})
         values[-1] = np.inf
         with pytest.raises(ValueError, match=f"^{message}$"):
-            replace(run, **{column: values})
+            replace(run.trained, **{column: values})
 
     @pytest.mark.parametrize(
         "column", ["train_loss", "test_loss", "bound_value", "usefulness", "training_g"]
     )
     def test_run_rejects_a_column_of_another_round_count(self, run, column):
-        with pytest.raises(ValueError, match="^run has 2 rounds, config says 3$"):
-            replace(run, **{column: getattr(run, column)[:-1]})
+        # The bound is checked against the config, a training column against
+        # the other training columns.
+        if column == "bound_value":
+            record, message = run, "run has 2 rounds, config says 3"
+        else:
+            record, message = run.trained, r"training columns differ in round count: \[2, 3\]"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(record, **{column: getattr(record, column)[:-1]})
 
     def test_run_rejects_a_config_of_another_round_count(self, run):
         with pytest.raises(ValueError, match="^run has 3 rounds, config says 4$"):
@@ -505,13 +515,46 @@ class TestRoundChecks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             training_phase(cfg, init_params(cfg.model, 1), test, nodes)
 
+    @given(
+        t=st.integers(1, 3),
+        epochs=st.integers(1, 2),
+        epoch=st.integers(1, 2),
+        node=st.integers(0, 2),
+        step=st.integers(1, 2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_a_diverging_node_is_named_with_its_round_and_step(self, t, epochs, epoch, node, step):
+        # Three nodes of 40 rows at batch 20: two SGD steps an epoch.
+        epoch = min(epoch, epochs)
+        cfg = scenario(n_nodes=3, local_epochs_per_round=epochs)
+        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
+        poisoned_call = ((t - 1) * epochs + epoch - 1) * 2 + step
+        calls, real = [], model.gradient
+
+        def poisoning(spec, params, batch):
+            calls.append(1)
+            grad = real(spec, params, batch)
+            if len(calls) == poisoned_call:
+                grad = grad.copy()
+                grad[node] = np.nan
+            return grad
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "gradient", poisoning)
+            with pytest.raises(ValueError) as failed:
+                training_phase(cfg, init_params(cfg.model, 1), test, nodes)
+        where = f"round {t}: node {node}: " + (f"epoch {epoch}: " if epochs > 1 else "")
+        assert str(failed.value) == f"{where}SGD step {step} left non-finite parameters"
+
     def test_training_phase_rejects_another_round_count(self, monkeypatch):
         cfg = scenario()
         test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
+        setup = Setup(cfg, test, tuple(nodes), probe_phase(cfg, nodes))
         real = flsim.shuffle_states
         monkeypatch.setattr(flsim, "shuffle_states", lambda *args: real(*args)[:-1])
+        # training_phase gives a Trained of 2 rounds, which the engine's FLRun rejects.
         with pytest.raises(ValueError, match="^run has 2 rounds, config says 3$"):
-            training_phase(cfg, init_params(cfg.model, 1), test, nodes)
+            run_federated_partitioned(setup)
 
 
 class TestSaveRun:
@@ -530,7 +573,7 @@ class TestSaveRun:
         probe_rows = [l for l in gtrace[1:] if l.startswith("probe,")]
         training_rows = [l for l in gtrace[1:] if l.startswith("training,")]
         assert len(probe_rows) == cfg.n_probes * cfg.n_nodes
-        assert len(training_rows) == run.training_g.size
+        assert len(training_rows) == run.trained.training_g.size
         constants = (tmp_path / "run" / "constants.csv").read_text().splitlines()
         assert constants[0] == "node_id,mu,L,G,n_probes"
         assert len(constants) == 1 + cfg.n_nodes + 1
@@ -585,7 +628,8 @@ def test_probe_and_training_phases_in_two_threads_match_serial_runs():
         test, nodes = flsim.node_datasets(cfg.dataset, seeded)
         probed = probe_phase(seeded, nodes)
         fields = (probed.w1, probed.samples, probed.node_constants, probed.global_constants)
-        return fields, training_phase(seeded, probed.w1, test, nodes)
+        trained = training_phase(seeded, probed.w1, test, nodes)
+        return fields, astuple(trained)
 
     serial = [phases(seed) for seed in seeds]
     # A short switch interval interleaves the two threads' kernel calls.
@@ -643,7 +687,7 @@ def test_each_phase_makes_its_pinned_kernel_calls(monkeypatch):
     setup = preflight(cfg, 1)
     probe_calls = calls.copy()
     calls.clear()
-    run_federated_partitioned(replace(cfg.scenario, seed=1), setup)
+    run_federated_partitioned(setup)
 
     def work(phase_calls):
         """Calls, calls with a gradient and stack rows."""

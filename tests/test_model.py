@@ -833,6 +833,54 @@ class TestLockstepSgd:
             with pytest.raises(ValueError, match="row order"):
                 sgd_epoch_traced(spec, W, data, 0.1, 3, order)
 
+    @given(
+        stack=st.integers(1, 4),
+        n=st.integers(1, 10),
+        batch_size=st.integers(1, 10),
+        poison=st.sampled_from([np.nan, np.inf, -np.inf]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_diverging_row_is_named_with_the_step_that_left_it(
+        self, stack, n, batch_size, poison, data
+    ):
+        # Row ``row``'s gradient of step k is poisoned; the rows train apart,
+        # so the others stay a clean epoch's bit for bit.
+        batch_size = min(batch_size, n)
+        steps = -(-n // batch_size)
+        row = data.draw(st.integers(0, stack - 1), label="row")
+        k = data.draw(st.integers(1, steps), label="k")
+        spec = softmax_spec(4, 3, l2=0.01)
+        W = np.stack([init_params(spec, s) for s in range(stack)])
+        rows = toy_dataset(seed=stack, n=n * stack)
+        order = permutation_rows("sgd", range(stack), n)
+
+        def tracing(inputs, poisoned):
+            def traced(spec, params, batch):
+                inputs.append(params.copy())
+                grad = gradient(spec, params, batch)
+                if poisoned and len(inputs) == k:
+                    grad = grad.copy()
+                    grad[row] = poison
+                return grad
+
+            return traced
+
+        clean, spoiled = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "gradient", tracing(clean, False))
+            sgd_epoch_traced(spec, W, rows, 0.1, batch_size, order)
+            patch.setattr(model, "gradient", tracing(spoiled, True))
+            with pytest.raises(model.DivergenceError) as failed:
+                sgd_epoch_traced(spec, W, rows, 0.1, batch_size, order)
+        assert (failed.value.step, failed.value.row) == (k, row)
+        assert str(failed.value).endswith(f"after {k} steps, first in stack row {row}")
+        # Step k + 1's gradient call, if any, fails its check of what step k left.
+        assert len(spoiled) == min(k + 1, steps)
+        others = np.arange(stack) != row
+        for got, expected in zip(spoiled, clean):
+            np.testing.assert_array_equal(got[others], expected[others])
+
     def test_batch_size_bounded_by_block_rows(self):
         spec = softmax_spec(4, 3)
         W = np.stack([init_params(spec, s) for s in range(2)])

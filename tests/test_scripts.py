@@ -75,9 +75,9 @@ def test_selection_payoff_losses_are_engine_runs_on_each_subset(hetero_run):
         scenario = replace(cfg.scenario, seed=1, n_nodes=len(ids))
         subset = [nodes[i] for i in ids]
         probed = flsim.probe_phase(scenario, subset)
-        setup = flsim.Setup(test_data, tuple(subset), probed)
-        run = flsim.run_federated_partitioned(scenario, setup)
-        expected.append(format(run.test_loss[-1], ".4f"))
+        setup = flsim.Setup(scenario, test_data, tuple(subset), probed)
+        run = flsim.run_federated_partitioned(setup)
+        expected.append(format(run.trained.test_loss[-1], ".4f"))
     assert rows[0][2:4] == expected
 
 
