@@ -3,6 +3,8 @@
 The format is one ``key = value`` per line with dotted keys for nesting; a
 ``#`` at the start of a line or after whitespace starts a comment. No
 external parser needed. Validation errors carry the offending line number.
+A value is read in the one spelling config.txt writes: ``model.kind`` is
+``softmax`` or ``mlp`` and a boolean is ``true`` or ``false``.
 
 One table per dataclass names each key, the field it sets, its parser and its
 default, if not the field's. The tables drive the typed reads, the line a check
@@ -87,12 +89,10 @@ class ExperimentConfig:
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    """``true`` or ``false``, the spellings config.txt writes."""
+    if raw not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return raw == "true"
 
 
 def _list_of(parse: Callable[[str], Any], kind: type = tuple) -> Callable[[str], Any]:
@@ -106,18 +106,11 @@ def _list_of(parse: Callable[[str], Any], kind: type = tuple) -> Callable[[str],
     return parse_items
 
 
-_MODEL_KIND_ALIASES = {
-    "softmax": "softmax",
-    "softmax-regression": "softmax",
-    "mlp": "mlp",
-    "one-hidden-layer-mlp": "mlp",
-}
-
-
 def _parse_model_kind(raw: str) -> str:
-    if raw not in _MODEL_KIND_ALIASES:
+    """``softmax`` or ``mlp``; the quadratic test objective has no config."""
+    if raw not in ("softmax", "mlp"):
         raise ValueError(f"unknown model kind {raw!r}")
-    return _MODEL_KIND_ALIASES[raw]
+    return raw
 
 
 @dataclass(frozen=True)

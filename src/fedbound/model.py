@@ -2,7 +2,9 @@
 
 Parameters live in a single flat float64 vector; all operations are pure
 functions of their inputs, with randomness passed in as explicit seeds or
-row orders.
+row orders. :func:`loss` and :func:`gradient` take one vector or a
+``(P, dim)`` stack of them; :func:`sgd_epoch_traced` trains a stack only,
+as every node of a FedAvg round trains in one lockstep stack.
 
 Three model kinds are supported:
 
@@ -227,6 +229,14 @@ def _check_data(spec: ModelSpec, data: Dataset, blocks: int = 1) -> None:
             )
 
 
+def _check_stack(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
+    """A finite ``(P, dim)`` stack of parameter vectors, P >= 1."""
+    shape, dim = np.shape(params), param_dim(spec)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != dim:
+        raise ValueError(f"expected a (P, {dim}) stack, got shape {shape}")
+    return _check_params(spec, params, allow_stack=True)
+
+
 def _check_inputs(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
     """``params`` as a ``(P, dim)`` stack (P = 1 for a vector) over P row blocks of ``data``."""
     params = _check_params(spec, params, allow_stack=True)
@@ -425,9 +435,7 @@ def shared_data_loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.
     """The ``(P,)`` losses of the rows of a ``(P, dim)`` stack, each on all of
     ``data``, in one kernel call; row p equals ``loss(spec, params[p], data)``
     bit for bit."""
-    stack = _check_params(spec, params, allow_stack=True)
-    if stack.ndim != 2:
-        raise ValueError(f"expected a (P, {param_dim(spec)}) stack, got shape {stack.shape}")
+    stack = _check_stack(spec, params)
     _check_data(spec, data)
     losses, _ = _loss_and_grad_stacked(spec, stack, data.features, data.labels, False)
     return losses
@@ -435,19 +443,18 @@ def shared_data_loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.
 
 class DivergenceError(ValueError):
     """An SGD epoch left non-finite parameters: ``step`` is the 1-based step that
-    did, ``row`` the first stack row it left non-finite (None for a single vector)."""
+    did, ``row`` the first stack row it left non-finite."""
 
-    def __init__(self, step: int, row: int | None = None):
-        where = "" if row is None else f", first in stack row {row}"
-        super().__init__(f"SGD left non-finite parameters after {step} steps{where}")
+    def __init__(self, step: int, row: int):
+        where = f"after {step} steps, first in stack row {row}"
+        super().__init__(f"SGD left non-finite parameters {where}")
         self.step = step
         self.row = row
 
 
-def _diverged(stack: np.ndarray, steps: int, single: bool) -> DivergenceError:
+def _diverged(stack: np.ndarray, steps: int) -> DivergenceError:
     """The error of an epoch whose first ``steps`` steps left ``stack`` non-finite."""
-    row = int(np.flatnonzero(~np.isfinite(stack).all(axis=1))[0])
-    return DivergenceError(steps, None if single else row)
+    return DivergenceError(steps, int(np.flatnonzero(~np.isfinite(stack).all(axis=1))[0]))
 
 
 def sgd_epoch_traced(
@@ -458,28 +465,23 @@ def sgd_epoch_traced(
     batch_size: int,
     order: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of mini-batch SGD over the rows in ``order``, recording each
+    """One pass of mini-batch SGD over a ``(P, dim)`` stack, recording each
     batch-gradient norm.
 
-    ``order`` holds row positions in ``[0, len(data))``; a run passes a
-    shuffle, ``spawn_rng("sgd", seed).permutation(len(data))``. Returns the
-    updated parameters and the ||grad|| of every SGD step. The input is never
-    mutated. A ``(P, dim)`` stack trains P models in lockstep: ``data`` holds
-    their P equal, consecutive row blocks of n rows, row p of the ``(P, n)``
-    ``order`` is block p's order within the block, and each step makes one
-    stacked :func:`gradient` call; the norms then come back as a ``(steps, P)``
-    array. Row p equals the single-vector call on block p with order row p,
-    bit for bit. A step that leaves non-finite parameters raises a
-    :class:`DivergenceError` naming it.
+    Row p trains on block p of ``data``'s P equal, consecutive blocks of n
+    rows, in the order that row p of the ``(P, n)`` ``order`` gives; a run
+    passes a shuffle a row, ``spawn_rng("sgd", seed).permutation(n)``. Each
+    step makes one stacked :func:`gradient` call. Returns the trained stack
+    and the ``(steps, P)`` norms; the input is never mutated. A step that
+    leaves non-finite parameters raises a :class:`DivergenceError` naming it.
     """
     if not 0.0 <= lr < math.inf:
         raise ValueError("lr must be finite and >= 0")
-    single = np.ndim(params) == 1
-    stack = _check_inputs(spec, params, data)
+    stack = _check_stack(spec, params)
     blocks = stack.shape[0]
+    _check_data(spec, data, blocks)
     n = len(data) // blocks
-    order = np.asarray(order)
-    expected = (n,) if single else (blocks, n)
+    order, expected = np.asarray(order), (blocks, n)
     if order.shape != expected or order.dtype.kind not in "iu":
         raise ValueError(f"row order is {order.dtype} {order.shape}, expected integers {expected}")
     if order.min() < 0 or order.max() >= n:
@@ -489,7 +491,7 @@ def sgd_epoch_traced(
     # The epoch's rows gathered once, step by step: step s takes columns
     # [s * batch_size, (s + 1) * batch_size) of every block's order, block by
     # block, offset to the block, so each step's batch is a contiguous slice.
-    rows = order.reshape(blocks, n) + n * np.arange(blocks)[:, None]
+    rows = order + n * np.arange(blocks)[:, None]
     full = n - n % batch_size
     steps = rows[:, :full].reshape(blocks, -1, batch_size).transpose(1, 0, 2)
     epoch = data.subset(np.concatenate((steps.ravel(), rows[:, full:].ravel())))
@@ -508,13 +510,12 @@ def sgd_epoch_traced(
         # first one to fail it is the one the previous ``step`` steps left.
         if np.isfinite(current).all():
             raise
-        raise _diverged(current, step, single) from None
+        raise _diverged(current, step) from None
     # This checks the stack the last step leaves.
     if not np.isfinite(current).all():
-        raise _diverged(current, len(starts), single)
+        raise _diverged(current, len(starts))
     # sqrt(g @ g) is what np.linalg.norm computes for a 1-D vector.
-    norms = np.sqrt(sq_norms)
-    return (current[0], norms[:, 0]) if single else (current, norms)
+    return current, np.sqrt(sq_norms)
 
 
 def finite_difference_gradient(

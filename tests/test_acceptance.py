@@ -208,7 +208,7 @@ def test_04_single_node_run_equals_centralized_sgd():
     for t in range(1, 6):
         seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
         order = spawn_rng("sgd", seed).permutation(len(nodes[0]))
-        w = sgd_epoch_traced(model, w, nodes[0], cfg.lr, cfg.batch_size, order)[0]
+        w = sgd_epoch_traced(model, w[None], nodes[0], cfg.lr, cfg.batch_size, order[None])[0][0]
     gap = float(np.abs(w - run.trained.final_params).max())
     elapsed = time.perf_counter() - start
     ok = gap <= 1e-9 and elapsed < 30.0

@@ -670,6 +670,8 @@ class TestRunCommand:
             "probe.perturb_sigma = nan",
             "scenario.lr = nan",
             "model.feature_dim = 99",
+            "model.kind = softmax-regression",
+            "bound.squared_distance = yes",
         ],
     )
     def test_field_check_exits_2_naming_the_line(self, tmp_path, capsys, line):

@@ -62,8 +62,8 @@ class TestSynthetic:
         model = softmax_spec(8, 3, l2=0.001)
         params = init_params(model, 0)
         for epoch in range(100):
-            order = spawn_rng("sgd", epoch).permutation(len(train))
-            params, _ = sgd_epoch_traced(model, params, train, 1.0, len(train), order)
+            order = spawn_rng("sgd", epoch).permutation(len(train))[None]
+            params = sgd_epoch_traced(model, params[None], train, 1.0, len(train), order)[0][0]
         weights = params[: 3 * 8].reshape(3, 8)
         bias = params[3 * 8 :]
         predictions = np.argmax(test.features @ weights.T + bias, axis=1)

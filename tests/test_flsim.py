@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedbound import flsim, model, probe
 from fedbound.bound import estimate_initial_distance
-from fedbound.config import ExperimentConfig, echo_lines, load_config, preflight
+from fedbound.config import ExperimentConfig, echo_lines, preflight, read_config
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
     EmptyTestSplitError,
@@ -261,8 +261,8 @@ class TestRunFederated:
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
         for t in range(1, 6):
             seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
-            order = shuffle(seed, len(nodes[0]))
-            w = sgd_epoch_traced(cfg.model, w, nodes[0], cfg.lr, cfg.batch_size, order)[0]
+            order = shuffle(seed, len(nodes[0]))[None]
+            w = sgd_epoch_traced(cfg.model, w[None], nodes[0], cfg.lr, cfg.batch_size, order)[0][0]
         assert np.abs(w - run.trained.final_params).max() <= 1e-9
 
     def test_convex_single_node_full_batch_loss_nonincreasing(self):
@@ -316,7 +316,7 @@ class TestRunFederated:
         mu = run.probed.global_constants.mu
         assert run.bound_notes == ((epochs,) if mu > 0 else (epochs, MU_NOTE))
 
-        # Replay one node and one single-vector call at a time.
+        # Replay one node at a time, each a one-row stack.
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
         before = loss(cfg.model, w, test)
         for t in range(1, cfg.rounds + 1):
@@ -325,10 +325,12 @@ class TestRunFederated:
                 wi, trace = w, []
                 for epoch in range(cfg.local_epochs_per_round):
                     seed = derive_seed(derive_seed(cfg.seed, "round", t, i), epoch)
-                    wi, norms = sgd_epoch_traced(
-                        cfg.model, wi, data, cfg.lr, cfg.batch_size, shuffle(seed, len(data))
+                    order = shuffle(seed, len(data))[None]
+                    stack, norms = sgd_epoch_traced(
+                        cfg.model, wi[None], data, cfg.lr, cfg.batch_size, order
                     )
-                    trace.append(norms)
+                    wi = stack[0]
+                    trace.append(norms[:, 0])
                 locals_.append(wi)
                 traces.append(np.concatenate(trace))
                 assert run.trained.usefulness[t - 1, i] == before - loss(cfg.model, wi, test)
@@ -351,7 +353,7 @@ class TestRunFederated:
     # where a RuntimeWarning is an error.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_fails_on_its_own_check_whatever_the_warning_filter(self):
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "five_nodes.cfg")
+        cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "five_nodes.cfg")
         seed = cfg.repeat_seeds[0]
         diverging = replace(cfg.scenario, seed=seed, lr=1e10)
         with pytest.raises(
@@ -620,7 +622,7 @@ def test_probe_and_training_phases_in_two_threads_match_serial_runs():
     # Each thread has its own kernel workspace, so two seeds' phases can run
     # at once, their kernel calls on the same shapes, and still give the
     # serial bits.
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
     seeds = (1, 2, 3)
 
     def phases(seed):
@@ -655,7 +657,7 @@ def test_repeated_probe_phase_takes_almost_no_page_faults():
     # phase.
     import resource
 
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
     scenario = replace(cfg.scenario, seed=1)
     _, nodes = flsim.node_datasets(cfg.dataset, scenario)
     probe_phase(scenario, nodes)
@@ -683,7 +685,7 @@ def test_each_phase_makes_its_pinned_kernel_calls(monkeypatch):
     # Both bindings of the one kernel: the model's and the probe's.
     for module in (model, probe):
         monkeypatch.setattr(module, "_loss_and_grad_stacked", spying(module._loss_and_grad_stacked))
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
     setup = preflight(cfg, 1)
     probe_calls = calls.copy()
     calls.clear()

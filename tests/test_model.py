@@ -28,8 +28,8 @@ from fedbound.rng import permutation_rows, spawn_rng
 
 
 def shuffle(seed, n):
-    """The row order a run's SGD epoch takes from ``seed``."""
-    return spawn_rng("sgd", seed).permutation(n)
+    """The one-row order a run's SGD epoch takes from ``seed``."""
+    return spawn_rng("sgd", seed).permutation(n)[None]
 
 
 def toy_dataset(seed=0, n=12, dim=4, classes=3):
@@ -156,7 +156,7 @@ class TestLoss:
         params = init_params(spec, 0)
         losses = [loss(spec, params, data)]
         for epoch in range(30):
-            params = sgd_epoch_traced(spec, params, data, 0.5, n, shuffle(epoch, n))[0]
+            params = sgd_epoch_traced(spec, params[None], data, 0.5, n, shuffle(epoch, n))[0][0]
             losses.append(loss(spec, params, data))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
@@ -200,7 +200,7 @@ class TestGradient:
         spec = softmax_spec(4, 3, l2=0.05)
         params = init_params(spec, 2)
         for epoch in range(400):
-            params = sgd_epoch_traced(spec, params, data, 0.5, 30, shuffle(epoch, 30))[0]
+            params = sgd_epoch_traced(spec, params[None], data, 0.5, 30, shuffle(epoch, 30))[0][0]
         assert np.linalg.norm(gradient(spec, params, data)) < 1e-3
 
 
@@ -228,22 +228,22 @@ class TestSgdEpoch:
         spec = softmax_spec(4, 3)
         params = init_params(spec, 7)
         np.testing.assert_array_equal(
-            sgd_epoch_traced(spec, params, data, 0.0, 4, shuffle(1, len(data)))[0], params
+            sgd_epoch_traced(spec, params[None], data, 0.0, 4, shuffle(1, len(data)))[0][0], params
         )
 
     def test_quadratic_full_batch_scales_by_one_minus_lr(self):
         spec = quadratic_spec([1.0, 1.0])
         data = dummy_dataset(2)
         w = np.array([2.0, -4.0])
-        out = sgd_epoch_traced(spec, w, data, 0.1, len(data), shuffle(0, len(data)))[0]
+        out = sgd_epoch_traced(spec, w[None], data, 0.1, len(data), shuffle(0, len(data)))[0][0]
         np.testing.assert_allclose(out, 0.9 * w, rtol=1e-15)
 
     def test_reproducible_bit_for_bit(self):
         data = toy_dataset(n=20)
         spec = mlp_spec(4, 3, 5)
         params = init_params(spec, 3)
-        a = sgd_epoch_traced(spec, params, data, 0.1, 6, shuffle(42, len(data)))[0]
-        b = sgd_epoch_traced(spec, params, data, 0.1, 6, shuffle(42, len(data)))[0]
+        a = sgd_epoch_traced(spec, params[None], data, 0.1, 6, shuffle(42, len(data)))[0]
+        b = sgd_epoch_traced(spec, params[None], data, 0.1, 6, shuffle(42, len(data)))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_input_untouched(self):
@@ -251,13 +251,14 @@ class TestSgdEpoch:
         spec = softmax_spec(4, 3)
         params = init_params(spec, 1)
         before = params.copy()
-        sgd_epoch_traced(spec, params, data, 0.3, 4, shuffle(0, len(data)))[0]
+        sgd_epoch_traced(spec, params[None], data, 0.3, 4, shuffle(0, len(data)))
         np.testing.assert_array_equal(params, before)
 
     def test_trace_has_one_norm_per_step(self):
         data = toy_dataset(n=10)
         spec = softmax_spec(4, 3)
-        _, norms = sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 4, shuffle(0, 10))
+        _, norms = sgd_epoch_traced(spec, init_params(spec, 0)[None], data, 0.1, 4, shuffle(0, 10))
+        norms = norms[:, 0]
         assert norms.shape == (3,)  # ceil(10 / 4)
         assert (norms >= 0).all()
 
@@ -265,59 +266,60 @@ class TestSgdEpoch:
         data = toy_dataset(n=5)
         spec = softmax_spec(4, 3)
         with pytest.raises(ValueError):
-            sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 6, shuffle(0, 5))[0]
+            sgd_epoch_traced(spec, init_params(spec, 0)[None], data, 0.1, 6, shuffle(0, 5))
         with pytest.raises(ValueError):
-            sgd_epoch_traced(spec, init_params(spec, 0), data, 0.1, 0, shuffle(0, 5))[0]
+            sgd_epoch_traced(spec, init_params(spec, 0)[None], data, 0.1, 0, shuffle(0, 5))
+
+    def test_a_vector_is_refused_before_any_step(self, monkeypatch):
+        # A node trains as a one-row stack; a bare vector names the shape it lacks.
+        spec = softmax_spec(4, 3)
+        calls = []
+        monkeypatch.setattr(model, "gradient", lambda *args: calls.append(1) or gradient(*args))
+        with pytest.raises(ValueError, match=r"^expected a \(P, 15\) stack, got shape \(15,\)$"):
+            sgd_epoch_traced(spec, init_params(spec, 0), toy_dataset(n=6), 0.1, 3, np.arange(6))
+        assert calls == []
 
     def test_negative_lr_rejected(self):
         data = toy_dataset()
         spec = softmax_spec(4, 3)
+        params = init_params(spec, 0)[None]
         for lr in (-0.1, math.nan, math.inf):  # a NaN or inf step is no step size either
             with pytest.raises(ValueError, match="^lr must be finite and >= 0$"):
-                sgd_epoch_traced(spec, init_params(spec, 0), data, lr, 4, shuffle(0, len(data)))
+                sgd_epoch_traced(spec, params, data, lr, 4, shuffle(0, len(data)))
 
-    @pytest.mark.parametrize("stack", [None, 3])
+    @pytest.mark.parametrize("stack", [1, 3])
     def test_overflow_mid_epoch_raises(self, monkeypatch, stack):
         # On 0.5 * 2 * ||w||^2 an lr of 1e200 scales w by about -2e200 per
         # step: finite after step 1, infinite after step 2, so the gradient
         # call of step 3 rejects it.
         spec = quadratic_spec([2.0, 2.0])
-        params, order, blocks = np.array([0.5, -1.0]), np.arange(6), 1
-        if stack is not None:
-            params, order, blocks = np.tile(params, (stack, 1)), np.tile(order, (stack, 1)), stack
-        data = Dataset(np.full((6 * blocks, 2), 0.5), np.zeros(6 * blocks, dtype=np.int64), 1)
+        params, order = np.tile([0.5, -1.0], (stack, 1)), np.tile(np.arange(6), (stack, 1))
+        data = Dataset(np.full((6 * stack, 2), 0.5), np.zeros(6 * stack, dtype=np.int64), 1)
         calls = []
         monkeypatch.setattr(model, "gradient", lambda *args: calls.append(1) or gradient(*args))
         with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
             sgd_epoch_traced(spec, params, data, 1e200, 1, order)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("stack", [None, 3])
+    @pytest.mark.parametrize("stack", [1, 3])
     def test_overflow_on_last_step_raises(self, stack):
         # Two rows at batch 1: step 1 leaves about -2e200 * w, step 2 leaves
         # +-inf, and no later gradient call sees it, so the epoch must.
         spec = quadratic_spec([2.0, 2.0])
-        params, order, blocks = np.array([0.5, -1.0]), np.arange(2), 1
-        if stack is not None:
-            params, order, blocks = np.tile(params, (stack, 1)), np.tile(order, (stack, 1)), stack
-        data = Dataset(np.full((2 * blocks, 2), 0.5), np.zeros(2 * blocks, dtype=np.int64), 1)
+        params, order = np.tile([0.5, -1.0], (stack, 1)), np.tile(np.arange(2), (stack, 1))
+        data = Dataset(np.full((2 * stack, 2), 0.5), np.zeros(2 * stack, dtype=np.int64), 1)
         with pytest.raises(ValueError, match="non-finite parameters after 2 steps"):
             with np.errstate(over="ignore"):
                 sgd_epoch_traced(spec, params, data, 1e200, 1, order)[0]
 
-    @pytest.mark.parametrize("stack", [None, 4])
-    def test_one_gradient_call_per_step(self, monkeypatch, stack):
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_one_gradient_call_per_step(self, monkeypatch, blocks):
         # Each step is one positional model.gradient(spec, stack, batch)
-        # call: a (P, dim) stack (P = 1 for a vector) and a Dataset of the
-        # step's rows, one block per stack row.
+        # call: the (P, dim) stack and a Dataset of the step's rows, one
+        # block per stack row.
         spec = softmax_spec(4, 3)
-        blocks = stack or 1
         params = np.stack([init_params(spec, s) for s in range(blocks)])
-        if stack is None:
-            params = params[0]
         order = permutation_rows("sgd", range(blocks), 10)
-        if stack is None:
-            order = order[0]
         calls = []
 
         def counted(*args):
@@ -785,7 +787,8 @@ class TestLockstepSgd:
         np.testing.assert_array_equal(W, before)
         assert norms.shape == (-(-n // batch_size), stack)
         for p, block in enumerate(blocks):
-            single, single_norms = sgd_epoch_traced(spec, W[p], block, lr, batch_size, order[p])
+            one = sgd_epoch_traced(spec, W[p : p + 1], block, lr, batch_size, order[p : p + 1])
+            single, single_norms = one[0][0], one[1][:, 0]
             ref, ref_norms = _per_node_epoch(spec, W[p], block, lr, batch_size, seeds[p])
             np.testing.assert_array_equal(trained[p], single)
             np.testing.assert_array_equal(single, ref)
@@ -818,7 +821,7 @@ class TestLockstepSgd:
             with pytest.raises(ValueError, match="row order"):
                 sgd_epoch_traced(spec, W, data, 0.1, 3, order)
         with pytest.raises(ValueError, match="row order"):
-            sgd_epoch_traced(spec, W[0], toy_dataset(n=6), 0.1, 3, np.arange(6)[None])
+            sgd_epoch_traced(spec, W[:1], toy_dataset(n=6), 0.1, 3, np.arange(6))
 
     def test_order_must_hold_integer_positions_within_the_block(self):
         spec = softmax_spec(4, 3)

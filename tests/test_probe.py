@@ -154,7 +154,7 @@ class TestComputeG:
         params = init_params(spec, 0)
         for epoch in range(400):
             order = spawn_rng("sgd", epoch).permutation(30)
-            params = sgd_epoch_traced(spec, params, data, 0.5, 30, order)[0]
+            params = sgd_epoch_traced(spec, params[None], data, 0.5, 30, order[None])[0][0]
         assert compute_g(spec, params, data) < 1e-3
 
     def test_invariant_under_sample_reordering(self):

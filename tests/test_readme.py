@@ -1,18 +1,21 @@
 """README.md states what a user relies on; these tests bind it to the code.
 
 The commands and the config keys are bound in ``test_cli.py`` and
-``test_config.py``, the table excerpts in ``test_report_tables.py``.
+``test_config.py``, the table excerpts in ``test_report_tables.py``. The
+config rules' and exit codes' examples run here, through the CLI.
 """
 
 import importlib
+import math
 import re
 from pathlib import Path
 
 import pytest
 
+from fedbound import model
 from fedbound.analysis import SUMMARY_HEADER
 from fedbound.cli import main
-from fedbound.config import KNOWN_KEYS
+from fedbound.config import KNOWN_KEYS, read_config
 from test_cli import TINY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,6 +28,21 @@ FILE_SUFFIXES = {"txt", "csv", "cfg", "py", "md", "bin"}
 
 def readme_section(title: str) -> str:
     return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def exit_code_bullets() -> dict[int, str]:
+    """{exit code: the text of its bullet, on one line} of the README's exit codes."""
+    codes = readme_section("Running experiments").split("\nExit codes:\n\n", 1)[1].split("\n\n")[0]
+    bullets = re.findall(r"^- \*\*(\d)\*\*: (.*?)(?=^- |\Z)", codes, flags=re.S | re.M)
+    return {int(code): " ".join(text.split()) for code, text in bullets}
+
+
+def five_nodes_with(tmp_path: Path, *lines: str) -> Path:
+    """``configs/five_nodes.cfg`` with ``lines`` appended, which override its keys."""
+    config = tmp_path / "five_nodes.cfg"
+    text = (README.parent / "configs" / "five_nodes.cfg").read_text(encoding="utf-8")
+    config.write_text(text + "".join(f"{line}\n" for line in lines))
+    return config
 
 
 def run_directory_table() -> dict[str, str | None]:
@@ -86,6 +104,8 @@ def test_every_backticked_module_name_resolves():
 RULE_EXAMPLES = {
     "scenario.nodes: unknown key": "scenario.nodes = 3\n",
     "repeat_seeds: cannot parse '1,,2': item 2 is empty": "repeat_seeds = 1,,2\n",
+    "bound.squared_distance: cannot parse 'yes': expected true or false":
+        "bound.squared_distance = yes\n",
     "data.cifar_pool: a key of data.source = cifar10, not synthetic": "data.cifar_pool = 2\n",
     "scenario.lr: lr must be finite and >= 0": "scenario.lr = nan\n",
     "model.feature_dim: 99 differs from the data source's 8": "model.feature_dim = 99\n",
@@ -120,3 +140,60 @@ def test_each_config_rule_example_comes_out_of_a_config_text(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and example.removesuffix(" ...") in err, err
         assert not (tmp_path / "out").exists()
+
+
+def test_exit_1_example_names_where_five_nodes_diverged(tmp_path, capsys):
+    example = re.search(
+        r"\(`(scenario\.lr = \S+)` on `configs/five_nodes\.cfg` gives `([^`]+)`",
+        exit_code_bullets()[1],
+    )
+    edit, error = example.groups()
+    assert (edit, error) == (
+        "scenario.lr = 1e10",
+        "error: seed 1 failed: round 8: node 0: SGD step 4 left non-finite parameters",
+    )
+    config = five_nodes_with(tmp_path, edit)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"{error} (5 of 5 seeds failed)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_1_example_of_a_run_directory_without_config_txt(tmp_path, capsys):
+    # The seeds are written; summary.csv, which reads every run's config.txt, is not.
+    bullet = exit_code_bullets()[1]
+    error = re.search(r"`(error: \[Errno 2\][^`]+)`", bullet)[1]
+    out = tmp_path / "out"
+    (out / "notes_seed1").mkdir(parents=True)
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", error.replace("<out>", str(out)) + "\n")
+    assert sorted(path.name for path in out.iterdir()) == [
+        "notes_seed1", "tiny_seed1", "tiny_seed2",
+    ]
+    assert "`report --run <out>` exits 1 the same way" in bullet
+    assert main(["report", "--run", str(out)]) == 1
+    assert capsys.readouterr() == ("", error.replace("<out>", str(out)) + "\n")
+
+
+def test_exit_0_example_saturates_five_nodes(tmp_path, capsys):
+    # Seed 1 alone, so the run is short; the README's numbers are seed 1's.
+    example = re.search(
+        r"`configs/five_nodes\.cfg` with `(model\.l2 = \S+)` and `(scenario\.lr = \S+)` "
+        r"prints nothing, and seed 1 writes train loss ([0-9.]+) in all (\d+) rounds\..*?"
+        r"\((\d+) of (\d+)\)",
+        exit_code_bullets()[0],
+    )
+    assert example is not None
+    *edits, train_loss, rounds, capped, rows = example.groups()
+    assert (train_loss, capped) == ("20.2995902", "551")
+    config = five_nodes_with(tmp_path, *edits, "repeat_seeds = 1")
+    scenario = read_config(config).scenario
+    assert int(rounds) == scenario.rounds
+    assert int(rows) == scenario.n_nodes * scenario.samples_per_node
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr() == ("", "")
+    lines = (tmp_path / "out" / "five_nodes_seed1" / "rounds.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == [train_loss] * scenario.rounds
+    # A capped row's loss is -log(PROB_FLOOR), a row fit with probability 1 adds 0.
+    assert round(float(train_loss) * int(rows) / -math.log(model.PROB_FLOOR)) == int(capped)
