@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -294,10 +295,21 @@ def write_reports(run_dir: Path | str, inputs: ReportInputs) -> None:
 
 
 def run_dirs(out_dir: Path | str) -> list[Path]:
-    """The ``<name>_seed<s>`` run directories of ``out_dir``; hidden ones
-    (a ``.tmp-`` staging or an ``.old-`` swapped-out directory) are skipped."""
-    paths = Path(out_dir).iterdir()
-    return [p for p in paths if p.is_dir() and re.fullmatch(r"[^.].*_seed-?[0-9]+", p.name)]
+    """The ``<name>_seed<s>`` run directories of ``out_dir``, in name order.
+
+    Hidden ones (a ``.tmp-`` staging or an ``.old-`` swapped-out directory)
+    are skipped, and so is one without a ``config.txt``, with a ``warning:``
+    line naming it on stderr: it is no run directory, and a summary of the
+    runs beside it can still be built."""
+    runs = []
+    for path in sorted(Path(out_dir).iterdir()):
+        if not (path.is_dir() and re.fullmatch(r"[^.].*_seed-?[0-9]+", path.name)):
+            continue
+        if (path / "config.txt").is_file():
+            runs.append(path)
+        else:
+            print(f"warning: {path}: no config.txt; not a run directory", file=sys.stderr)
+    return runs
 
 
 def summary_row(run_dir: Path, cfg: ExperimentConfig) -> tuple:

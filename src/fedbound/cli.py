@@ -206,7 +206,7 @@ def _selftest_gradients(n_cases: int = 20) -> bool:
         n = int(rng.integers(2, 8))
         data = Dataset(rng.uniform(0, 1, (n, dim)), rng.integers(0, classes, n), classes)
         params = init_params(spec, 1000 + case)
-        analytic = gradient(spec, params, data)
+        analytic = gradient(spec, params[None], data)[0]
         numeric = finite_difference_gradient(spec, params, data)
         denom = max(float(np.abs(analytic).max()), 1e-8)
         worst = max(worst, float(np.abs(analytic - numeric).max()) / denom)

@@ -367,7 +367,7 @@ def training_phase(
     )
     current = wstar_proxy = w1
     best_loss = train_loss_at(w1)
-    test_loss = loss(cfg.model, w1, test_data)
+    test_loss = float(loss(cfg.model, w1[None], test_data)[0])
     train_losses, test_losses, deltas, norms = [], [], [], []
     for t, states in enumerate(shuffles, 1):
         try:
@@ -376,7 +376,7 @@ def training_phase(
             raise ValueError(f"round {t}: {exc}") from exc
         current = fedavg(trained)
         # The trained rows and their average on the one test set, in one
-        # kernel call; row i equals loss(cfg.model, row, test_data) bit for bit.
+        # kernel call; row i equals loss(cfg.model, row[None], test_data) bit for bit.
         scores = shared_data_loss(cfg.model, np.vstack((trained, current)), test_data)
         deltas.append(test_loss - scores[:-1])
         test_loss = float(scores[-1])

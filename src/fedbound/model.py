@@ -2,9 +2,10 @@
 
 Parameters live in a single flat float64 vector; all operations are pure
 functions of their inputs, with randomness passed in as explicit seeds or
-row orders. :func:`loss` and :func:`gradient` take one vector or a
-``(P, dim)`` stack of them; :func:`sgd_epoch_traced` trains a stack only,
-as every node of a FedAvg round trains in one lockstep stack.
+row orders. :func:`loss`, :func:`gradient`, :func:`shared_data_loss` and
+:func:`sgd_epoch_traced` take a ``(P, dim)`` stack of parameter vectors, as
+every node of a FedAvg round trains in one lockstep stack; one model is the
+one-row stack ``w[None]``.
 
 Three model kinds are supported:
 
@@ -200,19 +201,6 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return 0.0 + init_scales(spec) * spawn_rng("init", seed).standard_normal(param_dim(spec))
 
 
-def _check_params(spec: ModelSpec, params: ParamVector, allow_stack: bool = False) -> np.ndarray:
-    """A finite parameter vector, or with ``allow_stack`` a ``(P, dim)`` stack of them."""
-    params = np.asarray(params, dtype=np.float64)
-    dim = param_dim(spec)
-    stacked = allow_stack and params.ndim == 2 and params.shape[0] >= 1 and params.shape[1] == dim
-    if params.shape != (dim,) and not stacked:
-        expected = f"({dim},) or (P, {dim})" if allow_stack else f"({dim},)"
-        raise ValueError(f"parameter vector has shape {params.shape}, expected {expected}")
-    if not np.isfinite(params).all():
-        raise ValueError("parameter vector contains non-finite values")
-    return params
-
-
 def _check_data(spec: ModelSpec, data: Dataset, blocks: int = 1) -> None:
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -231,18 +219,13 @@ def _check_data(spec: ModelSpec, data: Dataset, blocks: int = 1) -> None:
 
 def _check_stack(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     """A finite ``(P, dim)`` stack of parameter vectors, P >= 1."""
-    shape, dim = np.shape(params), param_dim(spec)
+    params = np.asarray(params, dtype=np.float64)
+    shape, dim = params.shape, param_dim(spec)
     if len(shape) != 2 or shape[0] < 1 or shape[1] != dim:
         raise ValueError(f"expected a (P, {dim}) stack, got shape {shape}")
-    return _check_params(spec, params, allow_stack=True)
-
-
-def _check_inputs(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
-    """``params`` as a ``(P, dim)`` stack (P = 1 for a vector) over P row blocks of ``data``."""
-    params = _check_params(spec, params, allow_stack=True)
-    stack = params[None] if params.ndim == 1 else params
-    _check_data(spec, data, stack.shape[0])
-    return stack
+    if not np.isfinite(params).all():
+        raise ValueError("parameter vector contains non-finite values")
+    return params
 
 
 def _class_sum(values: np.ndarray) -> np.ndarray:
@@ -399,42 +382,42 @@ def _loss_and_grad_stacked(
     return losses, grads
 
 
-def _blocks(stack: np.ndarray, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """``data`` as one block of rows per stack row: features (P, n, d), labels (P, n)."""
+def _blocks(spec: ModelSpec, stack: np.ndarray, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` as one block of rows per stack row, checked: features (P, n, d), labels (P, n)."""
     blocks = stack.shape[0]
+    _check_data(spec, data, blocks)
     return (
         data.features.reshape(blocks, -1, data.feature_dim),
         data.labels.reshape(blocks, -1),
     )
 
 
-def loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> float | np.ndarray:
-    """Mean cross-entropy over the dataset plus (l2/2) * ||params||^2.
+def loss(spec: ModelSpec, params: np.ndarray, data: Dataset) -> np.ndarray:
+    """Mean cross-entropy over the dataset plus (l2/2) * ||params||^2, per stack row.
 
     The quadratic kind instead evaluates 0.5 * w^T diag(h) w (data ignored).
-    For a ``(P, dim)`` stack, ``data`` holds P equal, consecutive row blocks
-    and the result is the ``(P,)`` array of each row's loss on its block;
-    row p equals the single-vector call on block p bit for bit.
+    ``params`` is a ``(P, dim)`` stack and ``data`` holds P equal, consecutive
+    row blocks; the result is the ``(P,)`` array of each row's loss on its
+    block, and row p equals the one-row call on block p bit for bit.
     """
-    stack = _check_inputs(spec, params, data)
-    losses, _ = _loss_and_grad_stacked(spec, stack, *_blocks(stack, data), False)
-    return float(losses[0]) if np.ndim(params) == 1 else losses
+    stack = _check_stack(spec, params)
+    losses, _ = _loss_and_grad_stacked(spec, stack, *_blocks(spec, stack, data), False)
+    return losses
 
 
-def gradient(spec: ModelSpec, params: ParamVector, data: Dataset) -> ParamVector:
-    """Exact analytic gradient of :func:`loss`; same shape as ``params``.
+def gradient(spec: ModelSpec, params: np.ndarray, data: Dataset) -> np.ndarray:
+    """Exact analytic gradients of :func:`loss`, the ``(P, dim)`` array of each
+    stack row's gradient on its block of ``data``; row p equals the one-row
+    call on block p bit for bit."""
+    stack = _check_stack(spec, params)
+    _, grads = _loss_and_grad_stacked(spec, stack, *_blocks(spec, stack, data), True, want_loss=False)
+    return grads
 
-    A ``(P, dim)`` stack takes P equal row blocks of ``data``, as in :func:`loss`.
-    """
-    stack = _check_inputs(spec, params, data)
-    _, grads = _loss_and_grad_stacked(spec, stack, *_blocks(stack, data), True, want_loss=False)
-    return grads[0] if np.ndim(params) == 1 else grads
 
-
-def shared_data_loss(spec: ModelSpec, params: ParamVector, data: Dataset) -> np.ndarray:
+def shared_data_loss(spec: ModelSpec, params: np.ndarray, data: Dataset) -> np.ndarray:
     """The ``(P,)`` losses of the rows of a ``(P, dim)`` stack, each on all of
-    ``data``, in one kernel call; row p equals ``loss(spec, params[p], data)``
-    bit for bit."""
+    ``data``, in one kernel call; row p equals the one-row :func:`loss` call
+    on ``data`` bit for bit."""
     stack = _check_stack(spec, params)
     _check_data(spec, data)
     losses, _ = _loss_and_grad_stacked(spec, stack, data.features, data.labels, False)
@@ -521,14 +504,17 @@ def sgd_epoch_traced(
 def finite_difference_gradient(
     spec: ModelSpec, params: ParamVector, data: Dataset, step: float = 1e-5
 ) -> ParamVector:
-    """Central finite-difference gradient; the independent check for ``gradient``."""
-    params = np.asarray(params, dtype=np.float64)
-    out = np.empty_like(params)
-    for i in range(params.size):
-        bumped = params.copy()
-        bumped[i] = params[i] + step
-        hi = loss(spec, bumped, data)
-        bumped[i] = params[i] - step
-        lo = loss(spec, bumped, data)
-        out[i] = (hi - lo) / (2.0 * step)
-    return out
+    """Central finite-difference gradient at one parameter vector; the
+    independent check for ``gradient``.
+
+    The ``2 * dim`` bumped vectors, ``params`` with entry i moved by ``+step``
+    and then by ``-step``, go through one :func:`shared_data_loss` call.
+    """
+    params = _check_stack(spec, np.asarray(params)[None])[0]
+    dim = params.size
+    bumped = np.tile(params, (2 * dim, 1))
+    entries = np.arange(dim)
+    bumped[entries, entries] = params + step
+    bumped[dim + entries, entries] = params - step
+    losses = shared_data_loss(spec, bumped, data)
+    return (losses[:dim] - losses[dim:]) / (2.0 * step)

@@ -21,7 +21,7 @@ from .model import (
     ModelSpec,
     ParamVector,
     _check_data,
-    _check_params,
+    _check_stack,
     _loss_and_grad_stacked,
     gradient,
     init_scales,
@@ -109,9 +109,9 @@ def compute_m(spec: ModelSpec, u: ParamVector, v: ParamVector, data: Dataset) ->
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("u and v must have identical shapes")
-    U = _check_params(spec, u)[None]
+    U = _check_stack(spec, u[None])
     _check_data(spec, data)
-    V = _check_params(spec, v)[None]
+    V = _check_stack(spec, v[None])
     sq_dist, m = _m_values(U, V, *_pair_values(spec, U, V, data))
     if sq_dist[0] < DEGENERATE_SQ_DIST:
         raise DegeneratePairError(_degenerate_message(float(sq_dist[0])))
@@ -120,7 +120,7 @@ def compute_m(spec: ModelSpec, u: ParamVector, v: ParamVector, data: Dataset) ->
 
 def compute_g(spec: ModelSpec, v: ParamVector, data: Dataset) -> float:
     """Euclidean norm of the loss gradient at v."""
-    return float(np.linalg.norm(gradient(spec, v, data)))
+    return float(np.linalg.norm(gradient(spec, np.asarray(v)[None], data)[0]))
 
 
 def probe_stack_size(spec: ModelSpec, data: Dataset) -> int:
@@ -207,7 +207,7 @@ def collect_probes(
     try:
         _check_data(spec, data)
         if np.ndim(center):
-            center = _check_params(spec, center)
+            center = _check_stack(spec, np.asarray(center)[None])[0]
     except ValueError as exc:
         raise ProbeFailure(0, str(exc)) from exc
     stack = probe_stack_size(spec, data)

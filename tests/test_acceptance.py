@@ -115,7 +115,7 @@ def test_01_gradients_match_finite_differences():
         n = int(rng.integers(2, 10))
         data = Dataset(rng.uniform(0, 1, (n, dim)), rng.integers(0, classes, n), classes)
         params = init_params(spec, 5000 + case)
-        analytic = gradient(spec, params, data)
+        analytic = gradient(spec, params[None], data)[0]
         numeric = finite_difference_gradient(spec, params, data, step=1e-5)
         worst = max(
             worst,

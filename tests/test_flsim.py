@@ -201,7 +201,7 @@ class TestLocalRound:
         cfg = scenario(lr=0.2, batch_size=40)
         node, test, w = self.make_node(cfg)
         trained, _ = local_round(node, w, cfg, round_states([3]))
-        assert loss(cfg.model, w, test) - loss(cfg.model, trained[0], test) > 0.0
+        assert loss(cfg.model, w[None], test)[0] - loss(cfg.model, trained[:1], test)[0] > 0.0
 
     def test_deterministic(self):
         cfg = scenario()
@@ -301,7 +301,7 @@ class TestRunFederated:
                 locals_.append(trained[0])
                 # The engine reuses the previous round's test loss as this
                 # round's starting loss; a fresh evaluation must agree exactly.
-                delta = loss(cfg.model, w, test) - loss(cfg.model, trained[0], test)
+                delta = loss(cfg.model, w[None], test)[0] - loss(cfg.model, trained[:1], test)[0]
                 assert delta == run.trained.usefulness[t - 1, i]
             w = fedavg(locals_)
         np.testing.assert_array_equal(w, run.trained.final_params)
@@ -318,7 +318,7 @@ class TestRunFederated:
 
         # Replay one node at a time, each a one-row stack.
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
-        before = loss(cfg.model, w, test)
+        before = loss(cfg.model, w[None], test)[0]
         for t in range(1, cfg.rounds + 1):
             locals_, traces = [], []
             for i, data in enumerate(datasets):
@@ -333,12 +333,12 @@ class TestRunFederated:
                     trace.append(norms[:, 0])
                 locals_.append(wi)
                 traces.append(np.concatenate(trace))
-                assert run.trained.usefulness[t - 1, i] == before - loss(cfg.model, wi, test)
+                assert run.trained.usefulness[t - 1, i] == before - loss(cfg.model, wi[None], test)[0]
             w = fedavg(locals_)
-            before = loss(cfg.model, w, test)
+            before = loss(cfg.model, w[None], test)[0]
             np.testing.assert_array_equal(run.trained.training_g[t - 1], traces)
             assert run.trained.test_loss[t - 1] == before
-            train_loss = float(np.mean([loss(cfg.model, w, d) for d in datasets]))
+            train_loss = float(np.mean([loss(cfg.model, w[None], d)[0] for d in datasets]))
             assert run.trained.train_loss[t - 1] == train_loss
         np.testing.assert_array_equal(run.trained.final_params, w)
 
@@ -389,7 +389,9 @@ class TestRunFederated:
         assert init_distance >= 0.0
         assert np.isfinite(init_distance)
         best = min(trained.train_loss)
-        proxy_loss = float(np.mean([loss(cfg.model, trained.wstar_proxy, node) for node in nodes]))
+        proxy_loss = float(
+            np.mean([loss(cfg.model, trained.wstar_proxy[None], node)[0] for node in nodes])
+        )
         assert proxy_loss <= best + 1e-12
 
     def test_wstar_proxy_is_the_earliest_of_equal_losses(self):
@@ -440,7 +442,7 @@ class TestRunFederated:
         # Replay node 0's first probe pair: its g must be |F(v)|, not a norm.
         _, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
         _, v = draw_probe_pair(cfg.model, derive_seed(derive_seed(cfg.seed, "probe", 0), 0))
-        expected = abs(loss(cfg.model, v, nodes[0]))
+        expected = abs(loss(cfg.model, v[None], nodes[0])[0])
         assert run.probed.samples[0, 0, 1] == pytest.approx(expected, rel=1e-12)
 
 

@@ -15,6 +15,7 @@ from fedbound.model import (
     finite_difference_gradient,
     gradient,
     init_params,
+    init_scales,
     loss,
     mlp_spec,
     param_dim,
@@ -118,7 +119,7 @@ class TestLoss:
     def test_zero_params_give_log_k(self):
         data = toy_dataset(classes=3)
         spec = softmax_spec(4, 3)
-        assert loss(spec, np.zeros(param_dim(spec)), data) == pytest.approx(
+        assert loss(spec, np.zeros(param_dim(spec))[None], data)[0] == pytest.approx(
             math.log(3), abs=1e-12
         )
 
@@ -127,21 +128,21 @@ class TestLoss:
         plain = softmax_spec(4, 3, l2=0.0)
         ridged = softmax_spec(4, 3, l2=0.5)
         params = init_params(plain, 5)
-        expected = loss(plain, params, data) + 0.25 * float(params @ params)
-        assert loss(ridged, params, data) == pytest.approx(expected, rel=1e-12)
+        expected = loss(plain, params[None], data)[0] + 0.25 * float(params @ params)
+        assert loss(ridged, params[None], data)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_loss_nonnegative(self):
         data = toy_dataset()
         spec = mlp_spec(4, 3, 5)
         for seed in range(10):
-            assert loss(spec, init_params(spec, seed), data) >= 0.0
+            assert loss(spec, init_params(spec, seed)[None], data)[0] >= 0.0
 
     def test_coercive_with_l2(self):
         data = toy_dataset()
         spec = softmax_spec(4, 3, l2=0.1)
         direction = init_params(spec, 1)
         direction /= np.linalg.norm(direction)
-        values = [loss(spec, radius * direction, data) for radius in (10.0, 100.0, 1000.0)]
+        values = [loss(spec, radius * direction[None], data)[0] for radius in (10.0, 100.0, 1000.0)]
         assert values[0] < values[1] < values[2]
         # The l2 term alone must dominate at large radius.
         assert values[2] > 0.5 * 0.1 * 1000.0 ** 2 * 0.99
@@ -154,29 +155,29 @@ class TestLoss:
         data = Dataset(feats, labels, 2)
         spec = softmax_spec(3, 2)
         params = init_params(spec, 0)
-        losses = [loss(spec, params, data)]
+        losses = [loss(spec, params[None], data)[0]]
         for epoch in range(30):
             params = sgd_epoch_traced(spec, params[None], data, 0.5, n, shuffle(epoch, n))[0][0]
-            losses.append(loss(spec, params, data))
+            losses.append(loss(spec, params[None], data)[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            loss(softmax_spec(4, 3), np.zeros(7), toy_dataset())
+            loss(softmax_spec(4, 3), np.zeros(7)[None], toy_dataset())
 
     def test_empty_dataset_rejected(self):
         spec = softmax_spec(4, 3)
         empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
         with pytest.raises(ValueError):
-            loss(spec, np.zeros(param_dim(spec)), empty)
+            loss(spec, np.zeros(param_dim(spec))[None], empty)
 
 
 class TestGradient:
     def test_quadratic_identity_gradient_is_w(self):
         spec = quadratic_spec([1.0, 1.0, 1.0])
         w = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_allclose(gradient(spec, w, dummy_dataset(3)), w)
+        np.testing.assert_allclose(gradient(spec, w[None], dummy_dataset(3))[0], w)
 
     @pytest.mark.parametrize("case", range(12))
     def test_matches_finite_differences(self, case):
@@ -190,7 +191,7 @@ class TestGradient:
         n = int(rng.integers(2, 9))
         data = Dataset(rng.uniform(0, 1, (n, dim)), rng.integers(0, classes, n), classes)
         params = init_params(spec, 100 + case)
-        analytic = gradient(spec, params, data)
+        analytic = gradient(spec, params[None], data)[0]
         numeric = finite_difference_gradient(spec, params, data)
         rel = np.abs(analytic - numeric).max() / max(np.abs(analytic).max(), 1e-8)
         assert rel <= 1e-5
@@ -201,7 +202,7 @@ class TestGradient:
         params = init_params(spec, 2)
         for epoch in range(400):
             params = sgd_epoch_traced(spec, params[None], data, 0.5, 30, shuffle(epoch, 30))[0][0]
-        assert np.linalg.norm(gradient(spec, params, data)) < 1e-3
+        assert np.linalg.norm(gradient(spec, params[None], data)[0]) < 1e-3
 
 
 class TestStrongConvexity:
@@ -215,11 +216,11 @@ class TestStrongConvexity:
         u = rng.normal(0, 0.8, param_dim(spec))
         v = rng.normal(0, 0.8, param_dim(spec))
         lower = (
-            loss(spec, v, data)
-            + float((u - v) @ gradient(spec, v, data))
+            loss(spec, v[None], data)[0]
+            + float((u - v) @ gradient(spec, v[None], data)[0])
             + 0.5 * lam * float((u - v) @ (u - v))
         )
-        assert loss(spec, u, data) >= lower - 1e-9
+        assert loss(spec, u[None], data)[0] >= lower - 1e-9
 
 
 class TestSgdEpoch:
@@ -380,6 +381,56 @@ def _kernel_case(kind, d, k, h, l2, seed):
     return quadratic_spec(rng.uniform(0.1, 5.0, d), l2)
 
 
+def per_coordinate_finite_difference_gradient(spec, params, data, step=1e-5):
+    """Central finite differences one entry at a time, two one-row :func:`loss`
+    calls each: the loop that ``finite_difference_gradient`` runs as one stack."""
+    params = np.asarray(params, dtype=np.float64)
+    out = np.empty_like(params)
+    for i in range(params.size):
+        bumped = params.copy()
+        bumped[i] = params[i] + step
+        hi = loss(spec, bumped[None], data)[0]
+        bumped[i] = params[i] - step
+        lo = loss(spec, bumped[None], data)[0]
+        out[i] = (hi - lo) / (2.0 * step)
+    return out
+
+
+class TestFiniteDifferences:
+    @given(
+        kind=st.sampled_from(["softmax", "mlp", "quadratic"]),
+        n=st.integers(min_value=1, max_value=30),
+        d=st.integers(min_value=1, max_value=5),
+        k=st.integers(min_value=2, max_value=4),
+        h=st.integers(min_value=1, max_value=5),
+        l2=st.sampled_from([0.0, 0.03]),
+        scale=st.sampled_from([1.0, 10.0, 100.0]),
+        step=st.sampled_from([1e-5, 1e-3]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_stacked_call_equals_the_per_entry_loop_bit_for_bit(
+        self, kind, n, d, k, h, l2, scale, step, seed
+    ):
+        # ``scale`` times the init scales; the larger ones put samples on the
+        # capped branch of the loss.
+        spec = _kernel_case(kind, d, k, h, l2, seed)
+        rng = np.random.default_rng(seed + 1)
+        data = Dataset(rng.uniform(0, 1, (n, d)), rng.integers(0, k, n), k)
+        params = scale * init_scales(spec) * rng.standard_normal(param_dim(spec))
+        got = finite_difference_gradient(spec, params, data, step)
+        expected = per_coordinate_finite_difference_gradient(spec, params, data, step)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_one_kernel_call(self, monkeypatch):
+        spec = mlp_spec(4, 3, 5)
+        calls, kernel = [], model._loss_and_grad_stacked
+        monkeypatch.setattr(model, "_loss_and_grad_stacked", lambda *a: calls.append(1) or kernel(*a))
+        finite_difference_gradient(spec, init_params(spec, 0), toy_dataset())
+        assert calls == [1]
+
+
 class TestStackedKernel:
     @given(
         kind=st.sampled_from(["softmax", "mlp", "quadratic"]),
@@ -411,8 +462,8 @@ class TestStackedKernel:
         for p in range(stack):
             # The penalty is the per-vector dot product, as in a 1-D evaluation.
             assert losses[p] == unpenalized[p] + 0.5 * l2 * float(W[p] @ W[p])
-            expected_loss = loss(spec, W[p], data)
-            expected_grad = gradient(spec, W[p], data)
+            expected_loss = loss(spec, W[p : p + 1], data)[0]
+            expected_grad = gradient(spec, W[p : p + 1], data)[0]
             assert losses[p] == expected_loss == loss_only[p]
             for got in (grads[p], grad_only[p]):
                 np.testing.assert_array_equal(got, expected_grad)
@@ -708,11 +759,11 @@ def _blocks_case(kind, stack, n, d, k, h, l2, scale, seed):
 
 
 def _per_node_epoch(spec, w, data, lr, batch_size, seed):
-    """One node's epoch, one checked single-vector gradient call per step."""
+    """One node's epoch, one checked one-row gradient call per step."""
     order = spawn_rng("sgd", seed).permutation(len(data))
     norms = []
     for start in range(0, len(data), batch_size):
-        grad = gradient(spec, w, data.subset(order[start : start + batch_size]))
+        grad = gradient(spec, w[None], data.subset(order[start : start + batch_size]))[0]
         norms.append(float(np.linalg.norm(grad)))
         w = w - lr * grad
     return w, norms
@@ -741,8 +792,8 @@ class TestRowBlocks:
         grads = gradient(spec, W, data)
         assert losses.shape == (stack,) and grads.shape == W.shape
         for p, block in enumerate(blocks):
-            assert losses[p] == loss(spec, W[p], block)
-            expected = gradient(spec, W[p], block)
+            assert losses[p] == loss(spec, W[p : p + 1], block)[0]
+            expected = gradient(spec, W[p : p + 1], block)[0]
             np.testing.assert_array_equal(grads[p], expected)
             np.testing.assert_array_equal(np.signbit(grads[p]), np.signbit(expected))
 
@@ -753,6 +804,14 @@ class TestRowBlocks:
             gradient(spec, W, toy_dataset(n=12))
         with pytest.raises(ValueError, match="5 equal blocks"):
             loss(spec, W, toy_dataset(n=12))
+
+    def test_a_vector_is_refused(self):
+        # One model is a one-row stack; a bare vector names the shape it lacks.
+        spec = softmax_spec(4, 3)
+        refusal = r"^expected a \(P, 15\) stack, got shape \(15,\)$"
+        for evaluate in (loss, gradient):
+            with pytest.raises(ValueError, match=refusal):
+                evaluate(spec, init_params(spec, 0), toy_dataset(n=6))
 
     def test_stack_is_checked_like_a_vector(self):
         spec = softmax_spec(4, 3)
@@ -805,7 +864,7 @@ class TestLockstepSgd:
         W = rng.normal(0.0, 0.3, (3, param_dim(spec)))
         W[:, 12] += 60.0
         capped = data.subset(np.flatnonzero(data.labels != 0)[:10])
-        np.testing.assert_array_equal(gradient(spec, W[0], capped), l2 * W[0])
+        np.testing.assert_array_equal(gradient(spec, W[:1], capped)[0], l2 * W[0])
         trained, norms = sgd_epoch_traced(spec, W, data, 0.2, 4, permutation_rows("sgd", [1, 2, 3], 10))
         for p in range(3):
             block = data.subset(np.arange(10 * p, 10 * (p + 1)))
@@ -905,7 +964,7 @@ class TestSharedDataLoss:
         losses = shared_data_loss(spec, W, data)
         assert losses.shape == (stack,)
         for p in range(stack):
-            assert losses[p] == loss(spec, W[p], data)
+            assert losses[p] == loss(spec, W[p : p + 1], data)[0]
 
     def test_stack_is_checked(self):
         spec = softmax_spec(4, 3)

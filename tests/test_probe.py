@@ -170,7 +170,7 @@ class TestComputeG:
         spec = quadratic_spec([2.0, 2.0])
         v = np.array([1.0, 1.0])
         # 0.5 * v^T diag(2,2) v = 2.
-        assert abs(loss(spec, v, dummy_data(2))) == pytest.approx(2.0)
+        assert abs(loss(spec, v[None], dummy_data(2))[0]) == pytest.approx(2.0)
 
 
 class TestEstimateConstants:
@@ -400,7 +400,7 @@ class TestStackedProbes:
         rng = spawn_rng("toy", 4)
         data = Dataset(rng.uniform(0, 1, (30, 5)), rng.integers(0, 3, 30), 3)
         small_stacks(monkeypatch, spec, data, 3)
-        g_of = compute_g if g_formula == "gradient-norm" else lambda *a: abs(loss(*a))
+        g_of = compute_g if g_formula == "gradient-norm" else lambda s, v, d: abs(loss(s, v[None], d)[0])
         for center, scale in ((0.0, None), (init_params(spec, 2), 0.3)):
             samples = collect_probes(spec, data, 11, 9, g_formula, center, scale)
             assert len(samples) == 11

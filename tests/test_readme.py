@@ -158,22 +158,28 @@ def test_exit_1_example_names_where_five_nodes_diverged(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_1_example_of_a_run_directory_without_config_txt(tmp_path, capsys):
-    # The seeds are written; summary.csv, which reads every run's config.txt, is not.
-    bullet = exit_code_bullets()[1]
-    error = re.search(r"`(error: \[Errno 2\][^`]+)`", bullet)[1]
+def test_exit_0_example_skips_a_directory_without_config_txt(tmp_path, capsys):
+    # summary.csv and the tables list the real runs; the stray directory gets one warning.
+    bullet = exit_code_bullets()[0]
+    warning = re.search(r"`(warning: <out>/notes_seed1: [^`]+)`", bullet)[1]
     out = tmp_path / "out"
     (out / "notes_seed1").mkdir(parents=True)
     config = tmp_path / "tiny.cfg"
     config.write_text(TINY)
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", error.replace("<out>", str(out)) + "\n")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", warning.replace("<out>", str(out)) + "\n")
     assert sorted(path.name for path in out.iterdir()) == [
-        "notes_seed1", "tiny_seed1", "tiny_seed2",
+        "notes_seed1", "summary.csv", "tiny_seed1", "tiny_seed2",
     ]
-    assert "`report --run <out>` exits 1 the same way" in bullet
-    assert main(["report", "--run", str(out)]) == 1
-    assert capsys.readouterr() == ("", error.replace("<out>", str(out)) + "\n")
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in summary[1:]] == [["tiny", "1"], ["tiny", "2"]]
+    assert "`report --run <out>`" in bullet
+    assert main(["report", "--run", str(out)]) == 0
+    tables, err = capsys.readouterr()
+    assert err == warning.replace("<out>", str(out)) + "\n"
+    (out / "notes_seed1").rmdir()
+    assert main(["report", "--run", str(out)]) == 0
+    assert capsys.readouterr() == (tables, "")
 
 
 def test_exit_0_example_saturates_five_nodes(tmp_path, capsys):
