@@ -1,5 +1,5 @@
-"""Dataset sources: a synthetic Gaussian-cluster generator and a CIFAR-10
-binary-format loader.
+"""Dataset sources: a synthetic Gaussian-cluster generator and CIFAR-10
+binary batches.
 
 Synthetic data is the default experiment substrate. Per-node heterogeneity
 knobs (label skew, noise multipliers) give node usefulness a controllable
@@ -39,10 +39,13 @@ class ClassCentersError(ValueError):
 
 @dataclass(frozen=True)
 class CifarSource:
-    """CIFAR-10 binary batches at ``path``, as :func:`load_cifar10` reads them.
+    """CIFAR-10 binary batches at ``path``: one .bin file or a directory of
+    them, of 3073-byte records (a label byte, then the R, G and B planes).
 
-    :attr:`records` loads them on first use and keeps them, so one command
-    reads its batches once.
+    :attr:`records` reads the batches on first use and keeps their bytes, so
+    one command reads its batches once and holds about the files' size (184
+    MB for all 60,000 records). Only the rows :meth:`subset` gathers become
+    float64 features.
     """
 
     path: Path
@@ -59,9 +62,29 @@ class CifarSource:
         return (1 if self.grayscale else 3) * (CIFAR_SIDE // self.pool) ** 2
 
     @cached_property
-    def records(self) -> Dataset:
-        """Every record of the batches, as :func:`load_cifar10` returns them."""
-        return load_cifar10(self)
+    def records(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(n, 3, 32, 32)`` uint8 pixels and ``(n,)`` int64 labels of
+        every batch, file after file."""
+        pixels, labels = zip(*map(_parse_cifar_file, _cifar_files(self)))
+        return np.concatenate(pixels), np.concatenate(labels)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.records[1]
+
+    def subset(self, indices: np.ndarray) -> Dataset:
+        """The records at an integer index array as a dataset: pixels scaled
+        to [0, 1], then averaged over the channels under ``grayscale``, then
+        average-pooled over ``pool`` x ``pool`` blocks."""
+        pixels = self.records[0][indices].astype(np.float64) / 255.0
+        if self.grayscale:
+            pixels = pixels.mean(axis=1, keepdims=True)
+        if self.pool > 1:
+            n, c, side, _ = pixels.shape
+            small = side // self.pool
+            pixels = pixels.reshape(n, c, small, self.pool, small, self.pool).mean(axis=(3, 5))
+        features = pixels.reshape(len(pixels), self.feature_dim)
+        return Dataset(features, self.labels[indices], CIFAR_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -231,29 +254,3 @@ def _parse_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
         )
     pixels = records[:, 1:].reshape(-1, 3, CIFAR_SIDE, CIFAR_SIDE)
     return pixels, labels
-
-
-def load_cifar10(source: CifarSource) -> Dataset:
-    """Load CIFAR-10 binary batches (3073-byte records: label, then R/G/B planes).
-
-    ``source.path`` may be one .bin file or a directory of them. Pixels are
-    scaled to [0, 1]; optional average pooling by ``source.pool`` and
-    channel-mean grayscaling shrink the feature vector for desk-scale runs.
-    """
-    pool = source.pool
-    all_pixels = []
-    all_labels = []
-    for f in _cifar_files(source):
-        pixels, labels = _parse_cifar_file(f)
-        all_pixels.append(pixels)
-        all_labels.append(labels)
-    pixels = np.concatenate(all_pixels).astype(np.float64) / 255.0
-    labels = np.concatenate(all_labels)
-
-    if source.grayscale:
-        pixels = pixels.mean(axis=1, keepdims=True)
-    if pool > 1:
-        n, c, side, _ = pixels.shape
-        small = side // pool
-        pixels = pixels.reshape(n, c, small, pool, small, pool).mean(axis=(3, 5))
-    return Dataset(pixels.reshape(pixels.shape[0], -1), labels, CIFAR_CLASSES)

@@ -175,16 +175,18 @@ class EmptyTestSplitError(ValueError):
 
 
 def partition_dataset(
-    data: Dataset, cfg: ScenarioConfig, rng_seed: int
+    data: Dataset | CifarSource, cfg: ScenarioConfig, rng_seed: int
 ) -> tuple[Dataset, list[Dataset]]:
-    """Split a global dataset into a held-out test set and disjoint node sets.
+    """Split a global pool into a held-out test set and disjoint node sets.
 
-    The test split keeps every class; only the training side drops samples
-    of the configured missing classes. Too few training rows for the nodes
-    raise :class:`ShortfallError`, then a test split of no row
+    Only the pool's ``labels`` and ``subset`` are read, so of a
+    :class:`CifarSource` only the gathered rows become float64. The test
+    split keeps every class; only the training side drops samples of the
+    configured missing classes. Too few training rows for the nodes raise
+    :class:`ShortfallError`, then a test split of no row
     :class:`EmptyTestSplitError`.
     """
-    n = len(data)
+    n = len(data.labels)
     rng = spawn_rng("partition", rng_seed)
     order = rng.permutation(n)
     n_test = int(round(cfg.test_fraction * n))
@@ -220,18 +222,17 @@ def node_datasets(
     a synthetic spec with per-node knobs generates each node on its own,
     with a test set sized so it makes up ``test_fraction`` of all rows.
     """
-    if isinstance(source, CifarSource):
-        data = source.records
-    elif source.has_node_knobs:
-        total_train = cfg.n_nodes * cfg.samples_per_node
-        frac = cfg.test_fraction
-        n_test = max(1, int(round(frac / (1.0 - frac) * total_train)))
-        return gen_synthetic_nodes(
-            source, cfg.n_nodes, cfg.samples_per_node, n_test, cfg.seed, cfg.missing_classes
-        )
-    else:
-        data = gen_synthetic(source, cfg.seed)
-    return partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+    pool = source
+    if isinstance(source, SyntheticSpec):
+        if source.has_node_knobs:
+            total_train = cfg.n_nodes * cfg.samples_per_node
+            frac = cfg.test_fraction
+            n_test = max(1, int(round(frac / (1.0 - frac) * total_train)))
+            return gen_synthetic_nodes(
+                source, cfg.n_nodes, cfg.samples_per_node, n_test, cfg.seed, cfg.missing_classes
+            )
+        pool = gen_synthetic(source, cfg.seed)
+    return partition_dataset(pool, cfg, derive_seed(cfg.seed, "partition"))
 
 
 def fedavg(models) -> ParamVector:

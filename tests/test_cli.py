@@ -577,8 +577,8 @@ class TestRunCommand:
     CIFAR_DIGEST = "d6ea3862d4d202888ce5f5bb855680fea3b437253880511f328357dc8bca4a8d"
 
     def test_cifar_run_loads_its_batch_once(self, tmp_path, monkeypatch):
-        loads, load = [], data.load_cifar10
-        monkeypatch.setattr(data, "load_cifar10", lambda source: loads.append(1) or load(source))
+        loads, load = [], data._parse_cifar_file
+        monkeypatch.setattr(data, "_parse_cifar_file", lambda path: loads.append(1) or load(path))
         config = tmp_path / "cifar.cfg"
         config.write_text(
             cifar_config(tmp_path) + "scenario.missing_classes = 3\nrepeat_seeds = 1,2,3\n"

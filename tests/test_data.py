@@ -1,17 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbound.data import (
+    CIFAR_CLASSES,
     CIFAR_RECORD_BYTES,
     CifarFormatError,
     CifarSource,
     SyntheticSpec,
+    _cifar_files,
+    _parse_cifar_file,
     class_centers,
     gen_synthetic,
     gen_synthetic_nodes,
-    load_cifar10,
 )
-from fedbound.model import init_params, sgd_epoch_traced, softmax_spec
+from fedbound.flsim import ScenarioConfig, node_datasets
+from fedbound.model import Dataset, init_params, sgd_epoch_traced, softmax_spec
 from fedbound.rng import spawn_rng
 
 
@@ -148,12 +155,55 @@ def make_record(label, fill=0):
     return bytes([label]) + bytes([fill]) * 3072
 
 
+def random_batch(path, n, seed=0):
+    """``n`` records of random labels and pixel bytes at ``path``."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, (n, 1), dtype=np.uint8)
+    path.write_bytes(np.hstack([labels, rng.integers(0, 256, (n, 3072), dtype=np.uint8)]).tobytes())
+
+
+def every_row(source):
+    """Every record of ``source``, gathered in file order."""
+    return source.subset(np.arange(len(source.labels)))
+
+
+def whole_pool(source):
+    """The oracle for :meth:`CifarSource.subset`: every record converted to
+    float64 at once, scaled, then averaged over channels, then pooled."""
+    pool = source.pool
+    all_pixels = []
+    all_labels = []
+    for f in _cifar_files(source):
+        pixels, labels = _parse_cifar_file(f)
+        all_pixels.append(pixels)
+        all_labels.append(labels)
+    pixels = np.concatenate(all_pixels).astype(np.float64) / 255.0
+    labels = np.concatenate(all_labels)
+
+    if source.grayscale:
+        pixels = pixels.mean(axis=1, keepdims=True)
+    if pool > 1:
+        n, c, side, _ = pixels.shape
+        small = side // pool
+        pixels = pixels.reshape(n, c, small, pool, small, pool).mean(axis=(3, 5))
+    return Dataset(pixels.reshape(pixels.shape[0], -1), labels, CIFAR_CLASSES)
+
+
+@pytest.fixture(scope="module")
+def batch_dir(tmp_path_factory):
+    """Two files of 23 and 14 random records."""
+    path = tmp_path_factory.mktemp("cifar")
+    random_batch(path / "a.bin", 23, seed=1)
+    random_batch(path / "b.bin", 14, seed=2)
+    return path
+
+
 class TestCifarLoader:
     def test_ten_records(self, tmp_path):
         path = tmp_path / "batch.bin"
         path.write_bytes(b"".join(make_record(i % 10) for i in range(10)))
         assert path.stat().st_size == 30730
-        data = load_cifar10(CifarSource(path))
+        data = every_row(CifarSource(path))
         assert len(data) == 10
         assert data.feature_dim == 3072
 
@@ -161,14 +211,14 @@ class TestCifarLoader:
         path = tmp_path / "bad.bin"
         path.write_bytes(make_record(1) + b"\x00" * 3072)  # 3072-byte tail
         with pytest.raises(CifarFormatError) as excinfo:
-            load_cifar10(CifarSource(path))
+            every_row(CifarSource(path))
         assert excinfo.value.byte_offset == CIFAR_RECORD_BYTES
         assert str(CIFAR_RECORD_BYTES) in str(excinfo.value)
 
     def test_all_zero_record(self, tmp_path):
         path = tmp_path / "zero.bin"
         path.write_bytes(make_record(0))
-        data = load_cifar10(CifarSource(path))
+        data = every_row(CifarSource(path))
         assert data.labels[0] == 0
         assert np.all(data.features[0] == 0.0)
 
@@ -176,27 +226,27 @@ class TestCifarLoader:
         path = tmp_path / "label.bin"
         path.write_bytes(make_record(3) + make_record(11))
         with pytest.raises(CifarFormatError) as excinfo:
-            load_cifar10(CifarSource(path))
+            every_row(CifarSource(path))
         assert excinfo.value.byte_offset == CIFAR_RECORD_BYTES
         assert (excinfo.value.path, excinfo.value.reason) == (path, "label byte 11 exceeds 9")
 
     def test_pixels_scaled_to_unit_interval(self, tmp_path):
         path = tmp_path / "max.bin"
         path.write_bytes(make_record(9, fill=255))
-        data = load_cifar10(CifarSource(path))
+        data = every_row(CifarSource(path))
         assert np.all(data.features[0] == 1.0)
 
     def test_labels_roundtrip(self, tmp_path):
         labels = [3, 1, 4, 1, 5, 9, 2, 6]
         path = tmp_path / "labels.bin"
         path.write_bytes(b"".join(make_record(l) for l in labels))
-        data = load_cifar10(CifarSource(path))
+        data = every_row(CifarSource(path))
         assert list(data.labels) == labels
 
     def test_directory_of_batches(self, tmp_path):
         (tmp_path / "a.bin").write_bytes(make_record(0))
         (tmp_path / "b.bin").write_bytes(make_record(1))
-        data = load_cifar10(CifarSource(tmp_path))
+        data = every_row(CifarSource(tmp_path))
         assert len(data) == 2
 
     def test_records_load_once_per_source(self, tmp_path):
@@ -204,18 +254,53 @@ class TestCifarLoader:
         path.write_bytes(make_record(3))
         source = CifarSource(path)
         assert source.records is source.records
-        assert list(source.records.labels) == [3]
+        assert list(source.labels) == [3]
         # A new source reads the file as it now is.
         path.write_bytes(make_record(7))
-        assert list(source.records.labels) == [3]
-        assert list(CifarSource(path).records.labels) == [7]
+        assert list(source.labels) == [3]
+        assert list(CifarSource(path).labels) == [7]
 
     def test_grayscale_and_pooling_shrink_features(self, tmp_path):
         path = tmp_path / "small.bin"
         path.write_bytes(make_record(2, fill=128))
-        assert load_cifar10(CifarSource(path, pool=4)).feature_dim == 3 * 8 * 8
-        assert load_cifar10(CifarSource(path, grayscale=True)).feature_dim == 1024
-        assert load_cifar10(CifarSource(path, pool=8, grayscale=True)).feature_dim == 16
+        assert every_row(CifarSource(path, pool=4)).feature_dim == 3 * 8 * 8
+        assert every_row(CifarSource(path, grayscale=True)).feature_dim == 1024
+        assert every_row(CifarSource(path, pool=8, grayscale=True)).feature_dim == 16
+
+    @given(
+        pool=st.sampled_from([1, 2, 4, 8, 16, 32]),
+        grayscale=st.booleans(),
+        indices=st.lists(st.integers(0, 36), max_size=80),
+    )
+    @settings(max_examples=240, deadline=None)
+    def test_gather_is_the_whole_pool_conversion_at_the_rows(
+        self, batch_dir, pool, grayscale, indices
+    ):
+        source = CifarSource(batch_dir, pool, grayscale)
+        indices = np.array(indices, dtype=np.int64)
+        rows, expected = source.subset(indices), whole_pool(source)
+        assert rows.features.shape == (len(indices), source.feature_dim)
+        assert rows.features.tobytes() == expected.features[indices].tobytes()
+        assert rows.labels.dtype == expected.labels.dtype
+        assert rows.labels.tobytes() == expected.labels[indices].tobytes()
+
+    def test_node_datasets_convert_only_the_gathered_rows(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        random_batch(path, 2000)
+        cfg = ScenarioConfig(
+            n_nodes=2, samples_per_node=50, rounds=1, model=softmax_spec(3072, 10),
+            lr=0.1, batch_size=10, test_fraction=0.05, n_probes=2, seed=1,
+        )
+        tracemalloc.start()
+        try:
+            test, nodes = node_datasets(CifarSource(path), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(test) + sum(map(len, nodes)) == 200
+        # The file's bytes, held twice while the batches are joined, then 200
+        # float64 rows (4.9 MB); the whole pool as float64 would be 49 MB.
+        assert peak < 3 * path.stat().st_size
 
     def test_bad_pool_rejected(self, tmp_path):
         path = tmp_path / "p.bin"
