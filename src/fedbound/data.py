@@ -21,6 +21,7 @@ from .rng import spawn_rng
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes
 CIFAR_CLASSES = 10
 CIFAR_SIDE = 32
+_CIFAR_BLOCK_ROWS = 1024  # rows that subset converts to float64 at a time
 
 
 class CifarFormatError(ValueError):
@@ -64,9 +65,22 @@ class CifarSource:
     @cached_property
     def records(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(n, 3, 32, 32)`` uint8 pixels and ``(n,)`` int64 labels of
-        every batch, file after file."""
-        pixels, labels = zip(*map(_parse_cifar_file, _cifar_files(self)))
-        return np.concatenate(pixels), np.concatenate(labels)
+        every batch, file after file. They are sized from the files' sizes
+        and filled one file at a time, so loading holds one file's bytes
+        beyond them."""
+        files = _cifar_files(self)
+        counts = [path.stat().st_size // CIFAR_RECORD_BYTES for path in files]
+        pixels = np.empty((sum(counts), 3, CIFAR_SIDE, CIFAR_SIDE), np.uint8)
+        labels = np.empty(sum(counts), np.int64)
+        start = 0
+        for path, count in zip(files, counts):
+            file_pixels, file_labels = _parse_cifar_file(path)
+            if len(file_labels) != count:
+                raise OSError(f"{path}: size changed while it was read")
+            pixels[start : start + count], labels[start : start + count] = file_pixels, file_labels
+            start += count
+            del file_pixels  # the file's bytes go before the next file is read
+        return pixels, labels
 
     @property
     def labels(self) -> np.ndarray:
@@ -75,15 +89,21 @@ class CifarSource:
     def subset(self, indices: np.ndarray) -> Dataset:
         """The records at an integer index array as a dataset: pixels scaled
         to [0, 1], then averaged over the channels under ``grayscale``, then
-        average-pooled over ``pool`` x ``pool`` blocks."""
-        pixels = self.records[0][indices].astype(np.float64) / 255.0
-        if self.grayscale:
-            pixels = pixels.mean(axis=1, keepdims=True)
-        if self.pool > 1:
-            n, c, side, _ = pixels.shape
-            small = side // self.pool
-            pixels = pixels.reshape(n, c, small, self.pool, small, self.pool).mean(axis=(3, 5))
-        features = pixels.reshape(len(pixels), self.feature_dim)
+        average-pooled over ``pool`` x ``pool`` blocks. Rows are converted
+        a block at a time, so the float64 pixels of one block only are held
+        beside the features."""
+        features = np.empty((len(indices), self.feature_dim))
+        for start in range(0, len(indices), _CIFAR_BLOCK_ROWS):
+            rows = indices[start : start + _CIFAR_BLOCK_ROWS]
+            pixels = self.records[0][rows].astype(np.float64)
+            pixels /= 255.0
+            if self.grayscale:
+                pixels = pixels.mean(axis=1, keepdims=True)
+            if self.pool > 1:
+                n, c, side, _ = pixels.shape
+                small = side // self.pool
+                pixels = pixels.reshape(n, c, small, self.pool, small, self.pool).mean(axis=(3, 5))
+            features[start : start + len(rows)] = pixels.reshape(len(rows), self.feature_dim)
         return Dataset(features, self.labels[indices], CIFAR_CLASSES)
 
 

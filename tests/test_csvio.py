@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedbound.csvio import RUN_TABLES, _column_cells, fmt_value, read_csv, write_csv
+from fedbound.csvio import (
+    _BLOCK_ROWS,
+    _VECTOR_MIN_ROWS,
+    RUN_TABLES,
+    _column_cells,
+    fmt_value,
+    read_csv,
+    write_csv,
+)
 
 
 def reference_bytes(header, columns) -> bytes:
@@ -141,6 +149,95 @@ def test_typed_columns_match_cell_by_cell_formatting(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     write_csv(path, header, columns)
     assert path.read_bytes() == reference_bytes(header, columns)
+
+
+# Tables of _VECTOR_MIN_ROWS rows or more are rendered by numpy kernels, in
+# blocks of _BLOCK_ROWS rows; every byte must still be fmt_value's.
+LONG_ROWS = st.integers(_VECTOR_MIN_ROWS, 3 * _VECTOR_MIN_ROWS)
+# Exact ties of nine-digit rounding, the edges of fixed notation, signed
+# zeros, the smallest subnormal and the non-finite values.
+EDGE_FLOATS = [
+    12345678.25, 999999999.5, 0.000099999999995, 1e-4, 1e9, 0.0, -0.0, 5e-324,
+    math.nan, math.inf, -math.inf, 0.5, 2.5, 123456789.5, 99999999.95, 9.9999999995,
+    np.nextafter(1e-4, 0), np.nextafter(1e9, 0), np.nextafter(1e-3, 0), 1.7976931348623157e308,
+]
+
+
+def write_and_reference(tmp_path_factory, columns) -> tuple[bytes, bytes]:
+    header = [f"h{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(path, header, columns)
+    return path.read_bytes(), reference_bytes(header, columns)
+
+
+@given(values=st.lists(FLOATS, min_size=1, max_size=60), n=LONG_ROWS, seed=st.integers(0, 2**32))
+@example(values=EDGE_FLOATS, n=_VECTOR_MIN_ROWS, seed=0)
+@example(values=[-x for x in EDGE_FLOATS], n=2 * _VECTOR_MIN_ROWS + 1, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_long_float_columns_match_cell_by_cell_formatting(tmp_path_factory, values, n, seed):
+    # The drawn values over and over, beside values of every exponent.
+    rng = np.random.default_rng(seed)
+    spread = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 14, n)
+    written, expected = write_and_reference(tmp_path_factory, [np.resize(values, n), spread])
+    assert written == expected
+
+
+@given(values=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=60), n=LONG_ROWS)
+@example(values=[-(2**63), 2**63 - 1, 0, -1, 1, 999, 1000, -1000, 10**18, -(10**18)], n=700)
+@settings(max_examples=50, deadline=None)
+def test_long_int_and_bool_columns_match_cell_by_cell_formatting(tmp_path_factory, values, n):
+    small = np.arange(n) % 10
+    integers = [
+        np.resize(np.array(values, np.int64), n),
+        small,
+        (small - 3).astype(np.int8),
+        np.arange(n, dtype=np.uint64) * np.uint64(2**54),
+    ]
+    # A bool array's cells are True and False.
+    for columns in (integers, [small % 3 == 0, small]):
+        written, expected = write_and_reference(tmp_path_factory, columns)
+        assert written == expected
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["probe", "training"],
+        ["", "%", "%s", "a,b", "héllo", "naïve ✓", "x" * 17],
+        # A NUL cell takes the % path, which writes it as it is.
+        ["a\0b", "c"],
+    ],
+)
+def test_long_text_columns_match_cell_by_cell_formatting(tmp_path_factory, texts):
+    n = 3 * _VECTOR_MIN_ROWS
+    rng = np.random.default_rng(len(texts))
+    shuffled = [texts[i] for i in rng.integers(0, len(texts), n)]
+    runs = [text for text in texts for _ in range(n // len(texts))]
+    columns = [shuffled, runs[:n] + [texts[0]] * (n - len(runs)), np.arange(n) / 7]
+    written, expected = write_and_reference(tmp_path_factory, columns)
+    assert written == expected
+
+
+def test_long_mixed_columns_match_cell_by_cell_formatting(tmp_path_factory):
+    n = 2 * _VECTOR_MIN_ROWS
+    columns = [([1, 2.5, "x", True, np.float32(0.5)] * n)[:n], np.arange(n) * 0.1]
+    written, expected = write_and_reference(tmp_path_factory, columns)
+    assert written == expected
+
+
+def test_seeded_sweep_across_every_exponent(tmp_path_factory):
+    # 200,000 values over more than _BLOCK_ROWS rows: every decade of float64,
+    # subnormals, nine-digit decimals and their ties, and their neighbours.
+    rng = np.random.default_rng(48)
+    n = 200_000
+    assert n > 2 * _BLOCK_ROWS
+    digits = rng.integers(10**8, 10**9, n) + rng.choice([0.0, 0.5], n)
+    values = digits * 10.0 ** rng.integers(-320, 300, n)
+    values[::5] = rng.standard_normal(n // 5) * 10.0 ** rng.integers(-12, 12, n // 5)
+    values[1::7] = np.nextafter(values[1::7], rng.choice([-np.inf, np.inf], len(values[1::7])))
+    values *= rng.choice([-1.0, 1.0], n)
+    written, expected = write_and_reference(tmp_path_factory, [values, np.arange(n) % 13])
+    assert written == expected
 
 
 @given(
