@@ -67,12 +67,13 @@ def main() -> None:
     print("-" * 53)
     losses = []
     for seed, (scenario, selected) in sorted(selections.items()):
-        test_data, nodes = node_datasets(cfg.dataset, scenario)
+        test_data, rows = node_datasets(cfg.dataset, scenario)
         w1 = initial_params(scenario)
+        blocks = np.arange(len(rows)).reshape(scenario.n_nodes, -1)  # node i's row indices
         losses.append([])
-        for subset in (selected, set(range(len(nodes))) - selected):
-            subset_nodes = [nodes[i] for i in sorted(subset)]
-            trained = training_phase(scenario, w1, test_data, subset_nodes)
+        for subset in (selected, set(range(scenario.n_nodes)) - selected):
+            picked = rows.subset(blocks[sorted(subset)].ravel())
+            trained = training_phase(replace(scenario, n_nodes=len(subset)), w1, test_data, picked)
             losses[-1].append(float(trained.test_loss[-1]))
         ids = ",".join(str(i) for i in sorted(selected))
         print(f"{seed:>6}{ids:>20}{losses[-1][0]:>15.4f}{losses[-1][1]:>12.4f}")

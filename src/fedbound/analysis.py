@@ -243,7 +243,7 @@ def report_inputs_from_dir(run_dir: Path | str) -> ReportInputs:
     ids = list(range(len(node_constants)))
     path = run_dir / "usefulness.csv"
     rounds, nodes, deltas = read_csv(path, RUN_TABLES["usefulness.csv"])
-    found = np.unique(nodes).tolist()
+    found = sorted(set(nodes.tolist()))  # np.unique of integers imports numpy.ma
     if found != ids:
         raise ValueError(f"{path}: node ids {found} differ from constants.csv's {ids}")
     # save_run writes the (T, N) deltas round by round.

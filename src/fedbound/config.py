@@ -326,7 +326,7 @@ def load_config(path: Path | str) -> ExperimentConfig:
 
 
 def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
-    """``seed``'s set-up: its test set, node datasets and their probe result. A
+    """``seed``'s set-up: its test set, block of node rows and their probe result. A
     :class:`ConfigError` names the key, and its line if ``cfg`` was read from text,
     if the seed cannot run past it; a probe failure under ``init`` is a ValueError.
 
@@ -344,7 +344,7 @@ def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
         more = f"raise {d['samples_per_class'].name} or "
     scenario = replace(cfg.scenario, seed=seed)
     try:
-        test_data, nodes = node_datasets(cfg.dataset, scenario)
+        test_data, rows = node_datasets(cfg.dataset, scenario)
     except (OSError, CifarFormatError) as exc:
         raise _error(lines, c["path"].name, str(exc)) from exc
     except ClassCentersError as exc:
@@ -361,7 +361,7 @@ def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
     except EmptyTestSplitError as exc:
         raise _error(lines, _first_set(lines, s["test_fraction"], pool[0]), str(exc)) from exc
     try:
-        return Setup(scenario, test_data, tuple(nodes), probe_phase(scenario, nodes))
+        return Setup(scenario, test_data, rows, probe_phase(scenario, rows))
     except ProbeFailure as exc:
         if scenario.probe_sampler == "init":
             raise ValueError(f"seed {seed} failed: {exc}") from exc

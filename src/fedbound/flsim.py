@@ -1,17 +1,19 @@
 """FedAvg state machine: partition, probe, local training, averaging, records.
 
 A run proceeds in three phases. :func:`probe_phase` probes every node's
-local loss landscape at the initial parameter distribution, yielding
-per-node and worst-case global (mu, L, G) estimates. :func:`training_phase`
-runs T rounds of broadcast, one-or-more local SGD epochs per node, and
-coordinate-wise averaging, keeping per-round losses, usefulness deltas, and
-gradient-norm traces as arrays with one row per round; it never reads the
-probes. :func:`bound_phase` then gives each round's bound value, once the
-optimum proxy (the best-training-loss parameters seen anywhere in the run) is
-known, and its caveats as notes that :class:`FLRun` keeps in ``bound_notes``.
+local loss landscape, on a view of its rows, at the initial parameter
+distribution, yielding per-node and worst-case global (mu, L, G) estimates.
+:func:`training_phase` runs T rounds of broadcast, one-or-more local SGD
+epochs per node, and coordinate-wise averaging, keeping per-round losses,
+usefulness deltas, and gradient-norm traces as arrays with one row per round;
+it never reads the probes. :func:`bound_phase` then gives each round's bound
+value, once the optimum proxy (the best-training-loss parameters seen anywhere
+in the run) is known, and its caveats as notes that :class:`FLRun` keeps in
+``bound_notes``.
 
-Rounds run in lockstep: every node of a round starts from the same global
-vector and holds equally many rows, so the N nodes train as one ``(N, dim)``
+Rounds run in lockstep: node i holds rows ``i * n`` to ``(i + 1) * n`` of one
+node-major block, never split into per-node copies, and every node of a round
+starts from the same global vector, so the N nodes train as one ``(N, dim)``
 stack, one stacked gradient call per SGD step. A round's test losses, those
 of the N trained rows and of their average, are one kernel call over the one
 test set, and its training loss is one stacked loss call. Each stack row
@@ -176,14 +178,14 @@ class EmptyTestSplitError(ValueError):
 
 def partition_dataset(
     data: Dataset | CifarSource, cfg: ScenarioConfig, rng_seed: int
-) -> tuple[Dataset, list[Dataset]]:
-    """Split a global pool into a held-out test set and disjoint node sets.
+) -> tuple[Dataset, Dataset]:
+    """Split a global pool into a held-out test set and a node-major block of node sets.
 
-    Only the pool's ``labels`` and ``subset`` are read, so of a
-    :class:`CifarSource` only the gathered rows become float64. The test
-    split keeps every class; only the training side drops samples of the
-    configured missing classes. Too few training rows for the nodes raise
-    :class:`ShortfallError`, then a test split of no row
+    Only the pool's ``labels`` and ``subset`` are read, one ``subset`` call a
+    split, so of a :class:`CifarSource` only the gathered rows become float64,
+    once. The test split keeps every class; only the training side drops
+    samples of the configured missing classes. Too few training rows for the
+    nodes raise :class:`ShortfallError`, then a test split of no row
     :class:`EmptyTestSplitError`.
     """
     n = len(data.labels)
@@ -206,21 +208,17 @@ def partition_dataset(
         raise EmptyTestSplitError(
             f"test_fraction {cfg.test_fraction:g} leaves the test split empty"
         )
-    nodes = [
-        data.subset(pool[i * cfg.samples_per_node : (i + 1) * cfg.samples_per_node])
-        for i in range(cfg.n_nodes)
-    ]
-    return data.subset(test_idx), nodes
+    return data.subset(test_idx), data.subset(pool[:need])
 
 
 def node_datasets(
     source: SyntheticSpec | CifarSource, cfg: ScenarioConfig
-) -> tuple[Dataset, list[Dataset]]:
-    """The test set and the per-node training sets of a run of ``cfg``.
+) -> tuple[Dataset, Dataset]:
+    """The test set and the node-major block of training rows of a run of ``cfg``.
 
     CIFAR-10 and a synthetic pool without per-node knobs are partitioned;
-    a synthetic spec with per-node knobs generates each node on its own,
-    with a test set sized so it makes up ``test_fraction`` of all rows.
+    a synthetic spec with per-node knobs generates each node on its own, then
+    joins them, with a test set sized to ``test_fraction`` of all rows.
     """
     pool = source
     if isinstance(source, SyntheticSpec):
@@ -228,9 +226,10 @@ def node_datasets(
             total_train = cfg.n_nodes * cfg.samples_per_node
             frac = cfg.test_fraction
             n_test = max(1, int(round(frac / (1.0 - frac) * total_train)))
-            return gen_synthetic_nodes(
+            test, nodes = gen_synthetic_nodes(
                 source, cfg.n_nodes, cfg.samples_per_node, n_test, cfg.seed, cfg.missing_classes
             )
+            return test, Dataset.concat(nodes)
         pool = gen_synthetic(source, cfg.seed)
     return partition_dataset(pool, cfg, derive_seed(cfg.seed, "partition"))
 
@@ -290,45 +289,45 @@ def local_round(
     return stack, np.concatenate(norms).T
 
 
-def _check_equal_sizes(node_datasets: Sequence[Dataset]) -> None:
-    """The bound is for equally weighted FedAvg, so every node holds equally many rows."""
-    sizes = [len(local) for local in node_datasets]
-    if len(set(sizes)) > 1:
-        raise ValueError(f"node datasets differ in size: {sizes}")
-
-
 def initial_params(cfg: ScenarioConfig) -> ParamVector:
     """w1, the global parameters every run of seed ``cfg.seed`` starts from."""
     return init_params(cfg.model, derive_seed(cfg.seed, "init"))
 
 
+def _rows_per_node(cfg: ScenarioConfig, rows: Dataset) -> int:
+    """Each node's rows in a node-major block; the bound is for equally weighted FedAvg."""
+    n, rest = divmod(len(rows), cfg.n_nodes)
+    if rest:
+        raise ValueError(f"{len(rows)} rows do not split into {cfg.n_nodes} equal node blocks")
+    return n
+
+
 @dataclass(frozen=True)
 class Setup:
-    """A seed's set-up: the seeded scenario it was built for, its test set, its
-    node datasets and their probe result."""
+    """A seed's set-up: the seeded scenario it was built for, its test set, the
+    node-major block of its nodes' training rows and their probe result."""
 
     scenario: ScenarioConfig
     test: Dataset
-    nodes: tuple[Dataset, ...]
+    rows: Dataset
     probed: Probed
 
 
-def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed:
+def probe_phase(cfg: ScenarioConfig, rows: Dataset) -> Probed:
     """Phase 1 of a run: probe every node's loss landscape around w1.
 
-    Node i probes with seed ``derive_seed(cfg.seed, "probe", i)``, drawing
-    fresh parameter vectors under ``cfg.probe_sampler`` ``init`` and
-    ``w1 + cfg.perturb_sigma * z`` under ``perturb``. A :class:`ProbeFailure`
-    names the node whose probe failed.
+    Node i probes its view ``rows.subset(slice(i * n, (i + 1) * n))`` with seed
+    ``derive_seed(cfg.seed, "probe", i)``, drawing fresh parameter vectors under
+    ``cfg.probe_sampler`` ``init`` and ``w1 + cfg.perturb_sigma * z`` under
+    ``perturb``. A :class:`ProbeFailure` names the node whose probe failed.
     """
-    if len(node_datasets) != cfg.n_nodes:
-        raise ValueError(f"expected {cfg.n_nodes} node datasets, got {len(node_datasets)}")
-    _check_equal_sizes(node_datasets)
+    n = _rows_per_node(cfg, rows)
     w1 = initial_params(cfg)
     affine = {} if cfg.probe_sampler == "init" else {"center": w1, "scale": cfg.perturb_sigma}
     node_seeds = derive_seeds((cfg.seed, "probe"), range(cfg.n_nodes))
     samples = []
-    for node, (local, node_seed) in enumerate(zip(node_datasets, node_seeds)):
+    for node, node_seed in enumerate(node_seeds):
+        local = rows.subset(slice(node * n, (node + 1) * n))
         try:
             samples.append(
                 collect_probes(cfg.model, local, cfg.n_probes, node_seed, cfg.g_formula, **affine)
@@ -342,10 +341,10 @@ def probe_phase(cfg: ScenarioConfig, node_datasets: Sequence[Dataset]) -> Probed
 
 @np.errstate(all="ignore")
 def training_phase(
-    cfg: ScenarioConfig, w1: ParamVector, test_data: Dataset, node_datasets: Sequence[Dataset]
+    cfg: ScenarioConfig, w1: ParamVector, test_data: Dataset, rows: Dataset
 ) -> Trained:
-    """Phase 2 of a run: ``cfg.rounds`` FedAvg rounds from w1 over the given nodes,
-    which must hold equally many rows (the bound is for equally weighted FedAvg).
+    """Phase 2 of a run: ``cfg.rounds`` FedAvg rounds from w1 over ``rows``, the
+    node-major block of ``cfg.n_nodes`` equal node blocks, trained as it is.
 
     Node i of round t trains with seed ``derive_seed(cfg.seed, "round", t, i)``
     (see :func:`shuffle_states`); the probes are never read, so a subset of a
@@ -355,9 +354,8 @@ def training_phase(
     lowest mean training loss over the nodes. numpy's floating-point errors are
     off: non-finite parameters, losses or deltas raise the run's own ValueError.
     """
-    _check_equal_sizes(node_datasets)
-    rows = Dataset.concat(node_datasets)
-    n_nodes = len(node_datasets)
+    _rows_per_node(cfg, rows)
+    n_nodes = cfg.n_nodes
 
     def train_loss_at(params: ParamVector) -> float:
         return float(np.mean(loss(cfg.model, np.tile(params, (n_nodes, 1)), rows)))
@@ -421,7 +419,7 @@ def bound_phase(
 def run_federated_partitioned(setup: Setup) -> FLRun:
     """The FedAvg engine, given a seed's set-up: train, bound."""
     cfg, probed = setup.scenario, setup.probed
-    trained = training_phase(cfg, probed.w1, setup.test, setup.nodes)
+    trained = training_phase(cfg, probed.w1, setup.test, setup.rows)
     dist = estimate_initial_distance(probed.w1, trained.wstar_proxy)
     bound_value, bound_notes = bound_phase(cfg, probed.global_constants, dist)
     return FLRun(cfg, probed, trained, np.array(bound_value), bound_notes)
@@ -429,8 +427,8 @@ def run_federated_partitioned(setup: Setup) -> FLRun:
 
 def run_federated(cfg: ScenarioConfig, data: Dataset) -> FLRun:
     """Partition a global dataset per the config, probe the nodes, then run the engine."""
-    test_data, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
-    return run_federated_partitioned(Setup(cfg, test_data, tuple(nodes), probe_phase(cfg, nodes)))
+    test_data, rows = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+    return run_federated_partitioned(Setup(cfg, test_data, rows, probe_phase(cfg, rows)))
 
 
 def save_run(run: FLRun, run_dir: Path | str, config_lines: Sequence[str]) -> None:

@@ -94,7 +94,8 @@ def hetero_runs():
             lr=0.05, batch_size=32, n_probes=80, seed=seed,
         )
         test_data, nodes = gen_synthetic_nodes(HETERO_DATA, 8, 150, n_test=400, seed=seed)
-        setup = Setup(cfg, test_data, tuple(nodes), probe_phase(cfg, nodes))
+        rows = Dataset.concat(nodes)
+        setup = Setup(cfg, test_data, rows, probe_phase(cfg, rows))
         run = run_federated_partitioned(setup)
         out[seed] = (run, test_data, nodes)
     return out, time.perf_counter() - start
@@ -203,12 +204,12 @@ def test_04_single_node_run_equals_centralized_sgd():
     )
     run = run_federated(cfg, data)
 
-    _, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+    _, rows = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
     w = init_params(model, derive_seed(cfg.seed, "init"))
     for t in range(1, 6):
         seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
-        order = spawn_rng("sgd", seed).permutation(len(nodes[0]))
-        w = sgd_epoch_traced(model, w[None], nodes[0], cfg.lr, cfg.batch_size, order[None])[0][0]
+        order = spawn_rng("sgd", seed).permutation(len(rows))
+        w = sgd_epoch_traced(model, w[None], rows, cfg.lr, cfg.batch_size, order[None])[0][0]
     gap = float(np.abs(w - run.trained.final_params).max())
     elapsed = time.perf_counter() - start
     ok = gap <= 1e-9 and elapsed < 30.0
@@ -305,8 +306,8 @@ def test_09_top_half_by_l_beats_bottom_half(hetero_runs):
                 n_nodes=len(chosen), samples_per_node=150, rounds=20, model=HETERO_MODEL,
                 lr=0.05, batch_size=32, n_probes=4, seed=seed,
             )
-            subset = [nodes[i] for i in sorted(chosen)]
-            setup = Setup(cfg, test_data, tuple(subset), probe_phase(cfg, subset))
+            subset = Dataset.concat(nodes[i] for i in sorted(chosen))
+            setup = Setup(cfg, test_data, subset, probe_phase(cfg, subset))
             subset_run = run_federated_partitioned(setup)
             finals[name] = subset_run.trained.test_loss[-1]
         top_losses.append(finals["top"])

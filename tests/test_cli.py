@@ -377,8 +377,8 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         cfg = config.read_config(path)
         for seed in cfg.repeat_seeds:
-            _, nodes = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=seed))
-            assert all(np.isin(node.features, (0.0, 1.0)).all() for node in nodes)
+            _, rows = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=seed))
+            assert np.isin(rows.features, (0.0, 1.0)).all()
 
     def test_missing_class_shortfall_on_every_split_fails_at_load(self, tmp_path, capsys):
         cfg = tmp_path / "short.cfg"
@@ -1082,6 +1082,25 @@ class TestReportCommand:
 
     def test_missing_dir_fails(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "nope")]) == 1
+
+    def test_report_of_a_saved_run_leaves_numpy_ma_out(self, tiny_config, tmp_path):
+        # np.unique of integers imports numpy.ma: 10-16 ms and 1.3 MB of
+        # every report's start-up, for one list of node ids.
+        main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+        report = ["report", "--run", str(tmp_path / "out" / "tiny_seed1")]
+        code = f"""\
+import contextlib, io, sys
+from fedbound.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({report!r}) == 0
+print("numpy.ma" in sys.modules)
+"""
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout == "False\n"
 
     def test_keeps_selection_k_of_the_saved_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

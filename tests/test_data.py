@@ -293,11 +293,11 @@ class TestCifarLoader:
         )
         tracemalloc.start()
         try:
-            test, nodes = node_datasets(CifarSource(path), cfg)
+            test, rows = node_datasets(CifarSource(path), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(test) + sum(map(len, nodes)) == 200
+        assert len(test) + len(rows) == 200
         # The file's bytes, held twice while the batches are joined, then 200
         # float64 rows (4.9 MB); the whole pool as float64 would be 49 MB.
         assert peak < 3 * path.stat().st_size

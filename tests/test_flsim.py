@@ -53,6 +53,12 @@ def shuffle(seed, n):
     return spawn_rng("sgd", seed).permutation(n)
 
 
+def node_views(rows, n_nodes):
+    """Node i's rows of a node-major block, as views."""
+    n = len(rows) // n_nodes
+    return [rows.subset(slice(i * n, (i + 1) * n)) for i in range(n_nodes)]
+
+
 def synthetic_spec(**kwargs):
     defaults = dict(
         num_classes=3, feature_dim=4, samples_per_class=120,
@@ -87,26 +93,25 @@ class TestPartition:
     def test_counts_and_disjointness(self):
         data = gen_synthetic(synthetic_spec(), seed=0)
         cfg = scenario(n_nodes=5, samples_per_node=30)
-        test, nodes = partition_dataset(data, cfg, rng_seed=1)
+        test, rows = partition_dataset(data, cfg, rng_seed=1)
         assert len(test) == round(0.1 * len(data))
-        assert all(len(node) == 30 for node in nodes)
-        stacked = np.vstack([node.features for node in nodes] + [test.features])
+        assert len(rows) == 5 * 30
+        stacked = np.vstack([rows.features, test.features])
         assert len(np.unique(stacked, axis=0)) == len(stacked)
 
     def test_missing_class_filtered_from_nodes_not_test(self):
         data = gen_synthetic(synthetic_spec(), seed=1)
         cfg = scenario(n_nodes=3, samples_per_node=40, missing_classes=frozenset({2}))
-        test, nodes = partition_dataset(data, cfg, rng_seed=2)
-        for node in nodes:
-            assert not np.any(node.labels == 2)
+        test, rows = partition_dataset(data, cfg, rng_seed=2)
+        assert not np.any(rows.labels == 2)
         assert np.any(test.labels == 2)
 
     def test_single_node_owns_everything(self):
         data = gen_synthetic(synthetic_spec(samples_per_class=20), seed=2)
         n_train = len(data) - round(0.1 * len(data))
         cfg = scenario(n_nodes=1, samples_per_node=n_train)
-        _, nodes = partition_dataset(data, cfg, rng_seed=0)
-        assert len(nodes[0]) == n_train
+        _, rows = partition_dataset(data, cfg, rng_seed=0)
+        assert len(rows) == n_train
 
     def test_insufficient_data_rejected(self):
         data = gen_synthetic(synthetic_spec(samples_per_class=10), seed=3)
@@ -127,11 +132,10 @@ class TestPartition:
     def test_deterministic_given_seed(self):
         data = gen_synthetic(synthetic_spec(), seed=4)
         cfg = scenario()
-        t1, n1 = partition_dataset(data, cfg, rng_seed=9)
-        t2, n2 = partition_dataset(data, cfg, rng_seed=9)
+        t1, r1 = partition_dataset(data, cfg, rng_seed=9)
+        t2, r2 = partition_dataset(data, cfg, rng_seed=9)
         np.testing.assert_array_equal(t1.features, t2.features)
-        for a, b in zip(n1, n2):
-            np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(r1.features, r2.features)
 
 
 class TestFedavg:
@@ -186,9 +190,9 @@ class TestFedavg:
 
 class TestLocalRound:
     def make_node(self, cfg, seed=0):
-        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=seed), cfg, 5)
+        test, rows = partition_dataset(gen_synthetic(synthetic_spec(), seed=seed), cfg, 5)
         w = init_params(cfg.model, 1)
-        return nodes[0], test, w
+        return node_views(rows, cfg.n_nodes)[0], test, w
 
     def test_lr_zero_is_noop(self):
         cfg = scenario(lr=0.0)
@@ -214,8 +218,8 @@ class TestLocalRound:
     def test_multiple_local_epochs_extend_trace(self):
         cfg = scenario(local_epochs_per_round=3, batch_size=40)
         node, test, w = self.make_node(cfg)
-        nodes = [node] * cfg.n_nodes
-        run = run_federated_partitioned(Setup(cfg, test, tuple(nodes), probe_phase(cfg, nodes)))
+        rows = Dataset.concat([node] * cfg.n_nodes)
+        run = run_federated_partitioned(Setup(cfg, test, rows, probe_phase(cfg, rows)))
         assert run.bound_notes == (EPOCHS_NOTE.format(3),)
         _, norms = local_round(node, w, cfg, round_states([1], epochs=3))
         assert norms.shape == (1, 3)
@@ -223,10 +227,10 @@ class TestLocalRound:
     def test_lockstep_round_equals_one_node_at_a_time(self):
         # Four nodes train as one stack, the last batch short; node order is kept.
         cfg = scenario(n_nodes=4, samples_per_node=25, batch_size=10)
-        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=3), cfg, 5)
+        test, rows = partition_dataset(gen_synthetic(synthetic_spec(), seed=3), cfg, 5)
         w = init_params(cfg.model, 2)
-        trained, norms = local_round(Dataset.concat(nodes), w, cfg, round_states([11, 12, 13, 14]))
-        for i, node in enumerate(nodes):
+        trained, norms = local_round(rows, w, cfg, round_states([11, 12, 13, 14]))
+        for i, node in enumerate(node_views(rows, cfg.n_nodes)):
             one, one_norms = local_round(node, w, cfg, round_states([11 + i]))
             np.testing.assert_array_equal(trained[i], one[0])
             np.testing.assert_array_equal(norms[i], one_norms[0])
@@ -257,12 +261,12 @@ class TestRunFederated:
         cfg = scenario(n_nodes=1, samples_per_node=n_train, rounds=5, batch_size=16)
         run = run_federated(cfg, data)
 
-        _, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+        _, rows = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
         for t in range(1, 6):
             seed = derive_seed(derive_seed(cfg.seed, "round", t, 0), 0)
-            order = shuffle(seed, len(nodes[0]))[None]
-            w = sgd_epoch_traced(cfg.model, w[None], nodes[0], cfg.lr, cfg.batch_size, order)[0][0]
+            order = shuffle(seed, len(rows))[None]
+            w = sgd_epoch_traced(cfg.model, w[None], rows, cfg.lr, cfg.batch_size, order)[0][0]
         assert np.abs(w - run.trained.final_params).max() <= 1e-9
 
     def test_convex_single_node_full_batch_loss_nonincreasing(self):
@@ -289,13 +293,13 @@ class TestRunFederated:
         data = gen_synthetic(synthetic_spec(), seed=10)
         cfg = scenario(n_nodes=3, samples_per_node=30, rounds=2)
         run = run_federated(cfg, data)
-        test, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+        test, rows = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
 
         # Replay: after round 1 every node starts from the same broadcast model.
         w = init_params(cfg.model, derive_seed(cfg.seed, "init"))
         for t in (1, 2):
             locals_ = []
-            for i, node in enumerate(nodes):
+            for i, node in enumerate(node_views(rows, cfg.n_nodes)):
                 states = round_states([derive_seed(cfg.seed, "round", t, i)])
                 trained, _ = local_round(node, w, cfg, states)
                 locals_.append(trained[0])
@@ -309,8 +313,9 @@ class TestRunFederated:
     @pytest.mark.parametrize("model", [softmax_spec(4, 3, l2=0.01), mlp_spec(4, 3, 5, l2=0.0)])
     def test_two_epochs_equal_a_per_node_replay(self, model):
         cfg = scenario(n_nodes=3, rounds=3, batch_size=15, local_epochs_per_round=2, model=model)
-        test, datasets = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
-        setup = Setup(cfg, test, tuple(datasets), probe_phase(cfg, datasets))
+        test, rows = partition_dataset(gen_synthetic(synthetic_spec(), seed=17), cfg, 5)
+        setup = Setup(cfg, test, rows, probe_phase(cfg, rows))
+        datasets = node_views(rows, cfg.n_nodes)
         run = run_federated_partitioned(setup)
         epochs = EPOCHS_NOTE.format(2)
         mu = run.probed.global_constants.mu
@@ -362,35 +367,40 @@ class TestRunFederated:
             run_federated_partitioned(replace(preflight(cfg, seed), scenario=diverging))
 
     def test_unequal_node_sizes_rejected(self, monkeypatch):
+        # 45 rows do not split into the config's 2 equal node blocks.
         cfg = scenario()
-        test, (a, b) = partition_dataset(gen_synthetic(synthetic_spec(), seed=12), cfg, 5)
-        nodes = [a.subset(np.arange(20)), b.subset(np.arange(25))]
+        test, rows = partition_dataset(gen_synthetic(synthetic_spec(), seed=12), cfg, 5)
+        block = rows.subset(np.arange(45))
         w1 = init_params(cfg.model, 1)
-        with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
-            training_phase(cfg, w1, test, nodes)
-        # The engine is handed a probe result; its training phase rejects the nodes.
-        equal = probe_phase(cfg, [nodes[0]] * 2)
-        with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
-            run_federated_partitioned(Setup(cfg, test, tuple(nodes), equal))
+        message = "^45 rows do not split into 2 equal node blocks$"
+        with pytest.raises(ValueError, match=message):
+            training_phase(cfg, w1, test, block)
+        # The engine is handed a probe result; its training phase rejects the block.
+        equal = probe_phase(cfg, rows)
+        with pytest.raises(ValueError, match=message):
+            run_federated_partitioned(Setup(cfg, test, block, equal))
         probed = []
         monkeypatch.setattr(flsim, "collect_probes", lambda *args: probed.append(args))
-        with pytest.raises(ValueError, match=r"node datasets differ in size: \[20, 25\]"):
-            probe_phase(cfg, nodes)
+        with pytest.raises(ValueError, match=message):
+            probe_phase(cfg, block)
         # It fails before any node is probed.
         assert probed == []
 
     def test_wstar_proxy_is_best_train_loss_params(self):
         cfg = scenario(rounds=4)
         data = gen_synthetic(synthetic_spec(), seed=11)
-        test, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+        test, rows = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
         w1 = init_params(cfg.model, derive_seed(cfg.seed, "init"))
-        trained = training_phase(cfg, w1, test, nodes)
+        trained = training_phase(cfg, w1, test, rows)
         init_distance = estimate_initial_distance(w1, trained.wstar_proxy)
         assert init_distance >= 0.0
         assert np.isfinite(init_distance)
         best = min(trained.train_loss)
         proxy_loss = float(
-            np.mean([loss(cfg.model, trained.wstar_proxy[None], node)[0] for node in nodes])
+            np.mean([
+                loss(cfg.model, trained.wstar_proxy[None], node)[0]
+                for node in node_views(rows, cfg.n_nodes)
+            ])
         )
         assert proxy_loss <= best + 1e-12
 
@@ -398,9 +408,9 @@ class TestRunFederated:
         # With lr 0 every round averages two copies of w1 back to w1 exactly,
         # so every round ties w1's training loss and w1 itself must win.
         cfg = scenario(lr=0.0)
-        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=11), cfg, 5)
+        test, rows = partition_dataset(gen_synthetic(synthetic_spec(), seed=11), cfg, 5)
         w1 = init_params(cfg.model, 1)
-        trained = training_phase(cfg, w1, test, nodes)
+        trained = training_phase(cfg, w1, test, rows)
         np.testing.assert_array_equal(trained.final_params, w1)
         assert len(set(trained.train_loss.tolist())) == 1
         assert trained.wstar_proxy is w1
@@ -440,9 +450,9 @@ class TestRunFederated:
         cfg = scenario(rounds=1, g_formula="loss-magnitude")
         run = run_federated(cfg, data)
         # Replay node 0's first probe pair: its g must be |F(v)|, not a norm.
-        _, nodes = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
+        _, rows = partition_dataset(data, cfg, derive_seed(cfg.seed, "partition"))
         _, v = draw_probe_pair(cfg.model, derive_seed(derive_seed(cfg.seed, "probe", 0), 0))
-        expected = abs(loss(cfg.model, v[None], nodes[0])[0])
+        expected = abs(loss(cfg.model, v[None], node_views(rows, cfg.n_nodes)[0])[0])
         assert run.probed.samples[0, 0, 1] == pytest.approx(expected, rel=1e-12)
 
 
@@ -514,10 +524,10 @@ class TestRoundChecks:
         self, monkeypatch, name, row, value, message
     ):
         cfg = scenario()
-        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
+        test, rows = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
         monkeypatch.setattr(flsim, name, spoiled(getattr(flsim, name), row, value))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            training_phase(cfg, init_params(cfg.model, 1), test, nodes)
+            training_phase(cfg, init_params(cfg.model, 1), test, rows)
 
     @given(
         t=st.integers(1, 3),
@@ -531,7 +541,7 @@ class TestRoundChecks:
         # Three nodes of 40 rows at batch 20: two SGD steps an epoch.
         epoch = min(epoch, epochs)
         cfg = scenario(n_nodes=3, local_epochs_per_round=epochs)
-        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
+        test, rows = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
         poisoned_call = ((t - 1) * epochs + epoch - 1) * 2 + step
         calls, real = [], model.gradient
 
@@ -546,14 +556,14 @@ class TestRoundChecks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "gradient", poisoning)
             with pytest.raises(ValueError) as failed:
-                training_phase(cfg, init_params(cfg.model, 1), test, nodes)
+                training_phase(cfg, init_params(cfg.model, 1), test, rows)
         where = f"round {t}: node {node}: " + (f"epoch {epoch}: " if epochs > 1 else "")
         assert str(failed.value) == f"{where}SGD step {step} left non-finite parameters"
 
     def test_training_phase_rejects_another_round_count(self, monkeypatch):
         cfg = scenario()
-        test, nodes = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
-        setup = Setup(cfg, test, tuple(nodes), probe_phase(cfg, nodes))
+        test, rows = partition_dataset(gen_synthetic(synthetic_spec(), seed=5), cfg, 5)
+        setup = Setup(cfg, test, rows, probe_phase(cfg, rows))
         real = flsim.shuffle_states
         monkeypatch.setattr(flsim, "shuffle_states", lambda *args: real(*args)[:-1])
         # training_phase gives a Trained of 2 rounds, which the engine's FLRun rejects.
@@ -629,10 +639,10 @@ def test_probe_and_training_phases_in_two_threads_match_serial_runs():
 
     def phases(seed):
         seeded = replace(cfg.scenario, seed=seed)
-        test, nodes = flsim.node_datasets(cfg.dataset, seeded)
-        probed = probe_phase(seeded, nodes)
+        test, rows = flsim.node_datasets(cfg.dataset, seeded)
+        probed = probe_phase(seeded, rows)
         fields = (probed.w1, probed.samples, probed.node_constants, probed.global_constants)
-        trained = training_phase(seeded, probed.w1, test, nodes)
+        trained = training_phase(seeded, probed.w1, test, rows)
         return fields, astuple(trained)
 
     serial = [phases(seed) for seed in seeds]
@@ -661,10 +671,10 @@ def test_repeated_probe_phase_takes_almost_no_page_faults():
 
     cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
     scenario = replace(cfg.scenario, seed=1)
-    _, nodes = flsim.node_datasets(cfg.dataset, scenario)
-    probe_phase(scenario, nodes)
+    _, rows = flsim.node_datasets(cfg.dataset, scenario)
+    probe_phase(scenario, rows)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    probe_phase(scenario, nodes)
+    probe_phase(scenario, rows)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 

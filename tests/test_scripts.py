@@ -14,6 +14,7 @@ from fedbound import analysis, flsim
 from fedbound.cli import main
 from fedbound.config import read_config
 from fedbound.csvio import RUN_TABLES, read_csv
+from fedbound.model import Dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 HETERO = ROOT / "configs" / "hetero_eight_nodes.cfg"
@@ -65,17 +66,18 @@ def test_selection_payoff_selects_the_top_l_row(hetero_run):
 
 def test_selection_payoff_losses_are_engine_runs_on_each_subset(hetero_run):
     cfg = read_config(HETERO)
-    test_data, nodes = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=1))
+    test_data, block = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=1))
+    n = cfg.scenario.samples_per_node
     lines = run_script("selection_payoff.py", "--runs", str(hetero_run))
     rows = [line for line in lines if line[:1] == ["1"]]
     selected = [int(i) for i in rows[0][1].split(",")]
-    rest = sorted(set(range(len(nodes))) - set(selected))
+    rest = sorted(set(range(cfg.scenario.n_nodes)) - set(selected))
     expected = []
     for ids in (selected, rest):
         scenario = replace(cfg.scenario, seed=1, n_nodes=len(ids))
-        subset = [nodes[i] for i in ids]
+        subset = Dataset.concat(block.subset(slice(i * n, (i + 1) * n)) for i in ids)
         probed = flsim.probe_phase(scenario, subset)
-        setup = flsim.Setup(scenario, test_data, tuple(subset), probed)
+        setup = flsim.Setup(scenario, test_data, subset, probed)
         run = flsim.run_federated_partitioned(setup)
         expected.append(format(run.trained.test_loss[-1], ".4f"))
     assert rows[0][2:4] == expected
