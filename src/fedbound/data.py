@@ -175,9 +175,14 @@ def _cluster_features(
     centers: np.ndarray, labels: np.ndarray, sigma: float, rng: np.random.Generator, scale=1.0
 ) -> np.ndarray:
     """``scale * (center + noise)`` per label, clipped to [0, 1]; noise that
-    overflows to an infinity is clipped like any other value outside [0, 1]."""
-    noise = sigma * rng.standard_normal((labels.size, centers.shape[1]))
-    return np.clip(scale * (centers[labels] + noise), 0.0, 1.0)
+    overflows to an infinity is clipped like any other value outside [0, 1].
+    The features are built in the array the normals are drawn into, so the
+    only other array of their size is the rows of ``centers``."""
+    features = rng.standard_normal((labels.size, centers.shape[1]))
+    features *= sigma
+    features += centers[labels]
+    features *= scale
+    return np.clip(features, 0.0, 1.0, out=features)
 
 
 def gen_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:

@@ -454,9 +454,11 @@ def sgd_epoch_traced(
     Row p trains on block p of ``data``'s P equal, consecutive blocks of n
     rows, in the order that row p of the ``(P, n)`` ``order`` gives; a run
     passes a shuffle a row, ``spawn_rng("sgd", seed).permutation(n)``. Each
-    step makes one stacked :func:`gradient` call. Returns the trained stack
-    and the ``(steps, P)`` norms; the input is never mutated. A step that
-    leaves non-finite parameters raises a :class:`DivergenceError` naming it.
+    step gathers the next ``batch_size`` positions of every row's order from
+    ``data`` and makes one stacked :func:`gradient` call on them; no copy of
+    the whole epoch is made. Returns the trained stack and the ``(steps, P)``
+    norms; the input is never mutated. A step that leaves non-finite
+    parameters raises a :class:`DivergenceError` naming it.
     """
     if not 0.0 <= lr < math.inf:
         raise ValueError("lr must be finite and >= 0")
@@ -471,21 +473,16 @@ def sgd_epoch_traced(
         raise ValueError(f"row order holds positions outside [0, {n})")
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch_size must lie in [1, {n}]")
-    # The epoch's rows gathered once, step by step: step s takes columns
-    # [s * batch_size, (s + 1) * batch_size) of every block's order, block by
-    # block, offset to the block, so each step's batch is a contiguous slice.
-    rows = order + n * np.arange(blocks)[:, None]
-    full = n - n % batch_size
-    steps = rows[:, :full].reshape(blocks, -1, batch_size).transpose(1, 0, 2)
-    epoch = data.subset(np.concatenate((steps.ravel(), rows[:, full:].ravel())))
+    # Row p of ``rows`` is block p's order as positions in ``data``; step s
+    # gathers columns [s * batch_size, (s + 1) * batch_size) of every row,
+    # block by block, so only one step's batch is ever copied.
+    rows = order.astype(np.intp) + n * np.arange(blocks)[:, None]
     starts = range(0, n, batch_size)
     current = stack.copy()
     sq_norms = np.empty((len(starts), blocks))
-    hi = 0
     try:
         for step, start in enumerate(starts):
-            lo, hi = hi, hi + blocks * min(batch_size, n - start)
-            grad = gradient(spec, current, epoch.subset(slice(lo, hi)))
+            grad = gradient(spec, current, data.subset(rows[:, start : start + batch_size].ravel()))
             sq_norms[step] = np.vecdot(grad, grad)
             current = current - lr * grad
     except ValueError:

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -149,6 +150,55 @@ class TestSyntheticNodes:
         for a, b in zip(a_nodes, b_nodes):
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(a.labels, b.labels)
+
+
+@np.errstate(over="ignore")
+def whole_expression_features(
+    centers: np.ndarray, labels: np.ndarray, sigma: float, rng: np.random.Generator, scale=1.0
+) -> np.ndarray:
+    """The oracle for ``_cluster_features``: the features as one expression of
+    whole-array temporaries."""
+    noise = sigma * rng.standard_normal((labels.size, centers.shape[1]))
+    return np.clip(scale * (centers[labels] + noise), 0.0, 1.0)
+
+
+class TestClusterFeatures:
+    @given(
+        sigma=st.sampled_from([1e-6, 0.12, 0.5, 1e308]),
+        knob=st.sampled_from([None, "feature_scale", "noise_mult"]),
+        n_nodes=st.integers(1, 4),
+        samples=st.integers(1, 30),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_generators_give_the_whole_expression_bytes(self, sigma, knob, n_nodes, samples, seed):
+        # Noise of sigma 1e308 overflows to infinities, which clip to 0 and 1.
+        knobs = {knob: tuple(np.linspace(0.3, 1.0, n_nodes))} if knob else {}
+        spec = SyntheticSpec(num_classes=3, feature_dim=5, samples_per_class=samples,
+                             separation=0.4, noise_sigma=sigma, **knobs)
+
+        def generate():
+            pool = gen_synthetic(spec, seed)
+            test, nodes = gen_synthetic_nodes(spec, n_nodes, samples, 7, seed)
+            return [rows.features.tobytes() for rows in (pool, test, *nodes)]
+
+        got = generate()
+        with patch("fedbound.data._cluster_features", whole_expression_features):
+            assert got == generate()
+
+    def test_pool_holds_about_two_copies_of_its_features(self):
+        # The features, and one row of ``centers`` per sample while they are
+        # built, then the shuffled copy: about 2x the features.
+        spec = SyntheticSpec(num_classes=4, feature_dim=192, samples_per_class=2800,
+                             separation=0.6, noise_sigma=0.2)
+        tracemalloc.start()
+        try:
+            pool = gen_synthetic(spec, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pool.features.shape == (11200, 192)
+        assert peak < 2.5 * pool.features.nbytes
 
 
 def make_record(label, fill=0):

@@ -895,6 +895,19 @@ class TestLockstepSgd:
             with pytest.raises(ValueError, match="row order"):
                 sgd_epoch_traced(spec, W, data, 0.1, 3, order)
 
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    def test_any_integer_dtype_of_an_order_trains_alike(self, kind):
+        # uint64 plus a signed offset is float64 in numpy, which no gather takes.
+        spec = softmax_spec(4, 3, 0.01) if kind == "softmax" else mlp_spec(4, 3, 5, 0.01)
+        W = np.stack([init_params(spec, s) for s in range(3)])
+        data = toy_dataset(n=3 * 20)
+        order = permutation_rows("sgd", [4, 5, 6], 20)
+        expected = sgd_epoch_traced(spec, W, data, 0.3, 6, order)
+        for dtype in (np.int8, np.int32, np.uint8, np.uint32, np.uint64):
+            stack, norms = sgd_epoch_traced(spec, W, data, 0.3, 6, order.astype(dtype))
+            assert stack.tobytes() == expected[0].tobytes()
+            assert norms.tobytes() == expected[1].tobytes()
+
     @given(
         stack=st.integers(1, 4),
         n=st.integers(1, 10),
