@@ -104,18 +104,27 @@ def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Set up every repeat seed, run each, then rebuild summary.csv from the output directory.
 
-    No seed trains before every seed is set up; each set-up is held until its
-    seed is written. Every seed runs, in order, even after one fails. The first
-    seed to save its run makes the output directory, and
-    :func:`analysis.write_summary` then lists every run directory in it.
-    Last, a ``ValueError`` names the first seed that failed.
+    No seed trains before every seed is set up. A one-seed run holds its set-up;
+    a run of more seeds holds only each seed's probe result, and rebuilds the
+    seed's rows with :func:`flsim.node_datasets` just before it trains, so the
+    run holds one seed's rows, not one set a seed. Every seed runs, in order,
+    even after one fails. The first seed to save its run makes the output
+    directory, and :func:`analysis.write_summary` then lists every run
+    directory in it. Last, a ``ValueError`` names the first seed that failed.
     """
     seeds = list(cfg.repeat_seeds)
-    setups = {seed: preflight(cfg, seed) for seed in seeds}
+    if len(seeds) == 1:
+        held = {seeds[0]: preflight(cfg, seeds[0])}
+    else:
+        held = {seed: preflight(cfg, seed).probed for seed in seeds}
     failed = []
     for seed in seeds:
         try:
-            run_one_seed(cfg, setups.pop(seed))
+            setup = held.pop(seed)
+            if isinstance(setup, flsim.Probed):
+                scenario = replace(cfg.scenario, seed=seed)
+                setup = flsim.Setup(scenario, *flsim.node_datasets(cfg.dataset, scenario), setup)
+            run_one_seed(cfg, setup)
         except Exception as exc:
             failed.append((seed, str(exc)))
     if cfg.output_dir.is_dir():

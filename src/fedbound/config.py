@@ -65,10 +65,10 @@ class ExperimentConfig:
         if len(scenario.missing_classes) == scenario.model.num_classes:
             message = "lists every class, which leaves no training data"
             raise _error(lines, s["missing_classes"].name, message)
-        for knob in ("label_skew", "noise_mult", "feature_scale"):
-            if (entries := getattr(self.dataset, knob, ())) and len(entries) != n:
-                message = f"needs {n} entries, one per node ({s['n_nodes'].name} = {n})"
-                raise _error(lines, _SYNTHETIC_KEYS[knob].name, f"{message}, got {len(entries)}")
+        if (scales := getattr(self.dataset, "feature_scale", ())) and len(scales) != n:
+            message = f"needs {n} entries, one per node ({s['n_nodes'].name} = {n})"
+            key = _SYNTHETIC_KEYS["feature_scale"].name
+            raise _error(lines, key, f"{message}, got {len(scales)}")
         if not self.repeat_seeds:
             raise ValueError("repeat_seeds must be nonempty")
         # Two runs of one seed would write one run directory twice.
@@ -163,8 +163,6 @@ _SYNTHETIC_KEYS = _table(
     _Key("data.samples_per_class", "samples_per_class", int, 400),
     _Key("data.separation", "separation", float),
     _Key("data.noise_sigma", "noise_sigma", float),
-    _Key("data.label_skew", "label_skew", _list_of(float)),
-    _Key("data.noise_mult", "noise_mult", _list_of(float)),
     _Key("data.feature_scale", "feature_scale", _list_of(float)),
 )
 _CIFAR_KEYS = _table(

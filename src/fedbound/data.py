@@ -1,10 +1,9 @@
 """Dataset sources: a synthetic Gaussian-cluster generator and CIFAR-10
 binary batches.
 
-Synthetic data is the default experiment substrate. Per-node heterogeneity
-knobs (label skew, noise multipliers) give node usefulness a controllable
-cause, which the correlation analysis needs; CIFAR-10 is an optional
-fidelity mode for larger runs.
+Synthetic data is the default experiment substrate. A per-node feature scale
+gives node usefulness a controllable cause, which the correlation analysis
+needs; CIFAR-10 is an optional fidelity mode for larger runs.
 """
 
 from __future__ import annotations
@@ -111,14 +110,11 @@ class CifarSource:
 class SyntheticSpec:
     """Gaussian class clusters inside [0, 1]^d.
 
-    ``label_skew``, ``noise_mult``, and ``feature_scale`` are optional
-    per-node knobs (empty tuples mean homogeneous nodes): a skew fraction
-    routes that share of a node's samples to its preferred class, a noise
-    multiplier scales the node's feature noise, and a feature scale in
-    (0, 1] shrinks the node's whole feature vectors toward the origin.
-    Scaling is the knob that moves a node's local curvature and gradient
-    magnitudes together with its training signal, so it is the default
-    driver of usefulness spread in the correlation experiments.
+    ``feature_scale`` is the optional per-node knob (an empty tuple means
+    homogeneous nodes): node i's scale in (0, 1] shrinks its whole feature
+    vectors toward the origin. Scaling moves a node's local curvature and
+    gradient magnitudes together with its training signal, so it drives the
+    usefulness spread of the correlation experiments.
     """
 
     num_classes: int
@@ -126,8 +122,6 @@ class SyntheticSpec:
     samples_per_class: int
     separation: float = 0.7
     noise_sigma: float = 0.12
-    label_skew: tuple[float, ...] = ()
-    noise_mult: tuple[float, ...] = ()
     feature_scale: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -141,17 +135,8 @@ class SyntheticSpec:
             raise ValueError("separation must be finite and > 0")
         if not 0.0 < self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and > 0")
-        if any(not 0.0 <= s <= 1.0 for s in self.label_skew):
-            raise ValueError("label_skew fractions must lie in [0, 1]")
-        if not all(0.0 < m < np.inf for m in self.noise_mult):
-            raise ValueError("noise_mult entries must be finite and > 0")
         if any(not 0.0 < s <= 1.0 for s in self.feature_scale):
             raise ValueError("feature_scale entries must lie in (0, 1]")
-
-    @property
-    def has_node_knobs(self) -> bool:
-        """True when any per-node knob is set, so nodes are generated one by one."""
-        return bool(self.label_skew or self.noise_mult or self.feature_scale)
 
 
 def class_centers(spec: SyntheticSpec, seed: int) -> np.ndarray:
@@ -203,16 +188,14 @@ def gen_synthetic_nodes(
     seed: int,
     missing_classes: frozenset[int] = frozenset(),
 ) -> tuple[Dataset, list[Dataset]]:
-    """Per-node datasets with the spec's heterogeneity knobs applied.
+    """Per-node datasets, node i's features scaled by ``feature_scale[i]``.
 
-    The test set is balanced over all classes at base noise and is never
-    filtered; training draws exclude ``missing_classes`` entirely. Node i
-    prefers class i (mod allowed classes) for its skewed share.
+    The test set is balanced over all classes, unscaled, and is never
+    filtered; each node draws its labels uniformly from the classes not in
+    ``missing_classes``.
     """
-    for knob_name in ("label_skew", "noise_mult", "feature_scale"):
-        knob = getattr(spec, knob_name)
-        if knob and len(knob) != n_nodes:
-            raise ValueError(f"{knob_name} needs {n_nodes} entries, got {len(knob)}")
+    if spec.feature_scale and len(spec.feature_scale) != n_nodes:
+        raise ValueError(f"feature_scale needs {n_nodes} entries, got {len(spec.feature_scale)}")
     if any(c < 0 or c >= spec.num_classes for c in missing_classes):
         raise ValueError("missing class index outside [0, num_classes)")
     allowed = sorted(set(range(spec.num_classes)) - set(missing_classes))
@@ -231,19 +214,12 @@ def gen_synthetic_nodes(
     nodes = []
     for i in range(n_nodes):
         rng = spawn_rng("synthetic-node", seed, i)
-        skew = spec.label_skew[i] if spec.label_skew else 0.0
-        mult = spec.noise_mult[i] if spec.noise_mult else 1.0
         scale = spec.feature_scale[i] if spec.feature_scale else 1.0
-        n_skewed = int(round(skew * samples_per_node))
-        preferred = allowed[i % len(allowed)]
-        labels = np.concatenate(
-            [
-                np.full(n_skewed, preferred, dtype=np.int64),
-                rng.choice(allowed, size=samples_per_node - n_skewed),
-            ]
-        )
+        # Every generated byte depends on these draws in this order: the
+        # labels, a shuffle of them, then the features.
+        labels = rng.choice(allowed, size=samples_per_node)
         rng.shuffle(labels)
-        features = _cluster_features(centers, labels, spec.noise_sigma * mult, rng, scale)
+        features = _cluster_features(centers, labels, spec.noise_sigma, rng, scale)
         nodes.append(Dataset(features, labels, spec.num_classes))
     return test, nodes
 

@@ -216,13 +216,13 @@ def node_datasets(
 ) -> tuple[Dataset, Dataset]:
     """The test set and the node-major block of training rows of a run of ``cfg``.
 
-    CIFAR-10 and a synthetic pool without per-node knobs are partitioned;
-    a synthetic spec with per-node knobs generates each node on its own, then
+    CIFAR-10 and a synthetic pool without ``feature_scale`` are partitioned;
+    a synthetic spec with ``feature_scale`` generates each node on its own, then
     joins them, with a test set sized to ``test_fraction`` of all rows.
     """
     pool = source
     if isinstance(source, SyntheticSpec):
-        if source.has_node_knobs:
+        if source.feature_scale:
             total_train = cfg.n_nodes * cfg.samples_per_node
             frac = cfg.test_fraction
             n_test = max(1, int(round(frac / (1.0 - frac) * total_train)))

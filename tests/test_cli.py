@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -333,10 +334,40 @@ class TestRunCommand:
         cfg.write_text(TINY + f"probe.sampler = {sampler}\nrepeat_seeds = 1,2,3\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert calls == ["node_datasets", "probe_phase"] * 3
+        # Each seed is probed once. A run of more seeds keeps only each
+        # probe result, so each seed builds its rows again before it trains.
+        assert calls == ["node_datasets", "probe_phase"] * 3 + ["node_datasets"] * 3
         assert sorted(p.name for p in out.iterdir()) == [
             "summary.csv", "tiny_seed1", "tiny_seed2", "tiny_seed3"
         ]
+        # A one-seed run keeps its set-up and builds its rows once.
+        calls.clear()
+        cfg.write_text(TINY + f"probe.sampler = {sampler}\nrepeat_seeds = 2\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+        assert calls == ["node_datasets", "probe_phase"]
+        assert read_tree(tmp_path / "one" / "tiny_seed2") == read_tree(out / "tiny_seed2")
+
+    def test_a_run_holds_one_seed_of_rows_whatever_its_seed_count(self, tmp_path):
+        # 2 nodes x 2000 rows x 200 features: 6.4 MB of rows a seed, more than
+        # anything else a seed holds. Holding every seed's rows until it
+        # trains put 4 seeds about 3 row blocks above 1 seed.
+        text = (
+            "scenario.name = wide\nscenario.n_nodes = 2\nscenario.samples_per_node = 2000\n"
+            "scenario.rounds = 1\nscenario.batch_size = 500\nprobe.n_probes = 2\n"
+            "data.num_classes = 2\ndata.feature_dim = 200\ndata.samples_per_class = 2300\n"
+        )
+        rows_nbytes = 2 * 2000 * 200 * 8
+        peaks = {}
+        for seeds in ("1", "1,2,3,4"):
+            cfg = tmp_path / f"{len(seeds)}.cfg"
+            cfg.write_text(text + f"repeat_seeds = {seeds}\n")
+            tracemalloc.start()
+            try:
+                assert main(["run", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+                peaks[seeds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["1,2,3,4"] < peaks["1"] + rows_nbytes / 2, peaks
 
     def test_probe_failure_under_init_stops_the_run_before_any_seed_trains(
         self, tmp_path, monkeypatch, capsys
@@ -665,7 +696,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "line",
         [
-            "data.label_skew = 1, 2",
+            "data.feature_scale = 1, 2",
             "scenario.lr = -1",
             "probe.perturb_sigma = nan",
             "scenario.lr = nan",
@@ -679,6 +710,14 @@ class TestRunCommand:
         bad.write_text(f"scenario.name = bad\n{line}\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: line 2: {line.split()[0]}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["data.label_skew", "data.noise_mult"])
+    def test_a_removed_per_node_key_exits_2_as_unknown(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"scenario.name = bad\n{key} = 1, 1, 1, 1, 1\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: line 2: {key}: unknown key\n"
         assert not (tmp_path / "o").exists()
 
 

@@ -98,7 +98,7 @@ class TestParser:
         [
             ("repeat_seeds = 1,,2", 2),
             ("data.feature_scale = 0.5,,1", 2),
-            ("data.noise_mult = 1, 1, ", 3),
+            ("data.feature_scale = 1, 1, ", 3),
             ("scenario.missing_classes = ,1", 1),
         ],
     )
@@ -165,7 +165,7 @@ class TestBuild:
     @pytest.mark.parametrize(
         "line, key",
         [
-            ("data.label_skew = 1, 2", "data.label_skew"),
+            ("data.feature_scale = 1, 2", "data.feature_scale"),
             ("data.noise_sigma = 0", "data.noise_sigma"),
             ("scenario.lr = -1", "scenario.lr"),
             ("scenario.rounds = 0", "scenario.rounds"),
@@ -188,7 +188,6 @@ class TestBuild:
             ("model.l2 = inf", "model.l2"),
             ("data.separation = nan", "data.separation"),
             ("data.noise_sigma = inf", "data.noise_sigma"),
-            ("data.noise_mult = 1, -inf", "data.noise_mult"),
             ("scenario.name = a/b", "scenario.name"),
             ("scenario.name = a\\b", "scenario.name"),
             ("scenario.name = a,b", "scenario.name"),
@@ -258,11 +257,6 @@ class TestBuild:
             message = f"model.{key}: {given} differs from the data source's {value}"
             assert str(excinfo.value) == f"line {line}: {message}"
             line += 1
-
-    def test_label_skew_knob(self):
-        text = "scenario.n_nodes = 2\ndata.label_skew = 0.0, 0.5\n"
-        cfg = build_experiment_config(parse_config_text(text))
-        assert cfg.dataset.label_skew == (0.0, 0.5)
 
     def test_duplicate_repeat_seeds_rejected_with_line(self):
         text = "scenario.n_nodes = 3\nrepeat_seeds = 1,1,2\n"
@@ -335,8 +329,8 @@ class TestBuild:
         )
         # 36 x 10 rows fill the pool exactly.
         preflight_text(tmp_path, text.replace("200", "36"))
-        # Per-node knobs generate each node's rows, so any pool size runs.
-        preflight_text(tmp_path, text + "data.noise_mult = " + ", ".join(["1"] * 10) + "\n")
+        # Per-node feature scales generate each node's rows, so any pool size runs.
+        preflight_text(tmp_path, text + "data.feature_scale = " + ", ".join(["1"] * 10) + "\n")
 
     def test_missing_class_shortfall_on_every_split_rejected_with_line(self, tmp_path, capsys):
         # 2 of 4 classes x 40 rows leave at most 80 for 3 x 30, whatever the split.
@@ -355,27 +349,22 @@ class TestBuild:
         )
         # 71 rows fill 3 x 23 on this seed's split.
         preflight_text(tmp_path, text.replace("= 30", "= 23"))
-        preflight_text(tmp_path, text + "data.noise_mult = 1, 1, 1\n")
+        preflight_text(tmp_path, text + "data.feature_scale = 1, 1, 1\n")
 
     def test_per_node_synthetic_always_has_a_test_row(self):
         text = "scenario.n_nodes = 2\ndata.feature_scale = 0.5, 1.0\nscenario.test_fraction = 0\n"
         cfg = build_experiment_config(parse_config_text(text))
         assert cfg.scenario.test_fraction == 0.0
 
-    @pytest.mark.parametrize(
-        "line",
-        ["data.label_skew = 0.1, 0.2", "data.noise_mult = 1, 2", "data.feature_scale = 1, 1"],
-    )
-    def test_knob_length_other_than_n_nodes_rejected_with_line(self, line):
-        text = f"scenario.n_nodes = 3\n{line}\n"
+    def test_knob_length_other_than_n_nodes_rejected_with_line(self):
+        text = "scenario.n_nodes = 3\ndata.feature_scale = 1, 1\n"
         with pytest.raises(ConfigError) as excinfo:
             build_experiment_config(parse_config_text(text))
-        key = line.split()[0]
         assert str(excinfo.value) == (
-            f"line 2: {key}: needs 3 entries, one per node (scenario.n_nodes = 3), got 2"
+            "line 2: data.feature_scale: needs 3 entries, one per node (scenario.n_nodes = 3), got 2"
         )
 
-    @pytest.mark.parametrize("knobs", ["", "data.noise_mult = 1, 1\n"])
+    @pytest.mark.parametrize("knobs", ["", "data.feature_scale = 1, 1\n"])
     def test_every_class_missing_rejected_with_line(self, knobs):
         text = (
             f"scenario.n_nodes = 2\n{knobs}"
@@ -502,13 +491,11 @@ class TestConstruction:
             ("model", "l2_coefficient"),
             ("dataset", "separation"),
             ("dataset", "noise_sigma"),
-            ("dataset", "noise_mult"),
         ],
     )
     def test_a_non_finite_float_fails_at_construction(self, no_datasets, owner, name, value):
         cfg = read_config(REPO / "configs" / "five_nodes.cfg")
-        value = (value,) if name == "noise_mult" else value
-        with pytest.raises(ValueError, match=rf"^{name}( entries)? must be finite and >=? 0$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >=? 0$"):
             replace_in(cfg, owner, **{name: value})
 
     def test_a_model_that_differs_from_its_data_source_fails_at_construction(self, no_datasets):
@@ -578,7 +565,7 @@ class TestConstruction:
                         assert key.default is defaults[name], key.name
                         assert getattr(owner, name) == key.default, key.name
                         taken.add(key.name)
-        assert len(taken) == 20
+        assert len(taken) == 18
         none_keys = {"model.feature_dim", "model.num_classes", "data.cifar_path", "repeat_seeds"}
         defaults = {key.name: key.default for keys in config._TABLES for key in keys.values()}
         assert {name for name, value in defaults.items() if value is None} == none_keys | {
@@ -698,8 +685,7 @@ class TestKeys:
                 "data.source": "synthetic", "data.num_classes": "3", "data.feature_dim": "4",
                 "model.num_classes": "3", "model.feature_dim": "4",
                 "data.samples_per_class": "50", "data.separation": "0.5",
-                "data.noise_sigma": "0.1", "data.label_skew": "0.5, 0.2",
-                "data.noise_mult": "1, 1", "data.feature_scale": "1, 1",
+                "data.noise_sigma": "0.1", "data.feature_scale": "1, 1",
             },
             "cifar10": {
                 "data.source": "cifar10", "data.cifar_path": "unused", "data.cifar_pool": "2",
@@ -812,15 +798,9 @@ def config_texts(draw, tiny: bool = False) -> str:
         # place them, and some still exit 2 at load.
         values["data.separation"] = draw(floats(0.01, 1.0))
         values["data.noise_sigma"] = draw(floats(0.01, 1.0))
-        knobs = {
-            "data.label_skew": floats(0.0, 1.0),
-            "data.noise_mult": floats(0.01, 3.0),
-            "data.feature_scale": floats(0.01, 1.0),
-        }
-        for key, entry in knobs.items():
-            if draw(st.booleans()):
-                entries = draw(st.lists(entry, min_size=n_nodes, max_size=n_nodes))
-                values[key] = ", ".join(map(repr, entries))
+        if draw(st.booleans()):
+            scales = draw(st.lists(floats(0.01, 1.0), min_size=n_nodes, max_size=n_nodes))
+            values["data.feature_scale"] = ", ".join(map(repr, scales))
     missing = draw(st.sets(st.integers(0, num_classes - 1), max_size=num_classes - 1))
     values["scenario.missing_classes"] = ", ".join(map(str, missing))
     return "".join(

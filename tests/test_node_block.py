@@ -64,7 +64,7 @@ def per_node_datasets(source, cfg):
     """The oracle set-up: the test set and the list of per-node copies."""
     pool = source
     if isinstance(source, SyntheticSpec):
-        if source.has_node_knobs:
+        if source.feature_scale:
             total_train = cfg.n_nodes * cfg.samples_per_node
             frac = cfg.test_fraction
             n_test = max(1, int(round(frac / (1.0 - frac) * total_train)))
@@ -150,12 +150,12 @@ def test_cifar_block_is_the_per_node_gathers(
     n_nodes=st.integers(1, 5),
     samples_per_node=st.integers(1, 40),
     missing=st.sampled_from([frozenset(), frozenset({0}), frozenset({1, 2})]),
-    knob=st.sampled_from([None, "label_skew", "noise_mult", "feature_scale"]),
+    knob=st.sampled_from([None, "feature_scale"]),
     seed=st.integers(0, 2**31),
 )
 @settings(max_examples=60, deadline=None)
 def test_synthetic_block_is_the_per_node_sets(n_nodes, samples_per_node, missing, knob, seed):
-    # Without a knob the pool is partitioned; with one, each node is generated.
+    # Without feature scales the pool is partitioned; with them, each node is generated.
     knobs = {knob: tuple(np.linspace(0.3, 1.0, n_nodes))} if knob else {}
     spec = synthetic_spec(samples_per_class=40, **knobs)
     cfg = scenario(n_nodes, samples_per_node, 4, missing_classes=missing, seed=seed)
