@@ -166,6 +166,9 @@ class TestBuild:
         "line, key",
         [
             ("data.feature_scale = 1, 2", "data.feature_scale"),
+            ("data.feature_scale = 0, 1", "data.feature_scale"),
+            ("data.feature_scale = 1, nan", "data.feature_scale"),
+            ("data.feature_scale = 1, -inf", "data.feature_scale"),
             ("data.noise_sigma = 0", "data.noise_sigma"),
             ("scenario.lr = -1", "scenario.lr"),
             ("scenario.rounds = 0", "scenario.rounds"),
@@ -356,12 +359,14 @@ class TestBuild:
         cfg = build_experiment_config(parse_config_text(text))
         assert cfg.scenario.test_fraction == 0.0
 
-    def test_knob_length_other_than_n_nodes_rejected_with_line(self):
-        text = "scenario.n_nodes = 3\ndata.feature_scale = 1, 1\n"
+    @pytest.mark.parametrize("scales", ["1", "1, 1", "1, 1, 1, 1"])
+    def test_knob_length_other_than_n_nodes_rejected_with_line(self, scales):
+        text = f"scenario.n_nodes = 3\ndata.feature_scale = {scales}\n"
         with pytest.raises(ConfigError) as excinfo:
             build_experiment_config(parse_config_text(text))
+        got = scales.count(",") + 1
         assert str(excinfo.value) == (
-            "line 2: data.feature_scale: needs 3 entries, one per node (scenario.n_nodes = 3), got 2"
+            f"line 2: data.feature_scale: needs 3 entries, one per node (scenario.n_nodes = 3), got {got}"
         )
 
     @pytest.mark.parametrize("knobs", ["", "data.feature_scale = 1, 1\n"])

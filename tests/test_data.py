@@ -110,6 +110,44 @@ class TestSyntheticNodes:
         shrunk_norm = np.linalg.norm(nodes[1].features, axis=1).mean()
         assert shrunk_norm == pytest.approx(0.4 * full_norm, rel=0.05)
 
+    def test_nodes_draw_labels_uniformly_over_allowed_classes(self):
+        _, nodes = gen_synthetic_nodes(
+            self.spec(), 3, 600, n_test=8, seed=3, missing_classes=frozenset({3})
+        )
+        for node in nodes:
+            counts = np.bincount(node.labels, minlength=4)
+            assert counts[3] == 0
+            # 200 expected per class; about 11.5 is one standard deviation.
+            assert np.all(np.abs(counts[:3] - 200) < 50), counts
+
+    def test_feature_scale_changes_features_only(self):
+        scaled_test, scaled = gen_synthetic_nodes(
+            self.spec(feature_scale=(1.0, 0.5)), 2, 40, n_test=8, seed=7
+        )
+        plain_test, plain = gen_synthetic_nodes(self.spec(), 2, 40, n_test=8, seed=7)
+        np.testing.assert_array_equal(scaled_test.features, plain_test.features)
+        for a, b in zip(scaled, plain):
+            np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(scaled[0].features, plain[0].features)
+        assert not np.array_equal(scaled[1].features, plain[1].features)
+
+    def test_each_node_draws_labels_then_shuffle_then_features(self):
+        # Every hetero8 byte depends on this draw order.
+        spec = self.spec(feature_scale=(0.6, 0.9))
+        _, nodes = gen_synthetic_nodes(
+            spec, 2, 25, n_test=4, seed=11, missing_classes=frozenset({1})
+        )
+        centers = class_centers(spec, 11)
+        for i, node in enumerate(nodes):
+            rng = spawn_rng("synthetic-node", 11, i)
+            labels = rng.choice([0, 2, 3], size=25)
+            rng.shuffle(labels)
+            features = whole_expression_features(
+                centers, labels, spec.noise_sigma, rng, spec.feature_scale[i]
+            )
+            np.testing.assert_array_equal(node.labels, labels)
+            np.testing.assert_array_equal(node.features, features)
+
     def test_feature_scale_above_one_rejected(self):
         with pytest.raises(ValueError):
             self.spec(feature_scale=(0.5, 1.5))
