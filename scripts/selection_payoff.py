@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import replace
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from fedbound.analysis import SELECTION_POLICIES, run_dirs
+from fedbound.cli import first_difference
 from fedbound.config import ExperimentConfig, echo_lines, read_config
 from fedbound.csvio import RUN_TABLES, read_csv
 from fedbound.flsim import initial_params, node_datasets, training_phase
@@ -29,10 +29,9 @@ def _selection(run_dir: Path, seeded: ExperimentConfig, policy: str) -> set[int]
     ValueError says why the directory is not a run of ``seeded``, the config
     at the run's seed."""
     lines = (run_dir / "config.txt").read_text(encoding="utf-8").splitlines()
-    shipped_lines = echo_lines(seeded)
-    for saved, shipped in zip_longest(lines, shipped_lines):
-        if saved != shipped:
-            raise ValueError(f"config.txt has {saved!r} where {CONFIG.name} gives {shipped!r}")
+    if differing := first_difference(lines, echo_lines(seeded)):
+        _, saved, shipped = differing
+        raise ValueError(f"config.txt has {saved!r} where {CONFIG.name} gives {shipped!r}")
     policies, _, chosen = read_csv(run_dir / "selection.csv", RUN_TABLES["selection.csv"])
     ids = dict(zip(policies, chosen)).get(policy, "").split(";")
     if not set(ids) <= {str(i) for i in range(seeded.scenario.n_nodes)}:

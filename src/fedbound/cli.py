@@ -7,6 +7,7 @@ Subcommands:
 * ``probe``    -- constants estimation only; prints per-node and global (mu, L, G)
 * ``report``   -- regenerate the analysis CSVs of a run directory, or print
                   the tables of the saved runs of an output directory
+* ``verify``   -- rerun saved runs from their config.txt and compare every byte
 * ``selftest`` -- built-in gradient and probe-oracle checks
 
 The environment variable ``FEDBOUND_SEED`` overrides the configured seed.
@@ -21,7 +22,9 @@ import argparse
 import os
 import shutil
 import sys
+import tempfile
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -161,10 +164,52 @@ def _cmd_report(args) -> int:
     rows = analysis.output_rows(run_dir) if run_dir.is_dir() else []
     if not rows:
         kinds = "a run directory (no rounds.csv) nor an output directory (no <name>_seed<s>)"
-        print(f"error: {run_dir} is neither {kinds}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{run_dir} is neither {kinds}")
     print("\n".join(_tables(rows)))
     return 0
+
+
+def first_difference(saved, fresh) -> tuple[int, str | None, str | None] | None:
+    """(1-based number, saved line, fresh line) of the first line at which the two
+    line lists differ, None standing for a line past a list's end; None if none does."""
+    for number, pair in enumerate(zip_longest(saved, fresh), start=1):
+        if pair[0] != pair[1]:
+            return number, *pair
+
+
+def _rerun_difference(run_dir: Path) -> str | None:
+    """Where ``run_dir`` first differs from what its config.txt makes, rerun by
+    ``run_one_seed`` into a temporary directory; None when every byte agrees."""
+    cfg = analysis._run_config(run_dir)
+    seed = cfg.scenario.seed
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = replace(cfg, output_dir=Path(tmp))
+        run_one_seed(cfg, preflight(cfg, seed))
+        dirs = (run_dir, cfg.output_dir / f"{cfg.scenario_name}_seed{seed}")
+        saved, fresh = ({p.name: p.read_bytes() for p in d.iterdir()} for d in dirs)
+    for name in sorted(saved.keys() | fresh.keys()):
+        if name not in saved or name not in fresh:
+            return f"{name}: {'missing' if name in fresh else 'not made by a rerun'}"
+        if saved[name] != fresh[name]:
+            old, new = (files[name].decode(errors="surrogateescape") for files in (saved, fresh))
+            # Split at "\n" alone, so that two texts that differ differ in a line.
+            line, old, new = first_difference(old.split("\n"), new.split("\n"))
+            return f"{name}: line {line}: {old!r} where a rerun gives {new!r}"
+
+
+def _cmd_verify(args) -> int:
+    path = Path(args.run)
+    if (path / "config.txt").is_file():
+        runs = [path]
+    elif not (path.is_dir() and (runs := analysis.run_dirs(path))):
+        kinds = "a run directory (no config.txt) nor an output directory (no <name>_seed<s>)"
+        raise ValueError(f"{path} is neither {kinds}")
+    status = 0
+    for run_dir in runs:
+        difference = _rerun_difference(run_dir)
+        print(f"ok {run_dir}" if difference is None else f"differs {run_dir}: {difference}")
+        status |= difference is not None
+    return status
 
 
 def _tables(rows: list[tuple]) -> list[str]:
@@ -299,6 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--run", required=True, help="a run directory (holds rounds.csv) or "
                           "an output directory (holds <name>_seed<s> run directories)")
     report_p.set_defaults(func=_cmd_report)
+
+    verify_p = sub.add_parser("verify", help="rerun saved runs and compare them byte for byte")
+    verify_p.add_argument("--run", required=True, help="a run directory (holds config.txt) or "
+                          "an output directory (holds <name>_seed<s> run directories)")
+    verify_p.set_defaults(func=_cmd_verify)
 
     selftest_p = sub.add_parser("selftest", help="gradient and probe-oracle checks")
     selftest_p.set_defaults(func=_cmd_selftest)

@@ -531,14 +531,12 @@ class TestConstruction:
     def test_a_softmax_config_built_in_code_reruns_from_its_config_txt(self, tmp_path):
         model = ModelSpec("softmax", 4, 3, hidden_width=16, l2_coefficient=0.01)
         scenario = ScenarioConfig(2, 30, 2, model, batch_size=15, n_probes=3, seed=1)
-        out, rerun = tmp_path / "out", tmp_path / "rerun"
+        out = tmp_path / "out"
         cfg = ExperimentConfig(scenario, SyntheticSpec(3, 4, 40), out, (1,), "code")
         assert cli.run_experiment(cfg) == 0
         run_dir = out / "code_seed1"
         assert "model.hidden_width = 0\n" in (run_dir / "config.txt").read_text()
-        assert main(["run", "--config", str(run_dir / "config.txt"), "--out", str(rerun)]) == 0
-        files = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-        assert {p.name: p.read_bytes() for p in (rerun / "code_seed1").iterdir()} == files
+        assert main(["verify", "--run", str(run_dir)]) == 0
 
     def test_an_empty_config_gives_each_field_its_dataclass_default(self):
         # The keys whose field has no default or another one state their own.
@@ -952,25 +950,22 @@ class TestGeneratedConfigs:
             if "data.source = cifar10" in text:
                 write_cifar(Path(tmp) / "cifar", layout, n_records, tail)
 
-            def run(config: Path, out: Path) -> tuple[int, str]:
+            def fedbound(*argv: str) -> tuple[int, str]:
                 stderr = io.StringIO()
                 # A Python warning, an error under tier-1, or an exception that
                 # main lets through fails the example.
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                    status = main(["run", "--config", str(config), "--out", str(out)])
+                    status = main(list(argv))
                 return status, stderr.getvalue()
 
-            status, err = run(path, out)
+            status, err = fedbound("run", "--config", str(path), "--out", str(out))
             if status == 0:
                 run_dirs = [d for d in out.iterdir() if d.is_dir()]
                 assert len(run_dirs) == 1
                 assert check_run_dir(run_dirs[0]) == []
-                # The run's own config.txt reruns it, every file byte for byte.
-                rerun = Path(tmp) / "rerun"
-                assert run(run_dirs[0] / "config.txt", rerun) == (0, err)
-                first, again = run_dirs[0], rerun / run_dirs[0].name
-                files = {p.name: p.read_bytes() for p in first.iterdir()}
-                assert {p.name: p.read_bytes() for p in again.iterdir()} == files
+                # The run's own config.txt reruns it, every file byte for byte,
+                # with the same warnings.
+                assert fedbound("verify", "--run", str(run_dirs[0])) == (0, err)
             elif status == 2:
                 assert re.match(r"config error: line \d+: ", err), err
                 assert not out.exists()

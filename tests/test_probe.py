@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fedbound import probe
 from fedbound.flsim import ScenarioConfig
 from fedbound.model import (
+    PROB_FLOOR,
     Dataset,
     init_params,
     init_scales,
@@ -506,3 +507,103 @@ class TestStackedProbes:
         assert type(cause) is type(exc)
         assert isinstance(cause, DegeneratePairError) == (kinds[index] == "degenerate")
         assert str(cause) == str(exc)
+
+
+
+def softmax_sides(spec, data, W):
+    """Per row of the ``(P, dim)`` stack ``W``, by a plain numpy softmax: the
+    ``(n,)`` log-probabilities of the true classes, the largest sum of absolute
+    terms of a logit, the loss and its gradient."""
+    k, d = spec.num_classes, spec.feature_dim
+    xb = np.column_stack([data.features, np.ones(len(data))])
+    weights = np.concatenate([W[:, : k * d].reshape(-1, k, d), W[:, k * d :, None]], axis=2)
+    logits = weights @ xb.T  # (P, k, n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp_all = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    onehot = np.eye(k)[data.labels].T
+    logp = (logp_all * onehot).sum(axis=1)
+    l2 = spec.l2_coefficient
+    f = -logp.mean(axis=1) + 0.5 * l2 * np.einsum("pi,pi->p", W, W)
+    grad = ((np.exp(logp_all) - onehot) / len(data)) @ xb  # (P, k, d + 1)
+    grad = np.concatenate([grad[:, :, :d].reshape(len(W), -1), grad[:, :, d]], axis=1)
+    terms = (np.abs(weights) @ xb.T).max(axis=(1, 2))
+    return logp, terms, f, grad + l2 * W
+
+
+def bracketed_probes(spec, data, rng_seed, scale, n_probes=16):
+    """Each probe's m from ``collect_probes``, whether a sample sits on the
+    PROB_FLOOR cap at its u or v, and the rounding tolerance of its m.
+
+    The tolerance is a first-order bound on the rounding of the numerator
+    ``f(u) - f(v) + <v - u, grad f(v)>``, divided as m divides it. With
+    ``c = (n + dim + d + k + 3) * eps``: a logit is a dot of d + 1 terms whose
+    absolute sum is at most T, and a sample's loss ``logsumexp(z) - z_y`` takes
+    two of them, so f carries at most ``c * (2 * (T + log k) + f)`` after its
+    mean over n rows and the ``dim``-term penalty. A gradient entry sums n
+    terms of size at most ``1 / n`` (features lie in [0, 1]) plus ``l2 * |v_j|``,
+    so the dot carries at most ``c * sum_j |u_j - v_j| * (|g_j| + 2 + l2 * |v_j|)``.
+    The tolerance is 4 times the sum of the three, times ``2 / ||u - v||^2``.
+    """
+    samples = collect_probes(spec, data, n_probes, rng_seed, scale=scale)
+    pairs = [draw_probe_pair(spec, derive_seed(rng_seed, i), scale=scale) for i in range(n_probes)]
+    U, V = (np.array(side) for side in zip(*pairs))
+    (logp_u, t_u, f_u, _), (logp_v, t_v, f_v, g_v) = (softmax_sides(spec, data, W) for W in (U, V))
+    cap = -math.log(PROB_FLOOR)
+    capped = ((logp_u < -cap) | (logp_v < -cap)).any(axis=1)
+    k, d, dim = spec.num_classes, spec.feature_dim, U.shape[1]
+    c = (len(data) + dim + d + k + 3) * np.finfo(float).eps
+    rounding = sum(c * (2 * (t + math.log(k)) + f) for t, f in ((t_u, f_u), (t_v, f_v)))
+    rounding += c * (np.abs(U - V) * (np.abs(g_v) + 2 + spec.l2_coefficient * np.abs(V))).sum(1)
+    tolerance = 4 * rounding * 2 / ((U - V) ** 2).sum(axis=1)
+    return samples[:, 0], capped, tolerance
+
+
+@st.composite
+def softmax_cases(draw):
+    """A small softmax spec, a dataset for it and a probe seed and scale."""
+    d, k, n = draw(st.integers(1, 5)), draw(st.integers(2, 4)), draw(st.integers(1, 12))
+    unit = st.floats(0, 1, allow_subnormal=False)
+    features = np.array(draw(st.lists(unit, min_size=n * d, max_size=n * d))).reshape(n, d)
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    spec = softmax_spec(d, k, l2=draw(st.sampled_from([0.0, 1e-3, 0.01, 0.5]) | unit))
+    # Up to 10 times the init scales, where the cap starts to bite.
+    scale = init_scales(spec) * draw(st.floats(0.05, 10))
+    return spec, Dataset(features, np.array(labels), k), draw(st.integers(0, 2**32)), scale
+
+
+class TestSoftmaxBracket:
+    """An analytic bracket for every softmax probe.
+
+    With L2 coefficient l2 (the penalty covers the bias), the loss's Hessian
+    lies between ``l2 * I`` and ``L_an * I``, where ``L_an = l2 + lmax / 2``
+    and lmax is the top eigenvalue of ``Xb^T Xb / n``, Xb the features with a
+    column of ones: a sample's Hessian in its logits, ``diag(p) - p p^T``,
+    lies between 0 and ``I / 2``. A probe's m is a weighted mean of the
+    Hessian's Rayleigh quotients along [v, u], so it lies in [l2, L_an].
+    That fails where a sample sits on the PROB_FLOOR cap, whose flat branch
+    is not convex. A sample's ``-log p`` is convex along the segment, so it
+    stays below the cap on all of it when it does at u and at v.
+    """
+
+    @given(softmax_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_every_probe_off_the_cap_lies_in_the_bracket(self, case):
+        spec, data, rng_seed, scale = case
+        m, capped, tolerance = bracketed_probes(spec, data, rng_seed, scale)
+        xb = np.column_stack([data.features, np.ones(len(data))])
+        lmax = np.linalg.eigvalsh(xb.T @ xb / len(data))[-1]
+        l2 = spec.l2_coefficient
+        # eigvalsh is backward stable: lmax is off by a few eps of itself.
+        upper = l2 + lmax / 2 * (1 + 8 * xb.shape[1] * np.finfo(float).eps)
+        inside = (l2 - tolerance <= m) & (m <= upper + tolerance)
+        assert (inside | capped).all(), (m[~inside], l2, upper, tolerance[~inside])
+
+    def test_on_the_cap_a_probe_can_fall_below_l2(self):
+        # Features of 1 and a probe scale of 40 times the init scales give
+        # logits in the hundreds, so most samples sit on the cap at u or v.
+        spec = softmax_spec(2, 3, l2=0.01)
+        data = Dataset(np.ones((6, 2)), np.arange(6) % 3, 3)
+        m, capped, tolerance = bracketed_probes(spec, data, 3, 40 * init_scales(spec))
+        below = m < spec.l2_coefficient - tolerance
+        assert below.any()
+        assert capped[below].all()
