@@ -17,7 +17,7 @@ import numpy as np
 
 from fedbound.analysis import SELECTION_POLICIES, run_dirs
 from fedbound.cli import first_difference
-from fedbound.config import ExperimentConfig, echo_lines, read_config
+from fedbound.config import ExperimentConfig, echo_lines, load_config
 from fedbound.csvio import RUN_TABLES, read_csv
 from fedbound.flsim import initial_params, node_datasets, training_phase
 
@@ -40,7 +40,7 @@ def _selection(run_dir: Path, seeded: ExperimentConfig, policy: str) -> set[int]
 
 
 def main() -> None:
-    cfg = read_config(CONFIG)
+    cfg = load_config(CONFIG)
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=Path, default=cfg.output_dir,
                         help="where fedbound run saved the config's runs (default: its output.dir)")

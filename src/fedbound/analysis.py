@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, read_config
+from .config import ExperimentConfig, load_config
 from .csvio import RUN_TABLES, read_csv, write_csv
 from .flsim import FLRun
 from .probe import ConstantsEstimate
@@ -220,7 +220,7 @@ def _read_node_constants(run_dir: Path, n_nodes: int) -> tuple[ConstantsEstimate
 def _run_config(run_dir: Path) -> ExperimentConfig:
     """The config ``run_dir/config.txt`` records; a ValueError names a bad file."""
     try:
-        return read_config(run_dir / "config.txt")
+        return load_config(run_dir / "config.txt")
     except ValueError as exc:
         raise ValueError(f"{run_dir / 'config.txt'}: {exc}") from exc
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis, flsim, probe
 from .bound import BoundParams, convergence_bound
-from .config import ConfigError, ExperimentConfig, echo_lines, preflight, read_config
+from .config import ConfigError, ExperimentConfig, echo_lines, load_config, preflight
 from .model import (
     Dataset,
     finite_difference_gradient,
@@ -100,7 +100,7 @@ def run_one_seed(cfg: ExperimentConfig, setup: flsim.Setup) -> None:
 
 
 def execute_seed(cfg: ExperimentConfig, seed: int) -> None:
-    """Set up one seed and run it: what ``fedbound run`` does for each seed."""
+    """Set up one seed and run it: what ``verify`` reruns and the benchmark times."""
     run_one_seed(cfg, preflight(cfg, seed))
 
 
@@ -179,13 +179,16 @@ def first_difference(saved, fresh) -> tuple[int, str | None, str | None] | None:
 
 def _rerun_difference(run_dir: Path) -> str | None:
     """Where ``run_dir`` first differs from what its config.txt makes, rerun by
-    ``run_one_seed`` into a temporary directory; None when every byte agrees."""
+    :func:`execute_seed` into a temporary directory; None when every byte agrees.
+    A ConfigError of the rerun's set-up names the config.txt."""
     cfg = analysis._run_config(run_dir)
     seed = cfg.scenario.seed
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = replace(cfg, output_dir=Path(tmp))
-        run_one_seed(cfg, preflight(cfg, seed))
-        dirs = (run_dir, cfg.output_dir / f"{cfg.scenario_name}_seed{seed}")
+        try:
+            execute_seed(replace(cfg, output_dir=Path(tmp)), seed)
+        except ConfigError as exc:
+            raise ConfigError(f"{run_dir / 'config.txt'}: {exc}") from exc
+        dirs = (run_dir, Path(tmp) / f"{cfg.scenario_name}_seed{seed}")
         saved, fresh = ({p.name: p.read_bytes() for p in d.iterdir()} for d in dirs)
     for name in sorted(saved.keys() | fresh.keys()):
         if name not in saved or name not in fresh:
@@ -315,7 +318,7 @@ def _cmd_selftest(_args) -> int:
 
 def _load_config_with_env(path: str) -> ExperimentConfig:
     """The config at ``path``, its seeds overridden by ``FEDBOUND_SEED``."""
-    cfg = read_config(path)
+    cfg = load_config(path)
     env_seed = os.environ.get("FEDBOUND_SEED")
     if env_seed is not None:
         try:

@@ -310,17 +310,12 @@ def build_experiment_config(raw: _RawConfig, base_dir: Path | None = None) -> Ex
     )
 
 
-def read_config(path: Path | str) -> ExperimentConfig:
+def load_config(path: Path | str) -> ExperimentConfig:
     """The config at ``path``, which keeps the line of each key for
     :func:`preflight` to name; the file is read once, so it may be a pipe."""
     path = Path(path)
     raw = parse_config_text(path.read_text(encoding="utf-8"))
     return build_experiment_config(raw, base_dir=path.resolve().parent)
-
-
-def load_config(path: Path | str) -> ExperimentConfig:
-    """The name perfbench times; fedbound itself calls :func:`read_config`."""
-    return read_config(path)
 
 
 def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
@@ -332,7 +327,7 @@ def preflight(cfg: ExperimentConfig, seed: int) -> Setup:
     of which loads the CIFAR-10 batches the run reuses, then
     :func:`flsim.probe_phase`. A fault is told apart by its exception class.
     The seeds are known only once ``FEDBOUND_SEED`` has been applied, so
-    :func:`read_config` does not call it.
+    :func:`load_config` does not call it.
     """
     lines, s, d, c = cfg.lines, _SCENARIO_KEYS, _SYNTHETIC_KEYS, _CIFAR_KEYS
     if isinstance(cfg.dataset, CifarSource):

@@ -15,9 +15,10 @@ Rounds run in lockstep: node i holds rows ``i * n`` to ``(i + 1) * n`` of one
 node-major block, never split into per-node copies, and every node of a round
 starts from the same global vector, so the N nodes train as one ``(N, dim)``
 stack, one stacked gradient call per SGD step. A round's test losses, those
-of the N trained rows and of their average, are one kernel call over the one
-test set, and its training loss is one stacked loss call. Each stack row
-equals the node's own single-vector computation bit for bit.
+of the N trained rows and of their average, are scored over the one test set,
+and its training loss node by node, in stacks of at most
+:func:`probe.probe_stack_size` rows. Each stack row equals the node's own
+single-vector computation bit for bit.
 
 All randomness derives from (config seed, phase, round, node), so results do
 not depend on the order in which seeds, rounds or nodes run. The generators
@@ -54,6 +55,7 @@ from .probe import (
     aggregate_global,
     collect_probes,
     constants_from_samples,
+    probe_stack_size,
 )
 from .rng import derive_seed, derive_seeds, permutations, seed_states, spawn_rng
 
@@ -339,6 +341,22 @@ def probe_phase(cfg: ScenarioConfig, rows: Dataset) -> Probed:
     return Probed(w1, probe_samples, node_constants, aggregate_global(node_constants))
 
 
+def _losses(spec: ModelSpec, params: np.ndarray, data: Dataset, block: int = 0) -> np.ndarray:
+    """The ``(P,)`` losses of a ``(P, dim)`` stack, each row's on all of ``data``
+    or, given ``block``, row p's on rows ``p * block`` to ``(p + 1) * block``.
+    Calls take at most :func:`probe_stack_size` rows, so an MLP's hidden units
+    stay a few MB; a row's loss does not depend on the stack, so it is bit-equal
+    to one call's."""
+    size = probe_stack_size(spec, data.subset(slice(0, block)) if block else data)
+    if len(params) <= size:
+        return loss(spec, params, data) if block else shared_data_loss(spec, params, data)
+    parts = []
+    for first in range(0, len(params), size):
+        rows = data.subset(slice(first * block, (first + size) * block)) if block else data
+        parts.append(_losses(spec, params[first : first + size], rows, block))
+    return np.concatenate(parts)
+
+
 @np.errstate(all="ignore")
 def training_phase(
     cfg: ScenarioConfig, w1: ParamVector, test_data: Dataset, rows: Dataset
@@ -354,11 +372,11 @@ def training_phase(
     lowest mean training loss over the nodes. numpy's floating-point errors are
     off: non-finite parameters, losses or deltas raise the run's own ValueError.
     """
-    _rows_per_node(cfg, rows)
+    n = _rows_per_node(cfg, rows)
     n_nodes = cfg.n_nodes
 
     def train_loss_at(params: ParamVector) -> float:
-        return float(np.mean(loss(cfg.model, np.tile(params, (n_nodes, 1)), rows)))
+        return float(np.mean(_losses(cfg.model, np.tile(params, (n_nodes, 1)), rows, n)))
 
     shuffles = shuffle_states(
         [derive_seeds((cfg.seed, "round", t), range(n_nodes)) for t in range(1, cfg.rounds + 1)],
@@ -366,7 +384,7 @@ def training_phase(
     )
     current = wstar_proxy = w1
     best_loss = train_loss_at(w1)
-    test_loss = float(loss(cfg.model, w1[None], test_data)[0])
+    test_loss = float(_losses(cfg.model, w1[None], test_data)[0])
     train_losses, test_losses, deltas, norms = [], [], [], []
     for t, states in enumerate(shuffles, 1):
         try:
@@ -374,9 +392,7 @@ def training_phase(
         except ValueError as exc:
             raise ValueError(f"round {t}: {exc}") from exc
         current = fedavg(trained)
-        # The trained rows and their average on the one test set, in one
-        # kernel call; row i equals loss(cfg.model, row[None], test_data) bit for bit.
-        scores = shared_data_loss(cfg.model, np.vstack((trained, current)), test_data)
+        scores = _losses(cfg.model, np.vstack((trained, current)), test_data)
         deltas.append(test_loss - scores[:-1])
         test_loss = float(scores[-1])
         train_loss = train_loss_at(current)

@@ -252,7 +252,7 @@ class TestRunCommand:
         assert summary[2].startswith("tiny,2,")
 
     def test_a_seed_runs_under_the_scenario_of_its_set_up(self, tiny_config, tmp_path):
-        cfg = replace(config.read_config(tiny_config), output_dir=tmp_path / "out")
+        cfg = replace(config.load_config(tiny_config), output_dir=tmp_path / "out")
         for seed in (1, 2, 3, 17):
             assert config.preflight(cfg, seed).scenario == replace(cfg.scenario, seed=seed)
         cli.run_one_seed(cfg, config.preflight(cfg, 2))
@@ -404,7 +404,7 @@ class TestRunCommand:
         path = tmp_path / "noisy.cfg"
         path.write_text(SOURCES[source](tmp_path) + "data.noise_sigma = 1e308\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        cfg = config.read_config(path)
+        cfg = config.load_config(path)
         for seed in cfg.repeat_seeds:
             _, rows = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=seed))
             assert np.isin(rows.features, (0.0, 1.0)).all()
@@ -657,7 +657,7 @@ class TestRunCommand:
         text = (REPO / "configs" / "five_nodes.cfg").read_text()
         small_pool = tmp_path / "small_pool.cfg"
         small_pool.write_text(text.replace("samples_per_class = 300", "samples_per_class = 100"))
-        cfg = replace(config.read_config(small_pool), output_dir=tmp_path / "o")
+        cfg = replace(config.load_config(small_pool), output_dir=tmp_path / "o")
         with pytest.raises(config.ConfigError, match=r"^line 5: scenario\.samples_per_node: "):
             cli.run_experiment(cfg)
         assert not (tmp_path / "o").exists()
@@ -1151,6 +1151,23 @@ class TestVerifyCommand:
         assert err.startswith(f"error: {config_txt}: line 3: scenario.rounds: ")
         assert main(["report", "--run", str(out / "tiny_seed1")]) == 1
         assert capsys.readouterr().err == err
+
+    def test_a_run_that_cannot_be_set_up_exits_2_naming_its_config_txt(self, tmp_path, capsys):
+        cfg = cifar_config_under(tmp_path / "data")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        batch = cfg.parent / "batch.bin"
+        batch.rename(tmp_path / "moved.bin")
+        config_txt = out / "tiny_seed1" / "config.txt"
+        line = config_txt.read_text().splitlines().index(f"data.cifar_path = {batch}") + 1
+        assert main(["verify", "--run", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"config error: {config_txt}: line {line}: data.cifar_path: [Errno 2] "
+        )
+        assert captured.err.endswith(f"{str(batch)!r}\n")
 
     def test_a_path_that_holds_no_run_exits_1(self, tmp_path, capsys):
         assert main(["verify", "--run", str(tmp_path)]) == 1

@@ -22,9 +22,9 @@ from fedbound.config import (
     ExperimentConfig,
     build_experiment_config,
     echo_lines,
+    load_config,
     parse_config_text,
     preflight,
-    read_config,
 )
 from fedbound.cli import main
 from fedbound.data import CIFAR_RECORD_BYTES, CifarSource, SyntheticSpec
@@ -68,7 +68,7 @@ def preflight_text(tmp_path: Path, text: str) -> None:
     """Load ``text`` and run its pre-flight on each seed, which must pass."""
     path = tmp_path / "c.cfg"
     path.write_text(text)
-    cfg = read_config(path)
+    cfg = load_config(path)
     for seed in cfg.repeat_seeds:
         preflight(cfg, seed)
 
@@ -384,7 +384,7 @@ class TestBuild:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(GOOD)
-        cfg = read_config(path)
+        cfg = load_config(path)
         assert cfg.output_dir == tmp_path / "runs"
 
 
@@ -430,12 +430,12 @@ class TestConstruction:
     def test_a_text_field_that_config_txt_cannot_echo_fails_at_construction(
         self, no_datasets, text, message
     ):
-        cfg = read_config(REPO / "configs" / "five_nodes.cfg")
+        cfg = load_config(REPO / "configs" / "five_nodes.cfg")
         with pytest.raises(ValueError) as named:
             replace(cfg, scenario_name=text)
         assert str(named.value) == f"scenario_name {text!r}: {message}"
         path = REPO / "configs" / "cifar10.cfg"
-        cifar = read_config(path)
+        cifar = load_config(path)
         with pytest.raises(ConfigError) as pathed:
             replace(cifar, dataset=replace(cifar.dataset, path=Path(text)))
         line = line_of(path, "data.cifar_path")
@@ -475,7 +475,7 @@ class TestConstruction:
     )
     def test_a_fault_fails_at_construction(self, no_datasets, name, change, key, message):
         path = REPO / "configs" / f"{name}.cfg"
-        cfg = read_config(path)
+        cfg = load_config(path)
         changed = change(cfg)
         # Replaced on a config read from text, the error names the line it was read from.
         with pytest.raises(ConfigError) as replaced:
@@ -499,13 +499,13 @@ class TestConstruction:
         ],
     )
     def test_a_non_finite_float_fails_at_construction(self, no_datasets, owner, name, value):
-        cfg = read_config(REPO / "configs" / "five_nodes.cfg")
+        cfg = load_config(REPO / "configs" / "five_nodes.cfg")
         with pytest.raises(ValueError, match=rf"^{name} must be finite and >=? 0$"):
             replace_in(cfg, owner, **{name: value})
 
     def test_a_model_that_differs_from_its_data_source_fails_at_construction(self, no_datasets):
         # five_nodes.cfg sets no model size, so the error names no line.
-        cfg = read_config(REPO / "configs" / "five_nodes.cfg")
+        cfg = load_config(REPO / "configs" / "five_nodes.cfg")
         with pytest.raises(ConfigError) as excinfo:
             replace_in(cfg, "dataset", feature_dim=16)
         assert str(excinfo.value) == "model.feature_dim: 8 differs from the data source's 16"
@@ -603,7 +603,7 @@ class TestPreflight:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.cfg"
             path.write_text(text)
-            cfg = read_config(path)
+            cfg = load_config(path)
             message = self.message(cfg)
         built = ExperimentConfig(cfg.scenario, cfg.dataset, cfg.output_dir, cfg.repeat_seeds)
         assert built == cfg and not built.lines
@@ -724,7 +724,7 @@ class TestKeys:
 
     @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
-        cfg = read_config(path)
+        cfg = load_config(path)
         assert cfg.scenario.model is not None
 
     def test_benchmark_workload_configs_load(self, tmp_path):
@@ -736,7 +736,7 @@ class TestKeys:
         for name, workload in WORKLOADS.items():
             path = tmp_path / f"{name}.cfg"
             path.write_text(workload.body)
-            assert read_config(path).scenario_name
+            assert load_config(path).scenario_name
 
 
 def floats(lo, hi):
@@ -822,7 +822,7 @@ class TestEcho:
         # spaces included, less the warning.bound_assumptions line that
         # epochs3.txt held. A relative data.cifar_path echoes resolved against
         # the config file's directory, which {config_dir} stands for.
-        cfg = read_config(path)
+        cfg = load_config(path)
         cfg = replace(cfg, scenario=replace(cfg.scenario, seed=2))
         expected = path.with_suffix(".txt").read_text(encoding="utf-8")
         expected = expected.replace("{config_dir}", str(path.resolve().parent))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedbound import flsim, model, probe
 from fedbound.bound import estimate_initial_distance
-from fedbound.config import ExperimentConfig, echo_lines, preflight, read_config
+from fedbound.config import ExperimentConfig, echo_lines, load_config, preflight
 from fedbound.data import SyntheticSpec, gen_synthetic
 from fedbound.flsim import (
     EmptyTestSplitError,
@@ -358,7 +358,7 @@ class TestRunFederated:
     # where a RuntimeWarning is an error.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_fails_on_its_own_check_whatever_the_warning_filter(self):
-        cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "five_nodes.cfg")
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "five_nodes.cfg")
         seed = cfg.repeat_seeds[0]
         diverging = replace(cfg.scenario, seed=seed, lr=1e10)
         with pytest.raises(
@@ -634,7 +634,7 @@ def test_probe_and_training_phases_in_two_threads_match_serial_runs():
     # Each thread has its own kernel workspace, so two seeds' phases can run
     # at once, their kernel calls on the same shapes, and still give the
     # serial bits.
-    cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
     seeds = (1, 2, 3)
 
     def phases(seed):
@@ -669,7 +669,7 @@ def test_repeated_probe_phase_takes_almost_no_page_faults():
     # phase.
     import resource
 
-    cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
     scenario = replace(cfg.scenario, seed=1)
     _, rows = flsim.node_datasets(cfg.dataset, scenario)
     probe_phase(scenario, rows)
@@ -697,7 +697,7 @@ def test_each_phase_makes_its_pinned_kernel_calls(monkeypatch):
     # Both bindings of the one kernel: the model's and the probe's.
     for module in (model, probe):
         monkeypatch.setattr(module, "_loss_and_grad_stacked", spying(module._loss_and_grad_stacked))
-    cfg = read_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
     setup = preflight(cfg, 1)
     probe_calls = calls.copy()
     calls.clear()
@@ -709,3 +709,23 @@ def test_each_phase_makes_its_pinned_kernel_calls(monkeypatch):
 
     assert work(probe_calls) == (16, 8, 16 * 80)
     assert work(calls) == (177, 125, 125 * 8 + (1 + 8) + 25 * (9 + 8))
+
+
+@pytest.mark.parametrize("kind", ["softmax", "mlp"])
+def test_round_scores_do_not_depend_on_the_stack_height(monkeypatch, kind):
+    # training_phase scores the test set and the nodes' blocks in stacks of
+    # at most probe_stack_size rows. A row's loss does not depend on its
+    # stack, so stacks of 3 (9 test rows in 3, 8 nodes in 3, 3 and 2) give
+    # hetero_eight_nodes seed 1's one-stack results bit for bit.
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hetero_eight_nodes.cfg")
+    spec = cfg.scenario.model
+    if kind == "mlp":
+        spec = mlp_spec(spec.feature_dim, spec.num_classes, 8, l2=spec.l2_coefficient)
+    scenario = replace(cfg.scenario, seed=1, model=spec)
+    test, rows = flsim.node_datasets(cfg.dataset, scenario)
+    w1 = flsim.initial_params(scenario)
+    expected = training_phase(scenario, w1, test, rows)
+    monkeypatch.setattr(flsim, "probe_stack_size", lambda spec, data: 3)
+    got = training_phase(scenario, w1, test, rows)
+    for x, y in zip(_phase_arrays(astuple(got)), _phase_arrays(astuple(expected)), strict=True):
+        assert x.tobytes() == y.tobytes()

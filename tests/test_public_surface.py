@@ -19,8 +19,6 @@ READERS = MODULES + sorted((ROOT / "scripts").glob("*.py"))
 # shrink: a deletion or a new caller removes an entry, and a new public name
 # comes with its caller. ``Trained.final_params`` stays as a test observable.
 UNREACHED = frozenset({
-    "cli.execute_seed",
-    "config.load_config",
     "flsim.run_federated",
     "flsim.Trained.final_params",
     "probe.compute_g",

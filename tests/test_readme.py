@@ -15,7 +15,7 @@ import pytest
 from fedbound import model
 from fedbound.analysis import SUMMARY_HEADER
 from fedbound.cli import main
-from fedbound.config import KNOWN_KEYS, read_config
+from fedbound.config import KNOWN_KEYS, load_config
 from test_cli import TINY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -194,7 +194,7 @@ def test_exit_0_example_saturates_five_nodes(tmp_path, capsys):
     *edits, train_loss, rounds, capped, rows = example.groups()
     assert (train_loss, capped) == ("20.2995902", "551")
     config = five_nodes_with(tmp_path, *edits, "repeat_seeds = 1")
-    scenario = read_config(config).scenario
+    scenario = load_config(config).scenario
     assert int(rounds) == scenario.rounds
     assert int(rows) == scenario.n_nodes * scenario.samples_per_node
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0

@@ -12,7 +12,7 @@ import pytest
 
 from fedbound import analysis, flsim
 from fedbound.cli import main
-from fedbound.config import read_config
+from fedbound.config import load_config
 from fedbound.csvio import RUN_TABLES, read_csv
 from fedbound.model import Dataset
 
@@ -65,7 +65,7 @@ def test_selection_payoff_selects_the_top_l_row(hetero_run):
 
 
 def test_selection_payoff_losses_are_engine_runs_on_each_subset(hetero_run):
-    cfg = read_config(HETERO)
+    cfg = load_config(HETERO)
     test_data, block = flsim.node_datasets(cfg.dataset, replace(cfg.scenario, seed=1))
     n = cfg.scenario.samples_per_node
     lines = run_script("selection_payoff.py", "--runs", str(hetero_run))
